@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ from .weighted_norms import (
 )
 
 
+# the flag that carries (BETA1, BETA2) for each strip-based command
+_BAND_FLAG = {"spectrum": "strip", "res": "strip", "index": "window",
+              "adjoint-check": "window", "verify-cc": "window"}
+
+
 @dataclass
 class RunConfig:
     """Programmatic mirror of one CLI invocation.
@@ -67,11 +73,8 @@ class RunConfig:
         argv = [self.command]
         if self.operator_path is not None:
             argv.append(self.operator_path)
-        if self.command in ("spectrum", "res") and self.beta1 is not None:
-            argv += ["--strip", str(self.beta1), str(self.beta2)]
-        elif self.command in ("index", "adjoint-check", "verify-cc") and \
-                self.beta1 is not None:
-            argv += ["--window", str(self.beta1), str(self.beta2)]
+        if self.command in _BAND_FLAG and self.beta1 is not None:
+            argv += [f"--{_BAND_FLAG[self.command]}", str(self.beta1), str(self.beta2)]
         elif self.command == "model-solve" and self.beta1 is not None:
             argv += ["--beta1", str(self.beta1), "--beta2", str(self.beta2)]
         if self.degree is not None:
@@ -150,29 +153,18 @@ def cmd_pencil(args):
     return 0
 
 
-def _spectrum_report(args):
+def cmd_strip(args):
+    """spectrum and res: the full report, or only its critical lines; both
+    print the same CSV."""
     op = _load_operator(args.operator)
-    return op, strip_spectrum(op, args.strip[0], args.strip[1], args.degree)
-
-
-def cmd_spectrum(args):
-    op, rep = _spectrum_report(args)
+    rep = strip_spectrum(op, args.strip[0], args.strip[1], args.degree)
     if args.format == "csv":
         _emit(rep.res_lines_csv(), args)
-    else:
+    elif args.command == "spectrum":
         _emit(rep.to_json(), args)
-    return 0
-
-
-def cmd_res(args):
-    op, rep = _spectrum_report(args)
-    if args.format == "csv":
-        _emit(rep.res_lines_csv(), args)
     else:
-        _emit(_fingerprinted(op, {
-            "strip": [rep.beta1, rep.beta2],
-            "res_lines": {f"{l:.12g}": m for l, m in sorted(rep.res_lines.items())},
-        }), args)
+        _emit(_fingerprinted(op, {"strip": [rep.beta1, rep.beta2],
+                                  "res_lines": rep.res_lines_json()}), args)
     return 0
 
 
@@ -290,7 +282,6 @@ def cmd_verify_cc(args):
     rep = strip_spectrum(op, b1, b2, args.degree)
     checks = []
     ok = True
-    import math
     for b in range(math.ceil(b1), math.floor(b2) + 1):
         jump = (pn_mu_nu(op.n, op.mu, op.nu, b - 0.5)
                 - pn_mu_nu(op.n, op.mu, op.nu, b + 0.5))
@@ -330,6 +321,11 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=1)
 
+    def band(sp, command):
+        sp.add_argument(f"--{_BAND_FLAG[command]}", type=float, nargs=2,
+                        required=True, metavar=("BETA1", "BETA2"))
+        sp.add_argument("--degree", type=int, default=6)
+
     sp = sub.add_parser("parse", help="validate and canonicalize an operator")
     common(sp)
     sp.set_defaults(fn=cmd_parse)
@@ -349,25 +345,19 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="pencil spectrum in a strip")
     common(sp)
-    sp.add_argument("--strip", type=float, nargs=2, required=True,
-                    metavar=("BETA1", "BETA2"))
-    sp.add_argument("--degree", type=int, default=6)
-    sp.set_defaults(fn=cmd_spectrum)
+    band(sp, "spectrum")
+    sp.set_defaults(fn=cmd_strip)
 
     sp = sub.add_parser("res", help="critical weight lines in a strip")
     common(sp)
-    sp.add_argument("--strip", type=float, nargs=2, required=True,
-                    metavar=("BETA1", "BETA2"))
-    sp.add_argument("--degree", type=int, default=6)
-    sp.set_defaults(fn=cmd_res)
+    band(sp, "res")
+    sp.set_defaults(fn=cmd_strip)
 
     sp = sub.add_parser("index", help="Fredholm index ledger over a window")
     common(sp)
     sp.add_argument("--anchor", default="cc",
                     help="cc | selfadjoint | user:beta0=V,index=W")
-    sp.add_argument("--window", type=float, nargs=2, required=True,
-                    metavar=("BETA1", "BETA2"))
-    sp.add_argument("--degree", type=int, default=6)
+    band(sp, "index")
     sp.set_defaults(fn=cmd_index)
 
     sp = sub.add_parser("adjoint", help="formal adjoint operator")
@@ -377,9 +367,7 @@ def build_parser():
     sp = sub.add_parser("adjoint-check",
                         help="critical lines of the adjoint vs reflection")
     common(sp)
-    sp.add_argument("--window", type=float, nargs=2, required=True,
-                    metavar=("BETA1", "BETA2"))
-    sp.add_argument("--degree", type=int, default=6)
+    band(sp, "adjoint-check")
     sp.set_defaults(fn=cmd_adjoint_check)
 
     sp = sub.add_parser("norm", help="weighted norm of a ring expression")
@@ -410,18 +398,35 @@ def build_parser():
     sp = sub.add_parser("verify-cc",
                         help="combinatorial index jumps vs computed lines")
     common(sp)
-    sp.add_argument("--window", type=float, nargs=2, required=True,
-                    metavar=("BETA1", "BETA2"))
-    sp.add_argument("--degree", type=int, default=6)
+    band(sp, "verify-cc")
     sp.set_defaults(fn=cmd_verify_cc)
 
     return p
+
+
+def _check_args(args):
+    """Reject numeric flags no analysis can use, before any work is done."""
+    for name in ("degree", "mode", "l_max"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            raise SchemaError(f"--{name.replace('_', '-')} must be >= 0, got {v}")
+    bands = {f"--{name}": getattr(args, name, None) for name in ("strip", "window")}
+    if getattr(args, "beta1", None) is not None:
+        bands["--beta1/--beta2"] = (args.beta1, args.beta2)
+    for flag, b in bands.items():
+        if b is None:
+            continue
+        if not all(math.isfinite(v) for v in b):
+            raise SchemaError(f"{flag} bounds must be finite, got {b[0]} {b[1]}")
+        if b[0] >= b[1]:
+            raise SchemaError(f"{flag} needs BETA1 < BETA2, got {b[0]} {b[1]}")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     np.random.seed(args.seed if hasattr(args, "seed") else 0)
     try:
+        _check_args(args)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooShort, LineTooClose, PoleOnLine
-from .pencil import PencilMatrices
+from .pencil import PencilMatrices, horner, taylor
 from .spectrum import (
     _companion_eigenvalues,
     chains_from_matrices,
     cluster_eigenvalues,
     normalize_biorthogonal,
+    taylor_fn,
 )
 
 _LINE_TOL = 1e-6
@@ -59,16 +60,10 @@ class ModePencil:
         return len(self.blocks) - 1
 
     def eval(self, lam):
-        out = self.blocks[-1].copy()
-        for j in range(len(self.blocks) - 2, -1, -1):
-            out = out * lam + self.blocks[j]
-        return out
+        return horner(self.blocks, lam)
 
     def taylor(self, s, lam0):
-        out = np.zeros_like(self.blocks[0])
-        for p in range(s, self.m + 1):
-            out = out + math.comb(p, s) * self.blocks[p] * lam0 ** (p - s)
-        return out
+        return taylor(self.blocks, s, lam0)
 
     def eigenvalues(self):
         return _companion_eigenvalues(self.blocks)
@@ -115,28 +110,17 @@ def choose_grid(f, betas, n_points: int = _GRID_N, min_T: float = 0.0):
         n = n_points if T <= 60 else 2 * n_points
         t = np.linspace(-T, T, n, endpoint=False)
         vals = np.asarray(f(t))
-        ok = True
-        for beta in betas:
-            w = np.abs(np.exp(beta * t) * vals.T).T
-            edge = max(float(np.max(w[:8])), float(np.max(w[-8:])))
-            if edge > _DECAY_TOL * max(float(np.max(w)), 1e-300):
-                ok = False
-                break
-        if ok:
+        if all(_decays(t, vals, beta) for beta in betas):
             return t, vals
         T *= 1.4
     raise GridTooShort("could not find a grid with weighted decay below 1e-12")
 
 
-def _check_grid(t, fvals, beta):
-    fv = np.asarray(fvals)
-    if fv.ndim == 1:
-        fv = fv[:, None]
-    w = np.abs(np.exp(beta * t)[:, None] * fv)
+def _decays(t, vals, beta):
+    """True iff e^(beta t) vals is below 1e-12 of its peak at both grid ends."""
+    w = np.abs(np.exp(beta * t) * np.asarray(vals).T).T
     edge = max(float(np.max(w[:8])), float(np.max(w[-8:])))
-    if edge > _DECAY_TOL * max(float(np.max(w)), 1e-300):
-        raise GridTooShort(
-            f"weighted data does not decay below 1e-12 at the ends (beta={beta})")
+    return edge <= _DECAY_TOL * max(float(np.max(w)), 1e-300)
 
 
 @dataclass
@@ -169,34 +153,26 @@ def solve_on_line(mp: ModePencil, f, beta: float, t=None) -> LineSolution:
     fvals = fvals if fvals.ndim > 1 else (fvals[:, None] if q == 1 else fvals)
     if fvals.shape != (len(t), q):
         raise ValueError(f"f samples must have shape ({len(t)}, {q})")
-    _check_grid(t, fvals[:, 0] if q == 1 else fvals, beta)
+    if not _decays(t, fvals, beta):
+        raise GridTooShort(
+            f"weighted data does not decay below 1e-12 at the ends (beta={beta})")
 
     dt = t[1] - t[0]
     sigma = 2 * math.pi * np.fft.fftfreq(len(t), d=dt)
     g = np.exp(beta * t)[:, None] * fvals
     ghat = np.fft.fft(g, axis=0)
     if q == 1:
-        bvals = _polyval_blocks(mp, sigma + 1j * beta)[:, 0, 0]
+        bvals = horner(mp.blocks, sigma + 1j * beta)[:, 0, 0]
         what = ghat[:, 0] / bvals
         w = np.fft.ifft(what)
         u = (np.exp(-beta * t) * w)[:, None]
     else:
-        mats = _polyval_blocks(mp, sigma + 1j * beta)
+        mats = horner(mp.blocks, sigma + 1j * beta)
         what = np.linalg.solve(mats, ghat[..., None])[..., 0]
         u = np.exp(-beta * t)[:, None] * np.fft.ifft(what, axis=0)
 
     res = ode_residual(mp, u, fvals, t, beta)
     return LineSolution(beta, t, u if q > 1 else u[:, 0], res)
-
-
-def _polyval_blocks(mp: ModePencil, lams):
-    lams = np.asarray(lams, dtype=complex)
-    q = mp.size
-    out = np.zeros(lams.shape + (q, q), dtype=complex)
-    out[:] = mp.blocks[-1]
-    for j in range(len(mp.blocks) - 2, -1, -1):
-        out = out * lams[..., None, None] + mp.blocks[j]
-    return out
 
 
 def ode_residual(mp: ModePencil, u, fvals, t, beta) -> float:
@@ -221,7 +197,7 @@ def ode_residual(mp: ModePencil, u, fvals, t, beta) -> float:
         beta_c = beta
     w = np.exp(beta_c * t)[:, None] * u
     sigma = 2 * math.pi * np.fft.fftfreq(len(t), d=t[1] - t[0])
-    mats = _polyval_blocks(mp, sigma + 1j * beta_c)
+    mats = horner(mp.blocks, sigma + 1j * beta_c)
     bw = (mats @ np.fft.fft(w, axis=0)[..., None])[..., 0]
     lhs = np.fft.ifft(bw, axis=0)
     rhs = np.exp(beta_c * t)[:, None] * fvals
@@ -295,7 +271,7 @@ def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order, nodes=128):
     thetas = 2 * math.pi * np.arange(nodes) / nodes
     lams = lam0 + radius * np.exp(1j * thetas)
     fh = _fhat_at(t, fvals, lams)
-    mats = _polyval_blocks(mp, lams)
+    mats = horner(mp.blocks, lams)
     g = np.linalg.solve(mats, fh[..., None])[..., 0]   # (nodes, q)
     coeffs = np.fft.fft(g, axis=0) / nodes              # c_j r^j for j >= 0 ...
     out = []
@@ -354,8 +330,7 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
         radius = max(min(0.45 * iso, 0.5), 1e-4)
 
         # chains of the mode pencil at lam0
-        T_s = lambda s, lam0=lam0: mp.taylor(s, lam0) if s <= mp.m else \
-            np.zeros_like(mp.blocks[0])
+        T_s = taylor_fn([mp.taylor(s, lam0) for s in range(mp.m + 1)])
         sc = scale * max(1.0, abs(lam0)) ** mp.m
         J, partial, chains, _res = chains_from_matrices(T_s, q, q, sc)
         psis, biorth_res, _cres = normalize_biorthogonal(

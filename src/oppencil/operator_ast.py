@@ -17,6 +17,7 @@ exact.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -53,10 +54,6 @@ class CoeffTerm:
     poly: HomogPoly
     perturbation: Expr | None = None
 
-    def conjugate(self):
-        return CoeffTerm(self.radial_exponent, self.poly.conjugate(),
-                         None if self.perturbation is None else self.perturbation.conjugate())
-
 
 @dataclass
 class ScalarOperator:
@@ -71,10 +68,6 @@ class ScalarOperator:
 
     def max_poly_degree(self):
         return max((t.poly.degree for _, t in self.terms), default=0)
-
-    def has_perturbation(self):
-        return any(t.perturbation is not None and not t.perturbation.is_zero()
-                   for _, t in self.terms)
 
 
 @dataclass
@@ -155,6 +148,8 @@ def _parse_poly(doc, n):
         if not (isinstance(val, (list, tuple)) and len(val) == 2):
             raise SchemaError(f"monomial value must be [re, im], got {val!r}")
         c = complex(float(val[0]), float(val[1]))
+        if not cmath.isfinite(c):
+            raise SchemaError(f"non-finite coefficient {val!r} at monomial {key!r}")
         if c != 0:
             coeffs[expo] = c
     # an all-zero poly is legal only as the carrier of a perturbation
@@ -214,6 +209,8 @@ def parse_operator(doc) -> SystemOperator:
                     f"|alpha|={sum(alpha)} exceeds entry order {order} at ({i},{j})")
             poly = _parse_poly(t["poly"], n)
             e = float(t.get("radial_exponent", 0))
+            if not math.isfinite(e):
+                raise SchemaError(f"non-finite radial_exponent {e!r} at ({i},{j})")
             if abs(e + poly.degree - (sum(alpha) - order)) > 1e-12:
                 raise OrderMismatch(
                     f"radial_exponent + deg poly = {e + poly.degree} != |alpha| - order "
@@ -253,6 +250,24 @@ def serialize_operator(op: SystemOperator) -> dict:
             "entries": ents}
 
 
+def _coeff_terms(n, alpha, rf, pert, order, scale):
+    """CoeffTerms of one multi-index: the harmonic parts of rf (pruned at
+    _COEFF_TOL relative to `scale`), the perturbation riding on the first."""
+    parts = sorted(rf.prune_abs(_COEFF_TOL * max(scale, 1e-300)).terms,
+                   key=lambda t: t[1].degree)
+    if not parts:
+        if pert is None or pert.is_zero():
+            return []
+        # keep a structural zero principal so the perturbation survives
+        return [(alpha, CoeffTerm(float(sum(alpha) - order), HomogPoly(n, 0, {}), pert))]
+    out = []
+    for idx, (c, H) in enumerate(parts):
+        if abs(c.imag) > 1e-12:
+            raise SchemaError("complex radial exponent in principal coefficient")
+        out.append((alpha, CoeffTerm(c.real, H, pert if idx == 0 else None)))
+    return out
+
+
 def canonicalize(op: SystemOperator) -> SystemOperator:
     """Split coefficients into harmonic components, merge and sort terms."""
     entries = [[None] * op.k for _ in range(op.k)]
@@ -271,21 +286,9 @@ def canonicalize(op: SystemOperator) -> SystemOperator:
                 if t.perturbation is not None and not t.perturbation.is_zero():
                     acc = perts.get(alpha)
                     perts[alpha] = t.perturbation if acc is None else acc + t.perturbation
-            terms = []
-            for alpha in sorted(by_alpha):
-                rf = by_alpha[alpha].prune_abs(_COEFF_TOL * max(scale, 1e-300))
-                pert = perts.get(alpha)
-                parts = sorted(rf.terms, key=lambda t: t[1].degree)
-                if not parts and pert is not None:
-                    # keep a structural zero principal so the perturbation survives
-                    terms.append((alpha, CoeffTerm(float(sum(alpha) - e.order),
-                                                   HomogPoly(op.n, 0, {}), pert)))
-                    continue
-                for idx, (c, H) in enumerate(parts):
-                    if abs(c.imag) > 1e-12:
-                        raise SchemaError("complex radial exponent in principal coefficient")
-                    terms.append((alpha, CoeffTerm(c.real, H,
-                                                   pert if idx == 0 else None)))
+            terms = [term for alpha in sorted(by_alpha)
+                     for term in _coeff_terms(op.n, alpha, by_alpha[alpha],
+                                              perts.get(alpha), e.order, scale)]
             if terms:
                 entries[i][j] = ScalarOperator(op.n, e.order, terms)
     return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
@@ -304,14 +307,16 @@ def _fibonacci_sphere(count):
     return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=1)
 
 
-def _sphere_samples(n, count):
+def _sphere_points(n, count):
     if n == 2:
         t = np.linspace(0, 2 * math.pi, count, endpoint=False)
-        pts = np.stack([np.cos(t), np.sin(t)], axis=1)
-    else:
-        pts = _fibonacci_sphere(count)
+        return np.stack([np.cos(t), np.sin(t)], axis=1)
+    return _fibonacci_sphere(count)
+
+
+def _sphere_samples(n, count):
     axes = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
-    return np.concatenate([axes, pts], axis=0)
+    return np.concatenate([axes, _sphere_points(n, count)], axis=0)
 
 
 def _poly_eval_array(P: HomogPoly, pts):
@@ -500,20 +505,10 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
             order = mu_star[j] - nu_star[i]  # == mu_i - nu_j == src.order
             acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n, order)
             scale = max((t.poly.norm_inf() for _, t in src.terms), default=0.0)
-            terms = []
-            for gamma in sorted(set(acc_rf) | set(acc_pert)):
-                rf = acc_rf.get(gamma, RadialFunction.zero(op.n))
-                rf = rf.prune_abs(_COEFF_TOL * max(scale, 1e-300))
-                pert = acc_pert.get(gamma)
-                parts = sorted(rf.terms, key=lambda t: t[1].degree)
-                if not parts:
-                    if pert is not None and not pert.is_zero():
-                        terms.append((gamma, CoeffTerm(float(sum(gamma) - order),
-                                                       HomogPoly(op.n, 0, {}), pert)))
-                    continue
-                for idx, (c, H) in enumerate(parts):
-                    terms.append((gamma, CoeffTerm(c.real, H,
-                                                   pert if idx == 0 else None)))
+            terms = [term for gamma in sorted(set(acc_rf) | set(acc_pert))
+                     for term in _coeff_terms(
+                         op.n, gamma, acc_rf.get(gamma, RadialFunction.zero(op.n)),
+                         acc_pert.get(gamma), order, scale)]
             if terms:
                 entries[i][j] = ScalarOperator(op.n, order, terms)
     return canonicalize(SystemOperator(op.n, op.k, mu_star, nu_star, entries))
@@ -547,7 +542,7 @@ def check_symbol_class(f: Expr, beta: float, tail_radii=(2.0, 8.0, 32.0, 128.0),
     from .weighted_norms import _multi_indices
 
     n = f.n
-    pts, _ = _grid_for_decay(n, sphere_points)
+    pts = _sphere_points(n, sphere_points)
     sequences = {}
     passed = True
     for alpha in _multi_indices(n, max_order):
@@ -564,10 +559,3 @@ def check_symbol_class(f: Expr, beta: float, tail_radii=(2.0, 8.0, 32.0, 128.0),
         if not (non_increasing and seq[-1] < tolerance):
             passed = False
     return DecayReport(passed, beta, radii, sequences, tolerance)
-
-
-def _grid_for_decay(n, count):
-    if n == 2:
-        t = np.linspace(0, 2 * math.pi, count, endpoint=False)
-        return np.stack([np.cos(t), np.sin(t)], axis=1), None
-    return _fibonacci_sphere(count), None

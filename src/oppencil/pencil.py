@@ -6,19 +6,29 @@ on the sphere,
 
     pencil(lam) phi = r^(-i*lam) r^(-nu) A0 (r^(i*lam) r^mu phi),
 
-whose matrix in an orthonormal harmonic basis is recovered exactly from
-m+1 integer sample values of lam by Vandermonde interpolation.  Columns
-are assembled symbolically in the r^c H algebra, so harmonic leakage
-above the truncation degree is detected exactly; the work basis is
+whose matrix in an orthonormal harmonic basis is a polynomial
+sum_j B_j lam^j of degree m.  The B_j are assembled directly with ladder
+operators: for H harmonic of degree l, x_i H = H_plus + |x|^2 dH/dx_i /
+(2l+n-2) with H_plus harmonic of degree l+1, so x_i and D_i act on r^s H_l
+through two small cached matrices per (n, l, i), the up-map H -> H_plus
+and the down-map H -> dH/dx_i.  Each D_i multiplies a column by a
+polynomial of degree one in lam, so a column's coefficients come out as
+polynomials in lam, written straight into B_0..B_m.  Harmonic leakage
+above the truncation degree is seen per column, and the work basis is
 enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
+Columns do not depend on the basis size, so a pencil on a smaller basis
+is an exact slice of a larger one (truncate_pencil).
+
+The ring route (apply_pencil_symbolic) applies the same operator to one
+function at one lam in the exact r^c H algebra.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +40,9 @@ from .radial_algebra import (
     differentiate,
     harmonic_basis,
     harmonic_dim,
+    ladder,
     multiply_power_poly,
+    poly_sphere_inner,
     sphere_monomial_moment,
 )
 
@@ -43,16 +55,7 @@ _HOMOG_TOL = 1e-10
 
 @lru_cache(maxsize=None)
 def _mono_index(n, d):
-    monos = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            monos.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], d, n)
+    monos = (m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d)
     return {m: i for i, m in enumerate(monos)}
 
 
@@ -78,6 +81,15 @@ def _basis_matrix(n, l):
         for m, c in H.coeffs.items():
             mat[r, idx[m]] = complex(c).real
     return mat
+
+
+def _coords(H):
+    """Coordinates of a harmonic H in the orthonormal basis of its degree."""
+    idx = _mono_index(H.n, H.degree)
+    vec = np.zeros(len(idx), dtype=complex)
+    for m, c in H.coeffs.items():
+        vec[idx[m]] = complex(c)
+    return _basis_matrix(H.n, H.degree) @ (_moment_gram(H.n, H.degree) @ vec)
 
 
 @dataclass
@@ -118,17 +130,10 @@ class SphereBasis:
             if abs(c + H.degree) > _HOMOG_TOL:
                 raise HomogeneityError(
                     f"term r^{c} deg {H.degree} is not homogeneity zero")
-            d = H.degree
-            idx = _mono_index(self.n, d)
-            vec = np.zeros(len(idx), dtype=complex)
-            for m, v in H.coeffs.items():
-                vec[idx[m]] = complex(v)
-            mass = float(np.real(vec.conj() @ _moment_gram(self.n, d) @ vec))
-            if d > self.l_max:
-                leaked += mass
-                continue
-            out[self.degree_slice(d)] = _basis_matrix(self.n, d) @ (
-                _moment_gram(self.n, d) @ vec)
+            if H.degree > self.l_max:
+                leaked += poly_sphere_inner(H, H).real
+            else:
+                out[self.degree_slice(H.degree)] = _coords(H)
         return out, leaked
 
     def to_json(self):
@@ -210,19 +215,11 @@ class PencilMatrices:
     analysis_degree: int
     bandwidth: int
     fingerprint: str
-    samples: dict = field(default_factory=dict)
     _eig_cache: list | None = None
 
     @property
     def size(self):
         return self.k * len(self.basis)
-
-    @property
-    def exact_col_degree(self):
-        return self.basis.l_max - self.bandwidth
-
-    def block_index(self, comp, basis_pos):
-        return comp * len(self.basis) + basis_pos
 
     def degrees_vector(self):
         degs = np.array(self.basis.degrees)
@@ -230,10 +227,7 @@ class PencilMatrices:
 
     def taylor_matrix(self, s, lam0):
         """(1/s!) d^s/d lam^s of the pencil at lam0."""
-        out = np.zeros_like(self.B[0])
-        for p in range(s, self.m + 1):
-            out = out + math.comb(p, s) * self.B[p] * lam0 ** (p - s)
-        return out
+        return taylor(self.B, s, lam0)
 
     def scale(self):
         return max(float(np.linalg.norm(Bj, ord=np.inf)) for Bj in self.B)
@@ -249,53 +243,136 @@ class PencilMatrices:
         }
 
 
-def _column_symbolic(a0, lam, basis, comp, pos):
-    phi = [RadialFunction.zero(a0.n) for _ in range(a0.k)]
-    phi[comp] = basis.functions[pos]
-    return _apply_model(a0, lam, phi)
+# ---------------------------------------------------------------------------
+# ladder-operator assembly
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _ladder_maps(n, l, i):
+    """Up-map H -> H_plus and down-map H -> dH/dx_i on degree-l harmonics,
+    as dense matrices between the orthonormal degree-l and degree-l+-1 bases."""
+    basis = harmonic_basis(n, l)
+    up = np.column_stack([_coords(ladder(H, i)[0]) for H in basis]).real
+    down = np.column_stack([_coords(H.partial(i)) for H in basis]).real if l else None
+    return up, down
 
 
-def _assemble_samples(a0, basis, lams):
-    """Sample matrices and the observed upward bandwidth, exactly."""
-    nb = len(basis)
-    size = a0.k * nb
-    mats = {lam: np.zeros((size, size), dtype=complex) for lam in lams}
+def _times_linear(V, a, b):
+    """(a + b lam) V for V a polynomial in lam along axis 0 (degree < len)."""
+    out = a * V
+    out[1:] += b * V[:-1]
+    return out
+
+
+def _apply_d(state, h, i, n):
+    """D_i on sum_l r^(i lam + h - l) H_l, the H_l in orthonormal coordinates.
+
+    D_i(r^s H) = -i (s r^(s-2) H_plus + (1 + s/(2l+n-2)) r^s dH/dx_i),
+    s = i lam + h - l; the result has homogeneity i lam + h - 1.
+    """
+    out = {}
+    for l, V in state.items():
+        up, down = _ladder_maps(n, l, i)
+        q = h - l
+        out[l + 1] = out.get(l + 1, 0) + up @ _times_linear(V, -1j * q, 1.0)
+        if l > 0:
+            k = 2 * l + n - 2
+            V = _times_linear(V, -1j * (1 + q / k), 1 / k)
+            out[l - 1] = out.get(l - 1, 0) + down @ V
+    return out
+
+
+def _apply_x(state, i, n):
+    """x_i (r^s H) = r^s H_plus + r^(s+2) dH/dx_i / (2l+n-2), per degree."""
+    out = {}
+    for l, V in state.items():
+        up, down = _ladder_maps(n, l, i)
+        out[l + 1] = out.get(l + 1, 0) + up @ V
+        if l > 0:
+            out[l - 1] = out.get(l - 1, 0) + down @ V / (2 * l + n - 2)
+    return out
+
+
+def _apply_poly(state, poly, n):
+    out = {}
+    for expo, a in poly.coeffs.items():
+        st = state
+        for i, count in enumerate(expo):
+            for _ in range(count):
+                st = _apply_x(st, i, n)
+        for l, V in st.items():
+            out[l] = out.get(l, 0) + complex(a) * V
+    return out
+
+
+def _degree_columns(a0: SystemOperator, l: int):
+    """Coefficient blocks of the pencil columns of harmonic degree l.
+
+    Returns ({(i, j): {l_out: array (m+1, dim l_out, dim l)}}, bandwidth):
+    block [p] is the coefficient of lam^p mapping component j, degree l to
+    component i, degree l_out.  Blocks at round-off (1e-13 relative per
+    column) are dropped; the upward bandwidth is read from the survivors.
+    """
+    n, m = a0.n, a0.m
+    dim = harmonic_dim(n, l)
+    V0 = np.zeros((m + 1, dim, dim), dtype=complex)
+    V0[0] = np.eye(dim)
+    blocks = {}
     bandwidth = 0
-    for comp in range(a0.k):
-        for pos in range(nb):
-            col_deg = basis.degrees[pos]
-            for lam in lams:
-                w = _column_symbolic(a0, lam, basis, comp, pos)
-                col = comp * nb + pos
-                for i in range(a0.k):
-                    wi = w[i].prune_abs(1e-13 * max(w[i].max_abs_coeff(), 1.0))
-                    coeffs, _ = basis.project(wi)
-                    mats[lam][i * nb:(i + 1) * nb, col] = coeffs
-                    degs = [H.degree for _, H in wi.terms]
-                    if degs:
-                        bandwidth = max(bandwidth, max(degs) - col_deg)
-    return mats, bandwidth
+    for j in range(a0.k):
+        derivs = {}
+        for i in range(a0.k):
+            e = a0.entries[i][j]
+            if e is None or e.is_zero():
+                continue
+            acc = {}
+            for alpha, t in e.terms:
+                if t.poly.is_zero():
+                    continue
+                if alpha not in derivs:
+                    st = {l: V0}
+                    for ax, count in enumerate(alpha):
+                        for step in range(count):
+                            h = a0.mu[j] - sum(alpha[:ax]) - step
+                            st = _apply_d(st, h, ax, n)
+                    derivs[alpha] = st
+                h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
+                if abs(h - a0.nu[i]) > _HOMOG_TOL:
+                    raise HomogeneityError(
+                        f"pencil output has homogeneity {h - a0.nu[i]}; "
+                        "invalid operator spec")
+                st = _apply_poly(derivs[alpha], t.poly, n)
+                for lo, V in st.items():
+                    acc[lo] = acc.get(lo, 0) + V
+            if not acc:
+                continue
+            col_max = np.max([np.max(np.abs(V), axis=(0, 1)) for V in acc.values()],
+                             axis=0)
+            thresh = 1e-13 * np.maximum(col_max, 1.0)
+            for lo, V in acc.items():
+                alive = np.max(np.abs(V), axis=(0, 1)) > thresh
+                V[:, :, ~alive] = 0.0
+                if alive.any():
+                    bandwidth = max(bandwidth, lo - l)
+            blocks[(i, j)] = acc
+    return blocks, bandwidth
 
 
-def _probe_bandwidth(a0, l_max):
-    """Upward coupling bandwidth at a generic lambda (exact structure probe)."""
-    lam = 0.437 + 0.291j  # avoids the exponent degeneracies of special lam
-    probe = SphereBasis.build(a0.n, min(l_max, a0.m + _max_poly_degree(a0) + 2))
-    _, bw = _assemble_samples(a0, probe, [lam])
-    return bw
-
-
-def _max_poly_degree(op):
-    return op.max_poly_degree()
+def _check_margin(bandwidth, l_max, analysis_degree):
+    if bandwidth > l_max - analysis_degree:
+        raise CouplingOverflow(
+            f"coupling bandwidth {bandwidth} exceeds margin "
+            f"{l_max - analysis_degree}; raise l_max")
 
 
 def assemble_pencil(op: SystemOperator, l_max: int,
                     analysis_degree: int | None = None) -> PencilMatrices:
-    """Assemble pencil coefficient matrices by sampling + interpolation.
+    """Assemble the pencil coefficient matrices B_j directly.
 
-    Samples the pencil at lam = 0, 1, ..., m and recovers B_j through an
-    exact (rational) inverse Vandermonde.  The work basis is extended by
-    twice the observed upward coupling bandwidth so every column of
+    Each basis column r^(i lam + mu) Y_l is pushed through the principal
+    part with the ladder maps; its coefficients are polynomials in lam of
+    degree <= m and are written straight into B_0..B_m.  The work basis is
+    extended by twice the upward coupling bandwidth so every column of
     harmonic degree <= l_max + bandwidth is exact.  CouplingOverflow is
     raised when a basis element within `analysis_degree` couples above
     l_max, i.e. when the declared margin understates the true bandwidth.
@@ -306,71 +383,70 @@ def assemble_pencil(op: SystemOperator, l_max: int,
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
         analysis_degree = max(l_max - (op.max_poly_degree() * m + 2), 0)
-    lams = [complex(t) for t in range(m + 1)]
 
-    bandwidth = _probe_bandwidth(a0, l_max)
+    # columns do not depend on the basis size: extend until the work basis
+    # covers l_max plus twice the bandwidth seen on all of its columns
+    columns, top = {}, l_max
     while True:
-        if bandwidth > l_max - analysis_degree:
-            raise CouplingOverflow(
-                f"coupling bandwidth {bandwidth} exceeds margin "
-                f"{l_max - analysis_degree}; raise l_max")
-        work = SphereBasis.build(op.n, l_max + 2 * bandwidth)
-        mats, bw2 = _assemble_samples(a0, work, lams)
-        if bw2 <= bandwidth:
+        for l in range(len(columns), top + 1):
+            columns[l] = _degree_columns(a0, l)
+        bandwidth = max(bw for _, bw in columns.values())
+        _check_margin(bandwidth, l_max, analysis_degree)
+        if top >= l_max + 2 * bandwidth:
             break
-        bandwidth = bw2
+        top = l_max + 2 * bandwidth
 
-    B = _interpolate(mats, lams, m)
+    work = SphereBasis.build(op.n, top)
+    nb = len(work)
+    B = np.zeros((m + 1, op.k * nb, op.k * nb), dtype=complex)
+    for l in range(top + 1):
+        c0 = work.degree_slice(l).start
+        for (i, j), acc in columns[l][0].items():
+            for lo, V in acc.items():
+                if lo <= top:
+                    r0 = i * nb + work.degree_slice(lo).start
+                    B[:, r0:r0 + V.shape[1], j * nb + c0:j * nb + c0 + V.shape[2]] = V
     return PencilMatrices(
-        m=m, B=B, basis=work, k=op.k, n=op.n, mu=tuple(op.mu), nu=tuple(op.nu),
+        m=m, B=list(B), basis=work, k=op.k, n=op.n, mu=tuple(op.mu), nu=tuple(op.nu),
         l_max=l_max, analysis_degree=analysis_degree, bandwidth=bandwidth,
-        fingerprint=op.fingerprint(),
-        samples={lam: mats[lam] for lam in lams})
+        fingerprint=op.fingerprint())
 
 
-def _interpolate(mats, lams, m):
-    """Exact Vandermonde solve on integer nodes."""
-    V = [[Fraction(int(t.real)) ** j for j in range(m + 1)] for t in lams]
-    W = _fraction_inverse(V)
-    B = []
-    for j in range(m + 1):
-        acc = np.zeros_like(mats[lams[0]])
-        for t, lam in enumerate(lams):
-            acc = acc + float(W[j][t]) * mats[lam]
-        B.append(acc)
-    return B
+def truncate_pencil(P: PencilMatrices, l_max: int,
+                    analysis_degree: int) -> PencilMatrices:
+    """The pencil assemble_pencil(op, l_max, analysis_degree) would return,
+    cut out of P, which was assembled on a larger basis.
+
+    Columns do not depend on the basis size, so the cut is exact: per
+    component block, the first len(SphereBasis(l_max + 2 bandwidth)) rows
+    and columns.
+    """
+    _check_margin(P.bandwidth, l_max, analysis_degree)
+    basis = SphereBasis.build(P.n, l_max + 2 * P.bandwidth)
+    nb, NB = len(basis), len(P.basis)
+    idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
+    return replace(P, B=[Bj[np.ix_(idx, idx)] for Bj in P.B], basis=basis,
+                   l_max=l_max, analysis_degree=analysis_degree, _eig_cache=None)
 
 
-def _fraction_inverse(V):
-    n = len(V)
-    aug = [[Fraction(V[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def evaluate_pencil(P: PencilMatrices, lam: complex) -> np.ndarray:
-    """Horner evaluation; exact sample nodes return the stored sample."""
-    lam = complex(lam)
-    if lam in P.samples:
-        return P.samples[lam].copy()
-    out = P.B[P.m].copy()
-    for j in range(P.m - 1, -1, -1):
-        out = out * lam + P.B[j]
+def horner(coeffs, lam):
+    """sum_j coeffs[j] lam^j; an array of points gives a stack of matrices."""
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    out = coeffs[-1] + 0 * lam
+    for Bj in coeffs[-2::-1]:
+        out = out * lam + Bj
     return out
 
 
-def adjoint_cylinder_matrices(P: PencilMatrices):
-    """Coefficients of the cylinder-level adjoint pencil sum B_j^H lam^j."""
-    return [Bj.conj().T for Bj in P.B]
+def taylor(coeffs, s, lam0):
+    """(1/s!) d^s/d lam^s of sum_j coeffs[j] lam^j at lam0."""
+    return sum((math.comb(p, s) * coeffs[p] * lam0 ** (p - s)
+                for p in range(s, len(coeffs))), np.zeros_like(coeffs[0]))
+
+
+def evaluate_pencil(P: PencilMatrices, lam: complex) -> np.ndarray:
+    """Horner evaluation of sum_j B_j lam^j."""
+    return horner(P.B, lam)
 
 
 def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices,

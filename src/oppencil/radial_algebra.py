@@ -4,13 +4,16 @@ Every function appearing in the pencil machinery is a finite sum of terms
 r^c H(x) where c is a (possibly complex) exponent and H is a harmonic
 homogeneous polynomial.  This ring is closed under the derivatives
 D_i = -i d/dx_i and under multiplication by r^e P(x) for polynomial P,
-because any homogeneous polynomial P of degree d decomposes uniquely as
+because of the ladder: for H harmonic of degree l,
 
-    P = sum_j |x|^(2j) H_(d-2j),        Delta H_(d-2j) = 0,
+    x_i H = H_plus + |x|^2 G,   G = dH/dx_i / (2l + n - 2),
 
-which lets all radial content be pushed into the exponent.  Restriction to
-the unit sphere is then trivial (drop r) and integration over S^(n-1) is
-exact through closed-form monomial moments.
+with H_plus and G harmonic, which lets all radial content be pushed into
+the exponent one factor x_i at a time.  A general homogeneous P of degree
+d decomposes uniquely as P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose);
+that is used only where raw polynomials enter the ring (from_parts).
+Restriction to the unit sphere is then trivial (drop r) and integration
+over S^(n-1) is exact through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
 fractions.Fraction (the harmonic basis is generated exactly over Q).
@@ -124,17 +127,6 @@ class HomogPoly:
                 out[key] = c if acc is None else acc + c
         return HomogPoly(self.n, self.degree + 2, out)
 
-    def evaluate(self, x):
-        """Evaluate at a point (sequence of floats)."""
-        total = 0.0
-        for m, c in self.coeffs.items():
-            v = c
-            for xi, e in zip(x, m):
-                if e:
-                    v = v * xi ** e
-            total = total + v
-        return total
-
     def norm_inf(self):
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
@@ -239,22 +231,11 @@ class RadialFunction:
     def shift_exponent(self, delta):
         return RadialFunction(self.n, _merge([(c + delta, H) for c, H in self.terms]))
 
-    def conjugate(self):
-        return RadialFunction(
-            self.n, _merge([(complex(c).conjugate(), H.conjugate()) for c, H in self.terms]))
-
     def homogeneities(self):
         return [c + H.degree for c, H in self.terms]
 
     def max_abs_coeff(self):
         return max((H.norm_inf() for _, H in self.terms), default=0.0)
-
-    def prune(self, eps):
-        scale = self.max_abs_coeff()
-        if scale == 0.0:
-            return RadialFunction(self.n, [])
-        out = [(c, H) for c, H in self.terms if H.norm_inf() > eps * scale]
-        return RadialFunction(self.n, out)
 
     def prune_abs(self, eps):
         return RadialFunction(self.n, [(c, H) for c, H in self.terms
@@ -275,23 +256,40 @@ def _merge(raw):
     return [(c, H) for c, H in merged if not H.is_zero() and H.norm_inf() > 0.0]
 
 
+def ladder(H: HomogPoly, i: int):
+    """Split x_i H = H_plus + |x|^2 G for H harmonic of degree l.
+
+    G = dH/dx_i / (2l + n - 2) and H_plus = x_i H - |x|^2 G are harmonic of
+    degrees l - 1 and l + 1 (Axler, Bourdon and Ramey, Harmonic Function
+    Theory, ch. 5).  Exact over Fraction coefficients.
+    """
+    n, l = H.n, H.degree
+    shifted = {}
+    for m, c in H.coeffs.items():
+        mm = list(m)
+        mm[i] += 1
+        shifted[tuple(mm)] = c
+    xiH = HomogPoly(n, l + 1, shifted)
+    if l == 0:
+        return xiH, HomogPoly(n, 0, {})
+    G = H.partial(i).scale(Fraction(1, 2 * l + n - 2))
+    return xiH.add(G.times_r2().scale(-1)), G
+
+
 def differentiate(f: RadialFunction, i: int) -> RadialFunction:
     """Apply D_i = -i d/dx_i term-wise and re-canonicalize.
 
-    D_i(r^c H) = -i (c x_i r^(c-2) H + r^c dH/dx_i); the x_i H product is
-    re-expanded through harmonic_decompose.
+    With the ladder x_i H = H_plus + |x|^2 dH/dx_i / (2l + n - 2),
+    D_i(r^c H) = -i (c r^(c-2) H_plus + (1 + c/(2l + n - 2)) r^c dH/dx_i).
     """
-    n = f.n
     raw = []
     for c, H in f.terms:
         if c != 0:
-            xiH = HomogPoly.monomial(n, tuple(1 if a == i else 0 for a in range(n))).mul(H)
-            for j, G in harmonic_decompose(xiH):
-                raw.append((c - 2 + 2 * j, G.scale(-1j * c)))
-        dH = H.partial(i)
-        if not dH.is_zero():
-            raw.append((c, dH.scale(-1j)))
-    return RadialFunction(n, _merge(raw))
+            raw.append((c - 2, ladder(H, i)[0].scale(-1j * c)))
+        if H.degree > 0:
+            k = 2 * H.degree + f.n - 2
+            raw.append((c, H.partial(i).scale(-1j * (1 + c / k))))
+    return RadialFunction(f.n, _merge(raw))
 
 
 def multiply_coeff(f: RadialFunction, coeff) -> RadialFunction:
@@ -307,11 +305,22 @@ def multiply_coeff(f: RadialFunction, coeff) -> RadialFunction:
 
 
 def multiply_power_poly(f: RadialFunction, radial_exponent, poly: HomogPoly) -> RadialFunction:
+    """Multiply by r^radial_exponent * poly, one x_i at a time per monomial.
+
+    x_i r^c H = r^c H_plus + r^(c+2) G by the ladder, so the product never
+    leaves the canonical r^c x harmonic form.
+    """
     raw = []
-    for c, H in f.terms:
-        prod = poly.to_float().mul(H)
-        for j, G in harmonic_decompose(prod):
-            raw.append((c + radial_exponent + 2 * j, G))
+    for expo, a in poly.to_float().coeffs.items():
+        terms = [(c + radial_exponent, H.scale(a)) for c, H in f.terms]
+        for i, count in enumerate(expo):
+            for _ in range(count):
+                step = []
+                for c, H in terms:
+                    Hp, G = ladder(H, i)
+                    step += [(c, Hp), (c + 2, G)]
+                terms = _merge(step)
+        raw.extend(terms)
     return RadialFunction(f.n, _merge(raw))
 
 
@@ -320,13 +329,7 @@ def multiply_power_poly(f: RadialFunction, radial_exponent, poly: HomogPoly) -> 
 # ---------------------------------------------------------------------------
 
 def _double_factorial(k: int) -> int:
-    if k <= 0:
-        return 1
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(k, 0, -2))
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +390,15 @@ def sphere_inner_product(f: RadialFunction, g: RadialFunction) -> complex:
 # orthonormal harmonic basis (sector-structured solid harmonics)
 # ---------------------------------------------------------------------------
 
+def _xy_power(n: int, m: int):
+    """Real and imaginary parts of (x + iy)^m in R^n, exact over Q."""
+    parts = ({}, {})
+    for j in range(m + 1):
+        sign = -1 if j % 4 >= 2 else 1
+        parts[j % 2][(m - j, j) + (0,) * (n - 2)] = sign * Fraction(math.comb(m, j))
+    return HomogPoly(n, m, parts[0]), HomogPoly(n, m, parts[1])
+
+
 def _solid_harmonic_pair(l: int, m: int):
     """Real/imaginary parts of (x+iy)^m W(z, r^2) for n=3, exact over Q.
 
@@ -395,69 +407,31 @@ def _solid_harmonic_pair(l: int, m: int):
     which makes (x+iy)^m W harmonic of degree l.
     """
     n = 3
-    re = {}
-    im = {}
-    for j in range(m + 1):
-        coef = Fraction(math.comb(m, j))
-        mono = (m - j, j, 0)
-        s = j % 4
-        if s == 0:
-            re[mono] = re.get(mono, Fraction(0)) + coef
-        elif s == 1:
-            im[mono] = im.get(mono, Fraction(0)) + coef
-        elif s == 2:
-            re[mono] = re.get(mono, Fraction(0)) - coef
-        else:
-            im[mono] = im.get(mono, Fraction(0)) - coef
-    re_p = HomogPoly(n, m, {k: v for k, v in re.items() if v != 0})
-    im_p = HomogPoly(n, m, {k: v for k, v in im.items() if v != 0})
-
+    re_p, im_p = _xy_power(n, m)
     W = HomogPoly(n, l - m, {})
     c = Fraction(1)
     j = 0
     while True:
         a = l - m - 2 * j
-        zpow = HomogPoly.monomial(n, (0, 0, a), c)
-        term = zpow
+        term = HomogPoly.monomial(n, (0, 0, a), c)
         for _ in range(j):
             term = term.times_r2()
         W = W.add(term)
         if a <= 1:
             break
         c = -c * a * (a - 1) / (2 * (j + 1) * (2 * l - 2 * j - 1))
-        c = Fraction(c)
         j += 1
     return re_p.mul(W), im_p.mul(W)
 
 
-@lru_cache(maxsize=None)
-def harmonic_basis(n: int, l: int):
-    """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys.
+def exact_harmonics(n: int, l: int):
+    """Orthogonal (unnormalized) degree-l solid harmonics, exact over Q.
 
-    Built from sector-structured solid harmonics (exactly orthogonal by
-    angular parity) and normalized with exact moments; coefficients are
-    returned as floats.  Ordering is deterministic: m ascending, cosine
-    part before sine part.
+    Sector-structured, so exactly orthogonal by angular parity.  Ordering
+    is deterministic: m ascending, cosine part before sine part.
     """
     if n == 2:
-        if l == 0:
-            polys = [HomogPoly.constant(2, Fraction(1))]
-        else:
-            re = {}
-            im = {}
-            for j in range(l + 1):
-                coef = Fraction(math.comb(l, j))
-                mono = (l - j, j)
-                s = j % 4
-                if s == 0:
-                    re[mono] = coef
-                elif s == 1:
-                    im[mono] = coef
-                elif s == 2:
-                    re[mono] = -coef
-                else:
-                    im[mono] = -coef
-            polys = [HomogPoly(2, l, re), HomogPoly(2, l, im)]
+        polys = list(_xy_power(2, l))
     elif n == 3:
         polys = []
         for m in range(l + 1):
@@ -467,11 +441,18 @@ def harmonic_basis(n: int, l: int):
                 polys.append(im_p)
     else:
         raise ValueError("only n in {2, 3} supported")
+    return [P for P in polys if not P.is_zero()]
 
+
+@lru_cache(maxsize=None)
+def harmonic_basis(n: int, l: int):
+    """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys.
+
+    The exact_harmonics normalized with exact moments; coefficients are
+    returned as floats, in the same order.
+    """
     out = []
-    for P in polys:
-        if P.is_zero():
-            continue
+    for P in exact_harmonics(n, l):
         nrm2 = poly_sphere_inner(P.to_float(), P.to_float()).real
         out.append(P.to_float().scale(1.0 / math.sqrt(nrm2)))
     return tuple(out)

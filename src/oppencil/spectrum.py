@@ -36,14 +36,20 @@ from .errors import (
     SingularLeadingCoeff,
     UnstableSpectrum,
 )
-from .operator_ast import SystemOperator, principal_part
-from .pencil import PencilMatrices, assemble_pencil, evaluate_pencil
+from .operator_ast import SystemOperator
+from .pencil import (
+    PencilMatrices,
+    assemble_pencil,
+    evaluate_pencil,
+    horner,
+    truncate_pencil,
+)
 
 _RANK_TOL = 1e-8        # relative SVD rank cut
 _CHAIN_TOL = 1e-8       # chain extension residual
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _DRIFT_TOL = 1e-6       # truncation stability drift
-_SUPPORT_TOL = 1e-8     # eigenvector mass threshold per degree
+_ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +96,7 @@ class PowerExpSolution:
     m: int
     coeffs: list            # coeff[l] = chain vector phi_(j, m-l), basis coords
 
-    def evaluate_t(self, t, pairing_vectors=None):
+    def evaluate_t(self, t):
         """Coefficient vector at time t: sum_l (it)^l/l! coeff[l]."""
         t = np.asarray(t, dtype=float)
         acc = np.zeros(t.shape + (len(self.coeffs[0]),), dtype=complex)
@@ -120,12 +126,14 @@ class SpectrumReport:
             "strip": [self.beta1, self.beta2],
             "degree": self.degree,
             "eigenpoints": [e.to_json() for e in self.eigenpoints],
-            "res_lines": {f"{line:.12g}": mult for line, mult in
-                          sorted(self.res_lines.items())},
+            "res_lines": self.res_lines_json(),
             "x_sigma_dim": len(self.x_sigma),
             "convergence": {f"{l.real:.12g}{l.imag:+.12g}j": d
                             for l, d in self.convergence.items()},
         }
+
+    def res_lines_json(self):
+        return {f"{line:.12g}": mult for line, mult in sorted(self.res_lines.items())}
 
     def res_lines_csv(self):
         rows = ["line,multiplicity"]
@@ -138,10 +146,8 @@ class SpectrumReport:
 # eigenvalue solvers
 # ---------------------------------------------------------------------------
 
-def _kept_columns(P: PencilMatrices, down: bool = False):
-    degs = P.degrees_vector()
-    bw = P.bandwidth
-    return np.where(degs <= P.basis.l_max - bw)[0]
+def _kept_columns(P: PencilMatrices):
+    return np.where(P.degrees_vector() <= P.basis.l_max - P.bandwidth)[0]
 
 
 def _companion_eigenvalues(Bs):
@@ -164,45 +170,32 @@ def _companion_eigenvalues(Bs):
     return vals[np.abs(vals) < 1e8]
 
 
+def _component_labels(adj):
+    """Smallest member of each node's connected component (adj symmetric);
+    plain numpy, since importing scipy.sparse.csgraph costs about 5 MB."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        grown = reach.astype(float) @ reach.astype(float) > 0
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)
+        reach = grown
+
+
 def _block_components(P: PencilMatrices):
     """Connected components of the coupling graph over (component, degree)."""
-    degs = np.array(P.basis.degrees)
     nb = len(P.basis)
-    nodes = [(c, l) for c in range(P.k) for l in range(P.basis.l_max + 1)]
-    node_id = {nd: i for i, nd in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    scale = P.scale()
-    slices = {}
-    for c in range(P.k):
-        for l in range(P.basis.l_max + 1):
-            idx = np.where(degs == l)[0] + c * nb
-            slices[(c, l)] = idx
-    for Bj in P.B:
-        for a in nodes:
-            for b in nodes:
-                if a >= b:
-                    continue
-                blk = Bj[np.ix_(slices[a], slices[b])]
-                blk2 = Bj[np.ix_(slices[b], slices[a])]
-                if (np.max(np.abs(blk), initial=0.0) > 1e-12 * scale or
-                        np.max(np.abs(blk2), initial=0.0) > 1e-12 * scale):
-                    union(node_id[a], node_id[b])
+    node = np.concatenate([c * (P.basis.l_max + 1) + np.array(P.basis.degrees)
+                           for c in range(P.k)])
+    n_nodes = P.k * (P.basis.l_max + 1)
+    mag = np.max([np.abs(Bj) for Bj in P.B], axis=0) > 1e-12 * P.scale()
+    rows, cols = np.nonzero(mag | mag.T)
+    graph = np.zeros((n_nodes, n_nodes), dtype=bool)
+    graph[node[rows], node[cols]] = True
+    label = _component_labels(graph)
     comps = {}
-    for nd in nodes:
-        comps.setdefault(find(node_id[nd]), []).append(nd)
-    return [np.concatenate([slices[nd] for nd in grp]) for grp in comps.values()]
+    for idx in range(P.k * nb):
+        comps.setdefault(label[node[idx]], []).append(idx)
+    return [np.array(c) for c in comps.values()]
 
 
 def _compressed_square(P: PencilMatrices):
@@ -214,13 +207,6 @@ def _compressed_square(P: PencilMatrices):
     Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
     Q /= math.sqrt(2 * n_r)
     return keep, R, [Q @ Rj for Rj in R]
-
-
-def rect_sigma_min(P: PencilMatrices, lam: complex) -> float:
-    keep = _kept_columns(P)
-    mat = evaluate_pencil(P, lam)[:, keep]
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return float(sv[-1])
 
 
 def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
@@ -255,15 +241,19 @@ def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
 
 
 def cluster_eigenvalues(vals, radius=_CLUSTER_RADIUS):
-    """Greedy clustering; returns list of (center, count) sorted by (Im, Re)."""
-    vals = sorted(vals, key=lambda z: (z.imag, z.real))
-    clusters = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= radius:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
+    """Single-linkage clustering on |z - w| <= radius.
+
+    Returns a list of (center, count) sorted by (Im, Re) of the center.
+    Every pair is compared, so copies of one eigenvalue that a sort would
+    interleave with a neighbour's still land in one cluster.
+    """
+    vals = np.asarray(vals, dtype=complex)
+    if vals.size == 0:
+        return []
+    label = _component_labels(np.abs(vals[:, None] - vals[None, :]) <= radius)
+    out = [(complex(np.mean(vals[label == c])), int(np.sum(label == c)))
+           for c in np.unique(label)]
+    return sorted(out, key=lambda c: (c[0].imag, c[0].real))
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +261,10 @@ def cluster_eigenvalues(vals, radius=_CLUSTER_RADIUS):
 # ---------------------------------------------------------------------------
 
 def _det_values_on_circle(P: PencilMatrices, lam0, radius, nodes=64):
-    if P.bandwidth == 0:
-        matfun = lambda lam: evaluate_pencil(P, lam)
-    else:
-        _, _, S = _compressed_square(P)
-
-        def matfun(lam):
-            out = S[-1].copy()
-            for j in range(len(S) - 2, -1, -1):
-                out = out * lam + S[j]
-            return out
-
+    B = P.B if P.bandwidth == 0 else _compressed_square(P)[2]
     thetas = 2 * math.pi * np.arange(nodes) / nodes
-    logs = []
-    for th in thetas:
-        sign, logabs = np.linalg.slogdet(matfun(lam0 + radius * np.exp(1j * th)))
-        logs.append((sign, logabs))
+    logs = [np.linalg.slogdet(horner(B, lam0 + radius * np.exp(1j * th)))
+            for th in thetas]
     mean_log = np.mean([la for _, la in logs])
     return np.array([s * np.exp(la - mean_log) for s, la in logs])
 
@@ -337,6 +315,13 @@ def _null_space(mat, rel_tol=_RANK_TOL, scale=None):
         if gaps[k] >= 3.0 and vals[k] > 1e-11 * smax:
             below = below[k + 1:]
     return Vh.conj().T[:, below], sv
+
+
+def taylor_fn(T):
+    """s -> T[s] for the scaled derivatives T of a matrix polynomial, zero
+    beyond its degree."""
+    zero = np.zeros_like(T[0])
+    return lambda s: T[s] if s < len(T) else zero
 
 
 def chains_from_matrices(T_s, n_r, n_c, scale):
@@ -430,12 +415,7 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     scale = P.scale() * max(1.0, abs(lambda0)) ** P.m
     T = [P.taylor_matrix(s, lambda0)[:, keep] for s in range(P.m + 1)]
     n_r, n_c = T[0].shape
-
-    def T_s(s):
-        if s <= P.m:
-            return T[s]
-        return np.zeros_like(T[0])
-
+    T_s = taylor_fn(T)
     try:
         J, partial, chains, residuals = chains_from_matrices(T_s, n_r, n_c, scale)
     except NotAnEigenvalue as exc:
@@ -461,14 +441,6 @@ def _pad(vec, keep, size):
     out = np.zeros(size, dtype=complex)
     out[keep] = vec
     return out
-
-
-def eigenvector_support_degree(P: PencilMatrices, vec) -> int:
-    degs = P.degrees_vector()
-    amp = np.abs(np.asarray(vec))
-    scale = float(np.max(amp)) or 1.0
-    sig = degs[amp > _SUPPORT_TOL * scale]
-    return int(np.max(sig)) if sig.size else 0
 
 
 def eigenvector_tail_mass(P: PencilMatrices, vec, degree: int) -> float:
@@ -504,17 +476,10 @@ def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
 
     lam0 = e.lambda0
     size = P.size
-    degs = P.degrees_vector()
     # adjoint upward bandwidth = primal downward bandwidth <= bandwidth bound;
     # reuse the primal bandwidth as a safe symmetric margin.
-    keep_adj = np.where(degs <= P.basis.l_max - P.bandwidth)[0]
-    T_full = [P.taylor_matrix(s, lam0) for s in range(P.m + 1)]
-
-    def T_s(s):
-        if s <= P.m:
-            return T_full[s]
-        return np.zeros_like(T_full[0])
-
+    keep_adj = _kept_columns(P)
+    T_s = taylor_fn([P.taylor_matrix(s, lam0) for s in range(P.m + 1)])
     scale = P.scale() * max(1.0, abs(lam0)) ** P.m
     psis, biorth_res, chain_res = normalize_biorthogonal(
         T_s, e.chains, keep_adj, size, scale)
@@ -628,8 +593,7 @@ def power_solutions(e: Eigenpoint) -> list:
 # ---------------------------------------------------------------------------
 
 def default_l_max(op: SystemOperator, degree: int) -> int:
-    m = principal_part(op).m
-    return degree + op.max_poly_degree() * m + 2
+    return degree + op.max_poly_degree() * op.m + 2
 
 
 def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree):
@@ -651,26 +615,29 @@ def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree):
         if tail > 1e-6:
             continue  # boundary-truncation artifact or out-of-range mode
         eigenpoints.append(ep)
-    return eigenpoints, vals
+    return eigenpoints
 
 
 def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
                    degree: int) -> SpectrumReport:
     """Spectrum of the associated pencil in the strip beta1 <= Im lam <= beta2.
 
-    Assembles the pencil with the coupling margin on top of `degree`,
-    solves, clusters, computes Jordan chains, and keeps only eigenpoints
-    whose eigenvectors are supported at harmonic degree <= degree and that
-    are stable (drift < 1e-6) against re-solving with degree + 2.
+    Assembles the pencil once, with the coupling margin on top of
+    `degree` + 2, and cuts the degree-`degree` pencil out of it; solves,
+    clusters, computes Jordan chains, and keeps only eigenpoints whose
+    eigenvectors are supported at harmonic degree <= degree and that are
+    stable (drift < 1e-6) against re-solving with degree + 2.  A line
+    within 1e-10 of zero is reported as exactly 0, so round-off in the
+    eigensolve never reaches the printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
-    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    eigenpoints, _ = _strip_eigenpoints(P, beta1, beta2, degree)
-
-    # truncation-stability filter
     P2 = assemble_pencil(op, default_l_max(op, degree + 2),
                          analysis_degree=degree + 2)
+    P = truncate_pencil(P2, default_l_max(op, degree), degree)
+    eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree)
+
+    # truncation-stability filter
     vals2 = solve_pencil_eigenvalues(P2)
     convergence = {}
     for ep in eigenpoints:
@@ -689,13 +656,11 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
 
     res_lines = {}
     for ep in eigenpoints:
-        line = ep.lambda0.imag
+        line = ep.lambda0.imag if abs(ep.lambda0.imag) > _ZERO_LINE_TOL else 0.0
         key = next((l for l in res_lines if abs(l - line) < _CLUSTER_RADIUS), line)
         res_lines[key] = res_lines.get(key, 0) + ep.algebraic
 
-    x_sigma = []
-    for ep in eigenpoints:
-        x_sigma.extend(power_solutions(ep))
+    x_sigma = [sol for ep in eigenpoints for sol in power_solutions(ep)]
 
     return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines,
                           x_sigma, convergence, P)

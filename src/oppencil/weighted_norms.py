@@ -19,6 +19,7 @@ an analytic tail bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,8 +82,10 @@ class Expr:
                     n = len(expo)
                 if len(expo) != n:
                     raise SchemaError("inconsistent monomial length in Expr")
-                t = Expr.term(n, item.get("b", 0), item.get("c", 0), expo,
-                              complex(val[0], val[1]))
+                coeff = complex(val[0], val[1])
+                if not cmath.isfinite(coeff):
+                    raise SchemaError(f"non-finite Expr coefficient {val!r}")
+                t = Expr.term(n, item.get("b", 0), item.get("c", 0), expo, coeff)
                 out = t if out is None else out + t
         if out is None:
             if n is None:

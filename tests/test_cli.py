@@ -169,3 +169,37 @@ def test_run_config_programmatic(lap3_file, tmp_path):
     assert run(cfg) == 0
     doc = json.loads(out.read_text())
     assert doc["res_lines"] == {"0": 5, "1": 3, "2": 1, "3": 1}
+
+
+# ---------------------------------------------------------------------------
+# bad input exits 2 before any analysis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command,value", [("parse", float("nan")),
+                                           ("ellipticity", float("inf"))])
+def test_non_finite_coefficient_exit2(tmp_path, command, value):
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["poly"]["0 0 0"] = [value, 0.0]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli([command, str(p)])
+    assert r.returncode == 2
+    assert "non-finite" in r.stderr
+
+
+def test_negative_degree_exit2(lap3_file):
+    r = run_cli(["res", lap3_file, "--strip", "-0.5", "3.5", "--degree", "-3"])
+    assert r.returncode == 2
+    assert "--degree" in r.stderr
+
+
+def test_inverted_strip_exit2(lap3_file):
+    r = run_cli(["res", lap3_file, "--strip", "3.5", "-0.5"])
+    assert r.returncode == 2
+    assert "BETA1 < BETA2" in r.stderr
+
+
+def test_non_finite_strip_exit2(lap3_file):
+    r = run_cli(["res", lap3_file, "--strip", "-0.5", "inf"])
+    assert r.returncode == 2
+    assert "finite" in r.stderr

@@ -1,22 +1,33 @@
 """Tests for symbolic pencil application and matrix assembly."""
 
-import math
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import drift_doc, laplacian_doc
+from conftest import (
+    cr_system_doc,
+    d1d2_doc,
+    dbar_doc,
+    drift_doc,
+    inverse_square_doc,
+    laplacian_doc,
+)
 from oppencil.errors import CouplingOverflow
-from oppencil.operator_ast import formal_adjoint, parse_operator
+from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
 from oppencil.pencil import (
-    PencilMatrices,
     SphereBasis,
     adjoint_identity_residual,
     apply_pencil_symbolic,
     assemble_pencil,
     evaluate_pencil,
+    truncate_pencil,
 )
 from oppencil.radial_algebra import HomogPoly, RadialFunction, harmonic_basis, harmonic_dim
+from oppencil.spectrum import default_l_max
+
+OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
 
 def laplacian_mode_scalar(n, l, lam):
@@ -103,22 +114,19 @@ def test_assemble_interpolation_consistency(laplacian2d):
 
 
 def test_evaluate_at_sample_bit_for_bit(laplacian3d):
-    P = assemble_pencil(laplacian3d, 3)
-    assert np.array_equal(evaluate_pencil(P, 1.0), P.samples[complex(1.0)])
-    assert np.array_equal(evaluate_pencil(P, 0.0), P.B[0])
+    # Horner at lam = 0 returns B_0 exactly
+    for op in (laplacian3d, parse_operator(drift_doc())):
+        P = assemble_pencil(op, 3 if op.max_poly_degree() == 0 else 5)
+        assert np.array_equal(evaluate_pencil(P, 0.0), P.B[0])
 
 
 def test_lambda_degree_bound(laplacian3d):
-    # fitting degree m+1 through m+2 samples leaves a negligible top coeff
-    from oppencil.pencil import _assemble_samples, _interpolate
-    from oppencil.operator_ast import principal_part
-    a0 = principal_part(laplacian3d)
-    basis = SphereBasis.build(3, 3)
-    lams = [complex(t) for t in range(a0.m + 2)]
-    mats, _ = _assemble_samples(a0, basis, lams)
-    B = _interpolate(mats, lams, a0.m + 1)
-    scale = max(float(np.linalg.norm(Bj, np.inf)) for Bj in B[:-1])
-    assert float(np.linalg.norm(B[-1], np.inf)) < 1e-9 * scale
+    # exactly m + 1 coefficients, and their Horner value is the oracle column
+    P = assemble_pencil(laplacian3d, 3)
+    assert len(P.B) == P.m + 1
+    for lam in (0.0, 1.0, 2.0, 0.437 + 0.291j):
+        want = _oracle_matrix(laplacian3d, P.basis, lam)[0]
+        assert np.max(np.abs(evaluate_pencil(P, lam) - want)) < 1e-12 * P.scale()
 
 
 def test_drift_coupling_bandwidth_one():
@@ -168,3 +176,121 @@ def test_adjoint_pencil_identity_variable_coeff():
     P = assemble_pencil(op, 5)
     P_adj = assemble_pencil(formal_adjoint(op), 5)
     assert adjoint_identity_residual(P, P_adj) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# oracle: pencil columns at sampled lam through the Gauss decomposition
+# ---------------------------------------------------------------------------
+
+def _oracle_apply(a0, lam, comp, y):
+    """pencil(lam) on the column y of component comp; every product is
+    re-expanded by harmonic_decompose (RadialFunction.from_parts), not by
+    the ladder."""
+    n = a0.n
+    lifted = y.shift_exponent(1j * lam + a0.mu[comp])
+    out = []
+    for i in range(a0.k):
+        e = a0.entries[i][comp]
+        acc = RadialFunction.zero(n)
+        for alpha, t in (e.terms if e is not None else []):
+            g = lifted
+            for ax, count in enumerate(alpha):
+                xi = HomogPoly.monomial(n, tuple(int(a == ax) for a in range(n)))
+                for _ in range(count):
+                    g = RadialFunction.from_parts(n, [
+                        part for c, H in g.terms for part in (
+                            (c - 2, xi.mul(H).scale(-1j * c)),
+                            (c, H.partial(ax).scale(-1j)))])
+            acc = acc.add(RadialFunction.from_parts(
+                n, [(c + t.radial_exponent, t.poly.mul(H)) for c, H in g.terms]))
+        out.append(acc.shift_exponent(-1j * lam - a0.nu[i]))
+    return out
+
+
+def _oracle_matrix(op, basis, lam):
+    """(pencil(lam) on `basis`, upward bandwidth), pruned at 1e-13 relative."""
+    a0 = principal_part(op)
+    nb = len(basis)
+    mat = np.zeros((a0.k * nb, a0.k * nb), dtype=complex)
+    bandwidth = 0
+    for comp in range(a0.k):
+        for pos, y in enumerate(basis.functions):
+            for i, w in enumerate(_oracle_apply(a0, lam, comp, y)):
+                w = w.prune_abs(1e-13 * max(w.max_abs_coeff(), 1.0))
+                mat[i * nb:(i + 1) * nb, comp * nb + pos] = basis.project(w)[0]
+                for _, H in w.terms:
+                    bandwidth = max(bandwidth, H.degree - basis.degrees[pos])
+    return mat, bandwidth
+
+
+def _oracle_coefficients(op, basis):
+    """B_j by a Vandermonde solve on lam = 0..m, and the bandwidth seen at
+    those nodes and at a generic lam."""
+    m = principal_part(op).m
+    lams = list(range(m + 1))
+    mats, bws = zip(*[_oracle_matrix(op, basis, lam) for lam in lams + [0.437 + 0.291j]])
+    W = np.linalg.inv(np.vander(np.array(lams, dtype=float), increasing=True))
+    B = [sum(W[j, t] * mats[t] for t in range(m + 1)) for j in range(m + 1)]
+    return B, max(bws)
+
+
+_ORACLE_DOCS = {
+    "laplacian2d": lambda: laplacian_doc(2),
+    "laplacian3d": lambda: laplacian_doc(3),
+    "dbar": dbar_doc,
+    "cr_system": cr_system_doc,
+    "inverse_square": inverse_square_doc,
+    "drift": drift_doc,
+    "d1d2": d1d2_doc,
+}
+_ORACLE_DOCS.update({f.stem: (lambda f=f: json.loads(f.read_text()))
+                     for f in sorted(OPERATORS.glob("*.json"))})
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOCS))
+def test_ladder_assembly_matches_decompose_oracle(name):
+    op = parse_operator(_ORACLE_DOCS[name]())
+    degree = 1 if op.n == 3 else 3
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    B, bandwidth = _oracle_coefficients(op, P.basis)
+    assert P.bandwidth == bandwidth
+    scale = max(np.max(np.abs(Bj)) for Bj in B)
+    err = max(np.max(np.abs(Bj - Cj)) for Bj, Cj in zip(P.B, B))
+    assert err <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["dbar", "cr_system", "drift", "inverse_square"])
+@pytest.mark.parametrize("lam", [0.0, 0.437 + 0.291j])
+def test_ring_ladder_matches_decompose_oracle(name, lam):
+    op = parse_operator(_ORACLE_DOCS[name]())
+    a0 = principal_part(op)
+    for y in SphereBasis.build(op.n, 3).functions:
+        phi = [y] + [RadialFunction.zero(op.n)] * (op.k - 1)
+        got = apply_pencil_symbolic(op, lam, phi)
+        for g, w in zip(got, _oracle_apply(a0, lam, 0, y)):
+            diff = g.add(w.scale(-1))
+            assert diff.max_abs_coeff() < 1e-12 * max(w.max_abs_coeff(), 1.0)
+
+
+@pytest.mark.parametrize("doc_fn,degree", [
+    (lambda: laplacian_doc(3), 3),
+    (cr_system_doc, 4),
+    (dbar_doc, 6),
+    (drift_doc, 2),
+])
+def test_degree_pencil_is_slice_of_degree_plus_two(doc_fn, degree):
+    op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    P2 = assemble_pencil(op, default_l_max(op, degree + 2),
+                         analysis_degree=degree + 2)
+    cut = truncate_pencil(P2, default_l_max(op, degree), degree)
+    assert cut.bandwidth == P.bandwidth
+    assert cut.basis.degrees == P.basis.degrees
+    assert all(np.array_equal(a, b) for a, b in zip(cut.B, P.B))
+
+
+def test_truncate_pencil_keeps_coupling_guard():
+    op = parse_operator(drift_doc())
+    P2 = assemble_pencil(op, 7, analysis_degree=4)
+    with pytest.raises(CouplingOverflow):
+        truncate_pencil(P2, 3, 3)

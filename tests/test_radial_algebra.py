@@ -10,9 +10,11 @@ from oppencil.radial_algebra import (
     HomogPoly,
     RadialFunction,
     differentiate,
+    exact_harmonics,
     harmonic_basis,
     harmonic_decompose,
     harmonic_dim,
+    ladder,
     multiply_power_poly,
     poly_sphere_inner,
     sphere_inner_product,
@@ -90,6 +92,25 @@ def test_decompose_reconstructs_and_parts_harmonic(n, d, data):
             term = term.times_r2()
         acc = acc.add(term)
     assert acc.add(P.scale(-1)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# ladder
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ladder_identity_exact(n):
+    # x_i H = H_plus + |x|^2 G with both parts harmonic, exactly over Q
+    for l in range(7):
+        for H in exact_harmonics(n, l):
+            for i in range(n):
+                Hp, G = ladder(H, i)
+                assert Hp.degree == l + 1 and Hp.laplacian().is_zero()
+                assert G.laplacian().is_zero()
+                xi = HomogPoly.monomial(n, tuple(int(a == i) for a in range(n)), 1)
+                assert Hp.add(G.times_r2()).coeffs == xi.mul(H).coeffs
+                assert all(isinstance(c, Fraction)
+                           for P in (Hp, G) for c in P.coeffs.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from conftest import cr_system_doc, dbar_doc, inverse_square_doc, laplacian_doc
 from oppencil.errors import NotAnEigenvalue, RefuseBoundary
 from oppencil.operator_ast import formal_adjoint, parse_operator
 from oppencil.pencil import assemble_pencil, evaluate_pencil
+from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
     biorthogonalize,
     cluster_eigenvalues,
@@ -248,6 +249,15 @@ def test_strip_drift_small(laplacian2d):
     assert all(d < 1e-6 for d in rep.convergence.values())
 
 
+def test_cluster_links_interleaved_copies():
+    # copies of a and b sorted by (Im, Re) interleave; both still form one
+    # cluster each
+    a, b = 2.5j + 0.3, 2.5j - 0.3
+    vals = [a + 4e-7j, b, a, b + 5e-7j, a - 3e-7j]
+    cl = cluster_eigenvalues(vals)
+    assert sorted(c for _, c in cl) == [2, 3]
+
+
 def test_cluster_radius():
     vals = [2j, 2j + 1e-9, 1j, 1.0 + 1j]
     cl = cluster_eigenvalues(vals)
@@ -324,3 +334,61 @@ def test_coupled_perturbation_split_lines():
     rep_adj = strip_spectrum(adj, 5 - 2.4, 5 - 0.6, 4)
     chk = adjoint_res_check(rep.res_lines, rep_adj.res_lines, 3, 2)
     assert chk.passed, chk.failures
+
+
+# ---------------------------------------------------------------------------
+# closed forms for -Delta + c r^-2
+# ---------------------------------------------------------------------------
+
+def inverse_square_lines(n, c, beta1, beta2, degree):
+    """Critical lines of -Delta + c r^-2 on R^n from the mode quadratic.
+
+    On degree-l harmonics the pencil is c - a(a + n - 2 + 2l), a = i lam + 2
+    - l, so Im lam = (n+2)/2 -+ Re sqrt(D_l), D_l = (l + (n-2)/2)^2 + c; a
+    complex pair sits on the centre line.  Each root carries the dimension
+    of the degree-l harmonics (Kozlov, Maz'ya and Rossmann, Spectral
+    Problems Associated with Corner Singularities, AMS 2001).
+    """
+    lines = Counter()
+    for l in range(degree + 1):
+        dim = harmonic_dim(n, l)
+        disc = (l + (n - 2) / 2) ** 2 + c
+        root = math.sqrt(abs(disc)) if disc > 0 else 0.0
+        for line in ((n + 2) / 2 - root, (n + 2) / 2 + root):
+            if beta1 <= line <= beta2:
+                lines[round(line, 6)] += dim
+    return dict(lines)
+
+
+def _inverse_square_op(n, c):
+    doc = laplacian_doc(n)
+    doc["entries"][0]["terms"].append(
+        {"alpha": [0] * n, "radial_exponent": -2.0,
+         "poly": {" ".join(["0"] * n): [c, 0.0]}})
+    return parse_operator(doc)
+
+
+@pytest.mark.parametrize("n,c,beta1,beta2,degree,centre", [
+    (3, -3.0, 0.5, 4.5, 4, 8),
+    (3, -4.0, 0.5, 4.5, 4, 8),
+    (3, -7.0, -2.0, 5.5, 4, 18),
+    (2, -6.5, 0.1, 3.9, 6, 10),
+    (2, -7.38, 0.1, 3.9, 6, 10),
+    (2, -8.0, 0.1, 3.9, 6, 10),
+])
+def test_complex_modes_closed_form_multiplicity(n, c, beta1, beta2, degree, centre):
+    # complex pairs lam = i(n+2)/2 +- tau_l of one line used to split into
+    # several clusters and inflate the line's multiplicity
+    rep = strip_spectrum(_inverse_square_op(n, c), beta1, beta2, degree)
+    got = {round(line, 6): mult for line, mult in rep.res_lines.items()}
+    want = inverse_square_lines(n, c, beta1, beta2, degree)
+    assert want[(n + 2) / 2] == centre
+    assert got == want
+
+
+@pytest.mark.parametrize("doc_fn", [dbar_doc, cr_system_doc])
+def test_zero_line_reported_as_zero(doc_fn):
+    rep = strip_spectrum(parse_operator(doc_fn()), -0.5, 2.5, 6)
+    assert 0.0 in rep.res_lines
+    assert "0" in rep.to_json()["res_lines"]
+    assert rep.res_lines_csv().splitlines()[1].startswith("0,")
