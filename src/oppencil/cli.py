@@ -2,9 +2,13 @@
 
 Subcommands: parse, ellipticity, pencil, spectrum, res, index, adjoint,
 adjoint-check, norm, model-solve, verify-cc.  Exit codes: 0 success,
-2 schema error, 3 numerical guard, 4 not applicable.  All randomness is
-seeded from the config (default 0) and reports are byte-identical across
-repeated runs and across --threads settings.
+2 schema error (also an unknown flag), 3 numerical guard, 4 not
+applicable.  Each subcommand takes only the flags it reads: -o on all,
+--format {json,csv} on res and index, --seed on norm, --threads on
+ellipticity (spectrum accepts it without effect).  The only randomness is
+the fixed compression seed of the coupled eigensolve and the --seed of
+norm --kind holder, so reports are byte-identical across repeated runs
+and across --threads settings.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ _BAND_FLAG = {"spectrum": "strip", "res": "strip", "index": "window",
 class RunConfig:
     """Programmatic mirror of one CLI invocation.
 
-    `extra` carries command-specific flags as {"flag-name": value}; unknown
-    flags are rejected by the argument parser when the config is run.
+    `extra` carries command-specific flags as {"flag-name": value}, e.g.
+    {"format": "csv"} for res; a flag the command does not take is
+    rejected by the argument parser when the config is run.
     """
 
     command: str
@@ -64,9 +69,6 @@ class RunConfig:
     degree: int | None = None
     anchor: str | None = None
     output: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    threads: int = 1
     extra: dict | None = None
 
     def to_argv(self):
@@ -83,8 +85,6 @@ class RunConfig:
             argv += ["--anchor", self.anchor]
         if self.output is not None:
             argv += ["--output", self.output]
-        argv += ["--format", self.fmt, "--seed", str(self.seed),
-                 "--threads", str(self.threads)]
         for key, val in (self.extra or {}).items():
             argv += [f"--{key}"] + ([str(val)] if val is not None else [])
         return argv
@@ -154,14 +154,14 @@ def cmd_pencil(args):
 
 
 def cmd_strip(args):
-    """spectrum and res: the full report, or only its critical lines; both
-    print the same CSV."""
+    """spectrum: the full report; res: only its critical lines, as JSON or
+    CSV."""
     op = _load_operator(args.operator)
     rep = strip_spectrum(op, args.strip[0], args.strip[1], args.degree)
-    if args.format == "csv":
-        _emit(rep.res_lines_csv(), args)
-    elif args.command == "spectrum":
+    if args.command == "spectrum":
         _emit(rep.to_json(), args)
+    elif args.format == "csv":
+        _emit(rep.res_lines_csv(), args)
     else:
         _emit(_fingerprinted(op, {"strip": [rep.beta1, rep.beta2],
                                   "res_lines": rep.res_lines_json()}), args)
@@ -313,65 +313,57 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, operator=True):
+    def subcommand(name, fn, help, operator=True):
+        sp = sub.add_parser(name, help=help)
         if operator:
             sp.add_argument("operator", help="operator-spec JSON file")
         sp.add_argument("-o", "--output", help="write the report here")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.set_defaults(fn=fn)
+        return sp
 
     def band(sp, command):
         sp.add_argument(f"--{_BAND_FLAG[command]}", type=float, nargs=2,
                         required=True, metavar=("BETA1", "BETA2"))
         sp.add_argument("--degree", type=int, default=6)
 
-    sp = sub.add_parser("parse", help="validate and canonicalize an operator")
-    common(sp)
-    sp.set_defaults(fn=cmd_parse)
+    subcommand("parse", cmd_parse, "validate and canonicalize an operator")
 
-    sp = sub.add_parser("ellipticity", help="sampled ellipticity check")
-    common(sp)
+    sp = subcommand("ellipticity", cmd_ellipticity,
+                    "sampled ellipticity check")
     sp.add_argument("--xi-samples", type=int, default=2000)
     sp.add_argument("--x-samples", type=int, default=500)
     sp.add_argument("--threshold", type=float, default=1e-9)
-    sp.set_defaults(fn=cmd_ellipticity)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads; the report does not depend on it")
 
-    sp = sub.add_parser("pencil", help="dump assembled pencil matrices")
-    common(sp)
+    sp = subcommand("pencil", cmd_pencil, "dump assembled pencil matrices")
     sp.add_argument("--l-max", type=int, default=None)
     sp.add_argument("--degree", type=int, default=6)
-    sp.set_defaults(fn=cmd_pencil)
 
-    sp = sub.add_parser("spectrum", help="pencil spectrum in a strip")
-    common(sp)
+    sp = subcommand("spectrum", cmd_strip, "pencil spectrum in a strip")
     band(sp, "spectrum")
-    sp.set_defaults(fn=cmd_strip)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="no effect: the strip solve runs on one thread")
 
-    sp = sub.add_parser("res", help="critical weight lines in a strip")
-    common(sp)
+    sp = subcommand("res", cmd_strip, "critical weight lines in a strip")
     band(sp, "res")
-    sp.set_defaults(fn=cmd_strip)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("index", help="Fredholm index ledger over a window")
-    common(sp)
+    sp = subcommand("index", cmd_index,
+                    "Fredholm index ledger over a window")
     sp.add_argument("--anchor", default="cc",
                     help="cc | selfadjoint | user:beta0=V,index=W")
     band(sp, "index")
-    sp.set_defaults(fn=cmd_index)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("adjoint", help="formal adjoint operator")
-    common(sp)
-    sp.set_defaults(fn=cmd_adjoint)
+    subcommand("adjoint", cmd_adjoint, "formal adjoint operator")
 
-    sp = sub.add_parser("adjoint-check",
-                        help="critical lines of the adjoint vs reflection")
-    common(sp)
+    sp = subcommand("adjoint-check", cmd_adjoint_check,
+                    "critical lines of the adjoint vs reflection")
     band(sp, "adjoint-check")
-    sp.set_defaults(fn=cmd_adjoint_check)
 
-    sp = sub.add_parser("norm", help="weighted norm of a ring expression")
-    common(sp, operator=False)
+    sp = subcommand("norm", cmd_norm, "weighted norm of a ring expression",
+                    operator=False)
     sp.add_argument("expr", help="Expr JSON file")
     sp.add_argument("--kind", choices=("sobolev", "cl", "holder", "decay"),
                     required=True)
@@ -382,24 +374,21 @@ def build_parser():
     sp.add_argument("--sigma", type=float, default=0.5)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--samples", type=int, default=4096)
-    sp.set_defaults(fn=cmd_norm)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="sampling seed of --kind holder")
 
-    sp = sub.add_parser("model-solve",
-                        help="per-mode line solves and the jump expansion")
-    common(sp)
+    sp = subcommand("model-solve", cmd_model_solve,
+                    "per-mode line solves and the jump expansion")
     sp.add_argument("--mode", type=int, required=True, help="harmonic degree")
     sp.add_argument("--beta1", type=float, required=True)
     sp.add_argument("--beta2", type=float, required=True)
     sp.add_argument("--f", default=None, help="gaussian[:a=..,t0=..]")
     sp.add_argument("--f-csv", default=None, help="CSV file t,re,im")
     sp.add_argument("--f-expr", default=None, help="1-D Expr JSON file")
-    sp.set_defaults(fn=cmd_model_solve)
 
-    sp = sub.add_parser("verify-cc",
-                        help="combinatorial index jumps vs computed lines")
-    common(sp)
+    sp = subcommand("verify-cc", cmd_verify_cc,
+                    "combinatorial index jumps vs computed lines")
     band(sp, "verify-cc")
-    sp.set_defaults(fn=cmd_verify_cc)
 
     return p
 
@@ -424,7 +413,6 @@ def _check_args(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed if hasattr(args, "seed") else 0)
     try:
         _check_args(args)
         return args.fn(args)

@@ -211,9 +211,12 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
 
 
 def _widest_component_midpoint(beta_min, beta_max, breaks):
+    """Midpoint of the widest component; of components within _BREAK_TOL
+    of the widest, the lowest, so round-off in the lines cannot pick it."""
     edges = [beta_min] + [b for b, _ in breaks] + [beta_max]
     comps = [(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    a, b = max(comps, key=lambda c: c[1] - c[0])
+    widest = max(b - a for a, b in comps)
+    a, b = next(c for c in comps if c[1] - c[0] >= widest - _BREAK_TOL)
     mid = (a + b) / 2.0
     if abs(mid - round(mid)) < 1e-6:  # keep clear of integers for cc_index
         mid += min(0.25, (b - a) / 4.0)

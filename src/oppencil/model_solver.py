@@ -38,6 +38,7 @@ from .spectrum import (
 _LINE_TOL = 1e-6
 _DECAY_TOL = 1e-12
 _GRID_N = 4096
+_LAURENT_NODES = 128
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ class ModePencil:
         return max(float(np.linalg.norm(b, np.inf)) for b in self.blocks)
 
 
-def mode_pencil(P: PencilMatrices, l: int, reduce_scalar: bool = True) -> ModePencil:
+def mode_pencil(P: PencilMatrices, l: int) -> ModePencil:
     """Extract the degree-l block of a (block-diagonal) pencil.
 
     For constant-coefficient scalar operators the block is a scalar
@@ -87,7 +88,7 @@ def mode_pencil(P: PencilMatrices, l: int, reduce_scalar: bool = True) -> ModePe
         off = Bj[np.ix_(idx, np.setdiff1d(np.arange(P.size), idx))]
         if np.max(np.abs(off), initial=0.0) > 1e-10 * scale:
             raise ValueError(f"degree {l} block is coupled; no mode reduction")
-    if reduce_scalar and blocks[0].shape[0] > 1:
+    if blocks[0].shape[0] > 1:
         if all(np.max(np.abs(b - b[0, 0] * np.eye(b.shape[0]))) < 1e-10 * scale
                for b in blocks):
             blocks = [b[:1, :1] for b in blocks]
@@ -98,7 +99,7 @@ def mode_pencil(P: PencilMatrices, l: int, reduce_scalar: bool = True) -> ModePe
 # grids and transforms
 # ---------------------------------------------------------------------------
 
-def choose_grid(f, betas, n_points: int = _GRID_N, min_T: float = 0.0):
+def choose_grid(f, betas, min_T: float = 0.0):
     """Uniform grid [-T, T] such that e^(beta t) f decays below 1e-12.
 
     `min_T` lets callers enforce extra length so that slowly decaying
@@ -107,7 +108,7 @@ def choose_grid(f, betas, n_points: int = _GRID_N, min_T: float = 0.0):
     """
     T = max(6.0, min_T)
     while T <= 160.0:
-        n = n_points if T <= 60 else 2 * n_points
+        n = _GRID_N if T <= 60 else 2 * _GRID_N
         t = np.linspace(-T, T, n, endpoint=False)
         vals = np.asarray(f(t))
         if all(_decays(t, vals, beta) for beta in betas):
@@ -265,19 +266,19 @@ def _fhat_at(t, fvals, lam):
     return dt * (ker @ fvals)
 
 
-def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order, nodes=128):
+def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order):
     """Laurent coefficients a_(-1-s), s = 0..max_order-1, of
     b(lam)^(-1) fhat(lam) at lam0, by FFT on a circle."""
-    thetas = 2 * math.pi * np.arange(nodes) / nodes
+    thetas = 2 * math.pi * np.arange(_LAURENT_NODES) / _LAURENT_NODES
     lams = lam0 + radius * np.exp(1j * thetas)
     fh = _fhat_at(t, fvals, lams)
     mats = horner(mp.blocks, lams)
-    g = np.linalg.solve(mats, fh[..., None])[..., 0]   # (nodes, q)
-    coeffs = np.fft.fft(g, axis=0) / nodes              # c_j r^j for j >= 0 ...
+    g = np.linalg.solve(mats, fh[..., None])[..., 0]   # (_LAURENT_NODES, q)
+    coeffs = np.fft.fft(g, axis=0) / _LAURENT_NODES     # c_j r^j for j >= 0 ...
     out = []
     for s in range(max_order):
         # coefficient of (lam-lam0)^(-1-s) is the e^(+i(1+s)theta) Fourier mode
-        out.append(coeffs[-(1 + s) % nodes] * radius ** (1 + s))
+        out.append(coeffs[-(1 + s) % _LAURENT_NODES] * radius ** (1 + s))
     return out
 
 

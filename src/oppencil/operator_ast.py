@@ -35,6 +35,9 @@ from .radial_algebra import HomogPoly, RadialFunction
 from .weighted_norms import Expr
 
 _COEFF_TOL = 1e-12
+_TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
+_TAIL_TOL = 0.1                         # its bound on the last weighted sup
+_TAIL_SPHERE_POINTS = 64
 
 
 def validate_multi_index(alpha, n) -> tuple:
@@ -527,28 +530,23 @@ def is_formally_self_adjoint(op: SystemOperator) -> bool:
 # symbol-class decay check
 # ---------------------------------------------------------------------------
 
-def check_symbol_class(f: Expr, beta: float, tail_radii=(2.0, 8.0, 32.0, 128.0),
-                       max_order: int = 2, tolerance: float = 0.1,
-                       sphere_points: int = 64) -> DecayReport:
+def check_symbol_class(f: Expr, beta: float, max_order: int = 2) -> DecayReport:
     """Numerical test that D^alpha f = o(|x|^(-beta-|alpha|)) for |alpha| <= max_order.
 
     For each derivative the sup of |x|^(beta+|alpha|) |D^alpha f| over a
-    sphere grid is evaluated at each tail radius; the report passes iff
-    every sequence is non-increasing and ends below `tolerance`.
+    sphere grid is evaluated at each of _TAIL_RADII; the report passes iff
+    every sequence is non-increasing and ends below _TAIL_TOL.
     """
-    radii = [float(r) for r in tail_radii]
-    if sorted(radii) != radii or any(r < 1 for r in radii):
-        raise ValueError("tail_radii must be increasing and >= 1")
     from .weighted_norms import _multi_indices
 
     n = f.n
-    pts = _sphere_points(n, sphere_points)
+    pts = _sphere_points(n, _TAIL_SPHERE_POINTS)
     sequences = {}
     passed = True
     for alpha in _multi_indices(n, max_order):
         df = f.derivative(alpha)
         seq = []
-        for r in radii:
+        for r in _TAIL_RADII:
             if df.is_zero():
                 seq.append(0.0)
                 continue
@@ -556,6 +554,6 @@ def check_symbol_class(f: Expr, beta: float, tail_radii=(2.0, 8.0, 32.0, 128.0),
             seq.append(float(r ** (beta + sum(alpha)) * np.max(vals)))
         sequences[alpha] = seq
         non_increasing = all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(seq, seq[1:]))
-        if not (non_increasing and seq[-1] < tolerance):
+        if not (non_increasing and seq[-1] < _TAIL_TOL):
             passed = False
-    return DecayReport(passed, beta, radii, sequences, tolerance)
+    return DecayReport(passed, beta, list(_TAIL_RADII), sequences, _TAIL_TOL)

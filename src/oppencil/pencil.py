@@ -26,7 +26,6 @@ function at one lam in the exact r^c H algebra.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -37,40 +36,23 @@ from .errors import CouplingOverflow, HomogeneityError
 from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import (
     RadialFunction,
+    _moment_gram,
+    _mono_index,
     differentiate,
     harmonic_basis,
     harmonic_dim,
     ladder,
     multiply_power_poly,
     poly_sphere_inner,
-    sphere_monomial_moment,
 )
 
 _HOMOG_TOL = 1e-10
+_ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 
 
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _mono_index(n, d):
-    monos = (m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d)
-    return {m: i for i, m in enumerate(monos)}
-
-
-@lru_cache(maxsize=None)
-def _moment_gram(n, d):
-    idx = _mono_index(n, d)
-    g = np.zeros((len(idx), len(idx)))
-    for m1, i in idx.items():
-        for m2, j in idx.items():
-            if j < i:
-                continue
-            g[i, j] = g[j, i] = sphere_monomial_moment(
-                tuple(a + b for a, b in zip(m1, m2)))
-    return g
-
 
 @lru_cache(maxsize=None)
 def _basis_matrix(n, l):
@@ -215,7 +197,6 @@ class PencilMatrices:
     analysis_degree: int
     bandwidth: int
     fingerprint: str
-    _eig_cache: list | None = None
 
     @property
     def size(self):
@@ -426,7 +407,7 @@ def truncate_pencil(P: PencilMatrices, l_max: int,
     nb, NB = len(basis), len(P.basis)
     idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
     return replace(P, B=[Bj[np.ix_(idx, idx)] for Bj in P.B], basis=basis,
-                   l_max=l_max, analysis_degree=analysis_degree, _eig_cache=None)
+                   l_max=l_max, analysis_degree=analysis_degree)
 
 
 def horner(coeffs, lam):
@@ -449,24 +430,19 @@ def evaluate_pencil(P: PencilMatrices, lam: complex) -> np.ndarray:
     return horner(P.B, lam)
 
 
-def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices,
-                              lam: complex = 0.37 + 0.21j) -> float:
-    """Relative residual of pencil_adj(lam) == pencil(conj(lam)+i(n+m))^H.
+def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float:
+    """Relative residual of pencil_adj(lam) == pencil(conj(lam)+i(n+m))^H
+    at lam = _ADJOINT_PROBE.
 
     Both pencils are compared on the common basis range.
     """
     n_common = min(len(P.basis), len(P_adj.basis))
-    k = P.k
 
     def restrict(mat, nb):
-        size = n_common
-        out = np.zeros((k * size, k * size), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                out[i * size:(i + 1) * size, j * size:(j + 1) * size] = \
-                    mat[i * nb:i * nb + size, j * nb:j * nb + size]
-        return out
+        idx = np.concatenate([c * nb + np.arange(n_common) for c in range(P.k)])
+        return mat[np.ix_(idx, idx)]
 
+    lam = _ADJOINT_PROBE
     lhs = restrict(evaluate_pencil(P_adj, lam), len(P_adj.basis))
     rhs = restrict(evaluate_pencil(P, np.conj(lam) + 1j * (P.n + P.m)),
                    len(P.basis)).conj().T

@@ -21,10 +21,13 @@ fractions.Fraction (the harmonic basis is generated exactly over Q).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import HomogeneityError
 
@@ -373,6 +376,27 @@ def poly_sphere_inner(P: HomogPoly, Q: HomogPoly) -> complex:
     return complex(total)
 
 
+@lru_cache(maxsize=None)
+def _mono_index(n, d):
+    monos = (m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d)
+    return {m: i for i, m in enumerate(monos)}
+
+
+@lru_cache(maxsize=None)
+def _moment_gram(n, d):
+    """Sphere moments of all products of two degree-d monomials, so that
+    poly_sphere_inner(P, Q) = coeffs(P) @ G @ conj(coeffs(Q))."""
+    idx = _mono_index(n, d)
+    g = np.zeros((len(idx), len(idx)))
+    for m1, i in idx.items():
+        for m2, j in idx.items():
+            if j < i:
+                continue
+            g[i, j] = g[j, i] = sphere_monomial_moment(
+                tuple(a + b for a, b in zip(m1, m2)))
+    return g
+
+
 def sphere_inner_product(f: RadialFunction, g: RadialFunction) -> complex:
     """L^2(S^(n-1)) pairing of two degree-zero-homogeneous functions."""
     for h in list(f.homogeneities()) + list(g.homogeneities()):
@@ -448,13 +472,21 @@ def exact_harmonics(n: int, l: int):
 def harmonic_basis(n: int, l: int):
     """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys.
 
-    The exact_harmonics normalized with exact moments; coefficients are
-    returned as floats, in the same order.
+    The exact_harmonics normalized with the cached moment Gram, summed in
+    poly_sphere_inner's order so the basis keeps every bit (v @ G @ v moves
+    B_j by ~4e-14, enough to flip round-off-decided strip answers).
     """
+    idx, gram = _mono_index(n, l), _moment_gram(n, l)
     out = []
     for P in exact_harmonics(n, l):
-        nrm2 = poly_sphere_inner(P.to_float(), P.to_float()).real
-        out.append(P.to_float().scale(1.0 / math.sqrt(nrm2)))
+        P = P.to_float()
+        nrm2 = 0.0
+        for m1, c1 in P.coeffs.items():
+            for m2, c2 in P.coeffs.items():
+                mom = gram[idx[m1], idx[m2]]
+                if mom != 0.0:
+                    nrm2 = nrm2 + c1 * c2.conjugate() * mom
+        out.append(P.scale(1.0 / math.sqrt(nrm2.real)))
     return tuple(out)
 
 

@@ -50,6 +50,8 @@ _CHAIN_TOL = 1e-8       # chain extension residual
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
+_DET_NODES = 64         # circle nodes of the det-order FFT
+_DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +158,12 @@ def _companion_eigenvalues(Bs):
     N = Bs[0].shape[0]
     if N == 0:
         return np.array([], dtype=complex)
-    if m == 1:
-        A, B = -Bs[0], Bs[1]
-    else:
-        A = np.zeros((N * m, N * m), dtype=complex)
-        B = np.eye(N * m, dtype=complex)
-        A[:N * (m - 1), N:] = np.eye(N * (m - 1))
-        for j in range(m):
-            A[N * (m - 1):, N * j:N * (j + 1)] = -Bs[j]
-        B[N * (m - 1):, N * (m - 1):] = Bs[m]
+    A = np.zeros((N * m, N * m), dtype=complex)
+    B = np.eye(N * m, dtype=complex)
+    A[:N * (m - 1), N:] = np.eye(N * (m - 1))
+    for j in range(m):
+        A[N * (m - 1):, N * j:N * (j + 1)] = -Bs[j]
+    B[N * (m - 1):, N * (m - 1):] = Bs[m]
     vals = sla.eigvals(A, B)
     vals = vals[np.isfinite(vals)]
     return vals[np.abs(vals) < 1e8]
@@ -211,8 +210,6 @@ def _compressed_square(P: PencilMatrices):
 
 def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
     """All (finite, certified) eigenvalues of the truncated pencil."""
-    if P._eig_cache is not None:
-        return list(P._eig_cache)
     scale = P.scale()
     if P.bandwidth == 0:
         uniform = len(set(P.mu)) == 1 and len(set(P.nu)) == 1
@@ -236,12 +233,11 @@ def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
             if sv[-1] < _RANK_TOL * max(sv[0], scale):
                 certified.append(lam)
         out = np.array(certified, dtype=complex)
-    P._eig_cache = list(out)
     return list(out)
 
 
-def cluster_eigenvalues(vals, radius=_CLUSTER_RADIUS):
-    """Single-linkage clustering on |z - w| <= radius.
+def cluster_eigenvalues(vals):
+    """Single-linkage clustering on |z - w| <= _CLUSTER_RADIUS.
 
     Returns a list of (center, count) sorted by (Im, Re) of the center.
     Every pair is compared, so copies of one eigenvalue that a sort would
@@ -250,7 +246,8 @@ def cluster_eigenvalues(vals, radius=_CLUSTER_RADIUS):
     vals = np.asarray(vals, dtype=complex)
     if vals.size == 0:
         return []
-    label = _component_labels(np.abs(vals[:, None] - vals[None, :]) <= radius)
+    label = _component_labels(
+        np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS)
     out = [(complex(np.mean(vals[label == c])), int(np.sum(label == c)))
            for c in np.unique(label)]
     return sorted(out, key=lambda c: (c[0].imag, c[0].real))
@@ -260,17 +257,16 @@ def cluster_eigenvalues(vals, radius=_CLUSTER_RADIUS):
 # determinant order cross-check
 # ---------------------------------------------------------------------------
 
-def _det_values_on_circle(P: PencilMatrices, lam0, radius, nodes=64):
+def _det_values_on_circle(P: PencilMatrices, lam0, radius):
     B = P.B if P.bandwidth == 0 else _compressed_square(P)[2]
-    thetas = 2 * math.pi * np.arange(nodes) / nodes
+    thetas = 2 * math.pi * np.arange(_DET_NODES) / _DET_NODES
     logs = [np.linalg.slogdet(horner(B, lam0 + radius * np.exp(1j * th)))
             for th in thetas]
     mean_log = np.mean([la for _, la in logs])
     return np.array([s * np.exp(la - mean_log) for s, la in logs])
 
 
-def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float,
-                        rel_tol: float = 1e-6) -> int:
+def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     """Order of the zero of det pencil at lam0 from scaled Taylor coefficients.
 
     FFT of determinant values on a circle of the given radius gives the
@@ -284,15 +280,15 @@ def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float,
     mx = np.max(np.abs(t))
     if mx == 0.0:
         return -1
-    return int(np.argmax(np.abs(t) > rel_tol * mx))
+    return int(np.argmax(np.abs(t) > _DET_ORDER_TOL * mx))
 
 
 # ---------------------------------------------------------------------------
 # Jordan chains
 # ---------------------------------------------------------------------------
 
-def _null_space(mat, rel_tol=_RANK_TOL, scale=None):
-    """Numerical nullspace under the relative ceiling rel_tol * scale.
+def _null_space(mat, scale=None):
+    """Numerical nullspace under the relative ceiling _RANK_TOL * scale.
 
     Eigenvalues of the pencil that are distinct but close (separation d)
     leave almost-null directions with singular values ~ d^2 that can creep
@@ -306,7 +302,7 @@ def _null_space(mat, rel_tol=_RANK_TOL, scale=None):
     U, sv, Vh = np.linalg.svd(mat)
     smax = max(sv[0] if sv.size else 0.0, scale or 0.0)
     svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
-    below = np.where(svp < rel_tol * smax)[0]
+    below = np.where(svp < _RANK_TOL * smax)[0]
     if len(below) > 1:
         vals = svp[below]
         logs = np.log10(np.maximum(vals, 1e-300))

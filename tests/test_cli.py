@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +174,16 @@ def test_run_config_programmatic(lap3_file, tmp_path):
     assert doc["res_lines"] == {"0": 5, "1": 3, "2": 1, "3": 1}
 
 
+def test_run_config_extra_flag(lap3_file, tmp_path):
+    from oppencil.cli import RunConfig, run
+    out = tmp_path / "lines.csv"
+    cfg = RunConfig(command="res", operator_path=lap3_file, beta1=-0.5,
+                    beta2=3.5, degree=6, output=str(out),
+                    extra={"format": "csv"})
+    assert run(cfg) == 0
+    assert out.read_text() == "line,multiplicity\n0,5\n1,3\n2,1\n3,1\n"
+
+
 # ---------------------------------------------------------------------------
 # bad input exits 2 before any analysis
 # ---------------------------------------------------------------------------
@@ -203,3 +216,98 @@ def test_non_finite_strip_exit2(lap3_file):
     r = run_cli(["res", lap3_file, "--strip", "-0.5", "inf"])
     assert r.returncode == 2
     assert "finite" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes only the flags its command function reads
+# ---------------------------------------------------------------------------
+
+# options of every subcommand besides -h/--help and -o/--output
+FLAG_TABLE = {
+    "parse": set(),
+    "ellipticity": {"--xi-samples", "--x-samples", "--threshold", "--threads"},
+    "pencil": {"--l-max", "--degree"},
+    "spectrum": {"--strip", "--degree", "--threads"},
+    "res": {"--strip", "--degree", "--format"},
+    "index": {"--anchor", "--window", "--degree", "--format"},
+    "adjoint": set(),
+    "adjoint-check": {"--window", "--degree"},
+    "norm": {"--kind", "--n", "--p", "--k", "--l", "--sigma", "--beta",
+             "--samples", "--seed"},
+    "model-solve": {"--mode", "--beta1", "--beta2", "--f", "--f-csv",
+                    "--f-expr"},
+    "verify-cc": {"--window", "--degree"},
+}
+SETTINGS = (("--format", "csv"), ("--seed", "1"), ("--threads", "2"))
+
+
+def readme_section():
+    text = (REPO / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    """argv (without the program name) of each oppencil example line."""
+    block = readme_section().split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("oppencil ")]
+
+
+def readme_flag_table():
+    """{command: flags} from the README's flag table."""
+    table = {}
+    for row in readme_section().splitlines():
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            for name in re.findall(r"`([a-z-]+)`", cells[1]):
+                table[name] = set(re.findall(r"--[a-z0-9-]+", cells[2]))
+    return table
+
+
+def test_flag_table():
+    from oppencil.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_TABLE)
+    for name, sp in sub.choices.items():
+        options = {o for a in sp._actions for o in a.option_strings}
+        assert options == FLAG_TABLE[name] | {"-h", "--help", "-o", "--output"}, name
+    assert readme_flag_table() == FLAG_TABLE
+
+
+def test_readme_examples_parse():
+    from oppencil.cli import build_parser
+    argvs = readme_commands()
+    assert {argv[0] for argv in argvs} == set(FLAG_TABLE)
+    for argv in argvs:
+        build_parser().parse_args(argv)
+
+
+def test_unread_settings_rejected_at_parse(capsys):
+    from oppencil.cli import build_parser
+    kept = rejected = 0
+    for argv in {argv[0]: argv for argv in readme_commands()}.values():
+        for flag, value in SETTINGS:
+            if flag in FLAG_TABLE[argv[0]]:
+                build_parser().parse_args(argv + [flag, value])
+                kept += 1
+                continue
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv + [flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            rejected += 1
+    assert (kept, rejected) == (5, 28)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-cc", "--window", "-0.5", "3.5", "--format", "csv"],
+    ["spectrum", "--strip", "-0.5", "3.5", "--format", "csv"],
+    ["res", "--strip", "-0.5", "3.5", "--seed", "1"],
+    ["parse", "--threads", "2"],
+])
+def test_unread_setting_exit2(lap3_file, argv):
+    r = run_cli([argv[0], lap3_file, *argv[1:]])
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    assert r.stdout == ""

@@ -1,5 +1,6 @@
 """Tests for the combinatorial index formulas and the ledger fold."""
 
+import dataclasses
 import math
 
 import pytest
@@ -186,6 +187,19 @@ def test_ledger_breakpoint_jumps_match_multiplicities(lap3_report):
     for (l1, r1, i1), (l2, r2, i2) in zip(led.values, led.values[1:]):
         line = next(b for b in mult if abs(b - r1) < 1e-9)
         assert i1 - i2 == mult[line]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-15, -1e-15])
+def test_cc_anchor_tie_ignores_round_off(laplacian3d, shift):
+    # lines 1, 2, 3 on [0.5, 3.5]: (1, 2) and (2, 3) are equally wide, and
+    # the lower one anchors, whichever round-off the middle line carries
+    rep = strip_spectrum(laplacian3d, 0.5, 3.5, 4)
+    mult = {round(line): m for line, m in rep.res_lines.items()}
+    assert sorted(mult) == [1, 2, 3]
+    lines = {1.0: mult[1], 2.0 + shift: mult[2], 3.0: mult[3]}
+    led = build_ledger(dataclasses.replace(rep, res_lines=lines), Anchor("cc"))
+    assert abs(led.anchor[0] - 1.5) < 1e-9
+    assert led.anchor[1] == cc_index(laplacian3d, 1.5) == 1
 
 
 # ---------------------------------------------------------------------------
