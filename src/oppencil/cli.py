@@ -1,14 +1,15 @@
 """Command-line front end: batch analysis with machine-readable reports.
 
-Subcommands: parse, ellipticity, pencil, spectrum, res, index, adjoint,
-adjoint-check, norm, model-solve, verify-cc.  Exit codes: 0 success,
-2 schema error (also an unknown flag), 3 numerical guard, 4 not
-applicable.  Each subcommand takes only the flags it reads: -o on all,
---format {json,csv} on res and index, --seed on norm, --threads on
-ellipticity (spectrum accepts it without effect).  The only randomness is
-the fixed compression seed of the coupled eigensolve and the --seed of
-norm --kind holder, so reports are byte-identical across repeated runs
-and across --threads settings.
+main(argv) is the one entry point, for the console script and for callers
+in Python alike; it returns the exit status.  Subcommands: parse,
+ellipticity, pencil, spectrum, res, index, adjoint, adjoint-check, norm,
+model-solve, verify-cc.  Exit codes: 0 success, 2 schema error (also an
+unknown flag), 3 numerical guard, 4 not applicable.  Each subcommand
+takes only the flags it reads: -o on all, --format {json,csv} on res and
+index, --seed on norm, --threads on ellipticity (spectrum accepts it
+without effect).  The only randomness is the fixed compression seed of
+the coupled eigensolve and the --seed of norm --kind holder, so reports
+are byte-identical across repeated runs and across --threads settings.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,53 +46,6 @@ from .weighted_norms import (
     weighted_holder_seminorm,
     weighted_sobolev_norm,
 )
-
-
-# the flag that carries (BETA1, BETA2) for each strip-based command
-_BAND_FLAG = {"spectrum": "strip", "res": "strip", "index": "window",
-              "adjoint-check": "window", "verify-cc": "window"}
-
-
-@dataclass
-class RunConfig:
-    """Programmatic mirror of one CLI invocation.
-
-    `extra` carries command-specific flags as {"flag-name": value}, e.g.
-    {"format": "csv"} for res; a flag the command does not take is
-    rejected by the argument parser when the config is run.
-    """
-
-    command: str
-    operator_path: str | None = None
-    beta1: float | None = None
-    beta2: float | None = None
-    degree: int | None = None
-    anchor: str | None = None
-    output: str | None = None
-    extra: dict | None = None
-
-    def to_argv(self):
-        argv = [self.command]
-        if self.operator_path is not None:
-            argv.append(self.operator_path)
-        if self.command in _BAND_FLAG and self.beta1 is not None:
-            argv += [f"--{_BAND_FLAG[self.command]}", str(self.beta1), str(self.beta2)]
-        elif self.command == "model-solve" and self.beta1 is not None:
-            argv += ["--beta1", str(self.beta1), "--beta2", str(self.beta2)]
-        if self.degree is not None:
-            argv += ["--degree", str(self.degree)]
-        if self.anchor is not None:
-            argv += ["--anchor", self.anchor]
-        if self.output is not None:
-            argv += ["--output", self.output]
-        for key, val in (self.extra or {}).items():
-            argv += [f"--{key}"] + ([str(val)] if val is not None else [])
-        return argv
-
-
-def run(config: RunConfig) -> int:
-    """Execute one analysis described by a RunConfig; returns the exit status."""
-    return main(config.to_argv())
 
 
 def _load_operator(path):
@@ -321,8 +274,8 @@ def build_parser():
         sp.set_defaults(fn=fn)
         return sp
 
-    def band(sp, command):
-        sp.add_argument(f"--{_BAND_FLAG[command]}", type=float, nargs=2,
+    def band(sp, flag):
+        sp.add_argument(f"--{flag}", type=float, nargs=2,
                         required=True, metavar=("BETA1", "BETA2"))
         sp.add_argument("--degree", type=int, default=6)
 
@@ -341,26 +294,26 @@ def build_parser():
     sp.add_argument("--degree", type=int, default=6)
 
     sp = subcommand("spectrum", cmd_strip, "pencil spectrum in a strip")
-    band(sp, "spectrum")
+    band(sp, "strip")
     sp.add_argument("--threads", type=int, default=1,
                     help="no effect: the strip solve runs on one thread")
 
     sp = subcommand("res", cmd_strip, "critical weight lines in a strip")
-    band(sp, "res")
+    band(sp, "strip")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = subcommand("index", cmd_index,
                     "Fredholm index ledger over a window")
     sp.add_argument("--anchor", default="cc",
                     help="cc | selfadjoint | user:beta0=V,index=W")
-    band(sp, "index")
+    band(sp, "window")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     subcommand("adjoint", cmd_adjoint, "formal adjoint operator")
 
     sp = subcommand("adjoint-check", cmd_adjoint_check,
                     "critical lines of the adjoint vs reflection")
-    band(sp, "adjoint-check")
+    band(sp, "window")
 
     sp = subcommand("norm", cmd_norm, "weighted norm of a ring expression",
                     operator=False)
@@ -388,7 +341,7 @@ def build_parser():
 
     sp = subcommand("verify-cc", cmd_verify_cc,
                     "combinatorial index jumps vs computed lines")
-    band(sp, "verify-cc")
+    band(sp, "window")
 
     return p
 

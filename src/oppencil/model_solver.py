@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooShort, LineTooClose, PoleOnLine
+from .errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
 from .pencil import PencilMatrices, horner, taylor
 from .spectrum import (
     _companion_eigenvalues,
@@ -87,7 +87,7 @@ def mode_pencil(P: PencilMatrices, l: int) -> ModePencil:
     for Bj in P.B:
         off = Bj[np.ix_(idx, np.setdiff1d(np.arange(P.size), idx))]
         if np.max(np.abs(off), initial=0.0) > 1e-10 * scale:
-            raise ValueError(f"degree {l} block is coupled; no mode reduction")
+            raise NotApplicable(f"degree {l} block is coupled; no mode reduction")
     if blocks[0].shape[0] > 1:
         if all(np.max(np.abs(b - b[0, 0] * np.eye(b.shape[0]))) < 1e-10 * scale
                for b in blocks):

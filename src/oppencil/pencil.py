@@ -19,9 +19,6 @@ enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
 Columns do not depend on the basis size, so a pencil on a smaller basis
 is an exact slice of a larger one (truncate_pencil).
-
-The ring route (apply_pencil_symbolic) applies the same operator to one
-function at one lam in the exact r^c H algebra.
 """
 
 from __future__ import annotations
@@ -38,11 +35,9 @@ from .radial_algebra import (
     RadialFunction,
     _moment_gram,
     _mono_index,
-    differentiate,
     harmonic_basis,
     harmonic_dim,
     ladder,
-    multiply_power_poly,
     poly_sphere_inner,
 )
 
@@ -80,20 +75,15 @@ class SphereBasis:
 
     n: int
     l_max: int
-    functions: list = field(default_factory=list)
     degrees: list = field(default_factory=list)
 
     @staticmethod
     def build(n, l_max):
-        funcs, degs = [], []
-        for l in range(l_max + 1):
-            for H in harmonic_basis(n, l):
-                funcs.append(RadialFunction(n, [(complex(-l), H)]))
-                degs.append(l)
-        return SphereBasis(n, l_max, funcs, degs)
+        return SphereBasis(n, l_max, [l for l in range(l_max + 1)
+                                      for _ in range(harmonic_dim(n, l))])
 
     def __len__(self):
-        return len(self.functions)
+        return len(self.degrees)
 
     def degree_slice(self, l):
         start = sum(harmonic_dim(self.n, d) for d in range(l))
@@ -106,7 +96,7 @@ class SphereBasis:
         carried by harmonic degrees above l_max (exact, from the canonical
         harmonic representation of f).
         """
-        out = np.zeros(len(self.functions), dtype=complex)
+        out = np.zeros(len(self), dtype=complex)
         leaked = 0.0
         for c, H in f.terms:
             if abs(c + H.degree) > _HOMOG_TOL:
@@ -120,57 +110,6 @@ class SphereBasis:
 
     def to_json(self):
         return {"n": self.n, "l_max": self.l_max, "degrees": list(self.degrees)}
-
-
-# ---------------------------------------------------------------------------
-# symbolic application
-# ---------------------------------------------------------------------------
-
-def apply_scalar_symbolic(entry, f: RadialFunction) -> RadialFunction:
-    """Apply the principal part of a scalar operator to a ring element."""
-    n = f.n
-    out = RadialFunction.zero(n)
-    for alpha, t in entry.terms:
-        if t.poly.is_zero():
-            continue
-        g = f
-        for i, cnt in enumerate(alpha):
-            for _ in range(cnt):
-                g = differentiate(g, i)
-        out = out.add(multiply_power_poly(g, t.radial_exponent, t.poly))
-    return out
-
-
-def apply_pencil_symbolic(op: SystemOperator, lam: complex, phi) -> list:
-    """pencil(lam) phi = r^(-i lam) r^(-nu) A0 (r^(i lam) r^mu phi).
-
-    `phi` is a list of k RadialFunctions of total homogeneity zero; the
-    result is again k homogeneity-zero RadialFunctions (checked).  Only the
-    principal part of `op` enters.
-    """
-    return _apply_model(principal_part(op), lam, phi)
-
-
-def _apply_model(a0: SystemOperator, lam: complex, phi) -> list:
-    k = a0.k
-    if len(phi) != k:
-        raise ValueError(f"phi must have {k} components")
-    lifted = [phi[j].shift_exponent(1j * lam + a0.mu[j]) for j in range(k)]
-    out = []
-    for i in range(k):
-        acc = RadialFunction.zero(a0.n)
-        for j in range(k):
-            e = a0.entries[i][j]
-            if e is None or e.is_zero():
-                continue
-            acc = acc.add(apply_scalar_symbolic(e, lifted[j]))
-        acc = acc.shift_exponent(-1j * lam - a0.nu[i])
-        for h in acc.homogeneities():
-            if abs(h) > _HOMOG_TOL:
-                raise HomogeneityError(
-                    f"pencil output has homogeneity {h}; invalid operator spec")
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Exact algebra of finite sums r^c H(x) with H harmonic homogeneous.
 
-Every function appearing in the pencil machinery is a finite sum of terms
-r^c H(x) where c is a (possibly complex) exponent and H is a harmonic
-homogeneous polynomial.  This ring is closed under the derivatives
-D_i = -i d/dx_i and under multiplication by r^e P(x) for polynomial P,
-because of the ladder: for H harmonic of degree l,
+Operator coefficients, their canonical form and the formal adjoint live in
+this ring: finite sums of terms r^c H(x) where c is a (possibly complex)
+exponent and H is a harmonic homogeneous polynomial.  The derivatives
+D_i = -i d/dx_i keep it closed through the ladder: for H harmonic of
+degree l,
 
     x_i H = H_plus + |x|^2 G,   G = dH/dx_i / (2l + n - 2),
 
-with H_plus and G harmonic, which lets all radial content be pushed into
-the exponent one factor x_i at a time.  A general homogeneous P of degree
-d decomposes uniquely as P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose);
-that is used only where raw polynomials enter the ring (from_parts).
-Restriction to the unit sphere is then trivial (drop r) and integration
-over S^(n-1) is exact through closed-form monomial moments.
+with H_plus and G harmonic, so differentiate never re-decomposes; the
+pencil assembly uses the same ladder as numeric maps (pencil.py).  A
+general homogeneous P of degree d decomposes uniquely as
+P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose); that is used only where
+raw polynomials enter the ring (from_parts).  Restriction to the unit
+sphere is then trivial (drop r) and integration over S^(n-1) is exact
+through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
 fractions.Fraction (the harmonic basis is generated exactly over Q).
@@ -292,38 +293,6 @@ def differentiate(f: RadialFunction, i: int) -> RadialFunction:
         if H.degree > 0:
             k = 2 * H.degree + f.n - 2
             raw.append((c, H.partial(i).scale(-1j * (1 + c / k))))
-    return RadialFunction(f.n, _merge(raw))
-
-
-def multiply_coeff(f: RadialFunction, coeff) -> RadialFunction:
-    """Multiply by r^(coeff.radial_exponent) * coeff.poly and re-canonicalize.
-
-    `coeff` is any object with `radial_exponent` and `poly` attributes
-    (the operator layer's principal coefficient terms); a declared
-    perturbation is rejected since only principal parts live in this ring.
-    """
-    if getattr(coeff, "perturbation", None) is not None:
-        raise ValueError("multiply_coeff takes principal coefficients only")
-    return multiply_power_poly(f, coeff.radial_exponent, coeff.poly)
-
-
-def multiply_power_poly(f: RadialFunction, radial_exponent, poly: HomogPoly) -> RadialFunction:
-    """Multiply by r^radial_exponent * poly, one x_i at a time per monomial.
-
-    x_i r^c H = r^c H_plus + r^(c+2) G by the ladder, so the product never
-    leaves the canonical r^c x harmonic form.
-    """
-    raw = []
-    for expo, a in poly.to_float().coeffs.items():
-        terms = [(c + radial_exponent, H.scale(a)) for c, H in f.terms]
-        for i, count in enumerate(expo):
-            for _ in range(count):
-                step = []
-                for c, H in terms:
-                    Hp, G = ladder(H, i)
-                    step += [(c, Hp), (c + 2, G)]
-                terms = _merge(step)
-        raw.extend(terms)
     return RadialFunction(f.n, _merge(raw))
 
 

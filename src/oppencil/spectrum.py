@@ -594,7 +594,11 @@ def default_l_max(op: SystemOperator, degree: int) -> int:
 
 def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree):
     vals = solve_pencil_eigenvalues(P)
-    in_strip = [v for v in vals if beta1 <= v.imag <= beta2]
+    # eigenvalues within the cluster radius outside an edge are kept, so a
+    # line on the boundary reaches the RefuseBoundary check whatever side
+    # round-off puts it on
+    in_strip = [v for v in vals
+                if beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS]
     clusters = cluster_eigenvalues(in_strip)
     eigenpoints = []
     centers = [c for c, _ in clusters]

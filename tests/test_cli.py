@@ -72,9 +72,7 @@ def test_res_csv(lap3_file, tmp_path):
     r = run_cli(["res", lap3_file, "--strip", "-0.5", "3.5", "--degree", "6",
                  "--format", "csv", "-o", str(out)])
     assert r.returncode == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "line,multiplicity"
-    assert len(lines) == 5
+    assert out.read_text() == "line,multiplicity\n0,5\n1,3\n2,1\n3,1\n"
 
 
 def test_index_command(lap3_file):
@@ -149,6 +147,26 @@ def test_model_solve_command(lap3_file):
     assert all(v < 1e-6 for v in devs.values())
 
 
+def test_strip_edge_on_line_refused():
+    # dbar2d has a line at -2 that the eigensolve puts just below -2
+    dbar = str(REPO / "operators" / "dbar2d.json")
+    r = run_cli(["res", dbar, "--strip", "-2", "5.5", "--degree", "6"])
+    assert r.returncode == 3
+    assert "strip boundary -2" in r.stderr
+    r = run_cli(["res", dbar, "--strip", "-2.5", "5.5", "--degree", "6"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["res_lines"]["-2"] == 1
+
+
+def test_model_solve_coupled_not_applicable():
+    dipole = str(REPO / "operators" / "dipole_laplacian3d.json")
+    r = run_cli(["model-solve", dipole, "--mode", "0",
+                 "--beta1", "1.5", "--beta2", "2.5"])
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
+    assert "coupled" in r.stderr
+
+
 def test_reports_deterministic_across_threads(lap3_file):
     a = run_cli(["ellipticity", lap3_file, "--threads", "1",
                  "--xi-samples", "300", "--x-samples", "50"])
@@ -162,26 +180,6 @@ def test_reports_deterministic_repeat(lap3_file):
     args = ["spectrum", lap3_file, "--strip", "-0.5", "3.5", "--degree", "5"]
     a, b = run_cli(args), run_cli(args)
     assert a.stdout == b.stdout
-
-
-def test_run_config_programmatic(lap3_file, tmp_path):
-    from oppencil.cli import RunConfig, run
-    out = tmp_path / "report.json"
-    cfg = RunConfig(command="res", operator_path=lap3_file, beta1=-0.5,
-                    beta2=3.5, degree=6, output=str(out))
-    assert run(cfg) == 0
-    doc = json.loads(out.read_text())
-    assert doc["res_lines"] == {"0": 5, "1": 3, "2": 1, "3": 1}
-
-
-def test_run_config_extra_flag(lap3_file, tmp_path):
-    from oppencil.cli import RunConfig, run
-    out = tmp_path / "lines.csv"
-    cfg = RunConfig(command="res", operator_path=lap3_file, beta1=-0.5,
-                    beta2=3.5, degree=6, output=str(out),
-                    extra={"format": "csv"})
-    assert run(cfg) == 0
-    assert out.read_text() == "line,multiplicity\n0,5\n1,3\n2,1\n3,1\n"
 
 
 # ---------------------------------------------------------------------------

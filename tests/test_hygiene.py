@@ -1,0 +1,64 @@
+"""Static hygiene of the package: no unused imports, no orphaned definitions.
+
+No linter ships with the toolchain, so two rules are checked on the ast:
+every name a module of src/oppencil imports is used in that module
+(__init__.py re-exports and is exempt), and every module-level function
+or class of src/oppencil is referenced somewhere in src/, tests/ or
+scripts/ outside its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "oppencil"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _identifiers(node):
+    """Every identifier a subtree refers to: names, attributes, and the
+    names pulled in by from-imports."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imports_are_used(path):
+    tree = _parse(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+def test_definitions_are_referenced():
+    files = [p for d in ("src", "tests", "scripts") for p in (REPO / d).rglob("*.py")]
+    total = Counter()
+    for p in files:
+        total.update(_identifiers(_parse(p)))
+    orphans = []
+    for path in MODULES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if total[node.name] - _identifiers(node)[node.name] <= 0:
+                    orphans.append(f"{path.name}:{node.name}")
+    assert orphans == []

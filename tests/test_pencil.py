@@ -1,4 +1,4 @@
-"""Tests for symbolic pencil application and matrix assembly."""
+"""Tests for pencil assembly, against closed forms and a decompose oracle."""
 
 import json
 from pathlib import Path
@@ -17,14 +17,18 @@ from conftest import (
 from oppencil.errors import CouplingOverflow
 from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
 from oppencil.pencil import (
-    SphereBasis,
     adjoint_identity_residual,
-    apply_pencil_symbolic,
     assemble_pencil,
     evaluate_pencil,
     truncate_pencil,
 )
-from oppencil.radial_algebra import HomogPoly, RadialFunction, harmonic_basis, harmonic_dim
+from oppencil.radial_algebra import (
+    HomogPoly,
+    RadialFunction,
+    differentiate,
+    harmonic_basis,
+    harmonic_dim,
+)
 from oppencil.spectrum import default_l_max
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
@@ -39,43 +43,38 @@ def laplacian_mode_scalar(n, l, lam):
 
 
 # ---------------------------------------------------------------------------
-# symbolic application
+# the pencil on single modes
 # ---------------------------------------------------------------------------
 
 def test_apply_laplacian_lambda0_constant(laplacian3d):
-    one = RadialFunction(3, [(0j, HomogPoly.constant(3, 1.0))])
-    out = apply_pencil_symbolic(laplacian3d, 0.0, [one])[0]
-    assert len(out.terms) == 1
-    c, H = out.terms[0]
-    assert abs(c) < 1e-12
-    assert H.coeffs[(0, 0, 0)] == pytest.approx(-6.0)  # -Delta r^2 = -6
+    # the constant column at lam = 0: -Delta r^2 = -6, nothing else
+    col = evaluate_pencil(assemble_pencil(laplacian3d, 2), 0.0)[:, 0]
+    assert col[0] == pytest.approx(-6.0)
+    assert np.max(np.abs(col[1:])) < 1e-12
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 @pytest.mark.parametrize("lam", [0.0, 1.3, 2.0 - 0.7j])
 def test_apply_laplacian_modes(laplacian3d, l, lam):
-    for H in harmonic_basis(3, l):
-        y = RadialFunction(3, [(complex(-l), H)])
-        out = apply_pencil_symbolic(laplacian3d, lam, [y])[0]
-        want = laplacian_mode_scalar(3, l, lam)
-        diff = out.add(y.scale(-want))
-        assert diff.max_abs_coeff() < 1e-10 * max(1.0, abs(want))
+    P = assemble_pencil(laplacian3d, 3)
+    mat = evaluate_pencil(P, lam)
+    cols = P.basis.degree_slice(l)
+    want = laplacian_mode_scalar(3, l, lam)
+    expect = np.zeros((len(P.basis), harmonic_dim(3, l)), dtype=complex)
+    expect[cols] = want * np.eye(harmonic_dim(3, l))
+    assert np.max(np.abs(mat[:, cols] - expect)) < 1e-10 * max(1.0, abs(want))
 
 
 def test_apply_dbar_shifts_mode(dbar2d):
-    # pencil maps e^(i k theta) to a multiple of e^(i (k+1) theta); the
+    # the pencil maps e^(i k theta) to a multiple of e^(i (k+1) theta); the
     # factor vanishes exactly at i*lam = k - 1.
     k = 2
-    re = harmonic_basis(2, k)[0]  # cos(k theta) direction
-    y = RadialFunction(2, [(complex(-k), re)])
+    P = assemble_pencil(dbar2d, 5)
+    col = P.basis.degree_slice(k).start  # cos(k theta) direction
+    up = P.basis.degree_slice(k + 1)
     lam_special = -1j * (k - 1)  # i*lam = k-1
-    out = apply_pencil_symbolic(dbar2d, lam_special, [y])[0]
-    # output contains no degree-(k+1) part at the special lambda
-    up_mass = sum(H.norm_inf() for _, H in out.terms if H.degree == k + 1)
-    assert up_mass < 1e-12
-    out2 = apply_pencil_symbolic(dbar2d, 0.5, [y])[0]
-    up_mass2 = sum(H.norm_inf() for _, H in out2.terms if H.degree == k + 1)
-    assert up_mass2 > 0.1
+    assert np.max(np.abs(evaluate_pencil(P, lam_special)[up, col])) < 1e-12
+    assert np.max(np.abs(evaluate_pencil(P, 0.5)[up, col])) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +100,11 @@ def test_assemble_laplacian_block_diagonal(laplacian3d):
 
 
 def test_assemble_interpolation_consistency(laplacian2d):
+    # Horner on the B_j at a lam off the integer nodes equals the oracle
+    # pencil applied column by column at that lam
     P = assemble_pencil(laplacian2d, 4)
     lam = 2.7 + 0.3j
-    direct = np.zeros_like(P.B[0])
-    nb = len(P.basis)
-    for pos in range(nb):
-        out = apply_pencil_symbolic(laplacian2d, lam,
-                                    [P.basis.functions[pos]])[0]
-        coeffs, _ = P.basis.project(out)
-        direct[:, pos] = coeffs
+    direct = _oracle_matrix(laplacian2d, P.basis, lam)[0]
     assert np.max(np.abs(evaluate_pencil(P, lam) - direct)) < 1e-10 * P.scale()
 
 
@@ -182,10 +177,20 @@ def test_adjoint_pencil_identity_variable_coeff():
 # oracle: pencil columns at sampled lam through the Gauss decomposition
 # ---------------------------------------------------------------------------
 
-def _oracle_apply(a0, lam, comp, y):
+def _decompose_d(f, ax):
+    """D_ax on a ring element, re-expanded by harmonic_decompose
+    (RadialFunction.from_parts), not by the ladder."""
+    xi = HomogPoly.monomial(f.n, tuple(int(a == ax) for a in range(f.n)))
+    return RadialFunction.from_parts(f.n, [
+        part for c, H in f.terms for part in (
+            (c - 2, xi.mul(H).scale(-1j * c)),
+            (c, H.partial(ax).scale(-1j)))])
+
+
+def _oracle_apply(a0, lam, comp, y, d=_decompose_d):
     """pencil(lam) on the column y of component comp; every product is
-    re-expanded by harmonic_decompose (RadialFunction.from_parts), not by
-    the ladder."""
+    re-expanded by harmonic_decompose, and so is every derivative unless
+    another derivative step `d` is given."""
     n = a0.n
     lifted = y.shift_exponent(1j * lam + a0.mu[comp])
     out = []
@@ -195,16 +200,18 @@ def _oracle_apply(a0, lam, comp, y):
         for alpha, t in (e.terms if e is not None else []):
             g = lifted
             for ax, count in enumerate(alpha):
-                xi = HomogPoly.monomial(n, tuple(int(a == ax) for a in range(n)))
                 for _ in range(count):
-                    g = RadialFunction.from_parts(n, [
-                        part for c, H in g.terms for part in (
-                            (c - 2, xi.mul(H).scale(-1j * c)),
-                            (c, H.partial(ax).scale(-1j)))])
+                    g = d(g, ax)
             acc = acc.add(RadialFunction.from_parts(
                 n, [(c + t.radial_exponent, t.poly.mul(H)) for c, H in g.terms]))
         out.append(acc.shift_exponent(-1j * lam - a0.nu[i]))
     return out
+
+
+def _columns(n, l_max):
+    """The basis columns r^(-l) H_l, ordered as in SphereBasis."""
+    return [RadialFunction(n, [(complex(-l), H)])
+            for l in range(l_max + 1) for H in harmonic_basis(n, l)]
 
 
 def _oracle_matrix(op, basis, lam):
@@ -214,7 +221,7 @@ def _oracle_matrix(op, basis, lam):
     mat = np.zeros((a0.k * nb, a0.k * nb), dtype=complex)
     bandwidth = 0
     for comp in range(a0.k):
-        for pos, y in enumerate(basis.functions):
+        for pos, y in enumerate(_columns(basis.n, basis.l_max)):
             for i, w in enumerate(_oracle_apply(a0, lam, comp, y)):
                 w = w.prune_abs(1e-13 * max(w.max_abs_coeff(), 1.0))
                 mat[i * nb:(i + 1) * nb, comp * nb + pos] = basis.project(w)[0]
@@ -262,11 +269,11 @@ def test_ladder_assembly_matches_decompose_oracle(name):
 @pytest.mark.parametrize("name", ["dbar", "cr_system", "drift", "inverse_square"])
 @pytest.mark.parametrize("lam", [0.0, 0.437 + 0.291j])
 def test_ring_ladder_matches_decompose_oracle(name, lam):
-    op = parse_operator(_ORACLE_DOCS[name]())
-    a0 = principal_part(op)
-    for y in SphereBasis.build(op.n, 3).functions:
-        phi = [y] + [RadialFunction.zero(op.n)] * (op.k - 1)
-        got = apply_pencil_symbolic(op, lam, phi)
+    # the ring's differentiate (ladder) against the decompose oracle, on
+    # each operator's derivatives of the lifted basis columns
+    a0 = principal_part(parse_operator(_ORACLE_DOCS[name]()))
+    for y in _columns(a0.n, 3):
+        got = _oracle_apply(a0, lam, 0, y, d=differentiate)
         for g, w in zip(got, _oracle_apply(a0, lam, 0, y)):
             diff = g.add(w.scale(-1))
             assert diff.max_abs_coeff() < 1e-12 * max(w.max_abs_coeff(), 1.0)

@@ -15,7 +15,6 @@ from oppencil.radial_algebra import (
     harmonic_decompose,
     harmonic_dim,
     ladder,
-    multiply_power_poly,
     poly_sphere_inner,
     sphere_inner_product,
     sphere_monomial_moment,
@@ -143,7 +142,7 @@ def test_euler_identity(s):
     acc = RadialFunction.zero(n)
     for i in range(n):
         xi = HomogPoly.monomial(n, tuple(1 if a == i else 0 for a in range(n)), 1.0)
-        acc = acc.add(multiply_power_poly(differentiate(f, i), 0.0, xi))
+        acc = acc.add(_times(differentiate(f, i), 0.0, xi))
     acc = acc.scale(1j)
     diff = acc.add(f.scale(-s))
     assert diff.max_abs_coeff() < 1e-12 * max(1.0, abs(s))
@@ -171,16 +170,23 @@ def test_laplacian_annihilates_harmonics():
 # coefficient multiplication
 # ---------------------------------------------------------------------------
 
+def _times(f, radial_exponent, poly):
+    """r^radial_exponent * poly * f, re-canonicalized through from_parts as
+    operator coefficients are."""
+    return RadialFunction.from_parts(
+        f.n, [(c + radial_exponent, poly.mul(H)) for c, H in f.terms])
+
+
 def test_multiply_constant_power():
     f = RadialFunction(3, [(0j, HomogPoly.constant(3, 1.0))])
-    g = multiply_power_poly(f, -2.0, HomogPoly.constant(3, 1.0))
+    g = _times(f, -2.0, HomogPoly.constant(3, 1.0))
     assert len(g.terms) == 1 and abs(g.terms[0][0] + 2) < 1e-14
 
 
 def test_multiply_x1_on_x1():
     # x1 * (r^-1 x1) = r^-1 x1^2 = r^-1 (x1^2 - r^2/3) + (1/3) r
     f = RadialFunction(3, [(0j, HomogPoly.monomial(3, (1, 0, 0), 1.0))])
-    g = multiply_power_poly(f, -1.0, HomogPoly.monomial(3, (1, 0, 0), 1.0))
+    g = _times(f, -1.0, HomogPoly.monomial(3, (1, 0, 0), 1.0))
     terms = {H.degree: (c, H) for c, H in g.terms}
     assert set(terms) == {0, 2}
     c0, H0 = terms[0]
@@ -192,7 +198,7 @@ def test_multiply_x1_on_x1():
 def test_multiply_identity_keeps_complex_exponent():
     lam = 0.7 + 0.3j
     f = RadialFunction(2, [(1j * lam, HomogPoly.constant(2, 1.0))])
-    g = multiply_power_poly(f, 0.0, HomogPoly.constant(2, 1.0))
+    g = _times(f, 0.0, HomogPoly.constant(2, 1.0))
     assert len(g.terms) == 1 and abs(g.terms[0][0] - 1j * lam) < 1e-14
 
 
@@ -278,33 +284,3 @@ def test_basis_polys_harmonic():
         for l in range(6):
             for H in harmonic_basis(n, l):
                 assert H.laplacian().norm_inf() < 1e-11 * max(1.0, H.norm_inf())
-
-
-def test_canonical_form_uniqueness_two_paths():
-    # (x1^2) * 1 built directly vs via decompose-multiply agree termwise
-    n = 3
-    one = RadialFunction(n, [(0j, HomogPoly.constant(n, 1.0))])
-    path1 = multiply_power_poly(one, 0.0, HomogPoly.monomial(n, (2, 0, 0), 1.0))
-    x1 = RadialFunction(n, [(0j, HomogPoly.monomial(n, (1, 0, 0), 1.0))])
-    path2 = multiply_power_poly(x1, 0.0, HomogPoly.monomial(n, (1, 0, 0), 1.0))
-    diff = path1.add(path2.scale(-1))
-    assert diff.max_abs_coeff() < 1e-12
-    assert [(round(c.real, 9), H.degree) for c, H in path1.terms] == \
-           [(round(c.real, 9), H.degree) for c, H in path2.terms]
-
-
-def test_multiply_coeff_accepts_operator_terms():
-    from oppencil.operator_ast import CoeffTerm
-    from oppencil.radial_algebra import multiply_coeff
-    f = RadialFunction(3, [(0j, HomogPoly.constant(3, 1.0))])
-    term = CoeffTerm(-2.0, HomogPoly.constant(3, 0.25))
-    g = multiply_coeff(f, term)
-    assert len(g.terms) == 1
-    c, H = g.terms[0]
-    assert abs(c + 2) < 1e-14 and H.coeffs[(0, 0, 0)] == pytest.approx(0.25)
-    # principal-only precondition
-    from oppencil.weighted_norms import Expr
-    pert = CoeffTerm(-2.0, HomogPoly.constant(3, 0.25),
-                     Expr.lambda_power(3, -3))
-    with pytest.raises(ValueError):
-        multiply_coeff(f, pert)

@@ -172,12 +172,8 @@ def test_biorth_unitary_invariance(laplacian2d):
     import copy
     P2 = copy.copy(P)
     P2.B = [U @ Bj @ U.conj().T for Bj in P.B]
-    P2.samples = {}
-    P2._eig_cache = None
     P2a = copy.copy(P_adj)
     P2a.B = [U @ Bj @ U.conj().T for Bj in P_adj.B]
-    P2a.samples = {}
-    P2a._eig_cache = None
     # bandwidth bookkeeping no longer matches the rotated basis; treat as full
     P2.bandwidth = 0
     P2a.bandwidth = 0
