@@ -147,7 +147,8 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     crosses it upward.  Anchors: 'cc' uses the combinatorial formula,
     'selfadjoint' uses the symmetry of the index about (n+m)/2, 'user'
     supplies (beta0, index0) directly.  The ledger never extends past the
-    report window.
+    report window.  An anchor the operator does not admit raises
+    NotApplicable; one that cannot be placed in the window, NoAnchor.
     """
     op = report.op
     beta_min, beta_max = report.beta1, report.beta2
@@ -159,14 +160,14 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     provenance = anchor.kind
     if anchor.kind == "cc":
         if not is_homogeneous_cc(principal_part(op)):
-            raise NoAnchor("cc anchor requires a homogeneous cc principal part")
+            raise NotApplicable("cc anchor requires a homogeneous cc principal part")
         beta0 = anchor.beta0
         if beta0 is None:
             beta0 = _widest_component_midpoint(beta_min, beta_max, breaks)
         index0 = cc_index(op, beta0)
     elif anchor.kind == "selfadjoint":
         if not is_formally_self_adjoint(op):
-            raise NoAnchor("operator is not formally self-adjoint")
+            raise NotApplicable("operator is not formally self-adjoint")
         center = (op.n + op.m) / 2.0
         if not (beta_min <= center <= beta_max):
             raise NoAnchor(f"center {(op.n + op.m) / 2} outside report window")

@@ -354,7 +354,8 @@ def horner(coeffs, lam):
     lam = np.asarray(lam, dtype=complex)[..., None, None]
     out = coeffs[-1] + 0 * lam
     for Bj in coeffs[-2::-1]:
-        out = out * lam + Bj
+        out *= lam  # in place: a stack of points allocates no step arrays
+        out += Bj
     return out
 
 

@@ -5,9 +5,11 @@ Eigenvalues are found through companion linearization (QZ).  When the
 pencil couples harmonic degrees upward (nonzero bandwidth) the square
 truncation is structurally singular, so the solve works with the exact
 rectangular restriction to the fully-resolved columns and compresses it
-with a fixed random matrix; every candidate eigenvalue is then certified
-by a small singular value of the rectangular pencil, and eigenvectors
-supported near the truncation boundary are discarded.
+with a fixed random matrix; a candidate eigenvalue is certified by a small
+singular value of the rectangular pencil, and eigenvectors supported near
+the truncation boundary are discarded.  A strip spectrum certifies only
+the candidates within _CERTIFY_REACH of the strip: a value farther out
+changes neither a det-order circle nor a drift check.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -15,7 +17,8 @@ Jordan chains at an eigenvalue lam0 solve the coupled system
 
 extracted from nested block-Toeplitz nullspaces (longest chains first).
 The algebraic count is cross-checked against the vanishing order of
-det pencil at lam0 (Taylor coefficients by FFT on a circle).  Adjoint
+det pencil at lam0 (Taylor coefficients by FFT on a circle, det evaluated
+per decoupled degree block when the bandwidth is 0).  Adjoint
 chains at conj(lam0) of the cylinder-level adjoint pencil are normalized
 to the Kronecker biorthogonality pattern by one least-squares solve.
 """
@@ -52,6 +55,13 @@ _DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
 _DET_NODES = 64         # circle nodes of the det-order FFT
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
+_DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
+_DET_RADIUS_MAX = 0.1     # ... and at most this
+# Certification reach beyond a strip edge.  A value outside it lies more than
+# _DET_RADIUS_MAX / _DET_RADIUS_SHARE from every cluster centre in the strip
+# (centres sit within _CLUSTER_RADIUS of it), so it sets no det-order radius
+# and is no drift below _DRIFT_TOL.
+_CERTIFY_REACH = _DET_RADIUS_MAX / _DET_RADIUS_SHARE + 2 * _CLUSTER_RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +218,15 @@ def _compressed_square(P: PencilMatrices):
     return keep, R, [Q @ Rj for Rj in R]
 
 
-def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
-    """All (finite, certified) eigenvalues of the truncated pencil."""
+def _in_band(vals, band):
+    return vals if band is None else \
+        vals[(band[0] < vals.imag) & (vals.imag < band[1])]
+
+
+def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
+    """All (finite, certified) eigenvalues of the truncated pencil, or with
+    band = (lo, hi) only those with lo < Im lam < hi, so that only those
+    are certified."""
     scale = P.scale()
     if P.bandwidth == 0:
         uniform = len(set(P.mu)) == 1 and len(set(P.nu)) == 1
@@ -222,10 +239,10 @@ def solve_pencil_eigenvalues(P: PencilMatrices) -> list:
                     raise SingularLeadingCoeff(
                         f"leading coefficient condition {cond:.2e} on a block")
             vals.extend(_companion_eigenvalues(Bs))
-        out = np.array(vals, dtype=complex)
+        out = _in_band(np.array(vals, dtype=complex), band)
     else:
         keep, R, S = _compressed_square(P)
-        cands = _companion_eigenvalues(S)
+        cands = _in_band(_companion_eigenvalues(S), band)
         certified = []
         for lam in cands:
             mat = evaluate_pencil(P, lam)[:, keep]
@@ -258,12 +275,20 @@ def cluster_eigenvalues(vals):
 # ---------------------------------------------------------------------------
 
 def _det_values_on_circle(P: PencilMatrices, lam0, radius):
-    B = P.B if P.bandwidth == 0 else _compressed_square(P)[2]
+    """det pencil at the _DET_NODES circle nodes, divided by the geometric
+    mean of their moduli; each block is evaluated at all nodes in one stack."""
     thetas = 2 * math.pi * np.arange(_DET_NODES) / _DET_NODES
-    logs = [np.linalg.slogdet(horner(B, lam0 + radius * np.exp(1j * th)))
-            for th in thetas]
-    mean_log = np.mean([la for _, la in logs])
-    return np.array([s * np.exp(la - mean_log) for s, la in logs])
+    nodes = lam0 + radius * np.exp(1j * thetas)
+    if P.bandwidth == 0:
+        blocks = [[Bj[np.ix_(idx, idx)] for Bj in P.B]
+                  for idx in _block_components(P)]
+    else:
+        blocks = [_compressed_square(P)[2]]
+    sign, logabs = 1.0, 0.0
+    for B in blocks:
+        s, la = np.linalg.slogdet(horner(B, nodes))
+        sign, logabs = sign * s, logabs + la
+    return sign * np.exp(logabs - np.mean(logabs))
 
 
 def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
@@ -272,7 +297,9 @@ def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     FFT of determinant values on a circle of the given radius gives the
     scaled derivatives c_j rho^j; the order is the first coefficient that
     is non-negligible.  The circle must isolate lam0 from the rest of the
-    spectrum.
+    spectrum.  With bandwidth 0 the determinant is the product of the
+    determinants of the decoupled degree blocks; otherwise it is that of
+    the compressed square pencil of the fully resolved columns.
     """
     w = _det_values_on_circle(P, lam0, radius)
     t = np.fft.fft(w) / len(w)
@@ -423,7 +450,7 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
         others = [v for v in solve_pencil_eigenvalues(P)
                   if abs(v - lambda0) > _CLUSTER_RADIUS]
         isolation = min((abs(v - lambda0) for v in others), default=1.0)
-    radius = max(min(0.45 * isolation, 0.1), 1e-5)
+    radius = max(min(_DET_RADIUS_SHARE * isolation, _DET_RADIUS_MAX), 1e-5)
     order_det = det_vanishing_order(P, lambda0, radius)
     if order_det != M:
         raise MultiplicityMismatch(
@@ -592,8 +619,8 @@ def default_l_max(op: SystemOperator, degree: int) -> int:
     return degree + op.max_poly_degree() * op.m + 2
 
 
-def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree):
-    vals = solve_pencil_eigenvalues(P)
+def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree, band):
+    vals = solve_pencil_eigenvalues(P, band)
     # eigenvalues within the cluster radius outside an edge are kept, so a
     # line on the boundary reaches the RefuseBoundary check whatever side
     # round-off puts it on
@@ -635,10 +662,11 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     P2 = assemble_pencil(op, default_l_max(op, degree + 2),
                          analysis_degree=degree + 2)
     P = truncate_pencil(P2, default_l_max(op, degree), degree)
-    eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree)
+    band = (beta1 - _CERTIFY_REACH, beta2 + _CERTIFY_REACH)
+    eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree, band)
 
     # truncation-stability filter
-    vals2 = solve_pencil_eigenvalues(P2)
+    vals2 = solve_pencil_eigenvalues(P2, band)
     convergence = {}
     for ep in eigenpoints:
         drift = min((abs(v - ep.lambda0) for v in vals2), default=math.inf)

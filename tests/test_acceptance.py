@@ -5,7 +5,6 @@ status lines.  All tolerances are pinned here; nothing is deferred to
 later calibration.
 """
 
-import json
 import math
 import subprocess
 import sys

@@ -167,6 +167,18 @@ def test_model_solve_coupled_not_applicable():
     assert "coupled" in r.stderr
 
 
+@pytest.mark.parametrize("operator, anchor, window", [
+    ("schrodinger_inverse_square3d.json", "cc", ["0.5", "4.5"]),
+    ("cr_system2d.json", "selfadjoint", ["-0.5", "2.5"]),
+])
+def test_index_inapplicable_anchor_exit4(operator, anchor, window):
+    r = run_cli(["index", str(REPO / "operators" / operator), "--anchor", anchor,
+                 "--window", *window, "--degree", "4"])
+    assert r.returncode == 4
+    assert r.stderr.startswith("not applicable:")
+    assert "Traceback" not in r.stderr
+
+
 def test_reports_deterministic_across_threads(lap3_file):
     a = run_cli(["ellipticity", lap3_file, "--threads", "1",
                  "--xi-samples", "300", "--x-samples", "50"])

@@ -1,10 +1,10 @@
 """Static hygiene of the package: no unused imports, no orphaned definitions.
 
 No linter ships with the toolchain, so two rules are checked on the ast:
-every name a module of src/oppencil imports is used in that module
-(__init__.py re-exports and is exempt), and every module-level function
-or class of src/oppencil is referenced somewhere in src/, tests/ or
-scripts/ outside its own definition.
+every name a module of src/oppencil, tests/ or scripts/ imports is used
+in that module (__init__.py re-exports and is exempt), and every
+module-level function or class of src/oppencil is referenced somewhere in
+src/, tests/ or scripts/ outside its own definition.
 """
 
 import ast
@@ -36,8 +36,10 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"]
+    + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(REPO)))
 def test_imports_are_used(path):
     tree = _parse(path)
     imported = set()

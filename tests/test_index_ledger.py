@@ -1,7 +1,6 @@
 """Tests for the combinatorial index formulas and the ledger fold."""
 
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,9 +174,14 @@ def test_ledger_anchor_on_breakpoint(lap3_report):
         build_ledger(lap3_report, Anchor("user", beta0=2.0, index0=0))
 
 
+def test_ledger_anchor_outside_window_is_guard(lap3_report):
+    with pytest.raises(NoAnchor):
+        build_ledger(lap3_report, Anchor("user", beta0=5.0, index0=0))
+
+
 def test_ledger_no_selfadjoint_anchor_for_dbar(dbar2d):
     rep = strip_spectrum(dbar2d, -0.5, 2.5, 5)
-    with pytest.raises(NoAnchor):
+    with pytest.raises(NotApplicable):
         build_ledger(rep, Anchor("selfadjoint"))
 
 

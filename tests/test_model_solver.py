@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from conftest import laplacian_doc
 from oppencil.errors import GridTooShort, LineTooClose, PoleOnLine
 from oppencil.model_solver import (
-    choose_grid,
     line_difference_expansion,
     mode_pencil,
     solve_on_line,

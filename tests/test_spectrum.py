@@ -6,12 +6,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import cr_system_doc, dbar_doc, inverse_square_doc, laplacian_doc
+from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc
 from oppencil.errors import NotAnEigenvalue, RefuseBoundary
 from oppencil.operator_ast import formal_adjoint, parse_operator
-from oppencil.pencil import assemble_pencil, evaluate_pencil
+from oppencil.pencil import assemble_pencil, evaluate_pencil, horner, truncate_pencil
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
+    _CERTIFY_REACH,
+    _block_components,
+    _compressed_square,
+    _det_values_on_circle,
     biorthogonalize,
     cluster_eigenvalues,
     default_l_max,
@@ -89,6 +93,24 @@ def test_inverse_square_lines_oracle(inverse_square3d):
         assert min(abs(v - w) for w in want) < 1e-7
 
 
+@pytest.mark.parametrize("doc_fn", [dbar_doc, cr_system_doc, drift_doc],
+                         ids=lambda f: f.__name__)
+def test_certification_band_is_in_band_subset(doc_fn):
+    # a value beyond the reach is farther than 0.1 / 0.45 from the strip, so
+    # it can set no det-order radius (0.45 of the isolation, at most 0.1)
+    assert _CERTIFY_REACH > 0.1 / 0.45
+    op = parse_operator(doc_fn())
+    P2 = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
+    P = truncate_pencil(P2, default_l_max(op, 2), 2)
+    band = (-0.5 - _CERTIFY_REACH, 1.5 + _CERTIFY_REACH)
+    for Q in (P, P2):
+        assert Q.bandwidth > 0
+        full = solve_pencil_eigenvalues(Q)
+        got = solve_pencil_eigenvalues(Q, band)
+        assert 0 < len(got) < len(full)
+        assert got == [v for v in full if band[0] < v.imag < band[1]]
+
+
 # ---------------------------------------------------------------------------
 # Jordan chains
 # ---------------------------------------------------------------------------
@@ -135,6 +157,39 @@ def test_eigen_residual_bound(laplacian3d):
         for chain in ep.chains:
             r = np.linalg.norm(evaluate_pencil(P, lam0) @ chain[0])
             assert r <= 1e-8 * scale * max(1.0, abs(lam0)) ** P.m
+
+
+# ---------------------------------------------------------------------------
+# determinant order
+# ---------------------------------------------------------------------------
+
+def _det_circle_oracle(P, lam0, radius):
+    """One slogdet per node of the whole pencil, or of its compressed square
+    when the bandwidth is nonzero, scaled like _det_values_on_circle."""
+    B = P.B if P.bandwidth == 0 else _compressed_square(P)[2]
+    logs = [np.linalg.slogdet(horner(B, lam0 + radius * np.exp(1j * th)))
+            for th in 2 * math.pi * np.arange(64) / 64]
+    mean_log = np.mean([la for _, la in logs])
+    return np.array([s * np.exp(la - mean_log) for s, la in logs])
+
+
+def test_det_vanishing_order(laplacian3d, laplacian2d):
+    P = assemble_pencil(laplacian3d, 4)
+    assert det_vanishing_order(P, 2j, 0.1) == 1     # simple root
+    assert det_vanishing_order(P, 2.5j, 0.1) == 0   # off the spectrum
+    P = assemble_pencil(laplacian2d, 3)
+    assert det_vanishing_order(P, 2j, 0.1) == 2     # the l = 0 double root
+
+
+def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
+    P = assemble_pencil(laplacian3d, 6)
+    assert P.bandwidth == 0 and len(_block_components(P)) > 1
+    got, want = _det_values_on_circle(P, 2j, 0.1), _det_circle_oracle(P, 2j, 0.1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    P = assemble_pencil(dbar2d, 8)
+    assert P.bandwidth > 0
+    assert np.array_equal(_det_values_on_circle(P, 1j, 0.1),
+                          _det_circle_oracle(P, 1j, 0.1))
 
 
 # ---------------------------------------------------------------------------
