@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Dump the answers of the command line over a fixed grid of cases.
+
+Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
+
+Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
+on fixed strips, degrees and commands: `spectrum`, `index --anchor cc`,
+`index --anchor selfadjoint` and `verify-cc` on each strip at each degree,
+and `model-solve` for modes 0-2 on fixed line pairs.  Prints one JSON line
+per case: argv, exit code, sha256 of stdout and the first line of stderr.
+Two checkouts that give the same answers print the same file, so `diff`
+of two dumps lists every case whose answer moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from oppencil.cli import main as cli_main  # noqa: E402
+
+STRIPS = ((-0.5, 3.5), (0.4, 4.6), (0.4, 2.3), (-1.7, 2.6))
+DEGREES = (2, 4, 6)
+MODES = (0, 1, 2)
+LINE_PAIRS = ((1.5, 2.5), (0.5, 3.5))
+
+
+def cases(path):
+    """argv of every case for one operator file, in a fixed order."""
+    for b1, b2 in STRIPS:
+        for d in DEGREES:
+            band = [str(b1), str(b2), "--degree", str(d)]
+            yield ["spectrum", path, "--strip", *band]
+            yield ["index", path, "--anchor", "cc", "--window", *band]
+            yield ["index", path, "--anchor", "selfadjoint", "--window", *band]
+            yield ["verify-cc", path, "--window", *band]
+    for mode in MODES:
+        for b1, b2 in LINE_PAIRS:
+            yield ["model-solve", path, "--mode", str(mode),
+                   "--beta1", str(b1), "--beta2", str(b2)]
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is an answer too
+            code = None
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": (err.getvalue().splitlines() or [""])[0]}
+
+
+def main(paths=None):
+    paths = paths or sorted(os.path.relpath(p)
+                            for p in (ROOT / "operators").glob("*.json"))
+    for path in paths:
+        for argv in cases(path):
+            print(json.dumps(run_case(argv)), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -15,6 +15,7 @@ are byte-identical across repeated runs and across --threads settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -258,7 +259,9 @@ def cmd_verify_cc(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args only reads it."""
     p = argparse.ArgumentParser(
         prog="oppencil",
         description="Spectral pencils, critical weight lines and Fredholm "

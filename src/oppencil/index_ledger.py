@@ -178,10 +178,12 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
             mult = next(m for line, m in breaks if abs(line - center) <= _BREAK_TOL)
             if mult % 2:
                 raise NoAnchor("center-line multiplicity is odd; not self-adjoint data")
+            # any point of the component just above the centre will do, so
+            # stay inside the window when the next line lies past its edge
             gaps = [abs(line - center) for line, _ in breaks
                     if abs(line - center) > _BREAK_TOL]
-            eps = (min(gaps) if gaps else min(center - beta_min, beta_max - center)) / 2
-            beta0, index0 = center + eps, -mult // 2
+            eps = min(gaps) if gaps else center - beta_min
+            beta0, index0 = center + min(eps, beta_max - center) / 2, -mult // 2
     elif anchor.kind == "user":
         if anchor.beta0 is None or anchor.index0 is None:
             raise NoAnchor("user anchor needs beta0 and index0")

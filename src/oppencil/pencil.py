@@ -19,26 +19,28 @@ enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
 Columns do not depend on the basis size, so a pencil on a smaller basis
 is an exact slice of a larger one (truncate_pencil).
+
+A pencil's block view (kept, components, squares) decides once how det
+pencil splits into square pieces; the eigensolve, the det-order circle,
+the Jordan chains and the mode reduction all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CouplingOverflow, HomogeneityError
 from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import (
-    RadialFunction,
     _moment_gram,
     _mono_index,
     harmonic_basis,
     harmonic_dim,
     ladder,
-    poly_sphere_inner,
 )
 
 _HOMOG_TOL = 1e-10
@@ -89,25 +91,6 @@ class SphereBasis:
         start = sum(harmonic_dim(self.n, d) for d in range(l))
         return slice(start, start + harmonic_dim(self.n, l))
 
-    def project(self, f: RadialFunction):
-        """Exact coefficients of a degree-zero function f in this basis.
-
-        Returns (coeffs, leaked) where `leaked` is the squared L^2 mass
-        carried by harmonic degrees above l_max (exact, from the canonical
-        harmonic representation of f).
-        """
-        out = np.zeros(len(self), dtype=complex)
-        leaked = 0.0
-        for c, H in f.terms:
-            if abs(c + H.degree) > _HOMOG_TOL:
-                raise HomogeneityError(
-                    f"term r^{c} deg {H.degree} is not homogeneity zero")
-            if H.degree > self.l_max:
-                leaked += poly_sphere_inner(H, H).real
-            else:
-                out[self.degree_slice(H.degree)] = _coords(H)
-        return out, leaked
-
     def to_json(self):
         return {"n": self.n, "l_max": self.l_max, "degrees": list(self.degrees)}
 
@@ -116,13 +99,14 @@ class SphereBasis:
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PencilMatrices:
     """Matrix polynomial sum_j B_j lam^j on the work basis.
 
     Columns for harmonic degree <= exact_col_degree are the exact
     restriction of the infinite pencil (the work basis extends the
     requested l_max by twice the observed upward coupling bandwidth).
+    Frozen, so the block view, built on first use, cannot go stale.
     """
 
     m: int
@@ -151,6 +135,42 @@ class PencilMatrices:
 
     def scale(self):
         return max(float(np.linalg.norm(Bj, ord=np.inf)) for Bj in self.B)
+
+    @cached_property
+    def kept(self):
+        """The fully resolved columns: harmonic degree <= the work basis
+        degree minus the bandwidth (all of them when the bandwidth is 0)."""
+        top = self.basis.l_max - self.bandwidth
+        return np.flatnonzero(self.degrees_vector() <= top)
+
+    @cached_property
+    def components(self):
+        """Connected components of the coupling graph over (component,
+        degree), as index arrays into the work basis, in basis order."""
+        width = self.basis.l_max + 1
+        node = np.repeat(np.arange(self.k) * width, len(self.basis))
+        node += self.degrees_vector()
+        mag = np.max([np.abs(Bj) for Bj in self.B], axis=0) > 1e-12 * self.scale()
+        rows, cols = np.nonzero(mag | mag.T)
+        graph = np.zeros((self.k * width, self.k * width), dtype=bool)
+        graph[node[rows], node[cols]] = True
+        label = component_labels(graph)[node]
+        return [np.flatnonzero(label == c) for c in np.unique(label)]
+
+    @cached_property
+    def squares(self):
+        """Square pencils (coefficient lists) whose determinants multiply to
+        det pencil: the decoupled blocks when the bandwidth is 0, otherwise
+        one fixed random compression Q R_j of the exact rectangular
+        restriction R_j to the kept columns."""
+        if self.bandwidth == 0:
+            return [[Bj[np.ix_(idx, idx)] for Bj in self.B] for idx in self.components]
+        R = [Bj[:, self.kept] for Bj in self.B]
+        n_r, n_c = R[0].shape
+        rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
+        Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
+        Q /= math.sqrt(2 * n_r)
+        return [[Q @ Rj for Rj in R]]
 
     def to_json(self):
         return {
@@ -347,6 +367,17 @@ def truncate_pencil(P: PencilMatrices, l_max: int,
     idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
     return replace(P, B=[Bj[np.ix_(idx, idx)] for Bj in P.B], basis=basis,
                    l_max=l_max, analysis_degree=analysis_degree)
+
+
+def component_labels(adj):
+    """Smallest member of each node's connected component (adj symmetric);
+    plain numpy, since importing scipy.sparse.csgraph costs about 5 MB."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        grown = reach.astype(float) @ reach.astype(float) > 0
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)
+        reach = grown
 
 
 def horner(coeffs, lam):

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HomogeneityError
 
 Monomial = tuple  # tuple[int, ...] of length n
 
@@ -232,15 +231,6 @@ class RadialFunction:
     def add(self, other):
         return RadialFunction(self.n, _merge(list(self.terms) + list(other.terms)))
 
-    def shift_exponent(self, delta):
-        return RadialFunction(self.n, _merge([(c + delta, H) for c, H in self.terms]))
-
-    def homogeneities(self):
-        return [c + H.degree for c, H in self.terms]
-
-    def max_abs_coeff(self):
-        return max((H.norm_inf() for _, H in self.terms), default=0.0)
-
     def prune_abs(self, eps):
         return RadialFunction(self.n, [(c, H) for c, H in self.terms
                                        if H.norm_inf() > eps])
@@ -334,17 +324,6 @@ def sphere_monomial_moment(alpha) -> float:
     return surface_measure(n) * float(_moment_fraction(alpha))
 
 
-def poly_sphere_inner(P: HomogPoly, Q: HomogPoly) -> complex:
-    """Integral over S^(n-1) of P * conj(Q), exact via monomial moments."""
-    total = 0.0
-    for m1, c1 in P.coeffs.items():
-        for m2, c2 in Q.coeffs.items():
-            mom = sphere_monomial_moment(tuple(a + b for a, b in zip(m1, m2)))
-            if mom != 0.0:
-                total = total + complex(c1) * complex(c2).conjugate() * mom
-    return complex(total)
-
-
 @lru_cache(maxsize=None)
 def _mono_index(n, d):
     monos = (m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d)
@@ -354,7 +333,7 @@ def _mono_index(n, d):
 @lru_cache(maxsize=None)
 def _moment_gram(n, d):
     """Sphere moments of all products of two degree-d monomials, so that
-    poly_sphere_inner(P, Q) = coeffs(P) @ G @ conj(coeffs(Q))."""
+    the integral over S^(n-1) of P conj(Q) is coeffs(P) @ G @ conj(coeffs(Q))."""
     idx = _mono_index(n, d)
     g = np.zeros((len(idx), len(idx)))
     for m1, i in idx.items():
@@ -364,19 +343,6 @@ def _moment_gram(n, d):
             g[i, j] = g[j, i] = sphere_monomial_moment(
                 tuple(a + b for a, b in zip(m1, m2)))
     return g
-
-
-def sphere_inner_product(f: RadialFunction, g: RadialFunction) -> complex:
-    """L^2(S^(n-1)) pairing of two degree-zero-homogeneous functions."""
-    for h in list(f.homogeneities()) + list(g.homogeneities()):
-        if abs(h) > 1e-10:
-            raise HomogeneityError(
-                f"sphere_inner_product needs total homogeneity 0, got {h}")
-    total = 0.0 + 0.0j
-    for _, H1 in f.terms:
-        for _, H2 in g.terms:
-            total += poly_sphere_inner(H1, H2)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +407,8 @@ def exact_harmonics(n: int, l: int):
 def harmonic_basis(n: int, l: int):
     """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys.
 
-    The exact_harmonics normalized with the cached moment Gram, summed in
-    poly_sphere_inner's order so the basis keeps every bit (v @ G @ v moves
+    The exact_harmonics normalized with the cached moment Gram, summed term
+    by term over monomial pairs so the basis keeps every bit (v @ G @ v moves
     B_j by ~4e-14, enough to flip round-off-decided strip answers).
     """
     idx, gram = _mono_index(n, l), _moment_gram(n, l)

@@ -1,15 +1,16 @@
 """Polynomial eigenvalue problem for the pencil: spectrum, Jordan chains,
 biorthogonal adjoint chains, power-exponential solutions, critical lines.
 
-Eigenvalues are found through companion linearization (QZ).  When the
-pencil couples harmonic degrees upward (nonzero bandwidth) the square
-truncation is structurally singular, so the solve works with the exact
-rectangular restriction to the fully-resolved columns and compresses it
-with a fixed random matrix; a candidate eigenvalue is certified by a small
-singular value of the rectangular pencil, and eigenvectors supported near
-the truncation boundary are discarded.  A strip spectrum certifies only
-the candidates within _CERTIFY_REACH of the strip: a value farther out
-changes neither a det-order circle nor a drift check.
+Eigenvalues are found through companion linearization (QZ) of the square
+pieces P.squares into which the pencil's block view splits det pencil:
+the decoupled (component, degree) blocks when the bandwidth is 0, and
+otherwise a fixed random compression of the exact rectangular restriction
+to the fully-resolved columns P.kept (the square truncation is then
+structurally singular).  A candidate of the compressed square is certified
+by a small singular value of the rectangular pencil, and eigenvectors
+supported near the truncation boundary are discarded.  A strip spectrum
+certifies only the candidates within _CERTIFY_REACH of the strip: a value
+farther out changes neither a det-order circle nor a drift check.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -18,9 +19,9 @@ Jordan chains at an eigenvalue lam0 solve the coupled system
 extracted from nested block-Toeplitz nullspaces (longest chains first).
 The algebraic count is cross-checked against the vanishing order of
 det pencil at lam0 (Taylor coefficients by FFT on a circle, det evaluated
-per decoupled degree block when the bandwidth is 0).  Adjoint
-chains at conj(lam0) of the cylinder-level adjoint pencil are normalized
-to the Kronecker biorthogonality pattern by one least-squares solve.
+as the product over P.squares).  Adjoint chains at conj(lam0) of the
+cylinder-level adjoint pencil are normalized to the Kronecker
+biorthogonality pattern by one least-squares solve.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .operator_ast import SystemOperator
 from .pencil import (
     PencilMatrices,
     assemble_pencil,
+    component_labels,
     evaluate_pencil,
     horner,
     truncate_pencil,
@@ -158,10 +160,6 @@ class SpectrumReport:
 # eigenvalue solvers
 # ---------------------------------------------------------------------------
 
-def _kept_columns(P: PencilMatrices):
-    return np.where(P.degrees_vector() <= P.basis.l_max - P.bandwidth)[0]
-
-
 def _companion_eigenvalues(Bs):
     """Eigenvalues of sum B_j lam^j via companion linearization + QZ."""
     m = len(Bs) - 1
@@ -179,78 +177,34 @@ def _companion_eigenvalues(Bs):
     return vals[np.abs(vals) < 1e8]
 
 
-def _component_labels(adj):
-    """Smallest member of each node's connected component (adj symmetric);
-    plain numpy, since importing scipy.sparse.csgraph costs about 5 MB."""
-    reach = adj | np.eye(len(adj), dtype=bool)
-    while True:
-        grown = reach.astype(float) @ reach.astype(float) > 0
-        if np.array_equal(grown, reach):
-            return np.argmax(reach, axis=1)
-        reach = grown
-
-
-def _block_components(P: PencilMatrices):
-    """Connected components of the coupling graph over (component, degree)."""
-    nb = len(P.basis)
-    node = np.concatenate([c * (P.basis.l_max + 1) + np.array(P.basis.degrees)
-                           for c in range(P.k)])
-    n_nodes = P.k * (P.basis.l_max + 1)
-    mag = np.max([np.abs(Bj) for Bj in P.B], axis=0) > 1e-12 * P.scale()
-    rows, cols = np.nonzero(mag | mag.T)
-    graph = np.zeros((n_nodes, n_nodes), dtype=bool)
-    graph[node[rows], node[cols]] = True
-    label = _component_labels(graph)
-    comps = {}
-    for idx in range(P.k * nb):
-        comps.setdefault(label[node[idx]], []).append(idx)
-    return [np.array(c) for c in comps.values()]
-
-
-def _compressed_square(P: PencilMatrices):
-    """Fixed random compression Q R_j of the exact rectangular restriction."""
-    keep = _kept_columns(P)
-    R = [Bj[:, keep] for Bj in P.B]
-    n_r, n_c = R[0].shape
-    rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
-    Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
-    Q /= math.sqrt(2 * n_r)
-    return keep, R, [Q @ Rj for Rj in R]
-
-
-def _in_band(vals, band):
-    return vals if band is None else \
-        vals[(band[0] < vals.imag) & (vals.imag < band[1])]
-
-
 def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
     """All (finite, certified) eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, so that only those
     are certified."""
+    # decoupled blocks are the pencil itself; a compressed square is not,
+    # so its candidates are certified against the rectangular restriction
+    exact = P.bandwidth == 0
+    check_lead = exact and len(set(P.mu)) == 1 and len(set(P.nu)) == 1
+    vals = []
+    for Bs in P.squares:
+        if check_lead:
+            cond = np.linalg.cond(Bs[-1])
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SingularLeadingCoeff(
+                    f"leading coefficient condition {cond:.2e} on a block")
+        vals.extend(_companion_eigenvalues(Bs))
+    vals = np.array(vals, dtype=complex)
+    if band is not None:
+        vals = vals[(band[0] < vals.imag) & (vals.imag < band[1])]
+    if exact:
+        return list(vals)
     scale = P.scale()
-    if P.bandwidth == 0:
-        uniform = len(set(P.mu)) == 1 and len(set(P.nu)) == 1
-        vals = []
-        for idx in _block_components(P):
-            Bs = [Bj[np.ix_(idx, idx)] for Bj in P.B]
-            if uniform:
-                cond = np.linalg.cond(Bs[-1])
-                if not np.isfinite(cond) or cond > 1e12:
-                    raise SingularLeadingCoeff(
-                        f"leading coefficient condition {cond:.2e} on a block")
-            vals.extend(_companion_eigenvalues(Bs))
-        out = _in_band(np.array(vals, dtype=complex), band)
-    else:
-        keep, R, S = _compressed_square(P)
-        cands = _in_band(_companion_eigenvalues(S), band)
-        certified = []
-        for lam in cands:
-            mat = evaluate_pencil(P, lam)[:, keep]
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] < _RANK_TOL * max(sv[0], scale):
-                certified.append(lam)
-        out = np.array(certified, dtype=complex)
-    return list(out)
+    certified = []
+    for lam in vals:
+        sv = np.linalg.svd(evaluate_pencil(P, lam)[:, P.kept], compute_uv=False)
+        if sv[-1] < _RANK_TOL * max(sv[0], scale):
+            certified.append(lam)
+    return certified
 
 
 def cluster_eigenvalues(vals):
@@ -263,7 +217,7 @@ def cluster_eigenvalues(vals):
     vals = np.asarray(vals, dtype=complex)
     if vals.size == 0:
         return []
-    label = _component_labels(
+    label = component_labels(
         np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS)
     out = [(complex(np.mean(vals[label == c])), int(np.sum(label == c)))
            for c in np.unique(label)]
@@ -276,16 +230,12 @@ def cluster_eigenvalues(vals):
 
 def _det_values_on_circle(P: PencilMatrices, lam0, radius):
     """det pencil at the _DET_NODES circle nodes, divided by the geometric
-    mean of their moduli; each block is evaluated at all nodes in one stack."""
+    mean of their moduli; each of P.squares is evaluated at all nodes in
+    one stack."""
     thetas = 2 * math.pi * np.arange(_DET_NODES) / _DET_NODES
     nodes = lam0 + radius * np.exp(1j * thetas)
-    if P.bandwidth == 0:
-        blocks = [[Bj[np.ix_(idx, idx)] for Bj in P.B]
-                  for idx in _block_components(P)]
-    else:
-        blocks = [_compressed_square(P)[2]]
     sign, logabs = 1.0, 0.0
-    for B in blocks:
+    for B in P.squares:
         s, la = np.linalg.slogdet(horner(B, nodes))
         sign, logabs = sign * s, logabs + la
     return sign * np.exp(logabs - np.mean(logabs))
@@ -297,9 +247,7 @@ def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     FFT of determinant values on a circle of the given radius gives the
     scaled derivatives c_j rho^j; the order is the first coefficient that
     is non-negligible.  The circle must isolate lam0 from the rest of the
-    spectrum.  With bandwidth 0 the determinant is the product of the
-    determinants of the decoupled degree blocks; otherwise it is that of
-    the compressed square pencil of the fully resolved columns.
+    spectrum.  The determinant is the product of those of P.squares.
     """
     w = _det_values_on_circle(P, lam0, radius)
     t = np.fft.fft(w) / len(w)
@@ -434,7 +382,7 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     order (MultiplicityMismatch on disagreement).
     """
     lambda0 = complex(lambda0)
-    keep = _kept_columns(P)
+    keep = P.kept
     scale = P.scale() * max(1.0, abs(lambda0)) ** P.m
     T = [P.taylor_matrix(s, lambda0)[:, keep] for s in range(P.m + 1)]
     n_r, n_c = T[0].shape
@@ -501,7 +449,7 @@ def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
     size = P.size
     # adjoint upward bandwidth = primal downward bandwidth <= bandwidth bound;
     # reuse the primal bandwidth as a safe symmetric margin.
-    keep_adj = _kept_columns(P)
+    keep_adj = P.kept
     T_s = taylor_fn([P.taylor_matrix(s, lam0) for s in range(P.m + 1)])
     scale = P.scale() * max(1.0, abs(lam0)) ** P.m
     psis, biorth_res, chain_res = normalize_biorthogonal(

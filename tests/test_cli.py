@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import importlib.util
 import json
 import re
 import shlex
@@ -283,6 +284,29 @@ def test_flag_table():
         options = {o for a in sp._actions for o in a.option_strings}
         assert options == FLAG_TABLE[name] | {"-h", "--help", "-o", "--output"}, name
     assert readme_flag_table() == FLAG_TABLE
+
+
+def test_parser_built_once():
+    from oppencil.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_answer_dump_smoke(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "answer_dump", REPO / "scripts" / "answer_dump.py")
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    path = str(REPO / "operators" / "laplacian2d.json")
+    dump.main([path])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["argv"] for row in rows] == list(dump.cases(path))
+    assert all(re.fullmatch(r"[0-9a-f]{64}", row["stdout_sha256"]) for row in rows)
+    exits = {row["argv"][0]: set() for row in rows}
+    for row in rows:
+        exits[row["argv"][0]].add(row["exit"])
+    # spectrum and index answer everywhere; verify-cc may fail a low degree
+    assert exits["spectrum"] == exits["index"] == exits["model-solve"] == {0}
+    assert exits["verify-cc"] <= {0, 3}
 
 
 def test_readme_examples_parse():

@@ -179,6 +179,18 @@ def test_ledger_anchor_outside_window_is_guard(lap3_report):
         build_ledger(lap3_report, Anchor("user", beta0=5.0, index0=0))
 
 
+def test_ledger_selfadjoint_anchor_stays_in_window(laplacian2d):
+    # the double centre line 2 with line 1 in the window: half the gap above
+    # the centre (2.5) lies past the window's edge, so anchor inside it
+    rep = strip_spectrum(laplacian2d, 0.4, 2.3, 6)
+    assert sorted(round(line) for line in rep.res_lines) == [1, 2]
+    led = build_ledger(rep, Anchor("selfadjoint"))
+    assert led.anchor[:2] == (pytest.approx(2.15), -1)
+    assert len(led.values) == 3
+    for l, r, i in led.values:
+        assert i == cc_index(laplacian2d, (l + r) / 2)
+
+
 def test_ledger_no_selfadjoint_anchor_for_dbar(dbar2d):
     rep = strip_spectrum(dbar2d, -0.5, 2.5, 5)
     with pytest.raises(NotApplicable):

@@ -1,13 +1,15 @@
 """Tests for per-mode line solves and the solution-difference expansion."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import laplacian_doc
-from oppencil.errors import GridTooShort, LineTooClose, PoleOnLine
+from oppencil.errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
 from oppencil.model_solver import (
     line_difference_expansion,
     mode_pencil,
@@ -16,7 +18,9 @@ from oppencil.model_solver import (
 )
 from oppencil.operator_ast import parse_operator
 from oppencil.pencil import assemble_pencil
-from oppencil.spectrum import power_solutions, jordan_chains
+from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
+
+OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
 
 def gauss(t):
@@ -47,6 +51,34 @@ def test_mode_pencil_reduces_scalar():
     P = assemble_pencil(op, 3)
     mp = mode_pencil(P, 2)   # h_2 = 5, but the block is scalar x identity
     assert mp.size == 1
+
+
+def _off_block_coupled(P, l):
+    """Oracle: some B_j entry links degree l to another degree or
+    component, above 1e-10 of the degree-l block."""
+    idx = np.where(P.degrees_vector() == l)[0]
+    rest = np.setdiff1d(np.arange(P.size), idx)
+    scale = max(np.linalg.norm(Bj[np.ix_(idx, idx)], np.inf) for Bj in P.B) or 1.0
+    return any(np.max(np.abs(Bj[np.ix_(idx, rest)]), initial=0.0) > 1e-10 * scale
+               for Bj in P.B)
+
+
+def test_mode_pencil_accepts_only_decoupled_degrees():
+    accepted = set()
+    for path in sorted(OPERATORS.glob("*.json")):
+        op = parse_operator(json.loads(path.read_text()))
+        for l in range(4):
+            P = assemble_pencil(op, default_l_max(op, l), analysis_degree=l)
+            if _off_block_coupled(P, l):
+                with pytest.raises(NotApplicable, match="coupled"):
+                    mode_pencil(P, l)
+                continue
+            mp = mode_pencil(P, l)
+            idx = np.where(P.degrees_vector() == l)[0][:mp.size]
+            assert all(np.array_equal(b, Bj[np.ix_(idx, idx)])
+                       for b, Bj in zip(mp.blocks, P.B))
+            accepted.add(path.stem)
+    assert accepted == {"laplacian2d", "laplacian3d", "schrodinger_inverse_square3d"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import math
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,12 +11,16 @@ import pytest
 from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc
 from oppencil.errors import NotAnEigenvalue, RefuseBoundary
 from oppencil.operator_ast import formal_adjoint, parse_operator
-from oppencil.pencil import assemble_pencil, evaluate_pencil, horner, truncate_pencil
+from oppencil.pencil import (
+    PencilMatrices,
+    assemble_pencil,
+    evaluate_pencil,
+    horner,
+    truncate_pencil,
+)
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
     _CERTIFY_REACH,
-    _block_components,
-    _compressed_square,
     _det_values_on_circle,
     biorthogonalize,
     cluster_eigenvalues,
@@ -166,7 +172,7 @@ def test_eigen_residual_bound(laplacian3d):
 def _det_circle_oracle(P, lam0, radius):
     """One slogdet per node of the whole pencil, or of its compressed square
     when the bandwidth is nonzero, scaled like _det_values_on_circle."""
-    B = P.B if P.bandwidth == 0 else _compressed_square(P)[2]
+    B = P.B if P.bandwidth == 0 else P.squares[0]
     logs = [np.linalg.slogdet(horner(B, lam0 + radius * np.exp(1j * th)))
             for th in 2 * math.pi * np.arange(64) / 64]
     mean_log = np.mean([la for _, la in logs])
@@ -183,13 +189,51 @@ def test_det_vanishing_order(laplacian3d, laplacian2d):
 
 def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
     P = assemble_pencil(laplacian3d, 6)
-    assert P.bandwidth == 0 and len(_block_components(P)) > 1
+    assert P.bandwidth == 0 and len(P.squares) > 1
     got, want = _det_values_on_circle(P, 2j, 0.1), _det_circle_oracle(P, 2j, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     P = assemble_pencil(dbar2d, 8)
     assert P.bandwidth > 0
     assert np.array_equal(_det_values_on_circle(P, 1j, 0.1),
                           _det_circle_oracle(P, 1j, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# block view
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("doc_fn, strip, degree", [
+    (lambda: laplacian_doc(3), (-0.5, 3.5), 4),
+    (dbar_doc, (-1.5, 2.5), 6),
+])
+def test_strip_builds_each_block_view_once(monkeypatch, doc_fn, strip, degree):
+    built = []
+    square_pieces = PencilMatrices.__dict__["squares"].func
+
+    def counted(P):
+        built.append(P)
+        return square_pieces(P)
+
+    view = cached_property(counted)
+    view.__set_name__(PencilMatrices, "squares")
+    monkeypatch.setattr(PencilMatrices, "squares", view)
+    rep = strip_spectrum(parse_operator(doc_fn()), *strip, degree)
+    assert len(rep.eigenpoints) >= 3
+    # the degree pencil and the degree+2 pencil, each once, not per eigenpoint
+    assert len(built) == 2 and built[0] is rep.pencil and built[1] is not built[0]
+    assert rep.pencil.squares is rep.pencil.squares
+
+
+def test_replace_builds_a_fresh_view(laplacian3d, dbar2d):
+    for op in (laplacian3d, dbar2d):
+        P = assemble_pencil(op, 4)
+        squares = P.squares
+        P2 = replace(P, B=[2 * Bj for Bj in P.B])
+        assert P2.squares is not squares
+        for S, S2 in zip(squares, P2.squares):
+            assert all(np.array_equal(2 * a, b) for a, b in zip(S, S2))
+        with pytest.raises(FrozenInstanceError):
+            P.B = P2.B
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +268,11 @@ def test_biorth_unitary_invariance(laplacian2d):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((P.size, P.size)) + 1j * rng.standard_normal((P.size, P.size))
     U, _ = np.linalg.qr(X)
-    import copy
-    P2 = copy.copy(P)
-    P2.B = [U @ Bj @ U.conj().T for Bj in P.B]
-    P2a = copy.copy(P_adj)
-    P2a.B = [U @ Bj @ U.conj().T for Bj in P_adj.B]
-    # bandwidth bookkeeping no longer matches the rotated basis; treat as full
-    P2.bandwidth = 0
-    P2a.bandwidth = 0
+    # the rotation mixes every degree block; bandwidth 0 keeps all columns
+    assert P.bandwidth == P_adj.bandwidth == 0
+    P2 = replace(P, B=[U @ Bj @ U.conj().T for Bj in P.B])
+    P2a = replace(P_adj, B=[U @ Bj @ U.conj().T for Bj in P_adj.B])
+    assert len(P2.squares) == 1
     ep2 = jordan_chains(P2, 2j, isolation=1.0)
     ac2 = biorthogonalize(P2, P2a, ep2)
     assert abs(ac2.biorth_residual - ac.biorth_residual) < 1e-10
