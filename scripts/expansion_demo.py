@@ -35,7 +35,7 @@ def main():
     P = assemble_pencil(op, default_l_max(op, mode), analysis_degree=mode)
     mp = mode_pencil(P, mode)
     print(f"mode l={mode}: block size {mp.size}, eigenvalues "
-          f"{sorted((round(v.imag, 6) for v in mp.eigenvalues()))}")
+          f"{sorted((round(float(v.imag), 6) for v in mp.poles))}")
 
     res = line_difference_expansion(mp, lambda t: np.exp(-t * t), b1, b2)
     print(f"lines {b1} / {b2}; poles crossed:")

@@ -13,15 +13,21 @@ ways and reports their mutual deviations:
 
   1. two line solves, subtracted;
   2. residue calculus on b(lambda)^(-1) fhat(lambda) e^(i lambda t)
-     (Laurent coefficients by FFT on circles around the poles);
+     (Laurent coefficients of b^(-1) by FFT on circles around the poles,
+     times the Taylor moments of fhat there);
   3. the coefficient pairing  c_(j,m) = <f, i v_(j,m)>  against the
      biorthogonal adjoint chains, reconstructed through the chain basis.
+
+The deviations are weighted by the two lines, in which each solve is exact
+to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
+relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +51,10 @@ _LAURENT_NODES = 128
 # mode pencils
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ModePencil:
-    """One harmonic-degree block of a pencil: b(lam) = sum blocks[j] lam^j."""
+    """One harmonic-degree block of a pencil: b(lam) = sum blocks[j] lam^j.
+    Frozen, so the poles, computed on first use, cannot go stale."""
 
     l: int
     blocks: list
@@ -66,7 +73,9 @@ class ModePencil:
     def taylor(self, s, lam0):
         return taylor(self.blocks, s, lam0)
 
-    def eigenvalues(self):
+    @cached_property
+    def poles(self):
+        """The mode eigenvalues: the roots of det b."""
         return _companion_eigenvalues(self.blocks)
 
     def scale(self):
@@ -136,7 +145,7 @@ def solve_on_line(mp: ModePencil, f, beta: float, t=None) -> LineSolution:
     `f` is either a callable or an array of samples on the uniform grid
     `t`; samples must decay (weighted) below 1e-12 at both grid ends.
     """
-    poles = mp.eigenvalues()
+    poles = mp.poles
     gap = min((abs(p.imag - beta) for p in poles), default=math.inf)
     if gap < _LINE_TOL:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
@@ -184,7 +193,7 @@ def ode_residual(mp: ModePencil, u, fvals, t, beta) -> float:
     """
     u = np.atleast_2d(u.T).T
     fvals = np.atleast_2d(fvals.T).T
-    poles = mp.eigenvalues()
+    poles = mp.poles
     T = float(-t[0])
     delta = min(0.25, 4.0 / max(T, 1.0))
     for cand in (beta + delta, beta - delta, beta + delta / 4, beta - delta / 4):
@@ -234,7 +243,7 @@ class ModeEigenData:
     biorth_residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpansionResult:
     t: np.ndarray
     beta1: float
@@ -245,7 +254,22 @@ class ExpansionResult:
     coeffs_direct: list       # ExpansionCoefficient, from the pairing formula
     coeffs_residue: list      # ExpansionCoefficient, from Laurent data
     eigendata: list           # ModeEigenData per pole
-    deviations: dict
+    solve_norm: float         # max of |e^(beta1 t) u1| and |e^(beta2 t) u2|
+
+    @cached_property
+    def deviations(self):
+        """Mutual deviations of the three differences in the weights of the
+        two lines (see the module docstring), relative to solve_norm."""
+        weight = np.exp(-np.logaddexp(-self.beta1 * self.t, -self.beta2 * self.t))
+
+        def dev(a, b):
+            return float(np.max(np.abs(a - b) * weight[:, None])) / self.solve_norm
+
+        return {
+            "solve_vs_residue": dev(self.diff_solve, self.diff_residue),
+            "solve_vs_coeff": dev(self.diff_solve, self.diff_coeff),
+            "residue_vs_coeff": dev(self.diff_residue, self.diff_coeff),
+        }
 
     def to_json(self):
         return {
@@ -257,27 +281,21 @@ class ExpansionResult:
         }
 
 
-def _fhat_at(t, fvals, lam):
-    """Continuous Fourier transform integral f^(lam) = int f e^(-i lam t) dt."""
-    dt = t[1] - t[0]
-    ker = np.exp(-1j * np.multiply.outer(np.asarray(lam, complex), t))
-    return dt * (ker @ fvals)
-
-
 def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order):
     """Laurent coefficients a_(-1-s), s = 0..max_order-1, of
-    b(lam)^(-1) fhat(lam) at lam0, by FFT on a circle."""
+    b(lam)^(-1) fhat(lam) at lam0 (a pole of order max_order):
+    a_(-1-s) = sum_k L_(-1-s-k) F_k, with L the Laurent coefficients of
+    b^(-1) by FFT on a circle and F_k the Taylor coefficients of fhat,
+    the moments dt sum_t f(t) (-it)^k / k! e^(-i lam0 t)."""
     thetas = 2 * math.pi * np.arange(_LAURENT_NODES) / _LAURENT_NODES
     lams = lam0 + radius * np.exp(1j * thetas)
-    fh = _fhat_at(t, fvals, lams)
-    mats = horner(mp.blocks, lams)
-    g = np.linalg.solve(mats, fh[..., None])[..., 0]   # (_LAURENT_NODES, q)
-    coeffs = np.fft.fft(g, axis=0) / _LAURENT_NODES     # c_j r^j for j >= 0 ...
-    out = []
-    for s in range(max_order):
-        # coefficient of (lam-lam0)^(-1-s) is the e^(+i(1+s)theta) Fourier mode
-        out.append(coeffs[-(1 + s) % _LAURENT_NODES] * radius ** (1 + s))
-    return out
+    coeffs = np.fft.fft(np.linalg.inv(horner(mp.blocks, lams)), axis=0) / _LAURENT_NODES
+    # coefficient of (lam-lam0)^(-1-s) is the e^(+i(1+s)theta) Fourier mode
+    L = [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
+    w = (t[1] - t[0]) * np.exp(-1j * lam0 * t)
+    F = [(w * (-1j * t) ** k / math.factorial(k)) @ fvals for k in range(max_order)]
+    return [sum(L[s + k] @ F[k] for k in range(max_order - s))
+            for s in range(max_order)]
 
 
 def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
@@ -287,11 +305,11 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
     Returns the solve difference, the residue-calculus reconstruction, the
     coefficient-formula reconstruction (c_(j,m) = <f, i v_(j,m)> against
     biorthogonal adjoint chains), both coefficient sets, and their mutual
-    deviations (max-norm, relative to the difference magnitude).
+    deviations, weighted by the two lines (see the module docstring).
     """
     if beta1 >= beta2:
         raise ValueError("need beta1 < beta2")
-    poles = mp.eigenvalues()
+    poles = mp.poles
     for b in (beta1, beta2):
         if min((abs(p.imag - b) for p in poles), default=math.inf) < _LINE_TOL:
             raise PoleOnLine(f"mode eigenvalue on the line Im lambda = {b}")
@@ -302,12 +320,13 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
         # the grid must be long enough for that tail to die out too
         gap = min((abs(p.imag - b) for p in poles for b in (beta1, beta2)),
                   default=1.0)
-        t, _ = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
-    sol1 = solve_on_line(mp, f, beta1, t)
-    sol2 = solve_on_line(mp, f, beta2, t)
+        t, fvals = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
+    else:
+        fvals = np.asarray(f(t)) if callable(f) else np.asarray(f)
     q = mp.size
-    fvals = np.asarray(f(t)) if callable(f) else np.asarray(f)
     fvals = fvals if fvals.ndim > 1 else (fvals[:, None] if q == 1 else fvals)
+    sol1 = solve_on_line(mp, fvals, beta1, t)
+    sol2 = solve_on_line(mp, fvals, beta2, t)
     u1 = np.atleast_2d(sol1.u.T).T
     u2 = np.atleast_2d(sol2.u.T).T
     diff_solve = u1 - u2
@@ -334,7 +353,6 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
         J, partial, chains, _res = chains_from_matrices(T_s, q, q, sc)
         psis, biorth_res, _cres = normalize_biorthogonal(
             T_s, chains, np.arange(q), q, sc)
-        M_total = sum(partial)
         eigendata.append(ModeEigenData(lam0, partial, chains, psis, biorth_res))
 
         # residue route: the two line integrals differ by the counterclockwise
@@ -347,30 +365,23 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
 
         # coefficient formula route: c_(j,m) = i <f, v_(j,m)> with the
         # sesquilinear cylinder pairing (the i sits outside the pairing;
-        # cross-validated against the solve difference and the residues)
+        # cross-validated against the solve difference and the residues),
+        # each coefficient times its power solution added to diff_coeff
         dt = t[1] - t[0]
         for j, chain in enumerate(chains):
-            Mj = len(chain)
-            for mm in range(Mj):
+            for mm in range(len(chain)):
                 v = np.zeros((len(t), q), dtype=complex)
                 for l in range(mm + 1):
                     v += ((1j * t) ** l / math.factorial(l))[:, None] * \
                         psis[j][mm - l][None, :q]
                 v = np.exp(1j * np.conj(lam0) * t)[:, None] * v
-                c = 1j * dt * np.sum(fvals * np.conj(v))
-                coeffs_direct.append(ExpansionCoefficient(lam0, j, mm, complex(c)))
-
-        # reconstruct from the direct coefficients
-        for ec in coeffs_direct:
-            if ec.lambda0 != lam0:
-                continue
-            chain = chains[ec.j]
-            Mj = len(chain)
-            target = Mj - 1 - ec.m
-            for l in range(target + 1):
-                diff_coeff += ec.value * \
-                    ((1j * t) ** l / math.factorial(l))[:, None] * \
-                    (np.exp(1j * lam0 * t)[:, None] * chain[target - l][None, :q])
+                c = complex(1j * dt * np.sum(fvals * np.conj(v)))
+                coeffs_direct.append(ExpansionCoefficient(lam0, j, mm, c))
+                target = len(chain) - 1 - mm
+                for l in range(target + 1):
+                    diff_coeff += c * \
+                        ((1j * t) ** l / math.factorial(l))[:, None] * \
+                        (np.exp(1j * lam0 * t)[:, None] * chain[target - l][None, :q])
 
         # residue-derived coefficients: match the (it)^s/s! polynomial data,
         # sum_(j,m) c_(j,m) phi_(j, Mj-1-m-s) = i a_(-1-s)
@@ -387,22 +398,10 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
         for cidx, (j, mm) in enumerate(cols):
             coeffs_residue.append(ExpansionCoefficient(lam0, j, mm, complex(sol[cidx])))
 
-    # compare on the central window: near the grid ends the solves carry
-    # exponentially reweighted round-off while the true difference itself is
-    # exponentially large, so the honest comparison region is |t| <= T/2
-    mask = np.abs(t) <= float(-t[0]) / 2
-    ref = float(np.max(np.abs(diff_solve[mask]))) or 1.0
-
-    def dev(a, b):
-        return float(np.max(np.abs((a - b)[mask]))) / ref
-
-    deviations = {
-        "solve_vs_residue": dev(diff_solve, diff_residue),
-        "solve_vs_coeff": dev(diff_solve, diff_coeff),
-        "residue_vs_coeff": dev(diff_residue, diff_coeff),
-    }
+    solve_norm = max(float(np.max(np.abs(np.exp(beta1 * t)[:, None] * u1))),
+                     float(np.max(np.abs(np.exp(beta2 * t)[:, None] * u2)))) or 1.0
     return ExpansionResult(t, beta1, beta2, diff_solve, diff_residue, diff_coeff,
-                           coeffs_direct, coeffs_residue, eigendata, deviations)
+                           coeffs_direct, coeffs_residue, eigendata, solve_norm)
 
 
 def verify_coefficient_formula(result: ExpansionResult,

@@ -1,16 +1,21 @@
 """Tests for per-mode line solves and the solution-difference expansion."""
 
+import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import laplacian_doc
+from conftest import inverse_square_doc, laplacian_doc
 from oppencil.errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
 from oppencil.model_solver import (
+    ModePencil,
+    _laurent_coefficients,
     line_difference_expansion,
     mode_pencil,
     solve_on_line,
@@ -20,7 +25,8 @@ from oppencil.operator_ast import parse_operator
 from oppencil.pencil import assemble_pencil
 from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
 
-OPERATORS = Path(__file__).resolve().parent.parent / "operators"
+REPO = Path(__file__).resolve().parent.parent
+OPERATORS = REPO / "operators"
 
 
 def gauss(t):
@@ -37,6 +43,29 @@ def mode3_l0():
 def mode2_l0():
     op = parse_operator(laplacian_doc(2))
     return mode_pencil(assemble_pencil(op, 2), 0)
+
+
+def _mode(doc, l):
+    op = parse_operator(doc)
+    return mode_pencil(assemble_pencil(op, default_l_max(op, l), analysis_degree=l), l)
+
+
+@pytest.fixture(scope="module")
+def mode2_l2():
+    return _mode(laplacian_doc(2), 2)   # poles 0 and 4i
+
+
+@pytest.fixture(scope="module")
+def mode2_l3():
+    return _mode(laplacian_doc(2), 3)   # poles -i and 5i
+
+
+def _jordan_pencil(lam0):
+    """b(lam) = lam - A with A similar to a 2x2 Jordan block at lam0: one
+    chain of length 2 (partial multiplicities [2]), non-triangular data."""
+    S = np.array([[1, 0.5], [0.3 + 0.2j, 1]])
+    A = S @ np.array([[lam0, 1], [0, lam0]]) @ np.linalg.inv(S)
+    return ModePencil(0, [-A, np.eye(2, dtype=complex)])
 
 
 def test_mode_pencil_matches_block(mode3_l0):
@@ -243,3 +272,108 @@ def test_homogeneous_annihilation(mode2_l0):
         # numerical differentiation is crude; check well inside the grid
         mask = np.abs(t) < 4
         assert np.max(np.abs(acc[mask])) < 1e-3 * max(np.max(np.abs(u[mask])), 1e-300)
+
+
+def test_jordan_block_difference():
+    # a defective 2x2 block: the expansion carries a (it) e^(i lam0 t) term
+    f = lambda t: np.stack([gauss(t), (0.5 - 1j) * t * gauss(t - 0.2)], axis=1)
+    res = line_difference_expansion(_jordan_pencil(2j), f, 1.5, 2.5)
+    assert [d.partial for d in res.eigendata] == [[2]]
+    assert verify_coefficient_formula(res)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the weighted check: placements that need it, and wrong expansions it sees
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, b1, b2", [
+    (3, -2.0, -1.3),    # no pole crossed, below both
+    (3, -0.7, 4.7),     # no pole crossed, between the two
+    (3, -1.2, 0.8),     # one pole, the upper line far from it
+    (2, -0.2, 1.8),     # one pole, the upper line far from it
+])
+def test_check_passes_without_pole_or_with_far_line(mode2_l2, mode2_l3, mode, b1, b2):
+    # the max-norm check over |t| <= T/2 read 1.0 on all but (3, -1.2, 0.8):
+    # round-off over round-off, or round-off times e^(beta |t|)
+    mp = {2: mode2_l2, 3: mode2_l3}[mode]
+    res = line_difference_expansion(mp, gauss, b1, b2)
+    report = verify_coefficient_formula(res)
+    assert report["passed"], report["deviations"]
+    assert max(report["deviations"].values()) < 1e-10
+
+
+def test_model_solve_far_line_passes_end_to_end():
+    r = subprocess.run([sys.executable, "-m", "oppencil.cli", "model-solve",
+                        str(OPERATORS / "laplacian2d.json"), "--mode", "2",
+                        "--beta1", "-0.2", "--beta2", "1.8"],
+                       capture_output=True, text=True, cwd=REPO)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["coefficient_check"]["passed"] is True
+    poles = doc["expansion"]["poles"]
+    assert len(poles) == 1 and abs(complex(*poles[0])) < 1e-8
+
+
+MUTATIONS = {
+    "scaled": lambda res: 1.01 * res.diff_coeff,
+    "pole_shifted": lambda res: res.diff_coeff * np.exp(-1e-3 * res.t)[:, None],
+    "dropped": lambda res: np.zeros_like(res.diff_coeff),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("case", ["simple", "two_poles", "double", "far_line"])
+def test_check_sees_wrong_expansion(mode3_l0, mode2_l0, mode2_l2, case, mutation):
+    mp, b1, b2 = {"simple": (mode3_l0, 1.5, 2.5), "two_poles": (mode3_l0, 1.5, 3.5),
+                  "double": (mode2_l0, 1.5, 2.5), "far_line": (mode2_l2, -0.2, 1.8)}[case]
+    res = line_difference_expansion(mp, gauss, b1, b2)
+    assert verify_coefficient_formula(res)["passed"]
+    # the coefficients stay right, so only the weighted deviation can see it
+    wrong = dataclasses.replace(res, diff_coeff=MUTATIONS[mutation](res))
+    report = verify_coefficient_formula(wrong)
+    assert report["mismatches"] == [] and not report["passed"]
+    assert report["deviations"]["solve_vs_coeff"] > 100 * report["tolerance"]
+
+
+# ---------------------------------------------------------------------------
+# the residue route against the kernel oracle
+# ---------------------------------------------------------------------------
+
+def _fhat_at(t, fvals, lam):
+    """Continuous Fourier transform integral f^(lam) = int f e^(-i lam t) dt,
+    as one exponential kernel row per lam (trapezoid rule on the grid)."""
+    dt = t[1] - t[0]
+    ker = np.exp(-1j * np.multiply.outer(np.asarray(lam, complex), t))
+    return dt * (ker @ fvals)
+
+
+def _kernel_laurent(mp, t, fvals, lam0, radius, max_order):
+    """Laurent coefficients of b(lam)^(-1) fhat(lam) at lam0 from an FFT of
+    the whole product on a 128-node circle, fhat by the kernel."""
+    lams = lam0 + radius * np.exp(2j * math.pi * np.arange(128) / 128)
+    g = np.linalg.solve(mp.eval(lams), _fhat_at(t, fvals, lams)[..., None])[..., 0]
+    coeffs = np.fft.fft(g, axis=0) / 128
+    return [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
+
+
+@pytest.mark.parametrize("case, lam0, order", [
+    ("lap3_l0", 2j, 1),            # simple poles of -Delta on R^3, mode 0
+    ("lap3_l0", 3j, 1),
+    ("inv_sq3_l0", 2.5j, 2),       # -Delta - 1/(4 r^2) on R^3: double pole
+    ("lap2_l0", 2j, 2),            # -Delta on R^2, mode 0: double pole
+    ("jordan", 2j, 2),             # 2x2 Jordan block: L_(s+k) @ F_k in order
+])
+def test_moment_laurent_matches_kernel_oracle(mode3_l0, mode2_l0, case, lam0, order):
+    mp = {"lap3_l0": lambda: mode3_l0, "lap2_l0": lambda: mode2_l0,
+          "inv_sq3_l0": lambda: _mode(inverse_square_doc(-0.25), 0),
+          "jordan": lambda: _jordan_pencil(lam0)}[case]()
+    t = np.linspace(-40, 40, 8192, endpoint=False)
+    cols = [gauss(t - 0.3) * (1 + 0.5j), (0.5 - 1j) * t * gauss(t + 0.2)]
+    fvals = np.stack(cols[:mp.size], axis=1)
+    got = _laurent_coefficients(mp, t, fvals, lam0, 0.4, order)
+    want = _kernel_laurent(mp, t, fvals, lam0, 0.4, order)
+    assert len(got) == len(want) == order
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    if order == 2:
+        assert np.max(np.abs(got[1])) > 1e-3 * np.max(np.abs(got[0]))  # a real double pole
