@@ -6,10 +6,12 @@ Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
 Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
 on fixed strips, degrees and commands: `spectrum`, `index --anchor cc`,
 `index --anchor selfadjoint` and `verify-cc` on each strip at each degree,
-and `model-solve` for modes 0-2 on fixed line pairs.  Prints one JSON line
-per case: argv, exit code, sha256 of stdout and the first line of stderr.
-Two checkouts that give the same answers print the same file, so `diff`
-of two dumps lists every case whose answer moved.
+and `model-solve` for modes 0-2 on fixed line pairs, each with the default
+f, with the gaussian F_SPEC and with the same gaussian sampled into a CSV
+file.  Prints one JSON line per case: argv, exit code, sha256 of stdout
+and the first line of stderr; the CSV file's temporary path is printed as
+the token F_CSV.  Two checkouts that give the same answers print the same
+file, so `diff` of two dumps lists every case whose answer moved.
 """
 
 import contextlib
@@ -18,7 +20,10 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -29,6 +34,8 @@ STRIPS = ((-0.5, 3.5), (0.4, 4.6), (0.4, 2.3), (-1.7, 2.6))
 DEGREES = (2, 4, 6)
 MODES = (0, 1, 2)
 LINE_PAIRS = ((1.5, 2.5), (0.5, 3.5))
+F_SPEC = "gaussian:a=0.7,t0=0.4"
+F_CSV = "<f.csv>"
 
 
 def cases(path):
@@ -42,15 +49,26 @@ def cases(path):
             yield ["verify-cc", path, "--window", *band]
     for mode in MODES:
         for b1, b2 in LINE_PAIRS:
-            yield ["model-solve", path, "--mode", str(mode),
-                   "--beta1", str(b1), "--beta2", str(b2)]
+            argv = ["model-solve", path, "--mode", str(mode),
+                    "--beta1", str(b1), "--beta2", str(b2)]
+            yield argv
+            yield argv + ["--f", F_SPEC]
+            yield argv + ["--f-csv", F_CSV]
 
 
-def run_case(argv):
+def write_f_csv(path):
+    """F_SPEC's gaussian, sampled on a uniform grid of [-40, 40]."""
+    t = np.linspace(-40, 40, 8192)
+    f = np.exp(-0.7 * (t - 0.4) ** 2)
+    np.savetxt(path, np.column_stack([t, f, 0 * t]), fmt="%.17g",
+               delimiter=",", header="t,re,im", comments="")
+
+
+def run_case(argv, csv_path):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli_main(argv)
+            code = cli_main([csv_path if a == F_CSV else a for a in argv])
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a traceback is an answer too
@@ -58,15 +76,19 @@ def run_case(argv):
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": (err.getvalue().splitlines() or [""])[0]}
+            "stderr": (err.getvalue().replace(csv_path, F_CSV).splitlines()
+                       or [""])[0]}
 
 
 def main(paths=None):
     paths = paths or sorted(os.path.relpath(p)
                             for p in (ROOT / "operators").glob("*.json"))
-    for path in paths:
-        for argv in cases(path):
-            print(json.dumps(run_case(argv)), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "f.csv")
+        write_f_csv(csv_path)
+        for path in paths:
+            for argv in cases(path):
+                print(json.dumps(run_case(argv, csv_path)), flush=True)
 
 
 if __name__ == "__main__":

@@ -49,15 +49,18 @@ from .weighted_norms import (
 )
 
 
-def _load_operator(path):
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise SchemaError(f"operator file not found: {path}")
+        raise SchemaError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_operator(doc)
+
+
+def _load_operator(path):
+    return parse_operator(_read_json(path, "operator file"))
 
 
 def _emit(payload, args):
@@ -167,9 +170,7 @@ def cmd_adjoint_check(args):
 
 
 def cmd_norm(args):
-    with open(args.expr) as fh:
-        doc = json.load(fh)
-    u = Expr.from_json(doc, args.n)
+    u = Expr.from_json(_read_json(args.expr, "Expr file"), args.n)
     if args.kind == "sobolev":
         res = weighted_sobolev_norm(u, args.p, args.k, args.beta)
     elif args.kind == "cl":
@@ -187,36 +188,58 @@ def cmd_norm(args):
     return 0
 
 
+def _finite_samples(vals, flag):
+    if not np.all(np.isfinite(vals)):
+        raise SchemaError(f"{flag} samples must be finite")
+    return vals
+
+
 def _parse_f_spec(args):
+    """(t, f) for line_difference_expansion: samples on the CSV grid, or
+    (None, callable) for the grid it chooses."""
     if args.f_csv:
-        rows = np.loadtxt(args.f_csv, delimiter=",", skiprows=1)
+        try:
+            rows = np.loadtxt(args.f_csv, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"--f-csv {args.f_csv}: {exc}")
+        if rows.shape[0] < 2 or rows.shape[1] != 3:
+            raise SchemaError("--f-csv needs at least two rows t,re,im")
         t = rows[:, 0]
         dt = np.diff(t)
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
-            raise SchemaError("CSV t-grid must be uniform")
-        return t, rows[:, 1] + 1j * rows[:, 2]
+        if not dt[0] > 0 or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
+            raise SchemaError("--f-csv t-grid must be uniform and increasing")
+        return t, _finite_samples(rows[:, 1] + 1j * rows[:, 2], "--f-csv")
     if args.f_expr:
-        with open(args.f_expr) as fh:
-            u = Expr.from_json(json.load(fh), 1)
-        return None, lambda t: u.evaluate(t[:, None])
+        u = Expr.from_json(_read_json(args.f_expr, "--f-expr file"), 1)
+        return None, lambda t: _finite_samples(u.evaluate(t[:, None]), "--f-expr")
     spec = args.f or "gaussian"
     name, _, params = spec.partition(":")
     if name != "gaussian":
         raise SchemaError(f"unknown f spec {spec!r}")
-    opts = dict(kv.split("=") for kv in params.split(",")) if params else {}
-    a = float(opts.pop("a", 1.0))
-    t0 = float(opts.pop("t0", 0.0))
-    if opts:
-        raise SchemaError(f"unknown gaussian options {sorted(opts)}")
+    pairs = [kv.partition("=") for kv in params.split(",")] if params else []
+    if any(not key or not eq for key, eq, _ in pairs):
+        raise SchemaError(f"gaussian options must be key=value, got {params!r}")
+    opts = {key: val for key, _, val in pairs}
+    unknown = sorted(set(opts) - {"a", "t0"})
+    if unknown:
+        raise SchemaError(f"unknown gaussian options {unknown}")
+    try:
+        a = float(opts.get("a", 1.0))
+        t0 = float(opts.get("t0", 0.0))
+    except ValueError as exc:
+        raise SchemaError(f"gaussian options: {exc}")
+    if not (math.isfinite(a) and a > 0 and math.isfinite(t0)):
+        raise SchemaError(f"gaussian needs a finite a > 0 and a finite t0, "
+                          f"got a={a} t0={t0}")
     return None, lambda t: np.exp(-a * (t - t0) ** 2)
 
 
 def cmd_model_solve(args):
+    t, f = _parse_f_spec(args)
     op = _load_operator(args.operator)
     P = assemble_pencil(op, default_l_max(op, args.mode),
                         analysis_degree=args.mode)
     mp = mode_pencil(P, args.mode)
-    t, f = _parse_f_spec(args)
     res = line_difference_expansion(mp, f, args.beta1, args.beta2, t)
     report = verify_coefficient_formula(res)
     _emit(_fingerprinted(op, {
@@ -338,9 +361,10 @@ def build_parser():
     sp.add_argument("--mode", type=int, required=True, help="harmonic degree")
     sp.add_argument("--beta1", type=float, required=True)
     sp.add_argument("--beta2", type=float, required=True)
-    sp.add_argument("--f", default=None, help="gaussian[:a=..,t0=..]")
-    sp.add_argument("--f-csv", default=None, help="CSV file t,re,im")
-    sp.add_argument("--f-expr", default=None, help="1-D Expr JSON file")
+    f = sp.add_mutually_exclusive_group()
+    f.add_argument("--f", default=None, help="gaussian[:a=..,t0=..]")
+    f.add_argument("--f-csv", default=None, help="CSV file t,re,im")
+    f.add_argument("--f-expr", default=None, help="1-D Expr JSON file")
 
     sp = subcommand("verify-cc", cmd_verify_cc,
                     "combinatorial index jumps vs computed lines")
@@ -351,10 +375,20 @@ def build_parser():
 
 def _check_args(args):
     """Reject numeric flags no analysis can use, before any work is done."""
-    for name in ("degree", "mode", "l_max"):
+    for name in ("degree", "mode", "l_max", "k", "l"):
         v = getattr(args, name, None)
         if v is not None and v < 0:
             raise SchemaError(f"--{name.replace('_', '-')} must be >= 0, got {v}")
+    if args.command == "norm":
+        # written so that nan fails each test
+        for flag, ok, need in (
+                ("--p", math.isfinite(args.p) and args.p >= 1, "finite and >= 1"),
+                ("--sigma", 0 < args.sigma < 1, "in (0, 1)"),
+                ("--beta", math.isfinite(args.beta), "finite"),
+                ("--samples", args.samples >= 1, ">= 1")):
+            if not ok:
+                raise SchemaError(f"{flag} must be {need}, "
+                                  f"got {getattr(args, flag[2:])}")
     bands = {f"--{name}": getattr(args, name, None) for name in ("strip", "window")}
     if getattr(args, "beta1", None) is not None:
         bands["--beta1/--beta2"] = (args.beta1, args.beta2)

@@ -127,7 +127,6 @@ class SpectrumReport:
     degree: int
     eigenpoints: list
     res_lines: dict          # Im lambda -> total algebraic multiplicity
-    x_sigma: list            # PowerExpSolutions spanning the jump space
     convergence: dict        # lambda0 -> drift between degree and degree+2
     pencil: PencilMatrices
 
@@ -141,7 +140,8 @@ class SpectrumReport:
             "degree": self.degree,
             "eigenpoints": [e.to_json() for e in self.eigenpoints],
             "res_lines": self.res_lines_json(),
-            "x_sigma_dim": len(self.x_sigma),
+            # the jump space spans one power solution per chain vector
+            "x_sigma_dim": self.total_multiplicity(),
             "convergence": {f"{l.real:.12g}{l.imag:+.12g}j": d
                             for l, d in self.convergence.items()},
         }
@@ -636,7 +636,5 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
         key = next((l for l in res_lines if abs(l - line) < _CLUSTER_RADIUS), line)
         res_lines[key] = res_lines.get(key, 0) + ep.algebraic
 
-    x_sigma = [sol for ep in eigenpoints for sol in power_solutions(ep)]
-
     return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines,
-                          x_sigma, convergence, P)
+                          convergence, P)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import laplacian_doc, dbar_doc, inverse_square_doc
@@ -227,6 +228,120 @@ def test_non_finite_strip_exit2(lap3_file):
     r = run_cli(["res", lap3_file, "--strip", "-0.5", "inf"])
     assert r.returncode == 2
     assert "finite" in r.stderr
+
+
+LAP3 = str(REPO / "operators" / "laplacian3d.json")
+MODEL_SOLVE = ["model-solve", LAP3, "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"]
+
+
+def _main(argv, capsys):
+    from oppencil.cli import main
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _write_csv(path, t, vals):
+    rows = np.column_stack([t, vals.real, vals.imag])
+    np.savetxt(path, rows, delimiter=",", header="t,re,im", comments="")
+    return str(path)
+
+
+def _model_solve_coeffs(argv, capsys):
+    code, out, err = _main(MODEL_SOLVE + argv, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["coefficient_check"]["passed"] is True
+    return [c["value"] for c in doc["expansion"]["coeffs_direct"]]
+
+
+def test_model_solve_f_routes(tmp_path, capsys):
+    spec = _model_solve_coeffs(["--f", "gaussian:a=1,t0=0"], capsys)
+    t = np.linspace(-40, 40, 8192)
+    csv = _write_csv(tmp_path / "f.csv", t, np.exp(-t * t) + 0j)
+    sampled = _model_solve_coeffs(["--f-csv", csv], capsys)
+    assert len(spec) == len(sampled) == 1
+    assert complex(*sampled[0]) == pytest.approx(complex(*spec[0]), rel=1e-8)
+    expr = tmp_path / "f.json"
+    expr.write_text(json.dumps([{"b": "-40", "c": 0, "poly": {"0": [1.0, 0.0]}}]))
+    assert len(_model_solve_coeffs(["--f-expr", str(expr)], capsys)) == 1
+
+
+@pytest.mark.parametrize("spec", ["gaussian:a=-1", "gaussian:t0=inf", "gaussian:a",
+                                  "gaussian:a=0", "gaussian:a=nan", "gaussian:a=x",
+                                  "gaussian:b=1", "gaussian:a=1,,t0=0"])
+def test_model_solve_bad_f_spec_exit2(spec, capsys):
+    code, out, err = _main(MODEL_SOLVE + ["--f", spec], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: ")
+
+
+@pytest.mark.parametrize("bad", ["csv_inf", "csv_nan", "expr_singular"])
+def test_model_solve_non_finite_samples_exit2(tmp_path, bad, capsys):
+    t = np.linspace(-40, 40, 8192)
+    vals = np.exp(-t * t) + 0j
+    if bad == "expr_singular":   # |t|^-1 at the grid point t = 0
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([{"b": "-40", "c": -1, "poly": {"0": [1.0, 0.0]}}]))
+        argv = ["--f-expr", str(path)]
+    else:
+        vals[4096] = float("inf") if bad == "csv_inf" else float("nan")
+        argv = ["--f-csv", _write_csv(tmp_path / "f.csv", t, vals)]
+    code, out, err = _main(MODEL_SOLVE + argv, capsys)
+    assert (code, out) == (2, "")
+    assert "samples must be finite" in err
+
+
+@pytest.mark.parametrize("text", [None, "t,re\n0,1\n1,2\n", "t,re,im\n0,1,0\n",
+                                  "t,re,im\n1,1,0\n0,1,0\n-1,1,0\n"])
+def test_model_solve_malformed_csv_exit2(tmp_path, text, capsys):
+    # None: no such file; two columns; a single row; a decreasing grid
+    path = tmp_path / "f.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _main(MODEL_SOLVE + ["--f-csv", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: --f-csv")
+
+
+@pytest.mark.parametrize("other", [["--f-csv", "f.csv"], ["--f-expr", "f.json"]])
+def test_model_solve_one_f_source(other, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _main(MODEL_SOLVE + ["--f", "gaussian:a=3", *other], capsys)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "missing.json", "--kind", "sobolev", "--n", "3"],
+    MODEL_SOLVE + ["--f-expr", "missing.json"],
+])
+def test_missing_expr_file_exit2(tmp_path, argv, capsys):
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    code, out, err = _main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "file not found" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", "0.5"],
+    ["--p", "nan"],
+    ["--kind", "holder", "--sigma", "1.5"],
+    ["--kind", "holder", "--sigma", "0"],
+    ["--beta", "nan"],
+    ["--kind", "sobolev", "--k", "-1"],
+    ["--kind", "cl", "--l", "-1"],
+    ["--kind", "holder", "--samples", "0"],
+    ["--kind", "holder", "--samples", "-5"],
+])
+def test_norm_bad_flag_exit2(tmp_path, flags, capsys):
+    expr = tmp_path / "u.json"
+    expr.write_text(json.dumps([{"b": "-2", "c": 0, "poly": {"0 0 0": [1.0, 0.0]}}]))
+    code, out, err = _main(["norm", str(expr), "--kind", "sobolev", "--n", "3",
+                            *flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {flags[-2]} must be")
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def test_strip_laplacian3d(laplacian3d):
     lines = {round(l, 6): m for l, m in rep.res_lines.items()}
     assert lines == {0.0: 5, 1.0: 3, 2.0: 1, 3.0: 1}
     assert rep.total_multiplicity() == 10
-    assert len(rep.x_sigma) == 10
+    assert rep.to_json()["x_sigma_dim"] == 10
 
 
 def test_strip_dbar(dbar2d):
