@@ -3,6 +3,8 @@
 
 Solves b(D_t) u = e^(-t^2) on two weight lines, subtracts, and compares
 against the residue calculus and the biorthogonal coefficient pairing.
+Each crossed pole is printed as the Eigenpoint its Jordan chains came
+with: multiplicities, the det-order cross-check and the chain residuals.
 
 Usage: python scripts/expansion_demo.py operators/laplacian3d.json 0 1.5 2.5
 """
@@ -22,7 +24,7 @@ from oppencil.model_solver import (
 )
 from oppencil.operator_ast import parse_operator
 from oppencil.pencil import assemble_pencil
-from oppencil.spectrum import default_l_max
+from oppencil.spectrum import default_l_max, solve_pencil_eigenvalues
 
 
 def main():
@@ -35,13 +37,15 @@ def main():
     P = assemble_pencil(op, default_l_max(op, mode), analysis_degree=mode)
     mp = mode_pencil(P, mode)
     print(f"mode l={mode}: block size {mp.size}, eigenvalues "
-          f"{sorted((round(float(v.imag), 6) for v in mp.poles))}")
+          f"{sorted(round(float(v.imag), 6) for v in solve_pencil_eigenvalues(mp))}")
 
     res = line_difference_expansion(mp, lambda t: np.exp(-t * t), b1, b2)
     print(f"lines {b1} / {b2}; poles crossed:")
-    for d in res.eigendata:
-        print(f"  lambda0 = {d.lambda0:.6f}  partial multiplicities "
-              f"{d.partial}  biorth residual {d.biorth_residual:.2e}")
+    for e in res.eigenpoints:
+        print(f"  lambda0 = {e.lambda0:.6f}: geometric {e.geometric}, partial "
+              f"multiplicities {e.partial_multiplicities}, algebraic {e.algebraic} "
+              f"(det order {e.det_order}), chain residuals "
+              f"{', '.join(f'{r:.2e}' for r in e.residuals)}")
     print("pairwise deviations:")
     for k, v in res.deviations.items():
         print(f"  {k:18s} {v:.3e}")

@@ -104,8 +104,9 @@ def cmd_ellipticity(args):
 
 def cmd_pencil(args):
     op = _load_operator(args.operator)
+    degree = 6 if args.degree is None else args.degree
     P = assemble_pencil(op, args.l_max if args.l_max is not None
-                        else default_l_max(op, args.degree))
+                        else default_l_max(op, degree))
     _emit(P.to_json(), args)
     return 0
 
@@ -240,6 +241,9 @@ def cmd_model_solve(args):
     P = assemble_pencil(op, default_l_max(op, args.mode),
                         analysis_degree=args.mode)
     mp = mode_pencil(P, args.mode)
+    if mp.size > 1:
+        raise NotApplicable(f"degree {args.mode} block has size {mp.size}; "
+                            "right-hand sides are scalar")
     res = line_difference_expansion(mp, f, args.beta1, args.beta2, t)
     report = verify_coefficient_formula(res)
     _emit(_fingerprinted(op, {
@@ -316,8 +320,9 @@ def build_parser():
                     help="worker threads; the report does not depend on it")
 
     sp = subcommand("pencil", cmd_pencil, "dump assembled pencil matrices")
-    sp.add_argument("--l-max", type=int, default=None)
-    sp.add_argument("--degree", type=int, default=6)
+    size = sp.add_mutually_exclusive_group()
+    size.add_argument("--l-max", type=int, default=None)
+    size.add_argument("--degree", type=int, default=None, help="default 6")
 
     sp = subcommand("spectrum", cmd_strip, "pencil spectrum in a strip")
     band(sp, "strip")

@@ -21,24 +21,28 @@ ways and reports their mutual deviations:
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
+
+The mode block b is a PencilMatrices cut from the pencil (mode_pencil): its
+poles are the block view's cached eigenvalues (one QZ however many callers
+ask), and crossed poles take chains from jordan_chains and adjoint_chains,
+under the strip's det-order and leading-coefficient guards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
-from .pencil import PencilMatrices, horner, taylor
+from .pencil import PencilMatrices, SphereBasis, horner
 from .spectrum import (
-    _companion_eigenvalues,
-    chains_from_matrices,
+    adjoint_chains,
     cluster_eigenvalues,
-    normalize_biorthogonal,
-    taylor_fn,
+    jordan_chains,
+    solve_pencil_eigenvalues,
 )
 
 _LINE_TOL = 1e-6
@@ -51,43 +55,12 @@ _LAURENT_NODES = 128
 # mode pencils
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModePencil:
-    """One harmonic-degree block of a pencil: b(lam) = sum blocks[j] lam^j.
-    Frozen, so the poles, computed on first use, cannot go stale."""
-
-    l: int
-    blocks: list
-
-    @property
-    def size(self):
-        return self.blocks[0].shape[0]
-
-    @property
-    def m(self):
-        return len(self.blocks) - 1
-
-    def eval(self, lam):
-        return horner(self.blocks, lam)
-
-    def taylor(self, s, lam0):
-        return taylor(self.blocks, s, lam0)
-
-    @cached_property
-    def poles(self):
-        """The mode eigenvalues: the roots of det b."""
-        return _companion_eigenvalues(self.blocks)
-
-    def scale(self):
-        return max(float(np.linalg.norm(b, np.inf)) for b in self.blocks)
-
-
-def mode_pencil(P: PencilMatrices, l: int) -> ModePencil:
-    """Extract the degree-l block of a pencil, which must be decoupled: every
-    component of P.components that touches degree l holds only degree l.
-
-    For constant-coefficient scalar operators the block is a scalar
-    multiple of the identity and is reduced to size 1.
+def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
+    """The degree-l block of a pencil, cut as a pencil on the degree-l
+    harmonics, or on one harmonic when it is a scalar multiple of the
+    identity (constant-coefficient scalar operators).  The block must be
+    decoupled: every component of P.components that touches degree l
+    holds only degree l.
     """
     degs = P.degrees_vector()
     if any((degs[c] == l).any() and (degs[c] != l).any() for c in P.components):
@@ -95,11 +68,13 @@ def mode_pencil(P: PencilMatrices, l: int) -> ModePencil:
     idx = np.where(degs == l)[0]
     blocks = [Bj[np.ix_(idx, idx)] for Bj in P.B]
     scale = max(float(np.linalg.norm(b, np.inf)) for b in blocks) or 1.0
-    if blocks[0].shape[0] > 1:
-        if all(np.max(np.abs(b - b[0, 0] * np.eye(b.shape[0]))) < 1e-10 * scale
-               for b in blocks):
-            blocks = [b[:1, :1] for b in blocks]
-    return ModePencil(l, blocks)
+    k, dim = P.k, len(idx) // P.k
+    if len(idx) > 1 and all(np.max(np.abs(b - b[0, 0] * np.eye(len(idx))))
+                            < 1e-10 * scale for b in blocks):
+        blocks, k, dim = [b[:1, :1] for b in blocks], 1, 1
+    return replace(P, B=blocks, basis=SphereBasis(P.n, l, [l] * dim), k=k,
+                   mu=P.mu[:k], nu=P.nu[:k], l_max=l, analysis_degree=l,
+                   bandwidth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +106,15 @@ def _decays(t, vals, beta):
     return edge <= _DECAY_TOL * max(float(np.max(w)), 1e-300)
 
 
-def solve_on_line(mp: ModePencil, fvals, beta: float, t) -> np.ndarray:
+def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
     """Invert b(D_t) u = f along the weight line Im lambda = beta.
 
     `fvals` holds the samples of f, shape (N, q), on the uniform grid `t`
     of length N; e^(beta t) f must decay below 1e-12 at both grid ends.
     Returns the samples of u, shape (N, q).
     """
-    gap = min((abs(p.imag - beta) for p in mp.poles), default=math.inf)
+    gap = min((abs(p.imag - beta) for p in solve_pencil_eigenvalues(mp)),
+              default=math.inf)
     if gap < _LINE_TOL:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
     if not _decays(t, fvals, beta):
@@ -147,7 +123,7 @@ def solve_on_line(mp: ModePencil, fvals, beta: float, t) -> np.ndarray:
 
     sigma = 2 * math.pi * np.fft.fftfreq(len(t), d=t[1] - t[0])
     ghat = np.fft.fft(np.exp(beta * t)[:, None] * fvals, axis=0)
-    mats = horner(mp.blocks, sigma + 1j * beta)
+    mats = horner(mp.B, sigma + 1j * beta)
     if mp.size == 1:   # a division is 10x faster than a stacked 1 x 1 solve
         what = ghat / mats[:, 0]
     else:
@@ -172,15 +148,6 @@ class ExpansionCoefficient:
                 "value": [self.value.real, self.value.imag]}
 
 
-@dataclass
-class ModeEigenData:
-    lambda0: complex
-    partial: list
-    chains: list
-    adjoint_chains: list
-    biorth_residual: float
-
-
 @dataclass(frozen=True)
 class ExpansionResult:
     t: np.ndarray
@@ -191,7 +158,7 @@ class ExpansionResult:
     diff_coeff: np.ndarray
     coeffs_direct: list       # ExpansionCoefficient, from the pairing formula
     coeffs_residue: list      # ExpansionCoefficient, from Laurent data
-    eigendata: list           # ModeEigenData per pole
+    eigenpoints: list         # spectrum.Eigenpoint per crossed pole
     solve_norm: float         # max of |e^(beta1 t) u1| and |e^(beta2 t) u2|
 
     @cached_property
@@ -215,7 +182,7 @@ class ExpansionResult:
             "deviations": self.deviations,
             "coeffs_direct": [c.to_json() for c in self.coeffs_direct],
             "coeffs_residue": [c.to_json() for c in self.coeffs_residue],
-            "poles": [[d.lambda0.real, d.lambda0.imag] for d in self.eigendata],
+            "poles": [[d.lambda0.real, d.lambda0.imag] for d in self.eigenpoints],
         }
 
 
@@ -227,7 +194,7 @@ def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order):
     the moments dt sum_t f(t) (-it)^k / k! e^(-i lam0 t)."""
     thetas = 2 * math.pi * np.arange(_LAURENT_NODES) / _LAURENT_NODES
     lams = lam0 + radius * np.exp(1j * thetas)
-    coeffs = np.fft.fft(np.linalg.inv(horner(mp.blocks, lams)), axis=0) / _LAURENT_NODES
+    coeffs = np.fft.fft(np.linalg.inv(horner(mp.B, lams)), axis=0) / _LAURENT_NODES
     # coefficient of (lam-lam0)^(-1-s) is the e^(+i(1+s)theta) Fourier mode
     L = [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
     w = (t[1] - t[0]) * np.exp(-1j * lam0 * t)
@@ -236,7 +203,7 @@ def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order):
             for s in range(max_order)]
 
 
-def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
+def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
                               t=None) -> ExpansionResult:
     """Compare the two line solves against the residue/coefficient expansions.
 
@@ -247,7 +214,7 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
     """
     if beta1 >= beta2:
         raise ValueError("need beta1 < beta2")
-    poles = mp.poles
+    poles = solve_pencil_eigenvalues(mp)
     for b in (beta1, beta2):
         if min((abs(p.imag - b) for p in poles), default=math.inf) < _LINE_TOL:
             raise PoleOnLine(f"mode eigenvalue on the line Im lambda = {b}")
@@ -279,26 +246,23 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
     diff_coeff = np.zeros_like(diff_solve)
     coeffs_direct = []
     coeffs_residue = []
-    eigendata = []
-    scale = mp.scale()
+    eigenpoints = []
 
     for lam0, _count in clusters:
         iso = min([abs(c - lam0) for c in all_centers if abs(c - lam0) > 1e-8]
                   + [lam0.imag - beta1, beta2 - lam0.imag])
         radius = max(min(0.45 * iso, 0.5), 1e-4)
 
-        # chains of the mode pencil at lam0
-        T_s = taylor_fn([mp.taylor(s, lam0) for s in range(mp.m + 1)])
-        sc = scale * max(1.0, abs(lam0)) ** mp.m
-        J, partial, chains, _res = chains_from_matrices(T_s, q, q, sc)
-        psis, biorth_res, _cres = normalize_biorthogonal(
-            T_s, chains, np.arange(q), q, sc)
-        eigendata.append(ModeEigenData(lam0, partial, chains, psis, biorth_res))
+        # chains and adjoint chains of the mode pencil at lam0, under the
+        # strip's guards (chain count against det order)
+        ep = jordan_chains(mp, lam0, isolation=iso)
+        chains, psis = ep.chains, adjoint_chains(mp, ep).chains
+        eigenpoints.append(ep)
 
         # residue route: the two line integrals differ by the counterclockwise
         # strip contour, so diff = i * sum of residues of b^(-1) fhat e^(i lam t)
         laurent = _laurent_coefficients(mp, t, fvals, lam0, radius,
-                                        max_order=max(partial))
+                                        max_order=max(ep.partial_multiplicities))
         for s, a in enumerate(laurent):
             diff_residue += 1j * np.exp(1j * lam0 * t)[:, None] * \
                 ((1j * t) ** s / math.factorial(s))[:, None] * a[None, :]
@@ -341,7 +305,7 @@ def line_difference_expansion(mp: ModePencil, f, beta1: float, beta2: float,
     solve_norm = max(float(np.max(np.abs(np.exp(beta1 * t)[:, None] * u1))),
                      float(np.max(np.abs(np.exp(beta2 * t)[:, None] * u2)))) or 1.0
     return ExpansionResult(t, beta1, beta2, diff_solve, diff_residue, diff_coeff,
-                           coeffs_direct, coeffs_residue, eigendata, solve_norm)
+                           coeffs_direct, coeffs_residue, eigenpoints, solve_norm)
 
 
 def verify_coefficient_formula(result: ExpansionResult,

@@ -390,8 +390,6 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
 
     def chunk_min(idx_range):
         lo, hi = idx_range
-        best = math.inf
-        wit = (tuple(xs[lo]), tuple(xis[0]))
         mats = np.zeros((hi - lo, xis.shape[0], op.k, op.k), dtype=complex)
         for i, j, alpha, vals in coeff_entries:
             mats[:, :, i, j] += vals[lo:hi, None] * mono_cache[alpha][None, :]

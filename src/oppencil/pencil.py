@@ -20,9 +20,12 @@ needed downstream is the exact restriction of the infinite operator.
 Columns do not depend on the basis size, so a pencil on a smaller basis
 is an exact slice of a larger one (truncate_pencil).
 
-A pencil's block view (kept, components, squares) decides once how det
-pencil splits into square pieces; the eigensolve, the det-order circle,
-the Jordan chains and the mode reduction all read it.
+A pencil's block view (kept, components, squares, eigenvalues) decides
+once how det pencil splits into square pieces and solves each piece once
+(companion linearization + QZ, after the leading-coefficient check); the
+strip eigensolve, the det-order circle, the Jordan chains and the mode
+cut all read it.  A mode cut (model_solver.mode_pencil) is a
+PencilMatrices too, so it carries its own view and is solved at most once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import CouplingOverflow, HomogeneityError
+from .errors import CouplingOverflow, HomogeneityError, SingularLeadingCoeff
 from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import (
     _moment_gram,
@@ -134,7 +138,9 @@ class PencilMatrices:
         return taylor(self.B, s, lam0)
 
     def scale(self):
-        return max(float(np.linalg.norm(Bj, ord=np.inf)) for Bj in self.B)
+        """max_j ||B_j||_inf, the largest absolute row sum (as np.linalg.norm
+        computes it, without its per-call overhead)."""
+        return max(float(np.abs(Bj).sum(axis=1).max()) for Bj in self.B)
 
     @cached_property
     def kept(self):
@@ -150,6 +156,8 @@ class PencilMatrices:
         width = self.basis.l_max + 1
         node = np.repeat(np.arange(self.k) * width, len(self.basis))
         node += self.degrees_vector()
+        if (node == node[0]).all():   # one node, e.g. a mode cut of one component
+            return [np.arange(self.size)]
         mag = np.max([np.abs(Bj) for Bj in self.B], axis=0) > 1e-12 * self.scale()
         rows, cols = np.nonzero(mag | mag.T)
         graph = np.zeros((self.k * width, self.k * width), dtype=bool)
@@ -171,6 +179,26 @@ class PencilMatrices:
         Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
         Q /= math.sqrt(2 * n_r)
         return [[Q @ Rj for Rj in R]]
+
+    @cached_property
+    def eigenvalues(self):
+        """Finite eigenvalues of each of P.squares, in order (companion QZ).
+
+        On decoupled blocks of a pencil with one mu and one nu, a leading
+        coefficient with condition above 1e12 raises SingularLeadingCoeff.
+        A compressed square is not the pencil itself, so its values are
+        candidates that spectrum.solve_pencil_eigenvalues certifies."""
+        check_lead = (self.bandwidth == 0
+                      and len(set(self.mu)) == len(set(self.nu)) == 1)
+        vals = []
+        for Bs in self.squares:
+            if check_lead:
+                cond = np.linalg.cond(Bs[-1])
+                if not np.isfinite(cond) or cond > 1e12:
+                    raise SingularLeadingCoeff(
+                        f"leading coefficient condition {cond:.2e} on a block")
+            vals.extend(_companion_eigenvalues(Bs))
+        return np.array(vals, dtype=complex)
 
     def to_json(self):
         return {
@@ -367,6 +395,23 @@ def truncate_pencil(P: PencilMatrices, l_max: int,
     idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
     return replace(P, B=[Bj[np.ix_(idx, idx)] for Bj in P.B], basis=basis,
                    l_max=l_max, analysis_degree=analysis_degree)
+
+
+def _companion_eigenvalues(Bs):
+    """Eigenvalues of sum B_j lam^j via companion linearization + QZ."""
+    m = len(Bs) - 1
+    N = Bs[0].shape[0]
+    if N == 0:
+        return np.array([], dtype=complex)
+    A = np.zeros((N * m, N * m), dtype=complex)
+    B = np.eye(N * m, dtype=complex)
+    A[:N * (m - 1), N:] = np.eye(N * (m - 1))
+    for j in range(m):
+        A[N * (m - 1):, N * j:N * (j + 1)] = -Bs[j]
+    B[N * (m - 1):, N * (m - 1):] = Bs[m]
+    vals = sla.eigvals(A, B)
+    vals = vals[np.isfinite(vals)]
+    return vals[np.abs(vals) < 1e8]
 
 
 def component_labels(adj):

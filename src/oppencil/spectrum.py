@@ -2,7 +2,8 @@
 biorthogonal adjoint chains, power-exponential solutions, critical lines.
 
 Eigenvalues are found through companion linearization (QZ) of the square
-pieces P.squares into which the pencil's block view splits det pencil:
+pieces P.squares into which the pencil's block view splits det pencil,
+once per pencil (P.eigenvalues):
 the decoupled (component, degree) blocks when the bandwidth is 0, and
 otherwise a fixed random compression of the exact rectangular restriction
 to the fully-resolved columns P.kept (the square truncation is then
@@ -30,19 +31,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DegenerateNormalization,
     MultiplicityMismatch,
     NotAnEigenvalue,
     RefuseBoundary,
-    SingularLeadingCoeff,
     UnstableSpectrum,
 )
 from .operator_ast import SystemOperator
 from .pencil import (
     PencilMatrices,
+    adjoint_identity_residual,
     assemble_pencil,
     component_labels,
     evaluate_pencil,
@@ -160,43 +160,16 @@ class SpectrumReport:
 # eigenvalue solvers
 # ---------------------------------------------------------------------------
 
-def _companion_eigenvalues(Bs):
-    """Eigenvalues of sum B_j lam^j via companion linearization + QZ."""
-    m = len(Bs) - 1
-    N = Bs[0].shape[0]
-    if N == 0:
-        return np.array([], dtype=complex)
-    A = np.zeros((N * m, N * m), dtype=complex)
-    B = np.eye(N * m, dtype=complex)
-    A[:N * (m - 1), N:] = np.eye(N * (m - 1))
-    for j in range(m):
-        A[N * (m - 1):, N * j:N * (j + 1)] = -Bs[j]
-    B[N * (m - 1):, N * (m - 1):] = Bs[m]
-    vals = sla.eigvals(A, B)
-    vals = vals[np.isfinite(vals)]
-    return vals[np.abs(vals) < 1e8]
-
-
 def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
     """All (finite, certified) eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, so that only those
-    are certified."""
-    # decoupled blocks are the pencil itself; a compressed square is not,
-    # so its candidates are certified against the rectangular restriction
-    exact = P.bandwidth == 0
-    check_lead = exact and len(set(P.mu)) == 1 and len(set(P.nu)) == 1
-    vals = []
-    for Bs in P.squares:
-        if check_lead:
-            cond = np.linalg.cond(Bs[-1])
-            if not np.isfinite(cond) or cond > 1e12:
-                raise SingularLeadingCoeff(
-                    f"leading coefficient condition {cond:.2e} on a block")
-        vals.extend(_companion_eigenvalues(Bs))
-    vals = np.array(vals, dtype=complex)
+    are certified.  The companion QZ runs once per pencil (P.eigenvalues)."""
+    vals = P.eigenvalues
     if band is not None:
         vals = vals[(band[0] < vals.imag) & (vals.imag < band[1])]
-    if exact:
+    # decoupled blocks are the pencil itself; a compressed square is not,
+    # so its candidates are certified against the rectangular restriction
+    if P.bandwidth == 0:
         return list(vals)
     scale = P.scale()
     certified = []
@@ -372,6 +345,12 @@ def chains_from_matrices(T_s, n_r, n_c, scale):
             [residuals[i] for i in order])
 
 
+def _chain_scale(P: PencilMatrices, lambda0: complex) -> float:
+    """Size of the Taylor coefficients of the pencil at lambda0, against
+    which chain and adjoint residuals and rank cuts are measured."""
+    return P.scale() * max(1.0, abs(lambda0)) ** P.m
+
+
 def jordan_chains(P: PencilMatrices, lambda0: complex,
                   isolation: float | None = None) -> Eigenpoint:
     """Canonical system of Jordan chains at lambda0.
@@ -383,12 +362,11 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     """
     lambda0 = complex(lambda0)
     keep = P.kept
-    scale = P.scale() * max(1.0, abs(lambda0)) ** P.m
     T = [P.taylor_matrix(s, lambda0)[:, keep] for s in range(P.m + 1)]
     n_r, n_c = T[0].shape
-    T_s = taylor_fn(T)
     try:
-        J, partial, chains, residuals = chains_from_matrices(T_s, n_r, n_c, scale)
+        J, partial, chains, residuals = chains_from_matrices(
+            taylor_fn(T), n_r, n_c, _chain_scale(P, lambda0))
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
     M = sum(partial)
@@ -429,31 +407,30 @@ def eigenvector_tail_mass(P: PencilMatrices, vec, degree: int) -> float:
 
 def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
                     e: Eigenpoint) -> AdjointChains:
-    """Adjoint Jordan chains at conj(lambda0), biorthogonally normalized.
-
-    The adjoint chains belong to the cylinder-level adjoint pencil
-    sum B_j^H lam^j, evaluated at conj(lambda0); P_adj (the pencil of the
-    formally adjoint operator) is validated against it through the shift
-    identity pencil_adj(lam) = pencil(conj(lam) + i(n+m))^H.  Chain
-    equations and the Kronecker-pattern normalization are solved jointly
-    by least squares.
+    """adjoint_chains(P, e), once P_adj (the pencil of the formally adjoint
+    operator) is validated against the cylinder-level adjoint pencil
+    through the shift identity pencil_adj(lam) = pencil(conj(lam) + i(n+m))^H.
     """
-    from .pencil import adjoint_identity_residual
-
     if P_adj.k != P.k or P_adj.n != P.n or P_adj.m != P.m:
         raise ValueError("P_adj is not compatible with P")
     if adjoint_identity_residual(P, P_adj) > 1e-6:
         raise ValueError("P_adj does not satisfy the adjoint pencil identity")
+    return adjoint_chains(P, e)
 
+
+def adjoint_chains(P: PencilMatrices, e: Eigenpoint) -> AdjointChains:
+    """Adjoint Jordan chains at conj(lambda0), biorthogonally normalized.
+
+    The adjoint chains belong to the cylinder-level adjoint pencil
+    sum B_j^H lam^j, evaluated at conj(lambda0).  Chain equations and the
+    Kronecker-pattern normalization are solved jointly by least squares,
+    with the unknowns on the kept columns: the adjoint upward bandwidth is
+    the primal downward one, which the primal bandwidth bounds.
+    """
     lam0 = e.lambda0
-    size = P.size
-    # adjoint upward bandwidth = primal downward bandwidth <= bandwidth bound;
-    # reuse the primal bandwidth as a safe symmetric margin.
-    keep_adj = P.kept
     T_s = taylor_fn([P.taylor_matrix(s, lam0) for s in range(P.m + 1)])
-    scale = P.scale() * max(1.0, abs(lam0)) ** P.m
     psis, biorth_res, chain_res = normalize_biorthogonal(
-        T_s, e.chains, keep_adj, size, scale)
+        T_s, e.chains, P.kept, P.size, _chain_scale(P, lam0))
     return AdjointChains(np.conj(lam0), psis, biorth_res, chain_res)
 
 

@@ -188,7 +188,7 @@ def test_criterion_6_model_expansion(lap3, lap2):
     mp2 = mode_pencil(assemble_pencil(lap2, 2), 0)
     res2 = line_difference_expansion(mp2, gauss, 1.5, 2.5)
     assert all(v < 1e-6 for v in res2.deviations.values()), res2.deviations
-    assert res2.eigendata[0].partial == [2]
+    assert res2.eigenpoints[0].partial_multiplicities == [2]
     mask = np.abs(res2.t) <= -res2.t[0] / 2
     t = res2.t[mask]
     basis = np.stack([np.exp(-2 * t), 1j * t * np.exp(-2 * t)], axis=1)

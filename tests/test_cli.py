@@ -169,6 +169,39 @@ def test_model_solve_coupled_not_applicable():
     assert "coupled" in r.stderr
 
 
+def test_model_solve_mode_block_of_size_two_not_applicable(tmp_path, capsys):
+    # diag(-Delta, -Delta - 0.5 r^-2) on R^3: the mode-0 block is decoupled
+    # but not a multiple of the identity, and the right-hand side is scalar
+    lap, shifted = (inverse_square_doc(c)["entries"][0]["terms"] for c in (0.0, -0.5))
+    doc = {"n": 3, "k": 2, "mu": [2, 2], "nu": [0, 0],
+           "entries": [{"i": 0, "j": 0, "terms": lap},
+                       {"i": 1, "j": 1, "terms": shifted}]}
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _main(["res", str(path), "--strip", "0.5", "3.5"], capsys)
+    assert code == 0
+    code, out, err = _main(["model-solve", str(path), "--mode", "0",
+                            "--beta1", "1.3", "--beta2", "2.2"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("not applicable: degree 0 block has size 2")
+
+
+def test_pencil_degree_and_l_max_exclusive(lap3_file, capsys):
+    def l_max(flags):
+        code, out, err = _main(["pencil", lap3_file, *flags], capsys)
+        assert code == 0, err
+        return json.loads(out)["l_max"]
+
+    assert l_max([]) == l_max(["--degree", "6"]) == 8
+    assert l_max(["--degree", "1"]) == 3
+    assert l_max(["--l-max", "5"]) == 5
+    for flags in (["--degree", "1", "--l-max", "5"], ["--degree", "6", "--l-max", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            _main(["pencil", lap3_file, *flags], capsys)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("operator, anchor, window", [
     ("schrodinger_inverse_square3d.json", "cc", ["0.5", "4.5"]),
     ("cr_system2d.json", "selfadjoint", ["-0.5", "2.5"]),

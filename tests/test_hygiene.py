@@ -1,10 +1,13 @@
-"""Static hygiene of the package: no unused imports, no orphaned definitions.
+"""Static hygiene of the package: no unused imports, no orphaned definitions,
+no dead local assignments.
 
-No linter ships with the toolchain, so two rules are checked on the ast:
+No linter ships with the toolchain, so three rules are checked on the ast:
 every name a module of src/oppencil, tests/ or scripts/ imports is used
-in that module (__init__.py re-exports and is exempt), and every
-module-level function or class of src/oppencil is referenced somewhere in
-src/, tests/ or scripts/ outside its own definition.
+in that module (__init__.py re-exports and is exempt); every module-level
+function or class of src/oppencil is referenced somewhere in src/, tests/
+or scripts/ outside its own definition; and every name a plain
+`name = ...` assignment binds inside a src/oppencil function is read by
+that function (names starting with `_` are exempt).
 """
 
 import ast
@@ -64,3 +67,29 @@ def test_definitions_are_referenced():
                 if total[node.name] - _identifiers(node)[node.name] <= 0:
                     orphans.append(f"{path.name}:{node.name}")
     assert orphans == []
+
+
+def _unread_locals(func):
+    """Names a plain `name = ...` assignment binds in func's own scope that
+    nothing in func (nested functions included) reads; `_`-names exempt."""
+    bound, declared, stack = set(), set(), list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    read = {n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(name for name in bound - read - declared if not name.startswith("_"))
+
+
+def test_assigned_locals_are_read():
+    dead = [f"{path.name}:{node.name}:{name}"
+            for path in MODULES for node in ast.walk(_parse(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in _unread_locals(node)]
+    assert dead == []

@@ -12,9 +12,17 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import inverse_square_doc, laplacian_doc
-from oppencil.errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
+from oppencil import pencil, spectrum
+from oppencil.cli import main
+from oppencil.errors import (
+    GridTooShort,
+    LineTooClose,
+    MultiplicityMismatch,
+    NotApplicable,
+    PoleOnLine,
+    SingularLeadingCoeff,
+)
 from oppencil.model_solver import (
-    ModePencil,
     _laurent_coefficients,
     line_difference_expansion,
     mode_pencil,
@@ -22,7 +30,7 @@ from oppencil.model_solver import (
     verify_coefficient_formula,
 )
 from oppencil.operator_ast import parse_operator
-from oppencil.pencil import assemble_pencil
+from oppencil.pencil import PencilMatrices, SphereBasis, assemble_pencil, evaluate_pencil
 from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,19 +68,27 @@ def mode2_l3():
     return _mode(laplacian_doc(2), 3)   # poles -i and 5i
 
 
+def _pencil_2x2(B):
+    """A first-order 2 x 2 mode pencil sum B_j lam^j on the two degree-1
+    harmonics of R^2."""
+    return PencilMatrices(m=1, B=[np.asarray(Bj, dtype=complex) for Bj in B],
+                          basis=SphereBasis(2, 1, [1, 1]), k=1, n=2, mu=(1,), nu=(0,),
+                          l_max=1, analysis_degree=1, bandwidth=0, fingerprint="2x2")
+
+
 def _jordan_pencil(lam0):
     """b(lam) = lam - A with A similar to a 2x2 Jordan block at lam0: one
     chain of length 2 (partial multiplicities [2]), non-triangular data."""
     S = np.array([[1, 0.5], [0.3 + 0.2j, 1]])
     A = S @ np.array([[lam0, 1], [0, lam0]]) @ np.linalg.inv(S)
-    return ModePencil(0, [-A, np.eye(2, dtype=complex)])
+    return _pencil_2x2([-A, np.eye(2)])
 
 
 def test_mode_pencil_matches_block(mode3_l0):
     # l = 0 block of -Delta (n=3): b(lam) = -(i lam + 2)(i lam + 3)
     for lam in (0.0, 1.0 + 0.5j, -2.3j):
         want = -((1j * lam + 2) * (1j * lam + 3))
-        assert mode3_l0.eval(lam)[0, 0] == pytest.approx(want, rel=1e-12)
+        assert evaluate_pencil(mode3_l0, lam)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_mode_pencil_reduces_scalar():
@@ -105,7 +121,7 @@ def test_mode_pencil_accepts_only_decoupled_degrees():
             mp = mode_pencil(P, l)
             idx = np.where(P.degrees_vector() == l)[0][:mp.size]
             assert all(np.array_equal(b, Bj[np.ix_(idx, idx)])
-                       for b, Bj in zip(mp.blocks, P.B))
+                       for b, Bj in zip(mp.B, P.B))
             accepted.add(path.stem)
     assert accepted == {"laplacian2d", "laplacian3d", "schrodinger_inverse_square3d"}
 
@@ -207,7 +223,7 @@ def test_double_pole_polynomial_factor(mode2_l0):
     res = line_difference_expansion(mode2_l0, gauss, 1.5, 2.5)
     for v in res.deviations.values():
         assert v < 1e-6
-    assert res.eigendata[0].partial == [2]  # Jordan block of length 2
+    assert res.eigenpoints[0].partial_multiplicities == [2]  # Jordan block of length 2
     mask = np.abs(res.t) <= -res.t[0] / 2
     t = res.t[mask]
     basis = np.stack([np.exp(-2 * t), 1j * t * np.exp(-2 * t)], axis=1)
@@ -221,9 +237,9 @@ def test_double_pole_polynomial_factor(mode2_l0):
 
 def test_expansion_dimension_matches_multiplicity(mode2_l0, mode3_l0):
     res2 = line_difference_expansion(mode2_l0, gauss, 1.5, 2.5)
-    assert sum(sum(d.partial) for d in res2.eigendata) == 2
+    assert sum(sum(d.partial_multiplicities) for d in res2.eigenpoints) == 2
     res3 = line_difference_expansion(mode3_l0, gauss, 1.5, 3.5)
-    assert sum(sum(d.partial) for d in res3.eigendata) == 2  # two simple poles
+    assert sum(sum(d.partial_multiplicities) for d in res3.eigenpoints) == 2  # two simple poles
 
 
 def test_pole_on_line(mode3_l0):
@@ -257,7 +273,7 @@ def test_homogeneous_annihilation(mode2_l0):
     sols = power_solutions(ep)
     t = np.linspace(-8, 8, 2048)
     # l = 0 block: scalar b; power solutions have constant sphere part
-    b_coeffs = [mode2_l0.blocks[j][0, 0] for j in range(mode2_l0.m + 1)]
+    b_coeffs = [mode2_l0.B[j][0, 0] for j in range(mode2_l0.m + 1)]
     for s in sols:
         vals = s.evaluate_t(t)[:, 0]  # first basis coordinate (l = 0)
         # apply b(D_t) via exact differentiation of the closed form:
@@ -281,8 +297,41 @@ def test_jordan_block_difference():
     # a defective 2x2 block: the expansion carries a (it) e^(i lam0 t) term
     f = lambda t: np.stack([gauss(t), (0.5 - 1j) * t * gauss(t - 0.2)], axis=1)
     res = line_difference_expansion(_jordan_pencil(2j), f, 1.5, 2.5)
-    assert [d.partial for d in res.eigendata] == [[2]]
+    assert [d.partial_multiplicities for d in res.eigenpoints] == [[2]]
     assert verify_coefficient_formula(res)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the strip's guards on the mode path
+# ---------------------------------------------------------------------------
+
+def test_chain_count_checked_against_det_order(monkeypatch, mode3_l0, capsys):
+    true_order = spectrum.det_vanishing_order
+    monkeypatch.setattr(spectrum, "det_vanishing_order",
+                        lambda P, lam0, radius: true_order(P, lam0, radius) + 1)
+    with pytest.raises(MultiplicityMismatch, match="chain count 1 != det root order 2"):
+        line_difference_expansion(mode3_l0, gauss, 1.5, 2.5)
+    code = main(["model-solve", str(OPERATORS / "laplacian3d.json"), "--mode", "0",
+                 "--beta1", "1.5", "--beta2", "2.5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical guard: chain count") and "Traceback" not in err
+
+
+def test_singular_leading_coefficient_refused():
+    mp = _pencil_2x2([[[-2j, 1], [0.5, 1]], [[1, 0], [0, 0]]])
+    with pytest.raises(SingularLeadingCoeff):
+        line_difference_expansion(mp, gauss, 1.5, 2.5)
+
+
+def test_expansion_runs_one_companion_qz(monkeypatch):
+    calls = []
+    qz = pencil._companion_eigenvalues
+    monkeypatch.setattr(pencil, "_companion_eigenvalues",
+                        lambda Bs: calls.append(len(Bs[0])) or qz(Bs))
+    mp = _mode(laplacian_doc(3), 0)
+    res = line_difference_expansion(mp, gauss, 1.5, 3.5)   # two poles, two lines
+    assert len(res.eigenpoints) == 2 and calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +403,7 @@ def _kernel_laurent(mp, t, fvals, lam0, radius, max_order):
     """Laurent coefficients of b(lam)^(-1) fhat(lam) at lam0 from an FFT of
     the whole product on a 128-node circle, fhat by the kernel."""
     lams = lam0 + radius * np.exp(2j * math.pi * np.arange(128) / 128)
-    g = np.linalg.solve(mp.eval(lams), _fhat_at(t, fvals, lams)[..., None])[..., 0]
+    g = np.linalg.solve(evaluate_pencil(mp, lams), _fhat_at(t, fvals, lams)[..., None])[..., 0]
     coeffs = np.fft.fft(g, axis=0) / 128
     return [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
 
