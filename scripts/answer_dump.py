@@ -11,7 +11,10 @@ f, with the gaussian F_SPEC and with the same gaussian sampled into a CSV
 file.  Prints one JSON line per case: argv, exit code, sha256 of stdout
 and the first line of stderr; the CSV file's temporary path is printed as
 the token F_CSV.  Two checkouts that give the same answers print the same
-file, so `diff` of two dumps lists every case whose answer moved.
+file, so `diff` of two dumps lists every case whose answer moved.  A
+`spectrum` case also prints `answer_sha256`, the hash of its report without
+convergence, chain vectors and residuals, so a dump diff tells a moved
+answer from a rotated null-space basis.
 """
 
 import contextlib
@@ -74,10 +77,30 @@ def run_case(argv, csv_path):
         except Exception as exc:  # a traceback is an answer too
             code = None
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return {"argv": argv, "exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    case = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue()),
             "stderr": (err.getvalue().replace(csv_path, F_CSV).splitlines()
                        or [""])[0]}
+    if argv[0] == "spectrum":
+        case["answer_sha256"] = answer_sha256(out.getvalue())
+    return case
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def answer_sha256(stdout):
+    """sha256 of a spectrum report without its convergence, chain vectors
+    and residuals: the part that does not move when a null-space basis is
+    rotated or a drift changes at round-off (empty stdout hashes as is)."""
+    if not stdout:
+        return _sha256(stdout)
+    report = json.loads(stdout)
+    report.pop("convergence")
+    for ep in report["eigenpoints"]:
+        ep.pop("chains")
+        ep.pop("residuals")
+    return _sha256(json.dumps(report, sort_keys=True))
 
 
 def main(paths=None):

@@ -258,14 +258,17 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
         ep = jordan_chains(mp, lam0, isolation=iso)
         chains, psis = ep.chains, adjoint_chains(mp, ep).chains
         eigenpoints.append(ep)
+        # the grid factors of this pole, each computed once
+        order = max(ep.partial_multiplicities)
+        grow = np.exp(1j * lam0 * t)[:, None]
+        grow_adj = np.exp(1j * np.conj(lam0) * t)[:, None]
+        powers = [((1j * t) ** l / math.factorial(l))[:, None] for l in range(order)]
 
         # residue route: the two line integrals differ by the counterclockwise
         # strip contour, so diff = i * sum of residues of b^(-1) fhat e^(i lam t)
-        laurent = _laurent_coefficients(mp, t, fvals, lam0, radius,
-                                        max_order=max(ep.partial_multiplicities))
+        laurent = _laurent_coefficients(mp, t, fvals, lam0, radius, max_order=order)
         for s, a in enumerate(laurent):
-            diff_residue += 1j * np.exp(1j * lam0 * t)[:, None] * \
-                ((1j * t) ** s / math.factorial(s))[:, None] * a[None, :]
+            diff_residue += 1j * grow * powers[s] * a[None, :]
 
         # coefficient formula route: c_(j,m) = i <f, v_(j,m)> with the
         # sesquilinear cylinder pairing (the i sits outside the pairing;
@@ -276,16 +279,13 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
             for mm in range(len(chain)):
                 v = np.zeros((len(t), q), dtype=complex)
                 for l in range(mm + 1):
-                    v += ((1j * t) ** l / math.factorial(l))[:, None] * \
-                        psis[j][mm - l][None, :q]
-                v = np.exp(1j * np.conj(lam0) * t)[:, None] * v
+                    v += powers[l] * psis[j][mm - l][None, :q]
+                v = grow_adj * v
                 c = complex(1j * dt * np.sum(fvals * np.conj(v)))
                 coeffs_direct.append(ExpansionCoefficient(lam0, j, mm, c))
                 target = len(chain) - 1 - mm
                 for l in range(target + 1):
-                    diff_coeff += c * \
-                        ((1j * t) ** l / math.factorial(l))[:, None] * \
-                        (np.exp(1j * lam0 * t)[:, None] * chain[target - l][None, :q])
+                    diff_coeff += c * powers[l] * (grow * chain[target - l][None, :q])
 
         # residue-derived coefficients: match the (it)^s/s! polynomial data,
         # sum_(j,m) c_(j,m) phi_(j, Mj-1-m-s) = i a_(-1-s)

@@ -20,12 +20,17 @@ needed downstream is the exact restriction of the infinite operator.
 Columns do not depend on the basis size, so a pencil on a smaller basis
 is an exact slice of a larger one (truncate_pencil).
 
-A pencil's block view (kept, components, squares, eigenvalues) decides
-once how det pencil splits into square pieces and solves each piece once
-(companion linearization + QZ, after the leading-coefficient check); the
-strip eigensolve, the det-order circle, the Jordan chains and the mode
-cut all read it.  A mode cut (model_solver.mode_pencil) is a
-PencilMatrices too, so it carries its own view and is solved at most once.
+A pencil's block view (kept, components, squares, square_eigenvalues)
+decides once how det pencil splits into square pieces and solves each
+piece once (companion linearization + QZ, after the leading-coefficient
+check); the strip eigensolve, the det-order circle, the Jordan chains and
+the mode cut all read it.  At bandwidth 0 the squares are the decoupled
+(component, degree) blocks and owners(lam0, radius) names those with an
+eigenvalue in a circle, so chains and det orders are computed on the
+blocks that own the eigenvalue; a strip's degree + 2 pencil has the same
+blocks, so its `convergence` is 0 by structure.  A mode cut
+(model_solver.mode_pencil) is a PencilMatrices too, so it carries its own
+view and is solved at most once.
 """
 
 from __future__ import annotations
@@ -181,8 +186,9 @@ class PencilMatrices:
         return [[Q @ Rj for Rj in R]]
 
     @cached_property
-    def eigenvalues(self):
-        """Finite eigenvalues of each of P.squares, in order (companion QZ).
+    def square_eigenvalues(self):
+        """Finite eigenvalues of each of P.squares, one array per square
+        (companion QZ).
 
         On decoupled blocks of a pencil with one mu and one nu, a leading
         coefficient with condition above 1e12 raises SingularLeadingCoeff.
@@ -197,8 +203,24 @@ class PencilMatrices:
                 if not np.isfinite(cond) or cond > 1e12:
                     raise SingularLeadingCoeff(
                         f"leading coefficient condition {cond:.2e} on a block")
-            vals.extend(_companion_eigenvalues(Bs))
-        return np.array(vals, dtype=complex)
+            vals.append(_companion_eigenvalues(Bs))
+        return vals
+
+    @cached_property
+    def eigenvalues(self):
+        """P.square_eigenvalues concatenated, in the order of P.squares."""
+        return np.concatenate(self.square_eigenvalues)
+
+    def owners(self, lam0, radius):
+        """Indices into P.squares of the squares that own an eigenvalue
+        strictly inside the circle |lam - lam0| < radius.  A compressed
+        square (bandwidth > 0) is not the pencil, so all of them own it.
+        At bandwidth 0, square i is the block P.components[i], and det
+        pencil has no zero in the circle outside the owners."""
+        if self.bandwidth:
+            return list(range(len(self.squares)))
+        return [i for i, vals in enumerate(self.square_eigenvalues)
+                if (np.abs(vals - lam0) < radius).any()]
 
     def to_json(self):
         return {

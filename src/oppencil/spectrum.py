@@ -8,10 +8,12 @@ the decoupled (component, degree) blocks when the bandwidth is 0, and
 otherwise a fixed random compression of the exact rectangular restriction
 to the fully-resolved columns P.kept (the square truncation is then
 structurally singular).  A candidate of the compressed square is certified
-by a small singular value of the rectangular pencil, and eigenvectors
-supported near the truncation boundary are discarded.  A strip spectrum
+by a small singular value of the rectangular pencil.  A strip spectrum
 certifies only the candidates within _CERTIFY_REACH of the strip: a value
-farther out changes neither a det-order circle nor a drift check.
+farther out changes neither a det-order circle nor a drift check.  It
+drops an eigenpoint only when an eigenvector carries more than half its
+mass above the analysis degree (it belongs to a higher mode); a coupled
+eigenvector's small tail is kept and left to the drift check.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -20,9 +22,15 @@ Jordan chains at an eigenvalue lam0 solve the coupled system
 extracted from nested block-Toeplitz nullspaces (longest chains first).
 The algebraic count is cross-checked against the vanishing order of
 det pencil at lam0 (Taylor coefficients by FFT on a circle, det evaluated
-as the product over P.squares).  Adjoint chains at conj(lam0) of the
-cylinder-level adjoint pencil are normalized to the Kronecker
-biorthogonality pattern by one least-squares solve.
+as the product over P.squares).  At bandwidth 0 both work block by block:
+the chains on the rows and columns of the decoupled blocks that own an
+eigenvalue in the det circle (P.owners), under the whole pencil's rank
+cuts, and the det order over those blocks only, since no other block
+vanishes in the circle.  The degree + 2 pencil of a strip then has the
+same blocks, so it is not re-solved and the drift (`convergence`) is 0
+by structure.  Adjoint chains at conj(lam0) of the cylinder-level adjoint
+pencil are normalized to the Kronecker biorthogonality pattern by one
+least-squares solve.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .pencil import (
     component_labels,
     evaluate_pencil,
     horner,
+    taylor,
     truncate_pencil,
 )
 
@@ -55,6 +64,7 @@ _CHAIN_TOL = 1e-8       # chain extension residual
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
+_TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that drops a point
 _DET_NODES = 64         # circle nodes of the det-order FFT
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
@@ -201,14 +211,14 @@ def cluster_eigenvalues(vals):
 # determinant order cross-check
 # ---------------------------------------------------------------------------
 
-def _det_values_on_circle(P: PencilMatrices, lam0, radius):
-    """det pencil at the _DET_NODES circle nodes, divided by the geometric
-    mean of their moduli; each of P.squares is evaluated at all nodes in
-    one stack."""
+def _det_values_on_circle(squares, lam0, radius):
+    """det of the given square pencils' product at the _DET_NODES circle
+    nodes, divided by the geometric mean of their moduli; each square is
+    evaluated at all nodes in one stack."""
     thetas = 2 * math.pi * np.arange(_DET_NODES) / _DET_NODES
     nodes = lam0 + radius * np.exp(1j * thetas)
     sign, logabs = 1.0, 0.0
-    for B in P.squares:
+    for B in squares:
         s, la = np.linalg.slogdet(horner(B, nodes))
         sign, logabs = sign * s, logabs + la
     return sign * np.exp(logabs - np.mean(logabs))
@@ -220,9 +230,15 @@ def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     FFT of determinant values on a circle of the given radius gives the
     scaled derivatives c_j rho^j; the order is the first coefficient that
     is non-negligible.  The circle must isolate lam0 from the rest of the
-    spectrum.  The determinant is the product of those of P.squares.
+    spectrum.  The determinant is the product of those of P.squares, and
+    only the squares that own an eigenvalue inside the circle (P.owners)
+    can vanish there: at bandwidth 0 the others are left out, and with no
+    owner the order is 0.
     """
-    w = _det_values_on_circle(P, lam0, radius)
+    owners = P.owners(lam0, radius)
+    if not owners:
+        return 0
+    w = _det_values_on_circle([P.squares[i] for i in owners], lam0, radius)
     t = np.fft.fft(w) / len(w)
     t = t[:len(t) // 2]
     mx = np.max(np.abs(t))
@@ -358,11 +374,28 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     Geometric multiplicity from the SVD nullspace of pencil(lambda0);
     chains from nested block-Toeplitz nullspaces, extended longest-first;
     the total count is cross-checked against the determinant vanishing
-    order (MultiplicityMismatch on disagreement).
+    order on a circle of radius 0.45 * isolation (at most 0.1)
+    (MultiplicityMismatch on disagreement).  At bandwidth 0 both work on
+    the decoupled blocks that own an eigenvalue in that circle (P.owners),
+    with the rank cuts of the whole pencil; the chains are padded back to
+    the full basis.  NotAnEigenvalue when no block owns lambda0.
     """
     lambda0 = complex(lambda0)
-    keep = P.kept
-    T = [P.taylor_matrix(s, lambda0)[:, keep] for s in range(P.m + 1)]
+    if isolation is None:
+        others = [v for v in solve_pencil_eigenvalues(P)
+                  if abs(v - lambda0) > _CLUSTER_RADIUS]
+        isolation = min((abs(v - lambda0) for v in others), default=1.0)
+    radius = max(min(_DET_RADIUS_SHARE * isolation, _DET_RADIUS_MAX), 1e-5)
+    if P.bandwidth == 0:
+        owners = P.owners(lambda0, radius)
+        if not owners:
+            raise NotAnEigenvalue(f"no block owns lambda0 = {lambda0}")
+        keep = np.sort(np.concatenate([P.components[i] for i in owners]))
+        cut = [Bj[np.ix_(keep, keep)] for Bj in P.B]
+    else:
+        keep = P.kept
+        cut = [Bj[:, keep] for Bj in P.B]
+    T = [taylor(cut, s, lambda0) for s in range(P.m + 1)]
     n_r, n_c = T[0].shape
     try:
         J, partial, chains, residuals = chains_from_matrices(
@@ -372,11 +405,6 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     M = sum(partial)
 
     # determinant-order cross-check
-    if isolation is None:
-        others = [v for v in solve_pencil_eigenvalues(P)
-                  if abs(v - lambda0) > _CLUSTER_RADIUS]
-        isolation = min((abs(v - lambda0) for v in others), default=1.0)
-    radius = max(min(_DET_RADIUS_SHARE * isolation, _DET_RADIUS_MAX), 1e-5)
     order_det = det_vanishing_order(P, lambda0, radius)
     if order_det != M:
         raise MultiplicityMismatch(
@@ -559,13 +587,14 @@ def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree, band):
                  [v for v in vals if abs(v - center) > _CLUSTER_RADIUS]
         isolation = min((abs(v - center) for v in others), default=1.0)
         ep = jordan_chains(P, center, isolation=isolation)
-        # coupled eigenvectors carry exponentially decaying tails, so the
-        # interior test is on the mass beyond the analysis degree, not on
-        # the last nonzero amplitude
+        # a coupled mode-d eigenvector carries about 1e-3 of its mass at
+        # degree d + 1, so only an eigenpoint with most of its mass above
+        # the degree belongs to a higher mode and is dropped; a kept one
+        # whose tail is a truncation artifact fails the drift check
         tail = max(eigenvector_tail_mass(P, chain[0], degree)
                    for chain in ep.chains)
-        if tail > 1e-6:
-            continue  # boundary-truncation artifact or out-of-range mode
+        if tail > _TAIL_MASS_MAX:
+            continue
         eigenpoints.append(ep)
     return eigenpoints
 
@@ -576,11 +605,15 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
 
     Assembles the pencil once, with the coupling margin on top of
     `degree` + 2, and cuts the degree-`degree` pencil out of it; solves,
-    clusters, computes Jordan chains, and keeps only eigenpoints whose
-    eigenvectors are supported at harmonic degree <= degree and that are
-    stable (drift < 1e-6) against re-solving with degree + 2.  A line
-    within 1e-10 of zero is reported as exactly 0, so round-off in the
-    eigensolve never reaches the printed reports.
+    clusters, computes Jordan chains, and keeps the eigenpoints whose
+    eigenvectors carry at most half their mass above harmonic degree
+    `degree`.  Each kept eigenpoint must be stable (drift < 1e-6) against
+    the degree + 2 pencil.  At bandwidth 0 that pencil's blocks are exact
+    copies of the degree pencil's, so it is not re-solved and every drift
+    (`convergence`) is 0 by structure; the chains and det orders are
+    computed on the blocks that own each eigenvalue.  A line within 1e-10
+    of zero is reported as exactly 0, so round-off in the eigensolve never
+    reaches the printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
@@ -591,14 +624,15 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree, band)
 
     # truncation-stability filter
-    vals2 = solve_pencil_eigenvalues(P2, band)
-    convergence = {}
-    for ep in eigenpoints:
-        drift = min((abs(v - ep.lambda0) for v in vals2), default=math.inf)
-        if drift > _DRIFT_TOL:
-            raise UnstableSpectrum(
-                f"eigenvalue {ep.lambda0} drifted by {drift:.3e}; raise degree")
-        convergence[ep.lambda0] = float(drift)
+    convergence = {ep.lambda0: 0.0 for ep in eigenpoints}
+    if P.bandwidth:
+        vals2 = solve_pencil_eigenvalues(P2, band)
+        for ep in eigenpoints:
+            drift = min((abs(v - ep.lambda0) for v in vals2), default=math.inf)
+            if drift > _DRIFT_TOL:
+                raise UnstableSpectrum(
+                    f"eigenvalue {ep.lambda0} drifted by {drift:.3e}; raise degree")
+            convergence[ep.lambda0] = float(drift)
 
     for ep in eigenpoints:
         for b in (beta1, beta2):

@@ -439,16 +439,23 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
-def test_answer_dump_smoke(capsys):
+def _answer_dump():
     spec = importlib.util.spec_from_file_location(
         "answer_dump", REPO / "scripts" / "answer_dump.py")
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
+    return dump
+
+
+def test_answer_dump_smoke(capsys):
+    dump = _answer_dump()
     path = str(REPO / "operators" / "laplacian2d.json")
     dump.main([path])
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["argv"] for row in rows] == list(dump.cases(path))
     assert all(re.fullmatch(r"[0-9a-f]{64}", row["stdout_sha256"]) for row in rows)
+    assert all(("answer_sha256" in row) == (row["argv"][0] == "spectrum")
+               for row in rows)
     exits = {row["argv"][0]: set() for row in rows}
     for row in rows:
         exits[row["argv"][0]].add(row["exit"])
@@ -493,3 +500,19 @@ def test_unread_setting_exit2(lap3_file, argv):
     assert r.returncode == 2
     assert "unrecognized arguments" in r.stderr
     assert r.stdout == ""
+
+
+def test_answer_sha256_ignores_chains_and_convergence(lap3_file, capsys):
+    from oppencil.cli import main
+    dump = _answer_dump()
+    assert main(["spectrum", lap3_file, "--strip", "0.5", "3.5", "--degree", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    base = dump.answer_sha256(json.dumps(report))
+    ep = report["eigenpoints"][0]
+    ep["chains"] = [[[[-re, -im] for re, im in vec] for vec in chain]
+                    for chain in ep["chains"]]
+    ep["residuals"] = [2 * r for r in ep["residuals"]]
+    report["convergence"] = {}
+    assert dump.answer_sha256(json.dumps(report)) == base
+    ep["algebraic"] += 1
+    assert dump.answer_sha256(json.dumps(report)) != base

@@ -1,14 +1,17 @@
 """Tests for the pencil eigensolvers, Jordan chains and adjoint chains."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc
+from oppencil import pencil, spectrum
 from oppencil.errors import NotAnEigenvalue, RefuseBoundary
 from oppencil.operator_ast import formal_adjoint, parse_operator
 from oppencil.pencil import (
@@ -21,8 +24,10 @@ from oppencil.pencil import (
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
     _CERTIFY_REACH,
+    _chain_scale,
     _det_values_on_circle,
     biorthogonalize,
+    chains_from_matrices,
     cluster_eigenvalues,
     default_l_max,
     det_vanishing_order,
@@ -30,7 +35,10 @@ from oppencil.spectrum import (
     power_solutions,
     solve_pencil_eigenvalues,
     strip_spectrum,
+    taylor_fn,
 )
+
+OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
 
 def laplacian_lines_oracle(n, l):
@@ -190,11 +198,12 @@ def test_det_vanishing_order(laplacian3d, laplacian2d):
 def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
     P = assemble_pencil(laplacian3d, 6)
     assert P.bandwidth == 0 and len(P.squares) > 1
-    got, want = _det_values_on_circle(P, 2j, 0.1), _det_circle_oracle(P, 2j, 0.1)
+    got = _det_values_on_circle(P.squares, 2j, 0.1)
+    want = _det_circle_oracle(P, 2j, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     P = assemble_pencil(dbar2d, 8)
     assert P.bandwidth > 0
-    assert np.array_equal(_det_values_on_circle(P, 1j, 0.1),
+    assert np.array_equal(_det_values_on_circle(P.squares, 1j, 0.1),
                           _det_circle_oracle(P, 1j, 0.1))
 
 
@@ -219,8 +228,10 @@ def test_strip_builds_each_block_view_once(monkeypatch, doc_fn, strip, degree):
     monkeypatch.setattr(PencilMatrices, "squares", view)
     rep = strip_spectrum(parse_operator(doc_fn()), *strip, degree)
     assert len(rep.eigenpoints) >= 3
-    # the degree pencil and the degree+2 pencil, each once, not per eigenpoint
-    assert len(built) == 2 and built[0] is rep.pencil and built[1] is not built[0]
+    # the degree pencil once, not per eigenpoint; the degree+2 pencil once
+    # more only when the bandwidth is > 0 (at 0 its blocks are the same)
+    assert len(built) == (2 if rep.pencil.bandwidth else 1)
+    assert built[0] is rep.pencil and all(b is not built[0] for b in built[1:])
     assert rep.pencil.squares is rep.pencil.squares
 
 
@@ -234,6 +245,85 @@ def test_replace_builds_a_fresh_view(laplacian3d, dbar2d):
             assert all(np.array_equal(2 * a, b) for a, b in zip(S, S2))
         with pytest.raises(FrozenInstanceError):
             P.B = P2.B
+
+
+def test_eigenvalues_concatenate_the_squares(laplacian3d):
+    P = assemble_pencil(laplacian3d, 4)
+    assert len(P.square_eigenvalues) == len(P.squares) > 1
+    assert np.array_equal(P.eigenvalues, np.concatenate(P.square_eigenvalues))
+    # the l = 1 block alone owns the triple root at 1i; a compressed square
+    # owns every circle
+    owners = P.owners(1j, 0.1)
+    assert len(owners) == 1 and len(P.components[owners[0]]) == 3
+    assert P.owners(2.5j, 0.1) == []
+    Q = assemble_pencil(parse_operator(dbar_doc()), 4)
+    assert Q.bandwidth > 0 and Q.owners(2.5j, 0.1) == [0]
+
+
+def _full_pencil_chains(P, lam0):
+    """chains_from_matrices on every kept column of the whole pencil."""
+    T = [P.taylor_matrix(s, lam0)[:, P.kept] for s in range(P.m + 1)]
+    return chains_from_matrices(taylor_fn(T), *T[0].shape, _chain_scale(P, lam0))
+
+
+def _full_det_order(P, lam0):
+    """Vanishing order of det over every square of P, on the circle a strip
+    would use (0.45 of the isolation in P.eigenvalues, at most 0.1)."""
+    iso = min(abs(v - lam0) for v in P.eigenvalues if abs(v - lam0) > 1e-6)
+    t = np.fft.fft(_det_values_on_circle(P.squares, lam0, min(0.45 * iso, 0.1)))
+    t = np.abs(t[:len(t) // 2])
+    return int(np.argmax(t > 1e-6 * t.max()))
+
+
+def _span_projector(vecs):
+    Q, _ = np.linalg.qr(np.column_stack(vecs))
+    return Q @ Q.conj().T
+
+
+@pytest.mark.parametrize("op_fn, strip, degree", [
+    (lambda: parse_operator(laplacian_doc(3)), (-0.5, 3.5), 4),
+    (lambda: _inverse_square_op(3, -3.0), (0.5, 4.5), 4),
+    (lambda: _inverse_square_op(2, -7.0), (0.1, 3.9), 6),
+], ids=["laplacian3d", "inverse_square3d_c-3", "inverse_square2d_c-7"])
+def test_block_chains_match_full_pencil(op_fn, strip, degree):
+    rep = strip_spectrum(op_fn(), *strip, degree)
+    P = rep.pencil
+    assert P.bandwidth == 0 and len(P.squares) > 1 and rep.eigenpoints
+    for ep in rep.eigenpoints:
+        _, partial, chains, _ = _full_pencil_chains(P, ep.lambda0)
+        assert ep.partial_multiplicities == partial
+        assert ep.det_order == _full_det_order(P, ep.lambda0) == ep.algebraic
+        got = _span_projector([chain[0] for chain in ep.chains])
+        want = _span_projector([chain[0] for chain in chains])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_convergence_is_zero_by_structure_at_bandwidth_zero(monkeypatch, laplacian3d,
+                                                            dbar2d):
+    solved = []
+    solve = spectrum.solve_pencil_eigenvalues
+    monkeypatch.setattr(spectrum, "solve_pencil_eigenvalues",
+                        lambda P, band=None: solved.append(P) or solve(P, band))
+    rep = strip_spectrum(laplacian3d, -0.5, 3.5, 4)
+    assert rep.pencil.bandwidth == 0 and len(rep.convergence) == len(rep.eigenpoints)
+    assert set(rep.convergence.values()) == {0.0} and solved == [rep.pencil]
+    # at bandwidth > 0 the degree+2 pencil is solved and the drift measured
+    solved.clear()
+    rep = strip_spectrum(dbar2d, -1.5, 2.5, 6)
+    assert rep.pencil.bandwidth > 0 and len(solved) == 2
+    assert solved[0] is rep.pencil and solved[1].l_max > rep.pencil.l_max
+    assert max(rep.convergence.values()) > 0.0
+
+
+def test_bandwidth_zero_strip_solves_each_block_of_p_once(monkeypatch, laplacian3d):
+    seen = []
+    qz = pencil._companion_eigenvalues
+    monkeypatch.setattr(pencil, "_companion_eigenvalues",
+                        lambda Bs: seen.append(Bs) or qz(Bs))
+    rep = strip_spectrum(laplacian3d, -0.5, 3.5, 4)
+    squares = rep.pencil.squares
+    assert len(squares) > 1 and len(seen) == len(squares)
+    assert all(a is b for a, b in zip(seen, squares))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +516,32 @@ def test_coupled_perturbation_split_lines():
     rep_adj = strip_spectrum(adj, 5 - 2.4, 5 - 0.6, 4)
     chk = adjoint_res_check(rep.res_lines, rep_adj.res_lines, 3, 2)
     assert chk.passed, chk.failures
+
+
+@pytest.mark.parametrize("eps", [s * e for e in (0.3, 0.35, 0.4, 0.45, 0.5)
+                                 for s in (1, -1)])
+@pytest.mark.parametrize("beta2", [3.5, 4.5])
+def test_drift_keeps_top_mode_lines(eps, beta2):
+    # a mode-2 eigenvector of the drift carries ~1e-3 of its mass at degree
+    # 3; it must stay, so the strip total is that of the Laplacian on R^3,
+    # lines 2 - l and 3 + l of multiplicity 2l + 1 (half-integer edges: the
+    # drift moves no line across one)
+    rep = strip_spectrum(parse_operator(drift_doc(eps)), -0.5, beta2, 2)
+    want = sum(harmonic_dim(3, l) for l in range(20) for line in (2 - l, 3 + l)
+               if -0.5 < line < beta2)
+    assert want == {3.5: 10, 4.5: 13}[beta2]
+    assert rep.total_multiplicity() == want
+
+
+@pytest.mark.parametrize("strip", [(-0.5, 3.5), (0.4, 4.6), (0.4, 2.3)])
+def test_dipole_degree_two_has_the_degree_four_lines(strip):
+    op = parse_operator(json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()))
+
+    def lines(degree):
+        rep = strip_spectrum(op, *strip, degree)
+        return {round(line, 8): mult for line, mult in rep.res_lines.items()}
+
+    assert lines(2) == lines(4)
 
 
 # ---------------------------------------------------------------------------
