@@ -5,7 +5,8 @@ Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
 
 Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
 on fixed strips, degrees and commands: `spectrum`, `index --anchor cc`,
-`index --anchor selfadjoint` and `verify-cc` on each strip at each degree,
+`index --anchor selfadjoint`, `verify-cc` and `adjoint-check` (which
+also solves the formal adjoint's strip) on each strip at each degree,
 and `model-solve` for modes 0-2 on fixed line pairs, each with the default
 f, with the gaussian F_SPEC and with the same gaussian sampled into a CSV
 file.  Prints one JSON line per case: argv, exit code, sha256 of stdout
@@ -50,6 +51,7 @@ def cases(path):
             yield ["index", path, "--anchor", "cc", "--window", *band]
             yield ["index", path, "--anchor", "selfadjoint", "--window", *band]
             yield ["verify-cc", path, "--window", *band]
+            yield ["adjoint-check", path, "--window", *band]
     for mode in MODES:
         for b1, b2 in LINE_PAIRS:
             argv = ["model-solve", path, "--mode", str(mode),

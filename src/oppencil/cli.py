@@ -126,24 +126,41 @@ def cmd_strip(args):
     return 0
 
 
+def _key_values(text, what):
+    """{key: value} of a comma-separated key=value list ('' gives {}); a
+    repeated key is refused, not resolved by order."""
+    pairs = [kv.partition("=") for kv in text.split(",")] if text else []
+    fields = {key: val for key, _, val in pairs}
+    if any(not key or not eq for key, eq, _ in pairs) or len(fields) < len(pairs):
+        raise SchemaError(f"{what} must be key=value with distinct keys, "
+                          f"got {text!r}")
+    return fields
+
+
 def _parse_anchor(spec):
     if spec in ("cc", "selfadjoint"):
         return Anchor(spec)
     if spec.startswith("user:"):
-        fields = dict(kv.split("=") for kv in spec[len("user:"):].split(","))
-        known = {"beta0", "index"}
-        if set(fields) - known:
-            raise SchemaError(f"unknown anchor fields {sorted(set(fields) - known)}")
-        return Anchor("user", beta0=float(fields["beta0"]),
-                      index0=int(fields["index"]))
+        fields = _key_values(spec[len("user:"):], "user anchor fields")
+        if set(fields) != {"beta0", "index"}:
+            raise SchemaError(f"user anchor needs exactly beta0 and index, "
+                              f"got {sorted(fields)}")
+        try:
+            beta0, index0 = float(fields["beta0"]), int(fields["index"])
+        except ValueError as exc:
+            raise SchemaError(f"user anchor: {exc}")
+        if not math.isfinite(beta0):
+            raise SchemaError(f"user anchor needs a finite beta0, got {beta0}")
+        return Anchor("user", beta0=beta0, index0=index0)
     raise SchemaError(f"bad anchor spec {spec!r} "
                       "(use cc | selfadjoint | user:beta0=V,index=W)")
 
 
 def cmd_index(args):
+    anchor = _parse_anchor(args.anchor)
     op = _load_operator(args.operator)
     rep = strip_spectrum(op, args.window[0], args.window[1], args.degree)
-    led = build_ledger(rep, _parse_anchor(args.anchor))
+    led = build_ledger(rep, anchor)
     if args.format == "csv":
         _emit(led.to_csv(), args)
     else:
@@ -217,10 +234,7 @@ def _parse_f_spec(args):
     name, _, params = spec.partition(":")
     if name != "gaussian":
         raise SchemaError(f"unknown f spec {spec!r}")
-    pairs = [kv.partition("=") for kv in params.split(",")] if params else []
-    if any(not key or not eq for key, eq, _ in pairs):
-        raise SchemaError(f"gaussian options must be key=value, got {params!r}")
-    opts = {key: val for key, _, val in pairs}
+    opts = _key_values(params, "gaussian options")
     unknown = sorted(set(opts) - {"a", "t0"})
     if unknown:
         raise SchemaError(f"unknown gaussian options {unknown}")
@@ -380,20 +394,25 @@ def build_parser():
 
 def _check_args(args):
     """Reject numeric flags no analysis can use, before any work is done."""
-    for name in ("degree", "mode", "l_max", "k", "l"):
-        v = getattr(args, name, None)
-        if v is not None and v < 0:
-            raise SchemaError(f"--{name.replace('_', '-')} must be >= 0, got {v}")
+    for low, names in ((0, ("degree", "mode", "l_max", "k", "l", "seed")),
+                       (1, ("samples", "xi_samples", "x_samples", "threads"))):
+        for name in names:
+            v = getattr(args, name, None)
+            if v is not None and v < low:
+                raise SchemaError(f"--{name.replace('_', '-')} must be >= {low}, "
+                                  f"got {v}")
+    # written so that nan fails each test
+    checks = []
     if args.command == "norm":
-        # written so that nan fails each test
-        for flag, ok, need in (
-                ("--p", math.isfinite(args.p) and args.p >= 1, "finite and >= 1"),
-                ("--sigma", 0 < args.sigma < 1, "in (0, 1)"),
-                ("--beta", math.isfinite(args.beta), "finite"),
-                ("--samples", args.samples >= 1, ">= 1")):
-            if not ok:
-                raise SchemaError(f"{flag} must be {need}, "
-                                  f"got {getattr(args, flag[2:])}")
+        checks = [("--p", math.isfinite(args.p) and args.p >= 1, "finite and >= 1"),
+                  ("--sigma", 0 < args.sigma < 1, "in (0, 1)"),
+                  ("--beta", math.isfinite(args.beta), "finite")]
+    elif args.command == "ellipticity":
+        checks = [("--threshold", math.isfinite(args.threshold)
+                   and args.threshold >= 0, "finite and >= 0")]
+    for flag, ok, need in checks:
+        if not ok:
+            raise SchemaError(f"{flag} must be {need}, got {getattr(args, flag[2:])}")
     bands = {f"--{name}": getattr(args, name, None) for name in ("strip", "window")}
     if getattr(args, "beta1", None) is not None:
         bands["--beta1/--beta2"] = (args.beta1, args.beta2)

@@ -17,8 +17,9 @@ polynomials in lam, written straight into B_0..B_m.  Harmonic leakage
 above the truncation degree is seen per column, and the work basis is
 enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
-Columns do not depend on the basis size, so a pencil on a smaller basis
-is an exact slice of a larger one (truncate_pencil).
+Columns do not depend on the basis size, so a pencil keeps the columns it
+was built from, and P.widen assembles a larger pencil computing only the
+degrees P lacks.
 
 A pencil's block view (kept, components, squares, square_eigenvalues)
 decides once how det pencil splits into square pieces and solves each
@@ -28,15 +29,15 @@ the mode cut all read it.  At bandwidth 0 the squares are the decoupled
 (component, degree) blocks and owners(lam0, radius) names those with an
 eigenvalue in a circle, so chains and det orders are computed on the
 blocks that own the eigenvalue; a strip's degree + 2 pencil has the same
-blocks, so its `convergence` is 0 by structure.  A mode cut
-(model_solver.mode_pencil) is a PencilMatrices too, so it carries its own
-view and is solved at most once.
+blocks, so it is not assembled and its `convergence` is 0 by structure.
+A mode cut (model_solver.mode_pencil) is a PencilMatrices too, so it
+carries its own view and is solved at most once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -116,6 +117,8 @@ class PencilMatrices:
     restriction of the infinite pencil (the work basis extends the
     requested l_max by twice the observed upward coupling bandwidth).
     Frozen, so the block view, built on first use, cannot go stale.
+    `_store` holds the principal part and the per-degree columns the
+    pencil was built from, for widen.
     """
 
     m: int
@@ -129,10 +132,17 @@ class PencilMatrices:
     analysis_degree: int
     bandwidth: int
     fingerprint: str
+    _store: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
         return self.k * len(self.basis)
+
+    def widen(self, l_max, analysis_degree):
+        """The pencil assemble_pencil(op, l_max, analysis_degree) returns,
+        built from the columns of the assemble_pencil call P comes from:
+        only the degrees they lack are computed."""
+        return _assemble(*self._store, self.fingerprint, l_max, analysis_degree)
 
     def degrees_vector(self):
         degs = np.array(self.basis.degrees)
@@ -348,13 +358,6 @@ def _degree_columns(a0: SystemOperator, l: int):
     return blocks, bandwidth
 
 
-def _check_margin(bandwidth, l_max, analysis_degree):
-    if bandwidth > l_max - analysis_degree:
-        raise CouplingOverflow(
-            f"coupling bandwidth {bandwidth} exceeds margin "
-            f"{l_max - analysis_degree}; raise l_max")
-
-
 def assemble_pencil(op: SystemOperator, l_max: int,
                     analysis_degree: int | None = None) -> PencilMatrices:
     """Assemble the pencil coefficient matrices B_j directly.
@@ -368,27 +371,35 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     l_max, i.e. when the declared margin understates the true bandwidth.
     """
     a0 = principal_part(op)
-    m = a0.m
-    if m < 1:
+    if a0.m < 1:
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
-        analysis_degree = max(l_max - (op.max_poly_degree() * m + 2), 0)
+        analysis_degree = max(l_max - (op.max_poly_degree() * a0.m + 2), 0)
+    return _assemble(a0, {}, op.fingerprint(), l_max, analysis_degree)
 
+
+def _assemble(a0, columns, fingerprint, l_max, analysis_degree):
+    """assemble_pencil on the principal part a0, reading and extending
+    `columns` (harmonic degree -> _degree_columns(a0, degree))."""
     # columns do not depend on the basis size: extend until the work basis
     # covers l_max plus twice the bandwidth seen on all of its columns
-    columns, top = {}, l_max
+    top = l_max
     while True:
         for l in range(len(columns), top + 1):
             columns[l] = _degree_columns(a0, l)
-        bandwidth = max(bw for _, bw in columns.values())
-        _check_margin(bandwidth, l_max, analysis_degree)
+        bandwidth = max(columns[l][1] for l in range(top + 1))
+        if bandwidth > l_max - analysis_degree:
+            raise CouplingOverflow(
+                f"coupling bandwidth {bandwidth} exceeds margin "
+                f"{l_max - analysis_degree}; raise l_max")
         if top >= l_max + 2 * bandwidth:
             break
         top = l_max + 2 * bandwidth
 
-    work = SphereBasis.build(op.n, top)
+    m, k = a0.m, a0.k
+    work = SphereBasis.build(a0.n, top)
     nb = len(work)
-    B = np.zeros((m + 1, op.k * nb, op.k * nb), dtype=complex)
+    B = np.zeros((m + 1, k * nb, k * nb), dtype=complex)
     for l in range(top + 1):
         c0 = work.degree_slice(l).start
         for (i, j), acc in columns[l][0].items():
@@ -397,26 +408,9 @@ def assemble_pencil(op: SystemOperator, l_max: int,
                     r0 = i * nb + work.degree_slice(lo).start
                     B[:, r0:r0 + V.shape[1], j * nb + c0:j * nb + c0 + V.shape[2]] = V
     return PencilMatrices(
-        m=m, B=list(B), basis=work, k=op.k, n=op.n, mu=tuple(op.mu), nu=tuple(op.nu),
+        m=m, B=list(B), basis=work, k=k, n=a0.n, mu=tuple(a0.mu), nu=tuple(a0.nu),
         l_max=l_max, analysis_degree=analysis_degree, bandwidth=bandwidth,
-        fingerprint=op.fingerprint())
-
-
-def truncate_pencil(P: PencilMatrices, l_max: int,
-                    analysis_degree: int) -> PencilMatrices:
-    """The pencil assemble_pencil(op, l_max, analysis_degree) would return,
-    cut out of P, which was assembled on a larger basis.
-
-    Columns do not depend on the basis size, so the cut is exact: per
-    component block, the first len(SphereBasis(l_max + 2 bandwidth)) rows
-    and columns.
-    """
-    _check_margin(P.bandwidth, l_max, analysis_degree)
-    basis = SphereBasis.build(P.n, l_max + 2 * P.bandwidth)
-    nb, NB = len(basis), len(P.basis)
-    idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
-    return replace(P, B=[Bj[np.ix_(idx, idx)] for Bj in P.B], basis=basis,
-                   l_max=l_max, analysis_degree=analysis_degree)
+        fingerprint=fingerprint, _store=(a0, columns))
 
 
 def _companion_eigenvalues(Bs):

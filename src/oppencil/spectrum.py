@@ -27,7 +27,7 @@ the chains on the rows and columns of the decoupled blocks that own an
 eigenvalue in the det circle (P.owners), under the whole pencil's rank
 cuts, and the det order over those blocks only, since no other block
 vanishes in the circle.  The degree + 2 pencil of a strip then has the
-same blocks, so it is not re-solved and the drift (`convergence`) is 0
+same blocks, so it is not assembled and the drift (`convergence`) is 0
 by structure.  Adjoint chains at conj(lam0) of the cylinder-level adjoint
 pencil are normalized to the Kronecker biorthogonality pattern by one
 least-squares solve.
@@ -56,7 +56,6 @@ from .pencil import (
     evaluate_pencil,
     horner,
     taylor,
-    truncate_pencil,
 )
 
 _RANK_TOL = 1e-8        # relative SVD rank cut
@@ -603,29 +602,28 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
                    degree: int) -> SpectrumReport:
     """Spectrum of the associated pencil in the strip beta1 <= Im lam <= beta2.
 
-    Assembles the pencil once, with the coupling margin on top of
-    `degree` + 2, and cuts the degree-`degree` pencil out of it; solves,
-    clusters, computes Jordan chains, and keeps the eigenpoints whose
-    eigenvectors carry at most half their mass above harmonic degree
-    `degree`.  Each kept eigenpoint must be stable (drift < 1e-6) against
-    the degree + 2 pencil.  At bandwidth 0 that pencil's blocks are exact
-    copies of the degree pencil's, so it is not re-solved and every drift
-    (`convergence`) is 0 by structure; the chains and det orders are
-    computed on the blocks that own each eigenvalue.  A line within 1e-10
+    Assembles the pencil at `degree`; solves, clusters, computes Jordan
+    chains, and keeps the eigenpoints whose eigenvectors carry at most half
+    their mass above harmonic degree `degree`.  Each kept eigenpoint must be
+    stable (drift < 1e-6) against the degree + 2 pencil.  At bandwidth 0
+    that pencil's blocks are exact copies of the degree pencil's, so it is
+    not assembled and every drift (`convergence`) is 0 by structure; the
+    chains and det orders are computed on the blocks that own each
+    eigenvalue.  Otherwise it is widened from the same columns, so no
+    degree's columns are computed twice.  A line within 1e-10
     of zero is reported as exactly 0, so round-off in the eigensolve never
     reaches the printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
-    P2 = assemble_pencil(op, default_l_max(op, degree + 2),
-                         analysis_degree=degree + 2)
-    P = truncate_pencil(P2, default_l_max(op, degree), degree)
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     band = (beta1 - _CERTIFY_REACH, beta2 + _CERTIFY_REACH)
     eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree, band)
 
     # truncation-stability filter
     convergence = {ep.lambda0: 0.0 for ep in eigenpoints}
     if P.bandwidth:
+        P2 = P.widen(default_l_max(op, degree + 2), degree + 2)
         vals2 = solve_pencil_eigenvalues(P2, band)
         for ep in eigenpoints:
             drift = min((abs(v - ep.lambda0) for v in vals2), default=math.inf)

@@ -303,7 +303,8 @@ def test_model_solve_f_routes(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", ["gaussian:a=-1", "gaussian:t0=inf", "gaussian:a",
                                   "gaussian:a=0", "gaussian:a=nan", "gaussian:a=x",
-                                  "gaussian:b=1", "gaussian:a=1,,t0=0"])
+                                  "gaussian:b=1", "gaussian:a=1,,t0=0",
+                                  "gaussian:a=1,a=2"])
 def test_model_solve_bad_f_spec_exit2(spec, capsys):
     code, out, err = _main(MODEL_SOLVE + ["--f", spec], capsys)
     assert (code, out) == (2, "")
@@ -367,6 +368,7 @@ def test_missing_expr_file_exit2(tmp_path, argv, capsys):
     ["--kind", "cl", "--l", "-1"],
     ["--kind", "holder", "--samples", "0"],
     ["--kind", "holder", "--samples", "-5"],
+    ["--kind", "holder", "--seed", "-1"],
 ])
 def test_norm_bad_flag_exit2(tmp_path, flags, capsys):
     expr = tmp_path / "u.json"
@@ -375,6 +377,46 @@ def test_norm_bad_flag_exit2(tmp_path, flags, capsys):
                             *flags], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"schema error: {flags[-2]} must be")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--threshold", "nan"],
+    ["--threshold", "-0.5"],
+    ["--threshold", "inf"],
+    ["--x-samples", "-5"],
+    ["--xi-samples", "0"],
+    ["--threads", "0"],
+    ["--threads", "-2"],
+])
+def test_ellipticity_bad_flag_exit2(lap3_file, flags, capsys):
+    code, out, err = _main(["ellipticity", lap3_file, *flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {flags[-2]} must be")
+
+
+@pytest.mark.parametrize("anchor", [
+    "user:",
+    "user:beta0",
+    "user:beta0=1.5",
+    "user:index=0",
+    "user:beta0=abc,index=0",
+    "user:beta0=1.5,index=1.5",
+    "user:beta0=nan,index=0",
+    "user:beta0=inf,index=0",
+    "user:beta0=1.5,index=0,shift=1",
+    "user:beta0=1.5,beta0=2.5,index=0",
+])
+def test_index_bad_user_anchor_exit2(monkeypatch, lap3_file, anchor, capsys):
+    from oppencil import cli
+
+    def never(*args):
+        raise AssertionError("the strip ran before the anchor was parsed")
+
+    monkeypatch.setattr(cli, "strip_spectrum", never)
+    code, out, err = _main(["index", lap3_file, "--anchor", anchor,
+                            "--window", "0.5", "4.5", "--degree", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from oppencil.pencil import (
     adjoint_identity_residual,
     assemble_pencil,
     evaluate_pencil,
-    truncate_pencil,
 )
 from oppencil.radial_algebra import (
     HomogPoly,
@@ -307,18 +306,19 @@ def test_ring_ladder_matches_decompose_oracle(name, lam):
     (drift_doc, 2),
 ])
 def test_degree_pencil_is_slice_of_degree_plus_two(doc_fn, degree):
+    # P and its widening share one column store; each equals a fresh
+    # assembly bit for bit, and P is the leading block of each component
+    # block of the degree + 2 pencil
     op = parse_operator(doc_fn())
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    P2 = assemble_pencil(op, default_l_max(op, degree + 2),
-                         analysis_degree=degree + 2)
-    cut = truncate_pencil(P2, default_l_max(op, degree), degree)
-    assert cut.bandwidth == P.bandwidth
-    assert cut.basis.degrees == P.basis.degrees
-    assert all(np.array_equal(a, b) for a, b in zip(cut.B, P.B))
-
-
-def test_truncate_pencil_keeps_coupling_guard():
-    op = parse_operator(drift_doc())
-    P2 = assemble_pencil(op, 7, analysis_degree=4)
-    with pytest.raises(CouplingOverflow):
-        truncate_pencil(P2, 3, 3)
+    P2 = P.widen(default_l_max(op, degree + 2), degree + 2)
+    for got, fresh in ((P, assemble_pencil(op, default_l_max(op, degree),
+                                           analysis_degree=degree)),
+                       (P2, assemble_pencil(op, default_l_max(op, degree + 2),
+                                            analysis_degree=degree + 2))):
+        assert got.bandwidth == fresh.bandwidth
+        assert got.basis.degrees == fresh.basis.degrees
+        assert all(np.array_equal(a, b) for a, b in zip(got.B, fresh.B))
+    nb, NB = len(P.basis), len(P2.basis)
+    idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
+    assert all(np.array_equal(a[np.ix_(idx, idx)], b) for a, b in zip(P2.B, P.B))

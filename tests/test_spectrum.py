@@ -19,7 +19,6 @@ from oppencil.pencil import (
     assemble_pencil,
     evaluate_pencil,
     horner,
-    truncate_pencil,
 )
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
@@ -114,8 +113,8 @@ def test_certification_band_is_in_band_subset(doc_fn):
     # it can set no det-order radius (0.45 of the isolation, at most 0.1)
     assert _CERTIFY_REACH > 0.1 / 0.45
     op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
     P2 = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
-    P = truncate_pencil(P2, default_l_max(op, 2), 2)
     band = (-0.5 - _CERTIFY_REACH, 1.5 + _CERTIFY_REACH)
     for Q in (P, P2):
         assert Q.bandwidth > 0
@@ -313,6 +312,47 @@ def test_convergence_is_zero_by_structure_at_bandwidth_zero(monkeypatch, laplaci
     assert rep.pencil.bandwidth > 0 and len(solved) == 2
     assert solved[0] is rep.pencil and solved[1].l_max > rep.pencil.l_max
     assert max(rep.convergence.values()) > 0.0
+
+
+def _count_degree_columns(monkeypatch):
+    computed = Counter()
+    columns = pencil._degree_columns
+
+    def counted(a0, l):
+        computed[l] += 1
+        return columns(a0, l)
+
+    monkeypatch.setattr(pencil, "_degree_columns", counted)
+    return computed
+
+
+@pytest.mark.parametrize("op_fn, strip, degree", [
+    (lambda: parse_operator(laplacian_doc(3)), (-0.5, 3.5), 4),
+    (lambda: _inverse_square_op(2, -7.0), (0.1, 3.9), 6),
+], ids=["laplacian3d", "inverse_square2d_c-7"])
+def test_bandwidth_zero_strip_computes_only_its_degrees(monkeypatch, op_fn, strip,
+                                                        degree):
+    computed = _count_degree_columns(monkeypatch)
+    op = op_fn()
+    rep = strip_spectrum(op, *strip, degree)
+    assert rep.pencil.bandwidth == 0 and rep.eigenpoints
+    assert computed == Counter(range(default_l_max(op, degree) + 1))
+
+
+@pytest.mark.parametrize("doc_fn, strip, degree", [
+    (dbar_doc, (-1.5, 2.5), 6),
+    (cr_system_doc, (-0.5, 2.5), 4),
+], ids=["dbar2d", "cr_system2d"])
+def test_coupled_strip_computes_each_degree_once(monkeypatch, doc_fn, strip, degree):
+    computed = _count_degree_columns(monkeypatch)
+    op = parse_operator(doc_fn())
+    rep = strip_spectrum(op, *strip, degree)
+    P = rep.pencil
+    assert P.bandwidth > 0 and rep.eigenpoints
+    # the degree + 2 pencil's work basis, on top of P's, and each degree once
+    top = default_l_max(op, degree + 2) + 2 * P.bandwidth
+    assert P.basis.l_max < top
+    assert computed == Counter(range(top + 1))
 
 
 def test_bandwidth_zero_strip_solves_each_block_of_p_once(monkeypatch, laplacian3d):
