@@ -15,7 +15,10 @@ the token F_CSV.  Two checkouts that give the same answers print the same
 file, so `diff` of two dumps lists every case whose answer moved.  A
 `spectrum` case also prints `answer_sha256`, the hash of its report without
 convergence, chain vectors and residuals, so a dump diff tells a moved
-answer from a rotated null-space basis.
+answer from a rotated null-space basis.  A `model-solve` case prints it
+too, as the hash of its poles, its paired coefficients (`coeffs_direct`)
+and `coefficient_check.passed`, so a moved answer shows apart from
+round-off in the residue route and the deviations.
 """
 
 import contextlib
@@ -37,7 +40,7 @@ from oppencil.cli import main as cli_main  # noqa: E402
 STRIPS = ((-0.5, 3.5), (0.4, 4.6), (0.4, 2.3), (-1.7, 2.6))
 DEGREES = (2, 4, 6)
 MODES = (0, 1, 2)
-LINE_PAIRS = ((1.5, 2.5), (0.5, 3.5))
+LINE_PAIRS = ((1.5, 2.5), (0.5, 3.5), (2.05, 2.95), (-0.3, 0.3))
 F_SPEC = "gaussian:a=0.7,t0=0.4"
 F_CSV = "<f.csv>"
 
@@ -82,7 +85,7 @@ def run_case(argv, csv_path):
     case = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue()),
             "stderr": (err.getvalue().replace(csv_path, F_CSV).splitlines()
                        or [""])[0]}
-    if argv[0] == "spectrum":
+    if argv[0] in ("spectrum", "model-solve"):
         case["answer_sha256"] = answer_sha256(out.getvalue())
     return case
 
@@ -92,16 +95,23 @@ def _sha256(text):
 
 
 def answer_sha256(stdout):
-    """sha256 of a spectrum report without its convergence, chain vectors
-    and residuals: the part that does not move when a null-space basis is
-    rotated or a drift changes at round-off (empty stdout hashes as is)."""
+    """sha256 of the part of a report that does not move at round-off
+    (empty stdout hashes as is).  A spectrum report without its
+    convergence, chain vectors and residuals, so a rotated null-space basis
+    or a drift changed at round-off keeps it; of a model-solve report, the
+    poles, the paired coefficients and whether the check passed."""
     if not stdout:
         return _sha256(stdout)
     report = json.loads(stdout)
-    report.pop("convergence")
-    for ep in report["eigenpoints"]:
-        ep.pop("chains")
-        ep.pop("residuals")
+    if "expansion" in report:
+        report = {"poles": report["expansion"]["poles"],
+                  "coeffs_direct": report["expansion"]["coeffs_direct"],
+                  "passed": report["coefficient_check"]["passed"]}
+    else:
+        report.pop("convergence")
+        for ep in report["eigenpoints"]:
+            ep.pop("chains")
+            ep.pop("residuals")
     return _sha256(json.dumps(report, sort_keys=True))
 
 

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from .errors import NotApplicable, NumericalGuard, OppencilError, SchemaError
-from .index_ledger import Anchor, adjoint_res_check, build_ledger, pn_mu_nu
+from .index_ledger import (
+    Anchor,
+    adjoint_res_check,
+    build_ledger,
+    check_anchor,
+    pn_mu_nu,
+)
 from .model_solver import (
     line_difference_expansion,
     mode_pencil,
@@ -39,8 +45,8 @@ from .operator_ast import (
     principal_part,
     serialize_operator,
 )
-from .pencil import assemble_pencil
-from .spectrum import default_l_max, strip_spectrum
+from .pencil import assemble_pencil, default_l_max
+from .spectrum import strip_spectrum
 from .weighted_norms import (
     Expr,
     weighted_cl_norm,
@@ -159,6 +165,7 @@ def _parse_anchor(spec):
 def cmd_index(args):
     anchor = _parse_anchor(args.anchor)
     op = _load_operator(args.operator)
+    check_anchor(op, anchor)
     rep = strip_spectrum(op, args.window[0], args.window[1], args.degree)
     led = build_ledger(rep, anchor)
     if args.format == "csv":

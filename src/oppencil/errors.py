@@ -62,7 +62,9 @@ class RefuseBoundary(NumericalGuard):
 
 
 class UnstableSpectrum(NumericalGuard):
-    """A strip eigenvalue failed the truncation-stability drift filter."""
+    """A strip eigenvalue failed the truncation-stability drift filter, or
+    belongs to a mode above the analysis degree (its eigenvector carries
+    most of its mass there), so the degree does not resolve the strip."""
 
 
 class DivergentNorm(NumericalGuard):
@@ -79,10 +81,6 @@ class LineTooClose(NumericalGuard):
 
 class GridTooShort(NumericalGuard):
     """Weighted data does not decay below tolerance at the grid ends."""
-
-
-class PoleOnLine(NumericalGuard):
-    """A mode eigenvalue lies on one of the requested weight lines."""
 
 
 class NoAnchor(NumericalGuard):

@@ -140,6 +140,17 @@ class IndexLedger:
         return "\n".join(rows) + "\n"
 
 
+def check_anchor(op: SystemOperator, anchor: Anchor):
+    """NotApplicable unless the operator admits the anchor: 'cc' needs a
+    homogeneous constant-coefficient principal part, 'selfadjoint' a
+    formally self-adjoint operator.  It reads no spectrum, so it can run
+    before one is computed."""
+    if anchor.kind == "cc" and not is_homogeneous_cc(principal_part(op)):
+        raise NotApplicable("cc anchor requires a homogeneous cc principal part")
+    if anchor.kind == "selfadjoint" and not is_formally_self_adjoint(op):
+        raise NotApplicable("operator is not formally self-adjoint")
+
+
 def build_ledger(report, anchor: Anchor) -> IndexLedger:
     """Propagate the index from an anchor across the report's critical lines.
 
@@ -148,7 +159,8 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     'selfadjoint' uses the symmetry of the index about (n+m)/2, 'user'
     supplies (beta0, index0) directly.  The ledger never extends past the
     report window.  An anchor the operator does not admit raises
-    NotApplicable; one that cannot be placed in the window, NoAnchor.
+    NotApplicable (check_anchor); one that cannot be placed in the window,
+    NoAnchor.
     """
     op = report.op
     beta_min, beta_max = report.beta1, report.beta2
@@ -157,17 +169,14 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     def off_breaks(b):
         return all(abs(b - line) > _BREAK_TOL for line, _ in breaks)
 
+    check_anchor(op, anchor)
     provenance = anchor.kind
     if anchor.kind == "cc":
-        if not is_homogeneous_cc(principal_part(op)):
-            raise NotApplicable("cc anchor requires a homogeneous cc principal part")
         beta0 = anchor.beta0
         if beta0 is None:
             beta0 = _widest_component_midpoint(beta_min, beta_max, breaks)
         index0 = cc_index(op, beta0)
     elif anchor.kind == "selfadjoint":
-        if not is_formally_self_adjoint(op):
-            raise NotApplicable("operator is not formally self-adjoint")
         center = (op.n + op.m) / 2.0
         if not (beta_min <= center <= beta_max):
             raise NoAnchor(f"center {(op.n + op.m) / 2} outside report window")

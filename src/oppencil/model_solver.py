@@ -8,15 +8,18 @@ inverse is a Fourier multiplier along Im lambda = beta:
     u = e^(-beta t) F^(-1)[ b(sigma + i beta)^(-1) F[e^(beta t) f] ].
 
 Moving the line across eigenvalues changes the solution by a sum of
-power-exponential solutions.  This module computes that difference three
-ways and reports their mutual deviations:
+power-exponential solutions u_(j,m) on the Jordan chains of the crossed
+poles (spectrum.power_solutions).  This module computes that difference
+three ways and reports their mutual deviations:
 
   1. two line solves, subtracted;
   2. residue calculus on b(lambda)^(-1) fhat(lambda) e^(i lambda t)
-     (Laurent coefficients of b^(-1) by FFT on circles around the poles,
-     times the Taylor moments of fhat there);
+     (Laurent coefficients of b^(-1) by FFT on each pole's det circle,
+     times the Taylor moments of fhat there), matched to coefficients of
+     the u_(j,m) and summed;
   3. the coefficient pairing  c_(j,m) = <f, i v_(j,m)>  against the
-     biorthogonal adjoint chains, reconstructed through the chain basis.
+     power-exponential solutions v_(j,m) of the biorthogonal adjoint
+     chains, summed as c_(j,m) u_(j, M_j-1-m).
 
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
@@ -24,8 +27,10 @@ relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 
 The mode block b is a PencilMatrices cut from the pencil (mode_pencil): its
 poles are the block view's cached eigenvalues (one QZ however many callers
-ask), and crossed poles take chains from jordan_chains and adjoint_chains,
-under the strip's det-order and leading-coefficient guards.
+ask), and the crossed poles are spectrum.strip_eigenpoints between the two
+lines, clustered, chained and guarded as a strip's are (det order, leading
+coefficient); adjoint chains come from adjoint_chains.  A pole on a line
+is refused by the line solve (LineTooClose).
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooShort, LineTooClose, NotApplicable, PoleOnLine
+from .errors import GridTooShort, LineTooClose, NotApplicable
 from .pencil import PencilMatrices, SphereBasis, horner
 from .spectrum import (
     adjoint_chains,
-    cluster_eigenvalues,
-    jordan_chains,
+    power_solutions,
     solve_pencil_eigenvalues,
+    strip_eigenpoints,
 )
 
 _LINE_TOL = 1e-6
@@ -214,17 +219,13 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
     """
     if beta1 >= beta2:
         raise ValueError("need beta1 < beta2")
-    poles = solve_pencil_eigenvalues(mp)
-    for b in (beta1, beta2):
-        if min((abs(p.imag - b) for p in poles), default=math.inf) < _LINE_TOL:
-            raise PoleOnLine(f"mode eigenvalue on the line Im lambda = {b}")
     if t is None:
         if not callable(f):
             raise ValueError("provide t when passing raw samples")
         # weighted solutions decay at rate gap = dist(line, nearest pole);
         # the grid must be long enough for that tail to die out too
-        gap = min((abs(p.imag - b) for p in poles for b in (beta1, beta2)),
-                  default=1.0)
+        gap = min((abs(p.imag - b) for p in solve_pencil_eigenvalues(mp)
+                   for b in (beta1, beta2)), default=1.0)
         t, fvals = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
     else:
         fvals = np.asarray(f(t)) if callable(f) else np.asarray(f)
@@ -236,71 +237,44 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
     u2 = solve_on_line(mp, fvals, beta2, t)
     diff_solve = u1 - u2
 
-    # both lines lie >= _LINE_TOL = _CLUSTER_RADIUS from every pole, so no
-    # cluster straddles a line and the strip clusters are whole clusters
-    all_clusters = cluster_eigenvalues(poles)
-    all_centers = [c for c, _ in all_clusters]
-    clusters = [(c, n) for c, n in all_clusters if beta1 < c.imag < beta2]
-
     diff_residue = np.zeros_like(diff_solve)
     diff_coeff = np.zeros_like(diff_solve)
     coeffs_direct = []
     coeffs_residue = []
-    eigenpoints = []
-
-    for lam0, _count in clusters:
-        iso = min([abs(c - lam0) for c in all_centers if abs(c - lam0) > 1e-8]
-                  + [lam0.imag - beta1, beta2 - lam0.imag])
-        radius = max(min(0.45 * iso, 0.5), 1e-4)
-
-        # chains and adjoint chains of the mode pencil at lam0, under the
-        # strip's guards (chain count against det order)
-        ep = jordan_chains(mp, lam0, isolation=iso)
-        chains, psis = ep.chains, adjoint_chains(mp, ep).chains
-        eigenpoints.append(ep)
-        # the grid factors of this pole, each computed once
-        order = max(ep.partial_multiplicities)
-        grow = np.exp(1j * lam0 * t)[:, None]
-        grow_adj = np.exp(1j * np.conj(lam0) * t)[:, None]
-        powers = [((1j * t) ** l / math.factorial(l))[:, None] for l in range(order)]
-
-        # residue route: the two line integrals differ by the counterclockwise
-        # strip contour, so diff = i * sum of residues of b^(-1) fhat e^(i lam t)
-        laurent = _laurent_coefficients(mp, t, fvals, lam0, radius, max_order=order)
-        for s, a in enumerate(laurent):
-            diff_residue += 1j * grow * powers[s] * a[None, :]
+    dt = t[1] - t[0]
+    # both lines lie >= _LINE_TOL = the cluster radius from every pole, so
+    # the strip's eigenpoints are the crossed poles, each cluster whole
+    eigenpoints = strip_eigenpoints(mp, beta1, beta2)
+    for ep in eigenpoints:
+        # v_(j,m) pairs with u_(j, M_j-1-m): the Kronecker biorthogonality
+        duals = power_solutions(adjoint_chains(mp, ep))
+        partner = {(u.j, len(ep.chains[u.j]) - 1 - u.m): u
+                   for u in power_solutions(ep)}
+        targets = [partner[v.j, v.m] for v in duals]
 
         # coefficient formula route: c_(j,m) = i <f, v_(j,m)> with the
         # sesquilinear cylinder pairing (the i sits outside the pairing;
-        # cross-validated against the solve difference and the residues),
-        # each coefficient times its power solution added to diff_coeff
-        dt = t[1] - t[0]
-        for j, chain in enumerate(chains):
-            for mm in range(len(chain)):
-                v = np.zeros((len(t), q), dtype=complex)
-                for l in range(mm + 1):
-                    v += powers[l] * psis[j][mm - l][None, :q]
-                v = grow_adj * v
-                c = complex(1j * dt * np.sum(fvals * np.conj(v)))
-                coeffs_direct.append(ExpansionCoefficient(lam0, j, mm, c))
-                target = len(chain) - 1 - mm
-                for l in range(target + 1):
-                    diff_coeff += c * powers[l] * (grow * chain[target - l][None, :q])
+        # cross-validated against the solve difference and the residues)
+        direct = [complex(1j * dt * np.sum(fvals * np.conj(v.evaluate_t(t))))
+                  for v in duals]
 
-        # residue-derived coefficients: match the (it)^s/s! polynomial data,
-        # sum_(j,m) c_(j,m) phi_(j, Mj-1-m-s) = i a_(-1-s)
-        cols = [(j, mm) for j, ch in enumerate(chains) for mm in range(len(ch))]
-        A = np.zeros((len(laurent) * q, len(cols)), dtype=complex)
-        bvec = 1j * np.concatenate([a for a in laurent])
-        for cidx, (j, mm) in enumerate(cols):
-            chain = chains[j]
-            for s in range(len(laurent)):
-                pos = len(chain) - 1 - mm - s
-                if 0 <= pos < len(chain):
-                    A[s * q:(s + 1) * q, cidx] = chain[pos][:q]
-        sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-        for cidx, (j, mm) in enumerate(cols):
-            coeffs_residue.append(ExpansionCoefficient(lam0, j, mm, complex(sol[cidx])))
+        # residue route: the two line integrals differ by the counterclockwise
+        # strip contour, so diff = i * sum of residues of b^(-1) fhat e^(i lam t);
+        # its (it)^s/s! data are matched by sum_(j,m) c_(j,m) phi_(j, M_j-1-m-s)
+        order = max(ep.partial_multiplicities)
+        laurent = _laurent_coefficients(mp, t, fvals, ep.lambda0, ep.radius, order)
+        A = np.zeros((order * q, len(targets)), dtype=complex)
+        for col, u in enumerate(targets):
+            A[:len(u.coeffs) * q, col] = np.concatenate(u.coeffs)
+        residue, *_ = np.linalg.lstsq(A, 1j * np.concatenate(laurent), rcond=None)
+
+        for v, u, c, r in zip(duals, targets, direct, residue):
+            grid = u.evaluate_t(t)
+            diff_coeff += c * grid
+            diff_residue += r * grid
+            coeffs_direct.append(ExpansionCoefficient(ep.lambda0, v.j, v.m, c))
+            coeffs_residue.append(ExpansionCoefficient(ep.lambda0, v.j, v.m,
+                                                       complex(r)))
 
     solve_norm = max(float(np.max(np.abs(np.exp(beta1 * t)[:, None] * u1))),
                      float(np.max(np.abs(np.exp(beta2 * t)[:, None] * u2)))) or 1.0

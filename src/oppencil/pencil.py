@@ -369,13 +369,20 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     harmonic degree <= l_max + bandwidth is exact.  CouplingOverflow is
     raised when a basis element within `analysis_degree` couples above
     l_max, i.e. when the declared margin understates the true bandwidth.
+    `analysis_degree` defaults to l_max less default_l_max's margin (>= 0).
     """
     a0 = principal_part(op)
     if a0.m < 1:
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
-        analysis_degree = max(l_max - (op.max_poly_degree() * a0.m + 2), 0)
+        analysis_degree = max(l_max - default_l_max(op, 0), 0)
     return _assemble(a0, {}, op.fingerprint(), l_max, analysis_degree)
+
+
+def default_l_max(op: SystemOperator, degree: int) -> int:
+    """The basis degree that analysing harmonic degree `degree` assembles:
+    the degree plus the coupling margin max_poly_degree * m + 2."""
+    return degree + op.max_poly_degree() * op.m + 2
 
 
 def _assemble(a0, columns, fingerprint, l_max, analysis_degree):

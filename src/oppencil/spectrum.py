@@ -8,12 +8,14 @@ the decoupled (component, degree) blocks when the bandwidth is 0, and
 otherwise a fixed random compression of the exact rectangular restriction
 to the fully-resolved columns P.kept (the square truncation is then
 structurally singular).  A candidate of the compressed square is certified
-by a small singular value of the rectangular pencil.  A strip spectrum
-certifies only the candidates within _CERTIFY_REACH of the strip: a value
-farther out changes neither a det-order circle nor a drift check.  It
-drops an eigenpoint only when an eigenvector carries more than half its
-mass above the analysis degree (it belongs to a higher mode); a coupled
-eigenvector's small tail is kept and left to the drift check.
+by a small singular value of the rectangular pencil.  strip_eigenpoints
+clusters and chains the eigenvalues in a strip of any pencil (a strip's,
+or a model-solve mode block's).  A strip spectrum certifies only the
+candidates within _CERTIFY_REACH of the strip: a value farther out changes
+neither a det-order circle nor a drift check.  It refuses the strip when
+an eigenvector carries more than half its mass above the analysis degree
+(a higher mode's line, unresolved there); a coupled eigenvector's small
+tail is kept and left to the drift check.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -53,6 +55,7 @@ from .pencil import (
     adjoint_identity_residual,
     assemble_pencil,
     component_labels,
+    default_l_max,
     evaluate_pencil,
     horner,
     taylor,
@@ -63,7 +66,7 @@ _CHAIN_TOL = 1e-8       # chain extension residual
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
-_TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that drops a point
+_TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
 _DET_NODES = 64         # circle nodes of the det-order FFT
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
@@ -88,6 +91,7 @@ class Eigenpoint:
     chains: list            # J lists of chain vectors (full basis coords)
     residuals: list         # per-chain max residual (relative)
     det_order: int
+    radius: float           # det-order circle, isolating lambda0 (not serialized)
 
     def to_json(self):
         return {
@@ -104,7 +108,7 @@ class Eigenpoint:
 
 @dataclass
 class AdjointChains:
-    lambda0_adj: complex
+    lambda0: complex        # conj of the primal eigenvalue
     chains: list            # same shape as the primal chains
     biorth_residual: float
     chain_residual: float
@@ -373,11 +377,12 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     Geometric multiplicity from the SVD nullspace of pencil(lambda0);
     chains from nested block-Toeplitz nullspaces, extended longest-first;
     the total count is cross-checked against the determinant vanishing
-    order on a circle of radius 0.45 * isolation (at most 0.1)
-    (MultiplicityMismatch on disagreement).  At bandwidth 0 both work on
-    the decoupled blocks that own an eigenvalue in that circle (P.owners),
-    with the rank cuts of the whole pencil; the chains are padded back to
-    the full basis.  NotAnEigenvalue when no block owns lambda0.
+    order on a circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
+    (Eigenpoint.radius; MultiplicityMismatch on disagreement).  At
+    bandwidth 0 both work on the decoupled blocks that own an eigenvalue in
+    that circle (P.owners), with the rank cuts of the whole pencil; the
+    chains are padded back to the full basis.  NotAnEigenvalue when no
+    block owns lambda0.
     """
     lambda0 = complex(lambda0)
     if isolation is None:
@@ -410,7 +415,8 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
             f"chain count {M} != det root order {order_det} at {lambda0}")
 
     chains_full = [[_pad(vec, keep, P.size) for vec in chain] for chain in chains]
-    return Eigenpoint(lambda0, J, partial, M, chains_full, residuals, order_det)
+    return Eigenpoint(lambda0, J, partial, M, chains_full, residuals, order_det,
+                      radius)
 
 
 def _pad(vec, keep, size):
@@ -419,13 +425,10 @@ def _pad(vec, keep, size):
     return out
 
 
-def eigenvector_tail_mass(P: PencilMatrices, vec, degree: int) -> float:
-    """Relative squared mass carried by harmonic degrees above `degree`."""
-    degs = P.degrees_vector()
-    v = np.asarray(vec)
-    total = float(np.vdot(v, v).real) or 1.0
-    tail = v[degs > degree]
-    return float(np.vdot(tail, tail).real) / total
+def _degree_masses(P: PencilMatrices, vec) -> np.ndarray:
+    """Share of the squared mass of `vec` at each harmonic degree 0..top."""
+    mass = np.bincount(P.degrees_vector(), weights=np.abs(np.asarray(vec)) ** 2)
+    return mass / (mass.sum() or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +556,9 @@ def normalize_biorthogonal(T_s, chains, keep_adj, size, scale):
 # power-exponential solutions
 # ---------------------------------------------------------------------------
 
-def power_solutions(e: Eigenpoint) -> list:
-    """Materialize u_(j,m) = e^(i lam0 t) sum_l (it)^l/l! phi_(j, m-l)."""
+def power_solutions(e) -> list:
+    """Materialize u_(j,m) = e^(i lam0 t) sum_l (it)^l/l! phi_(j, m-l) for
+    the chains phi of an Eigenpoint, or of AdjointChains (at conj(lam0))."""
     out = []
     for j, chain in enumerate(e.chains):
         for mm in range(len(chain)):
@@ -567,34 +571,22 @@ def power_solutions(e: Eigenpoint) -> list:
 # strip spectrum
 # ---------------------------------------------------------------------------
 
-def default_l_max(op: SystemOperator, degree: int) -> int:
-    return degree + op.max_poly_degree() * op.m + 2
-
-
-def _strip_eigenpoints(P: PencilMatrices, beta1, beta2, degree, band):
+def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
+    """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re): the values
+    (of `band` only, if given, so only those are certified) clustered within
+    _CLUSTER_RADIUS, each centre chained on a det circle that isolates it.
+    Values within the cluster radius outside an edge are kept, so a line on
+    an edge reaches RefuseBoundary whatever side round-off puts it on."""
     vals = solve_pencil_eigenvalues(P, band)
-    # eigenvalues within the cluster radius outside an edge are kept, so a
-    # line on the boundary reaches the RefuseBoundary check whatever side
-    # round-off puts it on
     in_strip = [v for v in vals
                 if beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS]
-    clusters = cluster_eigenvalues(in_strip)
+    centers = [c for c, _ in cluster_eigenvalues(in_strip)]
     eigenpoints = []
-    centers = [c for c, _ in clusters]
-    for center, _count in clusters:
+    for center in centers:
         others = [c for c in centers if abs(c - center) > _CLUSTER_RADIUS] + \
                  [v for v in vals if abs(v - center) > _CLUSTER_RADIUS]
         isolation = min((abs(v - center) for v in others), default=1.0)
-        ep = jordan_chains(P, center, isolation=isolation)
-        # a coupled mode-d eigenvector carries about 1e-3 of its mass at
-        # degree d + 1, so only an eigenpoint with most of its mass above
-        # the degree belongs to a higher mode and is dropped; a kept one
-        # whose tail is a truncation artifact fails the drift check
-        tail = max(eigenvector_tail_mass(P, chain[0], degree)
-                   for chain in ep.chains)
-        if tail > _TAIL_MASS_MAX:
-            continue
-        eigenpoints.append(ep)
+        eigenpoints.append(jordan_chains(P, center, isolation=isolation))
     return eigenpoints
 
 
@@ -602,23 +594,38 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
                    degree: int) -> SpectrumReport:
     """Spectrum of the associated pencil in the strip beta1 <= Im lam <= beta2.
 
-    Assembles the pencil at `degree`; solves, clusters, computes Jordan
-    chains, and keeps the eigenpoints whose eigenvectors carry at most half
-    their mass above harmonic degree `degree`.  Each kept eigenpoint must be
-    stable (drift < 1e-6) against the degree + 2 pencil.  At bandwidth 0
-    that pencil's blocks are exact copies of the degree pencil's, so it is
-    not assembled and every drift (`convergence`) is 0 by structure; the
-    chains and det orders are computed on the blocks that own each
-    eigenvalue.  Otherwise it is widened from the same columns, so no
-    degree's columns are computed twice.  A line within 1e-10
-    of zero is reported as exactly 0, so round-off in the eigensolve never
-    reaches the printed reports.
+    Assembles the pencil at `degree` and takes its strip_eigenpoints.  One
+    with an eigenvector carrying more than half its mass above `degree` is
+    a higher mode's, unresolved at `degree`: the strip is refused
+    (UnstableSpectrum), naming the highest degree where such a mass peaks.
+    Each eigenpoint must be stable (drift < 1e-6) against the degree + 2
+    pencil.  At bandwidth 0 that pencil's blocks are exact copies of the
+    degree pencil's, so it is not assembled and every drift (`convergence`)
+    is 0 by structure; the chains and det orders are computed on the blocks
+    that own each eigenvalue.  Otherwise it is widened from the same
+    columns, so no degree's columns are computed twice.  A line within
+    1e-10 of zero is reported as exactly 0, so round-off in the eigensolve
+    never reaches the printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     band = (beta1 - _CERTIFY_REACH, beta2 + _CERTIFY_REACH)
-    eigenpoints = _strip_eigenpoints(P, beta1, beta2, degree, band)
+    eigenpoints = strip_eigenpoints(P, beta1, beta2, band)
+
+    # a coupled mode-d eigenvector carries about 1e-3 of its mass at
+    # degree d + 1, so only one with most of its mass above the degree
+    # belongs to a higher mode; a small tail is left to the drift check
+    above = []
+    for ep in eigenpoints:
+        masses = [_degree_masses(P, chain[0]) for chain in ep.chains]
+        if max(m[degree + 1:].sum() for m in masses) > _TAIL_MASS_MAX:
+            above.append((ep.lambda0.imag, max(int(np.argmax(m)) for m in masses)))
+    if above:
+        lines = ", ".join(dict.fromkeys(f"{line:.9g}" for line, _ in above))
+        raise UnstableSpectrum(
+            f"eigenvalues at Im lambda = {lines} belong to modes above degree "
+            f"{degree}; raise --degree to >= {max(top for _, top in above)}")
 
     # truncation-stability filter
     convergence = {ep.lambda0: 0.0 for ep in eigenpoints}

@@ -119,6 +119,17 @@ def test_adjoint_command(tmp_path):
     assert doc["adjoint"]["mu"] == [1] and doc["adjoint"]["nu"] == [0]
 
 
+def test_adjoint_order_violation_exit3(tmp_path, capsys):
+    # nu = (0, 2) with m = 1: the adjoint's second row would have order -1
+    p = tmp_path / "d1.json"
+    p.write_text(json.dumps({"n": 2, "k": 2, "mu": [1, 1], "nu": [0, 2], "entries": [
+        {"i": 0, "j": 0, "terms": [{"alpha": [1, 0], "radial_exponent": 0.0,
+                                    "poly": {"0 0": [1.0, 0.0]}}]}]}))
+    code, out, err = _main(["adjoint", str(p)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical guard: ")
+
+
 def test_norm_command(tmp_path):
     expr = tmp_path / "u.json"
     expr.write_text(json.dumps([{"b": "-2", "c": 0,
@@ -212,6 +223,31 @@ def test_index_inapplicable_anchor_exit4(operator, anchor, window):
     assert r.returncode == 4
     assert r.stderr.startswith("not applicable:")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("operator, anchor, window", [
+    ("schrodinger_inverse_square3d.json", "cc", ["-1.7", "2.6"]),
+    ("dipole_laplacian3d.json", "cc", ["-1.7", "2.6"]),
+    ("cr_system2d.json", "selfadjoint", ["0.4", "4.6"]),
+    ("dbar2d.json", "selfadjoint", ["0.4", "4.6"]),
+])
+def test_index_anchor_checked_before_the_strip(monkeypatch, operator, anchor, window,
+                                               capsys):
+    # at degree 2 the strip is refused (exit 3), but an anchor that cannot
+    # apply is refused first, without solving it
+    from oppencil import cli
+    path = str(REPO / "operators" / operator)
+    code, _, _ = _main(["res", path, "--strip", *window, "--degree", "2"], capsys)
+    assert code == 3
+
+    def never(*args):
+        raise AssertionError("the strip ran before the anchor was checked")
+
+    monkeypatch.setattr(cli, "strip_spectrum", never)
+    code, out, err = _main(["index", path, "--anchor", anchor, "--window", *window,
+                            "--degree", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("not applicable: ")
 
 
 def test_reports_deterministic_across_threads(lap3_file):
@@ -496,13 +532,21 @@ def test_answer_dump_smoke(capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["argv"] for row in rows] == list(dump.cases(path))
     assert all(re.fullmatch(r"[0-9a-f]{64}", row["stdout_sha256"]) for row in rows)
-    assert all(("answer_sha256" in row) == (row["argv"][0] == "spectrum")
+    assert all(("answer_sha256" in row) == (row["argv"][0] in ("spectrum", "model-solve"))
                for row in rows)
     exits = {row["argv"][0]: set() for row in rows}
     for row in rows:
         exits[row["argv"][0]].add(row["exit"])
-    # spectrum and index answer everywhere; verify-cc may fail a low degree
-    assert exits["spectrum"] == exits["index"] == exits["model-solve"] == {0}
+    # spectrum and index answer everywhere but on the strip whose line -1
+    # (mode 3) needs degree 3, which they refuse at degree 2
+    refused = {tuple(row["argv"]) for row in rows if row["exit"] != 0
+               and row["argv"][0] in ("spectrum", "index")}
+    assert {(argv[0], argv[-4], argv[-3], argv[-1]) for argv in refused} == {
+        ("spectrum", "-1.7", "2.6", "2"), ("index", "-1.7", "2.6", "2")}
+    assert len(refused) == 3
+    assert all(row["exit"] == 3 and row["stderr"].endswith("raise --degree to >= 3")
+               for row in rows if tuple(row["argv"]) in refused)
+    assert exits["model-solve"] == {0}
     assert exits["verify-cc"] <= {0, 3}
 
 

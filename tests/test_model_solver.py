@@ -19,7 +19,6 @@ from oppencil.errors import (
     LineTooClose,
     MultiplicityMismatch,
     NotApplicable,
-    PoleOnLine,
     SingularLeadingCoeff,
 )
 from oppencil.model_solver import (
@@ -243,7 +242,7 @@ def test_expansion_dimension_matches_multiplicity(mode2_l0, mode3_l0):
 
 
 def test_pole_on_line(mode3_l0):
-    with pytest.raises(PoleOnLine):
+    with pytest.raises(LineTooClose):
         line_difference_expansion(mode3_l0, gauss, 2.0, 3.5)
 
 

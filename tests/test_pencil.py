@@ -20,6 +20,7 @@ from oppencil.pencil import (
     _coords,
     adjoint_identity_residual,
     assemble_pencil,
+    default_l_max,
     evaluate_pencil,
 )
 from oppencil.radial_algebra import (
@@ -29,7 +30,6 @@ from oppencil.radial_algebra import (
     harmonic_basis,
     harmonic_dim,
 )
-from oppencil.spectrum import default_l_max
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -141,6 +141,16 @@ def test_coupling_overflow_raised():
     op = parse_operator(drift_doc())
     with pytest.raises(CouplingOverflow):
         assemble_pencil(op, 3, analysis_degree=3)
+
+
+@pytest.mark.parametrize("doc_fn", [laplacian_doc, drift_doc, dbar_doc])
+def test_default_analysis_degree_is_the_margin_rule(doc_fn):
+    # assemble_pencil(op, l_max) analyses the degree that default_l_max
+    # assembles at l_max (and 0 below the margin)
+    op = parse_operator(doc_fn(3) if doc_fn is laplacian_doc else doc_fn())
+    for degree in (0, 2):
+        assert assemble_pencil(op, default_l_max(op, degree)).analysis_degree == degree
+    assert assemble_pencil(op, 1).analysis_degree == 0
 
 
 def test_dbar_bandwidth_and_shape(dbar2d):

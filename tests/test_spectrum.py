@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from functools import cached_property
@@ -12,7 +13,8 @@ import pytest
 
 from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc
 from oppencil import pencil, spectrum
-from oppencil.errors import NotAnEigenvalue, RefuseBoundary
+from oppencil.cli import main
+from oppencil.errors import NotAnEigenvalue, RefuseBoundary, UnstableSpectrum
 from oppencil.operator_ast import formal_adjoint, parse_operator
 from oppencil.pencil import (
     PencilMatrices,
@@ -377,7 +379,7 @@ def test_biorth_simple(laplacian3d):
     ac = biorthogonalize(P, P_adj, ep)
     assert ac.biorth_residual < 1e-8
     assert ac.chain_residual < 1e-8
-    assert ac.lambda0_adj == np.conj(ep.lambda0)
+    assert ac.lambda0 == np.conj(ep.lambda0)
 
 
 def test_biorth_double(laplacian2d):
@@ -582,6 +584,64 @@ def test_dipole_degree_two_has_the_degree_four_lines(strip):
         return {round(line, 8): mult for line, mult in rep.res_lines.items()}
 
     assert lines(2) == lines(4)
+
+
+def test_drift_beyond_tolerance_refused(monkeypatch, dbar2d):
+    assert strip_spectrum(dbar2d, -0.5, 3.5, 4).total_multiplicity() == 4
+    widen = PencilMatrices.widen
+
+    def drifted(P, l_max, analysis_degree):
+        # the degree + 2 pencil at lam + 1e-5: each eigenvalue moves by -1e-5
+        P2 = widen(P, l_max, analysis_degree)
+        return replace(P2, B=[pencil.taylor(P2.B, s, 1e-5) for s in range(P2.m + 1)])
+
+    monkeypatch.setattr(PencilMatrices, "widen", drifted)
+    with pytest.raises(UnstableSpectrum, match=r"drifted by 1\.000e-05"):
+        strip_spectrum(dbar2d, -0.5, 3.5, 4)
+
+
+# ---------------------------------------------------------------------------
+# strips whose lines need a higher degree are refused
+# ---------------------------------------------------------------------------
+
+def _res_csv(name, strip, degree, capsys):
+    code = main(["res", str(OPERATORS / name), "--strip", *map(str, strip),
+                 "--degree", str(degree), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _named_degree(err):
+    assert err.startswith("numerical guard: ")
+    return int(re.fullmatch(r".*raise --degree to >= (\d+)\n", err, re.S).group(1))
+
+
+def test_line_above_the_degree_refused(capsys):
+    # line 6 is mode 3's (multiplicity 7): degree 2 assembles it, but it
+    # is not a degree-2 line, so the strip total would come out short
+    code, out, err = _res_csv("laplacian3d.json", (-0.5, 6.5), 2, capsys)
+    assert (code, out, _named_degree(err)) == (3, "", 3)
+    code, out, err = _res_csv("laplacian3d.json", (-0.5, 6.5), 3, capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "6,7"
+
+
+@pytest.mark.parametrize("name, mult", [("dbar2d.json", 1), ("cr_system2d.json", 2)])
+def test_named_degrees_lead_to_the_answer(name, mult, capsys):
+    # every integer in [0, 7] is a line; each refusal names a higher
+    # degree, and the last one answers
+    degree, named = 2, []
+    while True:
+        code, out, err = _res_csv(name, (-0.5, 7.5), degree, capsys)
+        if code == 0:
+            break
+        assert (code, out) == (3, "")
+        named.append(_named_degree(err))
+        assert named[-1] > degree
+        degree = named[-1]
+    assert named == [5, 6]
+    assert out == "line,multiplicity\n" + "".join(f"{l},{mult}\n" for l in range(8))
 
 
 # ---------------------------------------------------------------------------
