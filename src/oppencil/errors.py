@@ -50,7 +50,8 @@ class NotAnEigenvalue(NumericalGuard):
 
 
 class MultiplicityMismatch(NumericalGuard):
-    """Chain count disagrees with the determinant root order."""
+    """Chain count disagrees with the determinant root order or with the
+    eigenvalues clustered in a strip, or a chain fails its own equations."""
 
 
 class DegenerateNormalization(NumericalGuard):

@@ -44,13 +44,14 @@ import numpy as np
 from .errors import GridTooShort, LineTooClose, NotApplicable
 from .pencil import PencilMatrices, SphereBasis, horner
 from .spectrum import (
+    _CLUSTER_RADIUS,
     adjoint_chains,
     power_solutions,
     solve_pencil_eigenvalues,
     strip_eigenpoints,
 )
 
-_LINE_TOL = 1e-6
+_LINE_TOL = _CLUSTER_RADIUS  # a line this far from every pole keeps clusters whole
 _DECAY_TOL = 1e-12
 _GRID_N = 4096
 _LAURENT_NODES = 128

@@ -148,10 +148,6 @@ class PencilMatrices:
         degs = np.array(self.basis.degrees)
         return np.concatenate([degs] * self.k)
 
-    def taylor_matrix(self, s, lam0):
-        """(1/s!) d^s/d lam^s of the pencil at lam0."""
-        return taylor(self.B, s, lam0)
-
     def scale(self):
         """max_j ||B_j||_inf, the largest absolute row sum (as np.linalg.norm
         computes it, without its per-call overhead)."""

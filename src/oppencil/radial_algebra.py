@@ -34,7 +34,6 @@ import numpy as np
 Monomial = tuple  # tuple[int, ...] of length n
 
 _MERGE_TOL = 1e-9
-_ZERO_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------

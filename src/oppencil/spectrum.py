@@ -21,24 +21,31 @@ Jordan chains at an eigenvalue lam0 solve the coupled system
 
     sum_(j=0..M') (1/j!) d^j pencil(lam0) phi_(M'-j) = 0,   M' = 0..M-1,
 
-extracted from nested block-Toeplitz nullspaces (longest chains first).
-The algebraic count is cross-checked against the vanishing order of
-det pencil at lam0 (Taylor coefficients by FFT on a circle, det evaluated
-as the product over P.squares).  At bandwidth 0 both work block by block:
-the chains on the rows and columns of the decoupled blocks that own an
-eigenvalue in the det circle (P.owners), under the whole pencil's rank
-cuts, and the det order over those blocks only, since no other block
-vanishes in the circle.  The degree + 2 pencil of a strip then has the
-same blocks, so it is not assembled and the drift (`convergence`) is 0
-by structure.  Adjoint chains at conj(lam0) of the cylinder-level adjoint
-pencil are normalized to the Kronecker biorthogonality pattern by one
-least-squares solve.
+whose matrix is the lower block-Toeplitz matrix of the Taylor
+coefficients (_toeplitz).  That one operator builds every chain equation:
+the nested nullspaces the chains are extracted from (longest first), the
+adjoint chain equations (of the transposed coefficients) and the
+biorthogonality rows; the chain, adjoint and pairing residuals are read
+off those solved systems.  A chain must satisfy its equations to
+_CHAIN_TOL, and the algebraic count is cross-checked against the
+vanishing order of det pencil at lam0 (Taylor coefficients by FFT on a
+circle, det evaluated as the product over P.squares) and, over a strip,
+against the number of eigenvalues clustered there.  At bandwidth 0 both
+work block by block: the chains on the rows and columns of the decoupled
+blocks that own an eigenvalue in the det circle (P.owners), under the
+whole pencil's rank cuts, and the det order over those blocks only, since
+no other block vanishes in the circle.  The degree + 2 pencil of a strip
+then has the same blocks, so it is not assembled and the drift
+(`convergence`) is 0 by structure.  Adjoint chains at conj(lam0) of the
+cylinder-level adjoint pencil are normalized to the Kronecker
+biorthogonality pattern by one least-squares solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,7 +69,7 @@ from .pencil import (
 )
 
 _RANK_TOL = 1e-8        # relative SVD rank cut
-_CHAIN_TOL = 1e-8       # chain extension residual
+_CHAIN_TOL = 1e-8       # relative chain residual that refuses an eigenpoint
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
@@ -280,52 +287,40 @@ def _null_space(mat, scale=None):
     return Vh.conj().T[:, below], sv
 
 
-def taylor_fn(T):
-    """s -> T[s] for the scaled derivatives T of a matrix polynomial, zero
-    beyond its degree."""
-    zero = np.zeros_like(T[0])
-    return lambda s: T[s] if s < len(T) else zero
+def _toeplitz(T, s):
+    """Lower block-Toeplitz matrix [T_(i-j)] (i >= j, zero beyond len(T)) of
+    s block rows: the chain equations sum_(q<=i) T_(i-q) x_q of length s."""
+    n_r, n_c = T[0].shape
+    out = np.zeros((s * n_r, s * n_c), dtype=complex)
+    for i in range(s):
+        for q in range(max(0, i - len(T) + 1), i + 1):
+            out[i * n_r:(i + 1) * n_r, q * n_c:(q + 1) * n_c] = T[i - q]
+    return out
 
 
-def chains_from_matrices(T_s, n_r, n_c, scale):
+def chains_from_matrices(T, scale):
     """Canonical Jordan chains for a matrix polynomial given its scaled
-    derivatives T_s(s) = (1/s!) d^s pencil(lam0).
+    derivatives T[s] = (1/s!) d^s pencil(lam0), s = 0..degree.
 
     Returns (J, partial_multiplicities, chains, residuals); raises
     NotAnEigenvalue when pencil(lam0) has full column rank.
     """
-    sv0 = np.linalg.svd(T_s(0), compute_uv=False)
-    if sv0[-1] >= _RANK_TOL * max(sv0[0], scale):
-        raise NotAnEigenvalue(f"sigma_min = {sv0[-1]:.3e}")
-
+    n_c = T[0].shape[1]
     # nested Toeplitz nullspaces: d_s = #properly extendable leading vectors
-    d = []
-    null_bases = []
-    s = 1
-    while True:
-        S_rows = []
-        for Mp in range(s):
-            row = [T_s(Mp - q) if 0 <= Mp - q else np.zeros((n_r, n_c))
-                   for q in range(s)]
-            S_rows.append(np.hstack(row))
-        S_mat = np.vstack(S_rows)
-        N, _ = _null_space(S_mat, scale=scale)
-        lead = N[:n_c, :]
-        if N.shape[1] == 0:
-            d_s = 0
-        else:
-            # null basis vectors are unit norm, so the cut is absolute
-            svl = np.linalg.svd(lead, compute_uv=False)
-            d_s = int(np.sum(svl > _RANK_TOL))
+    d, levels = [], []
+    for s in range(1, 41):
+        S = _toeplitz(T, s)
+        N, sv = _null_space(S, scale=scale)
+        if s == 1 and N.shape[1] == 0:
+            raise NotAnEigenvalue(f"sigma_min = {sv[-1]:.3e}")
+        # null basis vectors are unit norm, so the cut is absolute
+        d_s = int(np.sum(np.linalg.svd(N[:n_c, :], compute_uv=False) > _RANK_TOL))
         if d_s == 0:
             break
         d.append(d_s)
-        null_bases.append(N)
-        s += 1
-        if s > 40:
-            raise MultiplicityMismatch("chain length exploding; unstable point")
-    if not d:
-        raise NotAnEigenvalue("no nullspace")
+        levels.append((S, N))
+    else:
+        raise MultiplicityMismatch("chain length exploding; unstable point")
 
     J = d[0]
     partial = [sum(1 for ds in d if ds >= j + 1) for j in range(J)]
@@ -334,34 +329,20 @@ def chains_from_matrices(T_s, n_r, n_c, scale):
     residuals = []
     picked = np.zeros((n_c, 0), dtype=complex)
     for length in sorted(set(partial), reverse=True):
-        count = partial.count(length)
-        N = null_bases[length - 1]
+        S, N = levels[length - 1]
         lead = N[:n_c, :]
         # directions independent of already picked leading vectors
-        if picked.shape[1]:
-            lead_perp = lead - picked @ (picked.conj().T @ lead)
-        else:
-            lead_perp = lead
-        U, sv, Vh = np.linalg.svd(lead_perp, full_matrices=False)
-        for t in range(count):
-            phi0 = U[:, t]
-            z, *_ = np.linalg.lstsq(lead, phi0, rcond=None)
+        lead_perp = lead - picked @ (picked.conj().T @ lead)
+        U = np.linalg.svd(lead_perp, full_matrices=False)[0]
+        for phi0 in U[:, :partial.count(length)].T:
+            z = np.linalg.lstsq(lead, phi0, rcond=None)[0]
             stack = N @ z
-            chain = [stack[q * n_c:(q + 1) * n_c] for q in range(length)]
-            chain[0] = phi0  # exact leading vector
-            res = 0.0
-            for Mp in range(length):
-                acc = np.zeros(n_r, dtype=complex)
-                for jj in range(Mp + 1):
-                    acc += T_s(jj) @ chain[Mp - jj]
-                res = max(res, float(np.linalg.norm(acc)) / scale)
-            chains.append([vec.copy() for vec in chain])
-            residuals.append(res)
+            stack[:n_c] = phi0  # exact leading vector
+            res = np.linalg.norm((S @ stack).reshape(length, -1), axis=1)
+            chains.append(list(stack.reshape(length, n_c)))
+            residuals.append(float(res.max()) / scale)
             picked = np.linalg.qr(np.hstack([picked, phi0[:, None]]))[0]
-
-    order = sorted(range(len(chains)), key=lambda i: -len(chains[i]))
-    return (J, partial, [chains[i] for i in order],
-            [residuals[i] for i in order])
+    return J, partial, chains, residuals
 
 
 def _chain_scale(P: PencilMatrices, lambda0: complex) -> float:
@@ -378,7 +359,8 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     chains from nested block-Toeplitz nullspaces, extended longest-first;
     the total count is cross-checked against the determinant vanishing
     order on a circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
-    (Eigenpoint.radius; MultiplicityMismatch on disagreement).  At
+    (Eigenpoint.radius; MultiplicityMismatch on disagreement, and when a
+    chain's relative residual exceeds _CHAIN_TOL).  At
     bandwidth 0 both work on the decoupled blocks that own an eigenvalue in
     that circle (P.owners), with the rank cuts of the whole pencil; the
     chains are padded back to the full basis.  NotAnEigenvalue when no
@@ -399,11 +381,10 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     else:
         keep = P.kept
         cut = [Bj[:, keep] for Bj in P.B]
-    T = [taylor(cut, s, lambda0) for s in range(P.m + 1)]
-    n_r, n_c = T[0].shape
     try:
         J, partial, chains, residuals = chains_from_matrices(
-            taylor_fn(T), n_r, n_c, _chain_scale(P, lambda0))
+            [taylor(cut, s, lambda0) for s in range(P.m + 1)],
+            _chain_scale(P, lambda0))
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
     M = sum(partial)
@@ -413,6 +394,9 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     if order_det != M:
         raise MultiplicityMismatch(
             f"chain count {M} != det root order {order_det} at {lambda0}")
+    if max(residuals) > _CHAIN_TOL:
+        raise MultiplicityMismatch(
+            f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lambda0}")
 
     chains_full = [[_pad(vec, keep, P.size) for vec in chain] for chain in chains]
     return Eigenpoint(lambda0, J, partial, M, chains_full, residuals, order_det,
@@ -458,98 +442,73 @@ def adjoint_chains(P: PencilMatrices, e: Eigenpoint) -> AdjointChains:
     the primal downward one, which the primal bandwidth bounds.
     """
     lam0 = e.lambda0
-    T_s = taylor_fn([P.taylor_matrix(s, lam0) for s in range(P.m + 1)])
     psis, biorth_res, chain_res = normalize_biorthogonal(
-        T_s, e.chains, P.kept, P.size, _chain_scale(P, lam0))
+        [taylor(P.B, s, lam0) for s in range(P.m + 1)], e.chains, P.kept,
+        _chain_scale(P, lam0))
     return AdjointChains(np.conj(lam0), psis, biorth_res, chain_res)
 
 
-def normalize_biorthogonal(T_s, chains, keep_adj, size, scale):
+def normalize_biorthogonal(T, chains, keep, scale):
     """Solve for adjoint chains satisfying the Kronecker biorthogonality.
 
-    `T_s(s)` returns (1/s!) d^s pencil(lam0) as a full square matrix; the
-    adjoint chain unknowns are restricted to the `keep_adj` coordinates
-    (their action is exact there).  Returns (psis, biorth_residual,
-    chain_residual).
+    `T[s]` is (1/s!) d^s pencil(lam0) as a full square matrix; the adjoint
+    chain unknowns w = conj(psi) are restricted to the `keep` coordinates
+    (their action is exact there).  One least-squares system holds the
+    adjoint chain equations, sum_s T_s^T w_(j, M'-s) = 0, and the
+    biorthogonality rows
+
+        sum_(l, l') w_(j', m'-l') . T_(l+l'+1) phi_(j, m-l)
+            = delta_(j j') delta_(M_j-1-m, m');
+
+    both residuals are read off its solution.  Returns
+    (psis, biorth_residual, chain_residual).
     """
-    n_ca = len(keep_adj)
-    struct = [(j, mm) for j, chain in enumerate(chains)
-              for mm in range(len(chain))]
-    M = len(struct)
-    unknown_index = {key: i for i, key in enumerate(struct)}
+    size, n_ca = T[0].shape[0], len(keep)
+    lengths = [len(chain) for chain in chains]
+    off = list(accumulate(lengths, initial=0))  # first unknown of each chain
+    M = off[-1]
+    sc = max(scale, 1e-300)
+    A = np.zeros((M * size + M * M, M * n_ca), dtype=complex)
+    b = np.zeros(len(A), dtype=complex)
 
-    rows = []
-    rhs = []
+    # chain equations for the adjoint pencil at conj(lam0)
+    adj = [Ts.T[:, keep] for Ts in T]
+    for j, L in enumerate(lengths):
+        A[off[j] * size:off[j + 1] * size,
+          off[j] * n_ca:off[j + 1] * n_ca] = _toeplitz(adj, L) / sc
 
-    # chain equations for the adjoint pencil at conj(lam0):
-    # sum_s conj(T_s)^T w_(j, M'-s) = 0  (w = conj(psi))
+    # biorthogonality rows, by (j, m, j', m'): for fixed (j, m, j') the rows
+    # over m' are the Toeplitz matrix of h_l' = sum_l (T_(l+l'+1) phi_(j,m-l))[keep]
+    row = M * size
     for j, chain in enumerate(chains):
-        for Mp in range(len(chain)):
-            block = np.zeros((size, M * n_ca), dtype=complex)
-            for s in range(Mp + 1):
-                col = unknown_index[(j, Mp - s)]
-                block[:, col * n_ca:(col + 1) * n_ca] = T_s(s).T[:, keep_adj]
-            rows.append(block / max(scale, 1e-300))
-            rhs.append(np.zeros(size, dtype=complex))
+        for mm in range(len(chain)):
+            h = []
+            for lp in range(max(lengths)):
+                acc = np.zeros(n_ca, dtype=complex)
+                for l in range(min(mm + 1, len(T) - lp - 1)):
+                    acc += (T[l + lp + 1] @ chain[mm - l])[keep]
+                h.append(acc[None, :] / sc)
+            for jp, L in enumerate(lengths):
+                A[row:row + L, off[jp] * n_ca:off[jp + 1] * n_ca] = _toeplitz(h, L)
+                if jp == j:
+                    b[row + L - 1 - mm] = 1.0 / sc
+                row += L
 
-    # biorthogonality rows
-    for j, chain in enumerate(chains):
-        Mj = len(chain)
-        for mm in range(Mj):
-            for jp, chain_p in enumerate(chains):
-                for mp in range(len(chain_p)):
-                    row = np.zeros(M * n_ca, dtype=complex)
-                    for l in range(mm + 1):
-                        for lp in range(mp + 1):
-                            col = unknown_index[(jp, mp - lp)]
-                            g = T_s(l + lp + 1) @ chains[j][mm - l]
-                            row[col * n_ca:(col + 1) * n_ca] += g[keep_adj]
-                    rows.append(row[None, :] / max(scale, 1e-300))
-                    want = 1.0 if (j == jp and Mj - 1 - mm == mp) else 0.0
-                    rhs.append(np.array([want / max(scale, 1e-300)]))
-
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    w, res_, rank_, sv_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ w - b) / max(np.linalg.norm(b), 1e-300))
+    w, *_ = np.linalg.lstsq(A, b, rcond=None)
+    r = A @ w - b
+    resid = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     if resid > 1e-6:
         raise DegenerateNormalization(
             f"biorthogonal normalization residual {resid:.3e}")
 
-    psis = []
-    for j, chain in enumerate(chains):
-        vecs = []
-        for mm in range(len(chain)):
-            col = unknown_index[(j, mm)]
-            wvec = w[col * n_ca:(col + 1) * n_ca]
-            vecs.append(_pad(np.conj(wvec), keep_adj, size))
-        psis.append(vecs)
-
-    # exact biorthogonality residual for the returned system
-    biorth_res = 0.0
-    for j, chain in enumerate(chains):
-        for mm in range(len(chain)):
-            for jp, chain_p in enumerate(psis):
-                for mp in range(len(chain_p)):
-                    acc = 0.0 + 0.0j
-                    for l in range(mm + 1):
-                        for lp in range(mp + 1):
-                            g = T_s(l + lp + 1) @ chains[j][mm - l]
-                            acc += np.vdot(chain_p[mp - lp], g)
-                    want = 1.0 if (j == jp and len(chain) - 1 - mm == mp) else 0.0
-                    biorth_res = max(biorth_res, abs(acc - want))
-
-    # adjoint chain equation residual
-    chain_res = 0.0
-    for vecs in psis:
-        for Mp in range(len(vecs)):
-            acc = np.zeros(size, dtype=complex)
-            for s in range(Mp + 1):
-                acc += T_s(s).conj().T @ vecs[Mp - s]
-            chain_res = max(chain_res, float(np.linalg.norm(acc[keep_adj]))
-                            / max(scale, 1e-300))
-
-    return psis, float(biorth_res), float(chain_res)
+    psis = [[_pad(np.conj(vec), keep, size)
+             for vec in w[off[j] * n_ca:off[j + 1] * n_ca].reshape(L, n_ca)]
+            for j, L in enumerate(lengths)]
+    # r holds the chain equations / scale and (pairing - delta) / scale
+    chain_res = float(np.linalg.norm(r[:M * size].reshape(M, size)[:, keep],
+                                     axis=1).max())
+    biorth_res = float(np.abs(r[M * size:]).max()) * sc
+    return psis, biorth_res, chain_res
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +535,9 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
     (of `band` only, if given, so only those are certified) clustered within
     _CLUSTER_RADIUS, each centre chained on a det circle that isolates it.
     Values within the cluster radius outside an edge are kept, so a line on
-    an edge reaches RefuseBoundary whatever side round-off puts it on."""
+    an edge reaches RefuseBoundary whatever side round-off puts it on.  The
+    algebraic multiplicities must sum to the number of values clustered
+    (MultiplicityMismatch otherwise)."""
     vals = solve_pencil_eigenvalues(P, band)
     in_strip = [v for v in vals
                 if beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS]
@@ -587,6 +548,11 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
                  [v for v in vals if abs(v - center) > _CLUSTER_RADIUS]
         isolation = min((abs(v - center) for v in others), default=1.0)
         eigenpoints.append(jordan_chains(P, center, isolation=isolation))
+    total = sum(ep.algebraic for ep in eigenpoints)
+    if total != len(in_strip):
+        raise MultiplicityMismatch(
+            f"eigenpoints hold {total} eigenvalues in ({beta1}, {beta2}), "
+            f"the eigensolve found {len(in_strip)}")
     return eigenpoints
 
 

@@ -29,8 +29,6 @@ import numpy as np
 from .errors import DivergentNorm, SchemaError, UnboundedNorm
 from .radial_algebra import sphere_monomial_moment
 
-TermKey = tuple  # (b: Fraction, c: Fraction, mono: tuple[int, ...])
-
 
 def _as_fraction(v):
     if isinstance(v, Fraction):
@@ -49,7 +47,7 @@ class Expr:
     """Element of the (1+r^2)^b r^c P(x) ring."""
 
     n: int
-    terms: dict = field(default_factory=dict)  # TermKey -> complex
+    terms: dict = field(default_factory=dict)  # (b, c, mono) -> complex
 
     # -- construction -------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Static hygiene of the package: no unused imports, no orphaned definitions,
 no dead local assignments.
 
-No linter ships with the toolchain, so three rules are checked on the ast:
+No linter ships with the toolchain, so four rules are checked on the ast:
 every name a module of src/oppencil, tests/ or scripts/ imports is used
 in that module (__init__.py re-exports and is exempt); every module-level
 function or class of src/oppencil is referenced somewhere in src/, tests/
-or scripts/ outside its own definition; and every name a plain
-`name = ...` assignment binds inside a src/oppencil function is read by
-that function (names starting with `_` are exempt).
+or scripts/ outside its own definition; every name a plain module-level
+`name = ...` assignment of src/oppencil binds (__init__.py exempt) is read
+somewhere in src/; and every name a plain `name = ...` assignment binds
+inside a src/oppencil function is read by that function (names starting
+with `_` are exempt).
 """
 
 import ast
@@ -67,6 +69,23 @@ def test_definitions_are_referenced():
                 if total[node.name] - _identifiers(node)[node.name] <= 0:
                     orphans.append(f"{path.name}:{node.name}")
     assert orphans == []
+
+
+def test_module_constants_are_read():
+    read = set()
+    for path in MODULES:
+        for n in ast.walk(_parse(path)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    unread = [f"{path.name}:{t.id}"
+              for path in MODULES if path.name != "__init__.py"
+              for node in _parse(path).body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name) and t.id not in read]
+    assert unread == []
 
 
 def _unread_locals(func):

@@ -300,6 +300,51 @@ def test_jordan_block_difference():
     assert verify_coefficient_formula(res)["passed"]
 
 
+def _direct_residuals(P, ep, ac):
+    """The chain equations of ep, the adjoint chain equations of ac (on the
+    kept rows) and the pairings of the two, evaluated term by term:
+    (chain residuals, biorthogonality residual, adjoint chain residual)."""
+    T = [pencil.taylor(P.B, s, ep.lambda0) for s in range(P.m + 1)]
+    Ts = lambda s: T[s] if s < len(T) else np.zeros_like(T[0])
+    scale = spectrum._chain_scale(P, ep.lambda0)
+    chain_res = [max(np.linalg.norm(sum(Ts(s) @ chain[Mp - s] for s in range(Mp + 1)))
+                     for Mp in range(len(chain))) / scale for chain in ep.chains]
+    biorth = 0.0
+    for j, chain in enumerate(ep.chains):
+        for mm in range(len(chain)):
+            for jp, psi in enumerate(ac.chains):
+                for mp in range(len(psi)):
+                    acc = sum(np.vdot(psi[mp - lp], Ts(l + lp + 1) @ chain[mm - l])
+                              for l in range(mm + 1) for lp in range(mp + 1))
+                    want = 1.0 if (j == jp and len(chain) - 1 - mm == mp) else 0.0
+                    biorth = max(biorth, abs(acc - want))
+    adjoint = max(np.linalg.norm(sum(Ts(s).conj().T @ psi[Mp - s]
+                                     for s in range(Mp + 1))[P.kept])
+                  for psi in ac.chains for Mp in range(len(psi))) / scale
+    return chain_res, biorth, adjoint
+
+
+@pytest.mark.parametrize("case", ["jordan", "laplacian2d"])
+def test_residuals_match_the_direct_pairing(case):
+    # the residuals are read off the solved systems; the term-by-term
+    # evaluation on the returned chains is the oracle.  At the eigenvalue
+    # all of them are round-off; 1e-7 off it the adjoint systems cannot be
+    # solved exactly and leave residuals of about 1e-8
+    P = (_jordan_pencil(2j) if case == "jordan"
+         else assemble_pencil(parse_operator(laplacian_doc(2)), 4))
+    ep = jordan_chains(P, 2j)
+    assert ep.partial_multiplicities == [2]
+    chain_res, _, _ = _direct_residuals(P, ep, spectrum.adjoint_chains(P, ep))
+    assert np.max(np.abs(np.subtract(ep.residuals, chain_res))) <= 1e-14
+    for shift in (0.0, 1e-7):
+        off = dataclasses.replace(ep, lambda0=ep.lambda0 + shift)
+        ac = spectrum.adjoint_chains(P, off)
+        _, biorth, adjoint = _direct_residuals(P, off, ac)
+        assert (max(biorth, adjoint) > 4e-9) == (shift > 0)
+        assert abs(ac.biorth_residual - biorth) <= 1e-14
+        assert abs(ac.chain_residual - adjoint) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # the strip's guards on the mode path
 # ---------------------------------------------------------------------------

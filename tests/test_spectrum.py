@@ -14,13 +14,19 @@ import pytest
 from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc
 from oppencil import pencil, spectrum
 from oppencil.cli import main
-from oppencil.errors import NotAnEigenvalue, RefuseBoundary, UnstableSpectrum
+from oppencil.errors import (
+    MultiplicityMismatch,
+    NotAnEigenvalue,
+    RefuseBoundary,
+    UnstableSpectrum,
+)
 from oppencil.operator_ast import formal_adjoint, parse_operator
 from oppencil.pencil import (
     PencilMatrices,
     assemble_pencil,
     evaluate_pencil,
     horner,
+    taylor,
 )
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
@@ -36,7 +42,6 @@ from oppencil.spectrum import (
     power_solutions,
     solve_pencil_eigenvalues,
     strip_spectrum,
-    taylor_fn,
 )
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
@@ -263,8 +268,8 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
 
 def _full_pencil_chains(P, lam0):
     """chains_from_matrices on every kept column of the whole pencil."""
-    T = [P.taylor_matrix(s, lam0)[:, P.kept] for s in range(P.m + 1)]
-    return chains_from_matrices(taylor_fn(T), *T[0].shape, _chain_scale(P, lam0))
+    T = [taylor(P.B, s, lam0)[:, P.kept] for s in range(P.m + 1)]
+    return chains_from_matrices(T, _chain_scale(P, lam0))
 
 
 def _full_det_order(P, lam0):
@@ -598,6 +603,36 @@ def test_drift_beyond_tolerance_refused(monkeypatch, dbar2d):
     monkeypatch.setattr(PencilMatrices, "widen", drifted)
     with pytest.raises(UnstableSpectrum, match=r"drifted by 1\.000e-05"):
         strip_spectrum(dbar2d, -0.5, 3.5, 4)
+
+
+def test_chain_failing_its_equations_refused(monkeypatch):
+    # the dipole's degree-2 pencil near -1i: with the det order made to
+    # agree with the chain count, chains that miss their own equations by
+    # about 1e-4 are all that is left to refuse them
+    op = parse_operator(json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()))
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    counts = []
+    chains = spectrum.chains_from_matrices
+    monkeypatch.setattr(spectrum, "chains_from_matrices",
+                        lambda *args: counts.append(out := chains(*args)) or out)
+    monkeypatch.setattr(spectrum, "det_vanishing_order",
+                        lambda P, lam0, radius: sum(counts[-1][1]))
+    with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-0[45] > 1e-08"):
+        spectrum.strip_eigenpoints(P, -1.7, 2.6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["res", "laplacian3d.json", "--strip", "-0.5", "3.5", "--degree", "2"],
+    ["model-solve", "laplacian2d.json", "--mode", "2", "--beta1", "-1", "--beta2", "5"],
+], ids=["res", "model-solve"])
+def test_dropped_cluster_breaks_the_count(argv, monkeypatch, capsys):
+    # the eigenpoints must hold every eigenvalue the eigensolve put in the
+    # strip (laplacian3d: lines 0, 1, 2, 3; laplacian2d mode 2: poles 0, 4i)
+    cluster = spectrum.cluster_eigenvalues
+    monkeypatch.setattr(spectrum, "cluster_eigenvalues", lambda vals: cluster(vals)[1:])
+    assert main([argv[0], str(OPERATORS / argv[1]), *argv[2:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical guard: eigenpoints hold ")
 
 
 # ---------------------------------------------------------------------------
