@@ -4,21 +4,23 @@
 Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
 
 Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
-on fixed strips, degrees and commands: `spectrum`, `index --anchor cc`,
-`index --anchor selfadjoint`, `verify-cc` and `adjoint-check` (which
-also solves the formal adjoint's strip) on each strip at each degree,
-and `model-solve` for modes 0-2 on fixed line pairs, each with the default
-f, with the gaussian F_SPEC and with the same gaussian sampled into a CSV
-file.  Prints one JSON line per case: argv, exit code, sha256 of stdout
-and the first line of stderr; the CSV file's temporary path is printed as
-the token F_CSV.  Two checkouts that give the same answers print the same
-file, so `diff` of two dumps lists every case whose answer moved.  A
-`spectrum` case also prints `answer_sha256`, the hash of its report without
-convergence, chain vectors and residuals, so a dump diff tells a moved
-answer from a rotated null-space basis.  A `model-solve` case prints it
-too, as the hash of its poles, its paired coefficients (`coeffs_direct`)
-and `coefficient_check.passed`, so a moved answer shows apart from
-round-off in the residue route and the deviations.
+on fixed cases: `parse`, `adjoint` and `ellipticity` once (the canonical
+form, the formal adjoint and the principal symbol), then `spectrum`,
+`index --anchor cc`, `index --anchor selfadjoint`, `verify-cc` and
+`adjoint-check` (which also solves the formal adjoint's strip) on each
+strip at each degree, and `model-solve` for modes 0-2 on fixed line
+pairs, each with the default f, with the gaussian F_SPEC and with the same
+gaussian sampled into a CSV file.  Prints one JSON line per case: argv,
+exit code, sha256 of stdout and the first line of stderr; the CSV file's
+temporary path is printed as the token F_CSV.  Two checkouts that give
+the same answers print the same file, so `diff` of two dumps lists every
+case whose answer moved.  A `spectrum` case also prints `answer_sha256`,
+the hash of its report without convergence, chain vectors and residuals,
+so a dump diff tells a moved answer from a rotated null-space basis.  A
+`model-solve` case prints it too, as the hash of its poles, its paired
+coefficients (`coeffs_direct`) and `coefficient_check.passed`, so a moved
+answer shows apart from round-off in the residue route and the
+deviations.
 """
 
 import contextlib
@@ -47,6 +49,8 @@ F_CSV = "<f.csv>"
 
 def cases(path):
     """argv of every case for one operator file, in a fixed order."""
+    for command in ("parse", "adjoint", "ellipticity"):
+        yield [command, path]
     for b1, b2 in STRIPS:
         for d in DEGREES:
             band = [str(b1), str(b2), "--degree", str(d)]

@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oppencil.index_ledger import Anchor, build_ledger, cc_index
-from oppencil.operator_ast import is_homogeneous_cc, parse_operator, principal_part
+from oppencil.operator_ast import is_homogeneous_cc, parse_operator
 from oppencil.spectrum import strip_spectrum
 
 
@@ -23,8 +23,7 @@ def main():
 
     op = parse_operator(json.load(open(path)))
     rep = strip_spectrum(op, b1, b2, degree)
-    anchor = Anchor("cc") if is_homogeneous_cc(principal_part(op)) \
-        else Anchor("selfadjoint")
+    anchor = Anchor("cc") if is_homogeneous_cc(op) else Anchor("selfadjoint")
     led = build_ledger(rep, anchor)
 
     print(f"anchor: beta0={led.anchor[0]:.4g} index={led.anchor[1]} "
@@ -35,7 +34,7 @@ def main():
         line = next((b for b in mult if abs(b - right) < 1e-9), None)
         jump = f"-{mult[line]}" if line is not None else ""
         print(f"  ({left:9.4f}, {right:9.4f}) {idx:6d}  {jump}")
-    if is_homogeneous_cc(principal_part(op)):
+    if is_homogeneous_cc(op):
         mism = sum(1 for l, r, i in led.values
                    if i != cc_index(op, (l + r) / 2))
         print(f"closed-form cross-check mismatches: {mism}")

@@ -42,7 +42,6 @@ from .operator_ast import (
     formal_adjoint,
     is_homogeneous_cc,
     parse_operator,
-    principal_part,
     serialize_operator,
 )
 from .pencil import assemble_pencil, default_l_max
@@ -272,13 +271,13 @@ def cmd_model_solve(args):
         "expansion": res.to_json(),
         "coefficient_check": report,
     }), args)
-    return 0
+    return 0 if report["passed"] else 3
 
 
 def cmd_verify_cc(args):
     """Cross-check: combinatorial breakpoints == computed critical lines."""
     op = _load_operator(args.operator)
-    if not is_homogeneous_cc(principal_part(op)):
+    if not is_homogeneous_cc(op):
         raise NotApplicable("verify-cc requires a homogeneous cc principal part")
     b1, b2 = args.window
     rep = strip_spectrum(op, b1, b2, args.degree)

@@ -23,7 +23,6 @@ from .operator_ast import (
     SystemOperator,
     is_formally_self_adjoint,
     is_homogeneous_cc,
-    principal_part,
 )
 
 _BREAK_TOL = 1e-9
@@ -60,7 +59,7 @@ def cc_index(op: SystemOperator, beta: float) -> int:
     coefficient operator (the full operator may carry admissible
     perturbations).
     """
-    if not is_homogeneous_cc(principal_part(op)):
+    if not is_homogeneous_cc(op):
         raise NotApplicable("principal part is not homogeneous constant-coefficient")
     if abs(beta - round(beta)) < _BREAK_TOL:
         raise OnBreakpoint(f"beta = {beta} is within tolerance of an integer")
@@ -145,7 +144,7 @@ def check_anchor(op: SystemOperator, anchor: Anchor):
     homogeneous constant-coefficient principal part, 'selfadjoint' a
     formally self-adjoint operator.  It reads no spectrum, so it can run
     before one is computed."""
-    if anchor.kind == "cc" and not is_homogeneous_cc(principal_part(op)):
+    if anchor.kind == "cc" and not is_homogeneous_cc(op):
         raise NotApplicable("cc anchor requires a homogeneous cc principal part")
     if anchor.kind == "selfadjoint" and not is_formally_self_adjoint(op):
         raise NotApplicable("operator is not formally self-adjoint")

@@ -10,9 +10,11 @@ where each principal coefficient is r^e * P(x) with P a homogeneous
 polynomial subject to e + deg P = |alpha| - order (so that the coefficient
 restricted to the unit sphere is a genuine sphere polynomial), plus an
 optional declared perturbation living in the weighted_norms expression
-ring.  Principal coefficients are canonicalized into harmonic components,
-which makes structural equality, adjoint involution and round-tripping
-exact.
+ring.  parse_operator and formal_adjoint canonicalize principal
+coefficients into harmonic components; the canonical form is a fixed
+point of canonicalize, so round-tripping is exact and structural equality
+compares operators as they stand.  The adjoint involution holds to
+round-off: Leibniz derivatives of variable coefficients are float.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import (
     OrderMismatch,
     SchemaError,
 )
-from .radial_algebra import HomogPoly, RadialFunction
-from .weighted_norms import Expr
+from .radial_algebra import HomogPoly, RadialFunction, differentiate
+from .weighted_norms import Expr, _multi_indices
 
 _COEFF_TOL = 1e-12
 _TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
@@ -101,7 +103,7 @@ class SystemOperator:
     def __eq__(self, other):
         if not isinstance(other, SystemOperator):
             return NotImplemented
-        return serialize_operator(canonicalize(self)) == serialize_operator(canonicalize(other))
+        return serialize_operator(self) == serialize_operator(other)
 
 
 @dataclass
@@ -323,23 +325,24 @@ def _sphere_samples(n, count):
 
 
 def _poly_eval_array(P: HomogPoly, pts):
-    out = np.zeros(pts.shape[0], dtype=complex)
+    out = np.zeros(pts.shape[:-1], dtype=complex)
     for m, c in P.coeffs.items():
-        term = np.full(pts.shape[0], complex(c))
+        term = np.full(pts.shape[:-1], complex(c))
         for i, e in enumerate(m):
             if e:
-                term = term * pts[:, i] ** e
+                term = term * pts[..., i] ** e
         out += term
     return out
 
 
 def principal_symbol_matrix(op: SystemOperator, x, xi):
-    """k x k matrices of top-order symbols at paired rows of x and xi."""
+    """k x k matrices of top-order symbols at points x and covectors xi
+    (arrays of shape (..., n), broadcast against each other)."""
     x = np.asarray(x, float)
     xi = np.asarray(xi, float)
-    N = x.shape[0]
-    r = np.linalg.norm(x, axis=1)
-    mat = np.zeros((N, op.k, op.k), dtype=complex)
+    r = np.linalg.norm(x, axis=-1)
+    shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+    mat = np.zeros(shape + (op.k, op.k), dtype=complex)
     for i in range(op.k):
         for j in range(op.k):
             e = op.entries[i][j]
@@ -349,11 +352,11 @@ def principal_symbol_matrix(op: SystemOperator, x, xi):
                 if sum(alpha) != e.order or t.poly.is_zero():
                     continue
                 coeff = _poly_eval_array(t.poly, x) * r ** t.radial_exponent
-                mono = np.ones(N)
+                mono = np.ones(xi.shape[:-1])
                 for ax, a in enumerate(alpha):
                     if a:
-                        mono = mono * xi[:, ax] ** a
-                mat[:, i, j] += coeff * mono
+                        mono = mono * xi[..., ax] ** a
+                mat[..., i, j] += coeff * mono
     return mat
 
 
@@ -370,43 +373,22 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
     """
     xs = _sphere_samples(op.n, x_samples)
     xis = _sphere_samples(op.n, xi_samples)
-    mono_cache = {}
-    coeff_entries = []  # (i, j, alpha, poly values on xs)
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None:
-                continue
-            for alpha, t in e.terms:
-                if sum(alpha) != e.order or t.poly.is_zero():
-                    continue
-                if alpha not in mono_cache:
-                    mono = np.ones(xis.shape[0])
-                    for ax, a in enumerate(alpha):
-                        if a:
-                            mono = mono * xis[:, ax] ** a
-                    mono_cache[alpha] = mono
-                coeff_entries.append((i, j, alpha, _poly_eval_array(t.poly, xs)))
+    chunk = 64
 
-    def chunk_min(idx_range):
-        lo, hi = idx_range
-        mats = np.zeros((hi - lo, xis.shape[0], op.k, op.k), dtype=complex)
-        for i, j, alpha, vals in coeff_entries:
-            mats[:, :, i, j] += vals[lo:hi, None] * mono_cache[alpha][None, :]
+    def chunk_min(lo):
+        mats = principal_symbol_matrix(op, xs[lo:lo + chunk, None], xis[None])
         dets = np.abs(np.linalg.det(mats))
         flat = int(np.argmin(dets))
-        xi_idx = flat % xis.shape[0]
-        x_idx = lo + flat // xis.shape[0]
-        return float(dets.reshape(-1)[flat]), (tuple(xs[x_idx]), tuple(xis[xi_idx]))
+        x_off, xi_idx = divmod(flat, xis.shape[0])
+        return float(dets.reshape(-1)[flat]), (tuple(xs[lo + x_off]), tuple(xis[xi_idx]))
 
-    chunk = 64
-    ranges = [(lo, min(lo + chunk, xs.shape[0])) for lo in range(0, xs.shape[0], chunk)]
+    starts = range(0, xs.shape[0], chunk)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(chunk_min, ranges))
+            results = list(ex.map(chunk_min, starts))
     else:
-        results = [chunk_min(r) for r in ranges]
+        results = [chunk_min(lo) for lo in starts]
     best, witness = math.inf, (tuple(xs[0]), tuple(xis[0]))
     for val, wit in results:
         if val < best:
@@ -430,19 +412,18 @@ def principal_part(op: SystemOperator) -> SystemOperator:
                      for alpha, t in e.terms if t.poly.norm_inf() > 0]
             if terms:
                 entries[i][j] = ScalarOperator(op.n, e.order, terms)
-    return canonicalize(SystemOperator(op.n, op.k, op.mu, op.nu, entries))
+    return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
 
 
 def is_homogeneous_cc(op: SystemOperator) -> bool:
-    """True iff every principal term is constant-coefficient of exact order."""
+    """True iff every principal term is constant-coefficient of exact order;
+    perturbations are not read, so this answers for the model operator."""
     for i in range(op.k):
         for j in range(op.k):
             e = op.entries[i][j]
             if e is None:
                 continue
             for alpha, t in e.terms:
-                if t.perturbation is not None and not t.perturbation.is_zero():
-                    return False
                 if t.poly.norm_inf() == 0:
                     continue
                 if t.poly.degree != 0 or sum(alpha) != e.order:
@@ -450,11 +431,9 @@ def is_homogeneous_cc(op: SystemOperator) -> bool:
     return True
 
 
-def _leibniz_adjoint_scalar(e: ScalarOperator, n: int, order: int):
+def _leibniz_adjoint_scalar(e: ScalarOperator, n: int):
     """Formal adjoint of a scalar operator via (c D^alpha)* = sum_(g<=a)
     binom(a,g) D^(a-g)(conj c) D^g; returns {gamma: (RadialFunction, Expr)}."""
-    from .radial_algebra import differentiate
-
     acc_rf = {}
     acc_pert = {}
     for alpha, t in e.terms:
@@ -504,7 +483,7 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
             if src is None or src.is_zero():
                 continue
             order = mu_star[j] - nu_star[i]  # == mu_i - nu_j == src.order
-            acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n, order)
+            acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n)
             scale = max((t.poly.norm_inf() for _, t in src.terms), default=0.0)
             terms = [term for gamma in sorted(set(acc_rf) | set(acc_pert))
                      for term in _coeff_terms(
@@ -516,12 +495,11 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
 
 
 def is_formally_self_adjoint(op: SystemOperator) -> bool:
-    """Structural equality of op and its formal adjoint after canonicalization."""
+    """Structural equality of op and its formal adjoint."""
     try:
-        adj = formal_adjoint(op)
+        return op == formal_adjoint(op)
     except AdjointOrderViolation:
         return False
-    return serialize_operator(canonicalize(op)) == serialize_operator(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +513,6 @@ def check_symbol_class(f: Expr, beta: float, max_order: int = 2) -> DecayReport:
     sphere grid is evaluated at each of _TAIL_RADII; the report passes iff
     every sequence is non-increasing and ends below _TAIL_TOL.
     """
-    from .weighted_norms import _multi_indices
-
     n = f.n
     pts = _sphere_points(n, _TAIL_SPHERE_POINTS)
     sequences = {}

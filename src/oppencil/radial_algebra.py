@@ -34,6 +34,7 @@ import numpy as np
 Monomial = tuple  # tuple[int, ...] of length n
 
 _MERGE_TOL = 1e-9
+_HARMONIC_TOL = 1e-12   # |Delta P|_inf / |P|_inf below which P is harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,8 @@ def harmonic_decompose(P: HomogPoly):
     Returns a list of (j, H) pairs with Delta H = 0, omitting zero parts.
     Exact over Fraction coefficients; uses the recursion obtained by
     applying the Laplacian:  Delta(|x|^(2j) H_e) = 2j(2j + 2e + n - 2)
-    |x|^(2j-2) H_e.
+    |x|^(2j-2) H_e.  P is harmonic once |Delta P|_inf <= _HARMONIC_TOL
+    |P|_inf, so a float part this returns decomposes to itself.
     """
     d = P.degree
     n = P.n
@@ -163,7 +165,7 @@ def harmonic_decompose(P: HomogPoly):
     if d <= 1:
         return [(0, P)]
     Q = P.laplacian()
-    if Q.is_zero():
+    if Q.norm_inf() <= _HARMONIC_TOL * P.norm_inf():
         return [(0, P)]
     sub = dict(harmonic_decompose(Q))  # j' -> G_(d-2-2j')
     parts = []

@@ -337,6 +337,40 @@ def test_model_solve_f_routes(tmp_path, capsys):
     assert len(_model_solve_coeffs(["--f-expr", str(expr)], capsys)) == 1
 
 
+def test_index_selfadjoint_anchor_real_potential(tmp_path, capsys):
+    # -Delta + x2^3 r^-5 on R^3: multiplying by a real function is
+    # self-adjoint, so the anchor applies
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"].append(
+        {"alpha": [0, 0, 0], "radial_exponent": -5.0, "poly": {"0 3 0": [1.0, 0.0]}})
+    path = tmp_path / "x2cubed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _main(["index", str(path), "--anchor", "selfadjoint",
+                            "--window", "1.1", "3.9", "--degree", "0"], capsys)
+    assert code == 0, err
+    ledger = json.loads(out)
+    assert ledger["anchor"]["provenance"] == "selfadjoint"
+    assert [c["index"] for c in ledger["components"]] == [1, 0, -1]
+
+
+def test_model_solve_near_pole_failed_check_exit3(capsys):
+    # the chosen grid ends before the weighted solution near line 2 dies out
+    lap2 = str(REPO / "operators" / "laplacian2d.json")
+    code, out, err = _main(["model-solve", lap2, "--mode", "0",
+                            "--beta1", "2.05", "--beta2", "2.95"], capsys)
+    assert code == 3
+    assert json.loads(out)["coefficient_check"]["passed"] is False
+
+
+@pytest.mark.parametrize("half_width, code", [(8, 3), (40, 0)])
+def test_model_solve_short_csv_grid_exit3(tmp_path, capsys, half_width, code):
+    t = np.linspace(-half_width, half_width, 4096)
+    csv = _write_csv(tmp_path / "f.csv", t, np.exp(-t * t) + 0j)
+    got, out, err = _main(MODEL_SOLVE + ["--f-csv", csv], capsys)
+    assert got == code
+    assert json.loads(out)["coefficient_check"]["passed"] is (code == 0)
+
+
 @pytest.mark.parametrize("spec", ["gaussian:a=-1", "gaussian:t0=inf", "gaussian:a",
                                   "gaussian:a=0", "gaussian:a=nan", "gaussian:a=x",
                                   "gaussian:b=1", "gaussian:a=1,,t0=0",
@@ -546,7 +580,13 @@ def test_answer_dump_smoke(capsys):
     assert len(refused) == 3
     assert all(row["exit"] == 3 and row["stderr"].endswith("raise --degree to >= 3")
                for row in rows if tuple(row["argv"]) in refused)
-    assert exits["model-solve"] == {0}
+    assert exits["parse"] == exits["adjoint"] == exits["ellipticity"] == {0}
+    # model-solve fails its own check (exit 3) only on the pair (2.05, 2.95),
+    # whose grid ends before the weighted solutions of modes 0 and 1 die out
+    failed = {(row["argv"][3], row["argv"][5]) for row in rows
+              if row["argv"][0] == "model-solve" and row["exit"] != 0}
+    assert failed == {("0", "2.05"), ("1", "2.05")}
+    assert exits["model-solve"] == {0, 3}
     assert exits["verify-cc"] <= {0, 3}
 
 

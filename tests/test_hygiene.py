@@ -1,15 +1,16 @@
 """Static hygiene of the package: no unused imports, no orphaned definitions,
-no dead local assignments.
+no dead local assignments, no unread parameters.
 
-No linter ships with the toolchain, so four rules are checked on the ast:
+No linter ships with the toolchain, so five rules are checked on the ast:
 every name a module of src/oppencil, tests/ or scripts/ imports is used
 in that module (__init__.py re-exports and is exempt); every module-level
 function or class of src/oppencil is referenced somewhere in src/, tests/
 or scripts/ outside its own definition; every name a plain module-level
 `name = ...` assignment of src/oppencil binds (__init__.py exempt) is read
-somewhere in src/; and every name a plain `name = ...` assignment binds
+somewhere in src/; every name a plain `name = ...` assignment binds
 inside a src/oppencil function is read by that function (names starting
-with `_` are exempt).
+with `_` are exempt); and every parameter of a src/oppencil function is
+read by that function (self, cls and `_`-names are exempt).
 """
 
 import ast
@@ -112,3 +113,23 @@ def test_assigned_locals_are_read():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for name in _unread_locals(node)]
     assert dead == []
+
+
+def _unread_params(func):
+    """Parameters of func that nothing in func (nested functions included)
+    reads; self, cls and `_`-names exempt."""
+    a = func.args
+    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    read = {n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params
+            if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+
+
+def test_parameters_are_read():
+    unread = [f"{path.name}:{node.name}:{name}"
+              for path in MODULES for node in ast.walk(_parse(path))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name in _unread_params(node)]
+    assert unread == []

@@ -1,7 +1,10 @@
 """Tests for operator parsing, ellipticity sampling, adjoints and decay checks."""
 
+import itertools
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -14,6 +17,7 @@ from conftest import (
 )
 from oppencil.errors import BadDNOrders, OrderMismatch, SchemaError
 from oppencil.operator_ast import (
+    canonicalize,
     check_ellipticity,
     check_symbol_class,
     formal_adjoint,
@@ -25,6 +29,8 @@ from oppencil.operator_ast import (
     serialize_operator,
 )
 from oppencil.weighted_norms import Expr
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def operators_close(a, b, tol=1e-10):
@@ -198,6 +204,49 @@ def test_is_homogeneous_cc(laplacian3d, inverse_square3d, dbar2d):
     assert not is_homogeneous_cc(inverse_square3d)
     op = parse_operator(drift_doc())
     assert not is_homogeneous_cc(op)  # poly degree 1 coefficient
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["perturbation"] = [
+        {"b": "-3/2", "c": 0, "poly": {"0 0 0": [1.0, 0.0]}}]
+    assert is_homogeneous_cc(parse_operator(doc))  # the model operator is -Delta
+
+
+# ---------------------------------------------------------------------------
+# the canonical form is a fixed point
+# ---------------------------------------------------------------------------
+
+def _random_docs(count, seed=0):
+    """-Delta plus two random non-harmonic coefficients of degree 2-4 on
+    derivatives of order 0-2, on R^2 and R^3 alternately."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for t in range(count):
+        n = 2 + t % 2
+        doc = laplacian_doc(n)
+        for _ in range(2):
+            d = int(rng.integers(2, 5))
+            alpha = [0] * n
+            for _ in range(int(rng.integers(0, 3))):
+                alpha[int(rng.integers(n))] += 1
+            poly = {" ".join(map(str, m)): [round(float(rng.normal()), 3),
+                                            round(float(rng.normal()), 3)]
+                    for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d}
+            doc["entries"][0]["terms"].append(
+                {"alpha": alpha, "radial_exponent": float(sum(alpha) - 2 - d),
+                 "poly": poly})
+        docs.append(doc)
+    return docs
+
+
+def test_canonical_form_is_a_fixed_point():
+    paths = sorted((REPO / "operators").glob("*.json"))
+    docs = [json.loads(p.read_text()) for p in paths]
+    docs += [laplacian_doc(2), laplacian_doc(3), dbar_doc(), cr_system_doc(),
+             inverse_square_doc(), drift_doc(), d1d2_doc()] + _random_docs(200)
+    ops = [parse_operator(doc) for doc in docs]
+    ops += [formal_adjoint(op) for op in ops]
+    moved = [i for i, op in enumerate(ops)
+             if serialize_operator(canonicalize(op)) != serialize_operator(op)]
+    assert moved == []
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +299,12 @@ def test_adjoint_involution(doc_fn):
 def test_self_adjointness_detection(inverse_square3d, dbar2d):
     assert is_formally_self_adjoint(inverse_square3d)
     assert not is_formally_self_adjoint(dbar2d)
+    # a real potential x2^3 r^-5: x2^3 is not harmonic, so its canonical
+    # parts carry round-off
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"].append(
+        {"alpha": [0, 0, 0], "radial_exponent": -5.0, "poly": {"0 3 0": [1.0, 0.0]}})
+    assert is_formally_self_adjoint(parse_operator(doc))
 
 
 # ---------------------------------------------------------------------------

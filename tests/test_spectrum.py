@@ -735,3 +735,26 @@ def test_zero_line_reported_as_zero(doc_fn):
     assert 0.0 in rep.res_lines
     assert "0" in rep.to_json()["res_lines"]
     assert rep.res_lines_csv().splitlines()[1].startswith("0,")
+
+
+def test_inverse_square_sweep_answers_or_names_the_degree():
+    # every answer is the closed form over all modes, and every refusal
+    # names a degree whose rerun gives it
+    refused = 0
+    for n in (2, 3):
+        for c in (-7.0, -3.0, -1.2, -0.8, -0.5, 0.5, 1.5, 2.5):
+            op = _inverse_square_op(n, c)
+            for beta1, beta2 in ((-1.7, 2.6), (0.7, 5.2)):
+                want = inverse_square_lines(n, c, beta1, beta2, 40)
+                for degree in (2, 4):
+                    try:
+                        rep = strip_spectrum(op, beta1, beta2, degree)
+                    except UnstableSpectrum as exc:
+                        refused += 1
+                        named = int(re.fullmatch(r".*raise --degree to >= (\d+)",
+                                                 str(exc)).group(1))
+                        assert named > degree
+                        rep = strip_spectrum(op, beta1, beta2, named)
+                    got = {round(line, 6): mult for line, mult in rep.res_lines.items()}
+                    assert got == want, (n, c, beta1, beta2, degree)
+    assert refused >= 8
