@@ -63,9 +63,10 @@ class RefuseBoundary(NumericalGuard):
 
 
 class UnstableSpectrum(NumericalGuard):
-    """A strip eigenvalue failed the truncation-stability drift filter, or
-    belongs to a mode above the analysis degree (its eigenvector carries
-    most of its mass there), so the degree does not resolve the strip."""
+    """A candidate eigenvalue in a strip fails certification, or a strip
+    eigenvalue belongs to a mode above the analysis degree (its eigenvector
+    carries most of its mass there), so the degree does not resolve the
+    strip."""
 
 
 class DivergentNorm(NumericalGuard):

@@ -495,11 +495,28 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
 
 
 def is_formally_self_adjoint(op: SystemOperator) -> bool:
-    """Structural equality of op and its formal adjoint."""
+    """op and its formal adjoint have the same structure (orders, multi-
+    indices, radial exponents, monomials, perturbations) and principal
+    coefficients equal to _COEFF_TOL of op's largest: the Leibniz
+    derivatives of variable coefficients are float."""
     try:
-        return op == formal_adjoint(op)
+        docs = serialize_operator(op), serialize_operator(formal_adjoint(op))
     except AdjointOrderViolation:
         return False
+    (a, ca), (b, cb) = (_pop_coefficients(doc) for doc in docs)
+    return a == b and bool(
+        np.all(np.abs(ca - cb) <= _COEFF_TOL * np.max(np.abs(ca), initial=0.0)))
+
+
+def _pop_coefficients(doc):
+    """doc with each principal coefficient set to None, and those
+    coefficients as one complex array, in order."""
+    coeffs = []
+    for ent in doc["entries"]:
+        for term in ent["terms"]:
+            coeffs += [complex(*c) for c in term["poly"].values()]
+            term["poly"] = dict.fromkeys(term["poly"])
+    return doc, np.array(coeffs)
 
 
 # ---------------------------------------------------------------------------

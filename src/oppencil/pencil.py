@@ -17,9 +17,10 @@ polynomials in lam, written straight into B_0..B_m.  Harmonic leakage
 above the truncation degree is seen per column, and the work basis is
 enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
-Columns do not depend on the basis size, so a pencil keeps the columns it
-was built from, and P.widen assembles a larger pencil computing only the
-degrees P lacks.
+Columns do not depend on the basis size, so the kept columns of a pencil
+are those of every wider one, with zero rows appended: a value certified
+on them is an eigenvalue of every wider pencil, and no wider pencil is
+assembled.
 
 A pencil's block view (kept, components, squares, square_eigenvalues)
 decides once how det pencil splits into square pieces and solves each
@@ -28,10 +29,9 @@ check); the strip eigensolve, the det-order circle, the Jordan chains and
 the mode cut all read it.  At bandwidth 0 the squares are the decoupled
 (component, degree) blocks and owners(lam0, radius) names those with an
 eigenvalue in a circle, so chains and det orders are computed on the
-blocks that own the eigenvalue; a strip's degree + 2 pencil has the same
-blocks, so it is not assembled and its `convergence` is 0 by structure.
-A mode cut (model_solver.mode_pencil) is a PencilMatrices too, so it
-carries its own view and is solved at most once.
+blocks that own the eigenvalue.  A mode cut (model_solver.mode_pencil) is
+a PencilMatrices too, so it carries its own view and is solved at most
+once.
 """
 
 from __future__ import annotations
@@ -117,8 +117,6 @@ class PencilMatrices:
     restriction of the infinite pencil (the work basis extends the
     requested l_max by twice the observed upward coupling bandwidth).
     Frozen, so the block view, built on first use, cannot go stale.
-    `_store` holds the principal part and the per-degree columns the
-    pencil was built from, for widen.
     """
 
     m: int
@@ -132,17 +130,10 @@ class PencilMatrices:
     analysis_degree: int
     bandwidth: int
     fingerprint: str
-    _store: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
         return self.k * len(self.basis)
-
-    def widen(self, l_max, analysis_degree):
-        """The pencil assemble_pencil(op, l_max, analysis_degree) returns,
-        built from the columns of the assemble_pencil call P comes from:
-        only the degrees they lack are computed."""
-        return _assemble(*self._store, self.fingerprint, l_max, analysis_degree)
 
     def degrees_vector(self):
         degs = np.array(self.basis.degrees)
@@ -372,25 +363,12 @@ def assemble_pencil(op: SystemOperator, l_max: int,
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
         analysis_degree = max(l_max - default_l_max(op, 0), 0)
-    return _assemble(a0, {}, op.fingerprint(), l_max, analysis_degree)
-
-
-def default_l_max(op: SystemOperator, degree: int) -> int:
-    """The basis degree that analysing harmonic degree `degree` assembles:
-    the degree plus the coupling margin max_poly_degree * m + 2."""
-    return degree + op.max_poly_degree() * op.m + 2
-
-
-def _assemble(a0, columns, fingerprint, l_max, analysis_degree):
-    """assemble_pencil on the principal part a0, reading and extending
-    `columns` (harmonic degree -> _degree_columns(a0, degree))."""
     # columns do not depend on the basis size: extend until the work basis
     # covers l_max plus twice the bandwidth seen on all of its columns
-    top = l_max
+    columns, top = [], l_max
     while True:
-        for l in range(len(columns), top + 1):
-            columns[l] = _degree_columns(a0, l)
-        bandwidth = max(columns[l][1] for l in range(top + 1))
+        columns += [_degree_columns(a0, l) for l in range(len(columns), top + 1)]
+        bandwidth = max(bw for _, bw in columns)
         if bandwidth > l_max - analysis_degree:
             raise CouplingOverflow(
                 f"coupling bandwidth {bandwidth} exceeds margin "
@@ -403,9 +381,9 @@ def _assemble(a0, columns, fingerprint, l_max, analysis_degree):
     work = SphereBasis.build(a0.n, top)
     nb = len(work)
     B = np.zeros((m + 1, k * nb, k * nb), dtype=complex)
-    for l in range(top + 1):
+    for l, (blocks, _) in enumerate(columns):
         c0 = work.degree_slice(l).start
-        for (i, j), acc in columns[l][0].items():
+        for (i, j), acc in blocks.items():
             for lo, V in acc.items():
                 if lo <= top:
                     r0 = i * nb + work.degree_slice(lo).start
@@ -413,7 +391,13 @@ def _assemble(a0, columns, fingerprint, l_max, analysis_degree):
     return PencilMatrices(
         m=m, B=list(B), basis=work, k=k, n=a0.n, mu=tuple(a0.mu), nu=tuple(a0.nu),
         l_max=l_max, analysis_degree=analysis_degree, bandwidth=bandwidth,
-        fingerprint=fingerprint, _store=(a0, columns))
+        fingerprint=op.fingerprint())
+
+
+def default_l_max(op: SystemOperator, degree: int) -> int:
+    """The basis degree that analysing harmonic degree `degree` assembles:
+    the degree plus the coupling margin max_poly_degree * m + 2."""
+    return degree + op.max_poly_degree() * op.m + 2
 
 
 def _companion_eigenvalues(Bs):

@@ -8,14 +8,17 @@ the decoupled (component, degree) blocks when the bandwidth is 0, and
 otherwise a fixed random compression of the exact rectangular restriction
 to the fully-resolved columns P.kept (the square truncation is then
 structurally singular).  A candidate of the compressed square is certified
-by a small singular value of the rectangular pencil.  strip_eigenpoints
-clusters and chains the eigenvalues in a strip of any pencil (a strip's,
-or a model-solve mode block's).  A strip spectrum certifies only the
-candidates within _CERTIFY_REACH of the strip: a value farther out changes
-neither a det-order circle nor a drift check.  It refuses the strip when
-an eigenvector carries more than half its mass above the analysis degree
-(a higher mode's line, unresolved there); a coupled eigenvector's small
-tail is kept and left to the drift check.
+by a small singular value of the rectangular pencil.  The kept columns
+are those of every wider pencil with zero rows appended, so a certified
+value is an eigenvalue of every wider pencil, and no wider pencil is
+solved.  strip_eigenpoints clusters and chains the eigenvalues in a strip
+of any pencil (a strip's, or a model-solve mode block's), and refuses the
+strip when some candidate in it fails certification (a line the degree
+does not resolve).  A strip spectrum certifies only the candidates within
+_CERTIFY_REACH of the strip: a value farther out changes no det-order
+circle.  It refuses the strip when an eigenvector carries more than half
+its mass above the analysis degree (a higher mode's line, unresolved
+there); a coupled eigenvector's small tail is kept.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -34,9 +37,7 @@ against the number of eigenvalues clustered there.  At bandwidth 0 both
 work block by block: the chains on the rows and columns of the decoupled
 blocks that own an eigenvalue in the det circle (P.owners), under the
 whole pencil's rank cuts, and the det order over those blocks only, since
-no other block vanishes in the circle.  The degree + 2 pencil of a strip
-then has the same blocks, so it is not assembled and the drift
-(`convergence`) is 0 by structure.  Adjoint chains at conj(lam0) of the
+no other block vanishes in the circle.  Adjoint chains at conj(lam0) of the
 cylinder-level adjoint pencil are normalized to the Kronecker
 biorthogonality pattern by one least-squares solve.
 """
@@ -71,7 +72,6 @@ from .pencil import (
 _RANK_TOL = 1e-8        # relative SVD rank cut
 _CHAIN_TOL = 1e-8       # relative chain residual that refuses an eigenpoint
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
-_DRIFT_TOL = 1e-6       # truncation stability drift
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
 _TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
 _DET_NODES = 64         # circle nodes of the det-order FFT
@@ -80,8 +80,7 @@ _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
 _DET_RADIUS_MAX = 0.1     # ... and at most this
 # Certification reach beyond a strip edge.  A value outside it lies more than
 # _DET_RADIUS_MAX / _DET_RADIUS_SHARE from every cluster centre in the strip
-# (centres sit within _CLUSTER_RADIUS of it), so it sets no det-order radius
-# and is no drift below _DRIFT_TOL.
+# (centres sit within _CLUSTER_RADIUS of it), so it sets no det-order radius.
 _CERTIFY_REACH = _DET_RADIUS_MAX / _DET_RADIUS_SHARE + 2 * _CLUSTER_RADIUS
 
 
@@ -147,7 +146,7 @@ class SpectrumReport:
     degree: int
     eigenpoints: list
     res_lines: dict          # Im lambda -> total algebraic multiplicity
-    convergence: dict        # lambda0 -> drift between degree and degree+2
+    convergence: dict        # lambda0 -> 0.0: every wider pencil has lambda0
     pencil: PencilMatrices
 
     def total_multiplicity(self):
@@ -535,12 +534,20 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
     (of `band` only, if given, so only those are certified) clustered within
     _CLUSTER_RADIUS, each centre chained on a det circle that isolates it.
     Values within the cluster radius outside an edge are kept, so a line on
-    an edge reaches RefuseBoundary whatever side round-off puts it on.  The
-    algebraic multiplicities must sum to the number of values clustered
-    (MultiplicityMismatch otherwise)."""
+    an edge reaches RefuseBoundary whatever side round-off puts it on.  A
+    candidate there that fails certification is a line the degree does not
+    resolve (UnstableSpectrum).  The algebraic multiplicities must sum to
+    the number of values clustered (MultiplicityMismatch otherwise)."""
+    def inside(v):
+        return beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS
+
     vals = solve_pencil_eigenvalues(P, band)
-    in_strip = [v for v in vals
-                if beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS]
+    in_strip = [v for v in vals if inside(v)]
+    found = sum(map(inside, P.eigenvalues))
+    if found > len(in_strip):
+        raise UnstableSpectrum(
+            f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
+            "fail certification at this degree; raise --degree")
     centers = [c for c, _ in cluster_eigenvalues(in_strip)]
     eigenpoints = []
     for center in centers:
@@ -564,14 +571,11 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     with an eigenvector carrying more than half its mass above `degree` is
     a higher mode's, unresolved at `degree`: the strip is refused
     (UnstableSpectrum), naming the highest degree where such a mass peaks.
-    Each eigenpoint must be stable (drift < 1e-6) against the degree + 2
-    pencil.  At bandwidth 0 that pencil's blocks are exact copies of the
-    degree pencil's, so it is not assembled and every drift (`convergence`)
-    is 0 by structure; the chains and det orders are computed on the blocks
-    that own each eigenvalue.  Otherwise it is widened from the same
-    columns, so no degree's columns are computed twice.  A line within
-    1e-10 of zero is reported as exactly 0, so round-off in the eigensolve
-    never reaches the printed reports.
+    One pencil is assembled and solved at every bandwidth: its kept columns
+    are those of the degree + 2 pencil with zero rows appended, so each
+    eigenpoint is one of that pencil too and its `convergence` is 0.  A
+    line within 1e-10 of zero is reported as exactly 0, so round-off in the
+    eigensolve never reaches the printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
@@ -581,7 +585,7 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
 
     # a coupled mode-d eigenvector carries about 1e-3 of its mass at
     # degree d + 1, so only one with most of its mass above the degree
-    # belongs to a higher mode; a small tail is left to the drift check
+    # belongs to a higher mode; a small tail is kept
     above = []
     for ep in eigenpoints:
         masses = [_degree_masses(P, chain[0]) for chain in ep.chains]
@@ -592,18 +596,6 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
         raise UnstableSpectrum(
             f"eigenvalues at Im lambda = {lines} belong to modes above degree "
             f"{degree}; raise --degree to >= {max(top for _, top in above)}")
-
-    # truncation-stability filter
-    convergence = {ep.lambda0: 0.0 for ep in eigenpoints}
-    if P.bandwidth:
-        P2 = P.widen(default_l_max(op, degree + 2), degree + 2)
-        vals2 = solve_pencil_eigenvalues(P2, band)
-        for ep in eigenpoints:
-            drift = min((abs(v - ep.lambda0) for v in vals2), default=math.inf)
-            if drift > _DRIFT_TOL:
-                raise UnstableSpectrum(
-                    f"eigenvalue {ep.lambda0} drifted by {drift:.3e}; raise degree")
-            convergence[ep.lambda0] = float(drift)
 
     for ep in eigenpoints:
         for b in (beta1, beta2):
@@ -619,4 +611,4 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
         res_lines[key] = res_lines.get(key, 0) + ep.algebraic
 
     return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines,
-                          convergence, P)
+                          {ep.lambda0: 0.0 for ep in eigenpoints}, P)

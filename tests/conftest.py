@@ -62,6 +62,22 @@ def d1d2_doc():
             ]}]}
 
 
+def symmetrized_doc(doc):
+    """(A + A*)/2 for the operator A of `doc` (no perturbations): the terms
+    of A's canonical form and of its formal adjoint, each coefficient halved."""
+    from oppencil.operator_ast import formal_adjoint, parse_operator, serialize_operator
+    op = parse_operator(doc)
+    out = serialize_operator(op)
+    entries = {(e["i"], e["j"]): e for e in out["entries"]}
+    for e in serialize_operator(formal_adjoint(op))["entries"]:
+        entries.setdefault((e["i"], e["j"]), dict(e, terms=[]))["terms"] += e["terms"]
+    for e in entries.values():
+        for t in e["terms"]:
+            t["poly"] = {m: [re / 2, im / 2] for m, (re, im) in t["poly"].items()}
+    out["entries"] = [entries[key] for key in sorted(entries)]
+    return out
+
+
 @pytest.fixture
 def laplacian3d():
     from oppencil.operator_ast import parse_operator

@@ -353,6 +353,19 @@ def test_index_selfadjoint_anchor_real_potential(tmp_path, capsys):
     assert [c["index"] for c in ledger["components"]] == [1, 0, -1]
 
 
+def test_index_selfadjoint_anchor_variable_derivative_coefficient(capsys):
+    # anisotropic2d is (A + A*)/2 for A = -Delta + 0.05 x1 x2 r^-2 D1^2 on
+    # R^2, which equals its formal adjoint to round-off only; its lines
+    # 1.00007, 2 and 2.99993 (each of multiplicity 2) are symmetric about 2
+    code, out, err = _main(["index", str(REPO / "operators" / "anisotropic2d.json"),
+                            "--anchor", "selfadjoint",
+                            "--window", "0.5", "3.5", "--degree", "6"], capsys)
+    assert code == 0, err
+    ledger = json.loads(out)
+    assert ledger["anchor"]["provenance"] == "selfadjoint"
+    assert [c["index"] for c in ledger["components"]] == [3, 1, -1, -3]
+
+
 def test_model_solve_near_pole_failed_check_exit3(capsys):
     # the chosen grid ends before the weighted solution near line 2 dies out
     lap2 = str(REPO / "operators" / "laplacian2d.json")

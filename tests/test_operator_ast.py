@@ -14,6 +14,7 @@ from conftest import (
     drift_doc,
     inverse_square_doc,
     laplacian_doc,
+    symmetrized_doc,
 )
 from oppencil.errors import BadDNOrders, OrderMismatch, SchemaError
 from oppencil.operator_ast import (
@@ -305,6 +306,31 @@ def test_self_adjointness_detection(inverse_square3d, dbar2d):
     doc["entries"][0]["terms"].append(
         {"alpha": [0, 0, 0], "radial_exponent": -5.0, "poly": {"0 3 0": [1.0, 0.0]}})
     assert is_formally_self_adjoint(parse_operator(doc))
+
+
+def test_self_adjointness_holds_to_round_off():
+    # the Leibniz derivatives of variable coefficients are float, so
+    # (A + A*)/2 and its adjoint differ at round-off (0.05 against
+    # 0.049999999999999996 for A = -Delta + 0.05 x1 x2 r^-2 D1^2)
+    docs = _random_docs(400)
+    assert not any(is_formally_self_adjoint(parse_operator(doc)) for doc in docs)
+    symmetrized = [symmetrized_doc(doc) for doc in docs]
+    assert all(is_formally_self_adjoint(parse_operator(doc)) for doc in symmetrized)
+    # ... but not to 1e-6: a self-adjoint operator plus 1e-6 i r^-1 D1
+    for doc in symmetrized[:2]:
+        n = doc["n"]
+        doc["entries"][0]["terms"].append(
+            {"alpha": [1] + [0] * (n - 1), "radial_exponent": -1.0,
+             "poly": {" ".join(["0"] * n): [0.0, 1e-6]}})
+        assert not is_formally_self_adjoint(parse_operator(doc))
+    # operators/anisotropic2d.json is (A + A*)/2 for that A
+    doc = laplacian_doc(2)
+    doc["entries"][0]["terms"].append(
+        {"alpha": [2, 0], "radial_exponent": -2.0, "poly": {"1 1": [0.05, 0.0]}})
+    op = parse_operator(symmetrized_doc(doc))
+    assert not op == formal_adjoint(op) and is_formally_self_adjoint(op)
+    aniso = json.loads((REPO / "operators" / "anisotropic2d.json").read_text())
+    assert aniso == serialize_operator(op)
 
 
 # ---------------------------------------------------------------------------
