@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Dump the answers of the command line over a fixed grid of cases.
+"""Dump the answers of the command line over a fixed grid of cases, and
+compare two dumps.
 
 Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
+       python scripts/answer_dump.py --compare A.jsonl B.jsonl
 
 Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
 on fixed cases: `parse`, `adjoint` and `ellipticity` once (the canonical
@@ -11,16 +13,20 @@ form, the formal adjoint and the principal symbol), then `spectrum`,
 strip at each degree, and `model-solve` for modes 0-2 on fixed line
 pairs, each with the default f, with the gaussian F_SPEC and with the same
 gaussian sampled into a CSV file.  Prints one JSON line per case: argv,
-exit code, sha256 of stdout and the first line of stderr; the CSV file's
-temporary path is printed as the token F_CSV.  Two checkouts that give
-the same answers print the same file, so `diff` of two dumps lists every
-case whose answer moved.  A `spectrum` case also prints `answer_sha256`,
-the hash of its report without convergence, chain vectors and residuals,
-so a dump diff tells a moved answer from a rotated null-space basis.  A
-`model-solve` case prints it too, as the hash of its poles, its paired
-coefficients (`coeffs_direct`) and `coefficient_check.passed`, so a moved
-answer shows apart from round-off in the residue route and the
-deviations.
+exit code, sha256 of stdout, the first line of stderr and the answer; the
+CSV file's temporary path is printed as the token F_CSV.  The answer is
+the report as printed, except that a `spectrum` report drops its
+convergence, chain vectors and residuals, and a `model-solve` report keeps
+only its poles, its paired coefficients (`coeffs_direct`) and
+`coefficient_check.passed`.  A `spectrum` or `model-solve` case also
+prints `answer_sha256`, the hash of its answer, so a moved answer shows
+apart from a rotated null-space basis or round-off in the residue route.
+
+Hashes move with the last printed digit, so `--compare` matches the two
+dumps case by case instead: exit codes, integers, booleans and strings
+exactly, floats to 1e-9 of their magnitude (absolute below 1), in the
+answer and among the words of the first stderr line.  It prints every case
+that moved, with what moved, and exits 1 when any did.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -89,6 +96,7 @@ def run_case(argv, csv_path):
     case = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue()),
             "stderr": (err.getvalue().replace(csv_path, F_CSV).splitlines()
                        or [""])[0]}
+    case["answer"] = answer(out.getvalue())
     if argv[0] in ("spectrum", "model-solve"):
         case["answer_sha256"] = answer_sha256(out.getvalue())
     return case
@@ -98,25 +106,84 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def answer_sha256(stdout):
-    """sha256 of the part of a report that does not move at round-off
-    (empty stdout hashes as is).  A spectrum report without its
-    convergence, chain vectors and residuals, so a rotated null-space basis
-    or a drift changed at round-off keeps it; of a model-solve report, the
-    poles, the paired coefficients and whether the check passed."""
+def answer(stdout):
+    """The answer a report gives (None for empty stdout): a spectrum report
+    without its convergence, chain vectors and residuals, so a rotated
+    null-space basis keeps it; of a model-solve report, the poles, the
+    paired coefficients and whether the check passed; any other report
+    whole."""
     if not stdout:
-        return _sha256(stdout)
+        return None
     report = json.loads(stdout)
     if "expansion" in report:
-        report = {"poles": report["expansion"]["poles"],
-                  "coeffs_direct": report["expansion"]["coeffs_direct"],
-                  "passed": report["coefficient_check"]["passed"]}
-    else:
+        return {"poles": report["expansion"]["poles"],
+                "coeffs_direct": report["expansion"]["coeffs_direct"],
+                "passed": report["coefficient_check"]["passed"]}
+    if "eigenpoints" in report:
         report.pop("convergence")
         for ep in report["eigenpoints"]:
             ep.pop("chains")
             ep.pop("residuals")
-    return _sha256(json.dumps(report, sort_keys=True))
+    return report
+
+
+def answer_sha256(stdout):
+    """sha256 of answer(stdout) (empty stdout hashes as is)."""
+    if not stdout:
+        return _sha256(stdout)
+    return _sha256(json.dumps(answer(stdout), sort_keys=True))
+
+
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _words(line):
+    """A stderr line as its text between numbers and the numbers, parsed."""
+    return [(float(w) if any(c in w for c in ".eE") else int(w)) if k % 2 else w
+            for k, w in enumerate(_NUMBER.split(line))]
+
+
+def moved(a, b, where="answer"):
+    """Where b differs from a: floats by more than 1e-9 of the larger
+    magnitude (absolute below 1), anything else at all.  Objects pair their
+    entries in printed order, and their keys compare as words of text and
+    numbers, since a report may key its lines by value."""
+    if isinstance(a, dict) and isinstance(b, dict) and len(a) == len(b):
+        return [m for (ka, va), (kb, vb) in zip(a.items(), b.items())
+                for m in moved(_words(ka), _words(kb), f"{where} key {ka}")
+                + moved(va, vb, f"{where}.{ka}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [m for i, (x, y) in enumerate(zip(a, b))
+                for m in moved(x, y, f"{where}[{i}]")]
+    if type(a) is float and type(b) is float:
+        if abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1.0):
+            return []
+    elif type(a) is type(b) and a == b:
+        return []
+    return [f"{where}: {json.dumps(a)} -> {json.dumps(b)}"]
+
+
+def compare(path_a, path_b):
+    """Print every case whose exit code, answer or first stderr line moved
+    from dump A to dump B (or that only one dump has); 1 if any did."""
+    dumps = [{tuple(row["argv"]): row
+              for row in map(json.loads, Path(path).read_text().splitlines())}
+             for path in (path_a, path_b)]
+    argvs = dict.fromkeys([*dumps[0], *dumps[1]])
+    n_moved = 0
+    for argv in argvs:
+        a, b = (d.get(argv) for d in dumps)
+        if a is None or b is None:
+            what = [f"only in {path_a if b is None else path_b}"]
+        else:
+            what = (moved(a["exit"], b["exit"], "exit")
+                    + moved(_words(a["stderr"]), _words(b["stderr"]), "stderr")
+                    + moved(a["answer"], b["answer"]))
+        if what:
+            n_moved += 1
+            print(" ".join(argv) + "\n    " + "\n    ".join(what))
+    print(f"{len(argvs)} cases, {n_moved} moved")
+    return int(n_moved > 0)
 
 
 def main(paths=None):
@@ -131,4 +198,9 @@ def main(paths=None):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            print("usage: answer_dump.py --compare A.jsonl B.jsonl", file=sys.stderr)
+            sys.exit(2)
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     main(sys.argv[1:])

@@ -11,9 +11,11 @@ sum_j B_j lam^j of degree m.  The B_j are assembled directly with ladder
 operators: for H harmonic of degree l, x_i H = H_plus + |x|^2 dH/dx_i /
 (2l+n-2) with H_plus harmonic of degree l+1, so x_i and D_i act on r^s H_l
 through two small cached matrices per (n, l, i), the up-map H -> H_plus
-and the down-map H -> dH/dx_i.  Each D_i multiplies a column by a
-polynomial of degree one in lam, so a column's coefficients come out as
-polynomials in lam, written straight into B_0..B_m.  Harmonic leakage
+(closed-form recurrences, exact to a few ulps) and the down-map
+H -> dH/dx_i, which is (2l+n-2) up(l-1)^T as x_i is symmetric on the
+sphere.  Each D_i multiplies a column by a polynomial of degree one in
+lam, so a column's coefficients come out as polynomials in lam, written
+straight into B_0..B_m.  Harmonic leakage
 above the truncation degree is seen per column, and the work basis is
 enlarged by twice the observed coupling bandwidth so that every column
 needed downstream is the exact restriction of the infinite operator.
@@ -45,13 +47,7 @@ import scipy.linalg as sla
 
 from .errors import CouplingOverflow, HomogeneityError, SingularLeadingCoeff
 from .operator_ast import SystemOperator, principal_part
-from .radial_algebra import (
-    _moment_gram,
-    _mono_index,
-    harmonic_basis,
-    harmonic_dim,
-    ladder,
-)
+from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
@@ -60,26 +56,6 @@ _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _basis_matrix(n, l):
-    idx = _mono_index(n, l)
-    basis = harmonic_basis(n, l)
-    mat = np.zeros((len(basis), len(idx)))
-    for r, H in enumerate(basis):
-        for m, c in H.coeffs.items():
-            mat[r, idx[m]] = complex(c).real
-    return mat
-
-
-def _coords(H):
-    """Coordinates of a harmonic H in the orthonormal basis of its degree."""
-    idx = _mono_index(H.n, H.degree)
-    vec = np.zeros(len(idx), dtype=complex)
-    for m, c in H.coeffs.items():
-        vec[idx[m]] = complex(c)
-    return _basis_matrix(H.n, H.degree) @ (_moment_gram(H.n, H.degree) @ vec)
-
 
 @dataclass
 class SphereBasis:
@@ -234,14 +210,40 @@ class PencilMatrices:
 # ladder-operator assembly
 # ---------------------------------------------------------------------------
 
+def _modes(n, l):
+    """(m, cos 0 / sin 1) of the degree-l harmonics, as exact_harmonics orders them."""
+    return [(m, s) for m in (range(l + 1) if n == 3 else (l,))
+            for s in (0, 1) if m or not s]
+
+
+def _up_map(n, l, i):
+    """H -> H_plus for x_i on the orthonormal degree-l harmonics: the cos/sin
+    recurrences (R^2, where m = l) and those of the real spherical harmonics
+    (R^3; Varshalovich, Moskalev and Khersonskii, Quantum Theory of Angular
+    Momentum, ch. 5).  x and y move m by one, z keeps it; the maps out of
+    m = 0 and from m = 1 into m = 0 gain sqrt 2, the norm ratio of cos 0."""
+    dst = {mode: row for row, mode in enumerate(_modes(n, l + 1))}
+    up = np.zeros((len(dst), harmonic_dim(n, l)))
+    k = (2 * l + 1) * (2 * l + 3)
+    for col, (m, s) in enumerate(_modes(n, l)):
+        a, b = (0.5, 0.0) if n == 2 else (0.5 * math.sqrt((l + m + 1) * (l + m + 2) / k),
+                                          0.5 * math.sqrt((l - m + 1) * (l - m + 2) / k))
+        a, b = a * math.sqrt(2 if m == 0 else 1), b * math.sqrt(2 if m == 1 else 1)
+        sign = 1 - 2 * s
+        moves = (((m + 1, s, a), (m - 1, s, -b)),                        # x
+                 ((m + 1, 1 - s, sign * a), (m - 1, 1 - s, sign * b)),   # y
+                 ((m, s, math.sqrt(((l + 1) ** 2 - m * m) / k)),))[i]    # z
+        for mm, ss, c in moves:
+            if (mm, ss) in dst:
+                up[dst[mm, ss], col] = c
+    return up
+
+
 @lru_cache(maxsize=None)
 def _ladder_maps(n, l, i):
     """Up-map H -> H_plus and down-map H -> dH/dx_i on degree-l harmonics,
     as dense matrices between the orthonormal degree-l and degree-l+-1 bases."""
-    basis = harmonic_basis(n, l)
-    up = np.column_stack([_coords(ladder(H, i)[0]) for H in basis]).real
-    down = np.column_stack([_coords(H.partial(i)) for H in basis]).real if l else None
-    return up, down
+    return _up_map(n, l, i), ((2 * l + n - 2) * _up_map(n, l - 1, i).T if l else None)
 
 
 def _times_linear(V, a, b):

@@ -9,7 +9,7 @@ degree l,
     x_i H = H_plus + |x|^2 G,   G = dH/dx_i / (2l + n - 2),
 
 with H_plus and G harmonic, so differentiate never re-decomposes; the
-pencil assembly uses the same ladder as numeric maps (pencil.py).  A
+pencil assembly uses the same ladder as closed-form maps (pencil.py).  A
 general homogeneous P of degree d decomposes uniquely as
 P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose); that is used only where
 raw polynomials enter the ring (from_parts).  Restriction to the unit
@@ -406,23 +406,15 @@ def exact_harmonics(n: int, l: int):
 
 @lru_cache(maxsize=None)
 def harmonic_basis(n: int, l: int):
-    """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys.
-
-    The exact_harmonics normalized with the cached moment Gram, summed term
-    by term over monomial pairs so the basis keeps every bit (v @ G @ v moves
-    B_j by ~4e-14, enough to flip round-off-decided strip answers).
-    """
+    """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys:
+    the exact_harmonics normalized with the cached moment Gram."""
     idx, gram = _mono_index(n, l), _moment_gram(n, l)
     out = []
     for P in exact_harmonics(n, l):
-        P = P.to_float()
-        nrm2 = 0.0
-        for m1, c1 in P.coeffs.items():
-            for m2, c2 in P.coeffs.items():
-                mom = gram[idx[m1], idx[m2]]
-                if mom != 0.0:
-                    nrm2 = nrm2 + c1 * c2.conjugate() * mom
-        out.append(P.scale(1.0 / math.sqrt(nrm2.real)))
+        v = np.zeros(len(idx))
+        for m, c in P.coeffs.items():
+            v[idx[m]] = c
+        out.append(P.to_float().scale(1.0 / math.sqrt(v @ gram @ v)))
     return tuple(out)
 
 

@@ -655,3 +655,36 @@ def test_answer_sha256_ignores_chains_and_convergence(lap3_file, capsys):
     assert dump.answer_sha256(json.dumps(report)) == base
     ep["algebraic"] += 1
     assert dump.answer_sha256(json.dumps(report)) != base
+
+
+def _dump_rows(line, root, algebraic, guard_count, guard_root):
+    spectrum = {"argv": ["spectrum", "op.json", "--strip", "-0.5", "3.5"], "exit": 0,
+                "stderr": "", "answer": {
+                    "res_lines": {line: algebraic},
+                    "eigenpoints": [{"algebraic": algebraic, "lambda0": [root, 1.0]}]}}
+    guard = {"argv": ["index", "op.json", "--anchor", "cc"], "exit": 3, "answer": None,
+             "stderr": f"guard: chain count {guard_count} at ({guard_root}+1.9999999j)"}
+    return [spectrum, guard]
+
+
+def test_answer_dump_compare(tmp_path, capsys):
+    dump = _answer_dump()
+    paths = []
+    for name, rows in [
+            ("a", _dump_rows("1.00000000000", 0.0, 2, 2, "-0.009883002765371504")),
+            # round-off in a keyed line, a value near zero and a stderr number
+            ("b", _dump_rows("0.999999999999", 3e-16, 2, 2, "-0.00988300276477794")),
+            # a multiplicity and an integer in stderr move
+            ("c", _dump_rows("1.00000000000", 0.0, 1, 3, "-0.009883002765371504"))]:
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert dump.compare(paths[0], paths[1]) == 0
+    assert capsys.readouterr().out == "2 cases, 0 moved\n"
+    assert dump.compare(paths[0], paths[2]) == 1
+    assert capsys.readouterr().out == (
+        "spectrum op.json --strip -0.5 3.5\n"
+        "    answer.res_lines.1.00000000000: 2 -> 1\n"
+        "    answer.eigenpoints[0].algebraic: 2 -> 1\n"
+        "index op.json --anchor cc\n"
+        "    stderr[1]: 2 -> 3\n"
+        "2 cases, 2 moved\n")
