@@ -47,7 +47,6 @@ from .spectrum import (
     _CLUSTER_RADIUS,
     adjoint_chains,
     power_solutions,
-    solve_pencil_eigenvalues,
     strip_eigenpoints,
 )
 
@@ -119,7 +118,7 @@ def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
     of length N; e^(beta t) f must decay below 1e-12 at both grid ends.
     Returns the samples of u, shape (N, q).
     """
-    gap = min((abs(p.imag - beta) for p in solve_pencil_eigenvalues(mp)),
+    gap = min((abs(p.imag - beta) for p in mp.eigenvalues),
               default=math.inf)
     if gap < _LINE_TOL:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
@@ -225,7 +224,7 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
             raise ValueError("provide t when passing raw samples")
         # weighted solutions decay at rate gap = dist(line, nearest pole);
         # the grid must be long enough for that tail to die out too
-        gap = min((abs(p.imag - b) for p in solve_pencil_eigenvalues(mp)
+        gap = min((abs(p.imag - b) for p in mp.eigenvalues
                    for b in (beta1, beta2)), default=1.0)
         t, fvals = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
     else:

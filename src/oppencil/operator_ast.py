@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .radial_algebra import HomogPoly, RadialFunction, differentiate
-from .weighted_norms import Expr, _multi_indices
+from .weighted_norms import Expr, _multi_indices, _read_number
 
 _COEFF_TOL = 1e-12
 _TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
@@ -42,8 +42,14 @@ _TAIL_TOL = 0.1                         # its bound on the last weighted sup
 _TAIL_SPHERE_POINTS = 64
 
 
+def _read_ints(values, what) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise SchemaError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_read_number(v, what) for v in values)
+
+
 def validate_multi_index(alpha, n) -> tuple:
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _read_ints(alpha, "alpha")
     if len(alpha) != n:
         raise SchemaError(f"multi-index length {len(alpha)} != dimension {n}")
     if any(a < 0 for a in alpha):
@@ -143,7 +149,7 @@ def _parse_poly(doc, n):
         raise SchemaError("poly must be a non-empty monomial map")
     degree = None
     for key, val in doc.items():
-        expo = tuple(int(e) for e in key.split())
+        expo = tuple(_read_number(e, f"monomial key {key!r}") for e in key.split())
         if len(expo) != n or any(e < 0 for e in expo):
             raise SchemaError(f"bad monomial key {key!r}")
         if degree is None:
@@ -152,7 +158,8 @@ def _parse_poly(doc, n):
             raise SchemaError("poly is not homogeneous of a single degree")
         if not (isinstance(val, (list, tuple)) and len(val) == 2):
             raise SchemaError(f"monomial value must be [re, im], got {val!r}")
-        c = complex(float(val[0]), float(val[1]))
+        c = complex(*(_read_number(v, f"coefficient at monomial {key!r}", float)
+                      for v in val))
         if not cmath.isfinite(c):
             raise SchemaError(f"non-finite coefficient {val!r} at monomial {key!r}")
         if c != 0:
@@ -174,13 +181,8 @@ def parse_operator(doc) -> SystemOperator:
     unknown = set(doc) - allowed
     if unknown:
         raise SchemaError(f"unknown operator keys: {sorted(unknown)}")
-    try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        mu = tuple(int(v) for v in doc["mu"])
-        nu = tuple(int(v) for v in doc["nu"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"missing or malformed header field: {exc}") from exc
+    n, k = _read_number(doc.get("n"), "n"), _read_number(doc.get("k"), "k")
+    mu, nu = _read_ints(doc.get("mu"), "mu"), _read_ints(doc.get("nu"), "nu")
     if n not in (2, 3):
         raise SchemaError(f"ambient dimension n={n} not supported (only 2 and 3)")
     if k < 1 or len(mu) != k or len(nu) != k:
@@ -191,10 +193,14 @@ def parse_operator(doc) -> SystemOperator:
         raise BadDNOrders(f"min(nu) must be 0, got {min(nu)}")
 
     entries = [[None] * k for _ in range(k)]
+    if not isinstance(doc.get("entries", []), list):
+        raise SchemaError("entries must be a list of objects")
     for ent in doc.get("entries", []):
+        if not isinstance(ent, dict):
+            raise SchemaError(f"entry must be an object, got {ent!r}")
         if set(ent) - {"i", "j", "terms"}:
             raise SchemaError(f"unknown entry keys: {sorted(set(ent) - {'i', 'j', 'terms'})}")
-        i, j = int(ent["i"]), int(ent["j"])
+        i, j = _read_number(ent.get("i"), "entry i"), _read_number(ent.get("j"), "entry j")
         if not (0 <= i < k and 0 <= j < k):
             raise SchemaError(f"entry index ({i},{j}) out of range")
         if entries[i][j] is not None:
@@ -203,17 +209,21 @@ def parse_operator(doc) -> SystemOperator:
         if order < 0:
             raise BadDNOrders(
                 f"nonzero entry ({i},{j}) where mu_j - nu_i = {order} < 0")
+        if not isinstance(ent.get("terms"), list):
+            raise SchemaError(f"terms of entry ({i},{j}) must be a list of objects")
         terms = []
         for t in ent["terms"]:
+            if not isinstance(t, dict):
+                raise SchemaError(f"term of entry ({i},{j}) must be an object, got {t!r}")
             if set(t) - {"alpha", "radial_exponent", "poly", "perturbation"}:
                 raise SchemaError(
                     f"unknown term keys: {sorted(set(t) - {'alpha', 'radial_exponent', 'poly', 'perturbation'})}")
-            alpha = validate_multi_index(t["alpha"], n)
+            alpha = validate_multi_index(t.get("alpha"), n)
             if sum(alpha) > order:
                 raise OrderMismatch(
                     f"|alpha|={sum(alpha)} exceeds entry order {order} at ({i},{j})")
-            poly = _parse_poly(t["poly"], n)
-            e = float(t.get("radial_exponent", 0))
+            poly = _parse_poly(t.get("poly"), n)
+            e = _read_number(t.get("radial_exponent", 0), "radial_exponent", float)
             if not math.isfinite(e):
                 raise SchemaError(f"non-finite radial_exponent {e!r} at ({i},{j})")
             if abs(e + poly.degree - (sum(alpha) - order)) > 1e-12:

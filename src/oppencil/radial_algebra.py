@@ -2,33 +2,28 @@
 
 Operator coefficients, their canonical form and the formal adjoint live in
 this ring: finite sums of terms r^c H(x) where c is a (possibly complex)
-exponent and H is a harmonic homogeneous polynomial.  The derivatives
-D_i = -i d/dx_i keep it closed through the ladder: for H harmonic of
-degree l,
+exponent and H is a harmonic homogeneous polynomial.  A homogeneous P of
+degree d decomposes uniquely as P = sum_j |x|^(2j) H_(d-2j) with each
+H_(d-2j) harmonic (the Gauss decomposition, harmonic_decompose), so raw
+parts enter the ring through from_parts.  The derivatives D_i = -i d/dx_i
+keep it closed by the product rule,
 
-    x_i H = H_plus + |x|^2 G,   G = dH/dx_i / (2l + n - 2),
+    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i),
 
-with H_plus and G harmonic, so differentiate never re-decomposes; the
-pencil assembly uses the same ladder as closed-form maps (pencil.py).  A
-general homogeneous P of degree d decomposes uniquely as
-P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose); that is used only where
-raw polynomials enter the ring (from_parts).  Restriction to the unit
-sphere is then trivial (drop r) and integration over S^(n-1) is exact
-through closed-form monomial moments.
+whose raw part x_i H, for H of degree l, from_parts splits into harmonic
+degrees l + 1 and l - 1.  Restriction to the unit sphere is then trivial (drop r) and
+integration over S^(n-1) is exact through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
-fractions.Fraction (the harmonic basis is generated exactly over Q).
+fractions.Fraction (exact_harmonics are generated exactly over Q).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 
 Monomial = tuple  # tuple[int, ...] of length n
@@ -251,40 +246,17 @@ def _merge(raw):
     return [(c, H) for c, H in merged if not H.is_zero() and H.norm_inf() > 0.0]
 
 
-def ladder(H: HomogPoly, i: int):
-    """Split x_i H = H_plus + |x|^2 G for H harmonic of degree l.
-
-    G = dH/dx_i / (2l + n - 2) and H_plus = x_i H - |x|^2 G are harmonic of
-    degrees l - 1 and l + 1 (Axler, Bourdon and Ramey, Harmonic Function
-    Theory, ch. 5).  Exact over Fraction coefficients.
-    """
-    n, l = H.n, H.degree
-    shifted = {}
-    for m, c in H.coeffs.items():
-        mm = list(m)
-        mm[i] += 1
-        shifted[tuple(mm)] = c
-    xiH = HomogPoly(n, l + 1, shifted)
-    if l == 0:
-        return xiH, HomogPoly(n, 0, {})
-    G = H.partial(i).scale(Fraction(1, 2 * l + n - 2))
-    return xiH.add(G.times_r2().scale(-1)), G
-
-
 def differentiate(f: RadialFunction, i: int) -> RadialFunction:
-    """Apply D_i = -i d/dx_i term-wise and re-canonicalize.
-
-    With the ladder x_i H = H_plus + |x|^2 dH/dx_i / (2l + n - 2),
-    D_i(r^c H) = -i (c r^(c-2) H_plus + (1 + c/(2l + n - 2)) r^c dH/dx_i).
-    """
-    raw = []
+    """Apply D_i = -i d/dx_i term-wise by the product rule
+    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i); from_parts splits x_i H."""
+    parts = []
     for c, H in f.terms:
         if c != 0:
-            raw.append((c - 2, ladder(H, i)[0].scale(-1j * c)))
+            xi = HomogPoly.monomial(f.n, [int(a == i) for a in range(f.n)], 1)
+            parts.append((c - 2, xi.mul(H).scale(-1j * c)))
         if H.degree > 0:
-            k = 2 * H.degree + f.n - 2
-            raw.append((c, H.partial(i).scale(-1j * (1 + c / k))))
-    return RadialFunction(f.n, _merge(raw))
+            parts.append((c, H.partial(i).scale(-1j)))
+    return RadialFunction.from_parts(f.n, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +297,8 @@ def sphere_monomial_moment(alpha) -> float:
     return surface_measure(n) * float(_moment_fraction(alpha))
 
 
-@lru_cache(maxsize=None)
-def _mono_index(n, d):
-    monos = (m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d)
-    return {m: i for i, m in enumerate(monos)}
-
-
-@lru_cache(maxsize=None)
-def _moment_gram(n, d):
-    """Sphere moments of all products of two degree-d monomials, so that
-    the integral over S^(n-1) of P conj(Q) is coeffs(P) @ G @ conj(coeffs(Q))."""
-    idx = _mono_index(n, d)
-    g = np.zeros((len(idx), len(idx)))
-    for m1, i in idx.items():
-        for m2, j in idx.items():
-            if j < i:
-                continue
-            g[i, j] = g[j, i] = sphere_monomial_moment(
-                tuple(a + b for a, b in zip(m1, m2)))
-    return g
-
-
 # ---------------------------------------------------------------------------
-# orthonormal harmonic basis (sector-structured solid harmonics)
+# exact harmonic basis (sector-structured solid harmonics)
 # ---------------------------------------------------------------------------
 
 def _xy_power(n: int, m: int):
@@ -402,20 +353,6 @@ def exact_harmonics(n: int, l: int):
     else:
         raise ValueError("only n in {2, 3} supported")
     return [P for P in polys if not P.is_zero()]
-
-
-@lru_cache(maxsize=None)
-def harmonic_basis(n: int, l: int):
-    """Orthonormal basis of degree-l harmonics on S^(n-1) as HomogPolys:
-    the exact_harmonics normalized with the cached moment Gram."""
-    idx, gram = _mono_index(n, l), _moment_gram(n, l)
-    out = []
-    for P in exact_harmonics(n, l):
-        v = np.zeros(len(idx))
-        for m, c in P.coeffs.items():
-            v[idx[m]] = c
-        out.append(P.to_float().scale(1.0 / math.sqrt(v @ gram @ v)))
-    return tuple(out)
 
 
 def harmonic_dim(n: int, l: int) -> int:

@@ -30,16 +30,29 @@ from .errors import DivergentNorm, SchemaError, UnboundedNorm
 from .radial_algebra import sphere_monomial_moment
 
 
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise SchemaError(f"not a rational: {v!r}")
+def _as_fraction(v, what="value"):
+    if isinstance(v, float) and not math.isfinite(v):
+        raise SchemaError(f"non-finite {what} {v!r}")
+    try:
+        if not isinstance(v, bool):
+            return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"{what} is not a rational: {v!r}")
+
+
+def _read_number(value, what, kind=int):
+    """kind(value) (int or float) of a JSON number or numeric string.  A
+    bool, a non-integral number read as int or anything kind() refuses is
+    a SchemaError naming `what`; non-finite floats pass."""
+    try:
+        out = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or kind is int and not isinstance(value, str) and out != value:
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"{what} must be {noun}, got {value!r}")
+    return out
 
 
 @dataclass
@@ -71,19 +84,30 @@ class Expr:
             raise SchemaError("Expr JSON must be a list of terms")
         out = None
         for item in doc:
+            if not isinstance(item, dict):
+                raise SchemaError(f"Expr term must be an object, got {item!r}")
             if set(item) - {"b", "c", "poly"}:
                 raise SchemaError(f"unknown Expr keys: {sorted(set(item) - {'b', 'c', 'poly'})}")
+            b = _as_fraction(item.get("b", 0), "Expr b")
+            c = _as_fraction(item.get("c", 0), "Expr c")
             poly = item.get("poly", {})
+            if not isinstance(poly, dict):
+                raise SchemaError(f"Expr poly must be a monomial map, got {poly!r}")
             for expo_s, val in poly.items():
-                expo = tuple(int(e) for e in expo_s.split())
+                expo = tuple(_read_number(e, f"Expr monomial key {expo_s!r}")
+                             for e in expo_s.split())
                 if n is None:
                     n = len(expo)
                 if len(expo) != n:
                     raise SchemaError("inconsistent monomial length in Expr")
-                coeff = complex(val[0], val[1])
+                if any(e < 0 for e in expo):
+                    raise SchemaError(f"negative exponent in Expr monomial key {expo_s!r}")
+                if not (isinstance(val, list) and len(val) == 2):
+                    raise SchemaError(f"Expr monomial value must be [re, im], got {val!r}")
+                coeff = complex(*(_read_number(v, "Expr coefficient", float) for v in val))
                 if not cmath.isfinite(coeff):
                     raise SchemaError(f"non-finite Expr coefficient {val!r}")
-                t = Expr.term(n, item.get("b", 0), item.get("c", 0), expo, coeff)
+                t = Expr.term(n, b, c, expo, coeff)
                 out = t if out is None else out + t
         if out is None:
             if n is None:

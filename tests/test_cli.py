@@ -37,12 +37,63 @@ def test_parse_ok(lap3_file):
     assert "operator_fingerprint" in doc and "tool_version" in doc
 
 
-def test_parse_malformed_exit2(tmp_path):
+def _set(path, value):
+    """A mutation of a document: the item at `path` becomes `value`."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+_TERM = ["entries", 0, "terms", 0]
+_UNIT = {"0 0 0": [1.0, 0.0]}
+
+# (mutation of laplacian_doc(3), the field the refusal names); truncating
+# int() would have answered for another operator or crashed
+_MALFORMED_OPERATORS = [
+    (_set(["nu"], [1]), "nu"),
+    (_set(["mu"], [2.5]), "mu"),
+    (_set(["n"], 2.7), "n"),
+    (_set(["n"], True), "n"),
+    (_set(["k"], True), "k"),
+    (_set(["mu"], [True]), "mu"),
+    (_set(["nu"], [False]), "nu"),
+    (_set(_TERM + ["alpha"], [True, 1, 0]), "alpha"),
+    (_set(_TERM + ["poly"], {"x y": [1.0, 0.0]}), "monomial key"),
+    (_set(["entries", 0, "i"], "a"), "entry i"),
+    (_set(["entries", 0, "terms"], 5), "terms"),
+    (_set(["entries"], [5]), "entry"),
+    (_set(_TERM + ["radial_exponent"], "x"), "radial_exponent"),
+]
+
+# Expr documents (norm --n 3); a negative exponent would have reached the
+# sphere moments
+_MALFORMED_EXPRS = [
+    ([5], "Expr term"),
+    ([{"b": "x", "poly": _UNIT}], "Expr b"),
+    ([{"c": float("nan"), "poly": _UNIT}], "Expr c"),
+    ([{"poly": {"0 0 x": [1.0, 0.0]}}], "Expr monomial key"),
+    ([{"poly": {"0 0 0": [1.0]}}], "Expr monomial value"),
+    ([{"poly": [1.0, 0.0]}], "Expr poly"),
+    ([{"poly": {"-1 0 0": [1.0, 0.0]}}], "Expr monomial key"),
+]
+
+
+def test_parse_malformed_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"n": 3, "k": 1, "mu": [2], "nu": [1], "entries": []}')
-    r = run_cli(["parse", str(bad)])
-    assert r.returncode == 2
-    assert "nu" in r.stderr  # pointer to the offending field
+    for mutate, field in _MALFORMED_OPERATORS:
+        doc = laplacian_doc(3)
+        mutate(doc)
+        bad.write_text(json.dumps(doc))
+        code, out, err = _main(["res", str(bad), "--strip", "-0.5", "3.5"], capsys)
+        assert (code, out) == (2, ""), field
+        assert err.startswith("schema error: ") and field in err  # the offending field
+    for doc, field in _MALFORMED_EXPRS:
+        bad.write_text(json.dumps(doc))
+        code, out, err = _main(["norm", str(bad), "--kind", "sobolev", "--n", "3"], capsys)
+        assert (code, out) == (2, ""), field
+        assert err.startswith("schema error: ") and field in err
 
 
 def test_parse_not_json_exit2(tmp_path):
@@ -279,6 +330,13 @@ def test_non_finite_coefficient_exit2(tmp_path, command, value):
     r = run_cli([command, str(p)])
     assert r.returncode == 2
     assert "non-finite" in r.stderr
+    # and as an operator perturbation's exponent
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["perturbation"] = [{"b": value, "poly": {"0 0 0": [1.0, 0.0]}}]
+    p.write_text(json.dumps(doc))
+    r = run_cli([command, str(p)])
+    assert r.returncode == 2
+    assert "non-finite Expr b" in r.stderr
 
 
 def test_negative_degree_exit2(lap3_file):

@@ -309,13 +309,14 @@ def test_self_adjointness_detection(inverse_square3d, dbar2d):
 
 
 def test_self_adjointness_holds_to_round_off():
-    # the Leibniz derivatives of variable coefficients are float, so
-    # (A + A*)/2 and its adjoint differ at round-off (0.05 against
-    # 0.049999999999999996 for A = -Delta + 0.05 x1 x2 r^-2 D1^2)
+    # the Leibniz derivatives of variable coefficients are float, so most
+    # (A + A*)/2 differ from their adjoint at round-off
     docs = _random_docs(400)
     assert not any(is_formally_self_adjoint(parse_operator(doc)) for doc in docs)
     symmetrized = [symmetrized_doc(doc) for doc in docs]
-    assert all(is_formally_self_adjoint(parse_operator(doc)) for doc in symmetrized)
+    ops = [parse_operator(doc) for doc in symmetrized]
+    assert all(is_formally_self_adjoint(op) for op in ops)
+    assert any(not op == formal_adjoint(op) for op in ops)
     # ... but not to 1e-6: a self-adjoint operator plus 1e-6 i r^-1 D1
     for doc in symmetrized[:2]:
         n = doc["n"]
@@ -328,7 +329,7 @@ def test_self_adjointness_holds_to_round_off():
     doc["entries"][0]["terms"].append(
         {"alpha": [2, 0], "radial_exponent": -2.0, "poly": {"1 1": [0.05, 0.0]}})
     op = parse_operator(symmetrized_doc(doc))
-    assert not op == formal_adjoint(op) and is_formally_self_adjoint(op)
+    assert is_formally_self_adjoint(op)
     aniso = json.loads((REPO / "operators" / "anisotropic2d.json").read_text())
     assert aniso == serialize_operator(op)
 

@@ -10,12 +10,12 @@ from oppencil.radial_algebra import (
     HomogPoly,
     RadialFunction,
     differentiate,
+    _moment_fraction,
     exact_harmonics,
-    harmonic_basis,
     harmonic_decompose,
     harmonic_dim,
-    ladder,
     sphere_monomial_moment,
+    surface_measure,
 )
 from oppencil.errors import HomogeneityError
 
@@ -121,25 +121,6 @@ def test_decompose_reconstructs_and_parts_harmonic(n, d, data):
 
 
 # ---------------------------------------------------------------------------
-# ladder
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_ladder_identity_exact(n):
-    # x_i H = H_plus + |x|^2 G with both parts harmonic, exactly over Q
-    for l in range(7):
-        for H in exact_harmonics(n, l):
-            for i in range(n):
-                Hp, G = ladder(H, i)
-                assert Hp.degree == l + 1 and Hp.laplacian().is_zero()
-                assert G.laplacian().is_zero()
-                xi = HomogPoly.monomial(n, tuple(int(a == i) for a in range(n)), 1)
-                assert Hp.add(G.times_r2()).coeffs == xi.mul(H).coeffs
-                assert all(isinstance(c, Fraction)
-                           for P in (Hp, G) for c in P.coeffs.values())
-
-
-# ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
 
@@ -180,7 +161,7 @@ def test_laplacian_annihilates_harmonics():
     # of homogeneity 0 must map to 0.
     for n in (2, 3):
         for l in range(0, 5):
-            for H in harmonic_basis(n, l):
+            for H in exact_harmonics(n, l):
                 f = RadialFunction(n, [(-l + 0j, H)])
                 lap = RadialFunction.zero(n)
                 for i in range(n):
@@ -190,7 +171,7 @@ def test_laplacian_annihilates_harmonics():
                 expected = l * (l + n - 2)
                 target = RadialFunction(n, [(-l - 2 + 0j, H.scale(expected))])
                 diff = lap.add(target.scale(-1))
-                assert max_abs_coeff(diff) < 1e-9 * max(1.0, expected)
+                assert max_abs_coeff(diff) < 1e-12 * max(1.0, expected) * H.norm_inf()
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +273,33 @@ def test_inner_product_requires_homogeneity_zero():
         sphere_inner_product(f, f)
 
 
+def _exact_inner(P, Q):
+    """Integral of P Q over S^(n-1) per unit surface measure, over Q."""
+    return sum((c1 * c2 * _moment_fraction(tuple(a + b for a, b in zip(m1, m2)))
+                for m1, c1 in P.coeffs.items() for m2, c2 in Q.coeffs.items()),
+               Fraction(0))
+
+
 @pytest.mark.parametrize("n,lmax", [(2, 8), (3, 7)])
 def test_basis_gram_identity(n, lmax):
+    # exact_harmonics are exactly orthogonal, within and across degrees, and
+    # normalized through the exact moments they are orthonormal in floats
     funcs = []
     for l in range(lmax + 1):
-        basis = harmonic_basis(n, l)
+        basis = exact_harmonics(n, l)
         assert len(basis) == harmonic_dim(n, l)
-        funcs.extend((l, H) for H in basis)
-    for i, (li, Hi) in enumerate(funcs):
-        for j, (lj, Hj) in enumerate(funcs):
-            val = poly_sphere_inner(Hi, Hj)
-            want = 1.0 if i == j else 0.0
-            assert abs(val - want) < 1e-12
+        funcs.extend(basis)
+    for i, Hi in enumerate(funcs):
+        for j, Hj in enumerate(funcs[:i]):
+            assert _exact_inner(Hi, Hj) == 0
+        norm2 = _exact_inner(Hi, Hi)
+        assert norm2 > 0
+        unit = Hi.to_float().scale(1 / math.sqrt(float(norm2) * surface_measure(n)))
+        assert abs(poly_sphere_inner(unit, unit) - 1) < 1e-12
 
 
 def test_basis_polys_harmonic():
     for n in (2, 3):
         for l in range(6):
-            for H in harmonic_basis(n, l):
-                assert H.laplacian().norm_inf() < 1e-11 * max(1.0, H.norm_inf())
+            for H in exact_harmonics(n, l):
+                assert H.degree == l and H.laplacian().is_zero()
