@@ -164,9 +164,9 @@ def _parse_anchor(spec):
 def cmd_index(args):
     anchor = _parse_anchor(args.anchor)
     op = _load_operator(args.operator)
-    check_anchor(op, anchor)
+    check_anchor(op, anchor)   # refuse before the strip is solved
     rep = strip_spectrum(op, args.window[0], args.window[1], args.degree)
-    led = build_ledger(rep, anchor)
+    led = build_ledger(rep, anchor, checked=True)
     if args.format == "csv":
         _emit(led.to_csv(), args)
     else:

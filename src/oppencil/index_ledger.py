@@ -150,7 +150,7 @@ def check_anchor(op: SystemOperator, anchor: Anchor):
         raise NotApplicable("operator is not formally self-adjoint")
 
 
-def build_ledger(report, anchor: Anchor) -> IndexLedger:
+def build_ledger(report, anchor: Anchor, checked: bool = False) -> IndexLedger:
     """Propagate the index from an anchor across the report's critical lines.
 
     The index drops by the line's total algebraic multiplicity when beta
@@ -158,8 +158,9 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     'selfadjoint' uses the symmetry of the index about (n+m)/2, 'user'
     supplies (beta0, index0) directly.  The ledger never extends past the
     report window.  An anchor the operator does not admit raises
-    NotApplicable (check_anchor); one that cannot be placed in the window,
-    NoAnchor.
+    NotApplicable (check_anchor, skipped when the caller has `checked` it
+    on report.op: the selfadjoint check builds the formal adjoint); one
+    that cannot be placed in the window, NoAnchor.
     """
     op = report.op
     beta_min, beta_max = report.beta1, report.beta2
@@ -168,7 +169,8 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     def off_breaks(b):
         return all(abs(b - line) > _BREAK_TOL for line, _ in breaks)
 
-    check_anchor(op, anchor)
+    if not checked:
+        check_anchor(op, anchor)
     provenance = anchor.kind
     if anchor.kind == "cc":
         beta0 = anchor.beta0

@@ -26,11 +26,11 @@ to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 
 The mode block b is a PencilMatrices cut from the pencil (mode_pencil): its
-poles are the block view's cached eigenvalues (one QZ however many callers
-ask), and the crossed poles are spectrum.strip_eigenpoints between the two
-lines, clustered, chained and guarded as a strip's are (det order, leading
-coefficient); adjoint chains come from adjoint_chains.  A pole on a line
-is refused by the line solve (LineTooClose).
+poles are the block view's cached eigenvalues (one eigensolve however many
+callers ask), and the crossed poles are spectrum.strip_eigenpoints between
+the two lines, clustered, chained and guarded as a strip's are (det order,
+leading coefficient); adjoint chains come from adjoint_chains.  A pole on
+a line is refused by the line solve (LineTooClose).
 """
 
 from __future__ import annotations

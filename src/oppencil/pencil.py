@@ -26,14 +26,14 @@ assembled.
 
 A pencil's block view (kept, components, squares, square_eigenvalues)
 decides once how det pencil splits into square pieces and solves each
-piece once (companion linearization + QZ, after the leading-coefficient
-check); the strip eigensolve, the det-order circle, the Jordan chains and
-the mode cut all read it.  At bandwidth 0 the squares are the decoupled
-(component, degree) blocks and owners(lam0, radius) names those with an
-eigenvalue in a circle, so chains and det orders are computed on the
-blocks that own the eigenvalue.  A mode cut (model_solver.mode_pencil) is
-a PencilMatrices too, so it carries its own view and is solved at most
-once.
+piece once (a shifted companion and a standard eigensolve, after the
+leading-coefficient check); the strip eigensolve, the det-order circle,
+the Jordan chains and the mode cut all read it.  At bandwidth 0 the
+squares are the decoupled (component, degree) blocks and owners(lam0,
+radius) names those with an eigenvalue in a circle, so chains and det
+orders are computed on the blocks that own the eigenvalue.  A mode cut
+(model_solver.mode_pencil) is a PencilMatrices too, so it carries its own
+view and is solved at most once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import CouplingOverflow, HomogeneityError, SingularLeadingCoeff
 from .operator_ast import SystemOperator, principal_part
@@ -51,6 +50,7 @@ from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
+_SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ class PencilMatrices:
     @cached_property
     def square_eigenvalues(self):
         """Finite eigenvalues of each of P.squares, one array per square
-        (companion QZ).
+        (the shifted companion of _companion_eigenvalues).
 
         On decoupled blocks of a pencil with one mu and one nu, a leading
         coefficient with condition above 1e12 raises SingularLeadingCoeff.
@@ -403,25 +403,35 @@ def default_l_max(op: SystemOperator, degree: int) -> int:
 
 
 def _companion_eigenvalues(Bs):
-    """Eigenvalues of sum B_j lam^j via companion linearization + QZ."""
+    """Finite eigenvalues of P(lam) = sum_j B_j lam^j by the shifted companion
+    (the reversal/shift linearization; Gohberg, Lancaster and Rodman, Matrix
+    Polynomials): lam = sigma + 1/mu turns mu^m P into sum_j C_j mu^(m-j),
+    C_j = P^(j)(sigma)/j!, monic after C_0^(-1).  mu = 0 (a singular B_m) is
+    an infinite lam and drops out with |lam| >= 1e8.  sigma is the first of
+    _SHIFTS with cond P(sigma) < 1e8; a regular pencil is singular at finitely
+    many points, one singular at all of them raises SingularLeadingCoeff."""
     m = len(Bs) - 1
     N = Bs[0].shape[0]
     if N == 0:
         return np.array([], dtype=complex)
-    A = np.zeros((N * m, N * m), dtype=complex)
-    B = np.eye(N * m, dtype=complex)
-    A[:N * (m - 1), N:] = np.eye(N * (m - 1))
-    for j in range(m):
-        A[N * (m - 1):, N * j:N * (j + 1)] = -Bs[j]
-    B[N * (m - 1):, N * (m - 1):] = Bs[m]
-    vals = sla.eigvals(A, B)
+    for sigma in _SHIFTS:
+        C = taylor(Bs, sigma)
+        sv = np.linalg.svd(C[0], compute_uv=False)
+        if sv[-1] > 1e-8 * sv[0]:   # cond P(sigma) < 1e8
+            break
+    else:
+        raise SingularLeadingCoeff("the pencil is singular at every shift")
+    A = np.eye(N * m, k=N, dtype=complex)
+    A[N * (m - 1):] = -np.linalg.solve(C[0], np.hstack(C[:0:-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = sigma + 1 / np.linalg.eigvals(A)
     vals = vals[np.isfinite(vals)]
     return vals[np.abs(vals) < 1e8]
 
 
 def component_labels(adj):
-    """Smallest member of each node's connected component (adj symmetric);
-    plain numpy, since importing scipy.sparse.csgraph costs about 5 MB."""
+    """Smallest member of each node's connected component (adj symmetric),
+    by boolean matrix squaring."""
     reach = adj | np.eye(len(adj), dtype=bool)
     while True:
         grown = reach.astype(float) @ reach.astype(float) > 0
@@ -440,10 +450,14 @@ def horner(coeffs, lam):
     return out
 
 
-def taylor(coeffs, s, lam0):
-    """(1/s!) d^s/d lam^s of sum_j coeffs[j] lam^j at lam0."""
-    return sum((math.comb(p, s) * coeffs[p] * lam0 ** (p - s)
-                for p in range(s, len(coeffs))), np.zeros_like(coeffs[0]))
+def taylor(coeffs, lam0):
+    """The list of (1/s!) d^s/d lam^s of sum_j coeffs[j] lam^j at lam0 for
+    s = 0..len(coeffs) - 1, by Horner passes (synthetic division)."""
+    T = list(coeffs)
+    for k in range(len(T) - 1):
+        for j in range(len(T) - 2, k - 1, -1):
+            T[j] = T[j] + lam0 * T[j + 1]
+    return T
 
 
 def evaluate_pencil(P: PencilMatrices, lam: complex) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Polynomial eigenvalue problem for the pencil: spectrum, Jordan chains,
 biorthogonal adjoint chains, power-exponential solutions, critical lines.
 
-Eigenvalues are found through companion linearization (QZ) of the square
-pieces P.squares into which the pencil's block view splits det pencil,
-once per pencil (P.eigenvalues):
+Eigenvalues are found through a shifted companion (a standard eigensolve)
+of the square pieces P.squares into which the pencil's block view splits
+det pencil, once per pencil (P.eigenvalues):
 the decoupled (component, degree) blocks when the bandwidth is 0, and
 otherwise a fixed random compression of the exact rectangular restriction
 to the fully-resolved columns P.kept (the square truncation is then
@@ -182,7 +182,8 @@ class SpectrumReport:
 def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
     """All (finite, certified) eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, so that only those
-    are certified.  The companion QZ runs once per pencil (P.eigenvalues)."""
+    are certified.  The companion eigensolve runs once per pencil
+    (P.eigenvalues)."""
     vals = P.eigenvalues
     if band is not None:
         vals = vals[(band[0] < vals.imag) & (vals.imag < band[1])]
@@ -382,8 +383,7 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
         cut = [Bj[:, keep] for Bj in P.B]
     try:
         J, partial, chains, residuals = chains_from_matrices(
-            [taylor(cut, s, lambda0) for s in range(P.m + 1)],
-            _chain_scale(P, lambda0))
+            taylor(cut, lambda0), _chain_scale(P, lambda0))
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
     M = sum(partial)
@@ -442,8 +442,7 @@ def adjoint_chains(P: PencilMatrices, e: Eigenpoint) -> AdjointChains:
     """
     lam0 = e.lambda0
     psis, biorth_res, chain_res = normalize_biorthogonal(
-        [taylor(P.B, s, lam0) for s in range(P.m + 1)], e.chains, P.kept,
-        _chain_scale(P, lam0))
+        taylor(P.B, lam0), e.chains, P.kept, _chain_scale(P, lam0))
     return AdjointChains(np.conj(lam0), psis, biorth_res, chain_res)
 
 

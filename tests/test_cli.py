@@ -746,3 +746,16 @@ def test_answer_dump_compare(tmp_path, capsys):
         "index op.json --anchor cc\n"
         "    stderr[1]: 2 -> 3\n"
         "2 cases, 2 moved\n")
+
+
+def test_index_selfadjoint_builds_the_formal_adjoint_once(monkeypatch, capsys):
+    from oppencil import operator_ast
+    calls = []
+    adjoint = operator_ast.formal_adjoint
+    monkeypatch.setattr(operator_ast, "formal_adjoint",
+                        lambda op: calls.append(op) or adjoint(op))
+    code, _, err = _main(["index", str(REPO / "operators" / "laplacian2d.json"),
+                          "--anchor", "selfadjoint", "--window", "0.4", "2.3",
+                          "--degree", "6"], capsys)
+    assert code == 0, err
+    assert len(calls) == 1

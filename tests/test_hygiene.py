@@ -11,9 +11,15 @@ somewhere in src/; every name a plain `name = ...` assignment binds
 inside a src/oppencil function is read by that function (names starting
 with `_` are exempt); and every parameter of a src/oppencil function is
 read by that function (self, cls and `_`-names are exempt).
+
+The program runs on numpy alone: a CLI run in a fresh interpreter loads no
+scipy module (the tests use scipy only as an independent oracle).
 """
 
 import ast
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -133,3 +139,19 @@ def test_parameters_are_read():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for name in _unread_params(node)]
     assert unread == []
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "res.json"
+    argv = ["res", str(REPO / "operators" / "laplacian3d.json"),
+            "--strip", "-0.5", "3.5", "--degree", "4", "-o", str(out)]
+    code = ("import json, sys\n"
+            "from oppencil.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                                if m.partition('.')[0] == 'scipy')]))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=REPO, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [0, []]
+    assert json.loads(out.read_text())["res_lines"]

@@ -304,7 +304,7 @@ def _direct_residuals(P, ep, ac):
     """The chain equations of ep, the adjoint chain equations of ac (on the
     kept rows) and the pairings of the two, evaluated term by term:
     (chain residuals, biorthogonality residual, adjoint chain residual)."""
-    T = [pencil.taylor(P.B, s, ep.lambda0) for s in range(P.m + 1)]
+    T = pencil.taylor(P.B, ep.lambda0)
     Ts = lambda s: T[s] if s < len(T) else np.zeros_like(T[0])
     scale = spectrum._chain_scale(P, ep.lambda0)
     chain_res = [max(np.linalg.norm(sum(Ts(s) @ chain[Mp - s] for s in range(Mp + 1)))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import (
     cr_system_doc,
@@ -17,14 +18,17 @@ from conftest import (
     inverse_square_doc,
     laplacian_doc,
 )
-from oppencil.errors import CouplingOverflow
+from oppencil.errors import CouplingOverflow, SingularLeadingCoeff
 from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
 from oppencil.pencil import (
+    _SHIFTS,
+    _companion_eigenvalues,
     _ladder_maps,
     adjoint_identity_residual,
     assemble_pencil,
     default_l_max,
     evaluate_pencil,
+    taylor,
 )
 from oppencil.radial_algebra import (
     HomogPoly,
@@ -34,6 +38,7 @@ from oppencil.radial_algebra import (
     exact_harmonics,
     harmonic_dim,
 )
+from oppencil.spectrum import _CLUSTER_RADIUS
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -386,3 +391,82 @@ def test_degree_pencil_is_slice_of_degree_plus_two(doc_fn, degree):
         cols = a[:, idx[P.kept]]
         assert np.array_equal(cols[idx], b[:, P.kept])
         assert not cols[outside].any()
+
+
+# ---------------------------------------------------------------------------
+# the shifted-companion eigensolve against the QZ of the (A, B) companion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_taylor_matches_the_binomial_sum(m):
+    # reference: (1/s!) d^s P(lam0) = sum_(p >= s) C(p, s) lam0^(p-s) B_p
+    rng = np.random.default_rng(m)
+    B = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+         for _ in range(m + 1)]
+    lam0 = 0.7 - 1.3j
+    T = taylor(B, lam0)
+    assert len(T) == m + 1
+    for s, Ts in enumerate(T):
+        ref = sum(math.comb(p, s) * lam0 ** (p - s) * B[p] for p in range(s, m + 1))
+        assert np.max(np.abs(Ts - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _qz_eigenvalues(Bs):
+    """Oracle: the generalized eigenvalues of the first companion
+    linearization A - lam B of sum B_j lam^j, finite and |lam| < 1e8."""
+    m, N = len(Bs) - 1, Bs[0].shape[0]
+    A = np.eye(N * m, k=N, dtype=complex)
+    A[N * (m - 1):] = -np.hstack(Bs[:m])
+    B = np.eye(N * m, dtype=complex)
+    B[N * (m - 1):, N * (m - 1):] = Bs[m]
+    vals = sla.eigvals(A, B)
+    vals = vals[np.isfinite(vals)]
+    return vals[np.abs(vals) < 1e8]
+
+
+def _assert_same_eigenvalues(got, want):
+    """Same count; each value to 1e-10 relative, or inside the cluster radius
+    where the oracle's value has a neighbour within it (a multiple root,
+    which both solvers resolve only to about sqrt(eps))."""
+    assert len(got) == len(want)
+    left = list(got)
+    for w in want:
+        i = int(np.argmin(np.abs(np.array(left) - w)))
+        clustered = np.count_nonzero(np.abs(want - w) < _CLUSTER_RADIUS) > 1
+        tol = _CLUSTER_RADIUS if clustered else 1e-10 * max(abs(w), 1.0)
+        assert abs(left.pop(i) - w) <= tol, (w, tol)
+
+
+@pytest.mark.parametrize("degree", [2, 6])
+@pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
+def test_shifted_companion_matches_qz_oracle(path, degree):
+    op = parse_operator(json.loads(path.read_text()))
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    for Bs in P.squares:
+        _assert_same_eigenvalues(_companion_eigenvalues(Bs), _qz_eigenvalues(Bs))
+
+
+def test_shifted_companion_drops_infinite_eigenvalues():
+    # singular B_2: det P = (lam^2 + 1)(lam - 2) - 0.15 is a cubic, so one
+    # of the four companion eigenvalues is infinite
+    Bs = [np.array(B, dtype=complex) for B in
+          ([[1, 0.5], [0.3, -2]], [[0, 0], [0, 1]], [[1, 0], [0, 0]])]
+    vals = _companion_eigenvalues(Bs)
+    _assert_same_eigenvalues(vals, np.roots([1, -2, 1, -2.15]))
+    _assert_same_eigenvalues(vals, _qz_eigenvalues(Bs))
+
+
+def test_shifted_companion_passes_over_a_singular_shift():
+    # P(lam) = diag(lam - sigma_0, lam - 2) is singular at the first shift
+    s0 = _SHIFTS[0]
+    Bs = [np.diag([-s0, -2]).astype(complex), np.eye(2, dtype=complex)]
+    assert np.linalg.cond(sum(Bj * s0 ** j for j, Bj in enumerate(Bs))) > 1e8
+    _assert_same_eigenvalues(_companion_eigenvalues(Bs), np.array([s0, 2]))
+
+
+def test_shifted_companion_refuses_a_non_regular_pencil():
+    # P(lam) = [[lam, 1], [lam^2, lam]]: det P vanishes identically
+    Bs = [np.array(B, dtype=complex) for B in
+          ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [1, 0]])]
+    with pytest.raises(SingularLeadingCoeff, match="every shift"):
+        _companion_eigenvalues(Bs)

@@ -266,7 +266,7 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
 
 def _full_pencil_chains(P, lam0):
     """chains_from_matrices on every kept column of the whole pencil."""
-    T = [taylor(P.B, s, lam0)[:, P.kept] for s in range(P.m + 1)]
+    T = [Ts[:, P.kept] for Ts in taylor(P.B, lam0)]
     return chains_from_matrices(T, _chain_scale(P, lam0))
 
 
