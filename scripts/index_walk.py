@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from oppencil.index_ledger import Anchor, build_ledger, cc_index
+from oppencil.index_ledger import Anchor, build_ledger, cc_index, check_anchor
 from oppencil.operator_ast import is_homogeneous_cc, parse_operator
 from oppencil.spectrum import strip_spectrum
 
@@ -22,8 +22,9 @@ def main():
     degree = int(sys.argv[4]) if len(sys.argv) > 4 else 8
 
     op = parse_operator(json.load(open(path)))
-    rep = strip_spectrum(op, b1, b2, degree)
     anchor = Anchor("cc") if is_homogeneous_cc(op) else Anchor("selfadjoint")
+    check_anchor(op, anchor)
+    rep = strip_spectrum(op, b1, b2, degree)
     led = build_ledger(rep, anchor)
 
     print(f"anchor: beta0={led.anchor[0]:.4g} index={led.anchor[1]} "

@@ -166,7 +166,7 @@ def cmd_index(args):
     op = _load_operator(args.operator)
     check_anchor(op, anchor)   # refuse before the strip is solved
     rep = strip_spectrum(op, args.window[0], args.window[1], args.degree)
-    led = build_ledger(rep, anchor, checked=True)
+    led = build_ledger(rep, anchor)
     if args.format == "csv":
         _emit(led.to_csv(), args)
     else:

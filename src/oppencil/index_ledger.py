@@ -150,17 +150,16 @@ def check_anchor(op: SystemOperator, anchor: Anchor):
         raise NotApplicable("operator is not formally self-adjoint")
 
 
-def build_ledger(report, anchor: Anchor, checked: bool = False) -> IndexLedger:
+def build_ledger(report, anchor: Anchor) -> IndexLedger:
     """Propagate the index from an anchor across the report's critical lines.
 
     The index drops by the line's total algebraic multiplicity when beta
     crosses it upward.  Anchors: 'cc' uses the combinatorial formula,
     'selfadjoint' uses the symmetry of the index about (n+m)/2, 'user'
     supplies (beta0, index0) directly.  The ledger never extends past the
-    report window.  An anchor the operator does not admit raises
-    NotApplicable (check_anchor, skipped when the caller has `checked` it
-    on report.op: the selfadjoint check builds the formal adjoint); one
-    that cannot be placed in the window, NoAnchor.
+    report window.  The caller checks first that the operator admits the
+    anchor (check_anchor); one that cannot be placed in the window raises
+    NoAnchor.
     """
     op = report.op
     beta_min, beta_max = report.beta1, report.beta2
@@ -169,8 +168,6 @@ def build_ledger(report, anchor: Anchor, checked: bool = False) -> IndexLedger:
     def off_breaks(b):
         return all(abs(b - line) > _BREAK_TOL for line, _ in breaks)
 
-    if not checked:
-        check_anchor(op, anchor)
     provenance = anchor.kind
     if anchor.kind == "cc":
         beta0 = anchor.beta0

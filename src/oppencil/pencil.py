@@ -407,19 +407,24 @@ def _companion_eigenvalues(Bs):
     (the reversal/shift linearization; Gohberg, Lancaster and Rodman, Matrix
     Polynomials): lam = sigma + 1/mu turns mu^m P into sum_j C_j mu^(m-j),
     C_j = P^(j)(sigma)/j!, monic after C_0^(-1).  mu = 0 (a singular B_m) is
-    an infinite lam and drops out with |lam| >= 1e8.  sigma is the first of
-    _SHIFTS with cond P(sigma) < 1e8; a regular pencil is singular at finitely
-    many points, one singular at all of them raises SingularLeadingCoeff."""
+    an infinite lam and drops out with |lam| >= 1e8.  The solve loses about
+    eps cond P(sigma): sigma is the first of _SHIFTS with cond < 1e4, else the
+    best of them, and cond >= 1e8 at all raises SingularLeadingCoeff."""
     m = len(Bs) - 1
     N = Bs[0].shape[0]
     if N == 0:
         return np.array([], dtype=complex)
+    best = None
     for sigma in _SHIFTS:
         C = taylor(Bs, sigma)
         sv = np.linalg.svd(C[0], compute_uv=False)
-        if sv[-1] > 1e-8 * sv[0]:   # cond P(sigma) < 1e8
+        ratio = sv[-1] / sv[0] if sv[0] else 0.0   # 1 / cond P(sigma)
+        if best is None or ratio > best[0]:
+            best = ratio, sigma, C
+        if ratio > 1e-4:
             break
-    else:
+    ratio, sigma, C = best
+    if not ratio > 1e-8:
         raise SingularLeadingCoeff("the pencil is singular at every shift")
     A = np.eye(N * m, k=N, dtype=complex)
     A[N * (m - 1):] = -np.linalg.solve(C[0], np.hstack(C[:0:-1]))
@@ -431,7 +436,8 @@ def _companion_eigenvalues(Bs):
 
 def component_labels(adj):
     """Smallest member of each node's connected component (adj symmetric),
-    by boolean matrix squaring."""
+    by boolean matrix squaring; plain numpy, since the program imports no
+    scipy (tests/test_hygiene.py::test_cli_run_loads_no_scipy)."""
     reach = adj | np.eye(len(adj), dtype=bool)
     while True:
         grown = reach.astype(float) @ reach.astype(float) > 0

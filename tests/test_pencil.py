@@ -28,6 +28,7 @@ from oppencil.pencil import (
     assemble_pencil,
     default_l_max,
     evaluate_pencil,
+    horner,
     taylor,
 )
 from oppencil.radial_algebra import (
@@ -462,6 +463,22 @@ def test_shifted_companion_passes_over_a_singular_shift():
     Bs = [np.diag([-s0, -2]).astype(complex), np.eye(2, dtype=complex)]
     assert np.linalg.cond(sum(Bj * s0 ** j for j, Bj in enumerate(Bs))) > 1e8
     _assert_same_eigenvalues(_companion_eigenvalues(Bs), np.array([s0, 2]))
+
+
+def test_shifted_companion_stays_accurate_near_the_first_shift():
+    # a random quadratic pencil with an eigenvalue 1e-7 from sigma_0, where
+    # cond P(sigma_0) is about 3e7: a solve at sigma_0 would move the far
+    # eigenvalues by about 1e-6 relative
+    rng = np.random.default_rng(0)
+    Bs = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+          for _ in range(3)]
+    lam = _SHIFTS[0] + 1e-7
+    u, s, vh = np.linalg.svd(horner(Bs, lam))
+    Bs[0] = Bs[0] - s[-1] * np.outer(u[:, -1], vh[-1])
+    want = _qz_eigenvalues(Bs)
+    assert np.min(np.abs(want - lam)) < 1e-12
+    assert 1e4 < np.linalg.cond(horner(Bs, _SHIFTS[0])) < 1e8
+    _assert_same_eigenvalues(_companion_eigenvalues(Bs), want)
 
 
 def test_shifted_companion_refuses_a_non_regular_pencil():
