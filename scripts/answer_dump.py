@@ -6,8 +6,9 @@ Usage: python scripts/answer_dump.py [OPERATOR.json ...] > answers.jsonl
        python scripts/answer_dump.py --compare A.jsonl B.jsonl
 
 Runs `oppencil.cli.main` in this process (defaults: every operators/*.json)
-on fixed cases: `parse`, `adjoint` and `ellipticity` once (the canonical
-form, the formal adjoint and the principal symbol), then `spectrum`,
+on fixed cases: `parse`, `adjoint`, `ellipticity` and `pencil --degree 2`
+once (the canonical form, the formal adjoint, the principal symbol and
+the pencil matrices), then `spectrum`,
 `index --anchor cc`, `index --anchor selfadjoint`, `verify-cc` and
 `adjoint-check` (which also solves the formal adjoint's strip) on each
 strip at each degree, and `model-solve` for modes 0-2 on fixed line
@@ -58,6 +59,7 @@ def cases(path):
     """argv of every case for one operator file, in a fixed order."""
     for command in ("parse", "adjoint", "ellipticity"):
         yield [command, path]
+    yield ["pencil", path, "--degree", "2"]
     for b1, b2 in STRIPS:
         for d in DEGREES:
             band = [str(b1), str(b2), "--degree", str(d)]

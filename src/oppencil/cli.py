@@ -112,7 +112,7 @@ def cmd_pencil(args):
     degree = 6 if args.degree is None else args.degree
     P = assemble_pencil(op, args.l_max if args.l_max is not None
                         else default_l_max(op, degree))
-    _emit(P.to_json(), args)
+    _emit({**P.to_json(), "fingerprint": op.fingerprint()}, args)
     return 0
 
 

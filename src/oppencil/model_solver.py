@@ -25,12 +25,14 @@ The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 
-The mode block b is a PencilMatrices cut from the pencil (mode_pencil): its
-poles are the block view's cached eigenvalues (one eigensolve however many
-callers ask), and the crossed poles are spectrum.strip_eigenpoints between
-the two lines, clustered, chained and guarded as a strip's are (det order,
-leading coefficient); adjoint chains come from adjoint_chains.  A pole on
-a line is refused by the line solve (LineTooClose).
+The mode block b is a PencilMatrices cut from the pencil (mode_pencil, one
+index on the coefficient stack, reduced to its 1 x 1 scalar when the block
+is a scalar multiple of the identity): its poles are the block view's
+cached eigenvalues (one eigensolve however many callers ask), and the
+crossed poles are spectrum.strip_eigenpoints between the two lines,
+clustered, chained and guarded as a strip's are (det order, leading
+coefficient); adjoint chains come from adjoint_chains.  A pole on a line
+is refused by the line solve (LineTooClose).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooShort, LineTooClose, NotApplicable
-from .pencil import PencilMatrices, SphereBasis, horner
+from .pencil import PencilMatrices, horner
 from .spectrum import (
     _CLUSTER_RADIUS,
     adjoint_chains,
@@ -67,19 +69,18 @@ def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
     decoupled: every component of P.components that touches degree l
     holds only degree l.
     """
-    degs = P.degrees_vector()
+    degs = P.row_degrees
     if any((degs[c] == l).any() and (degs[c] != l).any() for c in P.components):
         raise NotApplicable(f"degree {l} block is coupled; no mode reduction")
-    idx = np.where(degs == l)[0]
-    blocks = [Bj[np.ix_(idx, idx)] for Bj in P.B]
-    scale = max(float(np.linalg.norm(b, np.inf)) for b in blocks) or 1.0
+    idx = np.flatnonzero(degs == l)
+    B = P.B[:, idx[:, None], idx]
+    scale = float(np.abs(B).sum(axis=2).max()) or 1.0
     k, dim = P.k, len(idx) // P.k
-    if len(idx) > 1 and all(np.max(np.abs(b - b[0, 0] * np.eye(len(idx))))
-                            < 1e-10 * scale for b in blocks):
-        blocks, k, dim = [b[:1, :1] for b in blocks], 1, 1
-    return replace(P, B=blocks, basis=SphereBasis(P.n, l, [l] * dim), k=k,
-                   mu=P.mu[:k], nu=P.nu[:k], l_max=l, analysis_degree=l,
-                   bandwidth=0)
+    if len(idx) > 1 and (np.max(np.abs(B - B[:, :1, :1] * np.eye(len(idx))))
+                         < 1e-10 * scale):
+        B, k, dim = B[:, :1, :1], 1, 1
+    return replace(P, B=B, degrees=np.full(dim, l), k=k, mu=P.mu[:k], nu=P.nu[:k],
+                   l_max=l, analysis_degree=l, bandwidth=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ are those of every wider one, with zero rows appended: a value certified
 on them is an eigenvalue of every wider pencil, and no wider pencil is
 assembled.
 
+A pencil is two arrays: the coefficient stack B, shape (m + 1, k nb, k nb),
+that assembly fills, and the harmonic degree of each of the nb basis
+harmonics; m, the per-row degrees and the scale are derived from them once.
+Every cut (a decoupled block, the kept columns, a mode) is one index on the
+stack.
+
 A pencil's block view (kept, components, squares, square_eigenvalues)
 decides once how det pencil splits into square pieces and solves each
 piece once (a shifted companion and a standard eigensolve, after the
@@ -39,7 +45,7 @@ view and is solved at most once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -54,50 +60,26 @@ _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 
 
 # ---------------------------------------------------------------------------
-# basis
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SphereBasis:
-    """Ordered orthonormal harmonics Y = r^(-l) H_l up to degree l_max."""
-
-    n: int
-    l_max: int
-    degrees: list = field(default_factory=list)
-
-    @staticmethod
-    def build(n, l_max):
-        return SphereBasis(n, l_max, [l for l in range(l_max + 1)
-                                      for _ in range(harmonic_dim(n, l))])
-
-    def __len__(self):
-        return len(self.degrees)
-
-    def degree_slice(self, l):
-        start = sum(harmonic_dim(self.n, d) for d in range(l))
-        return slice(start, start + harmonic_dim(self.n, l))
-
-    def to_json(self):
-        return {"n": self.n, "l_max": self.l_max, "degrees": list(self.degrees)}
-
-
-# ---------------------------------------------------------------------------
 # matrix assembly
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PencilMatrices:
-    """Matrix polynomial sum_j B_j lam^j on the work basis.
+    """Matrix polynomial sum_j B[j] lam^j on the work basis.
 
-    Columns for harmonic degree <= exact_col_degree are the exact
-    restriction of the infinite pencil (the work basis extends the
-    requested l_max by twice the observed upward coupling bandwidth).
-    Frozen, so the block view, built on first use, cannot go stale.
+    B is the (m + 1, k nb, k nb) coefficient stack; degrees holds the
+    harmonic degree l of each of the nb orthonormal harmonics
+    Y = r^(-l) H_l of the work basis, in basis order (degree blocks in
+    increasing l), and component c's rows and columns are c nb .. c nb + nb.
+    The columns P.kept are the exact restriction of the infinite pencil
+    (the work basis extends the requested l_max by twice the observed
+    upward coupling bandwidth).  Frozen, so the derived values (m,
+    row_degrees, scale) and the block view, built on first use, cannot go
+    stale.
     """
 
-    m: int
-    B: list
-    basis: SphereBasis
+    B: np.ndarray
+    degrees: np.ndarray
     k: int
     n: int
     mu: tuple
@@ -105,38 +87,42 @@ class PencilMatrices:
     l_max: int
     analysis_degree: int
     bandwidth: int
-    fingerprint: str
 
     @property
     def size(self):
-        return self.k * len(self.basis)
+        return self.B.shape[1]
 
-    def degrees_vector(self):
-        degs = np.array(self.basis.degrees)
-        return np.concatenate([degs] * self.k)
+    @cached_property
+    def m(self):
+        return len(self.B) - 1
 
+    @cached_property
+    def row_degrees(self):
+        """The harmonic degree of each row (and column) of the B[j]."""
+        return np.tile(self.degrees, self.k)
+
+    @cached_property
     def scale(self):
         """max_j ||B_j||_inf, the largest absolute row sum (as np.linalg.norm
         computes it, without its per-call overhead)."""
-        return max(float(np.abs(Bj).sum(axis=1).max()) for Bj in self.B)
+        return float(np.abs(self.B).sum(axis=2).max())
 
     @cached_property
     def kept(self):
         """The fully resolved columns: harmonic degree <= the work basis
         degree minus the bandwidth (all of them when the bandwidth is 0)."""
-        top = self.basis.l_max - self.bandwidth
-        return np.flatnonzero(self.degrees_vector() <= top)
+        return np.flatnonzero(self.row_degrees <= self.degrees[-1] - self.bandwidth)
 
     @cached_property
     def components(self):
         """Connected components of the coupling graph over (component,
         degree), as index arrays into the work basis, in basis order."""
-        width = self.basis.l_max + 1
-        node = np.repeat(np.arange(self.k) * width, len(self.basis))
-        node += self.degrees_vector()
+        width = self.degrees[-1] + 1
+        node = np.repeat(np.arange(self.k) * width, len(self.degrees))
+        node += self.row_degrees
         if (node == node[0]).all():   # one node, e.g. a mode cut of one component
             return [np.arange(self.size)]
-        mag = np.max([np.abs(Bj) for Bj in self.B], axis=0) > 1e-12 * self.scale()
+        mag = np.abs(self.B).max(axis=0) > 1e-12 * self.scale
         rows, cols = np.nonzero(mag | mag.T)
         graph = np.zeros((self.k * width, self.k * width), dtype=bool)
         graph[node[rows], node[cols]] = True
@@ -145,18 +131,18 @@ class PencilMatrices:
 
     @cached_property
     def squares(self):
-        """Square pencils (coefficient lists) whose determinants multiply to
+        """Square pencils (coefficient stacks) whose determinants multiply to
         det pencil: the decoupled blocks when the bandwidth is 0, otherwise
         one fixed random compression Q R_j of the exact rectangular
         restriction R_j to the kept columns."""
         if self.bandwidth == 0:
-            return [[Bj[np.ix_(idx, idx)] for Bj in self.B] for idx in self.components]
-        R = [Bj[:, self.kept] for Bj in self.B]
-        n_r, n_c = R[0].shape
+            return [self.B[:, idx[:, None], idx] for idx in self.components]
+        R = self.B[:, :, self.kept]
+        n_r, n_c = R.shape[1:]
         rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
         Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
         Q /= math.sqrt(2 * n_r)
-        return [[Q @ Rj for Rj in R]]
+        return [Q @ R]
 
     @cached_property
     def square_eigenvalues(self):
@@ -200,9 +186,10 @@ class PencilMatrices:
             "m": self.m, "k": self.k, "n": self.n,
             "mu": list(self.mu), "nu": list(self.nu),
             "l_max": self.l_max, "analysis_degree": self.analysis_degree,
-            "bandwidth": self.bandwidth, "fingerprint": self.fingerprint,
-            "basis": self.basis.to_json(),
-            "B": [[[ [v.real, v.imag] for v in row] for row in Bj] for Bj in self.B],
+            "bandwidth": self.bandwidth,
+            "basis": {"n": self.n, "l_max": int(self.degrees[-1]),
+                      "degrees": self.degrees.tolist()},
+            "B": np.stack([self.B.real, self.B.imag], axis=-1).tolist(),
         }
 
 
@@ -379,21 +366,20 @@ def assemble_pencil(op: SystemOperator, l_max: int,
             break
         top = l_max + 2 * bandwidth
 
-    m, k = a0.m, a0.k
-    work = SphereBasis.build(a0.n, top)
-    nb = len(work)
-    B = np.zeros((m + 1, k * nb, k * nb), dtype=complex)
+    dims = [harmonic_dim(a0.n, l) for l in range(top + 1)]
+    start = np.cumsum([0] + dims)   # first basis index of each degree
+    nb, k = start[-1], a0.k
+    B = np.zeros((a0.m + 1, k * nb, k * nb), dtype=complex)
     for l, (blocks, _) in enumerate(columns):
-        c0 = work.degree_slice(l).start
         for (i, j), acc in blocks.items():
             for lo, V in acc.items():
                 if lo <= top:
-                    r0 = i * nb + work.degree_slice(lo).start
-                    B[:, r0:r0 + V.shape[1], j * nb + c0:j * nb + c0 + V.shape[2]] = V
+                    B[:, i * nb + start[lo]:i * nb + start[lo + 1],
+                      j * nb + start[l]:j * nb + start[l + 1]] = V
     return PencilMatrices(
-        m=m, B=list(B), basis=work, k=k, n=a0.n, mu=tuple(a0.mu), nu=tuple(a0.nu),
-        l_max=l_max, analysis_degree=analysis_degree, bandwidth=bandwidth,
-        fingerprint=op.fingerprint())
+        B=B, degrees=np.repeat(np.arange(top + 1), dims), k=k, n=a0.n,
+        mu=tuple(a0.mu), nu=tuple(a0.nu), l_max=l_max,
+        analysis_degree=analysis_degree, bandwidth=bandwidth)
 
 
 def default_l_max(op: SystemOperator, degree: int) -> int:
@@ -450,9 +436,9 @@ def horner(coeffs, lam):
     """sum_j coeffs[j] lam^j; an array of points gives a stack of matrices."""
     lam = np.asarray(lam, dtype=complex)[..., None, None]
     out = coeffs[-1] + 0 * lam
-    for Bj in coeffs[-2::-1]:
+    for coeff in coeffs[-2::-1]:
         out *= lam  # in place: a stack of points allocates no step arrays
-        out += Bj
+        out += coeff
     return out
 
 
@@ -477,15 +463,15 @@ def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float
 
     Both pencils are compared on the common basis range.
     """
-    n_common = min(len(P.basis), len(P_adj.basis))
+    n_common = min(len(P.degrees), len(P_adj.degrees))
 
     def restrict(mat, nb):
         idx = np.concatenate([c * nb + np.arange(n_common) for c in range(P.k)])
         return mat[np.ix_(idx, idx)]
 
     lam = _ADJOINT_PROBE
-    lhs = restrict(evaluate_pencil(P_adj, lam), len(P_adj.basis))
+    lhs = restrict(evaluate_pencil(P_adj, lam), len(P_adj.degrees))
     rhs = restrict(evaluate_pencil(P, np.conj(lam) + 1j * (P.n + P.m)),
-                   len(P.basis)).conj().T
+                   len(P.degrees)).conj().T
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
     return float(np.linalg.norm(lhs - rhs) / scale)

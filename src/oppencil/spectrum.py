@@ -154,7 +154,7 @@ class SpectrumReport:
 
     def to_json(self):
         return {
-            "operator_fingerprint": self.pencil.fingerprint,
+            "operator_fingerprint": self.op.fingerprint(),
             "strip": [self.beta1, self.beta2],
             "degree": self.degree,
             "eigenpoints": [e.to_json() for e in self.eigenpoints],
@@ -191,7 +191,7 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
     # so its candidates are certified against the rectangular restriction
     if P.bandwidth == 0:
         return list(vals)
-    scale = P.scale()
+    scale = P.scale
     certified = []
     for lam in vals:
         sv = np.linalg.svd(evaluate_pencil(P, lam)[:, P.kept], compute_uv=False)
@@ -273,7 +273,8 @@ def _null_space(mat, scale=None):
     """
     if mat.size == 0:
         return np.zeros((mat.shape[1], 0), dtype=complex), np.array([])
-    U, sv, Vh = np.linalg.svd(mat)
+    # only a wide matrix has null directions outside the reduced Vh
+    _, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = max(sv[0] if sv.size else 0.0, scale or 0.0)
     svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
     below = np.where(svp < _RANK_TOL * smax)[0]
@@ -334,21 +335,21 @@ def chains_from_matrices(T, scale):
         # directions independent of already picked leading vectors
         lead_perp = lead - picked @ (picked.conj().T @ lead)
         U = np.linalg.svd(lead_perp, full_matrices=False)[0]
-        for phi0 in U[:, :partial.count(length)].T:
-            z = np.linalg.lstsq(lead, phi0, rcond=None)[0]
-            stack = N @ z
-            stack[:n_c] = phi0  # exact leading vector
-            res = np.linalg.norm((S @ stack).reshape(length, -1), axis=1)
-            chains.append(list(stack.reshape(length, n_c)))
-            residuals.append(float(res.max()) / scale)
-            picked = np.linalg.qr(np.hstack([picked, phi0[:, None]]))[0]
+        phi0 = U[:, :partial.count(length)]
+        # every leading vector of this length at once: one solve, one QR
+        stacks = N @ np.linalg.lstsq(lead, phi0, rcond=None)[0]
+        stacks[:n_c] = phi0  # exact leading vectors
+        res = np.linalg.norm((S @ stacks).reshape(length, -1, phi0.shape[1]), axis=1)
+        chains += [list(stack.reshape(length, n_c)) for stack in stacks.T]
+        residuals += [float(r) / scale for r in res.max(axis=0)]
+        picked = np.linalg.qr(np.hstack([picked, phi0]))[0]
     return J, partial, chains, residuals
 
 
 def _chain_scale(P: PencilMatrices, lambda0: complex) -> float:
     """Size of the Taylor coefficients of the pencil at lambda0, against
     which chain and adjoint residuals and rank cuts are measured."""
-    return P.scale() * max(1.0, abs(lambda0)) ** P.m
+    return P.scale * max(1.0, abs(lambda0)) ** P.m
 
 
 def jordan_chains(P: PencilMatrices, lambda0: complex,
@@ -377,10 +378,10 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
         if not owners:
             raise NotAnEigenvalue(f"no block owns lambda0 = {lambda0}")
         keep = np.sort(np.concatenate([P.components[i] for i in owners]))
-        cut = [Bj[np.ix_(keep, keep)] for Bj in P.B]
+        cut = P.B[:, keep[:, None], keep]
     else:
         keep = P.kept
-        cut = [Bj[:, keep] for Bj in P.B]
+        cut = P.B[:, :, keep]
     try:
         J, partial, chains, residuals = chains_from_matrices(
             taylor(cut, lambda0), _chain_scale(P, lambda0))
@@ -410,7 +411,7 @@ def _pad(vec, keep, size):
 
 def _degree_masses(P: PencilMatrices, vec) -> np.ndarray:
     """Share of the squared mass of `vec` at each harmonic degree 0..top."""
-    mass = np.bincount(P.degrees_vector(), weights=np.abs(np.asarray(vec)) ** 2)
+    mass = np.bincount(P.row_degrees, weights=np.abs(np.asarray(vec)) ** 2)
     return mass / (mass.sum() or 1.0)
 
 

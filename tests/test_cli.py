@@ -264,6 +264,18 @@ def test_pencil_degree_and_l_max_exclusive(lap3_file, capsys):
         assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_pencil_report_carries_the_operator_fingerprint(lap3_file, capsys):
+    code, out, err = _main(["pencil", lap3_file, "--degree", "2"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert sorted(doc) == ["B", "analysis_degree", "bandwidth", "basis", "fingerprint",
+                           "k", "l_max", "m", "mu", "n", "nu", "tool_version"]
+    parsed = json.loads(_main(["parse", lap3_file], capsys)[1])
+    assert doc["fingerprint"] == parsed["operator_fingerprint"]
+    assert doc["basis"]["degrees"] == [l for l in range(doc["basis"]["l_max"] + 1)
+                                       for _ in range(2 * l + 1)]
+
+
 @pytest.mark.parametrize("operator, anchor, window", [
     ("schrodinger_inverse_square3d.json", "cc", ["0.5", "4.5"]),
     ("cr_system2d.json", "selfadjoint", ["-0.5", "2.5"]),
@@ -622,16 +634,30 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
-def _answer_dump():
-    spec = importlib.util.spec_from_file_location(
-        "answer_dump", REPO / "scripts" / "answer_dump.py")
-    dump = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump)
-    return dump
+def _script(name):
+    """The module of scripts/<name>.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,last_line", [
+    ("spectrum_table", "total algebraic multiplicity: 10"),
+    ("index_walk", "closed-form cross-check mismatches: 0"),
+    ("expansion_demo", "coefficient formula check: PASS"),
+])
+def test_example_scripts_at_their_defaults(monkeypatch, capsys, name, last_line):
+    # each example reads its default operator file relative to the repo
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script prepends src/
+    monkeypatch.setattr(sys, "argv", [f"{name}.py"])
+    monkeypatch.chdir(REPO)
+    _script(name).main()
+    assert capsys.readouterr().out.splitlines()[-1] == last_line
 
 
 def test_answer_dump_smoke(capsys):
-    dump = _answer_dump()
+    dump = _script("answer_dump")
     path = str(REPO / "operators" / "laplacian2d.json")
     dump.main([path])
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -701,7 +727,7 @@ def test_unread_setting_exit2(lap3_file, argv):
 
 def test_answer_sha256_ignores_chains_and_convergence(lap3_file, capsys):
     from oppencil.cli import main
-    dump = _answer_dump()
+    dump = _script("answer_dump")
     assert main(["spectrum", lap3_file, "--strip", "0.5", "3.5", "--degree", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     base = dump.answer_sha256(json.dumps(report))
@@ -726,7 +752,7 @@ def _dump_rows(line, root, algebraic, guard_count, guard_root):
 
 
 def test_answer_dump_compare(tmp_path, capsys):
-    dump = _answer_dump()
+    dump = _script("answer_dump")
     paths = []
     for name, rows in [
             ("a", _dump_rows("1.00000000000", 0.0, 2, 2, "-0.009883002765371504")),

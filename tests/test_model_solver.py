@@ -29,7 +29,7 @@ from oppencil.model_solver import (
     verify_coefficient_formula,
 )
 from oppencil.operator_ast import parse_operator
-from oppencil.pencil import PencilMatrices, SphereBasis, assemble_pencil, evaluate_pencil
+from oppencil.pencil import PencilMatrices, assemble_pencil, evaluate_pencil
 from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,9 +70,9 @@ def mode2_l3():
 def _pencil_2x2(B):
     """A first-order 2 x 2 mode pencil sum B_j lam^j on the two degree-1
     harmonics of R^2."""
-    return PencilMatrices(m=1, B=[np.asarray(Bj, dtype=complex) for Bj in B],
-                          basis=SphereBasis(2, 1, [1, 1]), k=1, n=2, mu=(1,), nu=(0,),
-                          l_max=1, analysis_degree=1, bandwidth=0, fingerprint="2x2")
+    return PencilMatrices(B=np.array(B, dtype=complex), degrees=np.array([1, 1]),
+                          k=1, n=2, mu=(1,), nu=(0,), l_max=1, analysis_degree=1,
+                          bandwidth=0)
 
 
 def _jordan_pencil(lam0):
@@ -100,7 +100,7 @@ def test_mode_pencil_reduces_scalar():
 def _off_block_coupled(P, l):
     """Oracle: some B_j entry links degree l to another degree or
     component, above 1e-10 of the degree-l block."""
-    idx = np.where(P.degrees_vector() == l)[0]
+    idx = np.where(P.row_degrees == l)[0]
     rest = np.setdiff1d(np.arange(P.size), idx)
     scale = max(np.linalg.norm(Bj[np.ix_(idx, idx)], np.inf) for Bj in P.B) or 1.0
     return any(np.max(np.abs(Bj[np.ix_(idx, rest)]), initial=0.0) > 1e-10 * scale
@@ -118,7 +118,7 @@ def test_mode_pencil_accepts_only_decoupled_degrees():
                     mode_pencil(P, l)
                 continue
             mp = mode_pencil(P, l)
-            idx = np.where(P.degrees_vector() == l)[0][:mp.size]
+            idx = np.where(P.row_degrees == l)[0][:mp.size]
             assert all(np.array_equal(b, Bj[np.ix_(idx, idx)])
                        for b, Bj in zip(mp.B, P.B))
             accepted.add(path.stem)

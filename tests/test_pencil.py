@@ -68,9 +68,9 @@ def test_apply_laplacian_lambda0_constant(laplacian3d):
 def test_apply_laplacian_modes(laplacian3d, l, lam):
     P = assemble_pencil(laplacian3d, 3)
     mat = evaluate_pencil(P, lam)
-    cols = P.basis.degree_slice(l)
+    cols = np.flatnonzero(P.degrees == l)
     want = laplacian_mode_scalar(3, l, lam)
-    expect = np.zeros((len(P.basis), harmonic_dim(3, l)), dtype=complex)
+    expect = np.zeros((len(P.degrees), harmonic_dim(3, l)), dtype=complex)
     expect[cols] = want * np.eye(harmonic_dim(3, l))
     assert np.max(np.abs(mat[:, cols] - expect)) < 1e-10 * max(1.0, abs(want))
 
@@ -80,8 +80,8 @@ def test_apply_dbar_shifts_mode(dbar2d):
     # factor vanishes exactly at i*lam = k - 1.
     k = 2
     P = assemble_pencil(dbar2d, 5)
-    col = P.basis.degree_slice(k).start  # cos(k theta) direction
-    up = P.basis.degree_slice(k + 1)
+    col = np.flatnonzero(P.degrees == k)[0]  # cos(k theta) direction
+    up = np.flatnonzero(P.degrees == k + 1)
     lam_special = -1j * (k - 1)  # i*lam = k-1
     assert np.max(np.abs(evaluate_pencil(P, lam_special)[up, col])) < 1e-12
     assert np.max(np.abs(evaluate_pencil(P, 0.5)[up, col])) > 0.1
@@ -96,10 +96,9 @@ def test_assemble_laplacian_block_diagonal(laplacian3d):
     assert P.bandwidth == 0
     lam = 1.7 + 0.4j
     mat = evaluate_pencil(P, lam)
-    nb = len(P.basis)
     # off block-diagonal exactly zero; diagonal equals the mode scalar
     pos = 0
-    for l in range(P.basis.l_max + 1):
+    for l in range(P.degrees[-1] + 1):
         h = harmonic_dim(3, l)
         want = laplacian_mode_scalar(3, l, lam)
         blk = mat[pos:pos + h, pos:pos + h]
@@ -114,8 +113,8 @@ def test_assemble_interpolation_consistency(laplacian2d):
     # pencil applied column by column at that lam
     P = assemble_pencil(laplacian2d, 4)
     lam = 2.7 + 0.3j
-    direct = _oracle_matrix(laplacian2d, P.basis, lam)[0]
-    assert np.max(np.abs(evaluate_pencil(P, lam) - direct)) < 1e-10 * P.scale()
+    direct = _oracle_matrix(laplacian2d, P.n, P.degrees, lam)[0]
+    assert np.max(np.abs(evaluate_pencil(P, lam) - direct)) < 1e-10 * P.scale
 
 
 def test_evaluate_at_sample_bit_for_bit(laplacian3d):
@@ -130,8 +129,8 @@ def test_lambda_degree_bound(laplacian3d):
     P = assemble_pencil(laplacian3d, 3)
     assert len(P.B) == P.m + 1
     for lam in (0.0, 1.0, 2.0, 0.437 + 0.291j):
-        want = _oracle_matrix(laplacian3d, P.basis, lam)[0]
-        assert np.max(np.abs(evaluate_pencil(P, lam) - want)) < 1e-12 * P.scale()
+        want = _oracle_matrix(laplacian3d, P.n, P.degrees, lam)[0]
+        assert np.max(np.abs(evaluate_pencil(P, lam) - want)) < 1e-12 * P.scale
 
 
 @pytest.mark.parametrize("name,degree,work_l_max", [
@@ -143,12 +142,12 @@ def test_drift_coupling_bandwidth_one(name, degree, work_l_max):
     op = parse_operator(_ORACLE_DOCS[name]())
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     assert P.bandwidth == 1
-    assert P.basis.l_max == work_l_max
+    assert P.degrees[-1] == work_l_max
     mat = evaluate_pencil(P, 0.9 + 0.2j)
     # entries outside the |l - l'| <= 1 band vanish
-    degs = P.degrees_vector()
+    degs = P.row_degrees
     outside = np.abs(degs[:, None] - degs[None, :]) > 1
-    assert np.max(np.abs(mat[outside])) < 1e-12 * P.scale()
+    assert np.max(np.abs(mat[outside])) < 1e-12 * P.scale
 
 
 def test_coupling_overflow_raised():
@@ -170,7 +169,7 @@ def test_default_analysis_degree_is_the_margin_rule(doc_fn):
 def test_dbar_bandwidth_and_shape(dbar2d):
     P = assemble_pencil(dbar2d, 5)
     assert P.bandwidth == 1
-    assert P.basis.l_max == 5 + 2  # extended by 2*bandwidth
+    assert P.degrees[-1] == 5 + 2  # extended by 2*bandwidth
 
 
 @pytest.mark.parametrize("doc_fn,nm", [
@@ -251,10 +250,18 @@ def _unit_harmonics(n, l):
 
 
 def _coords(H):
-    """Coordinates of a harmonic H in the orthonormal basis of its degree,
-    through the exact sphere moments."""
-    return np.array([complex(_sphere_inner(H, E)) / norm
-                     for E, norm in _unit_harmonics(H.n, H.degree)])
+    """Coordinates of a harmonic H in the orthonormal basis of its degree.
+
+    In R^2 they are read off the x^l and x^(l-1) y coefficients, which the
+    cos and sin harmonics Re (x + iy)^l and Im (x + iy)^l hold as 1 and l
+    (and the other one as 0), so no sum cancels; in R^3 through the exact
+    sphere moments."""
+    units = _unit_harmonics(H.n, H.degree)
+    if H.n == 2:
+        l = H.degree
+        c = (H.coeffs.get((l, 0), 0), H.coeffs.get((l - 1, 1), 0) / max(l, 1))
+        return np.array([complex(ci) * norm for ci, (_, norm) in zip(c, units)])
+    return np.array([complex(_sphere_inner(H, E)) / norm for E, norm in units])
 
 
 def _shift_exponent(f, delta):
@@ -266,14 +273,14 @@ def _max_abs_coeff(f):
     return max((H.norm_inf() for _, H in f.terms), default=0.0)
 
 
-def _project(basis, f):
-    """Exact coefficients of a degree-zero function f in `basis`; harmonic
-    degrees above basis.l_max are dropped."""
-    out = np.zeros(len(basis), dtype=complex)
+def _project(degrees, f):
+    """Exact coefficients of a degree-zero function f in the basis of the
+    given harmonic degrees; harmonic degrees above the top one are dropped."""
+    out = np.zeros(len(degrees), dtype=complex)
     for c, H in f.terms:
         assert abs(c + H.degree) <= 1e-10, "term is not homogeneity zero"
-        if H.degree <= basis.l_max:
-            out[basis.degree_slice(H.degree)] = _coords(H)
+        if H.degree <= degrees[-1]:
+            out[degrees == H.degree] = _coords(H)
     return out
 
 
@@ -298,33 +305,35 @@ def _oracle_apply(a0, lam, comp, y):
 
 
 def _columns(n, l_max):
-    """The basis columns r^(-l) H_l, ordered as in SphereBasis."""
+    """The basis columns r^(-l) H_l, in basis order (increasing l)."""
     return [RadialFunction(n, [(complex(-l), E.to_float().scale(1 / norm))])
             for l in range(l_max + 1) for E, norm in _unit_harmonics(n, l)]
 
 
-def _oracle_matrix(op, basis, lam):
-    """(pencil(lam) on `basis`, upward bandwidth), pruned at 1e-13 relative."""
+def _oracle_matrix(op, n, degrees, lam):
+    """(pencil(lam) on the basis of R^n harmonics of the given degrees,
+    upward bandwidth), pruned at 1e-13 relative."""
     a0 = principal_part(op)
-    nb = len(basis)
+    nb = len(degrees)
     mat = np.zeros((a0.k * nb, a0.k * nb), dtype=complex)
     bandwidth = 0
     for comp in range(a0.k):
-        for pos, y in enumerate(_columns(basis.n, basis.l_max)):
+        for pos, y in enumerate(_columns(n, degrees[-1])):
             for i, w in enumerate(_oracle_apply(a0, lam, comp, y)):
                 w = w.prune_abs(1e-13 * max(_max_abs_coeff(w), 1.0))
-                mat[i * nb:(i + 1) * nb, comp * nb + pos] = _project(basis, w)
+                mat[i * nb:(i + 1) * nb, comp * nb + pos] = _project(degrees, w)
                 for _, H in w.terms:
-                    bandwidth = max(bandwidth, H.degree - basis.degrees[pos])
+                    bandwidth = max(bandwidth, H.degree - degrees[pos])
     return mat, bandwidth
 
 
-def _oracle_coefficients(op, basis):
+def _oracle_coefficients(op, n, degrees):
     """B_j by a Vandermonde solve on lam = 0..m, and the bandwidth seen at
     those nodes and at a generic lam."""
     m = principal_part(op).m
     lams = list(range(m + 1))
-    mats, bws = zip(*[_oracle_matrix(op, basis, lam) for lam in lams + [0.437 + 0.291j]])
+    mats, bws = zip(*[_oracle_matrix(op, n, degrees, lam)
+                      for lam in lams + [0.437 + 0.291j]])
     W = np.linalg.inv(np.vander(np.array(lams, dtype=float), increasing=True))
     B = [sum(W[j, t] * mats[t] for t in range(m + 1)) for j in range(m + 1)]
     return B, max(bws)
@@ -343,25 +352,12 @@ _ORACLE_DOCS.update({f.stem: (lambda f=f: json.loads(f.read_text()))
                      for f in sorted(OPERATORS.glob("*.json"))})
 
 
-# anisotropic2d's work basis at degree 3 reaches harmonic degree 21.  The
-# closed-form R^2 ladder maps equal the rounded exact values there, so the
-# miss (1.1e-11 of the largest entry) is the oracle's own: _coords sums
-# float monomial coefficients against the exact moments, and those sums
-# cancel more with the degree (coordinates read off the x^l and x^(l-1) y
-# coefficients instead agree to 1e-14)
-_ORACLE_ROUND_OFF = pytest.mark.xfail(
-    strict=True, reason="the oracle's float monomial projection loses ~1e-11 "
-                        "relative at harmonic degree 21")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_ORACLE_ROUND_OFF) if name == "anisotropic2d" else name
-    for name in sorted(_ORACLE_DOCS)])
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOCS))
 def test_ladder_assembly_matches_decompose_oracle(name):
     op = parse_operator(_ORACLE_DOCS[name]())
     degree = 1 if op.n == 3 else 3
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    B, bandwidth = _oracle_coefficients(op, P.basis)
+    B, bandwidth = _oracle_coefficients(op, P.n, P.degrees)
     assert P.bandwidth == bandwidth
     scale = max(np.max(np.abs(Bj)) for Bj in B)
     err = max(np.max(np.abs(Bj - Cj)) for Bj, Cj in zip(P.B, B))
@@ -383,9 +379,9 @@ def test_degree_pencil_is_slice_of_degree_plus_two(doc_fn, degree):
     op = parse_operator(doc_fn())
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     P2 = assemble_pencil(op, default_l_max(op, degree + 2), analysis_degree=degree + 2)
-    nb, NB = len(P.basis), len(P2.basis)
+    nb, NB = len(P.degrees), len(P2.degrees)
     idx = np.concatenate([c * NB + np.arange(nb) for c in range(P.k)])
-    assert P2.basis.degrees[:nb] == P.basis.degrees
+    assert np.array_equal(P2.degrees[:nb], P.degrees)
     assert all(np.array_equal(a[np.ix_(idx, idx)], b) for a, b in zip(P2.B, P.B))
     outside = np.setdiff1d(np.arange(P2.size), idx)
     for a, b in zip(P2.B, P.B):
