@@ -1,8 +1,9 @@
 """Operator specifications: parsing, validation and symbolic manipulation.
 
-A system operator is a k x k grid of scalar differential operators with
-Douglis-Nirenberg orders (mu, nu): entry (i, j) has order mu_j - nu_i and
-is zero whenever that is negative.  Scalar entries are sums of terms
+A system operator is a k x k Douglis-Nirenberg system with orders
+(mu, nu), stored as a map from (i, j) to the terms of that entry; entry
+(i, j) has order mu_j - nu_i and is zero whenever that is negative.  An
+entry is a sum of terms
 
     coeff(x) * D^alpha,      D_i = -i d/dx_i,
 
@@ -19,11 +20,10 @@ round-off: Leibniz derivatives of variable coefficients are float.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .radial_algebra import HomogPoly, RadialFunction, differentiate
-from .weighted_norms import Expr, _multi_indices, _read_number
+from .weighted_norms import Expr, _multi_indices, _read_monomials, _read_number
 
 _COEFF_TOL = 1e-12
 _TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
@@ -67,40 +67,27 @@ class CoeffTerm:
 
 
 @dataclass
-class ScalarOperator:
-    """Scalar operator sum_terms coeff * D^alpha of declared order `order`."""
-
-    n: int
-    order: int
-    terms: list = field(default_factory=list)  # list[(alpha, CoeffTerm)]
-
-    def is_zero(self):
-        return not self.terms
-
-    def max_poly_degree(self):
-        return max((t.poly.degree for _, t in self.terms), default=0)
-
-
-@dataclass
 class SystemOperator:
-    """k x k system with DN orders; entries[i][j] is ScalarOperator or None."""
+    """k x k system with DN orders (mu, nu).  entries maps (i, j) to the
+    entry's terms [(alpha, CoeffTerm), ...], sum coeff * D^alpha of order
+    mu_j - nu_i; it holds only the entries that have terms."""
 
     n: int
     k: int
     mu: tuple
     nu: tuple
-    entries: list  # k x k nested list
+    entries: dict
 
     @property
     def m(self) -> int:
         return max(self.mu)
 
-    def entry(self, i, j):
-        return self.entries[i][j]
+    def order(self, i, j) -> int:
+        return self.mu[j] - self.nu[i]
 
     def max_poly_degree(self):
-        return max((e.max_poly_degree() for row in self.entries for e in row
-                    if e is not None), default=0)
+        return max((t.poly.degree for terms in self.entries.values() for _, t in terms),
+                   default=0)
 
     def fingerprint(self) -> str:
         doc = json.dumps(serialize_operator(self), sort_keys=True)
@@ -144,28 +131,14 @@ class DecayReport:
 # ---------------------------------------------------------------------------
 
 def _parse_poly(doc, n):
-    coeffs = {}
-    if not isinstance(doc, dict) or not doc:
-        raise SchemaError("poly must be a non-empty monomial map")
-    degree = None
-    for key, val in doc.items():
-        expo = tuple(_read_number(e, f"monomial key {key!r}") for e in key.split())
-        if len(expo) != n or any(e < 0 for e in expo):
-            raise SchemaError(f"bad monomial key {key!r}")
-        if degree is None:
-            degree = sum(expo)
-        elif sum(expo) != degree:
-            raise SchemaError("poly is not homogeneous of a single degree")
-        if not (isinstance(val, (list, tuple)) and len(val) == 2):
-            raise SchemaError(f"monomial value must be [re, im], got {val!r}")
-        c = complex(*(_read_number(v, f"coefficient at monomial {key!r}", float)
-                      for v in val))
-        if not cmath.isfinite(c):
-            raise SchemaError(f"non-finite coefficient {val!r} at monomial {key!r}")
-        if c != 0:
-            coeffs[expo] = c
+    coeffs = _read_monomials(doc, n, "term")
+    if not coeffs:
+        raise SchemaError("term poly must be a non-empty monomial map")
+    degrees = {sum(expo) for expo in coeffs}
+    if len(degrees) != 1:
+        raise SchemaError("term poly is not homogeneous of a single degree")
     # an all-zero poly is legal only as the carrier of a perturbation
-    return HomogPoly(n, degree, coeffs)
+    return HomogPoly(n, degrees.pop(), {m: c for m, c in coeffs.items() if c != 0})
 
 
 def parse_operator(doc) -> SystemOperator:
@@ -192,7 +165,7 @@ def parse_operator(doc) -> SystemOperator:
     if min(nu) != 0:
         raise BadDNOrders(f"min(nu) must be 0, got {min(nu)}")
 
-    entries = [[None] * k for _ in range(k)]
+    entries, seen = {}, set()
     if not isinstance(doc.get("entries", []), list):
         raise SchemaError("entries must be a list of objects")
     for ent in doc.get("entries", []):
@@ -203,8 +176,9 @@ def parse_operator(doc) -> SystemOperator:
         i, j = _read_number(ent.get("i"), "entry i"), _read_number(ent.get("j"), "entry j")
         if not (0 <= i < k and 0 <= j < k):
             raise SchemaError(f"entry index ({i},{j}) out of range")
-        if entries[i][j] is not None:
+        if (i, j) in seen:
             raise SchemaError(f"duplicate entry ({i},{j})")
+        seen.add((i, j))
         order = mu[j] - nu[i]
         if order < 0:
             raise BadDNOrders(
@@ -234,33 +208,28 @@ def parse_operator(doc) -> SystemOperator:
             pert = None if pert is None else Expr.from_json(pert, n)
             terms.append((alpha, CoeffTerm(e, poly, pert)))
         if terms:
-            entries[i][j] = ScalarOperator(n, order, terms)
-    op = SystemOperator(n, k, mu, nu, entries)
-    return canonicalize(op)
+            entries[(i, j)] = terms
+    return canonicalize(SystemOperator(n, k, mu, nu, entries))
 
 
 def serialize_operator(op: SystemOperator) -> dict:
     ents = []
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None or e.is_zero():
-                continue
-            terms = []
-            for alpha, t in e.terms:
-                poly_doc = {" ".join(str(a) for a in m): [c.real, c.imag]
-                            for m, c in sorted(t.poly.to_float().coeffs.items())}
-                if not poly_doc:  # zero principal carrying a perturbation
-                    poly_doc = {" ".join(["0"] * op.n): [0.0, 0.0]}
-                item = {
-                    "alpha": list(alpha),
-                    "radial_exponent": t.radial_exponent,
-                    "poly": poly_doc,
-                }
-                if t.perturbation is not None and not t.perturbation.is_zero():
-                    item["perturbation"] = t.perturbation.to_json()
-                terms.append(item)
-            ents.append({"i": i, "j": j, "terms": terms})
+    for (i, j), terms in sorted(op.entries.items()):
+        items = []
+        for alpha, t in terms:
+            poly_doc = {" ".join(str(a) for a in m): [c.real, c.imag]
+                        for m, c in sorted(t.poly.to_float().coeffs.items())}
+            if not poly_doc:  # zero principal carrying a perturbation
+                poly_doc = {" ".join(["0"] * op.n): [0.0, 0.0]}
+            item = {
+                "alpha": list(alpha),
+                "radial_exponent": t.radial_exponent,
+                "poly": poly_doc,
+            }
+            if t.perturbation is not None and not t.perturbation.is_zero():
+                item["perturbation"] = t.perturbation.to_json()
+            items.append(item)
+        ents.append({"i": i, "j": j, "terms": items})
     return {"n": op.n, "k": op.k, "mu": list(op.mu), "nu": list(op.nu),
             "entries": ents}
 
@@ -285,27 +254,23 @@ def _coeff_terms(n, alpha, rf, pert, order, scale):
 
 def canonicalize(op: SystemOperator) -> SystemOperator:
     """Split coefficients into harmonic components, merge and sort terms."""
-    entries = [[None] * op.k for _ in range(op.k)]
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None or e.is_zero():
-                continue
-            by_alpha = {}
-            perts = {}
-            scale = max((t.poly.norm_inf() for _, t in e.terms), default=0.0)
-            for alpha, t in e.terms:
-                rf = by_alpha.setdefault(alpha, RadialFunction.zero(op.n))
-                by_alpha[alpha] = rf.add(RadialFunction.from_parts(
-                    op.n, [(complex(t.radial_exponent), t.poly.to_float())]))
-                if t.perturbation is not None and not t.perturbation.is_zero():
-                    acc = perts.get(alpha)
-                    perts[alpha] = t.perturbation if acc is None else acc + t.perturbation
-            terms = [term for alpha in sorted(by_alpha)
-                     for term in _coeff_terms(op.n, alpha, by_alpha[alpha],
-                                              perts.get(alpha), e.order, scale)]
-            if terms:
-                entries[i][j] = ScalarOperator(op.n, e.order, terms)
+    entries = {}
+    for (i, j), src in op.entries.items():
+        by_alpha = {}
+        perts = {}
+        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
+        for alpha, t in src:
+            rf = by_alpha.setdefault(alpha, RadialFunction.zero(op.n))
+            by_alpha[alpha] = rf.add(RadialFunction.from_parts(
+                op.n, [(complex(t.radial_exponent), t.poly.to_float())]))
+            if t.perturbation is not None and not t.perturbation.is_zero():
+                acc = perts.get(alpha)
+                perts[alpha] = t.perturbation if acc is None else acc + t.perturbation
+        terms = [term for alpha in sorted(by_alpha)
+                 for term in _coeff_terms(op.n, alpha, by_alpha[alpha],
+                                          perts.get(alpha), op.order(i, j), scale)]
+        if terms:
+            entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
 
 
@@ -353,20 +318,16 @@ def principal_symbol_matrix(op: SystemOperator, x, xi):
     r = np.linalg.norm(x, axis=-1)
     shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
     mat = np.zeros(shape + (op.k, op.k), dtype=complex)
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None:
+    for (i, j), terms in op.entries.items():
+        for alpha, t in terms:
+            if sum(alpha) != op.order(i, j) or t.poly.is_zero():
                 continue
-            for alpha, t in e.terms:
-                if sum(alpha) != e.order or t.poly.is_zero():
-                    continue
-                coeff = _poly_eval_array(t.poly, x) * r ** t.radial_exponent
-                mono = np.ones(xi.shape[:-1])
-                for ax, a in enumerate(alpha):
-                    if a:
-                        mono = mono * xi[..., ax] ** a
-                mat[..., i, j] += coeff * mono
+            coeff = _poly_eval_array(t.poly, x) * r ** t.radial_exponent
+            mono = np.ones(xi.shape[:-1])
+            for ax, a in enumerate(alpha):
+                if a:
+                    mono = mono * xi[..., ax] ** a
+            mat[..., i, j] += coeff * mono
     return mat
 
 
@@ -412,41 +373,33 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
 
 def principal_part(op: SystemOperator) -> SystemOperator:
     """Drop every declared perturbation; the result is the model operator."""
-    entries = [[None] * op.k for _ in range(op.k)]
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None:
-                continue
-            terms = [(alpha, CoeffTerm(t.radial_exponent, t.poly, None))
-                     for alpha, t in e.terms if t.poly.norm_inf() > 0]
-            if terms:
-                entries[i][j] = ScalarOperator(op.n, e.order, terms)
+    entries = {}
+    for key, src in op.entries.items():
+        terms = [(alpha, CoeffTerm(t.radial_exponent, t.poly, None))
+                 for alpha, t in src if t.poly.norm_inf() > 0]
+        if terms:
+            entries[key] = terms
     return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
 
 
 def is_homogeneous_cc(op: SystemOperator) -> bool:
     """True iff every principal term is constant-coefficient of exact order;
     perturbations are not read, so this answers for the model operator."""
-    for i in range(op.k):
-        for j in range(op.k):
-            e = op.entries[i][j]
-            if e is None:
+    for (i, j), terms in op.entries.items():
+        for alpha, t in terms:
+            if t.poly.norm_inf() == 0:
                 continue
-            for alpha, t in e.terms:
-                if t.poly.norm_inf() == 0:
-                    continue
-                if t.poly.degree != 0 or sum(alpha) != e.order:
-                    return False
+            if t.poly.degree != 0 or sum(alpha) != op.order(i, j):
+                return False
     return True
 
 
-def _leibniz_adjoint_scalar(e: ScalarOperator, n: int):
-    """Formal adjoint of a scalar operator via (c D^alpha)* = sum_(g<=a)
+def _leibniz_adjoint_scalar(terms, n: int):
+    """Formal adjoint of one entry's terms via (c D^alpha)* = sum_(g<=a)
     binom(a,g) D^(a-g)(conj c) D^g; returns {gamma: (RadialFunction, Expr)}."""
     acc_rf = {}
     acc_pert = {}
-    for alpha, t in e.terms:
+    for alpha, t in terms:
         conj_rf = RadialFunction.from_parts(
             n, [(complex(t.radial_exponent), t.poly.conjugate().to_float())])
         conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
@@ -486,21 +439,17 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
     nu_star = tuple(m - v for v in op.mu)
     if min(mu_star) < 0:
         raise AdjointOrderViolation("max(nu) > m; some adjoint row would vanish")
-    entries = [[None] * op.k for _ in range(op.k)]
-    for i in range(op.k):
-        for j in range(op.k):
-            src = op.entries[j][i]
-            if src is None or src.is_zero():
-                continue
-            order = mu_star[j] - nu_star[i]  # == mu_i - nu_j == src.order
-            acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n)
-            scale = max((t.poly.norm_inf() for _, t in src.terms), default=0.0)
-            terms = [term for gamma in sorted(set(acc_rf) | set(acc_pert))
-                     for term in _coeff_terms(
-                         op.n, gamma, acc_rf.get(gamma, RadialFunction.zero(op.n)),
-                         acc_pert.get(gamma), order, scale)]
-            if terms:
-                entries[i][j] = ScalarOperator(op.n, order, terms)
+    entries = {}
+    for (j, i), src in op.entries.items():
+        order = op.order(j, i)  # == mu*_j - nu*_i
+        acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n)
+        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
+        terms = [term for gamma in sorted(set(acc_rf) | set(acc_pert))
+                 for term in _coeff_terms(
+                     op.n, gamma, acc_rf.get(gamma, RadialFunction.zero(op.n)),
+                     acc_pert.get(gamma), order, scale)]
+        if terms:
+            entries[(i, j)] = terms
     return canonicalize(SystemOperator(op.n, op.k, mu_star, nu_star, entries))
 
 

@@ -298,13 +298,11 @@ def _degree_columns(a0: SystemOperator, l: int):
     for j in range(a0.k):
         derivs = {}
         for i in range(a0.k):
-            e = a0.entries[i][j]
-            if e is None or e.is_zero():
+            terms = a0.entries.get((i, j))
+            if terms is None:
                 continue
             acc = {}
-            for alpha, t in e.terms:
-                if t.poly.is_zero():
-                    continue
+            for alpha, t in terms:
                 if alpha not in derivs:
                     st = {l: V0}
                     for ax, count in enumerate(alpha):

@@ -55,6 +55,28 @@ def _read_number(value, what, kind=int):
     return out
 
 
+def _read_monomials(doc, n, what):
+    """{exponents: complex} of a monomial map {"e1 ... en": [re, im]}.
+    Every key has n exponents (n None: as many as the first key); `what`
+    names the map's owner in each refusal."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} poly must be a monomial map, got {doc!r}")
+    out = {}
+    for key, val in doc.items():
+        expo = tuple(_read_number(e, f"{what} monomial key {key!r}") for e in key.split())
+        n = len(expo) if n is None else n
+        if len(expo) != n or any(e < 0 for e in expo):
+            raise SchemaError(f"bad {what} monomial key {key!r}")
+        if not (isinstance(val, (list, tuple)) and len(val) == 2):
+            raise SchemaError(f"{what} monomial value must be [re, im], got {val!r}")
+        c = complex(*(_read_number(v, f"{what} coefficient at monomial {key!r}", float)
+                      for v in val))
+        if not cmath.isfinite(c):
+            raise SchemaError(f"non-finite {what} coefficient {val!r} at monomial {key!r}")
+        out[expo] = c
+    return out
+
+
 @dataclass
 class Expr:
     """Element of the (1+r^2)^b r^c P(x) ring."""
@@ -90,23 +112,8 @@ class Expr:
                 raise SchemaError(f"unknown Expr keys: {sorted(set(item) - {'b', 'c', 'poly'})}")
             b = _as_fraction(item.get("b", 0), "Expr b")
             c = _as_fraction(item.get("c", 0), "Expr c")
-            poly = item.get("poly", {})
-            if not isinstance(poly, dict):
-                raise SchemaError(f"Expr poly must be a monomial map, got {poly!r}")
-            for expo_s, val in poly.items():
-                expo = tuple(_read_number(e, f"Expr monomial key {expo_s!r}")
-                             for e in expo_s.split())
-                if n is None:
-                    n = len(expo)
-                if len(expo) != n:
-                    raise SchemaError("inconsistent monomial length in Expr")
-                if any(e < 0 for e in expo):
-                    raise SchemaError(f"negative exponent in Expr monomial key {expo_s!r}")
-                if not (isinstance(val, list) and len(val) == 2):
-                    raise SchemaError(f"Expr monomial value must be [re, im], got {val!r}")
-                coeff = complex(*(_read_number(v, "Expr coefficient", float) for v in val))
-                if not cmath.isfinite(coeff):
-                    raise SchemaError(f"non-finite Expr coefficient {val!r}")
+            for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
+                n = len(expo)
                 t = Expr.term(n, b, c, expo, coeff)
                 out = t if out is None else out + t
         if out is None:
@@ -420,17 +427,13 @@ def _sup_on_shells(du, w_expo, decay):
 
     def weighted_vals(r):
         if r == 0.0:
-            x = np.zeros((1, n))
-            return np.abs(du.evaluate(x)), x
-        x = pts * r
-        vals = np.abs(du.evaluate(x)) * (1.0 + r * r) ** (w_expo / 2.0)
-        return vals, x
+            return np.abs(du.evaluate(np.zeros((1, n))))
+        return np.abs(du.evaluate(pts * r)) * (1.0 + r * r) ** (w_expo / 2.0)
 
     best = 0.0
     profile = []
     for r in radii:
-        vals, _ = weighted_vals(r)
-        m = float(np.max(vals))
+        m = float(np.max(weighted_vals(r)))
         profile.append(m)
         best = max(best, m)
     # refine around the peak radius
@@ -438,8 +441,7 @@ def _sup_on_shells(du, w_expo, decay):
     lo = radii[max(peak - 1, 0)]
     hi = radii[min(peak + 1, len(radii) - 1)]
     for r in np.linspace(lo, hi, 32):
-        vals, _ = weighted_vals(float(r))
-        best = max(best, float(np.max(vals)))
+        best = max(best, float(np.max(weighted_vals(float(r)))))
 
     # Lipschitz gap estimate near the peak: |grad(Lambda^w g)| <=
     # |w| Lambda^(w-1) |g| + Lambda^w |grad g| evaluated on the peak shell.

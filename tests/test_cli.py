@@ -65,6 +65,12 @@ _MALFORMED_OPERATORS = [
     (_set(["entries", 0, "terms"], 5), "terms"),
     (_set(["entries"], [5]), "entry"),
     (_set(_TERM + ["radial_exponent"], "x"), "radial_exponent"),
+    (lambda doc: doc["entries"].insert(0, {"i": 0, "j": 0, "terms": []}), "duplicate entry"),
+    (lambda doc: doc["entries"].append({"i": 0, "j": 0, "terms": []}), "duplicate entry"),
+    (_set(["entries", 0, "i"], 1), "out of range"),
+    (_set(_TERM + ["poly"], {"0 0 0": [1.0]}), "monomial value"),
+    (_set(_TERM + ["poly"], {"-1 0 0": [1.0, 0.0]}), "monomial key"),
+    (_set(_TERM + ["poly"], {"0 0 0": [1.0, 0.0], "1 0 0": [1.0, 0.0]}), "homogeneous"),
 ]
 
 # Expr documents (norm --n 3); a negative exponent would have reached the

@@ -4,8 +4,9 @@ no dead local assignments, no unread parameters.
 No linter ships with the toolchain, so five rules are checked on the ast:
 every name a module of src/oppencil, tests/ or scripts/ imports is used
 in that module (__init__.py re-exports and is exempt); every module-level
-function or class of src/oppencil is referenced somewhere in src/, tests/
-or scripts/ outside its own definition; every name a plain module-level
+function or class of src/oppencil, and every method of such a class
+(dunders exempt), is referenced somewhere in src/, tests/ or scripts/
+outside its own definition; every name a plain module-level
 `name = ...` assignment of src/oppencil binds (__init__.py exempt) is read
 somewhere in src/; every name a plain `name = ...` assignment binds
 inside a src/oppencil function is read by that function (names starting
@@ -72,9 +73,15 @@ def test_definitions_are_referenced():
     orphans = []
     for path in MODULES:
         for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if total[node.name] - _identifiers(node)[node.name] <= 0:
-                    orphans.append(f"{path.name}:{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and not (f.name.startswith("__") and f.name.endswith("__"))]
+            orphans += [f"{path.name}:{label}" for label, d in defs
+                        if total[d.name] - _identifiers(d)[d.name] <= 0]
     assert orphans == []
 
 

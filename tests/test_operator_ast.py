@@ -117,6 +117,16 @@ def test_roundtrip_exact():
         assert serialize_operator(op) == serialize_operator(again)
 
 
+def test_serialization_is_row_major_in_any_entry_order(cr_system2d):
+    doc = cr_system_doc()
+    doc["entries"].reverse()
+    op = parse_operator(doc)
+    out = serialize_operator(op)
+    assert [(e["i"], e["j"]) for e in out["entries"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert out == serialize_operator(cr_system2d)
+    assert op.fingerprint() == cr_system2d.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def test_principal_keeps_inverse_square(inverse_square3d):
     p = principal_part(inverse_square3d)
     assert serialize_operator(p) == serialize_operator(inverse_square3d)
     # the r^-2 term is principal: |alpha| - m = -2 matches its exponent
-    t = [t for a, t in p.entries[0][0].terms if sum(a) == 0][0]
+    t = [t for a, t in p.entries[(0, 0)] if sum(a) == 0][0]
     assert t.radial_exponent + t.poly.degree == -2
 
 
@@ -274,9 +284,8 @@ def test_adjoint_x1_over_r_coefficient():
                 "poly": {"1 0 0": [1.0, 0.0]}}]}]}
     op = parse_operator(doc)
     adj = formal_adjoint(op)
-    ent = adj.entries[0][0]
     by_alpha = {}
-    for a, t in ent.terms:
+    for a, t in adj.entries[(0, 0)]:
         by_alpha.setdefault(a, []).append(t)
     assert set(by_alpha) == {(0, 0, 0), (1, 0, 0)}
     # order-1 part unchanged

@@ -291,9 +291,8 @@ def _oracle_apply(a0, lam, comp, y):
     lifted = _shift_exponent(y, 1j * lam + a0.mu[comp])
     out = []
     for i in range(a0.k):
-        e = a0.entries[i][comp]
         acc = RadialFunction.zero(n)
-        for alpha, t in (e.terms if e is not None else []):
+        for alpha, t in a0.entries.get((i, comp), []):
             g = lifted
             for ax, count in enumerate(alpha):
                 for _ in range(count):
