@@ -50,8 +50,8 @@ class NotAnEigenvalue(NumericalGuard):
 
 
 class MultiplicityMismatch(NumericalGuard):
-    """Chain count disagrees with the determinant root order or with the
-    eigenvalues clustered in a strip, or a chain fails its own equations."""
+    """Chain count disagrees with the det root order (refused when it may read
+    aliased) or with a strip's clustered eigenvalues, or a chain fails its equations."""
 
 
 class DegenerateNormalization(NumericalGuard):

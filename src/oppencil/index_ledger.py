@@ -24,6 +24,7 @@ from .operator_ast import (
     is_formally_self_adjoint,
     is_homogeneous_cc,
 )
+from .spectrum import _CLUSTER_RADIUS
 
 _BREAK_TOL = 1e-9
 
@@ -178,17 +179,19 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
         center = (op.n + op.m) / 2.0
         if not (beta_min <= center <= beta_max):
             raise NoAnchor(f"center {(op.n + op.m) / 2} outside report window")
-        if off_breaks(center):
+        near = _CLUSTER_RADIUS / 2  # nearer, a line prints as one with its reflection
+        on_center = [m for line, m in breaks if abs(line - center) <= near]
+        if not on_center:
             beta0, index0 = center, 0
         else:
             # occupied center line of multiplicity 2d: index is +-d nearby
-            mult = next(m for line, m in breaks if abs(line - center) <= _BREAK_TOL)
+            mult = on_center[0]
             if mult % 2:
                 raise NoAnchor("center-line multiplicity is odd; not self-adjoint data")
             # any point of the component just above the centre will do, so
             # stay inside the window when the next line lies past its edge
             gaps = [abs(line - center) for line, _ in breaks
-                    if abs(line - center) > _BREAK_TOL]
+                    if abs(line - center) > near]
             eps = min(gaps) if gaps else center - beta_min
             beta0, index0 = center + min(eps, beta_max - center) / 2, -mult // 2
     elif anchor.kind == "user":

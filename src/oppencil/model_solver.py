@@ -44,6 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooShort, LineTooClose, NotApplicable
+from . import spectrum
 from .pencil import PencilMatrices, horner
 from .spectrum import (
     _CLUSTER_RADIUS,
@@ -225,7 +226,7 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
             raise ValueError("provide t when passing raw samples")
         # weighted solutions decay at rate gap = dist(line, nearest pole);
         # the grid must be long enough for that tail to die out too
-        gap = min((abs(p.imag - b) for p in mp.eigenvalues
+        gap = min((abs(p.imag - b) for p in spectrum.solve_pencil_eigenvalues(mp)
                    for b in (beta1, beta2)), default=1.0)
         t, fvals = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
     else:

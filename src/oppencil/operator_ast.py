@@ -179,12 +179,12 @@ def parse_operator(doc) -> SystemOperator:
         if (i, j) in seen:
             raise SchemaError(f"duplicate entry ({i},{j})")
         seen.add((i, j))
-        order = mu[j] - nu[i]
-        if order < 0:
-            raise BadDNOrders(
-                f"nonzero entry ({i},{j}) where mu_j - nu_i = {order} < 0")
         if not isinstance(ent.get("terms"), list):
             raise SchemaError(f"terms of entry ({i},{j}) must be a list of objects")
+        order = mu[j] - nu[i]
+        if order < 0 and ent["terms"]:
+            raise BadDNOrders(
+                f"nonzero entry ({i},{j}) where mu_j - nu_i = {order} < 0")
         terms = []
         for t in ent["terms"]:
             if not isinstance(t, dict):

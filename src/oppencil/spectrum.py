@@ -31,15 +31,17 @@ adjoint chain equations (of the transposed coefficients) and the
 biorthogonality rows; the chain, adjoint and pairing residuals are read
 off those solved systems.  A chain must satisfy its equations to
 _CHAIN_TOL, and the algebraic count is cross-checked against the
-vanishing order of det pencil at lam0 (Taylor coefficients by FFT on a
-circle, det evaluated as the product over P.squares) and, over a strip,
-against the number of eigenvalues clustered there.  At bandwidth 0 both
-work block by block: the chains on the rows and columns of the decoupled
-blocks that own an eigenvalue in the det circle (P.owners), under the
-whole pencil's rank cuts, and the det order over those blocks only, since
-no other block vanishes in the circle.  Adjoint chains at conj(lam0) of the
-cylinder-level adjoint pencil are normalized to the Kronecker
-biorthogonality pattern by one least-squares solve.
+vanishing order of det pencil at lam0, read first (Taylor coefficients by
+FFT on a circle with four nodes per eigenvalue inside, det evaluated as
+the product over P.squares) and, over a strip, against the number of
+eigenvalues clustered there.  A nullspace of pencil(lam0) as wide as the
+det order whose vectors do not extend is the chains of a semisimple
+point, and no Toeplitz matrix is built.  At bandwidth 0 both work block by
+block: the chains on the rows and columns of the decoupled blocks that own
+an eigenvalue in the det circle (P.owners), under the whole pencil's rank
+cuts, and the det order over those blocks only.  Adjoint chains at
+conj(lam0) of the cylinder-level adjoint pencil are normalized to the
+Kronecker biorthogonality pattern by one least-squares solve.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ _CHAIN_TOL = 1e-8       # relative chain residual that refuses an eigenpoint
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
 _TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
-_DET_NODES = 64         # circle nodes of the det-order FFT
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
 _DET_RADIUS_MAX = 0.1     # ... and at most this
@@ -221,15 +222,15 @@ def cluster_eigenvalues(vals):
 # determinant order cross-check
 # ---------------------------------------------------------------------------
 
-def _det_values_on_circle(squares, lam0, radius):
-    """det of the given square pencils' product at the _DET_NODES circle
+def _det_values_on_circle(squares, lam0, radius, nodes):
+    """det of the given square pencils' product at `nodes` equispaced circle
     nodes, divided by the geometric mean of their moduli; each square is
     evaluated at all nodes in one stack."""
-    thetas = 2 * math.pi * np.arange(_DET_NODES) / _DET_NODES
-    nodes = lam0 + radius * np.exp(1j * thetas)
+    thetas = 2 * math.pi * np.arange(nodes) / nodes
+    points = lam0 + radius * np.exp(1j * thetas)
     sign, logabs = 1.0, 0.0
     for B in squares:
-        s, la = np.linalg.slogdet(horner(B, nodes))
+        s, la = np.linalg.slogdet(horner(B, points))
         sign, logabs = sign * s, logabs + la
     return sign * np.exp(logabs - np.mean(logabs))
 
@@ -237,24 +238,30 @@ def _det_values_on_circle(squares, lam0, radius):
 def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     """Order of the zero of det pencil at lam0 from scaled Taylor coefficients.
 
-    FFT of determinant values on a circle of the given radius gives the
-    scaled derivatives c_j rho^j; the order is the first coefficient that
-    is non-negligible.  The circle must isolate lam0 from the rest of the
-    spectrum.  The determinant is the product of those of P.squares, and
-    only the squares that own an eigenvalue inside the circle (P.owners)
-    can vanish there: at bandwidth 0 the others are left out, and with no
-    owner the order is 0.
+    FFT of det values at N = max(16, 2^ceil(log2(4c))) nodes on a circle of
+    the given radius, c the P.eigenvalues strictly inside it, gives the
+    scaled derivatives a_j rho^j modulo N; the order is the first of the
+    lower N/2 non-negligible against the largest.  None, or one in the top
+    quarter of the N/2, may be aliased: MultiplicityMismatch.  The circle
+    must isolate lam0 from the rest of the spectrum.  The determinant is
+    the product of those of P.squares, and only the squares that own an
+    eigenvalue inside the circle (P.owners) can vanish there: at bandwidth
+    0 the others are left out, and with no owner the order is 0.
     """
     owners = P.owners(lam0, radius)
     if not owners:
         return 0
-    w = _det_values_on_circle([P.squares[i] for i in owners], lam0, radius)
-    t = np.fft.fft(w) / len(w)
-    t = t[:len(t) // 2]
-    mx = np.max(np.abs(t))
-    if mx == 0.0:
-        return -1
-    return int(np.argmax(np.abs(t) > _DET_ORDER_TOL * mx))
+    count = int(np.count_nonzero(np.abs(P.eigenvalues - lam0) < radius))
+    nodes = max(16, 1 << (4 * count - 1).bit_length())
+    w = _det_values_on_circle([P.squares[i] for i in owners], lam0, radius, nodes)
+    t = np.abs(np.fft.fft(w))
+    hits = np.flatnonzero(t[:nodes // 2] > _DET_ORDER_TOL * t.max())
+    if hits.size == 0 or hits[0] >= 3 * nodes // 8:
+        first = "none" if hits.size == 0 else int(hits[0])
+        raise MultiplicityMismatch(
+            f"det root order at {lam0} unresolved on {nodes} circle nodes "
+            f"(first non-negligible coefficient: {first} of {nodes // 2})")
+    return int(hits[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +276,14 @@ def _null_space(mat, scale=None):
     under the ceiling while genuine nulls sit at round-off; when the
     below-ceiling values show a clear gap and the upper group is far from
     round-off, the upper group is treated as non-null.  The determinant
-    vanishing-order guard remains the final arbiter.
+    vanishing-order guard remains the final arbiter.  Returns the null
+    basis, the singular values and a range basis (left singular vectors).
     """
     if mat.size == 0:
-        return np.zeros((mat.shape[1], 0), dtype=complex), np.array([])
+        return (np.zeros((mat.shape[1], 0), dtype=complex), np.array([]),
+                np.zeros((mat.shape[0], 0), dtype=complex))
     # only a wide matrix has null directions outside the reduced Vh
-    _, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    U, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = max(sv[0] if sv.size else 0.0, scale or 0.0)
     svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
     below = np.where(svp < _RANK_TOL * smax)[0]
@@ -285,7 +294,7 @@ def _null_space(mat, scale=None):
         k = int(np.argmax(gaps))
         if gaps[k] >= 3.0 and vals[k] > 1e-11 * smax:
             below = below[k + 1:]
-    return Vh.conj().T[:, below], sv
+    return Vh.conj().T[:, below], sv, U[:, :mat.shape[1] - len(below)]
 
 
 def _toeplitz(T, s):
@@ -299,21 +308,33 @@ def _toeplitz(T, s):
     return out
 
 
-def chains_from_matrices(T, scale):
+def chains_from_matrices(T, scale, det_order):
     """Canonical Jordan chains for a matrix polynomial given its scaled
     derivatives T[s] = (1/s!) d^s pencil(lam0), s = 0..degree.
 
-    Returns (J, partial_multiplicities, chains, residuals); raises
-    NotAnEigenvalue when pencil(lam0) has full column rank.
+    The SVD of T[0] gives its null basis V and a range basis U_r.  When V's
+    width J is det_order and the count of level-2 chains J - rank((I -
+    U_r U_r^H) T[1] V) is 0 (Gohberg, Lancaster and Rodman, Matrix
+    Polynomials), the chains are V's columns; otherwise they come from
+    nested block-Toeplitz nullspaces.  Returns (J, partial_multiplicities,
+    chains, residuals); NotAnEigenvalue when T[0] has full column rank.
     """
     n_c = T[0].shape[1]
     # nested Toeplitz nullspaces: d_s = #properly extendable leading vectors
     d, levels = [], []
     for s in range(1, 41):
         S = _toeplitz(T, s)
-        N, sv = _null_space(S, scale=scale)
+        N, sv, U_r = _null_space(S, scale=scale)
         if s == 1 and N.shape[1] == 0:
             raise NotAnEigenvalue(f"sigma_min = {sv[-1]:.3e}")
+        if s == 1 and N.shape[1] == det_order and len(T) > 1:
+            X = T[1] @ N
+            X -= U_r @ (U_r.conj().T @ X)
+            if np.linalg.svd(X, compute_uv=False)[-1] > _RANK_TOL * max(sv[0], scale):
+                # oriented as the Toeplitz route orients a level of length 1
+                phi = np.linalg.svd(N, full_matrices=False)[0]
+                res = (np.linalg.norm(T[0] @ phi, axis=0) / scale).tolist()
+                return det_order, [1] * det_order, [[v] for v in phi.T], res
         # null basis vectors are unit norm, so the cut is absolute
         d_s = int(np.sum(np.linalg.svd(N[:n_c, :], compute_uv=False) > _RANK_TOL))
         if d_s == 0:
@@ -356,16 +377,16 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
                   isolation: float | None = None) -> Eigenpoint:
     """Canonical system of Jordan chains at lambda0.
 
-    Geometric multiplicity from the SVD nullspace of pencil(lambda0);
-    chains from nested block-Toeplitz nullspaces, extended longest-first;
-    the total count is cross-checked against the determinant vanishing
-    order on a circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
-    (Eigenpoint.radius; MultiplicityMismatch on disagreement, and when a
-    chain's relative residual exceeds _CHAIN_TOL).  At
-    bandwidth 0 both work on the decoupled blocks that own an eigenvalue in
-    that circle (P.owners), with the rank cuts of the whole pencil; the
-    chains are padded back to the full basis.  NotAnEigenvalue when no
-    block owns lambda0.
+    The det vanishing order is read first, on a circle of radius 0.45 *
+    isolation clipped to [1e-5, 0.1] (Eigenpoint.radius); a nullspace of
+    pencil(lambda0) that wide whose vectors do not extend is a semisimple
+    point's chains.  Otherwise chains come from nested block-Toeplitz
+    nullspaces, extended longest-first, and their count must be the det
+    order (MultiplicityMismatch, also when a chain's relative residual
+    exceeds _CHAIN_TOL).  At bandwidth 0 both work on the decoupled blocks
+    that own an eigenvalue in that circle (P.owners), with the rank cuts of
+    the whole pencil; the chains are padded back to the full basis.
+    NotAnEigenvalue when no block owns lambda0.
     """
     lambda0 = complex(lambda0)
     if isolation is None:
@@ -382,15 +403,15 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     else:
         keep = P.kept
         cut = P.B[:, :, keep]
+    order_det = det_vanishing_order(P, lambda0, radius)
     try:
         J, partial, chains, residuals = chains_from_matrices(
-            taylor(cut, lambda0), _chain_scale(P, lambda0))
+            taylor(cut, lambda0), _chain_scale(P, lambda0), order_det)
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
     M = sum(partial)
 
-    # determinant-order cross-check
-    order_det = det_vanishing_order(P, lambda0, radius)
+    # determinant-order cross-check (met by construction on the early exit)
     if order_det != M:
         raise MultiplicityMismatch(
             f"chain count {M} != det root order {order_det} at {lambda0}")

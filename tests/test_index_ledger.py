@@ -192,6 +192,19 @@ def test_ledger_selfadjoint_anchor_stays_in_window(laplacian2d):
         assert i == cc_index(laplacian2d, (l + r) / 2)
 
 
+@pytest.mark.parametrize("shift", [1e-8, -1e-8, 4e-7])
+def test_ledger_centre_line_within_the_cluster_radius(laplacian2d, shift):
+    # a centre line read 1e-8 off (n + m)/2 at a low degree is one report
+    # line with its reflection, so it still occupies the centre
+    rep = strip_spectrum(laplacian2d, 0.4, 2.3, 6)
+    lines = {round(line) + (shift if round(line) == 2 else 0.0): m
+             for line, m in rep.res_lines.items()}
+    led = build_ledger(dataclasses.replace(rep, res_lines=lines), Anchor("selfadjoint"))
+    assert led.anchor[1] == -1
+    for l, r, i in led.values:
+        assert i == cc_index(laplacian2d, (l + r) / 2)
+
+
 def test_ledger_no_selfadjoint_anchor_for_dbar(dbar2d):
     with pytest.raises(NotApplicable):
         check_anchor(dbar2d, Anchor("selfadjoint"))

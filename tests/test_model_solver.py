@@ -369,13 +369,25 @@ def test_singular_leading_coefficient_refused():
 
 
 def test_expansion_runs_one_companion_qz(monkeypatch):
-    calls = []
+    # the one solve runs inside spectrum.solve_pencil_eigenvalues, the
+    # eigensolve stage, the first time the expansion reads the poles
+    calls, depth = [], []
     qz = pencil._companion_eigenvalues
     monkeypatch.setattr(pencil, "_companion_eigenvalues",
-                        lambda Bs: calls.append(len(Bs[0])) or qz(Bs))
+                        lambda Bs: calls.append((len(Bs[0]), len(depth))) or qz(Bs))
+    solve = spectrum.solve_pencil_eigenvalues
+
+    def staged(P, band=None):
+        depth.append(P)
+        try:
+            return solve(P, band)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(spectrum, "solve_pencil_eigenvalues", staged)
     mp = _mode(laplacian_doc(3), 0)
     res = line_difference_expansion(mp, gauss, 1.5, 3.5)   # two poles, two lines
-    assert len(res.eigenpoints) == 2 and calls == [1]
+    assert len(res.eigenpoints) == 2 and calls == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,18 @@ def test_parse_negative_order_entry():
         parse_operator(doc)
 
 
+def test_parse_accepts_empty_negative_order_entry():
+    # an entry listed without terms is zero, whatever its order
+    term = {"alpha": [1, 0], "radial_exponent": 0.0, "poly": {"0 0": [1.0, 0.0]}}
+    doc = {"n": 2, "k": 2, "mu": [1, 1], "nu": [0, 2],
+           "entries": [{"i": 0, "j": 0, "terms": [term]},
+                       {"i": 1, "j": 0, "terms": []}]}
+    assert list(parse_operator(doc).entries) == [(0, 0)]
+    doc["entries"][1]["terms"] = [term]
+    with pytest.raises(BadDNOrders, match=r"nonzero entry \(1,0\)"):
+        parse_operator(doc)
+
+
 def test_parse_order_mismatch():
     doc = laplacian_doc(3)
     doc["entries"][0]["terms"][0]["radial_exponent"] = -1.0

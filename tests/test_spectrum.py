@@ -204,13 +204,44 @@ def test_det_vanishing_order(laplacian3d, laplacian2d):
 def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
     P = assemble_pencil(laplacian3d, 6)
     assert P.bandwidth == 0 and len(P.squares) > 1
-    got = _det_values_on_circle(P.squares, 2j, 0.1)
+    got = _det_values_on_circle(P.squares, 2j, 0.1, 64)
     want = _det_circle_oracle(P, 2j, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     P = assemble_pencil(dbar2d, 8)
     assert P.bandwidth > 0
-    assert np.array_equal(_det_values_on_circle(P.squares, 1j, 0.1),
+    assert np.array_equal(_det_values_on_circle(P.squares, 1j, 0.1, 64),
                           _det_circle_oracle(P, 1j, 0.1))
+
+
+def test_det_order_refuses_an_undersized_circle(laplacian3d):
+    # the l = 3 line -1 has order 7.  Its 7 eigenvalues size the circle at
+    # 32 nodes; a count of 1 sizes it at 16, where order 7 lands in the top
+    # quarter of the 8 coefficients kept, and it is refused, not misread
+    P = assemble_pencil(laplacian3d, 4)
+    assert det_vanishing_order(P, -1j, 0.1) == 7
+    P = replace(P)
+    P.__dict__["eigenvalues"] = np.array([-1j])   # the count alone is forced
+    with pytest.raises(MultiplicityMismatch,
+                       match=r"unresolved on 16 circle nodes .*: 7 of 8\)"):
+        det_vanishing_order(P, -1j, 0.1)
+
+
+@pytest.mark.parametrize("order, read", [(5, 5), (6, "6 of 8"), (8, "none of 8")],
+                         ids=["order5", "order6", "order8"])
+def test_det_order_of_lam_power_on_16_nodes(order, read):
+    # det = lam^order, counted once: 16 nodes.  Order 5 is read exactly;
+    # order 6 falls in the top quarter, order 8 beyond the 8 kept
+    B = np.zeros((order + 1, 1, 1), dtype=complex)
+    B[order] = 1.0
+    P = PencilMatrices(B=B, degrees=np.array([0]), k=1, n=2, mu=(order,), nu=(0,),
+                       l_max=0, analysis_degree=0, bandwidth=0)
+    P.__dict__["eigenvalues"] = np.array([0j])
+    if isinstance(read, int):
+        assert det_vanishing_order(P, 0j, 0.1) == read
+    else:
+        with pytest.raises(MultiplicityMismatch,
+                           match=rf"unresolved on 16 circle nodes .*: {read}\)"):
+            det_vanishing_order(P, 0j, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +296,17 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
 
 
 def _full_pencil_chains(P, lam0):
-    """chains_from_matrices on every kept column of the whole pencil."""
+    """chains_from_matrices on every kept column of the whole pencil, by the
+    Toeplitz route: a det order of 0 meets no null width."""
     T = [Ts[:, P.kept] for Ts in taylor(P.B, lam0)]
-    return chains_from_matrices(T, _chain_scale(P, lam0))
+    return chains_from_matrices(T, _chain_scale(P, lam0), 0)
 
 
 def _full_det_order(P, lam0):
     """Vanishing order of det over every square of P, on the circle a strip
     would use (0.45 of the isolation in P.eigenvalues, at most 0.1)."""
     iso = min(abs(v - lam0) for v in P.eigenvalues if abs(v - lam0) > 1e-6)
-    t = np.fft.fft(_det_values_on_circle(P.squares, lam0, min(0.45 * iso, 0.1)))
+    t = np.fft.fft(_det_values_on_circle(P.squares, lam0, min(0.45 * iso, 0.1), 64))
     t = np.abs(t[:len(t) // 2])
     return int(np.argmax(t > 1e-6 * t.max()))
 
@@ -300,6 +332,59 @@ def test_block_chains_match_full_pencil(op_fn, strip, degree):
         got = _span_projector([chain[0] for chain in ep.chains])
         want = _span_projector([chain[0] for chain in chains])
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _toeplitz_levels(monkeypatch):
+    """Record the block rows s of every Toeplitz matrix built."""
+    levels = []
+    toeplitz = spectrum._toeplitz
+    monkeypatch.setattr(spectrum, "_toeplitz",
+                        lambda T, s: levels.append(s) or toeplitz(T, s))
+    return levels
+
+
+@pytest.mark.parametrize("doc_fn, strip, degree", [
+    (dbar_doc, (-1.5, 2.5), 6),
+    (cr_system_doc, (-0.5, 2.5), 6),
+    (lambda: json.loads((OPERATORS / "anisotropic2d.json").read_text()), (0.4, 2.3), 4),
+], ids=["dbar2d", "cr_system2d", "anisotropic2d"])
+def test_semisimple_points_take_the_early_exit(monkeypatch, doc_fn, strip, degree):
+    # coupled pencils: the early exit builds the level-1 matrix only, and
+    # its chains and residuals are those of the Toeplitz route
+    levels = _toeplitz_levels(monkeypatch)
+    rep = strip_spectrum(parse_operator(doc_fn()), *strip, degree)
+    P = rep.pencil
+    assert P.bandwidth > 0 and rep.eigenpoints
+    assert levels == [1] * len(rep.eigenpoints)
+    for ep in rep.eigenpoints:
+        J, partial, chains, residuals = _full_pencil_chains(P, ep.lambda0)
+        assert partial == ep.partial_multiplicities == [1] * ep.geometric
+        for got, want in zip(ep.chains, chains):
+            assert np.array_equal(got[0][P.kept], want[0])
+        assert np.allclose(ep.residuals, residuals, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n, c, line, partial", [
+    (3, -0.25, 2.5, [2]),       # D_0 = 0
+    (2, -1.0, 2.0, [2, 2]),     # D_1 = 0
+], ids=["n3_l0", "n2_l1"])
+def test_jordan_points_take_the_toeplitz_route(monkeypatch, n, c, line, partial):
+    # a double root at D_l = 0 holds one chain of length 2 per degree-l
+    # harmonic; its null width falls short of the det order, so the nested
+    # Toeplitz nullspaces run, and end at the first level that adds nothing
+    levels = _toeplitz_levels(monkeypatch)
+    rep = strip_spectrum(_inverse_square_op(n, c), 0.5, 3.9, 4)
+    eps = [ep for ep in rep.eigenpoints if ep.partial_multiplicities != [1] * ep.geometric]
+    assert [(ep.lambda0.imag, ep.partial_multiplicities, ep.det_order) for ep in eps] == \
+        [(pytest.approx(line), partial, 2 * len(partial))]
+    assert levels.count(3) == 1 and sorted(levels)[-4:] == [1, 1, 2, 3]
+
+
+def test_criterion_2_chain_takes_the_toeplitz_route(monkeypatch, laplacian2d):
+    levels = _toeplitz_levels(monkeypatch)
+    ep = jordan_chains(assemble_pencil(laplacian2d, 6), 2j)
+    assert (ep.partial_multiplicities, ep.det_order) == ([2], 2)
+    assert levels == [1, 2, 3]
 
 
 def test_convergence_is_zero_by_structure_at_every_bandwidth(monkeypatch, laplacian3d,
@@ -589,16 +674,12 @@ def test_dipole_degree_two_has_the_degree_four_lines(strip):
 
 def test_chain_failing_its_equations_refused(monkeypatch):
     # the dipole's degree-2 pencil near -1i: with the det order made to
-    # agree with the chain count, chains that miss their own equations by
-    # about 1e-4 are all that is left to refuse them
+    # read 3, the Toeplitz route runs and agrees with it, and chains that
+    # miss their own equations by about 1e-4 are all that is left to
+    # refuse them
     op = parse_operator(json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    counts = []
-    chains = spectrum.chains_from_matrices
-    monkeypatch.setattr(spectrum, "chains_from_matrices",
-                        lambda *args: counts.append(out := chains(*args)) or out)
-    monkeypatch.setattr(spectrum, "det_vanishing_order",
-                        lambda P, lam0, radius: sum(counts[-1][1]))
+    monkeypatch.setattr(spectrum, "det_vanishing_order", lambda P, lam0, radius: 3)
     with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-0[45] > 1e-08"):
         spectrum.strip_eigenpoints(P, -1.7, 2.6)
 
@@ -627,6 +708,29 @@ def _res_csv(name, strip, degree, capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     return code, out, err
+
+
+def test_multiplicity_above_32_answers_its_closed_form(capsys):
+    # mode 16's line 19 holds 2 * 16 + 1 = 33 eigenvalues, read on 256 nodes
+    code, out, err = _res_csv("laplacian3d.json", (18.5, 19.5), 16, capsys)
+    assert (code, out, err) == (0, "line,multiplicity\n19,33\n", "")
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_anisotropic_degree_two_has_the_degree_four_lines(degree, capsys):
+    # the pairs +-0.0099 + 2i and +-0.0063 + 1.00007i are two simple
+    # eigenvalues each, one line of multiplicity 2; each eigenpoint's null
+    # width is its det order, so no chain extends it
+    code, out, err = _res_csv("anisotropic2d.json", (0.4, 2.3), degree, capsys)
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert (code, err) == (0, "")
+    assert [(float(line), int(mult)) for line, mult in rows] == \
+        [(pytest.approx(1.0000716268, abs=1e-8), 2), (pytest.approx(2.0, abs=2e-8), 2)]
+    code = main(["index", str(OPERATORS / "anisotropic2d.json"), "--anchor",
+                 "selfadjoint", "--window", "0.4", "2.3", "--degree", str(degree)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert [c["index"] for c in json.loads(out)["components"]] == [3, 1, -1]
 
 
 def _named_degree(err):
