@@ -26,13 +26,14 @@ to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 
 The mode block b is a PencilMatrices cut from the pencil (mode_pencil, one
-index on the coefficient stack, reduced to its 1 x 1 scalar when the block
-is a scalar multiple of the identity): its poles are the block view's
-cached eigenvalues (one eigensolve however many callers ask), and the
-crossed poles are spectrum.strip_eigenpoints between the two lines,
-clustered, chained and guarded as a strip's are (det order, leading
-coefficient); adjoint chains come from adjoint_chains.  A pole on a line
-is refused by the line solve (LineTooClose).
+index on the coefficient stack, reduced to its 1 x 1 scalar when the cut's
+block view holds it as c(lam) I, under the view's one tolerance): its
+poles are the block view's cached eigenvalues (one eigensolve however
+many callers ask), and the crossed poles are spectrum.strip_eigenpoints
+between the two lines, clustered, chained and guarded as a strip's are
+(det order, leading coefficient); adjoint chains come from
+adjoint_chains.  A pole on a line is refused by the line solve
+(LineTooClose).
 """
 
 from __future__ import annotations
@@ -65,23 +66,21 @@ _LAURENT_NODES = 128
 
 def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
     """The degree-l block of a pencil, cut as a pencil on the degree-l
-    harmonics, or on one harmonic when it is a scalar multiple of the
-    identity (constant-coefficient scalar operators).  The block must be
-    decoupled: every component of P.components that touches degree l
-    holds only degree l.
+    harmonics, or on one harmonic when the cut's block view holds it as one
+    c(lam) I square (constant-coefficient scalar operators): the scalar is
+    that view's 1 x 1 square.  The block must be decoupled: every component
+    of P.components that touches degree l holds only degree l.
     """
     degs = P.row_degrees
     if any((degs[c] == l).any() and (degs[c] != l).any() for c in P.components):
         raise NotApplicable(f"degree {l} block is coupled; no mode reduction")
     idx = np.flatnonzero(degs == l)
-    B = P.B[:, idx[:, None], idx]
-    scale = float(np.abs(B).sum(axis=2).max()) or 1.0
-    k, dim = P.k, len(idx) // P.k
-    if len(idx) > 1 and (np.max(np.abs(B - B[:, :1, :1] * np.eye(len(idx))))
-                         < 1e-10 * scale):
-        B, k, dim = B[:, :1, :1], 1, 1
-    return replace(P, B=B, degrees=np.full(dim, l), k=k, mu=P.mu[:k], nu=P.nu[:k],
-                   l_max=l, analysis_degree=l, bandwidth=0)
+    mp = replace(P, B=P.B[:, idx[:, None], idx], degrees=np.full(len(idx) // P.k, l),
+                 l_max=l, analysis_degree=l, bandwidth=0)
+    if mp.powers == [mp.size] and mp.size > 1:
+        mp = replace(mp, B=mp.squares[0], degrees=np.full(1, l), k=1, mu=P.mu[:1],
+                     nu=P.nu[:1])
+    return mp
 
 
 # ---------------------------------------------------------------------------

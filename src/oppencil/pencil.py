@@ -15,10 +15,10 @@ through two small cached matrices per (n, l, i), the up-map H -> H_plus
 H -> dH/dx_i, which is (2l+n-2) up(l-1)^T as x_i is symmetric on the
 sphere.  Each D_i multiplies a column by a polynomial of degree one in
 lam, so a column's coefficients come out as polynomials in lam, written
-straight into B_0..B_m.  Harmonic leakage
-above the truncation degree is seen per column, and the work basis is
-enlarged by twice the observed coupling bandwidth so that every column
-needed downstream is the exact restriction of the infinite operator.
+straight into B_0..B_m from the states x^expo D^alpha (r^(i lam + mu) Y_l),
+built once per process (_column_state).  Leakage above the truncation
+degree is seen per column, and the work basis is enlarged by twice the
+observed bandwidth so that every column needed downstream is exact.
 Columns do not depend on the basis size, so the kept columns of a pencil
 are those of every wider one, with zero rows appended: a value certified
 on them is an eigenvalue of every wider pencil, and no wider pencil is
@@ -30,14 +30,15 @@ harmonics; m, the per-row degrees and the scale are derived from them once.
 Every cut (a decoupled block, the kept columns, a mode) is one index on the
 stack.
 
-A pencil's block view (kept, components, squares, square_eigenvalues)
-decides once how det pencil splits into square pieces and solves each
-piece once (a shifted companion and a standard eigensolve, after the
-leading-coefficient check); the strip eigensolve, the det-order circle,
-the Jordan chains and the mode cut all read it.  At bandwidth 0 the
-squares are the decoupled (component, degree) blocks and owners(lam0,
-radius) names those with an eigenvalue in a circle, so chains and det
-orders are computed on the blocks that own the eigenvalue.  A mode cut
+A pencil's block view (kept, components, powers, squares, roots) splits
+det pencil once into prod_i det(squares[i]) ** powers[i] and solves each
+piece once; the strip eigensolve, the det-order circle, the Jordan chains
+and the mode cut all read it.  At bandwidth 0 the squares are the
+decoupled (component, degree) blocks, one that is c(lam) I_d (radial
+coefficients; Kozlov, Maz'ya and Rossmann, Spectral Problems Associated
+with Corner Singularities) as its 1 x 1 scalar c with power d, and
+owners(lam0, radius) names those with an eigenvalue in a circle, so chains
+and det orders are computed on the blocks that own it.  A mode cut
 (model_solver.mode_pencil) is a PencilMatrices too, so it carries its own
 view and is solved at most once.
 """
@@ -55,6 +56,7 @@ from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
+_SCALAR_TOL = 1e-10    # deviation from c(lam) I, relative to the block's row sums
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 
@@ -130,13 +132,29 @@ class PencilMatrices:
         return [np.flatnonzero(label == c) for c in np.unique(label)]
 
     @cached_property
+    def powers(self):
+        """The power of each of P.squares in det pencil: d for a block that is
+        c(lam) I_d to _SCALAR_TOL of its largest absolute row sum, else 1."""
+        if self.bandwidth:
+            return [1]
+        out = []
+        for idx in self.components:
+            Bs = self.B[:, idx[:, None], idx]
+            dev = np.abs(Bs - Bs[:, :1, :1] * np.eye(len(idx))).max()
+            scale = np.abs(Bs).sum(axis=2).max() or 1.0
+            out.append(len(idx) if dev < _SCALAR_TOL * scale else 1)
+        return out
+
+    @cached_property
     def squares(self):
-        """Square pencils (coefficient stacks) whose determinants multiply to
-        det pencil: the decoupled blocks when the bandwidth is 0, otherwise
-        one fixed random compression Q R_j of the exact rectangular
-        restriction R_j to the kept columns."""
+        """Square pencils (coefficient stacks), det pencil = prod_i det(P.squares
+        [i]) ** P.powers[i]: the decoupled blocks (a c(lam) I one as its 1 x 1
+        c) when the bandwidth is 0, otherwise one fixed random compression
+        Q R_j of the exact rectangular restriction R_j to the kept columns."""
         if self.bandwidth == 0:
-            return [self.B[:, idx[:, None], idx] for idx in self.components]
+            cuts = [idx if d == 1 else idx[:1]
+                    for idx, d in zip(self.components, self.powers)]
+            return [self.B[:, cut[:, None], cut] for cut in cuts]
         R = self.B[:, :, self.kept]
         n_r, n_c = R.shape[1:]
         rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
@@ -145,9 +163,10 @@ class PencilMatrices:
         return [Q @ R]
 
     @cached_property
-    def square_eigenvalues(self):
-        """Finite eigenvalues of each of P.squares, one array per square
-        (the shifted companion of _companion_eigenvalues).
+    def roots(self):
+        """The finite eigenvalues of P.squares, concatenated, and the square of
+        each: the 1 x 1 squares' with a nonzero leading coefficient from one
+        batch (_scalar_roots), the others' by _companion_eigenvalues.
 
         On decoupled blocks of a pencil with one mu and one nu, a leading
         coefficient with condition above 1e12 raises SingularLeadingCoeff.
@@ -155,20 +174,25 @@ class PencilMatrices:
         candidates that spectrum.solve_pencil_eigenvalues certifies."""
         check_lead = (self.bandwidth == 0
                       and len(set(self.mu)) == len(set(self.nu)) == 1)
-        vals = []
-        for Bs in self.squares:
-            if check_lead:
+        ones = [i for i, S in enumerate(self.squares) if S.shape[1] == 1 and S[-1, 0, 0]]
+        vals = dict(zip(ones, _scalar_roots(np.array(
+            [self.squares[i][:, 0, 0] for i in ones]).reshape(-1, self.m + 1))))
+        for i, Bs in enumerate(self.squares):
+            if check_lead and i not in vals:
                 cond = np.linalg.cond(Bs[-1])
                 if not np.isfinite(cond) or cond > 1e12:
                     raise SingularLeadingCoeff(
                         f"leading coefficient condition {cond:.2e} on a block")
-            vals.append(_companion_eigenvalues(Bs))
-        return vals
+            if i not in vals:
+                vals[i] = _companion_eigenvalues(Bs)
+        vals = [vals[i] for i in range(len(self.squares))]
+        return np.concatenate(vals), np.repeat(np.arange(len(vals)), [len(v) for v in vals])
 
     @cached_property
     def eigenvalues(self):
-        """P.square_eigenvalues concatenated, in the order of P.squares."""
-        return np.concatenate(self.square_eigenvalues)
+        """P.roots, each repeated its square's P.powers times."""
+        roots, square = self.roots
+        return np.repeat(roots, np.array(self.powers)[square])
 
     def owners(self, lam0, radius):
         """Indices into P.squares of the squares that own an eigenvalue
@@ -178,8 +202,8 @@ class PencilMatrices:
         pencil has no zero in the circle outside the owners."""
         if self.bandwidth:
             return list(range(len(self.squares)))
-        return [i for i, vals in enumerate(self.square_eigenvalues)
-                if (np.abs(vals - lam0) < radius).any()]
+        roots, square = self.roots
+        return np.unique(square[np.abs(roots - lam0) < radius]).tolist()
 
     def to_json(self):
         return {
@@ -269,16 +293,21 @@ def _apply_x(state, i, n):
     return out
 
 
-def _apply_poly(state, poly, n):
-    out = {}
-    for expo, a in poly.coeffs.items():
-        st = state
-        for i, count in enumerate(expo):
-            for _ in range(count):
-                st = _apply_x(st, i, n)
-        for l, V in st.items():
-            out[l] = out.get(l, 0) + complex(a) * V
-    return out
+@lru_cache(maxsize=4096)
+def _column_state(n, m, l, mu, steps):
+    """x^expo D^alpha (r^(i lam + mu) Y_l), steps its factors in order (a for
+    D_a, n + a for x_a), on the degree-l harmonics as {l_out: read-only
+    (m + 1, dim l_out, dim l) array}: the last step on a cached shorter state."""
+    if not steps:
+        st = {l: np.zeros((m + 1, harmonic_dim(n, l), harmonic_dim(n, l)), dtype=complex)}
+        st[l][0] = np.eye(harmonic_dim(n, l))
+    else:
+        ax, is_x = steps[-1] % n, steps[-1] >= n
+        prev = _column_state(n, m, l, mu, steps[:-1])
+        st = _apply_x(prev, ax, n) if is_x else _apply_d(prev, mu - len(steps) + 1, ax, n)
+    for V in st.values():
+        V.setflags(write=False)
+    return st
 
 
 def _degree_columns(a0: SystemOperator, l: int):
@@ -290,32 +319,25 @@ def _degree_columns(a0: SystemOperator, l: int):
     column) are dropped; the upward bandwidth is read from the survivors.
     """
     n, m = a0.n, a0.m
-    dim = harmonic_dim(n, l)
-    V0 = np.zeros((m + 1, dim, dim), dtype=complex)
-    V0[0] = np.eye(dim)
     blocks = {}
     bandwidth = 0
     for j in range(a0.k):
-        derivs = {}
         for i in range(a0.k):
             terms = a0.entries.get((i, j))
             if terms is None:
                 continue
             acc = {}
             for alpha, t in terms:
-                if alpha not in derivs:
-                    st = {l: V0}
-                    for ax, count in enumerate(alpha):
-                        for step in range(count):
-                            h = a0.mu[j] - sum(alpha[:ax]) - step
-                            st = _apply_d(st, h, ax, n)
-                    derivs[alpha] = st
                 h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
                 if abs(h - a0.nu[i]) > _HOMOG_TOL:
                     raise HomogeneityError(
                         f"pencil output has homogeneity {h - a0.nu[i]}; "
                         "invalid operator spec")
-                st = _apply_poly(derivs[alpha], t.poly, n)
+                st = {}
+                for expo, a in t.poly.coeffs.items():
+                    steps = tuple(np.repeat(np.arange(2 * n), alpha + expo).tolist())
+                    for lo, V in _column_state(n, m, l, a0.mu[j], steps).items():
+                        st[lo] = st.get(lo, 0) + complex(a) * V
                 for lo, V in st.items():
                     acc[lo] = acc.get(lo, 0) + V
             if not acc:
@@ -384,6 +406,16 @@ def default_l_max(op: SystemOperator, degree: int) -> int:
     """The basis degree that analysing harmonic degree `degree` assembles:
     the degree plus the coupling margin max_poly_degree * m + 2."""
     return degree + op.max_poly_degree() * op.m + 2
+
+
+def _scalar_roots(C):
+    """Roots (|lam| < 1e8) of the polynomials sum_j C[s, j] lam^j, leading
+    coefficients nonzero, from one batched eigensolve of monic companions."""
+    m = C.shape[1] - 1
+    A = np.zeros((len(C), m, m), dtype=complex)
+    A[:, :-1, 1:] = np.eye(m - 1)
+    A[:, -1] = -C[:, :m] / C[:, m:]
+    return [v[np.abs(v) < 1e8] for v in np.linalg.eigvals(A)]
 
 
 def _companion_eigenvalues(Bs):

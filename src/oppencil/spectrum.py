@@ -1,14 +1,14 @@
 """Polynomial eigenvalue problem for the pencil: spectrum, Jordan chains,
 biorthogonal adjoint chains, power-exponential solutions, critical lines.
 
-Eigenvalues are found through a shifted companion (a standard eigensolve)
-of the square pieces P.squares into which the pencil's block view splits
-det pencil, once per pencil (P.eigenvalues):
-the decoupled (component, degree) blocks when the bandwidth is 0, and
-otherwise a fixed random compression of the exact rectangular restriction
-to the fully-resolved columns P.kept (the square truncation is then
-structurally singular).  A candidate of the compressed square is certified
-by a small singular value of the rectangular pencil.  The kept columns
+Eigenvalues are found once per pencil (P.eigenvalues) from the square
+pieces P.squares into which the pencil's block view splits det pencil:
+the decoupled (component, degree) blocks when the bandwidth is 0 (a
+c(lam) I block as its 1 x 1 scalar, its roots counted P.powers times),
+and otherwise a fixed random compression of the exact rectangular
+restriction to the fully-resolved columns P.kept (the square truncation
+is then structurally singular).  A candidate of the compressed square is
+certified by a small singular value of the rectangular pencil.  The kept columns
 are those of every wider pencil with zero rows appended, so a certified
 value is an eigenvalue of every wider pencil, and no wider pencil is
 solved.  strip_eigenpoints clusters and chains the eigenvalues in a strip
@@ -32,15 +32,15 @@ biorthogonality rows; the chain, adjoint and pairing residuals are read
 off those solved systems.  A chain must satisfy its equations to
 _CHAIN_TOL, and the algebraic count is cross-checked against the
 vanishing order of det pencil at lam0, read first (Taylor coefficients by
-FFT on a circle with four nodes per eigenvalue inside, det evaluated as
-the product over P.squares) and, over a strip, against the number of
-eigenvalues clustered there.  A nullspace of pencil(lam0) as wide as the
-det order whose vectors do not extend is the chains of a semisimple
-point, and no Toeplitz matrix is built.  At bandwidth 0 both work block by
-block: the chains on the rows and columns of the decoupled blocks that own
-an eigenvalue in the det circle (P.owners), under the whole pencil's rank
-cuts, and the det order over those blocks only.  Adjoint chains at
-conj(lam0) of the cylinder-level adjoint pencil are normalized to the
+FFT on a circle with four nodes per eigenvalue inside, per owning square)
+and, over a strip, against the number of eigenvalues clustered there.  A
+nullspace of pencil(lam0) as wide as the det order whose vectors do not
+extend is the chains of a semisimple point, and no Toeplitz matrix is
+built.  At bandwidth 0 both work block by block: the chains on the rows
+and columns of the decoupled blocks that own an eigenvalue in the det
+circle (P.owners), under the whole pencil's rank cuts, and the det order
+over those blocks only, a c(lam) I block's on its scalar.  Adjoint chains
+at conj(lam0) of the cylinder-level adjoint pencil are normalized to the
 Kronecker biorthogonality pattern by one least-squares solve.
 """
 
@@ -222,46 +222,40 @@ def cluster_eigenvalues(vals):
 # determinant order cross-check
 # ---------------------------------------------------------------------------
 
-def _det_values_on_circle(squares, lam0, radius, nodes):
-    """det of the given square pencils' product at `nodes` equispaced circle
-    nodes, divided by the geometric mean of their moduli; each square is
-    evaluated at all nodes in one stack."""
-    thetas = 2 * math.pi * np.arange(nodes) / nodes
-    points = lam0 + radius * np.exp(1j * thetas)
-    sign, logabs = 1.0, 0.0
-    for B in squares:
-        s, la = np.linalg.slogdet(horner(B, points))
-        sign, logabs = sign * s, logabs + la
+def _det_values_on_circle(B, lam0, radius, nodes):
+    """det of the square pencil B at `nodes` equispaced circle nodes, all
+    evaluated in one stack, divided by the geometric mean of their moduli."""
+    points = lam0 + radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    sign, logabs = np.linalg.slogdet(horner(B, points))
     return sign * np.exp(logabs - np.mean(logabs))
 
 
 def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
     """Order of the zero of det pencil at lam0 from scaled Taylor coefficients.
 
-    FFT of det values at N = max(16, 2^ceil(log2(4c))) nodes on a circle of
-    the given radius, c the P.eigenvalues strictly inside it, gives the
-    scaled derivatives a_j rho^j modulo N; the order is the first of the
-    lower N/2 non-negligible against the largest.  None, or one in the top
-    quarter of the N/2, may be aliased: MultiplicityMismatch.  The circle
-    must isolate lam0 from the rest of the spectrum.  The determinant is
-    the product of those of P.squares, and only the squares that own an
-    eigenvalue inside the circle (P.owners) can vanish there: at bandwidth
-    0 the others are left out, and with no owner the order is 0.
+    Only the squares that own an eigenvalue inside the circle (P.owners)
+    vanish there; each is read alone and counts P.powers[i] = d times.  The
+    c of P.eigenvalues strictly inside bound its order by ceil(c / d): the
+    FFT of its det at N = max(16, 2^ceil(log2(4 ceil(c / d)))) circle nodes
+    gives the scaled derivatives a_j rho^j modulo N, and the order is the
+    first of the lower N/2 non-negligible against the largest.  None, or
+    one in the top quarter of the N/2, may be aliased: MultiplicityMismatch.
+    The circle must isolate lam0 from the rest of the spectrum.
     """
-    owners = P.owners(lam0, radius)
-    if not owners:
-        return 0
     count = int(np.count_nonzero(np.abs(P.eigenvalues - lam0) < radius))
-    nodes = max(16, 1 << (4 * count - 1).bit_length())
-    w = _det_values_on_circle([P.squares[i] for i in owners], lam0, radius, nodes)
-    t = np.abs(np.fft.fft(w))
-    hits = np.flatnonzero(t[:nodes // 2] > _DET_ORDER_TOL * t.max())
-    if hits.size == 0 or hits[0] >= 3 * nodes // 8:
-        first = "none" if hits.size == 0 else int(hits[0])
-        raise MultiplicityMismatch(
-            f"det root order at {lam0} unresolved on {nodes} circle nodes "
-            f"(first non-negligible coefficient: {first} of {nodes // 2})")
-    return int(hits[0])
+    order = 0
+    for i in P.owners(lam0, radius):
+        d = P.powers[i]
+        nodes = max(16, 1 << (4 * -(-count // d) - 1).bit_length())
+        t = np.abs(np.fft.fft(_det_values_on_circle(P.squares[i], lam0, radius, nodes)))
+        hits = np.flatnonzero(t[:nodes // 2] > _DET_ORDER_TOL * t.max())
+        if hits.size == 0 or hits[0] >= 3 * nodes // 8:
+            first = "none" if hits.size == 0 else int(hits[0])
+            raise MultiplicityMismatch(
+                f"det root order at {lam0} unresolved on {nodes} circle nodes "
+                f"(first non-negligible coefficient: {first} of {nodes // 2})")
+        order += d * int(hits[0])
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +379,8 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     order (MultiplicityMismatch, also when a chain's relative residual
     exceeds _CHAIN_TOL).  At bandwidth 0 both work on the decoupled blocks
     that own an eigenvalue in that circle (P.owners), with the rank cuts of
-    the whole pencil; the chains are padded back to the full basis.
-    NotAnEigenvalue when no block owns lambda0.
+    the whole pencil (a c(lam) I block on its scalar); the chains are padded
+    back to the full basis.  NotAnEigenvalue when no block owns lambda0.
     """
     lambda0 = complex(lambda0)
     if isolation is None:
@@ -394,21 +388,28 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
                   if abs(v - lambda0) > _CLUSTER_RADIUS]
         isolation = min((abs(v - lambda0) for v in others), default=1.0)
     radius = max(min(_DET_RADIUS_SHARE * isolation, _DET_RADIUS_MAX), 1e-5)
-    if P.bandwidth == 0:
-        owners = P.owners(lambda0, radius)
-        if not owners:
-            raise NotAnEigenvalue(f"no block owns lambda0 = {lambda0}")
-        keep = np.sort(np.concatenate([P.components[i] for i in owners]))
-        cut = P.B[:, keep[:, None], keep]
-    else:
-        keep = P.kept
-        cut = P.B[:, :, keep]
+    owners = P.owners(lambda0, radius)
+    if not owners:
+        raise NotAnEigenvalue(f"no block owns lambda0 = {lambda0}")
     order_det = det_vanishing_order(P, lambda0, radius)
-    try:
-        J, partial, chains, residuals = chains_from_matrices(
-            taylor(cut, lambda0), _chain_scale(P, lambda0), order_det)
-    except NotAnEigenvalue as exc:
-        raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
+    # (cut, coordinates): a c(lam) I block's chains are its scalar's, at each harmonic
+    pieces = [(P.B[:, :, P.kept], [P.kept])] if P.bandwidth else [
+        (P.squares[i], P.components[i].reshape(P.powers[i], -1)) for i in owners]
+    found = []   # (chain in full basis coordinates, residual)
+    for cut, coords in pieces:
+        # a 1 x 1 null width is at most 1: a scalar's early exit applies at det
+        # order 1 (a multiple root fails its level-2 test), a lone owner's at all
+        try:
+            _, _, chains, residuals = chains_from_matrices(
+                taylor(cut, lambda0), _chain_scale(P, lambda0),
+                1 if cut.shape[2] == 1 else order_det)
+        except NotAnEigenvalue as exc:
+            raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
+        found += [([_pad(v, keep, P.size) for v in chain], res)
+                  for keep in coords for chain, res in zip(chains, residuals)]
+    found.sort(key=lambda f: -len(f[0]))   # longest first, as one Toeplitz run
+    chains_full, residuals = [c for c, _ in found], [r for _, r in found]
+    partial = [len(chain) for chain in chains_full]
     M = sum(partial)
 
     # determinant-order cross-check (met by construction on the early exit)
@@ -418,10 +419,8 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
     if max(residuals) > _CHAIN_TOL:
         raise MultiplicityMismatch(
             f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lambda0}")
-
-    chains_full = [[_pad(vec, keep, P.size) for vec in chain] for chain in chains]
-    return Eigenpoint(lambda0, J, partial, M, chains_full, residuals, order_det,
-                      radius)
+    return Eigenpoint(lambda0, len(partial), partial, M, chains_full, residuals,
+                      order_det, radius)
 
 
 def _pad(vec, keep, size):

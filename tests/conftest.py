@@ -46,6 +46,16 @@ def inverse_square_doc(c=0.25):
     return doc
 
 
+def coupled_pair_doc(b):
+    """[[-Delta, b r^-2], [b r^-2, -Delta]] on R^3: bandwidth 0, and each
+    degree block is [[c, b], [b, c]] (x) I, not c(lam) I."""
+    lap = laplacian_doc(3)["entries"][0]["terms"]
+    pair = [{"alpha": [0, 0, 0], "radial_exponent": -2.0, "poly": {"0 0 0": [b, 0.0]}}]
+    return {"n": 3, "k": 2, "mu": [2, 2], "nu": [0, 0],
+            "entries": [{"i": i, "j": j, "terms": lap if i == j else pair}
+                        for i in range(2) for j in range(2)]}
+
+
 def drift_doc(eps=0.5):
     """-Delta + eps (x_1/r) r^(-2) on R^3: couples harmonic degrees by 1."""
     doc = laplacian_doc(3)

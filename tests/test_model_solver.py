@@ -370,11 +370,15 @@ def test_singular_leading_coefficient_refused():
 
 def test_expansion_runs_one_companion_qz(monkeypatch):
     # the one solve runs inside spectrum.solve_pencil_eigenvalues, the
-    # eigensolve stage, the first time the expansion reads the poles
+    # eigensolve stage, the first time the expansion reads the poles; the
+    # mode is a 1 x 1 scalar, so it is one batch of one scalar's roots
     calls, depth = [], []
     qz = pencil._companion_eigenvalues
     monkeypatch.setattr(pencil, "_companion_eigenvalues",
-                        lambda Bs: calls.append((len(Bs[0]), len(depth))) or qz(Bs))
+                        lambda Bs: calls.append(("companion", len(depth))) or qz(Bs))
+    roots = pencil._scalar_roots
+    monkeypatch.setattr(pencil, "_scalar_roots",
+                        lambda C: calls.append((len(C), len(depth))) or roots(C))
     solve = spectrum.solve_pencil_eigenvalues
 
     def staged(P, band=None):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import (
+    coupled_pair_doc,
     cr_system_doc,
     d1d2_doc,
     dbar_doc,
@@ -19,9 +21,13 @@ from conftest import (
     laplacian_doc,
 )
 from oppencil.errors import CouplingOverflow, SingularLeadingCoeff
+from oppencil.model_solver import mode_pencil
 from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
 from oppencil.pencil import (
+    _SCALAR_TOL,
     _SHIFTS,
+    PencilMatrices,
+    _column_state,
     _companion_eigenvalues,
     _ladder_maps,
     adjoint_identity_residual,
@@ -436,10 +442,17 @@ def _assert_same_eigenvalues(got, want):
 @pytest.mark.parametrize("degree", [2, 6])
 @pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
 def test_shifted_companion_matches_qz_oracle(path, degree):
+    # P.eigenvalues, with multiplicity, against QZ of each unreduced block
+    # (a c(lam) I block is solved as its scalar, counted d times)
     op = parse_operator(json.loads(path.read_text()))
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    for Bs in P.squares:
-        _assert_same_eigenvalues(_companion_eigenvalues(Bs), _qz_eigenvalues(Bs))
+    blocks = ([P.B[:, idx[:, None], idx] for idx in P.components] if P.bandwidth == 0
+              else P.squares)
+    roots, square = P.roots
+    assert len(blocks) == len(P.powers) and set(square) <= set(range(len(blocks)))
+    for i, (Bs, d) in enumerate(zip(blocks, P.powers)):
+        _assert_same_eigenvalues(np.repeat(roots[square == i], d), _qz_eigenvalues(Bs))
+    assert len(P.eigenvalues) == sum(len(_qz_eigenvalues(Bs)) for Bs in blocks)
 
 
 def test_shifted_companion_drops_infinite_eigenvalues():
@@ -482,3 +495,84 @@ def test_shifted_companion_refuses_a_non_regular_pencil():
           ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [1, 0]])]
     with pytest.raises(SingularLeadingCoeff, match="every shift"):
         _companion_eigenvalues(Bs)
+
+
+# ---------------------------------------------------------------------------
+# the memoized ladder columns
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
+def test_column_memo_assembles_the_same_pencil_cold_and_warm(path):
+    op = parse_operator(json.loads(path.read_text()))
+    for degree in (2, 6, 10):
+        _column_state.cache_clear()
+        cold = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+        misses = _column_state.cache_info().misses
+        warm = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+        assert _column_state.cache_info().misses == misses
+        assert np.array_equal(cold.B, warm.B)
+
+
+def test_column_memo_is_read_only_and_bounded(laplacian3d):
+    assemble_pencil(laplacian3d, 4)
+    state = _column_state(3, 2, 1, 2, (0, 0))   # D_1^2 on r^(i lam + 2) Y_1
+    for V in state.values():
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0, 0] = 1.0
+    info = _column_state.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# c(lam) I blocks in the block view
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_blocks_are_scalar_to_round_off(n):
+    op = parse_operator(laplacian_doc(n))
+    P = assemble_pencil(op, default_l_max(op, 20), analysis_degree=20)
+    for idx, d, S in zip(P.components, P.powers, P.squares):
+        Bs = P.B[:, idx[:, None], idx]
+        dev = np.abs(Bs - S * np.eye(len(idx))).max() / np.abs(Bs).sum(axis=2).max()
+        assert d == len(idx) and S.shape == (P.m + 1, 1, 1) and dev <= 1e-15
+
+
+@pytest.mark.parametrize("factor, scalar", [(0.99, True), (1.01, False)],
+                         ids=["below", "above"])
+def test_a_block_off_c_times_identity_by_the_tolerance_stays_full(laplacian3d, factor,
+                                                                  scalar):
+    # one tolerance decides the block view and the mode cut alike
+    P = assemble_pencil(laplacian3d, 4)
+    idx = np.flatnonzero(P.row_degrees == 3)
+    B = P.B.copy()
+    B[0, idx[0], idx[1]] += factor * _SCALAR_TOL * np.abs(B[:, idx[:, None], idx]).sum(
+        axis=2).max()
+    Q = replace(P, B=B)
+    i = next(i for i, c in enumerate(Q.components) if c[0] == idx[0])
+    assert (Q.powers[i], Q.squares[i].shape[1]) == ((7, 1) if scalar else (1, 7))
+    assert mode_pencil(Q, 3).size == (1 if scalar else 7)
+
+
+def test_coupled_pair_keeps_full_squares():
+    # [[c, b], [b, c]] (x) I couples the two components' degree-l harmonics
+    # into one block of 2(2l+1), which is not c(lam) I
+    op = parse_operator(coupled_pair_doc(0.3))
+    P = assemble_pencil(op, 4)
+    assert P.bandwidth == 0 and P.powers == [1] * len(P.components)
+    assert [S.shape[1] for S in P.squares] == [2 * (2 * l + 1) for l in range(5)]
+    roots, square = P.roots
+    for i, idx in enumerate(P.components):
+        _assert_same_eigenvalues(roots[square == i], _qz_eigenvalues(P.B[:, idx[:, None], idx]))
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_zero_leading_scalar_refused(l):
+    # c(lam) = lam - 2 stacked at degree 2 with B_2 = 0, on the degree-l harmonics
+    d = harmonic_dim(3, l)
+    B = np.zeros((3, d, d), dtype=complex)
+    B[0], B[1] = -2 * np.eye(d), np.eye(d)
+    P = PencilMatrices(B=B, degrees=np.full(d, l), k=1, n=3, mu=(2,), nu=(0,),
+                       l_max=l, analysis_degree=l, bandwidth=0)
+    assert P.powers == [d] and P.squares[0].shape == (3, 1, 1)
+    with pytest.raises(SingularLeadingCoeff, match="leading coefficient"):
+        P.eigenvalues

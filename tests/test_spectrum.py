@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cr_system_doc, dbar_doc, drift_doc, laplacian_doc, symmetrized_doc
+from conftest import (
+    coupled_pair_doc,
+    cr_system_doc,
+    dbar_doc,
+    drift_doc,
+    laplacian_doc,
+    symmetrized_doc,
+)
 from oppencil import pencil, spectrum
 from oppencil.cli import main
 from oppencil.errors import (
@@ -202,28 +209,53 @@ def test_det_vanishing_order(laplacian3d, laplacian2d):
 
 
 def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
+    # prod_i det(square_i) ** d_i is det pencil: every block of -Delta is
+    # c(lam) I, held as its 1 x 1 scalar with d its size
     P = assemble_pencil(laplacian3d, 6)
     assert P.bandwidth == 0 and len(P.squares) > 1
-    got = _det_values_on_circle(P.squares, 2j, 0.1, 64)
+    assert P.powers == [len(idx) for idx in P.components] and max(P.powers) > 1
+    got = np.prod([_det_values_on_circle(S, 2j, 0.1, 64) ** d
+                   for S, d in zip(P.squares, P.powers)], axis=0)
     want = _det_circle_oracle(P, 2j, 0.1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     P = assemble_pencil(dbar2d, 8)
-    assert P.bandwidth > 0
-    assert np.array_equal(_det_values_on_circle(P.squares, 1j, 0.1, 64),
+    assert P.bandwidth > 0 and P.powers == [1]
+    assert np.array_equal(_det_values_on_circle(P.squares[0], 1j, 0.1, 64),
                           _det_circle_oracle(P, 1j, 0.1))
 
 
 def test_det_order_refuses_an_undersized_circle(laplacian3d):
-    # the l = 3 line -1 has order 7.  Its 7 eigenvalues size the circle at
-    # 32 nodes; a count of 1 sizes it at 16, where order 7 lands in the top
-    # quarter of the 8 coefficients kept, and it is refused, not misread
+    # the l = 3 line -1 has order 7.  The l = 3 block times diag(1..7) on
+    # the right is no longer c(lam) I, so its det is read on the 7 x 7
+    # square.  Its 7 eigenvalues size the circle at 32 nodes; a count of 1
+    # sizes it at 16, where order 7 lands in the top quarter of the 8
+    # coefficients kept, and it is refused, not misread
     P = assemble_pencil(laplacian3d, 4)
+    idx = np.flatnonzero(P.row_degrees == 3)
+    B = P.B.copy()
+    B[:, idx[:, None], idx] *= np.arange(1, 8)
+    P = replace(P, B=B)
+    owner = P.owners(-1j, 0.1)
+    assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (7, 7)
     assert det_vanishing_order(P, -1j, 0.1) == 7
     P = replace(P)
     P.__dict__["eigenvalues"] = np.array([-1j])   # the count alone is forced
     with pytest.raises(MultiplicityMismatch,
                        match=r"unresolved on 16 circle nodes .*: 7 of 8\)"):
         det_vanishing_order(P, -1j, 0.1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
+    # the l = 6 line -4 has order 13.  With the count forced to 1-3 the
+    # circle has 16 nodes, too few for order 13 on the 13 x 13 block (it
+    # aliased to 0); the block is c(lam) I, so its order is 13 times that of
+    # its scalar's simple zero, which 16 nodes resolve
+    P = assemble_pencil(laplacian3d, default_l_max(laplacian3d, 7), analysis_degree=7)
+    owner = P.owners(-4j, 0.1)
+    assert len(owner) == 1 and P.powers[owner[0]] == 13
+    P.__dict__["eigenvalues"] = np.array([-4j] * count)
+    assert det_vanishing_order(P, -4j, 0.1) == 13
 
 
 @pytest.mark.parametrize("order, read", [(5, 5), (6, "6 of 8"), (8, "none of 8")],
@@ -284,8 +316,10 @@ def test_replace_builds_a_fresh_view(laplacian3d, dbar2d):
 
 def test_eigenvalues_concatenate_the_squares(laplacian3d):
     P = assemble_pencil(laplacian3d, 4)
-    assert len(P.square_eigenvalues) == len(P.squares) > 1
-    assert np.array_equal(P.eigenvalues, np.concatenate(P.square_eigenvalues))
+    roots, square = P.roots
+    assert len(P.squares) == len(P.powers) > 1 and np.array_equal(square, np.sort(square))
+    assert np.array_equal(P.eigenvalues, np.concatenate(
+        [np.repeat(roots[square == i], d) for i, d in enumerate(P.powers)]))
     # the l = 1 block alone owns the triple root at 1i; a compressed square
     # owns every circle
     owners = P.owners(1j, 0.1)
@@ -303,10 +337,10 @@ def _full_pencil_chains(P, lam0):
 
 
 def _full_det_order(P, lam0):
-    """Vanishing order of det over every square of P, on the circle a strip
+    """Vanishing order of det of the whole pencil P.B, on the circle a strip
     would use (0.45 of the isolation in P.eigenvalues, at most 0.1)."""
     iso = min(abs(v - lam0) for v in P.eigenvalues if abs(v - lam0) > 1e-6)
-    t = np.fft.fft(_det_values_on_circle(P.squares, lam0, min(0.45 * iso, 0.1), 64))
+    t = np.fft.fft(_det_circle_oracle(P, lam0, min(0.45 * iso, 0.1)))
     t = np.abs(t[:len(t) // 2])
     return int(np.argmax(t > 1e-6 * t.max()))
 
@@ -443,15 +477,35 @@ def test_coupled_strip_computes_each_degree_once(monkeypatch, doc_fn, strip, deg
     assert computed == Counter(range(P.degrees[-1] + 1))
 
 
-def test_bandwidth_zero_strip_solves_each_block_of_p_once(monkeypatch, laplacian3d):
-    seen = []
-    qz = pencil._companion_eigenvalues
+def _count_solves(monkeypatch):
+    """Record the squares given to _companion_eigenvalues and the scalar
+    coefficient rows given to _scalar_roots, one list per batch."""
+    seen, batches = [], []
+    qz, roots = pencil._companion_eigenvalues, pencil._scalar_roots
     monkeypatch.setattr(pencil, "_companion_eigenvalues",
                         lambda Bs: seen.append(Bs) or qz(Bs))
+    monkeypatch.setattr(pencil, "_scalar_roots", lambda C: batches.append(C) or roots(C))
+    return seen, batches
+
+
+def test_bandwidth_zero_strip_solves_each_block_of_p_once(monkeypatch, laplacian3d):
+    # -Delta's blocks are c(lam) I: all their scalars are solved in one batch
+    seen, batches = _count_solves(monkeypatch)
     rep = strip_spectrum(laplacian3d, -0.5, 3.5, 4)
     squares = rep.pencil.squares
-    assert len(squares) > 1 and len(seen) == len(squares)
-    assert all(a is b for a, b in zip(seen, squares))
+    assert len(squares) > 1 and seen == [] and len(batches) == 1
+    assert len(batches[0]) == len(squares)
+    assert all(np.array_equal(c, S[:, 0, 0]) for c, S in zip(batches[0], squares))
+
+
+def test_full_squares_are_solved_each_once(monkeypatch):
+    # the pair's blocks are not c(lam) I: each is solved once, on its own
+    seen, batches = _count_solves(monkeypatch)
+    rep = strip_spectrum(parse_operator(coupled_pair_doc(0.3)), -0.5, 3.5, 4)
+    squares = rep.pencil.squares
+    assert len(squares) > 1 and all(S.shape[1] > 1 for S in squares)
+    assert len(seen) == len(squares) and all(a is b for a, b in zip(seen, squares))
+    assert [len(C) for C in batches] == [0]
 
 
 # ---------------------------------------------------------------------------
