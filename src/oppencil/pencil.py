@@ -14,15 +14,16 @@ through two small cached matrices per (n, l, i), the up-map H -> H_plus
 (closed-form recurrences, exact to a few ulps) and the down-map
 H -> dH/dx_i, which is (2l+n-2) up(l-1)^T as x_i is symmetric on the
 sphere.  Each D_i multiplies a column by a polynomial of degree one in
-lam, so a column's coefficients come out as polynomials in lam, written
-straight into B_0..B_m from the states x^expo D^alpha (r^(i lam + mu) Y_l),
-built once per process (_column_state).  Leakage above the truncation
-degree is seen per column, and the work basis is enlarged by twice the
-observed bandwidth so that every column needed downstream is exact.
-Columns do not depend on the basis size, so the kept columns of a pencil
-are those of every wider one, with zero rows appended: a value certified
-on them is an eigenvalue of every wider pencil, and no wider pencil is
-assembled.
+lam, so a column's coefficients come out as polynomials in lam; each
+(i, j) entry of B_0..B_m is one weighted sum of a ladder table, x^expo
+D^alpha (r^(i lam + mu) Y_l) for each of the entry's monomials on every
+basis column, built once per process (_build_table).  Leakage above the
+truncation degree is seen per column, and the work basis is enlarged by
+twice the observed bandwidth so that every column needed downstream is
+exact.  Columns do not depend on the basis size, so a smaller basis reads
+a prefix of a table, and the kept columns of a pencil are those of every
+wider one, with zero rows appended: a value certified on them is an
+eigenvalue of every wider pencil, and no wider pencil is assembled.
 
 A pencil is two arrays: the coefficient stack B, shape (m + 1, k nb, k nb),
 that assembly fills, and the harmonic degree of each of the nb basis
@@ -264,94 +265,113 @@ def _times_linear(V, a, b):
     return out
 
 
-def _apply_d(state, h, i, n):
-    """D_i on sum_l r^(i lam + h - l) H_l, the H_l in orthonormal coordinates.
+def _ladder_step(state, step, h, n):
+    """x_a (step n + a) or D_a (step a) on sum_l r^(i lam + h - l) H_l, the
+    H_l in orthonormal coordinates, per degree, s = i lam + h - l:
 
-    D_i(r^s H) = -i (s r^(s-2) H_plus + (1 + s/(2l+n-2)) r^s dH/dx_i),
-    s = i lam + h - l; the result has homogeneity i lam + h - 1.
+        x_a (r^s H) = r^s H_plus + r^(s+2) dH/dx_a / (2l+n-2),
+        D_a (r^s H) = -i (s r^(s-2) H_plus + (1 + s/(2l+n-2)) r^s dH/dx_a),
+
+    the latter of homogeneity i lam + h - 1.
     """
-    out = {}
+    out, a, is_x = {}, step % n, step >= n
     for l, V in state.items():
-        up, down = _ladder_maps(n, l, i)
-        q = h - l
-        out[l + 1] = out.get(l + 1, 0) + up @ _times_linear(V, -1j * q, 1.0)
+        up, down = _ladder_maps(n, l, a)
+        q, k = h - l, 2 * l + n - 2
+        out[l + 1] = out.get(l + 1, 0) + up @ (V if is_x else _times_linear(V, -1j * q, 1.0))
         if l > 0:
-            k = 2 * l + n - 2
-            V = _times_linear(V, -1j * (1 + q / k), 1 / k)
-            out[l - 1] = out.get(l - 1, 0) + down @ V
+            out[l - 1] = out.get(l - 1, 0) + (
+                down @ V / k if is_x else down @ _times_linear(V, -1j * (1 + q / k), 1 / k))
     return out
 
 
-def _apply_x(state, i, n):
-    """x_i (r^s H) = r^s H_plus + r^(s+2) dH/dx_i / (2l+n-2), per degree."""
-    out = {}
-    for l, V in state.items():
-        up, down = _ladder_maps(n, l, i)
-        out[l + 1] = out.get(l + 1, 0) + up @ V
-        if l > 0:
-            out[l - 1] = out.get(l - 1, 0) + down @ V / (2 * l + n - 2)
-    return out
+_TABLE_CAP = 64    # ladder tables kept per process; the oldest goes first
+_tables = {}       # (n, m, mu, words) -> the table of the largest top asked
 
 
-@lru_cache(maxsize=4096)
-def _column_state(n, m, l, mu, steps):
-    """x^expo D^alpha (r^(i lam + mu) Y_l), steps its factors in order (a for
-    D_a, n + a for x_a), on the degree-l harmonics as {l_out: read-only
-    (m + 1, dim l_out, dim l) array}: the last step on a cached shorter state."""
-    if not steps:
-        st = {l: np.zeros((m + 1, harmonic_dim(n, l), harmonic_dim(n, l)), dtype=complex)}
-        st[l][0] = np.eye(harmonic_dim(n, l))
-    else:
-        ax, is_x = steps[-1] % n, steps[-1] >= n
-        prev = _column_state(n, m, l, mu, steps[:-1])
-        st = _apply_x(prev, ax, n) if is_x else _apply_d(prev, mu - len(steps) + 1, ax, n)
-    for V in st.values():
-        V.setflags(write=False)
-    return st
+def _build_table(n, m, mu, words, top, table=None):
+    """x^expo D^alpha (r^(i lam + mu) Y_l) for each monomial of an entry, its
+    ladder word in `words` (the factors in order, a for D_a and n + a for
+    x_a), on every basis harmonic Y_l of degree l <= top; a given `table` of
+    fewer degrees is extended.  Kept on the monomials' joint nonzero
+    support, column by column in blocks (one degree's rows in one column),
+    as read-only arrays: rows and cols (basis indices), vals (monomial,
+    power of lam, position), bstart (each block's first position) and
+    cstart (each column's first block), both closed by their count, up (each
+    block's row degree less its column degree) and ends[l] (the positions,
+    blocks and columns of degree <= l: a smaller top reads a prefix)."""
+    reach = max(map(len, words))
+    dims = [harmonic_dim(n, l) for l in range(top + reach + 1)]
+    start = np.cumsum([0] + dims)
+    row_deg = np.repeat(np.arange(len(dims)), dims)
+    parts = {key: [] for key in ("rows", "cols", "vals", "bstart", "up", "cstart", "ends")}
+    size = blocks = columns = first = 0
+    if table is not None:   # resume after its degrees, its closing counts dropped
+        for key, a in table.items():
+            parts[key].append(a[:-1] if key in ("bstart", "cstart") else a)
+        size, blocks, columns = table["ends"][-1]
+        first = len(table["ends"])
+    for l in range(first, top + 1):
+        low = start[max(l - reach, 0)]   # the rows the words reach from degree l
+        stack = np.zeros((len(words), m + 1, start[l + reach + 1] - low, dims[l]),
+                         dtype=complex)
+        for w, word in enumerate(words):
+            st = {l: np.zeros((m + 1, dims[l], dims[l]), dtype=complex)}
+            st[l][0] = np.eye(dims[l])
+            for s, step in enumerate(word):
+                st = _ladder_step(st, step, mu - s, n)
+            for lo, V in st.items():
+                stack[w, :, start[lo] - low:start[lo + 1] - low] = V
+        c, r = np.nonzero(stack.any(axis=(0, 1)).T)
+        vals, r = stack[:, :, r, c], r + low
+        new_col = np.diff(c, prepend=-1) != 0
+        head = np.flatnonzero(new_col | (np.diff(row_deg[r], prepend=-1) != 0))
+        for key, a in (("rows", r), ("cols", start[l] + c), ("vals", vals),
+                       ("bstart", size + head), ("up", row_deg[r[head]] - l),
+                       ("cstart", blocks + np.flatnonzero(new_col[head]))):
+            parts[key].append(a)
+        size, blocks, columns = size + len(r), blocks + len(head), columns + new_col.sum()
+        parts["ends"].append([[size, blocks, columns]])
+    parts["bstart"].append([size])
+    parts["cstart"].append([blocks])
+    table = {key: np.concatenate(p, axis=-1 if key == "vals" else 0)
+             for key, p in parts.items()}
+    for a in table.values():
+        a.setflags(write=False)
+    return table
 
 
-def _degree_columns(a0: SystemOperator, l: int):
-    """Coefficient blocks of the pencil columns of harmonic degree l.
+def _entry_block(a0: SystemOperator, i, j, top):
+    """Entry (i, j) on the columns of degree <= top, on its ladder table's
+    support: (rows, cols, W, bandwidth), W of shape (m + 1, positions).
 
-    Returns ({(i, j): {l_out: array (m+1, dim l_out, dim l)}}, bandwidth):
-    block [p] is the coefficient of lam^p mapping component j, degree l to
-    component i, degree l_out.  Blocks at round-off (1e-13 relative per
-    column) are dropped; the upward bandwidth is read from the survivors.
+    W sums the terms' monomials times their tables, each term's monomials
+    first.  A block at round-off, at most 1e-13 of its column's largest
+    entry (or of 1), is cut to zero; the upward bandwidth is read from the
+    surviving blocks, rows above top included.  The table is memoized per
+    process (at most _TABLE_CAP), extended when a larger top is asked.
     """
-    n, m = a0.n, a0.m
-    blocks = {}
-    bandwidth = 0
-    for j in range(a0.k):
-        for i in range(a0.k):
-            terms = a0.entries.get((i, j))
-            if terms is None:
-                continue
-            acc = {}
-            for alpha, t in terms:
-                h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
-                if abs(h - a0.nu[i]) > _HOMOG_TOL:
-                    raise HomogeneityError(
-                        f"pencil output has homogeneity {h - a0.nu[i]}; "
-                        "invalid operator spec")
-                st = {}
-                for expo, a in t.poly.coeffs.items():
-                    steps = tuple(np.repeat(np.arange(2 * n), alpha + expo).tolist())
-                    for lo, V in _column_state(n, m, l, a0.mu[j], steps).items():
-                        st[lo] = st.get(lo, 0) + complex(a) * V
-                for lo, V in st.items():
-                    acc[lo] = acc.get(lo, 0) + V
-            if not acc:
-                continue
-            col_max = np.max([np.max(np.abs(V), axis=(0, 1)) for V in acc.values()],
-                             axis=0)
-            thresh = 1e-13 * np.maximum(col_max, 1.0)
-            for lo, V in acc.items():
-                alive = np.max(np.abs(V), axis=(0, 1)) > thresh
-                V[:, :, ~alive] = 0.0
-                if alive.any():
-                    bandwidth = max(bandwidth, lo - l)
-            blocks[(i, j)] = acc
-    return blocks, bandwidth
+    terms = [[(complex(a), tuple(ax for ax, c in enumerate(alpha + expo) for _ in range(c)))
+              for expo, a in t.poly.coeffs.items()] for alpha, t in a0.entries[i, j]]
+    key = (a0.n, a0.m, a0.mu[j], tuple(word for term in terms for _, word in term))
+    tab = _tables.get(key)
+    if tab is None or len(tab["ends"]) <= top:
+        tab = _tables[key] = _build_table(*key, top, tab)
+        while len(_tables) > _TABLE_CAP:
+            del _tables[next(iter(_tables))]
+    e, b, c = tab["ends"][top]
+    vals, W, w = tab["vals"][:, :, :e], 0, 0
+    for term in terms:
+        part = 0
+        for a, _ in term:
+            part, w = part + a * vals[w], w + 1
+        W = W + part
+    bstart, cstart = tab["bstart"][:b + 1], tab["cstart"][:c + 1]
+    bmax = np.maximum.reduceat(np.abs(W).max(axis=0), bstart[:-1])
+    thresh = 1e-13 * np.maximum(np.maximum.reduceat(bmax, cstart[:-1]), 1.0)
+    alive = bmax > thresh.repeat(cstart[1:] - cstart[:-1])
+    W[:, ~alive.repeat(bstart[1:] - bstart[:-1])] = 0.0
+    return tab["rows"][:e], tab["cols"][:e], W, int(tab["up"][:b][alive].max(initial=0))
 
 
 def assemble_pencil(op: SystemOperator, l_max: int,
@@ -360,24 +380,31 @@ def assemble_pencil(op: SystemOperator, l_max: int,
 
     Each basis column r^(i lam + mu) Y_l is pushed through the principal
     part with the ladder maps; its coefficients are polynomials in lam of
-    degree <= m and are written straight into B_0..B_m.  The work basis is
-    extended by twice the upward coupling bandwidth so every column of
-    harmonic degree <= l_max + bandwidth is exact.  CouplingOverflow is
-    raised when a basis element within `analysis_degree` couples above
-    l_max, i.e. when the declared margin understates the true bandwidth.
-    `analysis_degree` defaults to l_max less default_l_max's margin (>= 0).
+    degree <= m and are written straight into B_0..B_m, one weighted sum of
+    a memoized ladder table per (i, j) entry.  The work basis is extended
+    by twice the upward coupling bandwidth so every column of harmonic
+    degree <= l_max + bandwidth is exact.  CouplingOverflow is raised when
+    a basis element within `analysis_degree` couples above l_max, i.e. when
+    the declared margin understates the true bandwidth.  `analysis_degree`
+    defaults to l_max less default_l_max's margin (>= 0).
     """
     a0 = principal_part(op)
     if a0.m < 1:
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
         analysis_degree = max(l_max - default_l_max(op, 0), 0)
+    for (i, j), terms in a0.entries.items():
+        for alpha, t in terms:
+            h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
+            if abs(h - a0.nu[i]) > _HOMOG_TOL:
+                raise HomogeneityError(
+                    f"pencil output has homogeneity {h - a0.nu[i]}; invalid operator spec")
     # columns do not depend on the basis size: extend until the work basis
     # covers l_max plus twice the bandwidth seen on all of its columns
-    columns, top = [], l_max
+    top = l_max
     while True:
-        columns += [_degree_columns(a0, l) for l in range(len(columns), top + 1)]
-        bandwidth = max(bw for _, bw in columns)
+        blocks = {(i, j): _entry_block(a0, i, j, top) for i, j in a0.entries}
+        bandwidth = max(block[3] for block in blocks.values())
         if bandwidth > l_max - analysis_degree:
             raise CouplingOverflow(
                 f"coupling bandwidth {bandwidth} exceeds margin "
@@ -387,15 +414,11 @@ def assemble_pencil(op: SystemOperator, l_max: int,
         top = l_max + 2 * bandwidth
 
     dims = [harmonic_dim(a0.n, l) for l in range(top + 1)]
-    start = np.cumsum([0] + dims)   # first basis index of each degree
-    nb, k = start[-1], a0.k
+    nb, k = sum(dims), a0.k
     B = np.zeros((a0.m + 1, k * nb, k * nb), dtype=complex)
-    for l, (blocks, _) in enumerate(columns):
-        for (i, j), acc in blocks.items():
-            for lo, V in acc.items():
-                if lo <= top:
-                    B[:, i * nb + start[lo]:i * nb + start[lo + 1],
-                      j * nb + start[l]:j * nb + start[l + 1]] = V
+    for (i, j), (rows, cols, W, _) in blocks.items():
+        keep = rows < nb
+        B[:, i * nb + rows[keep], j * nb + cols[keep]] = W[:, keep]
     return PencilMatrices(
         B=B, degrees=np.repeat(np.arange(top + 1), dims), k=k, n=a0.n,
         mu=tuple(a0.mu), nu=tuple(a0.nu), l_max=l_max,

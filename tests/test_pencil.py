@@ -20,6 +20,7 @@ from conftest import (
     inverse_square_doc,
     laplacian_doc,
 )
+from oppencil import pencil
 from oppencil.errors import CouplingOverflow, SingularLeadingCoeff
 from oppencil.model_solver import mode_pencil
 from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
@@ -27,9 +28,9 @@ from oppencil.pencil import (
     _SCALAR_TOL,
     _SHIFTS,
     PencilMatrices,
-    _column_state,
     _companion_eigenvalues,
     _ladder_maps,
+    _ladder_step,
     adjoint_identity_residual,
     assemble_pencil,
     default_l_max,
@@ -498,29 +499,145 @@ def test_shifted_companion_refuses_a_non_regular_pencil():
 
 
 # ---------------------------------------------------------------------------
-# the memoized ladder columns
+# the memoized ladder tables
 # ---------------------------------------------------------------------------
 
+def _column_loop_pencil(op, l_max):
+    """Reference: the pencil assembled column degree by column degree, the
+    ladder steps applied per term and monomial, summed per output degree in
+    the order of the terms, each (output degree, column) block cut at 1e-13
+    of its column's largest entry (or of 1), and the basis extended to
+    l_max plus twice the bandwidth.  Returns (B, bandwidth)."""
+    a0 = principal_part(op)
+    n, m = a0.n, a0.m
+
+    def columns(l):
+        blocks, bandwidth, dim = {}, 0, harmonic_dim(n, l)
+        for (i, j), terms in a0.entries.items():
+            acc = {}
+            for alpha, t in terms:
+                st = {}
+                for expo, a in t.poly.coeffs.items():
+                    state = {l: np.zeros((m + 1, dim, dim), dtype=complex)}
+                    state[l][0] = np.eye(dim)
+                    steps = np.repeat(np.arange(2 * n), alpha + expo).tolist()
+                    for s, step in enumerate(steps):
+                        state = _ladder_step(state, step, a0.mu[j] - s, n)
+                    for lo, V in state.items():
+                        st[lo] = st.get(lo, 0) + complex(a) * V
+                for lo, V in st.items():
+                    acc[lo] = acc.get(lo, 0) + V
+            col_max = np.max([np.abs(V).max(axis=(0, 1)) for V in acc.values()], axis=0)
+            for lo, V in acc.items():
+                alive = np.abs(V).max(axis=(0, 1)) > 1e-13 * np.maximum(col_max, 1.0)
+                V[:, :, ~alive] = 0.0
+                bandwidth = max(bandwidth, lo - l) if alive.any() else bandwidth
+            blocks[i, j] = acc
+        return blocks, bandwidth
+
+    cols, top = [], l_max
+    while True:
+        cols += [columns(l) for l in range(len(cols), top + 1)]
+        bandwidth = max(bw for _, bw in cols)
+        if top >= l_max + 2 * bandwidth:
+            break
+        top = l_max + 2 * bandwidth
+    start = np.cumsum([0] + [harmonic_dim(n, l) for l in range(top + 1)])
+    nb = start[-1]
+    B = np.zeros((m + 1, a0.k * nb, a0.k * nb), dtype=complex)
+    for l, (blocks, _) in enumerate(cols):
+        for (i, j), acc in blocks.items():
+            for lo, V in acc.items():
+                if lo <= top:
+                    B[:, i * nb + start[lo]:i * nb + start[lo + 1],
+                      j * nb + start[l]:j * nb + start[l + 1]] = V
+    return B, bandwidth
+
+
 @pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
-def test_column_memo_assembles_the_same_pencil_cold_and_warm(path):
+def test_ladder_tables_match_the_column_loop_bit_for_bit(monkeypatch, path):
+    # on an empty memo, so each larger degree extends the tables built before
+    monkeypatch.setattr(pencil, "_tables", {})
     op = parse_operator(json.loads(path.read_text()))
+    for degree in (0, 3, 8):
+        P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+        B, bandwidth = _column_loop_pencil(op, default_l_max(op, degree))
+        assert np.array_equal(P.B, B) and P.bandwidth == bandwidth
+
+
+@pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
+def test_column_memo_assembles_the_same_pencil_cold_and_warm(monkeypatch, path):
+    # cold: each degree on an empty memo; warm: from the largest degree
+    # down, so the smaller ones read a prefix of its tables and build none
+    op = parse_operator(json.loads(path.read_text()))
+    cold = {}
     for degree in (2, 6, 10):
-        _column_state.cache_clear()
-        cold = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-        misses = _column_state.cache_info().misses
+        monkeypatch.setattr(pencil, "_tables", {})
+        cold[degree] = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    tables = dict(pencil._tables)
+    for degree in (10, 6, 2):
         warm = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-        assert _column_state.cache_info().misses == misses
-        assert np.array_equal(cold.B, warm.B)
+        assert np.array_equal(warm.B, cold[degree].B)
+        assert warm.bandwidth == cold[degree].bandwidth
+    assert pencil._tables.keys() == tables.keys()
+    assert all(pencil._tables[key] is table for key, table in tables.items())
 
 
-def test_column_memo_is_read_only_and_bounded(laplacian3d):
+def test_column_memo_is_read_only_and_bounded(monkeypatch, laplacian3d, laplacian2d, dbar2d):
+    monkeypatch.setattr(pencil, "_tables", {})
     assemble_pencil(laplacian3d, 4)
-    state = _column_state(3, 2, 1, 2, (0, 0))   # D_1^2 on r^(i lam + 2) Y_1
-    for V in state.values():
-        with pytest.raises(ValueError, match="read-only"):
-            V[0, 0, 0] = 1.0
-    info = _column_state.cache_info()
-    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    (table,) = pencil._tables.values()
+    for a in table.values():
+        for view in (a, a[1:]):   # the table and a slice of it
+            with pytest.raises(ValueError, match="read-only"):
+                view[..., 0] = 0
+    monkeypatch.setattr(pencil, "_TABLE_CAP", 2)
+    assemble_pencil(laplacian2d, 4)
+    assemble_pencil(dbar2d, 4)
+    assert len(pencil._tables) == 2
+    assert all(kept is not table for kept in pencil._tables.values())   # the oldest went
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_off_degree_blocks_are_cut_to_zero(monkeypatch, n):
+    # each D_i^2 reaches l - 2, l and l + 2; on -Delta the off-degree sums
+    # cancel (in R^3 only to round-off), so the cut leaves them exactly 0
+    # and the bandwidth read from the surviving blocks is 0
+    monkeypatch.setattr(pencil, "_tables", {})
+    op = parse_operator(laplacian_doc(n))
+    P = assemble_pencil(op, default_l_max(op, 6), analysis_degree=6)
+    (tab,) = pencil._tables.values()
+    up = np.repeat(tab["up"], np.diff(tab["bstart"]))   # each position's degree step
+    for vals in tab["vals"]:
+        assert set(up[np.any(vals != 0, axis=0)].tolist()) == {-2, 0, 2}
+    raw = np.abs(tab["vals"].sum(axis=0)[:, up != 0]).max()
+    assert raw <= 1e-13 * np.abs(tab["vals"]).max() and (raw > 0) == (n == 3)
+    degs = P.row_degrees
+    assert P.bandwidth == 0 and not P.B[:, degs[:, None] != degs[None, :]].any()
+
+
+def test_round_off_cut_floors_the_column_max_at_one():
+    # -1e-4 Delta + 1e-14 (x_1/r) r^-2 on R^3: every column's largest entry
+    # is below 0.01, and the drift's blocks sit above 1e-13 of it but below
+    # 1e-13 of 1, so they are cut: bandwidth 0, as in the column loop
+    doc = drift_doc(1e-14)
+    for term in doc["entries"][0]["terms"][:3]:
+        term["poly"] = {mono: [1e-4, 0.0] for mono in term["poly"]}
+    op = parse_operator(doc)
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    B, bandwidth = _column_loop_pencil(op, default_l_max(op, 2))
+    assert P.bandwidth == bandwidth == 0 and np.abs(P.B).max() < 0.01
+    assert np.array_equal(P.B, B)
+
+
+@pytest.mark.parametrize("doc_fn", [drift_doc, dbar_doc])
+def test_bandwidth_one_is_read_and_an_understated_margin_overflows(doc_fn):
+    op = parse_operator(doc_fn())
+    for degree in (0, 2, 6):
+        P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+        assert P.bandwidth == 1 and P.degrees[-1] == default_l_max(op, degree) + 2
+    with pytest.raises(CouplingOverflow, match="bandwidth 1 exceeds margin 0"):
+        assemble_pencil(op, 4, analysis_degree=4)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,25 @@ def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
     assert det_vanishing_order(P, -4j, 0.1) == 13
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_chains_refuse_a_det_order_aliased_on_a_full_block(laplacian3d, count):
+    # the l = 6 block times diag(1..13) is no longer c(lam) I, so the order
+    # 13 of -4i is read on the 13 x 13 square.  With the count forced to
+    # 1-3 its 16-node circle aliases that order to 0 (CHANGES.md, FOUND);
+    # the chain count 13 then disagrees, and the point is refused, never
+    # returned
+    P = assemble_pencil(laplacian3d, default_l_max(laplacian3d, 7), analysis_degree=7)
+    idx = np.flatnonzero(P.row_degrees == 6)
+    B = P.B.copy()
+    B[:, idx[:, None], idx] *= np.arange(1, 14)
+    P = replace(P, B=B)
+    owner = P.owners(-4j, 0.1)
+    assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (13, 13)
+    P.__dict__["eigenvalues"] = np.array([-4j] * count)
+    with pytest.raises(MultiplicityMismatch, match="det root order"):
+        jordan_chains(P, -4j, isolation=1.0)
+
+
 @pytest.mark.parametrize("order, read", [(5, 5), (6, "6 of 8"), (8, "none of 8")],
                          ids=["order5", "order6", "order8"])
 def test_det_order_of_lam_power_on_16_nodes(order, read):
@@ -438,16 +457,21 @@ def test_convergence_is_zero_by_structure_at_every_bandwidth(monkeypatch, laplac
         assert set(rep.convergence.values()) == {0.0}
 
 
-def _count_degree_columns(monkeypatch):
-    computed = Counter()
-    columns = pencil._degree_columns
+def _count_table_builds(monkeypatch):
+    """Count, per (words, l), the ladder table builds that compute the
+    columns of degree l (a build extending a table computes only the degrees
+    it lacks), on an empty memo."""
+    built = Counter()
+    build = pencil._build_table
 
-    def counted(a0, l):
-        computed[l] += 1
-        return columns(a0, l)
+    def counted(n, m, mu, words, top, table=None):
+        built.update((words, l) for l in range(0 if table is None else len(table["ends"]),
+                                               top + 1))
+        return build(n, m, mu, words, top, table)
 
-    monkeypatch.setattr(pencil, "_degree_columns", counted)
-    return computed
+    monkeypatch.setattr(pencil, "_build_table", counted)
+    monkeypatch.setattr(pencil, "_tables", {})
+    return built
 
 
 @pytest.mark.parametrize("op_fn, strip, degree", [
@@ -456,11 +480,14 @@ def _count_degree_columns(monkeypatch):
 ], ids=["laplacian3d", "inverse_square2d_c-7"])
 def test_bandwidth_zero_strip_computes_only_its_degrees(monkeypatch, op_fn, strip,
                                                         degree):
-    computed = _count_degree_columns(monkeypatch)
+    built = _count_table_builds(monkeypatch)
     op = op_fn()
     rep = strip_spectrum(op, *strip, degree)
     assert rep.pencil.bandwidth == 0 and rep.eigenpoints
-    assert computed == Counter(range(default_l_max(op, degree) + 1))
+    # each table's degrees up to l_max once, and none above
+    words = {w for w, _ in built}
+    assert words and built == Counter(
+        (w, l) for w in words for l in range(default_l_max(op, degree) + 1))
 
 
 @pytest.mark.parametrize("doc_fn, strip, degree", [
@@ -468,13 +495,15 @@ def test_bandwidth_zero_strip_computes_only_its_degrees(monkeypatch, op_fn, stri
     (cr_system_doc, (-0.5, 2.5), 4),
 ], ids=["dbar2d", "cr_system2d"])
 def test_coupled_strip_computes_each_degree_once(monkeypatch, doc_fn, strip, degree):
-    computed = _count_degree_columns(monkeypatch)
+    built = _count_table_builds(monkeypatch)
     op = parse_operator(doc_fn())
     rep = strip_spectrum(op, *strip, degree)
     P = rep.pencil
     assert P.bandwidth > 0 and rep.eigenpoints
-    # P's work basis only, and each degree once
-    assert computed == Counter(range(P.degrees[-1] + 1))
+    # P's work basis only, and each table's degrees once: the l_max tables
+    # are extended, not rebuilt
+    words = {w for w, _ in built}
+    assert words and built == Counter((w, l) for w in words for l in range(P.degrees[-1] + 1))
 
 
 def _count_solves(monkeypatch):
