@@ -31,17 +31,20 @@ harmonics; m, the per-row degrees and the scale are derived from them once.
 Every cut (a decoupled block, the kept columns, a mode) is one index on the
 stack.
 
-A pencil's block view (kept, components, powers, squares, roots) splits
-det pencil once into prod_i det(squares[i]) ** powers[i] and solves each
-piece once; the strip eigensolve, the det-order circle, the Jordan chains
-and the mode cut all read it.  At bandwidth 0 the squares are the
+A pencil's block view (kept, components, scalars, powers, squares, roots)
+splits det pencil once into prod_i det(squares[i]) ** powers[i] and solves
+each piece once; the strip eigensolve, the det-order circle, the Jordan
+chains and the mode cut all read it.  At bandwidth 0 the squares are the
 decoupled (component, degree) blocks, one that is c(lam) I_d (radial
 coefficients; Kozlov, Maz'ya and Rossmann, Spectral Problems Associated
-with Corner Singularities) as its 1 x 1 scalar c with power d, and
-owners(lam0, radius) names those with an eigenvalue in a circle, so chains
-and det orders are computed on the blocks that own it.  A mode cut
-(model_solver.mode_pencil) is a PencilMatrices too, so it carries its own
-view and is solved at most once.
+with Corner Singularities) as its 1 x 1 scalar c with power d.  One test
+over the entries of every block finds them, and their scalars are the rows
+of one array (scalars), so their roots, det reads and simple-root chains
+are batched.  owners(lam0, radius) masks the squares with an eigenvalue in
+a circle, or in each of an array of circles, so chains and det orders are
+computed on the blocks that own it.  A mode cut (model_solver.mode_pencil)
+is a PencilMatrices too, so it carries its own view and is solved at most
+once.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CouplingOverflow, HomogeneityError, SingularLeadingCoeff
+from .errors import CouplingOverflow, HomogeneityError, SchemaError, SingularLeadingCoeff
 from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
 _SCALAR_TOL = 1e-10    # deviation from c(lam) I, relative to the block's row sums
+_STACK_CAP = 2 ** 28   # bytes a pencil's dense coefficient stack B may take
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 
@@ -133,29 +137,66 @@ class PencilMatrices:
         return [np.flatnonzero(label == c) for c in np.unique(label)]
 
     @cached_property
+    def scalars(self):
+        """(row, C): the squares held as 1 x 1 scalars, as rows of one
+        coefficient array, C[row[i], j] = squares[i][j, 0, 0], and row[i] = -1
+        for a full square (every square when the bandwidth is nonzero).
+
+        At bandwidth 0, block i is c(lam) I_d when no entry of it deviates
+        from c I_d by _SCALAR_TOL of its largest absolute row sum: one test
+        reads the entries of every block at once.  The batched roots, det
+        reads and chains read C."""
+        if self.bandwidth:
+            return np.full(1, -1), np.zeros((0, self.m + 1), dtype=complex)
+        comps = self.components
+        if len(comps) == self.size:   # 1 x 1 blocks are scalars
+            scalar = np.ones(len(comps), dtype=bool)
+        elif len(comps) == 1:   # one block (a mode cut): the test on B itself
+            dev = np.abs(self.B - self.B[:, :1, :1] * np.eye(self.size)).max()
+            scalar = np.array([dev < _SCALAR_TOL * (self.scale or 1.0)])
+        else:
+            sizes = np.array([len(idx) for idx in comps])
+            order = np.concatenate(comps)        # the rows, block by block
+            first = np.cumsum(sizes) - sizes     # each block's first position in order
+            head = np.repeat(first, sizes)       # ... and that of each position's block
+            width = np.repeat(sizes, sizes)
+            start = np.cumsum(width) - width     # each row's first entry below
+            # the entries of every block, row by row, block by block
+            pos = np.repeat(np.arange(self.size), width)
+            col = head[pos] + np.arange(len(pos)) - start[pos]
+            entries = self.B[:, order[pos], order[col]]
+            mag = np.abs(entries)
+            sums = np.add.reduceat(mag, start, axis=1).max(axis=0)
+            diag = start + np.arange(self.size) - head
+            mag[:, diag] = np.abs(entries[:, diag] - self.B[:, order[head], order[head]])
+            dev = np.maximum.reduceat(mag, start, axis=1).max(axis=0)
+            scale = np.maximum.reduceat(sums, first)
+            scale[scale == 0] = 1.0
+            scalar = np.maximum.reduceat(dev, first) < _SCALAR_TOL * scale
+        lead = np.array([idx[0] for idx in comps], dtype=int)[scalar]
+        return (np.where(scalar, np.cumsum(scalar) - 1, -1),
+                np.ascontiguousarray(self.B[:, lead, lead].T))
+
+    @cached_property
     def powers(self):
         """The power of each of P.squares in det pencil: d for a block that is
-        c(lam) I_d to _SCALAR_TOL of its largest absolute row sum, else 1."""
+        c(lam) I_d (P.scalars), else 1."""
         if self.bandwidth:
             return [1]
-        out = []
-        for idx in self.components:
-            Bs = self.B[:, idx[:, None], idx]
-            dev = np.abs(Bs - Bs[:, :1, :1] * np.eye(len(idx))).max()
-            scale = np.abs(Bs).sum(axis=2).max() or 1.0
-            out.append(len(idx) if dev < _SCALAR_TOL * scale else 1)
-        return out
+        return np.where(self.scalars[0] >= 0, [len(idx) for idx in self.components],
+                        1).tolist()
 
     @cached_property
     def squares(self):
         """Square pencils (coefficient stacks), det pencil = prod_i det(P.squares
         [i]) ** P.powers[i]: the decoupled blocks (a c(lam) I one as its 1 x 1
-        c) when the bandwidth is 0, otherwise one fixed random compression
-        Q R_j of the exact rectangular restriction R_j to the kept columns."""
+        c, a view of P.scalars) when the bandwidth is 0, otherwise one fixed
+        random compression Q R_j of the exact rectangular restriction R_j to
+        the kept columns."""
         if self.bandwidth == 0:
-            cuts = [idx if d == 1 else idx[:1]
-                    for idx, d in zip(self.components, self.powers)]
-            return [self.B[:, cut[:, None], cut] for cut in cuts]
+            row, C = self.scalars
+            return [self.B[:, idx[:, None], idx] if r < 0 else C[r, :, None, None]
+                    for idx, r in zip(self.components, row.tolist())]
         R = self.B[:, :, self.kept]
         n_r, n_c = R.shape[1:]
         rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
@@ -165,9 +206,10 @@ class PencilMatrices:
 
     @cached_property
     def roots(self):
-        """The finite eigenvalues of P.squares, concatenated, and the square of
-        each: the 1 x 1 squares' with a nonzero leading coefficient from one
-        batch (_scalar_roots), the others' by _companion_eigenvalues.
+        """The finite eigenvalues of P.squares, concatenated square by square,
+        and the square of each: the 1 x 1 squares' with a nonzero leading
+        coefficient from one batch (_scalar_roots), the others' by
+        _companion_eigenvalues.
 
         On decoupled blocks of a pencil with one mu and one nu, a leading
         coefficient with condition above 1e12 raises SingularLeadingCoeff.
@@ -175,19 +217,25 @@ class PencilMatrices:
         candidates that spectrum.solve_pencil_eigenvalues certifies."""
         check_lead = (self.bandwidth == 0
                       and len(set(self.mu)) == len(set(self.nu)) == 1)
-        ones = [i for i, S in enumerate(self.squares) if S.shape[1] == 1 and S[-1, 0, 0]]
-        vals = dict(zip(ones, _scalar_roots(np.array(
-            [self.squares[i][:, 0, 0] for i in ones]).reshape(-1, self.m + 1))))
-        for i, Bs in enumerate(self.squares):
-            if check_lead and i not in vals:
+        row, C = self.scalars
+        which, batch = np.flatnonzero(row >= 0), C[:, -1] != 0
+        vals, square = _scalar_roots(C[batch])
+        square = which[batch][square]
+        rest = np.flatnonzero(row < 0).tolist() + which[~batch].tolist()
+        if not rest:
+            return vals, square
+        vals, square = [vals], [square]
+        for i in sorted(rest):
+            Bs = self.squares[i]
+            if check_lead:
                 cond = np.linalg.cond(Bs[-1])
                 if not np.isfinite(cond) or cond > 1e12:
                     raise SingularLeadingCoeff(
                         f"leading coefficient condition {cond:.2e} on a block")
-            if i not in vals:
-                vals[i] = _companion_eigenvalues(Bs)
-        vals = [vals[i] for i in range(len(self.squares))]
-        return np.concatenate(vals), np.repeat(np.arange(len(vals)), [len(v) for v in vals])
+            vals.append(_companion_eigenvalues(Bs))
+            square.append(np.full(len(vals[-1]), i))
+        order = np.argsort(np.concatenate(square), kind="stable")
+        return np.concatenate(vals)[order], np.concatenate(square)[order]
 
     @cached_property
     def eigenvalues(self):
@@ -196,15 +244,18 @@ class PencilMatrices:
         return np.repeat(roots, np.array(self.powers)[square])
 
     def owners(self, lam0, radius):
-        """Indices into P.squares of the squares that own an eigenvalue
-        strictly inside the circle |lam - lam0| < radius.  A compressed
-        square (bandwidth > 0) is not the pencil, so all of them own it.
+        """Which of P.squares own an eigenvalue strictly inside the circle
+        |lam - lam0| < radius: a mask of shape np.shape(lam0) + (len(P.squares),),
+        lam0 and radius being one circle or arrays of them.  A compressed
+        square (bandwidth > 0) is not the pencil, so it owns every circle.
         At bandwidth 0, square i is the block P.components[i], and det
         pencil has no zero in the circle outside the owners."""
+        lam0 = np.asarray(lam0)
         if self.bandwidth:
-            return list(range(len(self.squares)))
+            return np.ones(lam0.shape + (1,), dtype=bool)
         roots, square = self.roots
-        return np.unique(square[np.abs(roots - lam0) < radius]).tolist()
+        inside = np.abs(roots - lam0[..., None]) < np.asarray(radius)[..., None]
+        return inside @ (square[:, None] == np.arange(len(self.squares)))
 
     def to_json(self):
         return {
@@ -386,13 +437,24 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     degree <= l_max + bandwidth is exact.  CouplingOverflow is raised when
     a basis element within `analysis_degree` couples above l_max, i.e. when
     the declared margin understates the true bandwidth.  `analysis_degree`
-    defaults to l_max less default_l_max's margin (>= 0).
+    defaults to l_max less default_l_max's margin (>= 0).  SchemaError,
+    before any ladder table is built, when B could exceed _STACK_CAP bytes:
+    (m + 1) (k nb)^2 16 on the widest work basis the margin allows, degree
+    l_max + 2 (l_max - analysis_degree).
     """
     a0 = principal_part(op)
     if a0.m < 1:
         raise ValueError("pencil needs an operator of positive order")
     if analysis_degree is None:
         analysis_degree = max(l_max - default_l_max(op, 0), 0)
+    widest = l_max + 2 * (l_max - analysis_degree)
+    nb = 2 * widest + 1 if a0.n == 2 else (widest + 1) ** 2
+    need = (a0.m + 1) * (a0.k * nb) ** 2 * 16
+    if need > _STACK_CAP:
+        raise SchemaError(
+            f"the basis of harmonic degree {l_max} needs up to {need / 2**30:.3g} GiB "
+            f"of pencil coefficients, above the {_STACK_CAP / 2**30:g} GiB bound; "
+            "lower the degree")
     for (i, j), terms in a0.entries.items():
         for alpha, t in terms:
             h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
@@ -433,12 +495,15 @@ def default_l_max(op: SystemOperator, degree: int) -> int:
 
 def _scalar_roots(C):
     """Roots (|lam| < 1e8) of the polynomials sum_j C[s, j] lam^j, leading
-    coefficients nonzero, from one batched eigensolve of monic companions."""
+    coefficients nonzero, from one batched eigensolve of monic companions,
+    and the row s of each, row by row."""
     m = C.shape[1] - 1
     A = np.zeros((len(C), m, m), dtype=complex)
     A[:, :-1, 1:] = np.eye(m - 1)
     A[:, -1] = -C[:, :m] / C[:, m:]
-    return [v[np.abs(v) < 1e8] for v in np.linalg.eigvals(A)]
+    vals = np.linalg.eigvals(A)
+    finite = np.abs(vals) < 1e8
+    return vals[finite], np.nonzero(finite)[0]
 
 
 def _companion_eigenvalues(Bs):

@@ -39,15 +39,25 @@ extend is the chains of a semisimple point, and no Toeplitz matrix is
 built.  At bandwidth 0 both work block by block: the chains on the rows
 and columns of the decoupled blocks that own an eigenvalue in the det
 circle (P.owners), under the whole pencil's rank cuts, and the det order
-over those blocks only, a c(lam) I block's on its scalar.  Adjoint chains
-at conj(lam0) of the cylinder-level adjoint pencil are normalized to the
-Kronecker biorthogonality pattern by one least-squares solve.
+over those blocks only, a c(lam) I block's on its scalar.
+
+A strip's eigenpoints are solved in one pass: the in-strip count, the
+clustering and each centre's isolation are array operations, and one
+jordan_chains call reads every centre's det order (the scalars of all
+circles with one node count in one stacked Horner pass and one FFT) and
+gives every centre whose owners are all scalars with a simple zero there
+its closed-form chains, the unit vectors of the owning blocks.  Multiple
+roots, full squares and coupled pencils are chained centre by centre.
+Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
+normalized to the Kronecker biorthogonality pattern by one least-squares
+solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -180,7 +190,7 @@ class SpectrumReport:
 # eigenvalue solvers
 # ---------------------------------------------------------------------------
 
-def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
+def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     """All (finite, certified) eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, so that only those
     are certified.  The companion eigensolve runs once per pencil
@@ -191,14 +201,13 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> list:
     # decoupled blocks are the pencil itself; a compressed square is not,
     # so its candidates are certified against the rectangular restriction
     if P.bandwidth == 0:
-        return list(vals)
+        return vals
     scale = P.scale
     certified = []
     for lam in vals:
         sv = np.linalg.svd(evaluate_pencil(P, lam)[:, P.kept], compute_uv=False)
-        if sv[-1] < _RANK_TOL * max(sv[0], scale):
-            certified.append(lam)
-    return certified
+        certified.append(sv[-1] < _RANK_TOL * max(sv[0], scale))
+    return vals[np.array(certified, dtype=bool)]
 
 
 def cluster_eigenvalues(vals):
@@ -206,56 +215,97 @@ def cluster_eigenvalues(vals):
 
     Returns a list of (center, count) sorted by (Im, Re) of the center.
     Every pair is compared, so copies of one eigenvalue that a sort would
-    interleave with a neighbour's still land in one cluster.
+    interleave with a neighbour's still land in one cluster.  The centres
+    are the members' means, one np.mean per distinct cluster size (each
+    row of a same-size stack sums as its cluster alone would).
     """
     vals = np.asarray(vals, dtype=complex)
     if vals.size == 0:
         return []
-    label = component_labels(
-        np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS)
-    out = [(complex(np.mean(vals[label == c])), int(np.sum(label == c)))
-           for c in np.unique(label)]
-    return sorted(out, key=lambda c: (c[0].imag, c[0].real))
+    label = component_labels(np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS)
+    counts = np.bincount(label)
+    counts = counts[counts > 0]
+    members = np.argsort(label, kind="stable")   # cluster by cluster, in order
+    start = np.cumsum(counts) - counts
+    centers = np.empty(len(counts), dtype=complex)
+    for size in set(counts.tolist()):
+        same = np.flatnonzero(counts == size)
+        centers[same] = vals[members[start[same, None] + np.arange(size)]].mean(axis=1)
+    order = np.lexsort((centers.real, centers.imag))
+    return list(zip(centers[order].tolist(), counts[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # determinant order cross-check
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _unit_circle(nodes):
+    """The nodes-th roots of unity, read-only (node counts are powers of 2)."""
+    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    w.setflags(write=False)
+    return w
+
+
 def _det_values_on_circle(B, lam0, radius, nodes):
     """det of the square pencil B at `nodes` equispaced circle nodes, all
     evaluated in one stack, divided by the geometric mean of their moduli."""
-    points = lam0 + radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    points = lam0 + radius * _unit_circle(nodes)
     sign, logabs = np.linalg.slogdet(horner(B, points))
     return sign * np.exp(logabs - np.mean(logabs))
 
 
-def det_vanishing_order(P: PencilMatrices, lam0: complex, radius: float) -> int:
-    """Order of the zero of det pencil at lam0 from scaled Taylor coefficients.
+def det_vanishing_order(P: PencilMatrices, lam0, radius):
+    """Order of the zero of det pencil at lam0 from scaled Taylor coefficients;
+    lam0 and radius may be arrays of circles, read in one pass (an array of
+    orders).
 
-    Only the squares that own an eigenvalue inside the circle (P.owners)
+    Only the squares that own an eigenvalue inside a circle (P.owners)
     vanish there; each is read alone and counts P.powers[i] = d times.  The
     c of P.eigenvalues strictly inside bound its order by ceil(c / d): the
     FFT of its det at N = max(16, 2^ceil(log2(4 ceil(c / d)))) circle nodes
     gives the scaled derivatives a_j rho^j modulo N, and the order is the
     first of the lower N/2 non-negligible against the largest.  None, or
     one in the top quarter of the N/2, may be aliased: MultiplicityMismatch.
-    The circle must isolate lam0 from the rest of the spectrum.
+    The 1 x 1 squares (P.scalars) of all circles with the same N are read
+    together: one stacked Horner pass gives their dets, one FFT their
+    coefficients.  Each circle must isolate its lam0 from the rest of the
+    spectrum.
     """
-    count = int(np.count_nonzero(np.abs(P.eigenvalues - lam0) < radius))
-    order = 0
-    for i in P.owners(lam0, radius):
-        d = P.powers[i]
-        nodes = max(16, 1 << (4 * -(-count // d) - 1).bit_length())
-        t = np.abs(np.fft.fft(_det_values_on_circle(P.squares[i], lam0, radius, nodes)))
-        hits = np.flatnonzero(t[:nodes // 2] > _DET_ORDER_TOL * t.max())
-        if hits.size == 0 or hits[0] >= 3 * nodes // 8:
-            first = "none" if hits.size == 0 else int(hits[0])
-            raise MultiplicityMismatch(
-                f"det root order at {lam0} unresolved on {nodes} circle nodes "
-                f"(first non-negligible coefficient: {first} of {nodes // 2})")
-        order += d * int(hits[0])
-    return order
+    lam, rad = np.asarray(lam0, dtype=complex).ravel(), np.asarray(radius).ravel()
+    count = (np.abs(P.eigenvalues - lam[:, None]) < rad[:, None]).sum(axis=1)
+    at, square = np.nonzero(P.owners(lam, rad))
+    d = np.array(P.powers)[square]
+    nodes = np.array([max(16, 1 << (4 * -(-c // k) - 1).bit_length())
+                      for c, k in zip(count[at].tolist(), d.tolist())], dtype=int)
+    row, C = P.scalars
+    row = row[square]
+    first = np.empty(len(at), dtype=int)
+    for N in sorted(set(nodes.tolist())):
+        sel = nodes == N
+        if row[sel].min() >= 0:   # a scalar's det is its value, unscaled
+            z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
+            c = C[row[sel]]
+            det = c[:, -1:] + 0 * z
+            for j in range(P.m - 1, -1, -1):
+                det *= z
+                det += c[:, j:j + 1]
+        else:
+            det = np.array([_det_values_on_circle(P.squares[square[p]], lam[at[p]],
+                                                  rad[at[p]], N) for p in np.flatnonzero(sel)])
+        t = np.abs(np.fft.fft(det))
+        big = t[:, :N // 2] > _DET_ORDER_TOL * t.max(axis=1, keepdims=True)
+        first[sel] = np.where(big.any(axis=1), big.argmax(axis=1), N // 2)
+    bad = np.flatnonzero(first >= 3 * nodes // 8)
+    if bad.size:
+        p = bad[0]
+        N = int(nodes[p])
+        read = "none" if first[p] == N // 2 else int(first[p])
+        raise MultiplicityMismatch(
+            f"det root order at {complex(lam[at[p]])} unresolved on {N} circle nodes "
+            f"(first non-negligible coefficient: {read} of {N // 2})")
+    orders = np.bincount(at, weights=d * first, minlength=len(lam)).astype(int)
+    return orders.reshape(np.shape(lam0)) if np.ndim(lam0) else int(orders[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,38 +411,113 @@ def chains_from_matrices(T, scale, det_order):
     return J, partial, chains, residuals
 
 
-def _chain_scale(P: PencilMatrices, lambda0: complex) -> float:
-    """Size of the Taylor coefficients of the pencil at lambda0, against
-    which chain and adjoint residuals and rank cuts are measured."""
-    return P.scale * max(1.0, abs(lambda0)) ** P.m
+def _chain_scale(P: PencilMatrices, lambda0):
+    """Size of the Taylor coefficients of the pencil at lambda0 (or at each
+    of an array of points), against which chain and adjoint residuals and
+    rank cuts are measured."""
+    lam = np.asarray(lambda0)
+    return P.scale * np.maximum(1.0, np.hypot(lam.real, lam.imag)) ** P.m
 
 
-def jordan_chains(P: PencilMatrices, lambda0: complex,
-                  isolation: float | None = None) -> Eigenpoint:
-    """Canonical system of Jordan chains at lambda0.
+def _isolation(centers, points):
+    """Distance from each centre to the nearest of `points` farther than the
+    cluster radius from it, 1.0 when there is none.  np.hypot rounds as
+    abs() of one complex does; numpy's vectorised abs may not."""
+    diff = np.asarray(points) - np.asarray(centers)[..., None]
+    dist = np.hypot(diff.real, diff.imag)
+    dist[dist <= _CLUSTER_RADIUS] = np.inf
+    isolation = dist.min(axis=-1, initial=np.inf)
+    return np.where(np.isinf(isolation), 1.0, isolation)
 
-    The det vanishing order is read first, on a circle of radius 0.45 *
-    isolation clipped to [1e-5, 0.1] (Eigenpoint.radius); a nullspace of
-    pencil(lambda0) that wide whose vectors do not extend is a semisimple
-    point's chains.  Otherwise chains come from nested block-Toeplitz
-    nullspaces, extended longest-first, and their count must be the det
-    order (MultiplicityMismatch, also when a chain's relative residual
-    exceeds _CHAIN_TOL).  At bandwidth 0 both work on the decoupled blocks
-    that own an eigenvalue in that circle (P.owners), with the rank cuts of
-    the whole pencil (a c(lam) I block on its scalar); the chains are padded
-    back to the full basis.  NotAnEigenvalue when no block owns lambda0.
+
+def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
+    """Canonical system of Jordan chains at lambda0 (an Eigenpoint), or at
+    each of an array of points, `isolation` then an array of one isolation
+    per point (a list of Eigenpoints).
+
+    The det vanishing orders are read first, all in one call, each on a
+    circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
+    (Eigenpoint.radius).  At bandwidth 0 a point whose owners (P.owners)
+    are all 1 x 1 squares with a simple zero there has closed-form chains
+    (_scalar_chains), all such points in one pass.  Otherwise, point by
+    point, a nullspace of pencil(lambda0) as wide as the det order whose
+    vectors do not extend is a semisimple point's chains, and else they come
+    from nested block-Toeplitz nullspaces, extended longest-first; at
+    bandwidth 0 both work on the owning blocks, with the rank cuts of the
+    whole pencil (a c(lam) I block on its scalar), and the chains are padded
+    back to the full basis.  The chain count must be the det order
+    (MultiplicityMismatch, also when a chain's relative residual exceeds
+    _CHAIN_TOL).  NotAnEigenvalue when no block owns a point, or when
+    pencil(lambda0) has full rank on an owner.
     """
-    lambda0 = complex(lambda0)
+    lam = np.asarray(lambda0, dtype=complex)
     if isolation is None:
-        others = [v for v in solve_pencil_eigenvalues(P)
-                  if abs(v - lambda0) > _CLUSTER_RADIUS]
-        isolation = min((abs(v - lambda0) for v in others), default=1.0)
-    radius = max(min(_DET_RADIUS_SHARE * isolation, _DET_RADIUS_MAX), 1e-5)
-    owners = P.owners(lambda0, radius)
-    if not owners:
-        raise NotAnEigenvalue(f"no block owns lambda0 = {lambda0}")
-    order_det = det_vanishing_order(P, lambda0, radius)
-    # (cut, coordinates): a c(lam) I block's chains are its scalar's, at each harmonic
+        isolation = _isolation(lam, solve_pencil_eigenvalues(P))
+    radius = np.maximum(np.minimum(_DET_RADIUS_SHARE * np.asarray(isolation),
+                                   _DET_RADIUS_MAX), 1e-5)
+    lams, radii = lam.ravel(), radius.ravel()
+    owned = P.owners(lams, radii)
+    lost = np.flatnonzero(~owned.any(axis=1))
+    if lost.size:
+        raise NotAnEigenvalue(f"no block owns lambda0 = {complex(lams[lost[0]])}")
+    orders = det_vanishing_order(P, lams, radii).tolist()
+    closed = _scalar_chains(P, lams, owned)
+    points = []
+    for k, lam0 in enumerate(lams.tolist()):
+        chains, residuals = closed[k] if k in closed else _owner_chains(
+            P, lam0, np.flatnonzero(owned[k]), orders[k])
+        partial = [len(chain) for chain in chains]
+        M = sum(partial)
+        # determinant-order cross-check (met by construction on the early exit)
+        if orders[k] != M:
+            raise MultiplicityMismatch(
+                f"chain count {M} != det root order {orders[k]} at {lam0}")
+        if max(residuals) > _CHAIN_TOL:
+            raise MultiplicityMismatch(
+                f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lam0}")
+        points.append(Eigenpoint(lam0, len(partial), partial, M, chains, residuals,
+                                 orders[k], float(radii[k])))
+    return points if lam.ndim else points[0]
+
+
+def _scalar_chains(P: PencilMatrices, lam, owned) -> dict:
+    """{k: (chains, residuals)} for each point lam[k] whose owners (row k of
+    the mask `owned`) are all 1 x 1 squares c with a simple zero there.
+
+    Those are the two tests of chains_from_matrices' early exit, under its
+    cuts: |c(lam0)| below _RANK_TOL * max(|c(lam0)|, scale), and |c'(lam0)|
+    above it; a point failing either takes _owner_chains, which refuses it
+    or runs the Toeplitz route.  A simple zero's one chain is [1] (Gohberg,
+    Lancaster and Rodman, Matrix Polynomials), so an owner c(lam) I_d adds
+    the d unit vectors of its block, each of residual |c(lam0)| / scale.
+    Every (point, owner) pair is evaluated in one Horner pass.
+    """
+    row, C = P.scalars
+    at, square = np.nonzero(owned & (owned <= (row >= 0)).all(axis=1)[:, None])
+    if not at.size:
+        return {}
+    c0, c1 = taylor(list(C[row[square]].T), lam[at])[:2]
+    scale = _chain_scale(P, lam[at])
+    sv = np.abs(c0)
+    cut = _RANK_TOL * np.maximum(sv, scale)
+    other = set(at[(sv >= cut) | (np.abs(c1) <= cut)].tolist())
+    out = {}
+    for k, s, res in zip(at.tolist(), square.tolist(), (sv / scale).tolist()):
+        if k not in other:
+            keep = P.components[s]
+            unit = np.zeros((len(keep), P.size), dtype=complex)
+            unit[np.arange(len(keep)), keep] = 1.0
+            chains, residuals = out.setdefault(k, ([], []))
+            chains += [[v] for v in unit]
+            residuals += [res] * len(keep)
+    return out
+
+
+def _owner_chains(P: PencilMatrices, lambda0: complex, owners, order_det):
+    """(chains, residuals) at lambda0 point by point: chains_from_matrices on
+    the kept columns of the whole pencil, or at bandwidth 0 on each owning
+    square (a c(lam) I block's chains being its scalar's, at each harmonic),
+    padded to the full basis and sorted longest first."""
     pieces = [(P.B[:, :, P.kept], [P.kept])] if P.bandwidth else [
         (P.squares[i], P.components[i].reshape(P.powers[i], -1)) for i in owners]
     found = []   # (chain in full basis coordinates, residual)
@@ -408,19 +533,7 @@ def jordan_chains(P: PencilMatrices, lambda0: complex,
         found += [([_pad(v, keep, P.size) for v in chain], res)
                   for keep in coords for chain, res in zip(chains, residuals)]
     found.sort(key=lambda f: -len(f[0]))   # longest first, as one Toeplitz run
-    chains_full, residuals = [c for c, _ in found], [r for _, r in found]
-    partial = [len(chain) for chain in chains_full]
-    M = sum(partial)
-
-    # determinant-order cross-check (met by construction on the early exit)
-    if order_det != M:
-        raise MultiplicityMismatch(
-            f"chain count {M} != det root order {order_det} at {lambda0}")
-    if max(residuals) > _CHAIN_TOL:
-        raise MultiplicityMismatch(
-            f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lambda0}")
-    return Eigenpoint(lambda0, len(partial), partial, M, chains_full, residuals,
-                      order_det, radius)
+    return [c for c, _ in found], [r for _, r in found]
 
 
 def _pad(vec, keep, size):
@@ -429,10 +542,15 @@ def _pad(vec, keep, size):
     return out
 
 
-def _degree_masses(P: PencilMatrices, vec) -> np.ndarray:
-    """Share of the squared mass of `vec` at each harmonic degree 0..top."""
-    mass = np.bincount(P.row_degrees, weights=np.abs(np.asarray(vec)) ** 2)
-    return mass / (mass.sum() or 1.0)
+def _degree_masses(P: PencilMatrices, vecs) -> np.ndarray:
+    """Share of the squared mass of each of `vecs` at each harmonic degree
+    0..top, one row per vector, from one bincount."""
+    weights = np.abs(np.asarray(vecs)) ** 2
+    bins = P.degrees[-1] + 1
+    mass = np.bincount((bins * np.arange(len(weights))[:, None] + P.row_degrees).ravel(),
+                       weights.ravel(), bins * len(weights)).reshape(len(weights), bins)
+    total = mass.sum(axis=1, keepdims=True)
+    return mass / np.where(total == 0, 1.0, total)
 
 
 # ---------------------------------------------------------------------------
@@ -552,29 +670,24 @@ def power_solutions(e) -> list:
 def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
     """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re): the values
     (of `band` only, if given, so only those are certified) clustered within
-    _CLUSTER_RADIUS, each centre chained on a det circle that isolates it.
-    Values within the cluster radius outside an edge are kept, so a line on
-    an edge reaches RefuseBoundary whatever side round-off puts it on.  A
-    candidate there that fails certification is a line the degree does not
-    resolve (UnstableSpectrum).  The algebraic multiplicities must sum to
-    the number of values clustered (MultiplicityMismatch otherwise)."""
-    def inside(v):
-        return beta1 - _CLUSTER_RADIUS < v.imag < beta2 + _CLUSTER_RADIUS
-
+    _CLUSTER_RADIUS, each centre chained on a det circle that isolates it,
+    all centres in one jordan_chains call.  Values within the cluster radius
+    outside an edge are kept, so a line on an edge reaches RefuseBoundary
+    whatever side round-off puts it on.  A candidate there that fails
+    certification is a line the degree does not resolve (UnstableSpectrum).
+    The algebraic multiplicities must sum to the number of values clustered
+    (MultiplicityMismatch otherwise)."""
+    lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
     vals = solve_pencil_eigenvalues(P, band)
-    in_strip = [v for v in vals if inside(v)]
-    found = sum(map(inside, P.eigenvalues))
+    in_strip = vals[(lo < vals.imag) & (vals.imag < hi)]
+    found = np.count_nonzero((lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi))
     if found > len(in_strip):
         raise UnstableSpectrum(
             f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
             "fail certification at this degree; raise --degree")
-    centers = [c for c, _ in cluster_eigenvalues(in_strip)]
-    eigenpoints = []
-    for center in centers:
-        others = [c for c in centers if abs(c - center) > _CLUSTER_RADIUS] + \
-                 [v for v in vals if abs(v - center) > _CLUSTER_RADIUS]
-        isolation = min((abs(v - center) for v in others), default=1.0)
-        eigenpoints.append(jordan_chains(P, center, isolation=isolation))
+    centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)], dtype=complex)
+    eigenpoints = jordan_chains(P, centers, _isolation(
+        centers, np.concatenate([centers, vals]))) if centers.size else []
     total = sum(ep.algebraic for ep in eigenpoints)
     if total != len(in_strip):
         raise MultiplicityMismatch(
@@ -608,9 +721,9 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     # belongs to a higher mode; a small tail is kept
     above = []
     for ep in eigenpoints:
-        masses = [_degree_masses(P, chain[0]) for chain in ep.chains]
-        if max(m[degree + 1:].sum() for m in masses) > _TAIL_MASS_MAX:
-            above.append((ep.lambda0.imag, max(int(np.argmax(m)) for m in masses)))
+        masses = _degree_masses(P, [chain[0] for chain in ep.chains])
+        if masses[:, degree + 1:].sum(axis=1).max() > _TAIL_MASS_MAX:
+            above.append((ep.lambda0.imag, int(masses.argmax(axis=1).max())))
     if above:
         lines = ", ".join(dict.fromkeys(f"{line:.9g}" for line, _ in above))
         raise UnstableSpectrum(

@@ -375,6 +375,28 @@ def test_non_finite_strip_exit2(lap3_file):
     assert "finite" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["res", "laplacian2d.json", "--strip", "0.5", "2.5", "--degree", "100000"],
+    ["pencil", "laplacian3d.json", "--l-max", "300"],
+    ["model-solve", "laplacian3d.json", "--mode", "5000", "--beta1", "1", "--beta2", "3"],
+], ids=["res", "pencil", "model-solve"])
+def test_oversized_degree_refused_before_assembly(monkeypatch, argv, capsys):
+    # the coefficient stack would take (m + 1) (k nb)^2 16 bytes, 1.75 TiB
+    # for res at degree 100000: the bound refuses it before any ladder
+    # table is built, so nothing is allocated
+    from oppencil import cli, pencil
+
+    def no_table(*args):
+        raise AssertionError("a ladder table was built")
+
+    monkeypatch.setattr(pencil, "_build_table", no_table)
+    assert cli.main([argv[0], str(REPO / "operators" / argv[1]), *argv[2:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(
+        r"schema error: the basis of harmonic degree \d+ needs up to \S+ GiB of pencil "
+        r"coefficients, above the 0.25 GiB bound; lower the degree\n", err)
+
+
 LAP3 = str(REPO / "operators" / "laplacian3d.json")
 MODEL_SOLVE = ["model-solve", LAP3, "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"]
 

@@ -135,7 +135,7 @@ def test_certification_band_is_in_band_subset(doc_fn):
         full = solve_pencil_eigenvalues(Q)
         got = solve_pencil_eigenvalues(Q, band)
         assert 0 < len(got) < len(full)
-        assert got == [v for v in full if band[0] < v.imag < band[1]]
+        assert np.array_equal(got, [v for v in full if band[0] < v.imag < band[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_det_order_refuses_an_undersized_circle(laplacian3d):
     B = P.B.copy()
     B[:, idx[:, None], idx] *= np.arange(1, 8)
     P = replace(P, B=B)
-    owner = P.owners(-1j, 0.1)
+    owner = np.flatnonzero(P.owners(-1j, 0.1))
     assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (7, 7)
     assert det_vanishing_order(P, -1j, 0.1) == 7
     P = replace(P)
@@ -252,7 +252,7 @@ def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
     # aliased to 0); the block is c(lam) I, so its order is 13 times that of
     # its scalar's simple zero, which 16 nodes resolve
     P = assemble_pencil(laplacian3d, default_l_max(laplacian3d, 7), analysis_degree=7)
-    owner = P.owners(-4j, 0.1)
+    owner = np.flatnonzero(P.owners(-4j, 0.1))
     assert len(owner) == 1 and P.powers[owner[0]] == 13
     P.__dict__["eigenvalues"] = np.array([-4j] * count)
     assert det_vanishing_order(P, -4j, 0.1) == 13
@@ -270,7 +270,7 @@ def test_chains_refuse_a_det_order_aliased_on_a_full_block(laplacian3d, count):
     B = P.B.copy()
     B[:, idx[:, None], idx] *= np.arange(1, 14)
     P = replace(P, B=B)
-    owner = P.owners(-4j, 0.1)
+    owner = np.flatnonzero(P.owners(-4j, 0.1))
     assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (13, 13)
     P.__dict__["eigenvalues"] = np.array([-4j] * count)
     with pytest.raises(MultiplicityMismatch, match="det root order"):
@@ -341,11 +341,11 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
         [np.repeat(roots[square == i], d) for i, d in enumerate(P.powers)]))
     # the l = 1 block alone owns the triple root at 1i; a compressed square
     # owns every circle
-    owners = P.owners(1j, 0.1)
+    owners = np.flatnonzero(P.owners(1j, 0.1))
     assert len(owners) == 1 and len(P.components[owners[0]]) == 3
-    assert P.owners(2.5j, 0.1) == []
+    assert not P.owners(2.5j, 0.1).any()
     Q = assemble_pencil(parse_operator(dbar_doc()), 4)
-    assert Q.bandwidth > 0 and Q.owners(2.5j, 0.1) == [0]
+    assert Q.bandwidth > 0 and Q.owners(2.5j, 0.1).tolist() == [True]
 
 
 def _full_pencil_chains(P, lam0):
@@ -423,14 +423,125 @@ def test_semisimple_points_take_the_early_exit(monkeypatch, doc_fn, strip, degre
 ], ids=["n3_l0", "n2_l1"])
 def test_jordan_points_take_the_toeplitz_route(monkeypatch, n, c, line, partial):
     # a double root at D_l = 0 holds one chain of length 2 per degree-l
-    # harmonic; its null width falls short of the det order, so the nested
-    # Toeplitz nullspaces run, and end at the first level that adds nothing
+    # harmonic; its scalar fails the level-2 test, so the nested Toeplitz
+    # nullspaces run once, on the scalar, and end at the first level that
+    # adds nothing.  The simple roots build no Toeplitz matrix at all
     levels = _toeplitz_levels(monkeypatch)
     rep = strip_spectrum(_inverse_square_op(n, c), 0.5, 3.9, 4)
     eps = [ep for ep in rep.eigenpoints if ep.partial_multiplicities != [1] * ep.geometric]
     assert [(ep.lambda0.imag, ep.partial_multiplicities, ep.det_order) for ep in eps] == \
         [(pytest.approx(line), partial, 2 * len(partial))]
-    assert levels.count(3) == 1 and sorted(levels)[-4:] == [1, 1, 2, 3]
+    assert levels == [1, 2, 3]
+
+
+def _per_centre_det_order(P, lam0, radius):
+    """The det read of one point, owner by owner: each owning square's det by
+    slogdet on its own circle of N = max(16, 2^ceil(log2(4 ceil(c / d))))
+    nodes, its order the first non-negligible of the lower N/2 FFT
+    coefficients (refused in the top quarter)."""
+    count = int(np.count_nonzero(np.abs(P.eigenvalues - lam0) < radius))
+    order = 0
+    for i in np.flatnonzero(P.owners(lam0, radius)):
+        d = P.powers[i]
+        nodes = max(16, 1 << (4 * -(-count // d) - 1).bit_length())
+        t = np.abs(np.fft.fft(_det_values_on_circle(P.squares[i], lam0, radius, nodes)))
+        hits = np.flatnonzero(t[:nodes // 2] > 1e-6 * t.max())
+        if hits.size == 0 or hits[0] >= 3 * nodes // 8:
+            raise MultiplicityMismatch(f"det root order at {lam0} unresolved")
+        order += d * int(hits[0])
+    return order
+
+
+def _per_centre_eigenpoints(P, beta1, beta2, band):
+    """The reference for strip_eigenpoints at bandwidth 0: every cluster
+    centre on its own, isolated by a loop over the other centres and values,
+    its det read by _per_centre_det_order and each owner chained by
+    chains_from_matrices (a c(lam) I block on its scalar, at each harmonic)."""
+    lo, hi = beta1 - spectrum._CLUSTER_RADIUS, beta2 + spectrum._CLUSTER_RADIUS
+    vals = list(solve_pencil_eigenvalues(P, band))
+    centers = [c for c, _ in cluster_eigenvalues([v for v in vals if lo < v.imag < hi])]
+    points = []
+    for center in centers:
+        others = [c for c in centers if abs(c - center) > 1e-6] + \
+                 [v for v in vals if abs(v - center) > 1e-6]
+        isolation = min((abs(v - center) for v in others), default=1.0)
+        radius = max(min(0.45 * isolation, 0.1), 1e-5)
+        order = _per_centre_det_order(P, center, radius)
+        found = []
+        for i in np.flatnonzero(P.owners(center, radius)):
+            S = P.squares[i]
+            _, _, chains, residuals = chains_from_matrices(
+                taylor(S, center), _chain_scale(P, center), 1 if S.shape[2] == 1 else order)
+            for keep in P.components[i].reshape(P.powers[i], -1):
+                for chain, res in zip(chains, residuals):
+                    padded = []
+                    for v in chain:
+                        full = np.zeros(P.size, dtype=complex)
+                        full[keep] = v
+                        padded.append(full)
+                    found.append((padded, res))
+        found.sort(key=lambda f: -len(f[0]))
+        partial = [len(chain) for chain, _ in found]
+        assert sum(partial) == order
+        points.append(spectrum.Eigenpoint(
+            center, len(partial), partial, order, [c for c, _ in found],
+            [r for _, r in found], order, radius))
+    return points
+
+
+def _bandwidth_zero_strips():
+    for path in sorted(OPERATORS.glob("*.json")):
+        op = parse_operator(json.loads(path.read_text()))
+        if assemble_pencil(op, default_l_max(op, 2), analysis_degree=2).bandwidth == 0:
+            for strip in ((-0.5, 3.5), (0.4, 4.6), (0.4, 2.3), (-1.7, 2.6)):
+                for degree in (2, 4, 6):
+                    yield pytest.param(op, strip, degree, id=f"{path.stem}-{strip}-d{degree}")
+    yield pytest.param(parse_operator(laplacian_doc(3)), (18.5, 19.5), 16,
+                       id="laplacian3d-order33")
+    for n in (2, 3):
+        for c in (-7.0, -3.0, -1.2, -0.8, -0.5, 0.5, 1.5, 2.5):
+            for strip in ((-1.7, 2.6), (0.7, 5.2)):
+                for degree in (2, 4):
+                    yield pytest.param(_inverse_square_op(n, c), strip, degree,
+                                       id=f"inverse_square{n}d_c{c}-{strip}-d{degree}")
+    # D_l = 0: a double root of the scalar, on the Toeplitz route
+    for n, c in ((3, -0.25), (2, -1.0)):
+        yield pytest.param(_inverse_square_op(n, c), (0.5, 3.9), 4,
+                           id=f"inverse_square{n}d_c{c}-double")
+
+
+@pytest.mark.parametrize("op, strip, degree", _bandwidth_zero_strips())
+def test_batched_eigenpoints_match_the_per_centre_route(op, strip, degree):
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    assert P.bandwidth == 0
+    band = (strip[0] - _CERTIFY_REACH, strip[1] + _CERTIFY_REACH)
+    want = _per_centre_eigenpoints(P, *strip, band)
+    got = spectrum.strip_eigenpoints(P, *strip, band)
+    assert [ep.lambda0 for ep in got] == [ep.lambda0 for ep in want]
+    for g, w in zip(got, want):
+        assert (g.partial_multiplicities, g.det_order, g.radius) == \
+            (w.partial_multiplicities, w.det_order, w.radius)
+        assert len(g.chains) == len(w.chains)
+        for cg, cw in zip(g.chains, w.chains):
+            assert len(cg) == len(cw) and all(np.array_equal(a, b) for a, b in zip(cg, cw))
+        assert np.allclose(g.residuals, w.residuals, rtol=0, atol=1e-15)
+        assert np.allclose(g.residuals, w.residuals, rtol=1e-9, atol=0)
+
+
+def test_simple_lines_run_no_svd_and_no_slogdet(monkeypatch):
+    # -Delta + 1.5 r^-2 on R^2, lines 2 -+ sqrt(l^2 + 1.5): each eigenpoint
+    # of (0.3, 3.7) is a simple root of its degree block's scalar, so its
+    # chains are closed form and its det read is one Horner pass (the
+    # per-point route took 3 SVDs and 1 slogdet for each)
+    calls = Counter()
+    for name in ("svd", "slogdet"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k))
+    rep = strip_spectrum(_inverse_square_op(2, 1.5), 0.3, 3.7, 6)
+    assert rep.pencil.bandwidth == 0 and len(rep.eigenpoints) == 4
+    assert [ep.partial_multiplicities for ep in rep.eigenpoints] == [[1, 1], [1], [1], [1, 1]]
+    assert calls == Counter()
 
 
 def test_criterion_2_chain_takes_the_toeplitz_route(monkeypatch, laplacian2d):
@@ -762,7 +873,8 @@ def test_chain_failing_its_equations_refused(monkeypatch):
     # refuse them
     op = parse_operator(json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    monkeypatch.setattr(spectrum, "det_vanishing_order", lambda P, lam0, radius: 3)
+    monkeypatch.setattr(spectrum, "det_vanishing_order",
+                        lambda P, lam0, radius: np.full(np.shape(lam0), 3))
     with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-0[45] > 1e-08"):
         spectrum.strip_eigenpoints(P, -1.7, 2.6)
 
