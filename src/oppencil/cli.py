@@ -371,7 +371,7 @@ def build_parser():
     sp.add_argument("expr", help="Expr JSON file")
     sp.add_argument("--kind", choices=("sobolev", "cl", "holder", "decay"),
                     required=True)
-    sp.add_argument("--n", type=int, required=True, help="ambient dimension")
+    sp.add_argument("--n", type=int, required=True, help="ambient dimension, 2 or 3")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--l", type=int, default=0)
@@ -410,7 +410,8 @@ def _check_args(args):
     # written so that nan fails each test
     checks = []
     if args.command == "norm":
-        checks = [("--p", math.isfinite(args.p) and args.p >= 1, "finite and >= 1"),
+        checks = [("--n", args.n in (2, 3), "2 or 3"),
+                  ("--p", math.isfinite(args.p) and args.p >= 1, "finite and >= 1"),
                   ("--sigma", 0 < args.sigma < 1, "in (0, 1)"),
                   ("--beta", math.isfinite(args.beta), "finite")]
     elif args.command == "ellipticity":

@@ -127,8 +127,6 @@ class PencilMatrices:
         width = self.degrees[-1] + 1
         node = np.repeat(np.arange(self.k) * width, len(self.degrees))
         node += self.row_degrees
-        if (node == node[0]).all():   # one node, e.g. a mode cut of one component
-            return [np.arange(self.size)]
         mag = np.abs(self.B).max(axis=0) > 1e-12 * self.scale
         rows, cols = np.nonzero(mag | mag.T)
         graph = np.zeros((self.k * width, self.k * width), dtype=bool)
@@ -149,31 +147,25 @@ class PencilMatrices:
         if self.bandwidth:
             return np.full(1, -1), np.zeros((0, self.m + 1), dtype=complex)
         comps = self.components
-        if len(comps) == self.size:   # 1 x 1 blocks are scalars
-            scalar = np.ones(len(comps), dtype=bool)
-        elif len(comps) == 1:   # one block (a mode cut): the test on B itself
-            dev = np.abs(self.B - self.B[:, :1, :1] * np.eye(self.size)).max()
-            scalar = np.array([dev < _SCALAR_TOL * (self.scale or 1.0)])
-        else:
-            sizes = np.array([len(idx) for idx in comps])
-            order = np.concatenate(comps)        # the rows, block by block
-            first = np.cumsum(sizes) - sizes     # each block's first position in order
-            head = np.repeat(first, sizes)       # ... and that of each position's block
-            width = np.repeat(sizes, sizes)
-            start = np.cumsum(width) - width     # each row's first entry below
-            # the entries of every block, row by row, block by block
-            pos = np.repeat(np.arange(self.size), width)
-            col = head[pos] + np.arange(len(pos)) - start[pos]
-            entries = self.B[:, order[pos], order[col]]
-            mag = np.abs(entries)
-            sums = np.add.reduceat(mag, start, axis=1).max(axis=0)
-            diag = start + np.arange(self.size) - head
-            mag[:, diag] = np.abs(entries[:, diag] - self.B[:, order[head], order[head]])
-            dev = np.maximum.reduceat(mag, start, axis=1).max(axis=0)
-            scale = np.maximum.reduceat(sums, first)
-            scale[scale == 0] = 1.0
-            scalar = np.maximum.reduceat(dev, first) < _SCALAR_TOL * scale
-        lead = np.array([idx[0] for idx in comps], dtype=int)[scalar]
+        sizes = np.array([len(idx) for idx in comps])
+        order = np.concatenate(comps)        # the rows, block by block
+        first = np.cumsum(sizes) - sizes     # each block's first position in order
+        head = np.repeat(first, sizes)       # ... and that of each position's block
+        width = np.repeat(sizes, sizes)
+        start = np.cumsum(width) - width     # each row's first entry below
+        # the entries of every block, row by row, block by block
+        pos = np.repeat(np.arange(self.size), width)
+        col = head[pos] + np.arange(len(pos)) - start[pos]
+        entries = self.B[:, order[pos], order[col]]
+        mag = np.abs(entries)
+        sums = np.add.reduceat(mag, start, axis=1).max(axis=0)
+        diag = start + np.arange(self.size) - head
+        mag[:, diag] = np.abs(entries[:, diag] - self.B[:, order[head], order[head]])
+        dev = np.maximum.reduceat(mag, start, axis=1).max(axis=0)
+        scale = np.maximum.reduceat(sums, first)
+        scale[scale == 0] = 1.0
+        scalar = np.maximum.reduceat(dev, first) < _SCALAR_TOL * scale
+        lead = order[first][scalar]
         return (np.where(scalar, np.cumsum(scalar) - 1, -1),
                 np.ascontiguousarray(self.B[:, lead, lead].T))
 
@@ -222,8 +214,6 @@ class PencilMatrices:
         vals, square = _scalar_roots(C[batch])
         square = which[batch][square]
         rest = np.flatnonzero(row < 0).tolist() + which[~batch].tolist()
-        if not rest:
-            return vals, square
         vals, square = [vals], [square]
         for i in sorted(rest):
             Bs = self.squares[i]

@@ -45,9 +45,9 @@ A strip's eigenpoints are solved in one pass: the in-strip count, the
 clustering and each centre's isolation are array operations, and one
 jordan_chains call reads every centre's det order (the scalars of all
 circles with one node count in one stacked Horner pass and one FFT) and
-gives every centre whose owners are all scalars with a simple zero there
-its closed-form chains, the unit vectors of the owning blocks.  Multiple
-roots, full squares and coupled pencils are chained centre by centre.
+chains it owner by owner: each 1 x 1 owner with a simple zero there has
+closed-form chains, its block's unit vectors, all in one pass; the other
+owners are chained centre by centre under the det order those leave.
 Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
 normalized to the Kronecker biorthogonality pattern by one least-squares
 solve.
@@ -269,8 +269,8 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
     one in the top quarter of the N/2, may be aliased: MultiplicityMismatch.
     The 1 x 1 squares (P.scalars) of all circles with the same N are read
     together: one stacked Horner pass gives their dets, one FFT their
-    coefficients.  Each circle must isolate its lam0 from the rest of the
-    spectrum.
+    coefficients; the full squares with that N take slogdet and one FFT.
+    Each circle must isolate its lam0 from the rest of the spectrum.
     """
     lam, rad = np.asarray(lam0, dtype=complex).ravel(), np.asarray(radius).ravel()
     count = (np.abs(P.eigenvalues - lam[:, None]) < rad[:, None]).sum(axis=1)
@@ -281,18 +281,14 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
     row, C = P.scalars
     row = row[square]
     first = np.empty(len(at), dtype=int)
-    for N in sorted(set(nodes.tolist())):
-        sel = nodes == N
-        if row[sel].min() >= 0:   # a scalar's det is its value, unscaled
-            z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
-            c = C[row[sel]]
-            det = c[:, -1:] + 0 * z
-            for j in range(P.m - 1, -1, -1):
-                det *= z
-                det += c[:, j:j + 1]
-        else:
+    for N, full in sorted(set(zip(nodes.tolist(), (row < 0).tolist()))):
+        sel = (nodes == N) & ((row < 0) == full)
+        if full:
             det = np.array([_det_values_on_circle(P.squares[square[p]], lam[at[p]],
                                                   rad[at[p]], N) for p in np.flatnonzero(sel)])
+        else:   # a scalar's det is its value, unscaled
+            z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
+            det = horner(C[row[sel]].T[:, :, None, None, None], z)[..., 0, 0]
         t = np.abs(np.fft.fft(det))
         big = t[:, :N // 2] > _DET_ORDER_TOL * t.max(axis=1, keepdims=True)
         first[sel] = np.where(big.any(axis=1), big.argmax(axis=1), N // 2)
@@ -437,15 +433,16 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
 
     The det vanishing orders are read first, all in one call, each on a
     circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
-    (Eigenpoint.radius).  At bandwidth 0 a point whose owners (P.owners)
-    are all 1 x 1 squares with a simple zero there has closed-form chains
-    (_scalar_chains), all such points in one pass.  Otherwise, point by
-    point, a nullspace of pencil(lambda0) as wide as the det order whose
-    vectors do not extend is a semisimple point's chains, and else they come
-    from nested block-Toeplitz nullspaces, extended longest-first; at
-    bandwidth 0 both work on the owning blocks, with the rank cuts of the
-    whole pencil (a c(lam) I block on its scalar), and the chains are padded
-    back to the full basis.  The chain count must be the det order
+    (Eigenpoint.radius).  Then owner by owner (P.owners): each 1 x 1 owner
+    with a simple zero at a point has closed-form chains (_scalar_chains),
+    all such (point, owner) pairs in one pass, and the others are chained
+    point by point under the det order those leave (_owner_chains): a
+    nullspace of pencil(lambda0) as wide as that order whose vectors do not
+    extend is a semisimple point's chains, and else they come from nested
+    block-Toeplitz nullspaces, extended longest-first; at bandwidth 0 both
+    work on the owning blocks, with the rank cuts of the whole pencil (a
+    c(lam) I block on its scalar).  The chains, padded back to the full
+    basis, run longest first, then by owner; their count must be the det order
     (MultiplicityMismatch, also when a chain's relative residual exceeds
     _CHAIN_TOL).  NotAnEigenvalue when no block owns a point, or when
     pencil(lambda0) has full rank on an owner.
@@ -461,11 +458,13 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     if lost.size:
         raise NotAnEigenvalue(f"no block owns lambda0 = {complex(lams[lost[0]])}")
     orders = det_vanishing_order(P, lams, radii).tolist()
-    closed = _scalar_chains(P, lams, owned)
+    closed, rest = _scalar_chains(P, lams, owned)
     points = []
     for k, lam0 in enumerate(lams.tolist()):
-        chains, residuals = closed[k] if k in closed else _owner_chains(
-            P, lam0, np.flatnonzero(owned[k]), orders[k])
+        found = closed[k] + _owner_chains(P, lam0, np.flatnonzero(rest[k]),
+                                          orders[k] - len(closed[k]))
+        found.sort(key=lambda f: (-len(f[1]), f[0]))   # longest first, owner by owner
+        chains, residuals = [f[1] for f in found], [f[2] for f in found]
         partial = [len(chain) for chain in chains]
         M = sum(partial)
         # determinant-order cross-check (met by construction on the early exit)
@@ -480,60 +479,53 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     return points if lam.ndim else points[0]
 
 
-def _scalar_chains(P: PencilMatrices, lam, owned) -> dict:
-    """{k: (chains, residuals)} for each point lam[k] whose owners (row k of
-    the mask `owned`) are all 1 x 1 squares c with a simple zero there.
+def _scalar_chains(P: PencilMatrices, lam, owned):
+    """(closed, rest): closed[k] the (owner, chain, residual) of each chain of
+    the 1 x 1 owners c of lam[k] (row k of the mask `owned`) with a simple
+    zero there, and rest the mask `owned` less those owners.
 
     Those are the two tests of chains_from_matrices' early exit, under its
     cuts: |c(lam0)| below _RANK_TOL * max(|c(lam0)|, scale), and |c'(lam0)|
-    above it; a point failing either takes _owner_chains, which refuses it
-    or runs the Toeplitz route.  A simple zero's one chain is [1] (Gohberg,
-    Lancaster and Rodman, Matrix Polynomials), so an owner c(lam) I_d adds
-    the d unit vectors of its block, each of residual |c(lam0)| / scale.
-    Every (point, owner) pair is evaluated in one Horner pass.
+    above it; an owner failing either is left to _owner_chains, which
+    refuses it or runs the Toeplitz route.  A simple zero's one chain is [1]
+    (Gohberg, Lancaster and Rodman, Matrix Polynomials), so an owner
+    c(lam) I_d adds the d unit vectors of its block, each of residual
+    |c(lam0)| / scale.  All pairs are evaluated in one Horner pass.
     """
     row, C = P.scalars
-    at, square = np.nonzero(owned & (owned <= (row >= 0)).all(axis=1)[:, None])
-    if not at.size:
-        return {}
+    at, square = np.nonzero(owned & (row >= 0))
     c0, c1 = taylor(list(C[row[square]].T), lam[at])[:2]
     scale = _chain_scale(P, lam[at])
     sv = np.abs(c0)
     cut = _RANK_TOL * np.maximum(sv, scale)
-    other = set(at[(sv >= cut) | (np.abs(c1) <= cut)].tolist())
-    out = {}
-    for k, s, res in zip(at.tolist(), square.tolist(), (sv / scale).tolist()):
-        if k not in other:
-            keep = P.components[s]
-            unit = np.zeros((len(keep), P.size), dtype=complex)
-            unit[np.arange(len(keep)), keep] = 1.0
-            chains, residuals = out.setdefault(k, ([], []))
-            chains += [[v] for v in unit]
-            residuals += [res] * len(keep)
-    return out
+    simple = (sv < cut) & (np.abs(c1) > cut)
+    closed, rest = [[] for _ in lam], owned.copy()
+    rest[at[simple], square[simple]] = False
+    for k, s, res in zip(at[simple].tolist(), square[simple].tolist(),
+                         (sv / scale)[simple].tolist()):
+        closed[k] += [(s, [_pad(1.0, j, P.size)], res) for j in P.components[s].tolist()]
+    return closed, rest
 
 
 def _owner_chains(P: PencilMatrices, lambda0: complex, owners, order_det):
-    """(chains, residuals) at lambda0 point by point: chains_from_matrices on
-    the kept columns of the whole pencil, or at bandwidth 0 on each owning
-    square (a c(lam) I block's chains being its scalar's, at each harmonic),
-    padded to the full basis and sorted longest first."""
-    pieces = [(P.B[:, :, P.kept], [P.kept])] if P.bandwidth else [
-        (P.squares[i], P.components[i].reshape(P.powers[i], -1)) for i in owners]
-    found = []   # (chain in full basis coordinates, residual)
-    for cut, coords in pieces:
-        # a 1 x 1 null width is at most 1: a scalar's early exit applies at det
-        # order 1 (a multiple root fails its level-2 test), a lone owner's at all
+    """The (owner, chain, residual) of each chain at lambda0 of `owners`, the
+    owners the closed form leaves, with order_det chains between them:
+    chains_from_matrices on the kept columns of the whole pencil, or at
+    bandwidth 0 on each owner (a c(lam) I block's chains being its scalar's,
+    at each harmonic), padded to the full basis.  So one square left alone
+    takes the early exit when it is semisimple."""
+    pieces = [(0, P.B[:, :, P.kept], [P.kept])] if P.bandwidth else [
+        (i, P.squares[i], P.components[i].reshape(P.powers[i], -1)) for i in owners]
+    found = []
+    for i, cut, coords in pieces:
         try:
             _, _, chains, residuals = chains_from_matrices(
-                taylor(cut, lambda0), _chain_scale(P, lambda0),
-                1 if cut.shape[2] == 1 else order_det)
+                taylor(cut, lambda0), _chain_scale(P, lambda0), order_det)
         except NotAnEigenvalue as exc:
             raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
-        found += [([_pad(v, keep, P.size) for v in chain], res)
+        found += [(i, [_pad(v, keep, P.size) for v in chain], res)
                   for keep in coords for chain, res in zip(chains, residuals)]
-    found.sort(key=lambda f: -len(f[0]))   # longest first, as one Toeplitz run
-    return [c for c, _ in found], [r for _, r in found]
+    return found
 
 
 def _pad(vec, keep, size):

@@ -550,6 +550,9 @@ def test_missing_expr_file_exit2(tmp_path, argv, capsys):
     ["--kind", "holder", "--samples", "0"],
     ["--kind", "holder", "--samples", "-5"],
     ["--kind", "holder", "--seed", "-1"],
+    ["--n", "1"],
+    ["--n", "0"],
+    ["--n", "4"],
 ])
 def test_norm_bad_flag_exit2(tmp_path, flags, capsys):
     expr = tmp_path / "u.json"

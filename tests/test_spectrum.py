@@ -489,6 +489,19 @@ def _per_centre_eigenpoints(P, beta1, beta2, band):
     return points
 
 
+def _mixed_owner_op():
+    """-Delta on component 0 and [[-Delta, 0.5 (-Delta)], [0, -Delta]] on
+    components 1 and 2 of R^2 (mu = 2, nu = 0): each line 2 -+ l is owned
+    by the degree-l c(lam) I block of component 0 and by the full square of
+    components 1 and 2 at degree l."""
+    lap = laplacian_doc(2)["entries"][0]["terms"]
+    half = [dict(term, poly={"0 0": [0.5, 0.0]}) for term in lap]
+    entries = [{"i": i, "j": i, "terms": lap} for i in range(3)]
+    entries.append({"i": 1, "j": 2, "terms": half})
+    return parse_operator({"n": 2, "k": 3, "mu": [2, 2, 2], "nu": [0, 0, 0],
+                           "entries": entries})
+
+
 def _bandwidth_zero_strips():
     for path in sorted(OPERATORS.glob("*.json")):
         op = parse_operator(json.loads(path.read_text()))
@@ -508,6 +521,10 @@ def _bandwidth_zero_strips():
     for n, c in ((3, -0.25), (2, -1.0)):
         yield pytest.param(_inverse_square_op(n, c), (0.5, 3.9), 4,
                            id=f"inverse_square{n}d_c{c}-double")
+    # points owned by a c(lam) I scalar and a full square
+    for degree in (2, 4):
+        yield pytest.param(_mixed_owner_op(), (-0.5, 3.5), degree,
+                           id=f"mixed_owner2d-d{degree}")
 
 
 @pytest.mark.parametrize("op, strip, degree", _bandwidth_zero_strips())
@@ -542,6 +559,27 @@ def test_simple_lines_run_no_svd_and_no_slogdet(monkeypatch):
     assert rep.pencil.bandwidth == 0 and len(rep.eigenpoints) == 4
     assert [ep.partial_multiplicities for ep in rep.eigenpoints] == [[1, 1], [1], [1], [1, 1]]
     assert calls == Counter()
+
+
+def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
+    # at 0, i and 3i the scalar's simple zero is closed form, and the 4 x 4
+    # square, left with the det order it holds, takes the early exit; the
+    # l = 0 double root at 2i runs the Toeplitz route on the scalar and on
+    # the 2 x 2 square.  No scalar's det is read by slogdet
+    levels, stacks = [], []
+    toeplitz, slogdet = spectrum._toeplitz, np.linalg.slogdet
+    monkeypatch.setattr(spectrum, "_toeplitz",
+                        lambda T, s: levels.append((s, T[0].shape)) or toeplitz(T, s))
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        lambda a: stacks.append(np.shape(a)) or slogdet(a))
+    rep = strip_spectrum(_mixed_owner_op(), -0.5, 3.5, 4)
+    assert rep.pencil.bandwidth == 0
+    assert [(ep.lambda0, ep.partial_multiplicities) for ep in rep.eigenpoints] == [
+        (pytest.approx(0j, abs=1e-9), [1] * 6), (pytest.approx(1j), [1] * 6),
+        (pytest.approx(2j), [2, 2, 2]), (pytest.approx(3j), [1] * 6)]
+    assert levels == [(1, (4, 4))] * 2 + [(s, (1, 1)) for s in (1, 2, 3)] + \
+        [(s, (2, 2)) for s in (1, 2, 3)] + [(1, (4, 4))]
+    assert stacks and all(shape[1:] != (1, 1) for shape in stacks)
 
 
 def test_criterion_2_chain_takes_the_toeplitz_route(monkeypatch, laplacian2d):
