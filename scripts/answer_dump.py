@@ -16,12 +16,12 @@ pairs, each with the default f, with the gaussian F_SPEC and with the same
 gaussian sampled into a CSV file.  Prints one JSON line per case: argv,
 exit code, sha256 of stdout, the first line of stderr and the answer; the
 CSV file's temporary path is printed as the token F_CSV.  The answer is
-the report as printed, except that a `spectrum` report drops its
-convergence, chain vectors and residuals, and a `model-solve` report keeps
-only its poles, its paired coefficients (`coeffs_direct`) and
-`coefficient_check.passed`.  A `spectrum` or `model-solve` case also
-prints `answer_sha256`, the hash of its answer, so a moved answer shows
-apart from a rotated null-space basis or round-off in the residue route.
+the report as printed, except that a `spectrum` report drops its chain
+vectors and residuals, and a `model-solve` report keeps only its poles,
+its paired coefficients (`coeffs_direct`) and `coefficient_check.passed`.
+A `spectrum` or `model-solve` case also prints `answer_sha256`, the hash
+of its answer, so a moved answer shows apart from a rotated null-space
+basis or round-off in the residue route.
 
 Hashes move with the last printed digit, so `--compare` matches the two
 dumps case by case instead: exit codes, integers, booleans and strings
@@ -110,10 +110,9 @@ def _sha256(text):
 
 def answer(stdout):
     """The answer a report gives (None for empty stdout): a spectrum report
-    without its convergence, chain vectors and residuals, so a rotated
-    null-space basis keeps it; of a model-solve report, the poles, the
-    paired coefficients and whether the check passed; any other report
-    whole."""
+    without its chain vectors and residuals, so a rotated null-space
+    basis keeps it; of a model-solve report, the poles, the paired
+    coefficients and whether the check passed; any other report whole."""
     if not stdout:
         return None
     report = json.loads(stdout)
@@ -122,7 +121,6 @@ def answer(stdout):
                 "coeffs_direct": report["expansion"]["coeffs_direct"],
                 "passed": report["coefficient_check"]["passed"]}
     if "eigenpoints" in report:
-        report.pop("convergence")
         for ep in report["eigenpoints"]:
             ep.pop("chains")
             ep.pop("residuals")

@@ -26,8 +26,8 @@ to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 
 The mode block b is a PencilMatrices cut from the pencil (mode_pencil, one
-index on the coefficient stack, reduced to its 1 x 1 scalar when the cut's
-block view holds it as c(lam) I, under the view's one tolerance): its
+index on the coefficient stack, or the 1 x 1 scalar of P's block view when
+that view holds the block as c(lam) I, under the view's one tolerance): its
 poles are the block view's cached eigenvalues (one eigensolve however
 many callers ask), and the crossed poles are spectrum.strip_eigenpoints
 between the two lines, clustered, chained and guarded as a strip's are
@@ -66,21 +66,21 @@ _LAURENT_NODES = 128
 
 def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
     """The degree-l block of a pencil, cut as a pencil on the degree-l
-    harmonics, or on one harmonic when the cut's block view holds it as one
-    c(lam) I square (constant-coefficient scalar operators): the scalar is
-    that view's 1 x 1 square.  The block must be decoupled: every component
-    of P.components that touches degree l holds only degree l.
+    harmonics, or, when P's block view holds it as one c(lam) I square
+    (constant-coefficient scalar operators), that 1 x 1 square of P.squares:
+    the cut builds no view of its own.  The block must be decoupled: every
+    component of P.components that touches degree l holds only degree l.
     """
     degs = P.row_degrees
-    if any((degs[c] == l).any() and (degs[c] != l).any() for c in P.components):
+    touch = [i for i, c in enumerate(P.components) if (degs[c] == l).any()]
+    if any((degs[P.components[i]] != l).any() for i in touch):
         raise NotApplicable(f"degree {l} block is coupled; no mode reduction")
     idx = np.flatnonzero(degs == l)
-    mp = replace(P, B=P.B[:, idx[:, None], idx], degrees=np.full(len(idx) // P.k, l),
-                 l_max=l, analysis_degree=l, bandwidth=0)
-    if mp.powers == [mp.size] and mp.size > 1:
-        mp = replace(mp, B=mp.squares[0], degrees=np.full(1, l), k=1, mu=P.mu[:1],
-                     nu=P.nu[:1])
-    return mp
+    B, k, mu, nu = P.B[:, idx[:, None], idx], P.k, P.mu, P.nu
+    if P.bandwidth == 0 and len(touch) == 1 and P.powers[touch[0]] > 1:
+        B, k, mu, nu = P.squares[touch[0]], 1, P.mu[:1], P.nu[:1]
+    return replace(P, B=B, degrees=np.full(B.shape[1] // k, l), k=k, mu=mu, nu=nu,
+                   l_max=l, analysis_degree=l, bandwidth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +92,15 @@ def choose_grid(f, betas, min_T: float = 0.0):
 
     `min_T` lets callers enforce extra length so that slowly decaying
     weighted solutions (rate = distance from the line to the nearest mode
-    eigenvalue) also die out at the grid ends.
+    eigenvalue) also die out at the grid ends.  Samples that vanish on the
+    whole grid do not stop the search: f may lie beyond it.
     """
     T = max(6.0, min_T)
     while T <= 160.0:
         n = _GRID_N if T <= 60 else 2 * _GRID_N
         t = np.linspace(-T, T, n, endpoint=False)
         vals = np.asarray(f(t))
-        if all(_decays(t, vals, beta) for beta in betas):
+        if vals.any() and all(_decays(t, vals, beta) for beta in betas):
             return t, vals
         T *= 1.4
     raise GridTooShort("could not find a grid with weighted decay below 1e-12")

@@ -39,12 +39,12 @@ decoupled (component, degree) blocks, one that is c(lam) I_d (radial
 coefficients; Kozlov, Maz'ya and Rossmann, Spectral Problems Associated
 with Corner Singularities) as its 1 x 1 scalar c with power d.  One test
 over the entries of every block finds them, and their scalars are the rows
-of one array (scalars), so their roots, det reads and simple-root chains
-are batched.  owners(lam0, radius) masks the squares with an eigenvalue in
+of one array (scalars), so their roots, det reads and chains are
+batched.  owners(lam0, radius) masks the squares with an eigenvalue in
 a circle, or in each of an array of circles, so chains and det orders are
 computed on the blocks that own it.  A mode cut (model_solver.mode_pencil)
-is a PencilMatrices too, so it carries its own view and is solved at most
-once.
+is a PencilMatrices too, cut with the help of P's view, so it carries its
+own view and is solved at most once.
 """
 
 from __future__ import annotations

@@ -30,24 +30,24 @@ the nested nullspaces the chains are extracted from (longest first), the
 adjoint chain equations (of the transposed coefficients) and the
 biorthogonality rows; the chain, adjoint and pairing residuals are read
 off those solved systems.  A chain must satisfy its equations to
-_CHAIN_TOL, and the algebraic count is cross-checked against the
-vanishing order of det pencil at lam0, read first (Taylor coefficients by
-FFT on a circle with four nodes per eigenvalue inside, per owning square)
-and, over a strip, against the number of eigenvalues clustered there.  A
-nullspace of pencil(lam0) as wide as the det order whose vectors do not
-extend is the chains of a semisimple point, and no Toeplitz matrix is
-built.  At bandwidth 0 both work block by block: the chains on the rows
-and columns of the decoupled blocks that own an eigenvalue in the det
-circle (P.owners), under the whole pencil's rank cuts, and the det order
-over those blocks only, a c(lam) I block's on its scalar.
+_CHAIN_TOL.
+
+One rule chains a point: each square that owns it (P.owners) is chained
+under its own det order, the vanishing order at lam0 of its factor of
+det pencil (Taylor coefficients by FFT on a circle with four nodes per
+eigenvalue inside), which its chain vectors must number; over a strip
+the orders must also sum to the number of eigenvalues clustered there.
+A 1 x 1 owner (a c(lam) I block's scalar) with a zero of order o has one
+chain [1, 0, ..., 0] of length o per harmonic of its block.  A full
+owner whose nullspace of pencil(lam0) is as wide as its order and does
+not extend is semisimple, and no Toeplitz matrix is built.
 
 A strip's eigenpoints are solved in one pass: the in-strip count, the
 clustering and each centre's isolation are array operations, and one
-jordan_chains call reads every centre's det order (the scalars of all
-circles with one node count in one stacked Horner pass and one FFT) and
-chains it owner by owner: each 1 x 1 owner with a simple zero there has
-closed-form chains, its block's unit vectors, all in one pass; the other
-owners are chained centre by centre under the det order those leave.
+jordan_chains call reads every centre's det orders (the scalars of all
+circles with one node count in one stacked Horner pass and one FFT),
+chains every 1 x 1 owner of every centre in one pass and the full owners
+centre by centre.
 Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
 normalized to the Kronecker biorthogonality pattern by one least-squares
 solve.
@@ -157,7 +157,6 @@ class SpectrumReport:
     degree: int
     eigenpoints: list
     res_lines: dict          # Im lambda -> total algebraic multiplicity
-    convergence: dict        # lambda0 -> 0.0: every wider pencil has lambda0
     pencil: PencilMatrices
 
     def total_multiplicity(self):
@@ -172,8 +171,6 @@ class SpectrumReport:
             "res_lines": self.res_lines_json(),
             # the jump space spans one power solution per chain vector
             "x_sigma_dim": self.total_multiplicity(),
-            "convergence": {f"{l.real:.12g}{l.imag:+.12g}j": d
-                            for l, d in self.convergence.items()},
         }
 
     def res_lines_json(self):
@@ -256,9 +253,11 @@ def _det_values_on_circle(B, lam0, radius, nodes):
 
 
 def det_vanishing_order(P: PencilMatrices, lam0, radius):
-    """Order of the zero of det pencil at lam0 from scaled Taylor coefficients;
-    lam0 and radius may be arrays of circles, read in one pass (an array of
-    orders).
+    """Order of the zero at lam0 of det(P.squares[i]) ** P.powers[i], the
+    factor of det pencil each square gives, from scaled Taylor coefficients:
+    an array of shape np.shape(lam0) + (len(P.squares),), lam0 and radius
+    being one circle or arrays of them, read in one pass.  The order of det
+    pencil is the sum over the last axis.
 
     Only the squares that own an eigenvalue inside a circle (P.owners)
     vanish there; each is read alone and counts P.powers[i] = d times.  The
@@ -300,8 +299,9 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
         raise MultiplicityMismatch(
             f"det root order at {complex(lam[at[p]])} unresolved on {N} circle nodes "
             f"(first non-negligible coefficient: {read} of {N // 2})")
-    orders = np.bincount(at, weights=d * first, minlength=len(lam)).astype(int)
-    return orders.reshape(np.shape(lam0)) if np.ndim(lam0) else int(orders[0])
+    orders = np.zeros((len(lam), len(P.squares)), dtype=int)
+    orders[at, square] = d * first
+    return orders.reshape(np.shape(lam0) + (len(P.squares),))
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +431,18 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     each of an array of points, `isolation` then an array of one isolation
     per point (a list of Eigenpoints).
 
-    The det vanishing orders are read first, all in one call, each on a
-    circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
-    (Eigenpoint.radius).  Then owner by owner (P.owners): each 1 x 1 owner
-    with a simple zero at a point has closed-form chains (_scalar_chains),
-    all such (point, owner) pairs in one pass, and the others are chained
-    point by point under the det order those leave (_owner_chains): a
-    nullspace of pencil(lambda0) as wide as that order whose vectors do not
-    extend is a semisimple point's chains, and else they come from nested
-    block-Toeplitz nullspaces, extended longest-first; at bandwidth 0 both
-    work on the owning blocks, with the rank cuts of the whole pencil (a
-    c(lam) I block on its scalar).  The chains, padded back to the full
-    basis, run longest first, then by owner; their count must be the det order
-    (MultiplicityMismatch, also when a chain's relative residual exceeds
-    _CHAIN_TOL).  NotAnEigenvalue when no block owns a point, or when
-    pencil(lambda0) has full rank on an owner.
+    One rule: each owner (P.owners) is chained under its own det order.
+    The orders are read first, one per (point, square), all in one call,
+    each on a circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
+    (Eigenpoint.radius).  A 1 x 1 owner has closed-form chains
+    (_scalar_chains), all (point, owner) pairs in one pass; a full owner is
+    chained by chains_from_matrices on its block at bandwidth 0, else on
+    the kept columns of the whole pencil (_owner_chains).  Each owner's
+    chain count must be its det order (MultiplicityMismatch, also when a
+    chain's relative residual exceeds _CHAIN_TOL).  The chains, padded back
+    to the full basis, run longest first, then by owner.  NotAnEigenvalue
+    when no block owns a point, or when pencil(lambda0) has full rank on an
+    owner.
     """
     lam = np.asarray(lambda0, dtype=complex)
     if isolation is None:
@@ -457,75 +454,76 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     lost = np.flatnonzero(~owned.any(axis=1))
     if lost.size:
         raise NotAnEigenvalue(f"no block owns lambda0 = {complex(lams[lost[0]])}")
-    orders = det_vanishing_order(P, lams, radii).tolist()
-    closed, rest = _scalar_chains(P, lams, owned)
+    orders = det_vanishing_order(P, lams, radii)
+    closed = _scalar_chains(P, lams, owned)
+    full = owned & (P.scalars[0] < 0)
     points = []
-    for k, lam0 in enumerate(lams.tolist()):
-        found = closed[k] + _owner_chains(P, lam0, np.flatnonzero(rest[k]),
-                                          orders[k] - len(closed[k]))
+    for k, (lam0, want) in enumerate(zip(lams.tolist(), orders.tolist())):
+        found = closed[k] + [f for i in np.flatnonzero(full[k]).tolist()
+                             for f in _owner_chains(P, lam0, i, want[i])]
+        count = [0] * len(want)
+        for i, chain, _ in found:
+            count[i] += len(chain)
+        if count != want:
+            i = next(i for i, (c, o) in enumerate(zip(count, want)) if c != o)
+            raise MultiplicityMismatch(
+                f"chain count {count[i]} != det root order {want[i]} at {lam0}")
         found.sort(key=lambda f: (-len(f[1]), f[0]))   # longest first, owner by owner
         chains, residuals = [f[1] for f in found], [f[2] for f in found]
-        partial = [len(chain) for chain in chains]
-        M = sum(partial)
-        # determinant-order cross-check (met by construction on the early exit)
-        if orders[k] != M:
-            raise MultiplicityMismatch(
-                f"chain count {M} != det root order {orders[k]} at {lam0}")
         if max(residuals) > _CHAIN_TOL:
             raise MultiplicityMismatch(
                 f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lam0}")
-        points.append(Eigenpoint(lam0, len(partial), partial, M, chains, residuals,
-                                 orders[k], float(radii[k])))
+        partial = [len(chain) for chain in chains]
+        points.append(Eigenpoint(lam0, len(partial), partial, sum(partial), chains,
+                                 residuals, sum(want), float(radii[k])))
     return points if lam.ndim else points[0]
 
 
 def _scalar_chains(P: PencilMatrices, lam, owned):
-    """(closed, rest): closed[k] the (owner, chain, residual) of each chain of
-    the 1 x 1 owners c of lam[k] (row k of the mask `owned`) with a simple
-    zero there, and rest the mask `owned` less those owners.
+    """closed[k]: the (owner, chain, residual) of each chain at lam[k] of the
+    1 x 1 owners (P.scalars) in row k of the mask `owned`.
 
-    Those are the two tests of chains_from_matrices' early exit, under its
-    cuts: |c(lam0)| below _RANK_TOL * max(|c(lam0)|, scale), and |c'(lam0)|
-    above it; an owner failing either is left to _owner_chains, which
-    refuses it or runs the Toeplitz route.  A simple zero's one chain is [1]
-    (Gohberg, Lancaster and Rodman, Matrix Polynomials), so an owner
-    c(lam) I_d adds the d unit vectors of its block, each of residual
-    |c(lam0)| / scale.  All pairs are evaluated in one Horner pass.
+    A scalar c has a zero of order o at lam0 when its Taylor coefficients
+    c_s there are below _RANK_TOL * max(|c_0|, scale) for s < o and c_o is
+    above it; its one chain is then [1, 0, ..., 0] of length o (Gohberg,
+    Lancaster and Rodman, Matrix Polynomials), so an owner c(lam) I_d adds
+    d such chains on the unit vectors of its block, each of residual
+    max_(s<o) |c_s| / scale.  All pairs are evaluated in one Horner pass.
+    NotAnEigenvalue when c_0 is above the cut.
     """
     row, C = P.scalars
     at, square = np.nonzero(owned & (row >= 0))
-    c0, c1 = taylor(list(C[row[square]].T), lam[at])[:2]
+    c = np.abs(taylor(C[row[square]].T, lam[at]))
     scale = _chain_scale(P, lam[at])
-    sv = np.abs(c0)
-    cut = _RANK_TOL * np.maximum(sv, scale)
-    simple = (sv < cut) & (np.abs(c1) > cut)
-    closed, rest = [[] for _ in lam], owned.copy()
-    rest[at[simple], square[simple]] = False
-    for k, s, res in zip(at[simple].tolist(), square[simple].tolist(),
-                         (sv / scale)[simple].tolist()):
-        closed[k] += [(s, [_pad(1.0, j, P.size)], res) for j in P.components[s].tolist()]
-    return closed, rest
+    # the leading coefficients under the cut: c_0 .. c_(o-1)
+    lead = np.cumprod(c <= _RANK_TOL * np.maximum(c[0], scale), axis=0, dtype=bool)
+    order = lead.sum(axis=0)
+    lost = np.flatnonzero(order == 0)
+    if lost.size:
+        p = lost[0]
+        raise NotAnEigenvalue(f"sigma_min = {c[0, p]:.3e} at lambda0 = {complex(lam[at[p]])}")
+    res = (c * lead).max(axis=0) / scale
+    closed = [[] for _ in lam]
+    for k, s, o, r in zip(at.tolist(), square.tolist(), order.tolist(), res.tolist()):
+        closed[k] += [(s, [_pad(float(q == 0), j, P.size) for q in range(o)], r)
+                      for j in P.components[s].tolist()]
+    return closed
 
 
-def _owner_chains(P: PencilMatrices, lambda0: complex, owners, order_det):
-    """The (owner, chain, residual) of each chain at lambda0 of `owners`, the
-    owners the closed form leaves, with order_det chains between them:
-    chains_from_matrices on the kept columns of the whole pencil, or at
-    bandwidth 0 on each owner (a c(lam) I block's chains being its scalar's,
-    at each harmonic), padded to the full basis.  So one square left alone
-    takes the early exit when it is semisimple."""
-    pieces = [(0, P.B[:, :, P.kept], [P.kept])] if P.bandwidth else [
-        (i, P.squares[i], P.components[i].reshape(P.powers[i], -1)) for i in owners]
-    found = []
-    for i, cut, coords in pieces:
-        try:
-            _, _, chains, residuals = chains_from_matrices(
-                taylor(cut, lambda0), _chain_scale(P, lambda0), order_det)
-        except NotAnEigenvalue as exc:
-            raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
-        found += [(i, [_pad(v, keep, P.size) for v in chain], res)
-                  for keep in coords for chain, res in zip(chains, residuals)]
-    return found
+def _owner_chains(P: PencilMatrices, lambda0: complex, i, order):
+    """The (owner, chain, residual) of each chain at lambda0 of the full
+    square P.squares[i] under its det order: chains_from_matrices on its
+    block at bandwidth 0, else on the kept columns of the whole pencil,
+    padded to the full basis."""
+    cut, keep = ((P.B[:, :, P.kept], P.kept) if P.bandwidth
+                 else (P.squares[i], P.components[i]))
+    try:
+        _, _, chains, residuals = chains_from_matrices(
+            taylor(cut, lambda0), _chain_scale(P, lambda0), order)
+    except NotAnEigenvalue as exc:
+        raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
+    return [(i, [_pad(v, keep, P.size) for v in chain], res)
+            for chain, res in zip(chains, residuals)]
 
 
 def _pad(vec, keep, size):
@@ -698,9 +696,9 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     (UnstableSpectrum), naming the highest degree where such a mass peaks.
     One pencil is assembled and solved at every bandwidth: its kept columns
     are those of the degree + 2 pencil with zero rows appended, so each
-    eigenpoint is one of that pencil too and its `convergence` is 0.  A
-    line within 1e-10 of zero is reported as exactly 0, so round-off in the
-    eigensolve never reaches the printed reports.
+    eigenpoint is one of that pencil too.  A line within 1e-10 of zero is
+    reported as exactly 0, so round-off in the eigensolve never reaches the
+    printed reports.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
@@ -735,5 +733,4 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
         key = next((l for l in res_lines if abs(l - line) < _CLUSTER_RADIUS), line)
         res_lines[key] = res_lines.get(key, 0) + ep.algebraic
 
-    return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines,
-                          {ep.lambda0: 0.0 for ep in eigenpoints}, P)
+    return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines, P)

@@ -240,13 +240,21 @@ def test_criterion_8_stability_and_determinism(lap3, lap2):
         (parse_operator(cr_system_doc()), (-1.5, 1.5)),
         (parse_operator(inverse_square_doc()), (-0.5, 4.5)),
     ]
+    # degrees 5 and 7 give each strip the same lines, multiplicities and
+    # eigenpoints, the centres within 1e-6
     worst = 0.0
     for op, (b1, b2) in suite:
-        rep = strip_spectrum(op, b1, b2, 5)
-        assert rep.eigenpoints, "suite operator produced an empty strip"
-        for drift in rep.convergence.values():
-            worst = max(worst, drift)
-            assert drift < 1e-6
+        low, high = (strip_spectrum(op, b1, b2, degree) for degree in (5, 7))
+        assert low.eigenpoints, "suite operator produced an empty strip"
+        lines = [sorted(rep.res_lines.items()) for rep in (low, high)]
+        assert [m for _, m in lines[0]] == [m for _, m in lines[1]]
+        assert [e.algebraic for e in low.eigenpoints] == \
+            [e.algebraic for e in high.eigenpoints]
+        for a, b in zip(low.eigenpoints, high.eigenpoints):
+            worst = max(worst, abs(a.lambda0 - b.lambda0))
+        for (a, _), (b, _) in zip(*lines):
+            worst = max(worst, abs(a - b))
+        assert worst < 1e-6
 
     lap3_path = REPO / "operators" / "laplacian3d.json"
     outs = []
@@ -267,5 +275,6 @@ def test_criterion_8_stability_and_determinism(lap3, lap2):
         [sys.executable, "-m", "oppencil.cli", "ellipticity", str(lap3_path),
          "--threads", "8"], capture_output=True, text=True, cwd=REPO)
     assert r1.stdout == r8.stdout
-    report(8, f"eigenvalue drift < 1e-6 on the whole suite (worst "
-              f"{worst:.1e}); --threads 1 vs 8 reports byte-identical")
+    report(8, f"degree 5 vs 7: same lines and multiplicities, eigenvalue drift "
+              f"< 1e-6 on the whole suite (worst {worst:.1e}); --threads 1 vs 8 "
+              f"reports byte-identical")

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,29 @@ def test_mode_pencil_reduces_scalar():
     P = assemble_pencil(op, 3)
     mp = mode_pencil(P, 2)   # h_2 = 5, but the block is scalar x identity
     assert mp.size == 1
+
+
+def test_mode_pencil_builds_no_view_of_its_own(monkeypatch):
+    # a mode cut reads P's block view, and a c(lam) I block is P's own 1 x 1
+    # square: the only views built are P's and, once it is solved, the mode
+    # pencil's
+    built = []
+    components = PencilMatrices.__dict__["components"].func
+
+    def counted(P):
+        built.append(P)
+        return components(P)
+
+    view = cached_property(counted)
+    view.__set_name__(PencilMatrices, "components")
+    monkeypatch.setattr(PencilMatrices, "components", view)
+    op = parse_operator(laplacian_doc(3))
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    modes = [mode_pencil(P, l) for l in range(3)]
+    assert [mp.size for mp in modes] == [1, 1, 1]
+    assert [b is P for b in built] == [True]
+    line_difference_expansion(modes[0], gauss, 1.5, 2.5)
+    assert [b is mp for b, mp in zip(built, [P, modes[0]])] == [True, True]
 
 
 def _off_block_coupled(P, l):
@@ -352,7 +376,8 @@ def test_residuals_match_the_direct_pairing(case):
 def test_chain_count_checked_against_det_order(monkeypatch, mode3_l0, capsys):
     true_order = spectrum.det_vanishing_order
     monkeypatch.setattr(spectrum, "det_vanishing_order",
-                        lambda P, lam0, radius: true_order(P, lam0, radius) + 1)
+                        lambda P, lam0, radius: true_order(P, lam0, radius)
+                        + P.owners(lam0, radius))
     with pytest.raises(MultiplicityMismatch, match="chain count 1 != det root order 2"):
         line_difference_expansion(mode3_l0, gauss, 1.5, 2.5)
     code = main(["model-solve", str(OPERATORS / "laplacian3d.json"), "--mode", "0",
@@ -360,6 +385,25 @@ def test_chain_count_checked_against_det_order(monkeypatch, mode3_l0, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.startswith("numerical guard: chain count") and "Traceback" not in err
+
+
+def test_model_solve_far_data_is_solved_or_refused(capsys):
+    # a gaussian at t0 moves the line-1 coefficient by e^(t0 - 50) against
+    # t0 = 50.  Data beyond every grid the search tries vanishes on it, and
+    # its all-zero samples must not pass for decayed ones: the answer is
+    # right, or the run exits 3, never a printed 0
+    def coeffs(t0):
+        code = main(["model-solve", str(OPERATORS / "laplacian3d.json"), "--mode", "1",
+                     "--beta1", "0.5", "--beta2", "1.5", "--f", f"gaussian:a=1,t0={t0}"])
+        out = capsys.readouterr().out
+        return code, [complex(*c["value"]) for c in json.loads(out)["expansion"][
+            "coeffs_direct"]] if code == 0 else None
+
+    code, near = coeffs(50)
+    assert code == 0 and len(near) == 1 and abs(near[0]) > 1e21
+    code, far = coeffs(100)
+    assert code == 3 or abs(far[0] - math.exp(50) * near[0]) <= 1e-6 * abs(far[0])
+    assert coeffs(200)[0] == 3
 
 
 def test_singular_leading_coefficient_refused():

@@ -200,12 +200,32 @@ def _det_circle_oracle(P, lam0, radius):
     return np.array([s * np.exp(la - mean_log) for s, la in logs])
 
 
+def _owner_orders(P, lam0, radius):
+    """The nonzero det orders of one point, {square: order}."""
+    orders = det_vanishing_order(P, lam0, radius)
+    assert orders.shape == (len(P.squares),)
+    return {int(i): int(orders[i]) for i in np.flatnonzero(orders)}
+
+
 def test_det_vanishing_order(laplacian3d, laplacian2d):
+    # one order per square, nonzero on the owners only: det pencil's order
+    # at the point is their sum
     P = assemble_pencil(laplacian3d, 4)
-    assert det_vanishing_order(P, 2j, 0.1) == 1     # simple root
-    assert det_vanishing_order(P, 2.5j, 0.1) == 0   # off the spectrum
+    owner = int(np.flatnonzero(P.owners(2j, 0.1))[0])
+    assert _owner_orders(P, 2j, 0.1) == {owner: 1}      # simple root
+    assert _owner_orders(P, 2.5j, 0.1) == {}            # off the spectrum
     P = assemble_pencil(laplacian2d, 3)
-    assert det_vanishing_order(P, 2j, 0.1) == 2     # the l = 0 double root
+    owner = int(np.flatnonzero(P.owners(2j, 0.1))[0])
+    assert _owner_orders(P, 2j, 0.1) == {owner: 2}      # the l = 0 double root
+    # at 0 the c(lam) I_2 scalar of component 0 holds order 2 and the 4 x 4
+    # square of components 1 and 2 order 4; points read in one call
+    op = _mixed_owner_op()
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    scalar, full = (int(np.flatnonzero(P.owners(0j, 0.1) & side)[0])
+                    for side in (P.scalars[0] >= 0, P.scalars[0] < 0))
+    assert _owner_orders(P, 0j, 0.1) == {scalar: 2, full: 4}
+    orders = det_vanishing_order(P, np.array([0j, 2.5j]), np.array([0.1, 0.1]))
+    assert orders.shape == (2, len(P.squares)) and orders.sum(axis=1).tolist() == [6, 0]
 
 
 def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
@@ -237,7 +257,7 @@ def test_det_order_refuses_an_undersized_circle(laplacian3d):
     P = replace(P, B=B)
     owner = np.flatnonzero(P.owners(-1j, 0.1))
     assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (7, 7)
-    assert det_vanishing_order(P, -1j, 0.1) == 7
+    assert _owner_orders(P, -1j, 0.1) == {int(owner[0]): 7}
     P = replace(P)
     P.__dict__["eigenvalues"] = np.array([-1j])   # the count alone is forced
     with pytest.raises(MultiplicityMismatch,
@@ -255,7 +275,7 @@ def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
     owner = np.flatnonzero(P.owners(-4j, 0.1))
     assert len(owner) == 1 and P.powers[owner[0]] == 13
     P.__dict__["eigenvalues"] = np.array([-4j] * count)
-    assert det_vanishing_order(P, -4j, 0.1) == 13
+    assert _owner_orders(P, -4j, 0.1) == {int(owner[0]): 13}
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -288,7 +308,7 @@ def test_det_order_of_lam_power_on_16_nodes(order, read):
                        l_max=0, analysis_degree=0, bandwidth=0)
     P.__dict__["eigenvalues"] = np.array([0j])
     if isinstance(read, int):
-        assert det_vanishing_order(P, 0j, 0.1) == read
+        assert det_vanishing_order(P, 0j, 0.1).tolist() == [read]
     else:
         with pytest.raises(MultiplicityMismatch,
                            match=rf"unresolved on 16 circle nodes .*: {read}\)"):
@@ -417,46 +437,66 @@ def test_semisimple_points_take_the_early_exit(monkeypatch, doc_fn, strip, degre
         assert np.allclose(ep.residuals, residuals, rtol=0, atol=1e-15)
 
 
+def _assert_scalar_chains_match_the_toeplitz_route(P, ep):
+    """The chains of ep, owned by one c(lam) I scalar with a double zero,
+    against the nested Toeplitz nullspaces on its 1 x 1 square, padded at
+    each harmonic of its block: equal up to a unit phase."""
+    (i,) = np.flatnonzero(P.owners(ep.lambda0, ep.radius))
+    assert P.squares[i].shape[1:] == (1, 1)
+    _, partial, (want,), _ = chains_from_matrices(
+        taylor(P.squares[i], ep.lambda0), _chain_scale(P, ep.lambda0), 1)
+    assert partial == [2] and len(ep.chains) == P.powers[i]
+    phase = complex(want[0][0])
+    assert abs(abs(phase) - 1) < 1e-12
+    for got, j in zip(ep.chains, P.components[i]):
+        expect = np.zeros((2, P.size), dtype=complex)
+        expect[:, j] = [complex(v[0]) / phase for v in want]
+        assert np.max(np.abs(np.array(got) - expect)) < 1e-12
+
+
 @pytest.mark.parametrize("n, c, line, partial", [
     (3, -0.25, 2.5, [2]),       # D_0 = 0
     (2, -1.0, 2.0, [2, 2]),     # D_1 = 0
 ], ids=["n3_l0", "n2_l1"])
-def test_jordan_points_take_the_toeplitz_route(monkeypatch, n, c, line, partial):
-    # a double root at D_l = 0 holds one chain of length 2 per degree-l
-    # harmonic; its scalar fails the level-2 test, so the nested Toeplitz
-    # nullspaces run once, on the scalar, and end at the first level that
-    # adds nothing.  The simple roots build no Toeplitz matrix at all
+def test_scalar_double_zeros_take_the_closed_form(monkeypatch, n, c, line, partial):
+    # a double root at D_l = 0 holds one chain [1, 0] per degree-l
+    # harmonic, read off its scalar's Taylor coefficients: no Toeplitz
+    # matrix is built, at the double root or at the simple ones
     levels = _toeplitz_levels(monkeypatch)
     rep = strip_spectrum(_inverse_square_op(n, c), 0.5, 3.9, 4)
+    assert levels == []
     eps = [ep for ep in rep.eigenpoints if ep.partial_multiplicities != [1] * ep.geometric]
     assert [(ep.lambda0.imag, ep.partial_multiplicities, ep.det_order) for ep in eps] == \
         [(pytest.approx(line), partial, 2 * len(partial))]
-    assert levels == [1, 2, 3]
+    _assert_scalar_chains_match_the_toeplitz_route(rep.pencil, eps[0])
 
 
-def _per_centre_det_order(P, lam0, radius):
-    """The det read of one point, owner by owner: each owning square's det by
-    slogdet on its own circle of N = max(16, 2^ceil(log2(4 ceil(c / d))))
-    nodes, its order the first non-negligible of the lower N/2 FFT
-    coefficients (refused in the top quarter)."""
+def _per_centre_det_orders(P, lam0, radius):
+    """The det read of one point, owner by owner, {owner: order}: each
+    owning square's det by slogdet on its own circle of N = max(16,
+    2^ceil(log2(4 ceil(c / d)))) nodes, its order d times the first
+    non-negligible of the lower N/2 FFT coefficients (refused in the top
+    quarter)."""
     count = int(np.count_nonzero(np.abs(P.eigenvalues - lam0) < radius))
-    order = 0
-    for i in np.flatnonzero(P.owners(lam0, radius)):
+    orders = {}
+    for i in np.flatnonzero(P.owners(lam0, radius)).tolist():
         d = P.powers[i]
         nodes = max(16, 1 << (4 * -(-count // d) - 1).bit_length())
         t = np.abs(np.fft.fft(_det_values_on_circle(P.squares[i], lam0, radius, nodes)))
         hits = np.flatnonzero(t[:nodes // 2] > 1e-6 * t.max())
         if hits.size == 0 or hits[0] >= 3 * nodes // 8:
             raise MultiplicityMismatch(f"det root order at {lam0} unresolved")
-        order += d * int(hits[0])
-    return order
+        orders[i] = d * int(hits[0])
+    return orders
 
 
 def _per_centre_eigenpoints(P, beta1, beta2, band):
     """The reference for strip_eigenpoints at bandwidth 0: every cluster
     centre on its own, isolated by a loop over the other centres and values,
-    its det read by _per_centre_det_order and each owner chained by
-    chains_from_matrices (a c(lam) I block on its scalar, at each harmonic)."""
+    its det orders read by _per_centre_det_orders and each owner chained
+    under its own order: a 1 x 1 owner one [1, 0, ..., 0] of its scalar's
+    zero order per harmonic, from its Taylor coefficients, and a full one
+    by chains_from_matrices."""
     lo, hi = beta1 - spectrum._CLUSTER_RADIUS, beta2 + spectrum._CLUSTER_RADIUS
     vals = list(solve_pencil_eigenvalues(P, band))
     centers = [c for c, _ in cluster_eigenvalues([v for v in vals if lo < v.imag < hi])]
@@ -466,12 +506,20 @@ def _per_centre_eigenpoints(P, beta1, beta2, band):
                  [v for v in vals if abs(v - center) > 1e-6]
         isolation = min((abs(v - center) for v in others), default=1.0)
         radius = max(min(0.45 * isolation, 0.1), 1e-5)
-        order = _per_centre_det_order(P, center, radius)
+        orders = _per_centre_det_orders(P, center, radius)
+        scale = _chain_scale(P, center)
         found = []
-        for i in np.flatnonzero(P.owners(center, radius)):
+        for i, order in orders.items():
             S = P.squares[i]
-            _, _, chains, residuals = chains_from_matrices(
-                taylor(S, center), _chain_scale(P, center), 1 if S.shape[2] == 1 else order)
+            if S.shape[1:] == (1, 1):
+                c = [abs(complex(cs[0, 0])) for cs in taylor(S, center)]
+                o = next(s for s, cs in enumerate(c) if cs > 1e-8 * max(c[0], scale))
+                chains = [[np.array([1.0 if s == 0 else 0.0]) for s in range(o)]]
+                residuals = [max(c[:o]) / scale]
+            else:
+                _, _, chains, residuals = chains_from_matrices(taylor(S, center), scale,
+                                                               order)
+            assert P.powers[i] * sum(map(len, chains)) == order
             for keep in P.components[i].reshape(P.powers[i], -1):
                 for chain, res in zip(chains, residuals):
                     padded = []
@@ -482,10 +530,9 @@ def _per_centre_eigenpoints(P, beta1, beta2, band):
                     found.append((padded, res))
         found.sort(key=lambda f: -len(f[0]))
         partial = [len(chain) for chain, _ in found]
-        assert sum(partial) == order
         points.append(spectrum.Eigenpoint(
-            center, len(partial), partial, order, [c for c, _ in found],
-            [r for _, r in found], order, radius))
+            center, len(partial), partial, sum(partial), [c for c, _ in found],
+            [r for _, r in found], sum(orders.values()), radius))
     return points
 
 
@@ -517,7 +564,7 @@ def _bandwidth_zero_strips():
                 for degree in (2, 4):
                     yield pytest.param(_inverse_square_op(n, c), strip, degree,
                                        id=f"inverse_square{n}d_c{c}-{strip}-d{degree}")
-    # D_l = 0: a double root of the scalar, on the Toeplitz route
+    # D_l = 0: a double root of the scalar, in closed form
     for n, c in ((3, -0.25), (2, -1.0)):
         yield pytest.param(_inverse_square_op(n, c), (0.5, 3.9), 4,
                            id=f"inverse_square{n}d_c{c}-double")
@@ -562,10 +609,11 @@ def test_simple_lines_run_no_svd_and_no_slogdet(monkeypatch):
 
 
 def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
-    # at 0, i and 3i the scalar's simple zero is closed form, and the 4 x 4
-    # square, left with the det order it holds, takes the early exit; the
-    # l = 0 double root at 2i runs the Toeplitz route on the scalar and on
-    # the 2 x 2 square.  No scalar's det is read by slogdet
+    # each owner under its own det order: at 0, i and 3i the scalar's simple
+    # zero is closed form, and the 4 x 4 square takes the early exit; at the
+    # l = 0 double root 2i the scalar's chains [1, 0] are closed form too,
+    # and only the 2 x 2 square, whose chains have length 2, runs the
+    # Toeplitz route.  No scalar's det is read by slogdet
     levels, stacks = [], []
     toeplitz, slogdet = spectrum._toeplitz, np.linalg.slogdet
     monkeypatch.setattr(spectrum, "_toeplitz",
@@ -577,20 +625,41 @@ def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
     assert [(ep.lambda0, ep.partial_multiplicities) for ep in rep.eigenpoints] == [
         (pytest.approx(0j, abs=1e-9), [1] * 6), (pytest.approx(1j), [1] * 6),
         (pytest.approx(2j), [2, 2, 2]), (pytest.approx(3j), [1] * 6)]
-    assert levels == [(1, (4, 4))] * 2 + [(s, (1, 1)) for s in (1, 2, 3)] + \
-        [(s, (2, 2)) for s in (1, 2, 3)] + [(1, (4, 4))]
+    assert levels == [(1, (4, 4))] * 2 + [(s, (2, 2)) for s in (1, 2, 3)] + [(1, (4, 4))]
     assert stacks and all(shape[1:] != (1, 1) for shape in stacks)
 
 
-def test_criterion_2_chain_takes_the_toeplitz_route(monkeypatch, laplacian2d):
+def test_criterion_2_chain_takes_the_closed_form(monkeypatch, laplacian2d):
     levels = _toeplitz_levels(monkeypatch)
-    ep = jordan_chains(assemble_pencil(laplacian2d, 6), 2j)
+    P = assemble_pencil(laplacian2d, 6)
+    ep = jordan_chains(P, 2j)
     assert (ep.partial_multiplicities, ep.det_order) == ([2], 2)
-    assert levels == [1, 2, 3]
+    assert levels == []
+    _assert_scalar_chains_match_the_toeplitz_route(P, ep)
 
 
-def test_convergence_is_zero_by_structure_at_every_bandwidth(monkeypatch, laplacian3d,
-                                                             dbar2d):
+@pytest.mark.parametrize("moved", [1, -1, -2])
+def test_an_owner_chained_under_another_owners_order_is_refused(monkeypatch, moved):
+    # at 0 the scalar (order 2) and the 4 x 4 square (order 4) hold 6 chain
+    # vectors.  With `moved` of the square's order read on the scalar
+    # instead (down to 0 for -2) the point's total is still 6, but each
+    # owner's chain count must be its own order
+    op = _mixed_owner_op()
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    assert jordan_chains(P, 0j, isolation=1.0).algebraic == 6
+    owned = P.owners(0j, 0.1)
+    shift = np.zeros(len(P.squares), dtype=int)
+    shift[owned & (P.scalars[0] >= 0)] = moved
+    shift[owned & (P.scalars[0] < 0)] = -moved
+    true_order = spectrum.det_vanishing_order
+    monkeypatch.setattr(spectrum, "det_vanishing_order",
+                        lambda P, lam0, radius: true_order(P, lam0, radius) + shift)
+    with pytest.raises(MultiplicityMismatch,
+                       match=rf"chain count 2 != det root order {2 + moved} at "):
+        jordan_chains(P, 0j, isolation=1.0)
+
+
+def test_one_pencil_is_solved_at_every_bandwidth(monkeypatch, laplacian3d, dbar2d):
     # one pencil is solved, the strip's own: its kept columns are those of
     # the degree + 2 pencil, so no eigenvalue drifts there
     solved = []
@@ -602,8 +671,7 @@ def test_convergence_is_zero_by_structure_at_every_bandwidth(monkeypatch, laplac
         solved.clear()
         rep = strip_spectrum(op, *strip, degree)
         assert bool(rep.pencil.bandwidth) is coupled and solved == [rep.pencil]
-        assert len(rep.convergence) == len(rep.eigenpoints) >= 3
-        assert set(rep.convergence.values()) == {0.0}
+        assert len(rep.eigenpoints) >= 3
 
 
 def _count_table_builds(monkeypatch):
@@ -786,11 +854,6 @@ def test_strip_refuses_boundary(laplacian3d):
         strip_spectrum(laplacian3d, 0.5, 3.0 + 1e-9, 4)
 
 
-def test_strip_drift_small(laplacian2d):
-    rep = strip_spectrum(laplacian2d, -0.5, 2.5, 5)
-    assert all(d < 1e-6 for d in rep.convergence.values())
-
-
 def test_cluster_links_interleaved_copies():
     # copies of a and b sorted by (Im, Re) interleave; both still form one
     # cluster each
@@ -912,7 +975,7 @@ def test_chain_failing_its_equations_refused(monkeypatch):
     op = parse_operator(json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
     monkeypatch.setattr(spectrum, "det_vanishing_order",
-                        lambda P, lam0, radius: np.full(np.shape(lam0), 3))
+                        lambda P, lam0, radius: 3 * P.owners(lam0, radius))
     with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-0[45] > 1e-08"):
         spectrum.strip_eigenpoints(P, -1.7, 2.6)
 
