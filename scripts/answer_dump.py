@@ -27,7 +27,8 @@ Hashes move with the last printed digit, so `--compare` matches the two
 dumps case by case instead: exit codes, integers, booleans and strings
 exactly, floats to 1e-9 of their magnitude (absolute below 1), in the
 answer and among the words of the first stderr line.  It prints every case
-that moved, with what moved, and exits 1 when any did.
+that moved, with what moved, then the count of cases whose bytes differ
+(stdout hash, exit code or first stderr line), and exits 1 when any moved.
 """
 
 import contextlib
@@ -165,14 +166,18 @@ def moved(a, b, where="answer"):
 
 def compare(path_a, path_b):
     """Print every case whose exit code, answer or first stderr line moved
-    from dump A to dump B (or that only one dump has); 1 if any did."""
+    from dump A to dump B (or that only one dump has), and the count of
+    cases whose stdout hash, exit code or first stderr line differ at all;
+    1 if any moved."""
     dumps = [{tuple(row["argv"]): row
               for row in map(json.loads, Path(path).read_text().splitlines())}
              for path in (path_a, path_b)]
     argvs = dict.fromkeys([*dumps[0], *dumps[1]])
-    n_moved = 0
+    n_moved = n_bytes = 0
     for argv in argvs:
         a, b = (d.get(argv) for d in dumps)
+        n_bytes += a is None or b is None or any(
+            a[key] != b[key] for key in ("stdout_sha256", "exit", "stderr"))
         if a is None or b is None:
             what = [f"only in {path_a if b is None else path_b}"]
         else:
@@ -182,7 +187,8 @@ def compare(path_a, path_b):
         if what:
             n_moved += 1
             print(" ".join(argv) + "\n    " + "\n    ".join(what))
-    print(f"{len(argvs)} cases, {n_moved} moved")
+    print(f"{len(argvs)} cases, {n_moved} moved; {n_bytes} differ in stdout hash, "
+          "exit code or first stderr line")
     return int(n_moved > 0)
 
 

@@ -7,18 +7,18 @@ the decoupled (component, degree) blocks when the bandwidth is 0 (a
 c(lam) I block as its 1 x 1 scalar, its roots counted P.powers times),
 and otherwise a fixed random compression of the exact rectangular
 restriction to the fully-resolved columns P.kept (the square truncation
-is then structurally singular).  A candidate of the compressed square is
-certified by a small singular value of the rectangular pencil.  The kept columns
-are those of every wider pencil with zero rows appended, so a certified
-value is an eigenvalue of every wider pencil, and no wider pencil is
-solved.  strip_eigenpoints clusters and chains the eigenvalues in a strip
-of any pencil (a strip's, or a model-solve mode block's), and refuses the
-strip when some candidate in it fails certification (a line the degree
-does not resolve).  A strip spectrum certifies only the candidates within
-_CERTIFY_REACH of the strip: a value farther out changes no det-order
-circle.  It refuses the strip when an eigenvector carries more than half
-its mass above the analysis degree (a higher mode's line, unresolved
-there); a coupled eigenvector's small tail is kept.
+is then structurally singular), whose candidates a small singular value
+of the rectangular pencil certifies.  The kept columns are those of
+every wider pencil with zero rows appended, so a certified value is an
+eigenvalue of every wider pencil, and no wider pencil is solved.
+strip_eigenpoints clusters and chains the eigenvalues in a strip of any
+pencil (a strip's, or a model-solve mode block's) under one rule:
+certified only in the strip; circles isolate from every eigenvalue (the
+det read is of P.squares, which vanishes at each).  A strip is refused
+when a candidate in it fails certification (a line the degree does not
+resolve) or an eigenvector carries more than half its mass above the
+analysis degree (a higher mode's line); a coupled eigenvector's small
+tail is kept.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -44,10 +44,8 @@ not extend is semisimple, and no Toeplitz matrix is built.
 
 A strip's eigenpoints are solved in one pass: the in-strip count, the
 clustering and each centre's isolation are array operations, and one
-jordan_chains call reads every centre's det orders (the scalars of all
-circles with one node count in one stacked Horner pass and one FFT),
-chains every 1 x 1 owner of every centre in one pass and the full owners
-centre by centre.
+jordan_chains call reads every centre's det orders, chains every 1 x 1
+owner of every centre in one pass and the full owners centre by centre.
 Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
 normalized to the Kronecker biorthogonality pattern by one least-squares
 solve.
@@ -76,7 +74,6 @@ from .pencil import (
     assemble_pencil,
     component_labels,
     default_l_max,
-    evaluate_pencil,
     horner,
     taylor,
 )
@@ -89,10 +86,7 @@ _TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
 _DET_RADIUS_MAX = 0.1     # ... and at most this
-# Certification reach beyond a strip edge.  A value outside it lies more than
-# _DET_RADIUS_MAX / _DET_RADIUS_SHARE from every cluster centre in the strip
-# (centres sit within _CLUSTER_RADIUS of it), so it sets no det-order radius.
-_CERTIFY_REACH = _DET_RADIUS_MAX / _DET_RADIUS_SHARE + 2 * _CLUSTER_RADIUS
+_DET_ROUNDOFF = 64        # a scalar's det round-off, in N eps max_z sum_j |C_j| |z|^j
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +181,19 @@ class SpectrumReport:
 # eigenvalue solvers
 # ---------------------------------------------------------------------------
 
+def _stacked(fn, B, points, size):
+    """[fn(horner(B, part))] for consecutive parts of `points` (first axis)
+    of at most `size` matrix entries each, or of one point; an empty
+    `points` is one empty part."""
+    step = max(1, size // (B[0].size * math.prod(np.shape(points)[1:])))
+    return [fn(horner(B, points[k:k + step])) for k in range(0, max(len(points), 1), step)]
+
+
 def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
-    """All (finite, certified) eigenvalues of the truncated pencil, or with
-    band = (lo, hi) only those with lo < Im lam < hi, so that only those
-    are certified.  The companion eigensolve runs once per pencil
-    (P.eigenvalues)."""
+    """All finite certified eigenvalues of the truncated pencil, or with
+    band = (lo, hi) only those with lo < Im lam < hi, the only ones
+    certified (by stacked SVDs no larger than P.B).  The companion
+    eigensolve runs once per pencil (P.eigenvalues)."""
     vals = P.eigenvalues
     if band is not None:
         vals = vals[(band[0] < vals.imag) & (vals.imag < band[1])]
@@ -199,12 +201,9 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     # so its candidates are certified against the rectangular restriction
     if P.bandwidth == 0:
         return vals
-    scale = P.scale
-    certified = []
-    for lam in vals:
-        sv = np.linalg.svd(evaluate_pencil(P, lam)[:, P.kept], compute_uv=False)
-        certified.append(sv[-1] < _RANK_TOL * max(sv[0], scale))
-    return vals[np.array(certified, dtype=bool)]
+    sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
+                                 P.B[:, :, P.kept], vals, P.B.size))
+    return vals[sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)]
 
 
 def cluster_eigenvalues(vals):
@@ -244,14 +243,6 @@ def _unit_circle(nodes):
     return w
 
 
-def _det_values_on_circle(B, lam0, radius, nodes):
-    """det of the square pencil B at `nodes` equispaced circle nodes, all
-    evaluated in one stack, divided by the geometric mean of their moduli."""
-    points = lam0 + radius * _unit_circle(nodes)
-    sign, logabs = np.linalg.slogdet(horner(B, points))
-    return sign * np.exp(logabs - np.mean(logabs))
-
-
 def det_vanishing_order(P: PencilMatrices, lam0, radius):
     """Order of the zero at lam0 of det(P.squares[i]) ** P.powers[i], the
     factor of det pencil each square gives, from scaled Taylor coefficients:
@@ -264,12 +255,14 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
     c of P.eigenvalues strictly inside bound its order by ceil(c / d): the
     FFT of its det at N = max(16, 2^ceil(log2(4 ceil(c / d)))) circle nodes
     gives the scaled derivatives a_j rho^j modulo N, and the order is the
-    first of the lower N/2 non-negligible against the largest.  None, or
-    one in the top quarter of the N/2, may be aliased: MultiplicityMismatch.
-    The 1 x 1 squares (P.scalars) of all circles with the same N are read
-    together: one stacked Horner pass gives their dets, one FFT their
-    coefficients; the full squares with that N take slogdet and one FFT.
-    Each circle must isolate its lam0 from the rest of the spectrum.
+    first of the lower N/2 above _DET_ORDER_TOL of the largest and, for a
+    1 x 1 square (a full one's det is rescaled), above its values' round-off
+    _DET_ROUNDOFF N eps max_z sum_j |C_j| |z|^j.  None, or one in the top
+    quarter of the N/2, may be aliased: MultiplicityMismatch.  Per N, each
+    full square's circles take stacked Horner passes and slogdets no larger
+    than P.B (dets over their geometric mean), the scalars' one Horner
+    pass; each group one FFT.  Each circle must isolate its lam0 from every
+    eigenvalue of P.
     """
     lam, rad = np.asarray(lam0, dtype=complex).ravel(), np.asarray(radius).ravel()
     count = (np.abs(P.eigenvalues - lam[:, None]) < rad[:, None]).sum(axis=1)
@@ -277,19 +270,25 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
     d = np.array(P.powers)[square]
     nodes = np.array([max(16, 1 << (4 * -(-c // k) - 1).bit_length())
                       for c, k in zip(count[at].tolist(), d.tolist())], dtype=int)
-    row, C = P.scalars
-    row = row[square]
+    row = P.scalars[0][square]
+    group = np.where(row < 0, square, -1)    # a full square, or every scalar
     first = np.empty(len(at), dtype=int)
-    for N, full in sorted(set(zip(nodes.tolist(), (row < 0).tolist()))):
-        sel = (nodes == N) & ((row < 0) == full)
-        if full:
-            det = np.array([_det_values_on_circle(P.squares[square[p]], lam[at[p]],
-                                                  rad[at[p]], N) for p in np.flatnonzero(sel)])
+    for N, s in sorted(set(zip(nodes.tolist(), group.tolist()))):
+        sel = (nodes == N) & (group == s)
+        z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
+        if s >= 0:
+            sign, logabs = (np.concatenate(x) for x in zip(*_stacked(
+                np.linalg.slogdet, P.squares[s], z, P.B.size)))
+            det = sign * np.exp(logabs - logabs.mean(axis=1, keepdims=True))
+            floor = 0.0
         else:   # a scalar's det is its value, unscaled
-            z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
-            det = horner(C[row[sel]].T[:, :, None, None, None], z)[..., 0, 0]
+            coeffs = P.scalars[1][row[sel]].T[:, :, None, None]
+            det = horner(coeffs[..., None], z)[..., 0, 0]
+            floor = _DET_ROUNDOFF * N * np.finfo(float).eps * horner(
+                np.abs(coeffs), np.abs(z).max(axis=1))[:, 0, 0]
         t = np.abs(np.fft.fft(det))
-        big = t[:, :N // 2] > _DET_ORDER_TOL * t.max(axis=1, keepdims=True)
+        cut = np.maximum(_DET_ORDER_TOL * t.max(axis=1), floor)
+        big = t[:, :N // 2] > cut[:, None]
         first[sel] = np.where(big.any(axis=1), big.argmax(axis=1), N // 2)
     bad = np.flatnonzero(first >= 3 * nodes // 8)
     if bad.size:
@@ -446,7 +445,7 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     """
     lam = np.asarray(lambda0, dtype=complex)
     if isolation is None:
-        isolation = _isolation(lam, solve_pencil_eigenvalues(P))
+        isolation = _isolation(lam, P.eigenvalues)
     radius = np.maximum(np.minimum(_DET_RADIUS_SHARE * np.asarray(isolation),
                                    _DET_RADIUS_MAX), 1e-5)
     lams, radii = lam.ravel(), radius.ravel()
@@ -657,19 +656,19 @@ def power_solutions(e) -> list:
 # strip spectrum
 # ---------------------------------------------------------------------------
 
-def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
-    """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re): the values
-    (of `band` only, if given, so only those are certified) clustered within
-    _CLUSTER_RADIUS, each centre chained on a det circle that isolates it,
-    all centres in one jordan_chains call.  Values within the cluster radius
+def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
+    """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re), under one
+    rule: values are certified only in the strip; circles isolate from
+    every eigenvalue of P, certified or not (the det read vanishes at each).
+    The certified values cluster within _CLUSTER_RADIUS, all centres
+    chained in one jordan_chains call.  Values within the cluster radius
     outside an edge are kept, so a line on an edge reaches RefuseBoundary
     whatever side round-off puts it on.  A candidate there that fails
     certification is a line the degree does not resolve (UnstableSpectrum).
     The algebraic multiplicities must sum to the number of values clustered
     (MultiplicityMismatch otherwise)."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
-    vals = solve_pencil_eigenvalues(P, band)
-    in_strip = vals[(lo < vals.imag) & (vals.imag < hi)]
+    in_strip = solve_pencil_eigenvalues(P, (lo, hi))
     found = np.count_nonzero((lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi))
     if found > len(in_strip):
         raise UnstableSpectrum(
@@ -677,7 +676,7 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2, band=None) -> list:
             "fail certification at this degree; raise --degree")
     centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)], dtype=complex)
     eigenpoints = jordan_chains(P, centers, _isolation(
-        centers, np.concatenate([centers, vals]))) if centers.size else []
+        centers, np.concatenate([centers, P.eigenvalues]))) if centers.size else []
     total = sum(ep.algebraic for ep in eigenpoints)
     if total != len(in_strip):
         raise MultiplicityMismatch(
@@ -703,8 +702,7 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    band = (beta1 - _CERTIFY_REACH, beta2 + _CERTIFY_REACH)
-    eigenpoints = strip_eigenpoints(P, beta1, beta2, band)
+    eigenpoints = strip_eigenpoints(P, beta1, beta2)
 
     # a coupled mode-d eigenvector carries about 1e-3 of its mass at
     # degree d + 1, so only one with most of its mass above the degree

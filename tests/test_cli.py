@@ -718,6 +718,30 @@ def test_answer_dump_smoke(capsys):
     assert exits["verify-cc"] <= {0, 3}
 
 
+def test_sweep_dump_case_list(monkeypatch, capsys):
+    from oppencil.operator_ast import parse_operator
+    sweep = _script("sweep_dump")
+    grids = {grid: list(cases()) for grid, cases in sweep.GRIDS.items()}
+    assert {grid: len(rows) for grid, rows in grids.items()} == {
+        "drift": 1440, "inverse_square": 648}
+    docs = {}
+    for name, doc, argv in grids["drift"] + grids["inverse_square"]:
+        assert argv[:3] == ["res", name, "--strip"] and argv[5] == "--degree"
+        assert docs.setdefault(name, doc) is doc   # one document per name
+    assert len(docs) == 2 * 2 * 60 + 2 * 3 * 9
+    assert len({tuple(argv) for _, _, argv in grids["drift"]}) == 1440
+    # delta = 0 is the double root of mode l, D_l = (l + (n-2)/2)^2 + c = 0
+    c = docs["inverse_square2d_l2_d+0.json"]["entries"][0]["terms"][-1]["poly"]
+    assert c == {"0 0": [-4.0, 0.0]}
+    assert all(parse_operator(doc) for doc in docs.values())
+    # the rows are answer_dump's, under the stable name
+    monkeypatch.setattr(sweep, "GRIDS", {"one": lambda: grids["inverse_square"][:1]})
+    sweep.main()
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert row["argv"] == grids["inverse_square"][0][2] and row["exit"] == 0
+    assert set(row) == {"argv", "exit", "stdout_sha256", "stderr", "answer"}
+
+
 def test_readme_examples_parse():
     from oppencil.cli import build_parser
     argvs = readme_commands()
@@ -773,11 +797,12 @@ def test_answer_sha256_ignores_chains_and_residuals(lap3_file, capsys):
 
 
 def _dump_rows(line, root, algebraic, guard_count, guard_root):
+    answer = {"res_lines": {line: algebraic},
+              "eigenpoints": [{"algebraic": algebraic, "lambda0": [root, 1.0]}]}
     spectrum = {"argv": ["spectrum", "op.json", "--strip", "-0.5", "3.5"], "exit": 0,
-                "stderr": "", "answer": {
-                    "res_lines": {line: algebraic},
-                    "eigenpoints": [{"algebraic": algebraic, "lambda0": [root, 1.0]}]}}
+                "stdout_sha256": json.dumps(answer), "stderr": "", "answer": answer}
     guard = {"argv": ["index", "op.json", "--anchor", "cc"], "exit": 3, "answer": None,
+             "stdout_sha256": "",
              "stderr": f"guard: chain count {guard_count} at ({guard_root}+1.9999999j)"}
     return [spectrum, guard]
 
@@ -793,8 +818,12 @@ def test_answer_dump_compare(tmp_path, capsys):
             ("c", _dump_rows("1.00000000000", 0.0, 1, 3, "-0.009883002765371504"))]:
         paths.append(tmp_path / f"{name}.jsonl")
         paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    counts = "differ in stdout hash, exit code or first stderr line\n"
+    assert dump.compare(paths[0], paths[0]) == 0
+    assert capsys.readouterr().out == "2 cases, 0 moved; 0 " + counts
+    # round-off moves no answer, but both cases' bytes differ
     assert dump.compare(paths[0], paths[1]) == 0
-    assert capsys.readouterr().out == "2 cases, 0 moved\n"
+    assert capsys.readouterr().out == "2 cases, 0 moved; 2 " + counts
     assert dump.compare(paths[0], paths[2]) == 1
     assert capsys.readouterr().out == (
         "spectrum op.json --strip -0.5 3.5\n"
@@ -802,7 +831,7 @@ def test_answer_dump_compare(tmp_path, capsys):
         "    answer.eigenpoints[0].algebraic: 2 -> 1\n"
         "index op.json --anchor cc\n"
         "    stderr[1]: 2 -> 3\n"
-        "2 cases, 2 moved\n")
+        "2 cases, 2 moved; 2 " + counts)
 
 
 def test_index_selfadjoint_builds_the_formal_adjoint_once(monkeypatch, capsys):

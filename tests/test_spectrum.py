@@ -37,9 +37,7 @@ from oppencil.pencil import (
 )
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
-    _CERTIFY_REACH,
     _chain_scale,
-    _det_values_on_circle,
     biorthogonalize,
     chains_from_matrices,
     cluster_eigenvalues,
@@ -120,22 +118,46 @@ def test_inverse_square_lines_oracle(inverse_square3d):
         assert min(abs(v - w) for w in want) < 1e-7
 
 
+# how far beyond a strip edge candidates were once certified: a value farther
+# out lies more than 0.1 / 0.45 from every centre, so it sets no det radius
+_OLD_CERTIFY_REACH = 0.1 / 0.45 + 2e-6
+
+
 @pytest.mark.parametrize("doc_fn", [dbar_doc, cr_system_doc, drift_doc],
                          ids=lambda f: f.__name__)
-def test_certification_band_is_in_band_subset(doc_fn):
-    # a value beyond the reach is farther than 0.1 / 0.45 from the strip, so
-    # it can set no det-order radius (0.45 of the isolation, at most 0.1)
-    assert _CERTIFY_REACH > 0.1 / 0.45
+@pytest.mark.parametrize("degree", [2, 4])
+def test_a_strip_certifies_only_its_own_candidates(monkeypatch, doc_fn, degree):
+    # stacked SVDs certify the candidates in the strip and none of those
+    # 0.1 beyond its edges, and every det circle isolates from every
+    # eigenvalue: the radii are those of the old rule, isolated from the
+    # values certified within the old reach of the strip.  No stacked SVD
+    # or slogdet holds more entries than P.B, unless it is of one point
     op = parse_operator(doc_fn())
-    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    P2 = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
-    band = (-0.5 - _CERTIFY_REACH, 1.5 + _CERTIFY_REACH)
-    for Q in (P, P2):
-        assert Q.bandwidth > 0
-        full = solve_pencil_eigenvalues(Q)
-        got = solve_pencil_eigenvalues(Q, band)
-        assert 0 < len(got) < len(full)
-        assert np.array_equal(got, [v for v in full if band[0] < v.imag < band[1]])
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    assert P.bandwidth > 0
+    beta1, beta2 = -0.9, 1.9
+    im = P.eigenvalues.imag
+    edge = spectrum._CLUSTER_RADIUS
+    own = np.count_nonzero((beta1 - edge < im) & (im < beta2 + edge))
+    reach = (beta1 - _OLD_CERTIFY_REACH, beta2 + _OLD_CERTIFY_REACH)
+    assert 0 < own < np.count_nonzero((reach[0] < im) & (im < reach[1]))
+    near = solve_pencil_eigenvalues(P, reach)
+    stacks = {"svd": [], "slogdet": []}
+    for name, ndim in (("svd", 3), ("slogdet", 4)):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=fn, _s=stacks[name],
+                            _d=ndim, **kw: np.ndim(a) == _d and _s.append(np.shape(a))
+                            or _f(a, *args, **kw))
+    eigenpoints = spectrum.strip_eigenpoints(P, beta1, beta2)
+    assert sum(shape[0] for shape in stacks["svd"]) == own
+    assert stacks["slogdet"]
+    for shape in stacks["svd"] + stacks["slogdet"]:
+        assert shape[0] == 1 or math.prod(shape) <= P.B.size
+    for ep in eigenpoints:
+        others = [c.lambda0 for c in eigenpoints] + list(near)
+        isolation = min((abs(v - ep.lambda0) for v in others
+                         if abs(v - ep.lambda0) > spectrum._CLUSTER_RADIUS), default=1.0)
+        assert ep.radius == max(min(0.45 * isolation, 0.1), 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +211,14 @@ def test_eigen_residual_bound(laplacian3d):
 # ---------------------------------------------------------------------------
 # determinant order
 # ---------------------------------------------------------------------------
+
+def _det_values_on_circle(B, lam0, radius, nodes):
+    """det of the square pencil B at `nodes` equispaced circle nodes, all
+    evaluated in one stack, divided by the geometric mean of their moduli."""
+    points = lam0 + radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    sign, logabs = np.linalg.slogdet(horner(B, points))
+    return sign * np.exp(logabs - np.mean(logabs))
+
 
 def _det_circle_oracle(P, lam0, radius):
     """One slogdet per node of the whole pencil, or of its compressed square
@@ -490,15 +520,17 @@ def _per_centre_det_orders(P, lam0, radius):
     return orders
 
 
-def _per_centre_eigenpoints(P, beta1, beta2, band):
+def _per_centre_eigenpoints(P, beta1, beta2):
     """The reference for strip_eigenpoints at bandwidth 0: every cluster
-    centre on its own, isolated by a loop over the other centres and values,
-    its det orders read by _per_centre_det_orders and each owner chained
-    under its own order: a 1 x 1 owner one [1, 0, ..., 0] of its scalar's
-    zero order per harmonic, from its Taylor coefficients, and a full one
-    by chains_from_matrices."""
+    centre on its own, isolated by a loop over the other centres and the
+    values within the old certification reach of the strip, its det orders
+    read by _per_centre_det_orders and each owner chained under its own
+    order: a 1 x 1 owner one [1, 0, ..., 0] of its scalar's zero order per
+    harmonic, from its Taylor coefficients, and a full one by
+    chains_from_matrices."""
     lo, hi = beta1 - spectrum._CLUSTER_RADIUS, beta2 + spectrum._CLUSTER_RADIUS
-    vals = list(solve_pencil_eigenvalues(P, band))
+    vals = list(solve_pencil_eigenvalues(P, (beta1 - _OLD_CERTIFY_REACH,
+                                             beta2 + _OLD_CERTIFY_REACH)))
     centers = [c for c, _ in cluster_eigenvalues([v for v in vals if lo < v.imag < hi])]
     points = []
     for center in centers:
@@ -578,9 +610,8 @@ def _bandwidth_zero_strips():
 def test_batched_eigenpoints_match_the_per_centre_route(op, strip, degree):
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     assert P.bandwidth == 0
-    band = (strip[0] - _CERTIFY_REACH, strip[1] + _CERTIFY_REACH)
-    want = _per_centre_eigenpoints(P, *strip, band)
-    got = spectrum.strip_eigenpoints(P, *strip, band)
+    want = _per_centre_eigenpoints(P, *strip)
+    got = spectrum.strip_eigenpoints(P, *strip)
     assert [ep.lambda0 for ep in got] == [ep.lambda0 for ep in want]
     for g, w in zip(got, want):
         assert (g.partial_multiplicities, g.det_order, g.radius) == \
@@ -1179,3 +1210,18 @@ def test_inverse_square_sweep_answers_or_names_the_degree():
                     got = {round(line, 6): mult for line, mult in rep.res_lines.items()}
                     assert got == want, (n, c, beta1, beta2, degree)
     assert refused >= 8
+
+
+@pytest.mark.parametrize("c, want", [
+    (-0.25 + 1e-9, {1.085786: 3, 2.499968: 1, 2.500032: 1}),
+    (-2.25 + 1e-9, {2.499968: 3, 2.5: 2, 2.500032: 3}),
+    (-2.25 - 1e-9, {2.5: 8}),
+], ids=["D0+1e-9", "D1+1e-9", "D1-1e-9"])
+def test_close_simple_roots_read_their_det_order(c, want):
+    # two simple roots of a scalar 6.3e-5 apart: on the det circle (radius
+    # 2.8e-5) |c| is about 3e-9, so the Horner round-off at the centre is
+    # above the relative cut; only the scalar's round-off floor reads it
+    # as zero, not as an order-0 coefficient
+    rep = strip_spectrum(_inverse_square_op(3, c), 0.6, 3.9, 2)
+    got = {round(line, 6): mult for line, mult in rep.res_lines.items()}
+    assert got == want == inverse_square_lines(3, c, 0.6, 3.9, 2)
