@@ -202,12 +202,10 @@ def cmd_norm(args):
     elif args.kind == "holder":
         res = weighted_holder_seminorm(u, args.sigma, args.beta,
                                        samples=args.samples, seed=args.seed)
-    elif args.kind == "decay":
+    else:  # decay, the last of argparse's choices
         rep = check_symbol_class(u, args.beta, max_order=args.k)
         _emit(rep.to_json(), args)
         return 0 if rep.passed else 3
-    else:
-        raise SchemaError(f"unknown norm kind {args.kind!r}")
     _emit({"kind": args.kind, "beta": args.beta, **res.to_json()}, args)
     return 0
 

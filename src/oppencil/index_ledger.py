@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import AnchorOnBreakpoint, NoAnchor, NotApplicable, OnBreakpoint
 from .operator_ast import (
@@ -206,28 +207,28 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     if not off_breaks(beta0):
         raise AnchorOnBreakpoint(f"anchor beta0 = {beta0} sits on a critical line")
 
-    edges = [beta_min] + [b for b, _ in breaks] + [beta_max]
-    comps = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > _BREAK_TOL]
+    # component i lies above lines 0..i-1, and walking right across a line
+    # of multiplicity m decreases the index by m
+    comps = _components(beta_min, beta_max, breaks)
+    drop = list(accumulate((m for _, m in breaks), initial=0))
     anchor_comp = next(i for i, (a, b) in enumerate(comps) if a <= beta0 <= b)
-    values = [None] * len(comps)
-    values[anchor_comp] = index0
-    # walking right across a line of multiplicity m decreases the index by m
-    for i in range(anchor_comp + 1, len(comps)):
-        line_mult = next(m for b, m in breaks if abs(b - comps[i][0]) <= _BREAK_TOL)
-        values[i] = values[i - 1] - line_mult
-    for i in range(anchor_comp - 1, -1, -1):
-        line_mult = next(m for b, m in breaks if abs(b - comps[i][1]) <= _BREAK_TOL)
-        values[i] = values[i + 1] + line_mult
-
     return IndexLedger(beta_min, beta_max, breaks, (beta0, index0, provenance),
-                       [(a, b, v) for (a, b), v in zip(comps, values)])
+                       [(a, b, index0 + drop[anchor_comp] - d)
+                        for (a, b), d in zip(comps, drop)])
+
+
+def _components(beta_min, beta_max, breaks):
+    """The intervals between consecutive lines of the window.  None is empty:
+    strip_spectrum refuses a line within the cluster radius of an edge and
+    reports lines at least that far apart."""
+    edges = [beta_min] + [b for b, _ in breaks] + [beta_max]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _widest_component_midpoint(beta_min, beta_max, breaks):
     """Midpoint of the widest component; of components within _BREAK_TOL
     of the widest, the lowest, so round-off in the lines cannot pick it."""
-    edges = [beta_min] + [b for b, _ in breaks] + [beta_max]
-    comps = [(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    comps = _components(beta_min, beta_max, breaks)
     widest = max(b - a for a, b in comps)
     a, b = next(c for c in comps if c[1] - c[0] >= widest - _BREAK_TOL)
     mid = (a + b) / 2.0

@@ -11,11 +11,13 @@ where each principal coefficient is r^e * P(x) with P a homogeneous
 polynomial subject to e + deg P = |alpha| - order (so that the coefficient
 restricted to the unit sphere is a genuine sphere polynomial), plus an
 optional declared perturbation living in the weighted_norms expression
-ring.  parse_operator and formal_adjoint canonicalize principal
-coefficients into harmonic components; the canonical form is a fixed
-point of canonicalize, so round-tripping is exact and structural equality
-compares operators as they stand.  The adjoint involution holds to
-round-off: Leibniz derivatives of variable coefficients are float.
+ring.  canonicalize (which parse_operator ends with) and formal_adjoint
+build every entry through one builder that splits principal coefficients
+into harmonic components; the canonical form is a fixed point of
+canonicalize, so round-tripping is exact, the adjoint needs no second pass
+and structural equality compares operators as they stand.  The adjoint
+involution holds to round-off: Leibniz derivatives of variable
+coefficients are float.
 """
 
 from __future__ import annotations
@@ -234,21 +236,31 @@ def serialize_operator(op: SystemOperator) -> dict:
             "entries": ents}
 
 
-def _coeff_terms(n, alpha, rf, pert, order, scale):
-    """CoeffTerms of one multi-index: the harmonic parts of rf (pruned at
-    _COEFF_TOL relative to `scale`), the perturbation riding on the first."""
-    parts = sorted(rf.prune_abs(_COEFF_TOL * max(scale, 1e-300)).terms,
-                   key=lambda t: t[1].degree)
-    if not parts:
-        if pert is None or pert.is_zero():
-            return []
-        # keep a structural zero principal so the perturbation survives
-        return [(alpha, CoeffTerm(float(sum(alpha) - order), HomogPoly(n, 0, {}), pert))]
+def _add_perturbation(perts, alpha, pert):
+    """Add pert (or None) to the perturbation accumulated at alpha; perts
+    holds only nonzero sums, since two perturbations can cancel."""
+    if pert is not None:
+        acc = perts.pop(alpha, None)
+        total = pert if acc is None else acc + pert
+        if not total.is_zero():
+            perts[alpha] = total
+
+
+def _entry_terms(n, order, parts, perts, scale):
+    """CoeffTerms of one entry, by multi-index: the harmonic components of
+    each alpha's raw (radial exponent, poly) parts, pruned at _COEFF_TOL
+    relative to `scale`, the perturbation riding on the first.  A zero
+    principal is kept as a structural zero only to carry a perturbation."""
     out = []
-    for idx, (c, H) in enumerate(parts):
-        if abs(c.imag) > 1e-12:
-            raise SchemaError("complex radial exponent in principal coefficient")
-        out.append((alpha, CoeffTerm(c.real, H, pert if idx == 0 else None)))
+    tol = _COEFF_TOL * max(scale, 1e-300)
+    for alpha in sorted(set(parts) | set(perts)):
+        pert = perts.get(alpha)
+        harm = RadialFunction.from_parts(n, parts.get(alpha, ())).prune_abs(tol).terms
+        if not harm and pert is not None:
+            zero = HomogPoly(n, 0, {})
+            out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
+        for idx, (c, H) in enumerate(harm):
+            out.append((alpha, CoeffTerm(c.real, H, pert if idx == 0 else None)))
     return out
 
 
@@ -256,19 +268,13 @@ def canonicalize(op: SystemOperator) -> SystemOperator:
     """Split coefficients into harmonic components, merge and sort terms."""
     entries = {}
     for (i, j), src in op.entries.items():
-        by_alpha = {}
-        perts = {}
-        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
+        parts, perts = {}, {}
         for alpha, t in src:
-            rf = by_alpha.setdefault(alpha, RadialFunction.zero(op.n))
-            by_alpha[alpha] = rf.add(RadialFunction.from_parts(
-                op.n, [(complex(t.radial_exponent), t.poly.to_float())]))
-            if t.perturbation is not None and not t.perturbation.is_zero():
-                acc = perts.get(alpha)
-                perts[alpha] = t.perturbation if acc is None else acc + t.perturbation
-        terms = [term for alpha in sorted(by_alpha)
-                 for term in _coeff_terms(op.n, alpha, by_alpha[alpha],
-                                          perts.get(alpha), op.order(i, j), scale)]
+            parts.setdefault(alpha, []).append(
+                (complex(t.radial_exponent), t.poly.to_float()))
+            _add_perturbation(perts, alpha, t.perturbation)
+        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
+        terms = _entry_terms(op.n, op.order(i, j), parts, perts, scale)
         if terms:
             entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
@@ -396,15 +402,14 @@ def is_homogeneous_cc(op: SystemOperator) -> bool:
 
 def _leibniz_adjoint_scalar(terms, n: int):
     """Formal adjoint of one entry's terms via (c D^alpha)* = sum_(g<=a)
-    binom(a,g) D^(a-g)(conj c) D^g; returns {gamma: (RadialFunction, Expr)}."""
-    acc_rf = {}
-    acc_pert = {}
+    binom(a,g) D^(a-g)(conj c) D^g; returns the raw (radial exponent, poly)
+    parts and the perturbation of each gamma, as _entry_terms takes them."""
+    parts, perts = {}, {}
     for alpha, t in terms:
         conj_rf = RadialFunction.from_parts(
             n, [(complex(t.radial_exponent), t.poly.conjugate().to_float())])
         conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
-        gammas = _sub_multi_indices(alpha)
-        for gamma in gammas:
+        for gamma in _sub_multi_indices(alpha):
             rem = tuple(a - g for a, g in zip(alpha, gamma))
             binom = 1
             for a, g in zip(alpha, gamma):
@@ -415,14 +420,9 @@ def _leibniz_adjoint_scalar(terms, n: int):
                 for _ in range(cnt):
                     rf = differentiate(rf, i)
                     pert = None if pert is None else pert.differentiate(i)
-            if not rf.is_zero():
-                cur = acc_rf.setdefault(gamma, RadialFunction.zero(n))
-                acc_rf[gamma] = cur.add(rf.scale(binom))
-            if pert is not None and not pert.is_zero():
-                cur = acc_pert.get(gamma)
-                scaled = pert.scale(binom)
-                acc_pert[gamma] = scaled if cur is None else cur + scaled
-    return acc_rf, acc_pert
+            parts.setdefault(gamma, []).extend((c, H.scale(binom)) for c, H in rf.terms)
+            _add_perturbation(perts, gamma, None if pert is None else pert.scale(binom))
+    return parts, perts
 
 
 def _sub_multi_indices(alpha):
@@ -441,16 +441,13 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
         raise AdjointOrderViolation("max(nu) > m; some adjoint row would vanish")
     entries = {}
     for (j, i), src in op.entries.items():
-        order = op.order(j, i)  # == mu*_j - nu*_i
-        acc_rf, acc_pert = _leibniz_adjoint_scalar(src, op.n)
+        parts, perts = _leibniz_adjoint_scalar(src, op.n)
         scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
-        terms = [term for gamma in sorted(set(acc_rf) | set(acc_pert))
-                 for term in _coeff_terms(
-                     op.n, gamma, acc_rf.get(gamma, RadialFunction.zero(op.n)),
-                     acc_pert.get(gamma), order, scale)]
+        # op.order(j, i) == mu*_j - nu*_i; the entries come out canonical
+        terms = _entry_terms(op.n, op.order(j, i), parts, perts, scale)
         if terms:
             entries[(i, j)] = terms
-    return canonicalize(SystemOperator(op.n, op.k, mu_star, nu_star, entries))
+    return SystemOperator(op.n, op.k, mu_star, nu_star, entries)
 
 
 def is_formally_self_adjoint(op: SystemOperator) -> bool:

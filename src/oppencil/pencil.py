@@ -506,8 +506,6 @@ def _companion_eigenvalues(Bs):
     best of them, and cond >= 1e8 at all raises SingularLeadingCoeff."""
     m = len(Bs) - 1
     N = Bs[0].shape[0]
-    if N == 0:
-        return np.array([], dtype=complex)
     best = None
     for sigma in _SHIFTS:
         C = taylor(Bs, sigma)

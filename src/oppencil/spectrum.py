@@ -318,12 +318,9 @@ def _null_space(mat, scale=None):
     vanishing-order guard remains the final arbiter.  Returns the null
     basis, the singular values and a range basis (left singular vectors).
     """
-    if mat.size == 0:
-        return (np.zeros((mat.shape[1], 0), dtype=complex), np.array([]),
-                np.zeros((mat.shape[0], 0), dtype=complex))
     # only a wide matrix has null directions outside the reduced Vh
     U, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    smax = max(sv[0] if sv.size else 0.0, scale or 0.0)
+    smax = max(sv[0], scale or 0.0)
     svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
     below = np.where(svp < _RANK_TOL * smax)[0]
     if len(below) > 1:
@@ -695,9 +692,11 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     (UnstableSpectrum), naming the highest degree where such a mass peaks.
     One pencil is assembled and solved at every bandwidth: its kept columns
     are those of the degree + 2 pencil with zero rows appended, so each
-    eigenpoint is one of that pencil too.  A line within 1e-10 of zero is
-    reported as exactly 0, so round-off in the eigensolve never reaches the
-    printed reports.
+    eigenpoint is one of that pencil too.  A line is a run of eigenpoints
+    (sorted by Im), each within _CLUSTER_RADIUS of the next; it is keyed by
+    their multiplicity-weighted mean Im, so round-off in one eigenpoint
+    moves the line by its share only, and a key within 1e-10 of zero is
+    reported as exactly 0.
     """
     if beta1 > beta2:
         raise ValueError("beta1 must be <= beta2")
@@ -725,10 +724,13 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
                     f"strip boundary {b} lies on the critical line "
                     f"Im lambda = {ep.lambda0.imag:.9g}")
 
+    ims = np.array([ep.lambda0.imag for ep in eigenpoints])
+    mults = np.array([ep.algebraic for ep in eigenpoints], dtype=int)
+    runs = np.flatnonzero(np.diff(ims, prepend=-np.inf) >= _CLUSTER_RADIUS)
     res_lines = {}
-    for ep in eigenpoints:
-        line = ep.lambda0.imag if abs(ep.lambda0.imag) > _ZERO_LINE_TOL else 0.0
-        key = next((l for l in res_lines if abs(l - line) < _CLUSTER_RADIUS), line)
-        res_lines[key] = res_lines.get(key, 0) + ep.algebraic
+    for mult, moment in zip(np.add.reduceat(mults, runs).tolist(),
+                            np.add.reduceat(mults * ims, runs).tolist()):
+        line = moment / mult
+        res_lines[line if abs(line) > _ZERO_LINE_TOL else 0.0] = mult
 
     return SpectrumReport(op, beta1, beta2, degree, eigenpoints, res_lines, P)

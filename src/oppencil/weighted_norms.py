@@ -133,21 +133,15 @@ class Expr:
 
     # -- ring operations -----------------------------------------------------
 
-    def _merged(self, other_terms, sign=1):
+    def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other_terms.items():
-            acc = out.get(k, 0j) + sign * v
+        for k, v in other.terms.items():
+            acc = out.get(k, 0j) + v
             if acc == 0:
                 out.pop(k, None)
             else:
                 out[k] = acc
         return Expr(self.n, out)
-
-    def __add__(self, other):
-        return self._merged(other.terms)
-
-    def __sub__(self, other):
-        return self._merged(other.terms, -1)
 
     def scale(self, s):
         if s == 0:

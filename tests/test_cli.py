@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import laplacian_doc, dbar_doc, inverse_square_doc
+from oppencil.weighted_norms import Expr, weighted_cl_norm, weighted_holder_seminorm
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -845,3 +846,70 @@ def test_index_selfadjoint_builds_the_formal_adjoint_once(monkeypatch, capsys):
                           "--degree", "6"], capsys)
     assert code == 0, err
     assert len(calls) == 1
+
+
+def _potential_file(tmp_path, n, radial_exponent, monomial, coeff):
+    """-Delta on R^n plus the zeroth-order term coeff x^monomial r^radial_exponent."""
+    doc = laplacian_doc(n)
+    doc["entries"][0]["terms"].append(
+        {"alpha": [0] * n, "radial_exponent": radial_exponent,
+         "poly": {" ".join(map(str, monomial)): [coeff, 0.0]}})
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, c, strip, degree, line, mult", [
+    (3, -2.25 - 1e-9, ("0.6", "3.9"), "2", "2.5", 8),
+    (2, -1 - 1e-9, ("0.5", "4.5"), "4", "2", 6)])
+def test_res_line_printed_at_the_lines_value(tmp_path, capsys, n, c, strip, degree,
+                                             line, mult):
+    # -Delta + c r^-2 with c 1e-9 below -(1 + (n-2)/2)^2: mode 1 has a pair
+    # split in Re lambda on the line (n + 2)/2, with Im parts the eigensolve
+    # puts 2e-11 to 4e-11 off it, and mode 0 a pair on the same line; the
+    # line prints at the run's weighted mean, not at its first eigenpoint
+    path = _potential_file(tmp_path, n, -2.0, [0] * n, c)
+    code, out, err = _main(["res", path, "--strip", *strip, "--degree", degree], capsys)
+    assert code == 0, err
+    assert json.loads(out)["res_lines"][line] == mult
+
+
+def test_res_pins_the_null_space_gap_rule(tmp_path, capsys):
+    # -Delta + 0.005 (x1/r) r^-2 on R^2 splits the lines 1 and 3 by about
+    # 5e-6; at 3 only _null_space's gap rule keeps the chain count equal to
+    # the det order (without it the strip exits 3: "chain count 3 != det
+    # root order 1")
+    path = _potential_file(tmp_path, 2, -3.0, [1, 0], 0.005)
+    code, out, err = _main(["res", path, "--strip", "-0.5", "3.5", "--degree", "6"],
+                           capsys)
+    assert code == 0, err
+    lines = sorted((float(l), m) for l, m in json.loads(out)["res_lines"].items())
+    assert [(round(l), m) for l, m in lines] == [(0, 2), (1, 1), (1, 1), (2, 2),
+                                                 (3, 1), (3, 1)]
+
+
+def test_index_csv_matches_the_json_ledger(capsys):
+    argv = ["index", LAP3, "--anchor", "cc", "--window", "0.5", "4.5", "--degree", "4"]
+    code, out, err = _main(argv, capsys)
+    assert code == 0, err
+    comps = json.loads(out)["components"]
+    code, out, err = _main(argv + ["--format", "csv"], capsys)
+    assert code == 0, err
+    assert out == "beta_left,beta_right,index\n" + "".join(
+        f"{c['left']:.12g},{c['right']:.12g},{c['index']}\n" for c in comps)
+
+
+@pytest.mark.parametrize("kind, flags, norm", [
+    ("cl", ["--l", "1"], lambda u: weighted_cl_norm(u, 1, 0.5)),
+    ("holder", ["--sigma", "0.5", "--samples", "256", "--seed", "3"],
+     lambda u: weighted_holder_seminorm(u, 0.5, 0.5, samples=256, seed=3))])
+def test_norm_kinds_match_the_library(tmp_path, capsys, kind, flags, norm):
+    terms = [{"b": "-2", "c": 0, "poly": {"1 0 0": [1.0, 0.0]}}]
+    expr = tmp_path / "u.json"
+    expr.write_text(json.dumps(terms))
+    code, out, err = _main(["norm", str(expr), "--kind", kind, "--n", "3",
+                            "--beta", "0.5", *flags], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    doc.pop("tool_version")
+    assert doc == {"kind": kind, "beta": 0.5, **norm(Expr.from_json(terms, 3)).to_json()}

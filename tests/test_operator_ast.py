@@ -318,6 +318,42 @@ def test_adjoint_involution(doc_fn):
     assert operators_close(back, op, tol=1e-11)
 
 
+def _perturbed_doc():
+    """-Delta on R^3 with the perturbation (1 + r^2)^-2 (1 + 0.5i) x1 on its
+    D1^2 term, and (1 + r^2)^-(3/2) / 4 on a zero principal at D1."""
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["perturbation"] = [
+        {"b": "-2", "c": 0, "poly": {"1 0 0": [1.0, 0.5]}}]
+    doc["entries"][0]["terms"].append(
+        {"alpha": [1, 0, 0], "radial_exponent": -1.0, "poly": {"0 0 0": [0.0, 0.0]},
+         "perturbation": [{"b": "-3/2", "c": 0, "poly": {"0 0 0": [0.25, 0.0]}}]})
+    return doc
+
+
+def test_perturbations_round_trip_through_the_adjoint():
+    op = parse_operator(_perturbed_doc())
+    doc = serialize_operator(op)
+    # sorted by alpha: D3^2, D2^2, the structural zero at D1, then D1^2
+    assert [(t["poly"]["0 0 0"], "perturbation" in t)
+            for t in doc["entries"][0]["terms"]] == [
+        ([1.0, 0.0], False), ([1.0, 0.0], False), ([0.0, 0.0], True), ([1.0, 0.0], True)]
+    assert serialize_operator(parse_operator(doc)) == doc
+    adj = formal_adjoint(op)
+    # adj carries lower-order perturbations at D1 and D^0; the adjoint of
+    # adj sums perturbations at D^0 that cancel, and emits no term there
+    assert formal_adjoint(adj) == op
+    assert adj != op and not is_formally_self_adjoint(op)
+
+
+def test_cancelling_perturbations_leave_no_term():
+    doc = laplacian_doc(3)
+    zero = {"alpha": [1, 0, 0], "radial_exponent": -1.0, "poly": {"0 0 0": [0.0, 0.0]}}
+    doc["entries"][0]["terms"] += [
+        dict(zero, perturbation=[{"b": "-2", "c": 0, "poly": {"0 0 0": [s, 0.0]}}])
+        for s in (1.0, -1.0)]
+    assert parse_operator(doc) == parse_operator(laplacian_doc(3))
+
+
 def test_self_adjointness_detection(inverse_square3d, dbar2d):
     assert is_formally_self_adjoint(inverse_square3d)
     assert not is_formally_self_adjoint(dbar2d)
