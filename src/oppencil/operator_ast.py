@@ -246,16 +246,18 @@ def _add_perturbation(perts, alpha, pert):
             perts[alpha] = total
 
 
-def _entry_terms(n, order, parts, perts, scale):
+def _entry_terms(n, order, parts, perts, scale, harmonic=False):
     """CoeffTerms of one entry, by multi-index: the harmonic components of
-    each alpha's raw (radial exponent, poly) parts, pruned at _COEFF_TOL
-    relative to `scale`, the perturbation riding on the first.  A zero
-    principal is kept as a structural zero only to carry a perturbation."""
+    each alpha's raw (radial exponent, poly) parts (merged as they are when
+    `harmonic`), pruned at _COEFF_TOL relative to `scale`, the perturbation
+    riding on the first.  A zero principal is kept as a structural zero only
+    to carry a perturbation."""
     out = []
     tol = _COEFF_TOL * max(scale, 1e-300)
     for alpha in sorted(set(parts) | set(perts)):
         pert = perts.get(alpha)
-        harm = RadialFunction.from_parts(n, parts.get(alpha, ())).prune_abs(tol).terms
+        harm = RadialFunction.from_parts(n, parts.get(alpha, ()), harmonic)
+        harm = harm.prune_abs(tol).terms
         if not harm and pert is not None:
             zero = HomogPoly(n, 0, {})
             out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
@@ -402,8 +404,9 @@ def is_homogeneous_cc(op: SystemOperator) -> bool:
 
 def _leibniz_adjoint_scalar(terms, n: int):
     """Formal adjoint of one entry's terms via (c D^alpha)* = sum_(g<=a)
-    binom(a,g) D^(a-g)(conj c) D^g; returns the raw (radial exponent, poly)
-    parts and the perturbation of each gamma, as _entry_terms takes them."""
+    binom(a,g) D^(a-g)(conj c) D^g; returns the (radial exponent, poly)
+    parts, harmonic (the terms of RadialFunctions), and the perturbation of
+    each gamma, as _entry_terms takes them."""
     parts, perts = {}, {}
     for alpha, t in terms:
         conj_rf = RadialFunction.from_parts(
@@ -444,7 +447,7 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
         parts, perts = _leibniz_adjoint_scalar(src, op.n)
         scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
         # op.order(j, i) == mu*_j - nu*_i; the entries come out canonical
-        terms = _entry_terms(op.n, op.order(j, i), parts, perts, scale)
+        terms = _entry_terms(op.n, op.order(j, i), parts, perts, scale, harmonic=True)
         if terms:
             entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, mu_star, nu_star, entries)

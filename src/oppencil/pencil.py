@@ -31,20 +31,28 @@ harmonics; m, the per-row degrees and the scale are derived from them once.
 Every cut (a decoupled block, the kept columns, a mode) is one index on the
 stack.
 
-A pencil's block view (kept, components, scalars, powers, squares, roots)
-splits det pencil once into prod_i det(squares[i]) ** powers[i] and solves
-each piece once; the strip eigensolve, the det-order circle, the Jordan
-chains and the mode cut all read it.  At bandwidth 0 the squares are the
-decoupled (component, degree) blocks, one that is c(lam) I_d (radial
+A pencil's block view (kept, components, blocks, scalars, powers, squares,
+roots) splits det pencil once into prod_i det(squares[i]) ** powers[i],
+one square per block, and solves each piece once; the strip eigensolve,
+the certification, the det-order circles, the Jordan chains and the mode
+cut all read it.  At bandwidth 0 the blocks are the decoupled (component,
+degree) blocks, and the square of one that is c(lam) I_d (radial
 coefficients; Kozlov, Maz'ya and Rossmann, Spectral Problems Associated
-with Corner Singularities) as its 1 x 1 scalar c with power d.  One test
+with Corner Singularities) is its 1 x 1 scalar c with power d.  One test
 over the entries of every block finds them, and their scalars are the rows
 of one array (scalars), so their roots, det reads and chains are
-batched.  owners(lam0, radius) masks the squares with an eigenvalue in
-a circle, or in each of an array of circles, so chains and det orders are
-computed on the blocks that own it.  A mode cut (model_solver.mode_pencil)
-is a PencilMatrices too, cut with the help of P's view, so it carries its
-own view and is solved at most once.
+batched.  At bandwidth > 0 the blocks are the connected components of the
+bipartite (row, kept column) graph of B's nonzero pattern on the kept
+columns, labelled in one pass over its nonzeros: 2 to 4 rectangular
+blocks, one per parity class of the harmonics under the operator's
+symmetries, on every coupled operator in operators/.  Each block's square
+is a fixed random compression of its exact rectangular pencil
+(restriction), whose candidates the rectangular pencil certifies.
+owners(lam0, radius) masks the squares with a root in a circle, or in
+each of an array of circles, so chains and det orders are computed on the
+blocks that own it.  A mode cut (model_solver.mode_pencil) is a
+PencilMatrices too, cut with the help of P's view, so it carries its own
+view and is solved at most once.
 """
 
 from __future__ import annotations
@@ -127,12 +135,32 @@ class PencilMatrices:
         width = self.degrees[-1] + 1
         node = np.repeat(np.arange(self.k) * width, len(self.degrees))
         node += self.row_degrees
-        mag = np.abs(self.B).max(axis=0) > 1e-12 * self.scale
-        rows, cols = np.nonzero(mag | mag.T)
-        graph = np.zeros((self.k * width, self.k * width), dtype=bool)
-        graph[node[rows], node[cols]] = True
-        label = component_labels(graph)[node]
+        rows, cols = np.nonzero(np.abs(self.B).max(axis=0) > 1e-12 * self.scale)
+        label = component_labels(self.k * width, node[rows], node[cols])[node]
         return [np.flatnonzero(label == c) for c in np.unique(label)]
+
+    @cached_property
+    def blocks(self):
+        """(rows, cols) of each of P.squares, as index arrays into the work
+        basis: rows = cols = P.components[i] at bandwidth 0; otherwise the
+        connected components of the bipartite graph (rows x kept columns)
+        of the exact nonzero pattern of B[:, :, P.kept] (its coarse
+        Dulmage-Mendelsohn decomposition; Dulmage and Mendelsohn, Canad. J.
+        Math. 10, 1958), by first column.  A row no kept column reaches is in
+        no block; no nonzero of B[:, :, P.kept] lies outside one."""
+        if self.bandwidth == 0:
+            return [(idx, idx) for idx in self.components]
+        n_r, kept = self.size, self.kept
+        rows, cols = np.nonzero(self.B[:, :, kept].any(axis=0))
+        label = component_labels(n_r + len(kept), rows, n_r + cols)
+        tops, first, block = np.unique(label[n_r:], return_index=True, return_inverse=True)
+        return [(np.flatnonzero(label[:n_r] == tops[b]), kept[block == b])
+                for b in np.argsort(first).tolist()]
+
+    def restriction(self, i):
+        """The exact pencil on block i (P.blocks): B[:, rows][:, :, cols]."""
+        rows, cols = self.blocks[i]
+        return self.B[:, rows[:, None], cols]
 
     @cached_property
     def scalars(self):
@@ -145,7 +173,8 @@ class PencilMatrices:
         reads the entries of every block at once.  The batched roots, det
         reads and chains read C."""
         if self.bandwidth:
-            return np.full(1, -1), np.zeros((0, self.m + 1), dtype=complex)
+            return (np.full(len(self.blocks), -1),
+                    np.zeros((0, self.m + 1), dtype=complex))
         comps = self.components
         sizes = np.array([len(idx) for idx in comps])
         order = np.concatenate(comps)        # the rows, block by block
@@ -174,27 +203,31 @@ class PencilMatrices:
         """The power of each of P.squares in det pencil: d for a block that is
         c(lam) I_d (P.scalars), else 1."""
         if self.bandwidth:
-            return [1]
+            return [1] * len(self.blocks)
         return np.where(self.scalars[0] >= 0, [len(idx) for idx in self.components],
                         1).tolist()
 
     @cached_property
     def squares(self):
-        """Square pencils (coefficient stacks), det pencil = prod_i det(P.squares
-        [i]) ** P.powers[i]: the decoupled blocks (a c(lam) I one as its 1 x 1
-        c, a view of P.scalars) when the bandwidth is 0, otherwise one fixed
-        random compression Q R_j of the exact rectangular restriction R_j to
-        the kept columns."""
+        """Square pencils (coefficient stacks), one per block (P.blocks), det
+        pencil = prod_i det(P.squares[i]) ** P.powers[i]: the decoupled blocks
+        (a c(lam) I one as its 1 x 1 c, a view of P.scalars) when the
+        bandwidth is 0, otherwise a fixed random compression Q_i R_i of each
+        block's exact rectangular pencil R_i (P.restriction(i)), Q_i drawn
+        from a seed of R_i's shape."""
         if self.bandwidth == 0:
             row, C = self.scalars
-            return [self.B[:, idx[:, None], idx] if r < 0 else C[r, :, None, None]
-                    for idx, r in zip(self.components, row.tolist())]
-        R = self.B[:, :, self.kept]
-        n_r, n_c = R.shape[1:]
-        rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
-        Q = (rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r)))
-        Q /= math.sqrt(2 * n_r)
-        return [Q @ R]
+            return [self.restriction(i) if r < 0 else C[r, :, None, None]
+                    for i, r in enumerate(row.tolist())]
+        squares = []
+        for i in range(len(self.blocks)):
+            R = self.restriction(i)
+            n_r, n_c = R.shape[1:]
+            rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
+            Q = rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r))
+            Q /= math.sqrt(2 * n_r)
+            squares.append(Q @ R)
+        return squares
 
     @cached_property
     def roots(self):
@@ -234,15 +267,12 @@ class PencilMatrices:
         return np.repeat(roots, np.array(self.powers)[square])
 
     def owners(self, lam0, radius):
-        """Which of P.squares own an eigenvalue strictly inside the circle
+        """Which of P.squares own a root (P.roots) strictly inside the circle
         |lam - lam0| < radius: a mask of shape np.shape(lam0) + (len(P.squares),),
-        lam0 and radius being one circle or arrays of them.  A compressed
-        square (bandwidth > 0) is not the pencil, so it owns every circle.
-        At bandwidth 0, square i is the block P.components[i], and det
-        pencil has no zero in the circle outside the owners."""
+        lam0 and radius being one circle or arrays of them.  Square i is
+        block i (P.blocks), so det pencil has no zero in the circle outside
+        the owners."""
         lam0 = np.asarray(lam0)
-        if self.bandwidth:
-            return np.ones(lam0.shape + (1,), dtype=bool)
         roots, square = self.roots
         inside = np.abs(roots - lam0[..., None]) < np.asarray(radius)[..., None]
         return inside @ (square[:, None] == np.arange(len(self.squares)))
@@ -526,16 +556,23 @@ def _companion_eigenvalues(Bs):
     return vals[np.abs(vals) < 1e8]
 
 
-def component_labels(adj):
-    """Smallest member of each node's connected component (adj symmetric),
-    by boolean matrix squaring; plain numpy, since the program imports no
-    scipy (tests/test_hygiene.py::test_cli_run_loads_no_scipy)."""
-    reach = adj | np.eye(len(adj), dtype=bool)
+def component_labels(n, a, b):
+    """Smallest member of the connected component of each of the nodes
+    0..n-1 under the edges (a[e], b[e]): min-label propagation over the
+    edge list with pointer jumping, O(edges) a round.  Each node's label
+    stays a member of its component and never grows, so the rounds end,
+    and at their end every edge joins equal labels, each component's its
+    smallest member.  Plain numpy, since the program imports no scipy
+    (tests/test_hygiene.py::test_cli_run_loads_no_scipy)."""
+    label = np.arange(n)
     while True:
-        grown = reach.astype(float) @ reach.astype(float) > 0
-        if np.array_equal(grown, reach):
-            return np.argmax(reach, axis=1)
-        reach = grown
+        new = label.copy()
+        np.minimum.at(new, a, label[b])
+        np.minimum.at(new, b, label[a])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def horner(coeffs, lam):

@@ -206,8 +206,12 @@ class RadialFunction:
         return RadialFunction(n, [])
 
     @staticmethod
-    def from_parts(n, parts):
-        """Build from raw (c, poly) pairs; polys need not be harmonic."""
+    def from_parts(n, parts, harmonic=False):
+        """Build from raw (c, poly) pairs; polys need not be harmonic.  Parts
+        known to be harmonic float polys (harmonic=True: the terms of
+        RadialFunctions, scaled) are merged without the decomposition."""
+        if harmonic:
+            return RadialFunction(n, _merge(parts))
         raw = []
         for c, P in parts:
             if P.is_zero():

@@ -2,23 +2,24 @@
 biorthogonal adjoint chains, power-exponential solutions, critical lines.
 
 Eigenvalues are found once per pencil (P.eigenvalues) from the square
-pieces P.squares into which the pencil's block view splits det pencil:
-the decoupled (component, degree) blocks when the bandwidth is 0 (a
-c(lam) I block as its 1 x 1 scalar, its roots counted P.powers times),
-and otherwise a fixed random compression of the exact rectangular
-restriction to the fully-resolved columns P.kept (the square truncation
-is then structurally singular), whose candidates a small singular value
-of the rectangular pencil certifies.  The kept columns are those of
-every wider pencil with zero rows appended, so a certified value is an
-eigenvalue of every wider pencil, and no wider pencil is solved.
-strip_eigenpoints clusters and chains the eigenvalues in a strip of any
-pencil (a strip's, or a model-solve mode block's) under one rule:
-certified only in the strip; circles isolate from every eigenvalue (the
-det read is of P.squares, which vanishes at each).  A strip is refused
-when a candidate in it fails certification (a line the degree does not
-resolve) or an eigenvector carries more than half its mass above the
-analysis degree (a higher mode's line); a coupled eigenvector's small
-tail is kept.
+pieces P.squares into which the pencil's block view splits det pencil,
+one per block (P.blocks): the decoupled (component, degree) blocks when
+the bandwidth is 0 (a c(lam) I block as its 1 x 1 scalar, its roots
+counted P.powers times), and otherwise a fixed random compression of
+each block of the exact rectangular restriction to the fully-resolved
+columns P.kept (the square truncation is then structurally singular),
+whose candidates a small singular value of the block's rectangular
+pencil certifies.  The kept columns are those of every wider pencil with
+zero rows appended, so a certified value is an eigenvalue of every wider
+pencil, and no wider pencil is solved.  strip_eigenpoints clusters and
+chains the eigenvalues in a strip of any pencil (a strip's, or a
+model-solve mode block's) under one rule: certified only in the strip;
+each point isolated from every eigenvalue, and the det circle of an owner
+that shares it from its own square's roots (the det it reads vanishes at
+each).  A strip is refused when a candidate in it fails certification (a
+line the degree does not resolve) or an eigenvector carries more than
+half its mass above the analysis degree (a higher mode's line); a coupled
+eigenvector's small tail is kept.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -32,9 +33,11 @@ biorthogonality rows; the chain, adjoint and pairing residuals are read
 off those solved systems.  A chain must satisfy its equations to
 _CHAIN_TOL.
 
-One rule chains a point: each square that owns it (P.owners) is chained
-under its own det order, the vanishing order at lam0 of its factor of
-det pencil (Taylor coefficients by FFT on a circle with four nodes per
+One rule chains a point: each square that owns it (a root within the
+cluster radius, P.owners) is chained under its own det order, the
+vanishing order of its factor of det pencil at the point, or, when it
+shares the point, at the mean of its own roots there (Taylor
+coefficients by FFT on a circle with four nodes per
 eigenvalue inside), which its chain vectors must number; over a strip
 the orders must also sum to the number of eigenvalues clustered there.
 A 1 x 1 owner (a c(lam) I block's scalar) with a zero of order o has one
@@ -192,18 +195,22 @@ def _stacked(fn, B, points, size):
 def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     """All finite certified eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, the only ones
-    certified (by stacked SVDs no larger than P.B).  The companion
-    eigensolve runs once per pencil (P.eigenvalues)."""
+    certified.  The companion eigensolves run once per pencil
+    (P.eigenvalues)."""
     vals = P.eigenvalues
-    if band is not None:
-        vals = vals[(band[0] < vals.imag) & (vals.imag < band[1])]
+    keep = (np.ones(len(vals), dtype=bool) if band is None
+            else (band[0] < vals.imag) & (vals.imag < band[1]))
     # decoupled blocks are the pencil itself; a compressed square is not,
-    # so its candidates are certified against the rectangular restriction
-    if P.bandwidth == 0:
-        return vals
-    sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
-                                 P.B[:, :, P.kept], vals, P.B.size))
-    return vals[sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)]
+    # so each block's candidates are certified against its own rectangular
+    # pencil, by stacked SVDs no larger than P.B
+    if P.bandwidth:
+        square = P.roots[1]
+        for i in np.unique(square[keep]).tolist():
+            sel = np.flatnonzero(keep & (square == i))
+            sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
+                                         P.restriction(i), vals[sel], P.B.size))
+            keep[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
+    return vals[keep]
 
 
 def cluster_eigenvalues(vals):
@@ -218,7 +225,8 @@ def cluster_eigenvalues(vals):
     vals = np.asarray(vals, dtype=complex)
     if vals.size == 0:
         return []
-    label = component_labels(np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS)
+    label = component_labels(len(vals), *np.nonzero(
+        np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS))
     counts = np.bincount(label)
     counts = counts[counts > 0]
     members = np.argsort(label, kind="stable")   # cluster by cluster, in order
@@ -243,39 +251,39 @@ def _unit_circle(nodes):
     return w
 
 
-def det_vanishing_order(P: PencilMatrices, lam0, radius):
-    """Order of the zero at lam0 of det(P.squares[i]) ** P.powers[i], the
-    factor of det pencil each square gives, from scaled Taylor coefficients:
-    an array of shape np.shape(lam0) + (len(P.squares),), lam0 and radius
-    being one circle or arrays of them, read in one pass.  The order of det
-    pencil is the sum over the last axis.
+def det_vanishing_order(P: PencilMatrices, lam0, radius, square):
+    """Order of the zero at lam0 of det(P.squares[i]) ** P.powers[i] for
+    i = square, the factor of det pencil that square gives, from scaled
+    Taylor coefficients: an array of the shape of lam0, lam0, radius and
+    square being one (circle, square) pair or arrays of them, read in one
+    pass.  The order of det pencil at a point is the sum over its owners
+    (P.owners).
 
-    Only the squares that own an eigenvalue inside a circle (P.owners)
-    vanish there; each is read alone and counts P.powers[i] = d times.  The
-    c of P.eigenvalues strictly inside bound its order by ceil(c / d): the
-    FFT of its det at N = max(16, 2^ceil(log2(4 ceil(c / d)))) circle nodes
-    gives the scaled derivatives a_j rho^j modulo N, and the order is the
+    Each square is read alone and counts P.powers[i] = d times.  The c of
+    its own roots (P.roots) strictly inside bound the order of its det: the
+    FFT of that det at N = max(16, 2^ceil(log2(4 c))) circle nodes gives
+    the scaled derivatives a_j rho^j modulo N, and the order is d times the
     first of the lower N/2 above _DET_ORDER_TOL of the largest and, for a
     1 x 1 square (a full one's det is rescaled), above its values' round-off
     _DET_ROUNDOFF N eps max_z sum_j |C_j| |z|^j.  None, or one in the top
     quarter of the N/2, may be aliased: MultiplicityMismatch.  Per N, each
     full square's circles take stacked Horner passes and slogdets no larger
-    than P.B (dets over their geometric mean), the scalars' one Horner
-    pass; each group one FFT.  Each circle must isolate its lam0 from every
-    eigenvalue of P.
+    than P.B (dets over their geometric mean), the scalars' one Horner pass;
+    each group one FFT.  Each circle must isolate its lam0 from every root
+    of its square.
     """
     lam, rad = np.asarray(lam0, dtype=complex).ravel(), np.asarray(radius).ravel()
-    count = (np.abs(P.eigenvalues - lam[:, None]) < rad[:, None]).sum(axis=1)
-    at, square = np.nonzero(P.owners(lam, rad))
+    square = np.asarray(square).ravel()
+    roots, of = P.roots
+    count = ((np.abs(roots - lam[:, None]) < rad[:, None]) & (of == square[:, None])).sum(axis=1)
+    nodes = np.array([max(16, 1 << (4 * c - 1).bit_length()) for c in count.tolist()], dtype=int)
     d = np.array(P.powers)[square]
-    nodes = np.array([max(16, 1 << (4 * -(-c // k) - 1).bit_length())
-                      for c, k in zip(count[at].tolist(), d.tolist())], dtype=int)
     row = P.scalars[0][square]
     group = np.where(row < 0, square, -1)    # a full square, or every scalar
-    first = np.empty(len(at), dtype=int)
+    first = np.empty(len(lam), dtype=int)
     for N, s in sorted(set(zip(nodes.tolist(), group.tolist()))):
         sel = (nodes == N) & (group == s)
-        z = lam[at[sel], None] + rad[at[sel], None] * _unit_circle(N)
+        z = lam[sel, None] + rad[sel, None] * _unit_circle(N)
         if s >= 0:
             sign, logabs = (np.concatenate(x) for x in zip(*_stacked(
                 np.linalg.slogdet, P.squares[s], z, P.B.size)))
@@ -296,11 +304,9 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius):
         N = int(nodes[p])
         read = "none" if first[p] == N // 2 else int(first[p])
         raise MultiplicityMismatch(
-            f"det root order at {complex(lam[at[p]])} unresolved on {N} circle nodes "
+            f"det root order at {complex(lam[p])} unresolved on {N} circle nodes "
             f"(first non-negligible coefficient: {read} of {N // 2})")
-    orders = np.zeros((len(lam), len(P.squares)), dtype=int)
-    orders[at, square] = d * first
-    return orders.reshape(np.shape(lam0) + (len(P.squares),))
+    return (d * first).reshape(np.shape(lam0))
 
 
 # ---------------------------------------------------------------------------
@@ -422,41 +428,51 @@ def _isolation(centers, points):
     return np.where(np.isinf(isolation), 1.0, isolation)
 
 
+def _det_radius(isolation):
+    """The det circle's radius: _DET_RADIUS_SHARE of the isolation, clipped
+    to [1e-5, _DET_RADIUS_MAX]."""
+    return np.maximum(np.minimum(_DET_RADIUS_SHARE * np.asarray(isolation),
+                                 _DET_RADIUS_MAX), 1e-5)
+
+
 def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     """Canonical system of Jordan chains at lambda0 (an Eigenpoint), or at
     each of an array of points, `isolation` then an array of one isolation
     per point (a list of Eigenpoints).
 
-    One rule: each owner (P.owners) is chained under its own det order.
-    The orders are read first, one per (point, square), all in one call,
-    each on a circle of radius 0.45 * isolation clipped to [1e-5, 0.1]
-    (Eigenpoint.radius).  A 1 x 1 owner has closed-form chains
-    (_scalar_chains), all (point, owner) pairs in one pass; a full owner is
-    chained by chains_from_matrices on its block at bandwidth 0, else on
-    the kept columns of the whole pencil (_owner_chains).  Each owner's
-    chain count must be its det order (MultiplicityMismatch, also when a
-    chain's relative residual exceeds _CHAIN_TOL).  The chains, padded back
-    to the full basis, run longest first, then by owner.  NotAnEigenvalue
-    when no block owns a point, or when pencil(lambda0) has full rank on an
-    owner.
+    One rule: each owner, a square with a root within the cluster radius
+    of the point, is chained under its own det order, both read on the
+    owner's circle (_owner_circles).  The point's own circle, of radius
+    0.45 * isolation clipped to [1e-5, 0.1], is Eigenpoint.radius and a
+    sole owner's; an owner that shares the point is read at the mean of
+    its members, isolated from its own roots only.  The
+    orders are read first, one per (point, owner), all in one call.  A
+    1 x 1 owner has closed-form chains (_scalar_chains), all (point, owner)
+    pairs in one pass; a full owner is chained by chains_from_matrices on
+    its block's exact pencil (_owner_chains).  Each owner's chain count
+    must be its det order (MultiplicityMismatch, also when a chain's
+    relative residual exceeds _CHAIN_TOL).  The chains, padded back to the
+    full basis, run longest first, then by owner.  NotAnEigenvalue when no
+    block owns a point, or when pencil(lambda0) has full rank on an owner.
     """
     lam = np.asarray(lambda0, dtype=complex)
     if isolation is None:
         isolation = _isolation(lam, P.eigenvalues)
-    radius = np.maximum(np.minimum(_DET_RADIUS_SHARE * np.asarray(isolation),
-                                   _DET_RADIUS_MAX), 1e-5)
+    radius = _det_radius(isolation)
     lams, radii = lam.ravel(), radius.ravel()
-    owned = P.owners(lams, radii)
-    lost = np.flatnonzero(~owned.any(axis=1))
+    at, square, centre, rad = _owner_circles(P, lams, radii)
+    lost = np.flatnonzero(np.bincount(at, minlength=len(lams)) == 0)
     if lost.size:
         raise NotAnEigenvalue(f"no block owns lambda0 = {complex(lams[lost[0]])}")
-    orders = det_vanishing_order(P, lams, radii)
-    closed = _scalar_chains(P, lams, owned)
-    full = owned & (P.scalars[0] < 0)
+    orders = np.zeros((len(lams), len(P.squares)), dtype=int)
+    orders[at, square] = det_vanishing_order(P, centre, rad, square)
+    closed = _scalar_chains(P, centre, at, square, len(lams))
+    full = [[] for _ in lams]   # each point's full owners, (centre, square)
+    for p in np.flatnonzero(P.scalars[0][square] < 0).tolist():
+        full[at[p]].append((complex(centre[p]), int(square[p])))
     points = []
     for k, (lam0, want) in enumerate(zip(lams.tolist(), orders.tolist())):
-        found = closed[k] + [f for i in np.flatnonzero(full[k]).tolist()
-                             for f in _owner_chains(P, lam0, i, want[i])]
+        found = closed[k] + [f for c, i in full[k] for f in _owner_chains(P, c, i, want[i])]
         count = [0] * len(want)
         for i, chain, _ in found:
             count[i] += len(chain)
@@ -475,49 +491,76 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
     return points if lam.ndim else points[0]
 
 
-def _scalar_chains(P: PencilMatrices, lam, owned):
-    """closed[k]: the (owner, chain, residual) of each chain at lam[k] of the
-    1 x 1 owners (P.scalars) in row k of the mask `owned`.
+def _owner_circles(P: PencilMatrices, lam, radius):
+    """The owners of each point lam[k] and the det circle each is read on:
+    (at, square, centre, radius), one entry per (point, owner) pair, by
+    point, then square.
 
-    A scalar c has a zero of order o at lam0 when its Taylor coefficients
-    c_s there are below _RANK_TOL * max(|c_0|, scale) for s < o and c_o is
-    above it; its one chain is then [1, 0, ..., 0] of length o (Gohberg,
-    Lancaster and Rodman, Matrix Polynomials), so an owner c(lam) I_d adds
-    d such chains on the unit vectors of its block, each of residual
-    max_(s<o) |c_s| / scale.  All pairs are evaluated in one Horner pass.
-    NotAnEigenvalue when c_0 is above the cut.
+    A point's members are the roots (P.roots) within _CLUSTER_RADIUS of it,
+    those its isolation ignores, and its owners (P.owners) their squares.  A
+    sole owner holds all of them and is read on the point's own circle
+    (radius[k], isolated from every eigenvalue).  An owner that shares the
+    point is read at the mean of its own members, since members of one
+    cluster in different blocks sit up to half its spread off the point,
+    too far for a det read there; its circle isolates that centre from the
+    owner's own roots only, since a square's det vanishes at its own roots
+    alone (_det_radius of that isolation)."""
+    owned = P.owners(lam, _CLUSTER_RADIUS)
+    at, square = np.nonzero(owned)
+    centre, rad = lam[at], radius[at]
+    shared = np.flatnonzero(owned.sum(axis=1)[at] > 1)
+    if shared.size:
+        roots, of = P.roots
+        own = np.where(of == square[shared, None], roots, np.inf)
+        near = np.abs(own - centre[shared, None]) < _CLUSTER_RADIUS
+        centre[shared] = np.where(near, own, 0).sum(axis=1) / near.sum(axis=1)
+        rad[shared] = _det_radius(_isolation(centre[shared], own))
+    return at, square, centre, rad
+
+
+def _scalar_chains(P: PencilMatrices, centre, at, square, points):
+    """closed[k] for k < points: the (owner, chain, residual) of each chain
+    of the 1 x 1 owners (P.scalars) of point k, from the (point, owner)
+    pairs (at, square), each read at its centre.
+
+    A scalar c has a zero of order o at its centre when its Taylor
+    coefficients c_s there are below _RANK_TOL * max(|c_0|, scale) for
+    s < o and c_o is above it; its one chain is then [1, 0, ..., 0] of
+    length o (Gohberg, Lancaster and Rodman, Matrix Polynomials), so an
+    owner c(lam) I_d adds d such chains on the unit vectors of its block,
+    each of residual max_(s<o) |c_s| / scale.  All pairs are evaluated in
+    one Horner pass.  NotAnEigenvalue when c_0 is above the cut.
     """
     row, C = P.scalars
-    at, square = np.nonzero(owned & (row >= 0))
-    c = np.abs(taylor(C[row[square]].T, lam[at]))
-    scale = _chain_scale(P, lam[at])
+    pair = np.flatnonzero(row[square] >= 0)
+    lam, at, square = centre[pair], at[pair], square[pair]
+    c = np.abs(taylor(C[row[square]].T, lam))
+    scale = _chain_scale(P, lam)
     # the leading coefficients under the cut: c_0 .. c_(o-1)
     lead = np.cumprod(c <= _RANK_TOL * np.maximum(c[0], scale), axis=0, dtype=bool)
     order = lead.sum(axis=0)
     lost = np.flatnonzero(order == 0)
     if lost.size:
         p = lost[0]
-        raise NotAnEigenvalue(f"sigma_min = {c[0, p]:.3e} at lambda0 = {complex(lam[at[p]])}")
+        raise NotAnEigenvalue(f"sigma_min = {c[0, p]:.3e} at lambda0 = {complex(lam[p])}")
     res = (c * lead).max(axis=0) / scale
-    closed = [[] for _ in lam]
+    closed = [[] for _ in range(points)]
     for k, s, o, r in zip(at.tolist(), square.tolist(), order.tolist(), res.tolist()):
         closed[k] += [(s, [_pad(float(q == 0), j, P.size) for q in range(o)], r)
-                      for j in P.components[s].tolist()]
+                      for j in P.blocks[s][1].tolist()]
     return closed
 
 
 def _owner_chains(P: PencilMatrices, lambda0: complex, i, order):
     """The (owner, chain, residual) of each chain at lambda0 of the full
     square P.squares[i] under its det order: chains_from_matrices on its
-    block at bandwidth 0, else on the kept columns of the whole pencil,
-    padded to the full basis."""
-    cut, keep = ((P.B[:, :, P.kept], P.kept) if P.bandwidth
-                 else (P.squares[i], P.components[i]))
+    block's exact pencil (P.restriction(i)), padded to the full basis."""
     try:
         _, _, chains, residuals = chains_from_matrices(
-            taylor(cut, lambda0), _chain_scale(P, lambda0), order)
+            taylor(P.restriction(i), lambda0), _chain_scale(P, lambda0), order)
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
+    keep = P.blocks[i][1]
     return [(i, [_pad(v, keep, P.size) for v in chain], res)
             for chain, res in zip(chains, residuals)]
 
@@ -655,15 +698,16 @@ def power_solutions(e) -> list:
 
 def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re), under one
-    rule: values are certified only in the strip; circles isolate from
-    every eigenvalue of P, certified or not (the det read vanishes at each).
-    The certified values cluster within _CLUSTER_RADIUS, all centres
-    chained in one jordan_chains call.  Values within the cluster radius
-    outside an edge are kept, so a line on an edge reaches RefuseBoundary
-    whatever side round-off puts it on.  A candidate there that fails
-    certification is a line the degree does not resolve (UnstableSpectrum).
-    The algebraic multiplicities must sum to the number of values clustered
-    (MultiplicityMismatch otherwise)."""
+    rule: values are certified only in the strip, each on its own block;
+    each centre isolates from every eigenvalue of P, certified or not, and
+    the det circle of an owner that shares a centre from its own square's
+    roots (the det read vanishes at each).  The certified values cluster
+    within _CLUSTER_RADIUS, all centres chained in one jordan_chains call.
+    Values within the cluster radius outside an edge are kept, so a line on
+    an edge reaches RefuseBoundary whatever side round-off puts it on.  A
+    candidate there that fails certification is a line the degree does not
+    resolve (UnstableSpectrum).  The algebraic multiplicities must sum to
+    the number of values clustered (MultiplicityMismatch otherwise)."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
     in_strip = solve_pencil_eigenvalues(P, (lo, hi))
     found = np.count_nonzero((lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi))

@@ -56,12 +56,19 @@ def coupled_pair_doc(b):
                         for i in range(2) for j in range(2)]}
 
 
-def drift_doc(eps=0.5):
-    """-Delta + eps (x_1/r) r^(-2) on R^3: couples harmonic degrees by 1."""
-    doc = laplacian_doc(3)
+def with_drift(doc, eps):
+    """doc (a scalar operator on R^n) plus eps (x_1/r) r^(-2): couples
+    harmonic degrees by 1."""
+    n = doc["n"]
     doc["entries"][0]["terms"].append(
-        {"alpha": [0, 0, 0], "radial_exponent": -3.0, "poly": {"1 0 0": [eps, 0.0]}})
+        {"alpha": [0] * n, "radial_exponent": -3.0,
+         "poly": {" ".join(["1"] + ["0"] * (n - 1)): [eps, 0.0]}})
     return doc
+
+
+def drift_doc(eps=0.5):
+    """-Delta + eps (x_1/r) r^(-2) on R^3."""
+    return with_drift(laplacian_doc(3), eps)
 
 
 def d1d2_doc():

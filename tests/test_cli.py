@@ -888,6 +888,22 @@ def test_res_pins_the_null_space_gap_rule(tmp_path, capsys):
                                                  (3, 1), (3, 1)]
 
 
+@pytest.mark.parametrize("n, eps, strip, total", [
+    # the 7 eigenvalues at -1i lie within 1e-7 of each other, spread over
+    # the blocks: each owner is read at its own members' mean
+    (3, 0.005, ("-1.5", "2.5"), 16),
+    # a near-double pair certifies on its own block
+    (2, 0.166695, ("-0.5", "3.5"), 8),
+    (2, -0.166695, ("-0.5", "3.5"), 8)])
+def test_res_drift_strips_answer_their_closed_form(tmp_path, capsys, n, eps, strip, total):
+    # -Delta + eps (x1/r) r^-2 keeps -Delta's strip total at half-integer
+    # edges: lines 2 - l and n + l, each of the degree-l harmonics' dimension
+    path = _potential_file(tmp_path, n, -3.0, [1] + [0] * (n - 1), eps)
+    code, out, err = _main(["res", path, "--strip", *strip, "--degree", "4"], capsys)
+    assert code == 0, err
+    assert sum(json.loads(out)["res_lines"].values()) == total
+
+
 def test_index_csv_matches_the_json_ledger(capsys):
     argv = ["index", LAP3, "--anchor", "cc", "--window", "0.5", "4.5", "--degree", "4"]
     code, out, err = _main(argv, capsys)

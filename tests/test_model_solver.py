@@ -376,8 +376,8 @@ def test_residuals_match_the_direct_pairing(case):
 def test_chain_count_checked_against_det_order(monkeypatch, mode3_l0, capsys):
     true_order = spectrum.det_vanishing_order
     monkeypatch.setattr(spectrum, "det_vanishing_order",
-                        lambda P, lam0, radius: true_order(P, lam0, radius)
-                        + P.owners(lam0, radius))
+                        lambda P, lam0, radius, square:
+                        true_order(P, lam0, radius, square) + 1)
     with pytest.raises(MultiplicityMismatch, match="chain count 1 != det root order 2"):
         line_difference_expansion(mode3_l0, gauss, 1.5, 2.5)
     code = main(["model-solve", str(OPERATORS / "laplacian3d.json"), "--mode", "0",
