@@ -19,7 +19,9 @@ three ways and reports their mutual deviations:
      the u_(j,m) and summed;
   3. the coefficient pairing  c_(j,m) = <f, i v_(j,m)>  against the
      power-exponential solutions v_(j,m) of the biorthogonal adjoint
-     chains, summed as c_(j,m) u_(j, M_j-1-m).
+     chains, through route 2's Taylor moments (its grid sum reordered, no
+     v_(j,m) on the grid), summed as c_(j,m) u_(j, M_j-1-m).  Route 1
+     checks the quadrature that routes 2 and 3 share.
 
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
@@ -193,19 +195,29 @@ class ExpansionResult:
         }
 
 
-def _laurent_coefficients(mp, t, fvals, lam0, radius, max_order):
+def _taylor_moments(t, fvals, lam0, order):
+    """Taylor coefficients F_k, k < order, of fhat at lam0, shape (order, q):
+    the moments dt sum_t f(t) (-it)^k/k! e^(-i lam0 t).  Also returns the
+    grid factors they share with the power-exponential solutions at lam0:
+    e^(i lam0 t) and the powers (it)^l/l!, l < order (l = 0 as the scalar 1)."""
+    powers = [1.0]
+    for l in range(1, order):
+        powers.append(powers[-1] * (1j / l) * t)
+    expo = np.exp(1j * lam0 * t)
+    w = (t[1] - t[0]) / expo
+    return np.array([(w * np.conj(p)) @ fvals for p in powers]), expo, powers
+
+
+def _laurent_coefficients(mp, F, lam0, radius, max_order):
     """Laurent coefficients a_(-1-s), s = 0..max_order-1, of
     b(lam)^(-1) fhat(lam) at lam0 (a pole of order max_order):
     a_(-1-s) = sum_k L_(-1-s-k) F_k, with L the Laurent coefficients of
-    b^(-1) by FFT on a circle and F_k the Taylor coefficients of fhat,
-    the moments dt sum_t f(t) (-it)^k / k! e^(-i lam0 t)."""
+    b^(-1) by FFT on a circle and F the Taylor moments of fhat there."""
     thetas = 2 * math.pi * np.arange(_LAURENT_NODES) / _LAURENT_NODES
     lams = lam0 + radius * np.exp(1j * thetas)
     coeffs = np.fft.fft(np.linalg.inv(horner(mp.B, lams)), axis=0) / _LAURENT_NODES
     # coefficient of (lam-lam0)^(-1-s) is the e^(+i(1+s)theta) Fourier mode
     L = [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
-    w = (t[1] - t[0]) * np.exp(-1j * lam0 * t)
-    F = [(w * (-1j * t) ** k / math.factorial(k)) @ fvals for k in range(max_order)]
     return [sum(L[s + k] @ F[k] for k in range(max_order - s))
             for s in range(max_order)]
 
@@ -243,7 +255,6 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
     diff_coeff = np.zeros_like(diff_solve)
     coeffs_direct = []
     coeffs_residue = []
-    dt = t[1] - t[0]
     # both lines lie >= _LINE_TOL = the cluster radius from every pole, so
     # the strip's eigenpoints are the crossed poles, each cluster whole
     eigenpoints = strip_eigenpoints(mp, beta1, beta2)
@@ -253,28 +264,31 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
         partner = {(u.j, len(ep.chains[u.j]) - 1 - u.m): u
                    for u in power_solutions(ep)}
         targets = [partner[v.j, v.m] for v in duals]
+        order = max(ep.partial_multiplicities)
+        F, expo, powers = _taylor_moments(t, fvals, ep.lambda0, order)
 
         # coefficient formula route: c_(j,m) = i <f, v_(j,m)> with the
         # sesquilinear cylinder pairing (the i sits outside the pairing;
-        # cross-validated against the solve difference and the residues)
-        direct = [complex(1j * dt * np.sum(fvals * np.conj(v.evaluate_t(t))))
+        # cross-validated against the solve difference and the residues),
+        # whose grid sum dt sum_t f conj(v) reorders to sum_l conj(psi_l) . F_l
+        direct = [1j * sum(np.vdot(psi, F[l]) for l, psi in enumerate(v.coeffs))
                   for v in duals]
 
         # residue route: the two line integrals differ by the counterclockwise
         # strip contour, so diff = i * sum of residues of b^(-1) fhat e^(i lam t);
         # its (it)^s/s! data are matched by sum_(j,m) c_(j,m) phi_(j, M_j-1-m-s)
-        order = max(ep.partial_multiplicities)
-        laurent = _laurent_coefficients(mp, t, fvals, ep.lambda0, ep.radius, order)
+        laurent = _laurent_coefficients(mp, F, ep.lambda0, ep.radius, order)
         A = np.zeros((order * q, len(targets)), dtype=complex)
         for col, u in enumerate(targets):
             A[:len(u.coeffs) * q, col] = np.concatenate(u.coeffs)
         residue, *_ = np.linalg.lstsq(A, 1j * np.concatenate(laurent), rcond=None)
 
-        for v, u, c, r in zip(duals, targets, direct, residue):
-            grid = u.evaluate_t(t)
-            diff_coeff += c * grid
-            diff_residue += r * grid
-            coeffs_direct.append(ExpansionCoefficient(ep.lambda0, v.j, v.m, c))
+        # sum_(j,m) c_(j,m) u_(j,m)(t) = e^(i lam0 t) sum_l (it)^l/l! (A c)_l
+        for diff, c in ((diff_coeff, direct), (diff_residue, residue)):
+            diff += expo[:, None] * sum(np.multiply.outer(p, x) for p, x
+                                        in zip(powers, (A @ c).reshape(order, q)))
+        for v, c, r in zip(duals, direct, residue):
+            coeffs_direct.append(ExpansionCoefficient(ep.lambda0, v.j, v.m, complex(c)))
             coeffs_residue.append(ExpansionCoefficient(ep.lambda0, v.j, v.m,
                                                        complex(r)))
 

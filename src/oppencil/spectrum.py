@@ -137,14 +137,6 @@ class PowerExpSolution:
     m: int
     coeffs: list            # coeff[l] = chain vector phi_(j, m-l), basis coords
 
-    def evaluate_t(self, t):
-        """Coefficient vector at time t: sum_l (it)^l/l! coeff[l]."""
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape + (len(self.coeffs[0]),), dtype=complex)
-        for l, vec in enumerate(self.coeffs):
-            acc += ((1j * t) ** l / math.factorial(l))[..., None] * np.asarray(vec)
-        return np.exp(1j * self.lambda0 * t)[..., None] * acc
-
 
 @dataclass
 class SpectrumReport:

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import inverse_square_doc, laplacian_doc
-from oppencil import pencil, spectrum
+from oppencil import model_solver, pencil, spectrum
 from oppencil.cli import main
 from oppencil.errors import (
     GridTooShort,
@@ -24,6 +24,7 @@ from oppencil.errors import (
 )
 from oppencil.model_solver import (
     _laurent_coefficients,
+    _taylor_moments,
     line_difference_expansion,
     mode_pencil,
     solve_on_line,
@@ -39,6 +40,15 @@ OPERATORS = REPO / "operators"
 
 def gauss(t):
     return np.exp(-t * t)
+
+
+def _evaluate_t(u, t):
+    """A spectrum.PowerExpSolution on the grid t, shape (N, q):
+    e^(i lam0 t) sum_l (it)^l/l! coeffs[l], term by term."""
+    acc = np.zeros((len(t), len(u.coeffs[0])), dtype=complex)
+    for l, vec in enumerate(u.coeffs):
+        acc += ((1j * t) ** l / math.factorial(l))[:, None] * np.asarray(vec)
+    return np.exp(1j * u.lambda0 * t)[:, None] * acc
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +308,7 @@ def test_homogeneous_annihilation(mode2_l0):
     # l = 0 block: scalar b; power solutions have constant sphere part
     b_coeffs = [mode2_l0.B[j][0, 0] for j in range(mode2_l0.m + 1)]
     for s in sols:
-        vals = s.evaluate_t(t)[:, 0]  # first basis coordinate (l = 0)
+        vals = _evaluate_t(s, t)[:, 0]  # first basis coordinate (l = 0)
         # apply b(D_t) via exact differentiation of the closed form:
         # u = e^(i lam0 t) p(it) with p from coeffs; D_t u = -i u'
         dt = t[1] - t[0]
@@ -316,10 +326,13 @@ def test_homogeneous_annihilation(mode2_l0):
         assert np.max(np.abs(acc[mask])) < 1e-3 * max(np.max(np.abs(u[mask])), 1e-300)
 
 
+def _jordan_f(t):
+    return np.stack([gauss(t), (0.5 - 1j) * t * gauss(t - 0.2)], axis=1)
+
+
 def test_jordan_block_difference():
     # a defective 2x2 block: the expansion carries a (it) e^(i lam0 t) term
-    f = lambda t: np.stack([gauss(t), (0.5 - 1j) * t * gauss(t - 0.2)], axis=1)
-    res = line_difference_expansion(_jordan_pencil(2j), f, 1.5, 2.5)
+    res = line_difference_expansion(_jordan_pencil(2j), _jordan_f, 1.5, 2.5)
     assert [d.partial_multiplicities for d in res.eigenpoints] == [[2]]
     assert verify_coefficient_formula(res)["passed"]
 
@@ -491,6 +504,74 @@ def test_check_sees_wrong_expansion(mode3_l0, mode2_l0, mode2_l2, case, mutation
     assert report["deviations"]["solve_vs_coeff"] > 100 * report["tolerance"]
 
 
+def _two_column_f(t):
+    return np.stack([gauss(t - 0.3) * (1 + 0.5j), (0.5 - 1j) * t * gauss(t + 0.2)], axis=1)
+
+
+def _two_pole_pencil():
+    """b(lam) = lam - A, A similar to diag(2i, 3i): two simple poles, q = 2."""
+    S = np.array([[1, 0.5], [0.3 + 0.2j, 1]])
+    return _pencil_2x2([-(S @ np.diag([2j, 3j]) @ np.linalg.inv(S)), np.eye(2)])
+
+
+def _grid_pairing(res, fvals, v):
+    """The pairing c = i <f, v> as the grid sum i dt sum_t f conj(v(t))."""
+    dt = res.t[1] - res.t[0]
+    return complex(1j * dt * np.sum(fvals * np.conj(_evaluate_t(v, res.t))))
+
+
+@pytest.mark.parametrize("case", ["simple", "two_poles", "double", "jordan", "q2"])
+def test_moment_pairing_matches_the_grid_pairing(mode3_l0, mode2_l0, case):
+    # c_(j,m) = i sum_l conj(psi_l) . F_l is the grid pairing reordered:
+    # the dual solutions v_(j,m) on the grid are the oracle
+    mp, f, b1, b2 = {"simple": (mode3_l0, gauss, 1.5, 2.5),
+                     "two_poles": (mode3_l0, gauss, 1.5, 3.5),
+                     "double": (mode2_l0, gauss, 1.5, 2.5),
+                     "jordan": (_jordan_pencil(2j), _jordan_f, 1.5, 2.5),
+                     "q2": (_two_pole_pencil(), _two_column_f, 1.5, 3.5)}[case]
+    res = line_difference_expansion(mp, f, b1, b2)
+    fvals = f(res.t).reshape(len(res.t), mp.size)
+    want = {(ep.lambda0, v.j, v.m): _grid_pairing(res, fvals, v)
+            for ep in res.eigenpoints
+            for v in power_solutions(spectrum.adjoint_chains(mp, ep))}
+    got = {(c.lambda0, c.j, c.m): c.value for c in res.coeffs_direct}
+    assert got.keys() == want.keys() and len(got) == (1 if case == "simple" else 2)
+    scale = max(abs(w) for w in want.values())
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale
+    assert verify_coefficient_formula(res)["passed"]
+
+
+@pytest.mark.parametrize("case", ["simple", "double"])
+def test_solve_route_checks_the_shared_moments(monkeypatch, mode3_l0, mode2_l0, case):
+    # the pairing and the residue route both read f through the Taylor
+    # moments: a wrong F_0 moves both coefficient sets together, and only
+    # the line solves can see it
+    mp = {"simple": mode3_l0, "double": mode2_l0}[case]
+    moments = model_solver._taylor_moments
+
+    def scaled(*args):
+        F, expo, powers = moments(*args)
+        F = F.copy()
+        F[0] *= 1.01
+        return F, expo, powers
+
+    monkeypatch.setattr(model_solver, "_taylor_moments", scaled)
+    report = verify_coefficient_formula(line_difference_expansion(mp, gauss, 1.5, 2.5))
+    assert report["mismatches"] == [] and not report["passed"]
+    assert report["deviations"]["solve_vs_coeff"] > 100 * report["tolerance"]
+
+
+def test_expansion_runs_two_line_solves_through_the_module(monkeypatch, mode3_l0):
+    # perfbench's tracer times model_solver.solve_on_line by replacing the
+    # module attribute: one expansion makes exactly two such calls
+    calls = []
+    solve = model_solver.solve_on_line
+    monkeypatch.setattr(model_solver, "solve_on_line",
+                        lambda *a: calls.append(a[2]) or solve(*a))
+    line_difference_expansion(mode3_l0, gauss, 1.5, 3.5)
+    assert calls == [1.5, 3.5]
+
+
 # ---------------------------------------------------------------------------
 # the residue route against the kernel oracle
 # ---------------------------------------------------------------------------
@@ -524,9 +605,9 @@ def test_moment_laurent_matches_kernel_oracle(mode3_l0, mode2_l0, case, lam0, or
           "inv_sq3_l0": lambda: _mode(inverse_square_doc(-0.25), 0),
           "jordan": lambda: _jordan_pencil(lam0)}[case]()
     t = np.linspace(-40, 40, 8192, endpoint=False)
-    cols = [gauss(t - 0.3) * (1 + 0.5j), (0.5 - 1j) * t * gauss(t + 0.2)]
-    fvals = np.stack(cols[:mp.size], axis=1)
-    got = _laurent_coefficients(mp, t, fvals, lam0, 0.4, order)
+    fvals = _two_column_f(t)[:, :mp.size]
+    F, *_ = _taylor_moments(t, fvals, lam0, order)
+    got = _laurent_coefficients(mp, F, lam0, 0.4, order)
     want = _kernel_laurent(mp, t, fvals, lam0, 0.4, order)
     assert len(got) == len(want) == order
     for a, b in zip(got, want):
