@@ -6,11 +6,14 @@ Usage: python scripts/sweep_dump.py [GRID ...] > sweep.jsonl
        python scripts/sweep_dump.py --tally DUMP.jsonl
 
 GRID is `drift` or `inverse_square` (default: both, in that order).
-`--tally` reads a drift dump and prints how many cases answered, how many
-of those answered the closed-form total (that of -Delta on R^n, which the
-drift keeps at half-integer edges), how many answered another total (wrong
-at exit 0), and the refusals by reason (their first stderr line, numbers
-and complex points elided).  It exits 1 when any answer is wrong at exit 0.
+`--tally` reads a dump and prints, in one block per grid, how many cases
+answered, how many of those answered the closed form, how many answered
+something else (wrong at exit 0), and the refusals by reason (their first
+stderr line, numbers and complex points elided).  A drift answer is right
+when its strip total is -Delta's on R^n (which the drift keeps at
+half-integer edges); an inverse-square answer when its lines are those
+of every mode's quadratic (inverse_square_lines), each within 1e-6 and of
+the same multiplicity.  It exits 1 when any answer is wrong at exit 0.
 
 * drift (1440 cases): -Delta + eps (x_1/r) r^-2 on R^2 and R^3 for 60
   values of |eps| evenly spaced in [0.005, 0.8], both signs, on the strips
@@ -28,11 +31,12 @@ The operator documents are built here and written, each under a stable
 name (`drift2d_eps-0.005.json`, `inverse_square3d_l1_d+1e-09.json`), to a
 temporary directory where the cases run, so argv and the first stderr
 line print that name.  Of answer_dump.py it uses only run_case and
-F_CSV, so this file can be copied into an older checkout and run there
-to compare two commits.
+F_CSV, and of the program only harmonic_dim, so this file can be copied
+into an older checkout and run there to compare two commits.
 """
 
 import json
+import math
 import os
 import re
 import sys
@@ -45,6 +49,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from answer_dump import F_CSV, run_case  # noqa: E402
+from oppencil.radial_algebra import harmonic_dim  # noqa: E402
 
 EPSILONS = np.round(np.linspace(0.005, 0.8, 60), 6).tolist()
 DRIFT_STRIPS = ((-0.5, 3.5), (-1.5, 2.5), (0.5, 4.5))
@@ -52,6 +57,7 @@ DRIFT_DEGREES = {2: (4, 6), 3: (2, 4)}
 DELTAS = (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3, -0.3)
 INVERSE_SQUARE_STRIPS = ((-0.5, 3.5), (0.6, 3.9), (-1.5, 2.5), (0.5, 4.5))
 INVERSE_SQUARE_DEGREES = (2, 4, 6)
+LINE_TOL = 1e-6   # the cluster radius: lines nearer than this print as one
 
 
 def laplacian_doc(n):
@@ -103,46 +109,98 @@ GRIDS = {"drift": drift_cases, "inverse_square": inverse_square_cases}
 
 
 def laplacian_total(n, beta1, beta2, top=60):
-    """Strip total of -Delta on R^n: the degree-l harmonics, of dimension
-    1, 2, 2, ... on R^2 and 2l + 1 on R^3, on each of the lines 2 - l and
-    n + l strictly inside (beta1, beta2), for l < top."""
-    def dim(l):
-        return 2 * l + 1 if n == 3 else min(l, 1) + 1
-    return sum(dim(l) for l in range(top) for line in (2 - l, n + l) if beta1 < line < beta2)
+    """Strip total of -Delta on R^n: the degree-l harmonics on each of the
+    lines 2 - l and n + l strictly inside (beta1, beta2), for l < top."""
+    return sum(harmonic_dim(n, l) for l in range(top) for line in (2 - l, n + l)
+               if beta1 < line < beta2)
 
 
+def inverse_square_lines(n, c, beta1, beta2, top=60):
+    """Sorted [line, multiplicity] of -Delta + c r^-2 on R^n strictly inside
+    (beta1, beta2): mode l < top has the lines (n+2)/2 -+ Re sqrt(D_l),
+    D_l = (l + (n-2)/2)^2 + c, each of the degree-l harmonics' dimension (a
+    complex pair on the centre line); lines within LINE_TOL are one."""
+    lines = []
+    for l in range(top):
+        root = math.sqrt(max((l + (n - 2) / 2) ** 2 + c, 0.0))
+        lines += [(line, harmonic_dim(n, l)) for line in (n / 2 + 1 - root, n / 2 + 1 + root)
+                  if beta1 < line < beta2]
+    merged = []
+    for line, dim in sorted(lines):
+        if merged and line - merged[-1][0] < LINE_TOL:
+            merged[-1][1] += dim
+        else:
+            merged.append([line, dim])
+    return merged
+
+
+def drift_check(row):
+    """(right, what was printed) of an answered drift row: its strip total
+    is -Delta's."""
+    argv = row["argv"]
+    n = int(re.match(r"drift(\d)d_", argv[1]).group(1))
+    total = sum(row["answer"]["res_lines"].values())
+    return total == laplacian_total(n, float(argv[3]), float(argv[4])), f"total {total}"
+
+
+def inverse_square_check(row):
+    """(right, what was printed) of an answered inverse-square row: every
+    printed line is within LINE_TOL of a closed-form line of the same
+    multiplicity, and no line is missing."""
+    argv = row["argv"]
+    n, l, delta = re.match(r"inverse_square(\d)d_l(\d)_d(.+)\.json$", argv[1]).groups()
+    n = int(n)
+    want = inverse_square_lines(n, -(int(l) + (n - 2) / 2) ** 2 + float(delta),
+                                float(argv[3]), float(argv[4]))
+    got = sorted((float(line), mult) for line, mult in row["answer"]["res_lines"].items())
+    right = len(got) == len(want) and all(
+        abs(a - b) < LINE_TOL and m == d for (a, m), (b, d) in zip(got, want))
+    return right, f"lines {row['answer']['res_lines']}"
+
+
+CHECKS = {"drift": drift_check, "inverse_square": inverse_square_check}
 _POINT = re.compile(r"\([^)]*j\)")
 _NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def tally(path):
-    """Print the counts of a drift dump (see the module docstring); 1 if any
-    answer is wrong at exit 0."""
+    """Print the counts of a dump, grid by grid (see the module docstring);
+    1 if any answer is wrong at exit 0."""
+    rows = {grid: [] for grid in GRIDS}
+    for row in map(json.loads, Path(path).read_text().splitlines()):
+        rows["drift" if row["argv"][1].startswith("drift") else "inverse_square"].append(row)
+    wrong = 0
+    for grid, grid_rows in rows.items():
+        if grid_rows:
+            wrong += tally_grid(grid, grid_rows)
+    return int(bool(wrong))
+
+
+def tally_grid(grid, rows):
+    """Print one grid's block of the tally; the number of wrong answers."""
     answered = right = 0
     wrong, refused = [], Counter()
-    for row in map(json.loads, Path(path).read_text().splitlines()):
-        argv = row["argv"]
-        n = int(re.match(r"drift(\d)d_", argv[1]).group(1))
+    for row in rows:
         if row["exit"] == 0:
             answered += 1
-            total = sum(row["answer"]["res_lines"].values())
-            if total == laplacian_total(n, float(argv[3]), float(argv[4])):
+            ok, what = CHECKS[grid](row)
+            if ok:
                 right += 1
             else:
-                wrong.append(f"{' '.join(argv)}: total {total}")
+                wrong.append(f"{' '.join(row['argv'])}: {what}")
         else:
             reason = _NUMBER.sub("#", _POINT.sub("(z)", row["stderr"]))
             refused[f"exit {row['exit']}: {reason}"] += 1
-    print(f"cases: {answered + sum(refused.values())}")
+    print(f"{grid} cases: {len(rows)}")
     print(f"answered: {answered}")
-    print(f"  with the closed-form total: {right}")
+    print(f"  with the closed-form answer: {right}")
     print(f"  wrong at exit 0: {len(wrong)}")
     for line in wrong:
         print(f"    {line}")
     print(f"refused: {sum(refused.values())}")
     for reason, count in refused.most_common():
         print(f"  {count:5d}  {reason}")
-    return int(bool(wrong))
+    return len(wrong)
 
 
 def main(grids=None):

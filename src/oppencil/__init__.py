@@ -12,7 +12,7 @@ from .operator_ast import (  # noqa: F401
     principal_part,
     serialize_operator,
 )
-from .pencil import assemble_pencil, evaluate_pencil  # noqa: F401
+from .pencil import assemble_pencil  # noqa: F401
 from .spectrum import (  # noqa: F401
     biorthogonalize,
     jordan_chains,

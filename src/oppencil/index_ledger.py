@@ -161,15 +161,12 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
     supplies (beta0, index0) directly.  The ledger never extends past the
     report window.  The caller checks first that the operator admits the
     anchor (check_anchor); one that cannot be placed in the window raises
-    NoAnchor.
+    NoAnchor, and a user anchor within the cluster radius of a line
+    AnchorOnBreakpoint.
     """
     op = report.op
     beta_min, beta_max = report.beta1, report.beta2
     breaks = sorted((line, mult) for line, mult in report.res_lines.items())
-
-    def off_breaks(b):
-        return all(abs(b - line) > _BREAK_TOL for line, _ in breaks)
-
     provenance = anchor.kind
     if anchor.kind == "cc":
         beta0 = anchor.beta0
@@ -204,7 +201,11 @@ def build_ledger(report, anchor: Anchor) -> IndexLedger:
 
     if not (beta_min <= beta0 <= beta_max):
         raise NoAnchor(f"anchor beta0 = {beta0} outside the report window")
-    if not off_breaks(beta0):
+    # a printed line is only known to the cluster radius, so a user's anchor
+    # nearer than that cannot tell its side; the program places the cc and
+    # selfadjoint anchors away from every line
+    tol = _CLUSTER_RADIUS if anchor.kind == "user" else _BREAK_TOL
+    if any(abs(beta0 - line) <= tol for line, _ in breaks):
         raise AnchorOnBreakpoint(f"anchor beta0 = {beta0} sits on a critical line")
 
     # component i lies above lines 0..i-1, and walking right across a line

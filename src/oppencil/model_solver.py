@@ -300,18 +300,12 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
 
 def verify_coefficient_formula(result: ExpansionResult,
                                tol: float = 1e-6) -> dict:
-    """Check the directly integrated coefficients against the residue route."""
-    by_key = {(c.lambda0, c.j, c.m): c.value for c in result.coeffs_residue}
+    """Check the directly integrated coefficients against the residue route,
+    which line_difference_expansion lists in the same (lambda0, j, m) order."""
     scale = max((abs(c.value) for c in result.coeffs_direct), default=1.0) or 1.0
-    mismatches = []
-    for c in result.coeffs_direct:
-        other = by_key.get((c.lambda0, c.j, c.m))
-        if other is None:
-            mismatches.append(f"missing residue coefficient for {(c.j, c.m)}")
-            continue
-        if abs(c.value - other) > tol * scale:
-            mismatches.append(
-                f"({c.j},{c.m}) at {c.lambda0}: {c.value} vs {other}")
+    mismatches = [f"({c.j},{c.m}) at {c.lambda0}: {c.value} vs {r.value}"
+                  for c, r in zip(result.coeffs_direct, result.coeffs_residue)
+                  if abs(c.value - r.value) > tol * scale]
     return {
         "passed": not mismatches and result.deviations["solve_vs_coeff"] < tol,
         "mismatches": mismatches,

@@ -131,11 +131,13 @@ class PencilMatrices:
     @cached_property
     def components(self):
         """Connected components of the coupling graph over (component,
-        degree), as index arrays into the work basis, in basis order."""
+        degree), as index arrays into the work basis, in basis order.  The
+        graph is B's exact nonzero pattern, as P.blocks reads it: the
+        assembly's round-off cut decides every structural zero."""
         width = self.degrees[-1] + 1
         node = np.repeat(np.arange(self.k) * width, len(self.degrees))
         node += self.row_degrees
-        rows, cols = np.nonzero(np.abs(self.B).max(axis=0) > 1e-12 * self.scale)
+        rows, cols = np.nonzero(self.B.any(axis=0))
         label = component_labels(self.k * width, node[rows], node[cols])[node]
         return [np.flatnonzero(label == c) for c in np.unique(label)]
 
@@ -294,7 +296,8 @@ class PencilMatrices:
 # ---------------------------------------------------------------------------
 
 def _modes(n, l):
-    """(m, cos 0 / sin 1) of the degree-l harmonics, as exact_harmonics orders them."""
+    """(m, cos 0 / sin 1) of the degree-l harmonics, in their basis order: m
+    ascending, cos before sin."""
     return [(m, s) for m in (range(l + 1) if n == 3 else (l,))
             for s in (0, 1) if m or not s]
 
@@ -595,11 +598,6 @@ def taylor(coeffs, lam0):
     return T
 
 
-def evaluate_pencil(P: PencilMatrices, lam: complex) -> np.ndarray:
-    """Horner evaluation of sum_j B_j lam^j."""
-    return horner(P.B, lam)
-
-
 def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float:
     """Relative residual of pencil_adj(lam) == pencil(conj(lam)+i(n+m))^H
     at lam = _ADJOINT_PROBE.
@@ -613,8 +611,8 @@ def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float
         return mat[np.ix_(idx, idx)]
 
     lam = _ADJOINT_PROBE
-    lhs = restrict(evaluate_pencil(P_adj, lam), len(P_adj.degrees))
-    rhs = restrict(evaluate_pencil(P, np.conj(lam) + 1j * (P.n + P.m)),
+    lhs = restrict(horner(P_adj.B, lam), len(P_adj.degrees))
+    rhs = restrict(horner(P.B, np.conj(lam) + 1j * (P.n + P.m)),
                    len(P.degrees)).conj().T
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
     return float(np.linalg.norm(lhs - rhs) / scale)

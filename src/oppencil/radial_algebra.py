@@ -15,7 +15,7 @@ degrees l + 1 and l - 1.  Restriction to the unit sphere is then trivial (drop r
 integration over S^(n-1) is exact through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
-fractions.Fraction (exact_harmonics are generated exactly over Q).
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -299,64 +299,6 @@ def sphere_monomial_moment(alpha) -> float:
     if n not in (2, 3):
         raise ValueError("only n in {2, 3} supported")
     return surface_measure(n) * float(_moment_fraction(alpha))
-
-
-# ---------------------------------------------------------------------------
-# exact harmonic basis (sector-structured solid harmonics)
-# ---------------------------------------------------------------------------
-
-def _xy_power(n: int, m: int):
-    """Real and imaginary parts of (x + iy)^m in R^n, exact over Q."""
-    parts = ({}, {})
-    for j in range(m + 1):
-        sign = -1 if j % 4 >= 2 else 1
-        parts[j % 2][(m - j, j) + (0,) * (n - 2)] = sign * Fraction(math.comb(m, j))
-    return HomogPoly(n, m, parts[0]), HomogPoly(n, m, parts[1])
-
-
-def _solid_harmonic_pair(l: int, m: int):
-    """Real/imaginary parts of (x+iy)^m W(z, r^2) for n=3, exact over Q.
-
-    W = sum_j c_j z^(l-m-2j) r^(2j) with the two-term recursion
-    c_(j+1) = -c_j a(a-1) / (2(j+1)(2l-2j-1)),  a = l - m - 2j,
-    which makes (x+iy)^m W harmonic of degree l.
-    """
-    n = 3
-    re_p, im_p = _xy_power(n, m)
-    W = HomogPoly(n, l - m, {})
-    c = Fraction(1)
-    j = 0
-    while True:
-        a = l - m - 2 * j
-        term = HomogPoly.monomial(n, (0, 0, a), c)
-        for _ in range(j):
-            term = term.times_r2()
-        W = W.add(term)
-        if a <= 1:
-            break
-        c = -c * a * (a - 1) / (2 * (j + 1) * (2 * l - 2 * j - 1))
-        j += 1
-    return re_p.mul(W), im_p.mul(W)
-
-
-def exact_harmonics(n: int, l: int):
-    """Orthogonal (unnormalized) degree-l solid harmonics, exact over Q.
-
-    Sector-structured, so exactly orthogonal by angular parity.  Ordering
-    is deterministic: m ascending, cosine part before sine part.
-    """
-    if n == 2:
-        polys = list(_xy_power(2, l))
-    elif n == 3:
-        polys = []
-        for m in range(l + 1):
-            re_p, im_p = _solid_harmonic_pair(l, m)
-            polys.append(re_p)
-            if m > 0:
-                polys.append(im_p)
-    else:
-        raise ValueError("only n in {2, 3} supported")
-    return [P for P in polys if not P.is_zero()]
 
 
 def harmonic_dim(n: int, l: int) -> int:

@@ -31,7 +31,10 @@ the nested nullspaces the chains are extracted from (longest first), the
 adjoint chain equations (of the transposed coefficients) and the
 biorthogonality rows; the chain, adjoint and pairing residuals are read
 off those solved systems.  A chain must satisfy its equations to
-_CHAIN_TOL.
+_CHAIN_TOL.  Every rank decision (a candidate's certification, each
+nullspace, a 1 x 1 owner's zero order) makes one cut: a singular value
+or Taylor coefficient below _RANK_TOL times the larger of the largest
+one and the pencil's scale there is zero.
 
 One rule chains a point: each square that owns it (a root within the
 cluster radius, P.owners) is chained under its own det order, the
@@ -305,29 +308,15 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius, square):
 # Jordan chains
 # ---------------------------------------------------------------------------
 
-def _null_space(mat, scale=None):
-    """Numerical nullspace under the relative ceiling _RANK_TOL * scale.
-
-    Eigenvalues of the pencil that are distinct but close (separation d)
-    leave almost-null directions with singular values ~ d^2 that can creep
-    under the ceiling while genuine nulls sit at round-off; when the
-    below-ceiling values show a clear gap and the upper group is far from
-    round-off, the upper group is treated as non-null.  The determinant
-    vanishing-order guard remains the final arbiter.  Returns the null
-    basis, the singular values and a range basis (left singular vectors).
-    """
+def _null_space(mat, scale):
+    """Numerical nullspace: the right singular vectors whose singular value
+    is below _RANK_TOL * max(sigma_max, scale), the one rank cut that
+    certification and _scalar_chains also make.  Returns the null basis,
+    the singular values and a range basis (left singular vectors)."""
     # only a wide matrix has null directions outside the reduced Vh
     U, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    smax = max(sv[0], scale or 0.0)
     svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
-    below = np.where(svp < _RANK_TOL * smax)[0]
-    if len(below) > 1:
-        vals = svp[below]
-        logs = np.log10(np.maximum(vals, 1e-300))
-        gaps = logs[:-1] - logs[1:]
-        k = int(np.argmax(gaps))
-        if gaps[k] >= 3.0 and vals[k] > 1e-11 * smax:
-            below = below[k + 1:]
+    below = np.flatnonzero(svp < _RANK_TOL * max(sv[0], scale))
     return Vh.conj().T[:, below], sv, U[:, :mat.shape[1] - len(below)]
 
 
@@ -358,7 +347,7 @@ def chains_from_matrices(T, scale, det_order):
     d, levels = [], []
     for s in range(1, 41):
         S = _toeplitz(T, s)
-        N, sv, U_r = _null_space(S, scale=scale)
+        N, sv, U_r = _null_space(S, scale)
         if s == 1 and N.shape[1] == 0:
             raise NotAnEigenvalue(f"sigma_min = {sv[-1]:.3e}")
         if s == 1 and N.shape[1] == det_order and len(T) > 1:

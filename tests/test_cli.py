@@ -238,6 +238,22 @@ def test_model_solve_coupled_not_applicable():
     assert "coupled" in r.stderr
 
 
+@pytest.mark.parametrize("eps", [1e-11, 1e-9])
+def test_model_solve_refuses_a_weakly_coupled_mode(tmp_path, capsys, eps):
+    # -Delta + eps (x1/r) r^-2 on R^2 couples each degree to its neighbours
+    # however small eps is: the coupling graph is B's exact pattern, so the
+    # mode-0 block is coupled at 1e-11 as at 1e-9
+    from oppencil.operator_ast import parse_operator
+    from oppencil.pencil import assemble_pencil
+    path = _potential_file(tmp_path, 2, -3.0, [1, 0], eps)
+    P = assemble_pencil(parse_operator(json.loads(Path(path).read_text())), 2)
+    assert P.bandwidth == 1
+    code, out, err = _main(["model-solve", path, "--mode", "0",
+                            "--beta1", "1.5", "--beta2", "2.5"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("not applicable: degree 0 block is coupled")
+
+
 def test_model_solve_mode_block_of_size_two_not_applicable(tmp_path, capsys):
     # diag(-Delta, -Delta - 0.5 r^-2) on R^3: the mode-0 block is decoupled
     # but not a multiple of the identity, and the right-hand side is scalar
@@ -743,6 +759,49 @@ def test_sweep_dump_case_list(monkeypatch, capsys):
     assert set(row) == {"argv", "exit", "stdout_sha256", "stderr", "answer"}
 
 
+def _sweep_row(name, code, lines=None, stderr=""):
+    return {"argv": ["res", name, "--strip", "-0.5", "3.5", "--degree", "4"], "exit": code,
+            "stdout_sha256": "", "stderr": stderr,
+            "answer": {"res_lines": lines} if code == 0 else None}
+
+
+def test_sweep_dump_tally(tmp_path, capsys):
+    # -Delta on R^2 on (-0.5, 3.5): lines 0, 1, 2, 3 of multiplicity 2, the
+    # drift's total 8; -Delta - (1 + 1e-9) r^-2 puts the pairs of modes 0
+    # and 1 on the centre line 2 and mode 2's lines at 2 -+ sqrt 3
+    sweep = _script("sweep_dump")
+    lap = {"0": 2, "1": 2, "2": 2, "3": 2}
+    rows = [
+        _sweep_row("drift2d_eps+0.005.json", 0, lap),
+        _sweep_row("drift2d_eps-0.005.json", 3, stderr=(
+            "numerical guard: eigenvalues at Im lambda = -1.5 belong to modes above "
+            "degree 4; raise --degree to >= 5")),
+        _sweep_row("inverse_square2d_l0_d+0.json", 0, lap),
+        _sweep_row("inverse_square2d_l1_d-1e-09.json", 0, {"0.267949192431123": 2, "2": 6}),
+        # the centre line without mode 0's pair: wrong at exit 0
+        _sweep_row("inverse_square2d_l1_d-1e-09.json", 0, {"0.267949192431123": 2, "2": 4}),
+        _sweep_row("inverse_square3d_l1_d+0.json", 3, stderr=(
+            "numerical guard: strip boundary 2.5 lies on the critical line Im lambda = 2.5"))]
+    path = tmp_path / "sweep.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert sweep.tally(path) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "drift cases: 2", "answered: 1", "  with the closed-form answer: 1",
+        "  wrong at exit 0: 0", "refused: 1",
+        "      1  exit 3: numerical guard: eigenvalues at Im lambda = # belong to modes "
+        "above degree #; raise --degree to >= #",
+        "inverse_square cases: 4", "answered: 3", "  with the closed-form answer: 2",
+        "  wrong at exit 0: 1",
+        "    res inverse_square2d_l1_d-1e-09.json --strip -0.5 3.5 --degree 4: lines "
+        "{'0.267949192431123': 2, '2': 4}",
+        "refused: 1",
+        "      1  exit 3: numerical guard: strip boundary # lies on the critical line "
+        "Im lambda = #"]
+    del rows[4]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert sweep.tally(path) == 0
+
+
 def test_readme_examples_parse():
     from oppencil.cli import build_parser
     argvs = readme_commands()
@@ -874,11 +933,10 @@ def test_res_line_printed_at_the_lines_value(tmp_path, capsys, n, c, strip, degr
     assert json.loads(out)["res_lines"][line] == mult
 
 
-def test_res_pins_the_null_space_gap_rule(tmp_path, capsys):
+def test_res_chains_near_double_drift_lines_under_their_own_det_orders(tmp_path, capsys):
     # -Delta + 0.005 (x1/r) r^-2 on R^2 splits the lines 1 and 3 by about
-    # 5e-6; at 3 only _null_space's gap rule keeps the chain count equal to
-    # the det order (without it the strip exits 3: "chain count 3 != det
-    # root order 1")
+    # 5e-6: each of the near-double lines answers, its eigenpoint chained on
+    # the blocks that own it under its own det order
     path = _potential_file(tmp_path, 2, -3.0, [1, 0], 0.005)
     code, out, err = _main(["res", path, "--strip", "-0.5", "3.5", "--degree", "6"],
                            capsys)

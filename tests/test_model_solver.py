@@ -31,7 +31,7 @@ from oppencil.model_solver import (
     verify_coefficient_formula,
 )
 from oppencil.operator_ast import parse_operator
-from oppencil.pencil import PencilMatrices, assemble_pencil, evaluate_pencil
+from oppencil.pencil import PencilMatrices, assemble_pencil, horner
 from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
 
 REPO = Path(__file__).resolve().parent.parent
@@ -98,7 +98,7 @@ def test_mode_pencil_matches_block(mode3_l0):
     # l = 0 block of -Delta (n=3): b(lam) = -(i lam + 2)(i lam + 3)
     for lam in (0.0, 1.0 + 0.5j, -2.3j):
         want = -((1j * lam + 2) * (1j * lam + 3))
-        assert evaluate_pencil(mode3_l0, lam)[0, 0] == pytest.approx(want, rel=1e-12)
+        assert horner(mode3_l0.B, lam)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_mode_pencil_reduces_scalar():
@@ -588,7 +588,7 @@ def _kernel_laurent(mp, t, fvals, lam0, radius, max_order):
     """Laurent coefficients of b(lam)^(-1) fhat(lam) at lam0 from an FFT of
     the whole product on a 128-node circle, fhat by the kernel."""
     lams = lam0 + radius * np.exp(2j * math.pi * np.arange(128) / 128)
-    g = np.linalg.solve(evaluate_pencil(mp, lams), _fhat_at(t, fvals, lams)[..., None])[..., 0]
+    g = np.linalg.solve(horner(mp.B, lams), _fhat_at(t, fvals, lams)[..., None])[..., 0]
     coeffs = np.fft.fft(g, axis=0) / 128
     return [coeffs[-(1 + s)] * radius ** (1 + s) for s in range(max_order)]
 

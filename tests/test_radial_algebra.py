@@ -11,13 +11,13 @@ from oppencil.radial_algebra import (
     RadialFunction,
     differentiate,
     _moment_fraction,
-    exact_harmonics,
     harmonic_decompose,
     harmonic_dim,
     sphere_monomial_moment,
     surface_measure,
 )
 from oppencil.errors import HomogeneityError
+from oracles import exact_harmonics
 
 
 def max_abs_coeff(f):

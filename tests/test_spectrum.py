@@ -32,7 +32,6 @@ from oppencil.operator_ast import formal_adjoint, parse_operator
 from oppencil.pencil import (
     PencilMatrices,
     assemble_pencil,
-    evaluate_pencil,
     horner,
     taylor,
 )
@@ -205,7 +204,7 @@ def test_eigen_residual_bound(laplacian3d):
     for lam0 in (2j, 3j, 1j):
         ep = jordan_chains(P, lam0)
         for chain in ep.chains:
-            r = np.linalg.norm(evaluate_pencil(P, lam0) @ chain[0])
+            r = np.linalg.norm(horner(P.B, lam0) @ chain[0])
             assert r <= 1e-8 * scale * max(1.0, abs(lam0)) ** P.m
 
 
@@ -1203,6 +1202,25 @@ def _symmetrized_anisotropic_doc():
         for alpha, mono, c in (([2, 0], "2 0", 1.0), ([0, 2], "1 1", 0.7),
                                ([1, 1], "0 2", 0.3))]
     return symmetrized_doc(doc)
+
+
+@pytest.mark.parametrize("beta0, code, ledger", [
+    # the centre line 2 prints at 2.000000131898936: an anchor nearer to it
+    # than the cluster radius cannot tell which side it is on
+    ("2.00000005", 3, None),
+    ("2.25", 0, [1, -1])])
+def test_user_anchor_within_the_cluster_radius_of_a_line_refuses(beta0, code, ledger,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(_symmetrized_anisotropic_doc()))
+    got = main(["index", str(path), "--anchor", f"user:beta0={beta0},index=-1",
+                "--window", "1.5", "2.5", "--degree", "14"])
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if ledger is None:
+        assert err.startswith("numerical guard: anchor beta0 = 2.00000005 sits on a")
+    else:
+        assert [c["index"] for c in json.loads(out)["components"]] == ledger
 
 
 @pytest.mark.parametrize("doc_fn, strip, degree, failed", [
