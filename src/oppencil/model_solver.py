@@ -23,6 +23,11 @@ three ways and reports their mutual deviations:
      v_(j,m) on the grid), summed as c_(j,m) u_(j, M_j-1-m).  Route 1
      checks the quadrature that routes 2 and 3 share.
 
+One rule sizes the grid [-T, T) of n points on both axes (choose_grid):
+every e^(beta t) f falls below 1e-12 of its peak at both ends in t (T)
+and of its fftshifted DFT (n); a line solve refuses a given grid that
+fails either test (GridTooShort).
+
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
 relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
@@ -58,7 +63,7 @@ from .spectrum import (
 
 _LINE_TOL = _CLUSTER_RADIUS  # a line this far from every pole keeps clusters whole
 _DECAY_TOL = 1e-12
-_GRID_N = 4096
+_GRID_SIZES = [2 ** k for k in range(8, 17)]   # 256 .. 2^16 points
 _LAURENT_NODES = 128
 
 
@@ -90,48 +95,63 @@ def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
 # ---------------------------------------------------------------------------
 
 def choose_grid(f, betas, min_T: float = 0.0):
-    """Uniform grid [-T, T] such that e^(beta t) f decays below 1e-12.
-
-    `min_T` lets callers enforce extra length so that slowly decaying
-    weighted solutions (rate = distance from the line to the nearest mode
-    eigenvalue) also die out at the grid ends.  Samples that vanish on the
-    whole grid do not stop the search: f may lie beyond it.
+    """Uniform grid [-T, T) of n points on which every e^(beta t) f falls
+    below 1e-12 of its peak at both ends in t and at both ends of its
+    fftshifted DFT (the highest frequencies): one rule sizes the length and
+    the spacing, since the trapezoid sums and the DFT err by the spectral
+    mass beyond Nyquist.  T = max(6, min_T) grows by 1.4 up to 160 (`min_T`
+    lets the weighted solutions die out too); n is the smallest power of
+    two from 256 to 2^16 that passes on [-T, T).  All-zero samples refine n
+    first (a narrow bump can fall between nodes), then lengthen T (f may
+    lie beyond the grid); a spectrum not decayed at 2^16 points is refused.
     """
     T = max(6.0, min_T)
     while T <= 160.0:
-        n = _GRID_N if T <= 60 else 2 * _GRID_N
-        t = np.linspace(-T, T, n, endpoint=False)
-        vals = np.asarray(f(t))
-        if vals.any() and all(_decays(t, vals, beta) for beta in betas):
-            return t, vals
+        for n in _GRID_SIZES:
+            t = np.linspace(-T, T, n, endpoint=False)
+            vals = np.asarray(f(t))
+            if not vals.any():
+                continue
+            weighted = [(np.exp(beta * t) * vals.T).T for beta in betas]
+            if not all(_decays(w) for w in weighted):
+                break
+            if all(_decays(np.fft.fftshift(np.fft.fft(w, axis=0), axes=0))
+                   for w in weighted):
+                return t, vals
+            if n == _GRID_SIZES[-1]:
+                raise GridTooShort(f"weighted data does not decay below 1e-12 in its "
+                                   f"spectrum's highest frequencies at {n} points")
         T *= 1.4
     raise GridTooShort("could not find a grid with weighted decay below 1e-12")
 
 
-def _decays(t, vals, beta):
-    """True iff e^(beta t) vals is below 1e-12 of its peak at both grid ends."""
-    w = np.abs(np.exp(beta * t) * np.asarray(vals).T).T
-    edge = max(float(np.max(w[:8])), float(np.max(w[-8:])))
-    return edge <= _DECAY_TOL * max(float(np.max(w)), 1e-300)
+def _decays(w):
+    """True iff |w| is below 1e-12 of its peak in its first and last 8
+    entries along axis 0 (of a fftshifted DFT: its highest frequencies)."""
+    a = np.abs(w)
+    return max(a[:8].max(), a[-8:].max()) <= _DECAY_TOL * max(a.max(), 1e-300)
 
 
 def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
     """Invert b(D_t) u = f along the weight line Im lambda = beta.
 
     `fvals` holds the samples of f, shape (N, q), on the uniform grid `t`
-    of length N; e^(beta t) f must decay below 1e-12 at both grid ends.
-    Returns the samples of u, shape (N, q).
+    of length N; e^(beta t) f and its DFT must decay below 1e-12 at both
+    ends (see choose_grid).  Returns the samples of u, shape (N, q).
     """
     gap = min((abs(p.imag - beta) for p in mp.eigenvalues),
               default=math.inf)
     if gap < _LINE_TOL:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
-    if not _decays(t, fvals, beta):
-        raise GridTooShort(
-            f"weighted data does not decay below 1e-12 at the ends (beta={beta})")
+    g = np.exp(beta * t)[:, None] * fvals
+    ghat = np.fft.fft(g, axis=0)
+    for w, where in ((g, "at the ends"), (np.fft.fftshift(ghat, axes=0),
+                                          "in its spectrum's highest frequencies")):
+        if not _decays(w):
+            raise GridTooShort(f"weighted data does not decay below 1e-12 {where} "
+                               f"(beta={beta})")
 
     sigma = 2 * math.pi * np.fft.fftfreq(len(t), d=t[1] - t[0])
-    ghat = np.fft.fft(np.exp(beta * t)[:, None] * fvals, axis=0)
     mats = horner(mp.B, sigma + 1j * beta)
     if mp.size == 1:   # a division is 10x faster than a stacked 1 x 1 solve
         what = ghat / mats[:, 0]
@@ -188,6 +208,8 @@ class ExpansionResult:
     def to_json(self):
         return {
             "beta1": self.beta1, "beta2": self.beta2,
+            "grid": {"half_width": len(self.t) * float(self.t[1] - self.t[0]) / 2,
+                     "points": len(self.t)},
             "deviations": self.deviations,
             "coeffs_direct": [c.to_json() for c in self.coeffs_direct],
             "coeffs_residue": [c.to_json() for c in self.coeffs_residue],

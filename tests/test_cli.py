@@ -499,6 +499,19 @@ def test_model_solve_short_csv_grid_exit3(tmp_path, capsys, half_width, code):
     assert json.loads(out)["coefficient_check"]["passed"] is (code == 0)
 
 
+def test_model_solve_unresolved_csv_grid_exit3(tmp_path, capsys):
+    # a gaussian of width 0.01 on a spacing of 0.02: the grid is long
+    # enough, but the samples' spectrum has not decayed at Nyquist
+    t = np.linspace(-40, 40, 4096)
+    csv = _write_csv(tmp_path / "f.csv", t, np.exp(-10000 * (t - 0.1) ** 2) + 0j)
+    got, out, err = _main(["model-solve", str(REPO / "operators" /
+                                              "schrodinger_inverse_square3d.json"),
+                           "--mode", "0", "--beta1", "1.25", "--beta2", "2.75",
+                           "--f-csv", csv], capsys)
+    assert (got, out) == (3, "")
+    assert err.startswith("numerical guard: ") and "spectrum" in err
+
+
 @pytest.mark.parametrize("spec", ["gaussian:a=-1", "gaussian:t0=inf", "gaussian:a",
                                   "gaussian:a=0", "gaussian:a=nan", "gaussian:a=x",
                                   "gaussian:b=1", "gaussian:a=1,,t0=0",

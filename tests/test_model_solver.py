@@ -419,6 +419,61 @@ def test_model_solve_far_data_is_solved_or_refused(capsys):
     assert coeffs(200)[0] == 3
 
 
+INV_SQ3 = str(OPERATORS / "schrodinger_inverse_square3d.json")
+INV_SQ3_POLE = (5 - math.sqrt(2)) / 2     # mode 0 poles are i (5 -+ sqrt 2)/2
+
+
+def _inverse_square_expansion(capsys, f, b1=1.25, b2=2.75):
+    code = main(["model-solve", INV_SQ3, "--mode", "0", "--beta1", str(b1),
+                 "--beta2", str(b2), "--f", f])
+    return code, json.loads(capsys.readouterr().out)["expansion"]
+
+
+def test_sharp_gaussian_answers_the_closed_form(capsys):
+    # the line-1.79 coefficient of exp(-a (t - t0)^2) is a constant times
+    # fhat(i s) = sqrt(pi/a) e^(s t0 + s^2/(4a)); a grid whose spacing did
+    # not resolve a = 1e4 printed it 9.1e-4 off with passed: true
+    ratios = []
+    for a in (1e4, 1.0):
+        code, expansion = _inverse_square_expansion(capsys, f"gaussian:a={a},t0=0.1")
+        (c,) = expansion["coeffs_direct"]
+        assert code == 0 and c["lambda0"][1] == pytest.approx(INV_SQ3_POLE, abs=1e-12)
+        s = INV_SQ3_POLE
+        ratios.append(complex(*c["value"])
+                      / (math.sqrt(math.pi / a) * math.exp(s * 0.1 + s * s / (4 * a))))
+    assert abs(ratios[0] - ratios[1]) <= 1e-9 * abs(ratios[1])
+
+
+def test_report_names_a_grid_sized_by_the_spectrum(capsys):
+    # the mode_solves workload's widest default gaussian (a = 2) on lines
+    # 0.25 from the pole, and the sharp a = 1e4 gaussian
+    lines = (INV_SQ3_POLE - 0.25, INV_SQ3_POLE + 0.25)
+    code, smooth = _inverse_square_expansion(capsys, "gaussian:a=2,t0=1", *lines)
+    assert code == 0 and smooth["grid"]["points"] <= 2048
+    assert smooth["grid"]["half_width"] == pytest.approx(120.0, rel=1e-12)
+    code, sharp = _inverse_square_expansion(capsys, "gaussian:a=10000,t0=0.1")
+    assert code == 0 and sharp["grid"]["points"] > 8192
+
+
+def test_choose_grid_refines_past_all_zero_samples():
+    # a gaussian of width 0.01 centred between the 256-point nodes on
+    # [-80, 80) underflows to 0 at every one of them; the search refines
+    # the spacing until its spectrum has decayed, before any lengthening
+    a, c = 1e4, 80 / 256
+    f = lambda t: np.exp(-a * (t - c) ** 2)
+    assert not f(np.linspace(-80, 80, 256, endpoint=False)).any()
+    t, vals = model_solver.choose_grid(f, [0.0], min_T=80.0)
+    assert (t[0], len(t)) == (-80.0, 2 ** 16)
+    assert (t[1] - t[0]) * vals.sum() == pytest.approx(math.sqrt(math.pi / a), rel=1e-12)
+
+
+def test_choose_grid_refuses_a_spectrum_that_does_not_decay():
+    # a box has a jump at each edge, so its spectrum decays like 1/sigma;
+    # a longer grid would only be coarser
+    with pytest.raises(GridTooShort, match="spectrum's highest frequencies at 65536"):
+        model_solver.choose_grid(lambda t: (np.abs(t) < 1).astype(float), [0.0])
+
+
 def test_singular_leading_coefficient_refused():
     mp = _pencil_2x2([[[-2j, 1], [0.5, 1]], [[1, 0], [0, 0]]])
     with pytest.raises(SingularLeadingCoeff):
