@@ -27,7 +27,6 @@ from .index_ledger import (  # noqa: F401
     cc_index,
     pn,
     pn_mu_nu,
-    special_index,
 )
 from .model_solver import (  # noqa: F401
     line_difference_expansion,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import AnchorOnBreakpoint, NoAnchor, NotApplicable, OnBreakpoint
@@ -66,30 +65,6 @@ def cc_index(op: SystemOperator, beta: float) -> int:
     if abs(beta - round(beta)) < _BREAK_TOL:
         raise OnBreakpoint(f"beta = {beta} is within tolerance of an integer")
     return pn_mu_nu(op.n, op.mu, op.nu, beta)
-
-
-def special_index(n: int, k: int, m: int, beta: float) -> int:
-    """Closed form for nu = 0, mu = (m,...,m) with m in {1, 2}:
-
-        -k/(n-1)! * (l - 1)            * prod_(j=2..n-1) |l - j|   (m = 1)
-        -k/(n-1)! * (2l - n - 1)       * prod_(j=2..n-1) |l - j|   (m = 2)
-
-    with l = floor(beta); empty products are 1 (n = 2).
-    """
-    if m not in (1, 2):
-        raise ValueError("closed form requires m in {1, 2}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if abs(beta - round(beta)) < _BREAK_TOL:
-        raise OnBreakpoint(f"beta = {beta} is within tolerance of an integer")
-    l = math.floor(beta)
-    prod = 1
-    for j in range(2, n):
-        prod *= abs(l - j)
-    lead = (l - 1) if m == 1 else (2 * l - n - 1)
-    val = Fraction(-k * lead * prod, math.factorial(n - 1))
-    assert val.denominator == 1
-    return int(val)
 
 
 # ---------------------------------------------------------------------------

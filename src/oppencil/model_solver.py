@@ -25,8 +25,8 @@ three ways and reports their mutual deviations:
 
 One rule sizes the grid [-T, T) of n points on both axes (choose_grid):
 every e^(beta t) f falls below 1e-12 of its peak at both ends in t (T)
-and of its fftshifted DFT (n); a line solve refuses a given grid that
-fails either test (GridTooShort).
+and at the highest frequencies of its DFT (n); a line solve refuses a
+given grid that fails either test (GridTooShort).
 
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
@@ -96,8 +96,8 @@ def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
 
 def choose_grid(f, betas, min_T: float = 0.0):
     """Uniform grid [-T, T) of n points on which every e^(beta t) f falls
-    below 1e-12 of its peak at both ends in t and at both ends of its
-    fftshifted DFT (the highest frequencies): one rule sizes the length and
+    below 1e-12 of its peak at both ends in t and at the highest
+    frequencies of its DFT (_decays_in_spectrum): one rule sizes the length and
     the spacing, since the trapezoid sums and the DFT err by the spectral
     mass beyond Nyquist.  T = max(6, min_T) grows by 1.4 up to 160 (`min_T`
     lets the weighted solutions die out too); n is the smallest power of
@@ -115,8 +115,7 @@ def choose_grid(f, betas, min_T: float = 0.0):
             weighted = [(np.exp(beta * t) * vals.T).T for beta in betas]
             if not all(_decays(w) for w in weighted):
                 break
-            if all(_decays(np.fft.fftshift(np.fft.fft(w, axis=0), axes=0))
-                   for w in weighted):
+            if all(_decays_in_spectrum(np.fft.fft(w, axis=0)) for w in weighted):
                 return t, vals
             if n == _GRID_SIZES[-1]:
                 raise GridTooShort(f"weighted data does not decay below 1e-12 in its "
@@ -127,9 +126,19 @@ def choose_grid(f, betas, min_T: float = 0.0):
 
 def _decays(w):
     """True iff |w| is below 1e-12 of its peak in its first and last 8
-    entries along axis 0 (of a fftshifted DFT: its highest frequencies)."""
+    entries along axis 0."""
     a = np.abs(w)
     return max(a[:8].max(), a[-8:].max()) <= _DECAY_TOL * max(a.max(), 1e-300)
+
+
+def _decays_in_spectrum(what):
+    """_decays(np.fft.fftshift(what, axes=0)) for a DFT `what`, without the
+    shift: the shifted first and last 8 entries along axis 0 are what[h:h + 8]
+    and what[h - 8:h], h = (N + 1) // 2 (all of what when N <= 16), its
+    highest frequencies."""
+    a = np.abs(what)
+    h = (len(a) + 1) // 2
+    return a[max(h - 8, 0):h + 8].max() <= _DECAY_TOL * max(a.max(), 1e-300)
 
 
 def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
@@ -145,9 +154,9 @@ def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
     g = np.exp(beta * t)[:, None] * fvals
     ghat = np.fft.fft(g, axis=0)
-    for w, where in ((g, "at the ends"), (np.fft.fftshift(ghat, axes=0),
-                                          "in its spectrum's highest frequencies")):
-        if not _decays(w):
+    for ok, where in ((_decays(g), "at the ends"),
+                      (_decays_in_spectrum(ghat), "in its spectrum's highest frequencies")):
+        if not ok:
             raise GridTooShort(f"weighted data does not decay below 1e-12 {where} "
                                f"(beta={beta})")
 

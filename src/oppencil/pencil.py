@@ -53,6 +53,18 @@ each of an array of circles, so chains and det orders are computed on the
 blocks that own it.  A mode cut (model_solver.mode_pencil) is a
 PencilMatrices too, cut with the help of P's view, so it carries its own
 view and is solved at most once.
+
+assemble_pencil keeps the last _PENCIL_CAP pencils it returned, keyed by
+exactly what assembly reads (_pencil_key): the principal part's n, k, mu,
+nu and terms, coefficients as repr, with l_max and the analysis degree.
+Another strip, window or mode of the same operator and degree, or an
+operator that differs only in its perturbations, gets the same pencil with
+its block view already solved; each request's own steps (certification,
+clustering, det orders, chains, refusals) still run.  B is read-only, so
+a shared pencil cannot change, and the kept stacks with the next one's
+bound stay within _STACK_CAP bytes.  A process that answers many requests
+(cli.main called in a loop, the scripts' sweeps) gains; a one-shot
+command assembles once either way.
 """
 
 from __future__ import annotations
@@ -448,6 +460,23 @@ def _entry_block(a0: SystemOperator, i, j, top):
     return tab["rows"][:e], tab["cols"][:e], W, int(tab["up"][:b][alive].max(initial=0))
 
 
+_PENCIL_CAP = 4    # pencils kept per process; the least recently used goes first
+_pencils = {}      # _pencil_key(...) -> the PencilMatrices assembled for it
+
+
+def _pencil_key(a0: SystemOperator, l_max, analysis_degree):
+    """Everything assembly reads: the principal part's n, k, mu and nu, each
+    entry's terms in order (alpha, radial exponent, degree and the
+    monomials' coefficients as repr, so -0.0 and 0.0 differ), l_max and the
+    analysis degree.  Equal keys assemble bit-identical stacks."""
+    return (a0.n, a0.k, tuple(a0.mu), tuple(a0.nu), l_max, analysis_degree,
+            tuple((ij, tuple((alpha, repr(t.radial_exponent), t.poly.degree,
+                              tuple((expo, repr(complex(c)))
+                                    for expo, c in t.poly.coeffs.items()))
+                             for alpha, t in terms))
+                  for ij, terms in a0.entries.items()))
+
+
 def assemble_pencil(op: SystemOperator, l_max: int,
                     analysis_degree: int | None = None) -> PencilMatrices:
     """Assemble the pencil coefficient matrices B_j directly.
@@ -464,6 +493,11 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     before any ladder table is built, when B could exceed _STACK_CAP bytes:
     (m + 1) (k nb)^2 16 on the widest work basis the margin allows, degree
     l_max + 2 (l_max - analysis_degree).
+
+    A repeated _pencil_key returns the kept PencilMatrices (see the module
+    docstring); before a new one is assembled, the least recently used are
+    dropped until at most _PENCIL_CAP - 1 are kept and their stacks and
+    the new one's bound fit in _STACK_CAP bytes together.
     """
     a0 = principal_part(op)
     if a0.m < 1:
@@ -478,6 +512,19 @@ def assemble_pencil(op: SystemOperator, l_max: int,
             f"the basis of harmonic degree {l_max} needs up to {need / 2**30:.3g} GiB "
             f"of pencil coefficients, above the {_STACK_CAP / 2**30:g} GiB bound; "
             "lower the degree")
+    key = _pencil_key(a0, l_max, analysis_degree)
+    P = _pencils.pop(key, None)
+    if P is None:
+        while _pencils and (len(_pencils) >= _PENCIL_CAP or need + sum(
+                Q.B.nbytes for Q in _pencils.values()) > _STACK_CAP):
+            del _pencils[next(iter(_pencils))]
+        P = _assemble(a0, l_max, analysis_degree)
+    _pencils[key] = P
+    return P
+
+
+def _assemble(a0: SystemOperator, l_max, analysis_degree):
+    """The pencil of the principal part a0 (assemble_pencil, uncached)."""
     for (i, j), terms in a0.entries.items():
         for alpha, t in terms:
             h = a0.mu[j] - sum(alpha) + t.radial_exponent + t.poly.degree
@@ -504,8 +551,11 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     for (i, j), (rows, cols, W, _) in blocks.items():
         keep = rows < nb
         B[:, i * nb + rows[keep], j * nb + cols[keep]] = W[:, keep]
+    degrees = np.repeat(np.arange(top + 1), dims)
+    B.setflags(write=False)
+    degrees.setflags(write=False)
     return PencilMatrices(
-        B=B, degrees=np.repeat(np.arange(top + 1), dims), k=k, n=a0.n,
+        B=B, degrees=degrees, k=k, n=a0.n,
         mu=tuple(a0.mu), nu=tuple(a0.nu), l_max=l_max,
         analysis_degree=analysis_degree, bandwidth=bandwidth)
 

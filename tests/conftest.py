@@ -3,6 +3,14 @@
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def _cold_pencils():
+    """Each test starts with no pencil kept from an earlier one, so counts of
+    assemblies and block views read its own work."""
+    from oppencil import pencil
+    pencil._pencils.clear()
+
+
 def laplacian_doc(n):
     """-Delta = sum_i D_i^2 (D_i = -i d/dx_i), so unit coefficients."""
     terms = []

@@ -1,11 +1,15 @@
-"""Exact harmonic bases over Q, an oracle the tests check the assembled
-pencil and the harmonic algebra against: sector-structured solid
-harmonics, exactly orthogonal on S^(n-1), ordered as the pencil's basis
-(m ascending, cosine part before sine part)."""
+"""Closed forms the tests check the program against.  Exact harmonic bases
+over Q, for the assembled pencil and the harmonic algebra: sector-structured
+solid harmonics, exactly orthogonal on S^(n-1), ordered as the pencil's
+basis (m ascending, cosine part before sine part).  And the index of the
+operators with nu = 0 and mu = (m, ..., m), m in {1, 2} (special_index), for
+the combinatorial formula and the ledger."""
 
 import math
 from fractions import Fraction
 
+from oppencil.errors import OnBreakpoint
+from oppencil.index_ledger import _BREAK_TOL
 from oppencil.radial_algebra import HomogPoly
 
 
@@ -61,3 +65,27 @@ def exact_harmonics(n: int, l: int):
     else:
         raise ValueError("only n in {2, 3} supported")
     return [P for P in polys if not P.is_zero()]
+
+
+def special_index(n: int, k: int, m: int, beta: float) -> int:
+    """Closed form for nu = 0, mu = (m,...,m) with m in {1, 2}:
+
+        -k/(n-1)! * (l - 1)            * prod_(j=2..n-1) |l - j|   (m = 1)
+        -k/(n-1)! * (2l - n - 1)       * prod_(j=2..n-1) |l - j|   (m = 2)
+
+    with l = floor(beta); empty products are 1 (n = 2).
+    """
+    if m not in (1, 2):
+        raise ValueError("closed form requires m in {1, 2}")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if abs(beta - round(beta)) < _BREAK_TOL:
+        raise OnBreakpoint(f"beta = {beta} is within tolerance of an integer")
+    l = math.floor(beta)
+    prod = 1
+    for j in range(2, n):
+        prod *= abs(l - j)
+    lead = (l - 1) if m == 1 else (2 * l - n - 1)
+    val = Fraction(-k * lead * prod, math.factorial(n - 1))
+    assert val.denominator == 1
+    return int(val)

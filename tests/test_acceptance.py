@@ -21,7 +21,7 @@ from conftest import (
     inverse_square_doc,
     laplacian_doc,
 )
-from oppencil.index_ledger import Anchor, adjoint_res_check, build_ledger, special_index
+from oppencil.index_ledger import Anchor, adjoint_res_check, build_ledger
 from oppencil.model_solver import line_difference_expansion, mode_pencil, \
     verify_coefficient_formula
 from oppencil.operator_ast import formal_adjoint, is_formally_self_adjoint, \
@@ -30,6 +30,7 @@ from oppencil.pencil import assemble_pencil
 from oppencil.spectrum import biorthogonalize, jordan_chains, strip_spectrum
 from oppencil.weighted_norms import Expr, weighted_sobolev_norm
 from oppencil.operator_ast import check_symbol_class
+from oracles import special_index
 
 REPO = Path(__file__).resolve().parent.parent
 

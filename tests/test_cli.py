@@ -426,6 +426,39 @@ def _main(argv, capsys):
     return code, out, err
 
 
+@pytest.mark.parametrize("name, strip, degree", [
+    ("laplacian3d", ["-0.5", "3.5"], "4"),
+    ("dbar2d", ["-1.5", "2.5"], "6"),
+])
+def test_reports_equal_on_cold_and_warm_pencils(monkeypatch, capsys, name, strip, degree):
+    # every command that assembles, first each on no kept pencil, then all
+    # in a row, each on the pencils kept by the ones before, then all again
+    # on every pencil kept: byte-identical reports and exit codes, and the
+    # last pass assembles nothing
+    from oppencil import pencil
+    path = str(REPO / "operators" / f"{name}.json")
+    band = ["--degree", degree]
+    argvs = [["res", path, "--strip", *strip, *band],
+             ["index", path, "--anchor", "cc", "--window", *strip, *band],
+             ["index", path, "--anchor", "selfadjoint", "--window", *strip, *band],
+             ["spectrum", path, "--strip", *strip, *band],
+             ["verify-cc", path, "--window", *strip, *band],
+             ["adjoint-check", path, "--window", *strip, *band],
+             ["model-solve", path, "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"],
+             ["pencil", path, *band]]
+    cold = []
+    for argv in argvs:
+        pencil._pencils.clear()
+        cold.append(_main(argv, capsys))
+    assert [_main(argv, capsys) for argv in argvs] == cold
+    assembled = []
+    assemble = pencil._assemble
+    monkeypatch.setattr(pencil, "_assemble",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    assert [_main(argv, capsys) for argv in argvs] == cold
+    assert assembled == []
+
+
 def _write_csv(path, t, vals):
     rows = np.column_stack([t, vals.real, vals.imag])
     np.savetxt(path, rows, delimiter=",", header="t,re,im", comments="")

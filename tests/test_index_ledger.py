@@ -14,9 +14,9 @@ from oppencil.index_ledger import (
     check_anchor,
     pn,
     pn_mu_nu,
-    special_index,
 )
 from oppencil.spectrum import strip_spectrum
+from oracles import special_index
 
 
 def count_monomials_oracle(n, l):

@@ -467,6 +467,25 @@ def test_choose_grid_refines_past_all_zero_samples():
     assert (t[1] - t[0]) * vals.sum() == pytest.approx(math.sqrt(math.pi / a), rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [None, 3], ids=["1d", "2d"])
+def test_spectrum_read_without_the_shift_decides_as_the_shifted_read(width):
+    # one entry of 1e-11 against a peak of 1 at each position in turn, on
+    # every length from 2 to 70: the slice read fails exactly where the
+    # fftshifted read does, so both see the same highest frequencies
+    rng = np.random.default_rng(7)
+    seen = set()
+    for N in range(2, 71):
+        shape = (N,) if width is None else (N, width)
+        for pos in range(N):
+            what = 1e-14 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            what[(pos + N // 2) % N] = 1.0
+            what[pos] = 1e-11
+            read = model_solver._decays_in_spectrum(what)
+            assert read == model_solver._decays(np.fft.fftshift(what, axes=0)), (N, pos)
+            seen.add(read)
+    assert seen == {True, False}
+
+
 def test_choose_grid_refuses_a_spectrum_that_does_not_decay():
     # a box has a jump at each edge, so its spectrum decays like 1/sigma;
     # a longer grid would only be coarser

@@ -567,7 +567,8 @@ def test_ladder_tables_match_the_column_loop_bit_for_bit(monkeypatch, path):
 @pytest.mark.parametrize("path", sorted(OPERATORS.glob("*.json")), ids=lambda p: p.stem)
 def test_column_memo_assembles_the_same_pencil_cold_and_warm(monkeypatch, path):
     # cold: each degree on an empty memo; warm: from the largest degree
-    # down, so the smaller ones read a prefix of its tables and build none
+    # down, so the smaller ones read a prefix of its tables and build none.
+    # No pencil is kept between them, so each warm one is assembled anew
     op = parse_operator(json.loads(path.read_text()))
     cold = {}
     for degree in (2, 6, 10):
@@ -575,7 +576,9 @@ def test_column_memo_assembles_the_same_pencil_cold_and_warm(monkeypatch, path):
         cold[degree] = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     tables = dict(pencil._tables)
     for degree in (10, 6, 2):
+        pencil._pencils.clear()
         warm = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+        assert warm is not cold[degree]
         assert np.array_equal(warm.B, cold[degree].B)
         assert warm.bandwidth == cold[degree].bandwidth
     assert pencil._tables.keys() == tables.keys()
@@ -692,3 +695,63 @@ def test_zero_leading_scalar_refused(l):
     assert P.powers == [d] and P.squares[0].shape == (3, 1, 1)
     with pytest.raises(SingularLeadingCoeff, match="leading coefficient"):
         P.eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# the pencils kept per process
+# ---------------------------------------------------------------------------
+
+def _term_doc(re, im):
+    """-Delta on R^3 with its first coefficient re + i im."""
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["poly"] = {"0 0 0": [re, im]}
+    return parse_operator(doc)
+
+
+def test_a_perturbation_shares_the_kept_pencil_and_a_last_bit_does_not():
+    # a perturbation is not in the principal part, so both operators read
+    # the same pencil; a coefficient one ulp off, or a -0.0 for a 0.0, is
+    # another key and another assembly
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["perturbation"] = [
+        {"b": "-3/2", "c": 0, "poly": {"0 0 0": [1.0, 0.0]}}]
+    P = assemble_pencil(parse_operator(laplacian_doc(3)), 4, analysis_degree=2)
+    assert assemble_pencil(parse_operator(doc), 4, analysis_degree=2) is P
+    assert assemble_pencil(_term_doc(1.0, 0.0), 4, analysis_degree=2) is P
+    for other in (_term_doc(np.nextafter(1.0, 2.0), 0.0), _term_doc(1.0, -0.0)):
+        Q = assemble_pencil(other, 4, analysis_degree=2)
+        assert Q is not P
+    assert assemble_pencil(parse_operator(laplacian_doc(3)), 4, analysis_degree=3) is not P
+
+
+def test_kept_pencil_is_read_only(laplacian3d, dbar2d):
+    for op in (laplacian3d, dbar2d):
+        P = assemble_pencil(op, 4)
+        for a in (P.B, P.B[1:], P.degrees):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
+def test_kept_pencils_are_bounded_in_number(laplacian3d):
+    # the least recently returned goes first: a hit moves a pencil last
+    assert pencil._PENCIL_CAP == 4
+    first = [assemble_pencil(laplacian3d, l, analysis_degree=l) for l in range(4)]
+    assert assemble_pencil(laplacian3d, 0, analysis_degree=0) is first[0]
+    assemble_pencil(laplacian3d, 4, analysis_degree=4)
+    assert len(pencil._pencils) == 4
+    assert assemble_pencil(laplacian3d, 0, analysis_degree=0) is first[0]
+    assert assemble_pencil(laplacian3d, 1, analysis_degree=1) is not first[1]
+
+
+def test_kept_pencils_are_bounded_in_bytes(monkeypatch, laplacian3d, laplacian2d,
+                                           inverse_square3d):
+    # at a zero margin and bandwidth 0 a stack takes exactly its bound,
+    # 3 * 25^2 * 16 bytes on R^3 at degree 4 and 3 * 9^2 * 16 on R^2
+    monkeypatch.setattr(pencil, "_STACK_CAP", 50000)
+    P3 = assemble_pencil(laplacian3d, 4, analysis_degree=4)
+    P2 = assemble_pencil(laplacian2d, 4, analysis_degree=4)
+    assert (P3.B.nbytes, P2.B.nbytes) == (30000, 3888)
+    assert list(pencil._pencils.values()) == [P3, P2]
+    Q = assemble_pencil(inverse_square3d, 4, analysis_degree=4)   # 30000 more
+    assert list(pencil._pencils.values()) == [P2, Q]
+    assert assemble_pencil(laplacian2d, 4, analysis_degree=4) is P2

@@ -313,6 +313,7 @@ def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
     P = assemble_pencil(laplacian3d, default_l_max(laplacian3d, 7), analysis_degree=7)
     owner = np.flatnonzero(P.owners(-4j, 0.1))
     assert len(owner) == 1 and P.powers[owner[0]] == 13
+    P = replace(P)
     P.__dict__["roots"] = (np.array([-4j] * count), np.repeat(owner, count))
     assert _owner_orders(P, -4j, 0.1) == {int(owner[0]): 13}
 
@@ -874,6 +875,26 @@ def test_full_squares_are_solved_each_once(monkeypatch):
     assert len(squares) > 1 and all(S.shape[1] > 1 for S in squares)
     assert len(seen) == len(squares) and all(a is b for a, b in zip(seen, squares))
     assert [len(C) for C in batches] == [0]
+
+
+@pytest.mark.parametrize("doc_fn, strips, degree", [
+    (lambda: laplacian_doc(3), [(-0.5, 3.5), (0.5, 2.5)], 4),
+    (dbar_doc, [(-1.5, 2.5), (0.5, 3.5)], 6),
+], ids=["laplacian3d", "dbar2d"])
+def test_strips_of_one_operator_and_degree_share_one_pencil(monkeypatch, doc_fn, strips,
+                                                            degree):
+    # a second strip of the same (operator, degree), parsed anew, is solved on
+    # the first strip's pencil: one assembly and one eigensolve for both
+    assembled = []
+    assemble = pencil._assemble
+    monkeypatch.setattr(pencil, "_assemble",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    seen, batches = _count_solves(monkeypatch)
+    first = strip_spectrum(parse_operator(doc_fn()), *strips[0], degree)
+    solves = (len(seen), len(batches))
+    second = strip_spectrum(parse_operator(doc_fn()), *strips[1], degree)
+    assert second.pencil is first.pencil and len(assembled) == 1
+    assert (len(seen), len(batches)) == solves and second.eigenpoints
 
 
 # ---------------------------------------------------------------------------
