@@ -14,7 +14,6 @@ from .operator_ast import (  # noqa: F401
 )
 from .pencil import assemble_pencil  # noqa: F401
 from .spectrum import (  # noqa: F401
-    biorthogonalize,
     jordan_chains,
     power_solutions,
     solve_pencil_eigenvalues,

@@ -25,8 +25,9 @@ three ways and reports their mutual deviations:
 
 One rule sizes the grid [-T, T) of n points on both axes (choose_grid):
 every e^(beta t) f falls below 1e-12 of its peak at both ends in t (T)
-and at the highest frequencies of its DFT (n); a line solve refuses a
-given grid that fails either test (GridTooShort).
+and at the highest frequencies of its DFT (n); the line solves take the
+DFTs the accepted grid was tested with.  A line solve weighs a given grid
+once and refuses it when either test fails (GridTooShort).
 
 The deviations are weighted by the two lines, in which each solve is exact
 to round-off: a difference r reads max |r| / (e^(-beta1 t) + e^(-beta2 t)),
@@ -95,9 +96,11 @@ def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
 # ---------------------------------------------------------------------------
 
 def choose_grid(f, betas, min_T: float = 0.0):
-    """Uniform grid [-T, T) of n points on which every e^(beta t) f falls
-    below 1e-12 of its peak at both ends in t and at the highest
-    frequencies of its DFT (_decays_in_spectrum): one rule sizes the length and
+    """(t, vals, hats): the uniform grid [-T, T) of n points on which every
+    e^(beta t) f falls below 1e-12 of its peak at both ends in t and at the
+    highest frequencies of its DFT (_decays_in_spectrum), the samples of f
+    there and the DFT of each e^(beta t) f, beta by beta (the line solves
+    take them, solve_on_line): one rule sizes the length and
     the spacing, since the trapezoid sums and the DFT err by the spectral
     mass beyond Nyquist.  T = max(6, min_T) grows by 1.4 up to 160 (`min_T`
     lets the weighted solutions die out too); n is the smallest power of
@@ -115,8 +118,9 @@ def choose_grid(f, betas, min_T: float = 0.0):
             weighted = [(np.exp(beta * t) * vals.T).T for beta in betas]
             if not all(_decays(w) for w in weighted):
                 break
-            if all(_decays_in_spectrum(np.fft.fft(w, axis=0)) for w in weighted):
-                return t, vals
+            hats = [np.fft.fft(w, axis=0) for w in weighted]
+            if all(_decays_in_spectrum(what) for what in hats):
+                return t, vals, hats
             if n == _GRID_SIZES[-1]:
                 raise GridTooShort(f"weighted data does not decay below 1e-12 in its "
                                    f"spectrum's highest frequencies at {n} points")
@@ -141,24 +145,28 @@ def _decays_in_spectrum(what):
     return a[max(h - 8, 0):h + 8].max() <= _DECAY_TOL * max(a.max(), 1e-300)
 
 
-def solve_on_line(mp: PencilMatrices, fvals, beta: float, t) -> np.ndarray:
+def solve_on_line(mp: PencilMatrices, fvals, beta: float, t, ghat=None) -> np.ndarray:
     """Invert b(D_t) u = f along the weight line Im lambda = beta.
 
     `fvals` holds the samples of f, shape (N, q), on the uniform grid `t`
     of length N; e^(beta t) f and its DFT must decay below 1e-12 at both
-    ends (see choose_grid).  Returns the samples of u, shape (N, q).
+    ends (see choose_grid).  `ghat` is that DFT, shape (N, q), when
+    choose_grid has tested it; otherwise f is weighed here and both tests
+    run (GridTooShort).  Returns the samples of u, shape (N, q).
     """
     gap = min((abs(p.imag - beta) for p in mp.eigenvalues),
               default=math.inf)
     if gap < _LINE_TOL:
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
-    g = np.exp(beta * t)[:, None] * fvals
-    ghat = np.fft.fft(g, axis=0)
-    for ok, where in ((_decays(g), "at the ends"),
-                      (_decays_in_spectrum(ghat), "in its spectrum's highest frequencies")):
-        if not ok:
-            raise GridTooShort(f"weighted data does not decay below 1e-12 {where} "
-                               f"(beta={beta})")
+    if ghat is None:
+        g = np.exp(beta * t)[:, None] * fvals
+        ghat = np.fft.fft(g, axis=0)
+        for ok, where in ((_decays(g), "at the ends"),
+                          (_decays_in_spectrum(ghat),
+                           "in its spectrum's highest frequencies")):
+            if not ok:
+                raise GridTooShort(f"weighted data does not decay below 1e-12 {where} "
+                                   f"(beta={beta})")
 
     sigma = 2 * math.pi * np.fft.fftfreq(len(t), d=t[1] - t[0])
     mats = horner(mp.B, sigma + 1j * beta)
@@ -271,15 +279,17 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
         # the grid must be long enough for that tail to die out too
         gap = min((abs(p.imag - b) for p in spectrum.solve_pencil_eigenvalues(mp)
                    for b in (beta1, beta2)), default=1.0)
-        t, fvals = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
+        t, fvals, hats = choose_grid(f, [beta1, beta2], min_T=30.0 / max(gap, 0.25))
     else:
         fvals = np.asarray(f(t)) if callable(f) else np.asarray(f)
+        hats = None   # a given grid is weighed and tested by each line solve
     q = mp.size
     fvals = fvals[:, None] if fvals.ndim == 1 and q == 1 else fvals
     if fvals.shape != (len(t), q):
         raise ValueError(f"f samples must have shape ({len(t)}, {q})")
-    u1 = solve_on_line(mp, fvals, beta1, t)
-    u2 = solve_on_line(mp, fvals, beta2, t)
+    hats = [None, None] if hats is None else [what.reshape(fvals.shape) for what in hats]
+    u1 = solve_on_line(mp, fvals, beta1, t, hats[0])
+    u2 = solve_on_line(mp, fvals, beta2, t, hats[1])
     diff_solve = u1 - u2
 
     diff_residue = np.zeros_like(diff_solve)

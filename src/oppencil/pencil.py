@@ -59,12 +59,19 @@ exactly what assembly reads (_pencil_key): the principal part's n, k, mu,
 nu and terms, coefficients as repr, with l_max and the analysis degree.
 Another strip, window or mode of the same operator and degree, or an
 operator that differs only in its perturbations, gets the same pencil with
-its block view already solved; each request's own steps (certification,
-clustering, det orders, chains, refusals) still run.  B is read-only, so
-a shared pencil cannot change, and the kept stacks with the next one's
-bound stay within _STACK_CAP bytes.  A process that answers many requests
-(cli.main called in a loop, the scripts' sweeps) gains; a one-shot
-command assembles once either way.
+its block view already solved.  A pencil also remembers what strips solved
+on it: the certification verdict of each candidate (P.verdicts), and, on a
+kept pencil, the eigenpoint of each (centre, isolation) that
+spectrum.jordan_chains read (P.points, filled by remember).  A strip's
+eigenpoints hold one chain vector of P.size entries per eigenvalue in it,
+so one per cluster takes at most m size vectors, m/(m + 1) of the stack.
+Each request's own checks (the uncertified-candidate refusal, clustering,
+the total multiplicity, refusals) still run.  B and the remembered chain
+vectors are read-only, so a shared pencil cannot change, and the kept
+stacks and memos, with the next stack's bound, stay within _STACK_CAP
+bytes.  A process that answers many strips, windows or modes of one
+operator (cli.main called in a loop, the scripts' sweeps) gains; a
+one-shot command assembles and chains once either way.
 """
 
 from __future__ import annotations
@@ -81,14 +88,19 @@ from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
 _SCALAR_TOL = 1e-10    # deviation from c(lam) I, relative to the block's row sums
-_STACK_CAP = 2 ** 28   # bytes a pencil's dense coefficient stack B may take
-_ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
+_STACK_CAP = 2 ** 28   # bytes a stack B may take, and the kept stacks and memos together
 _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 
 
 # ---------------------------------------------------------------------------
 # matrix assembly
 # ---------------------------------------------------------------------------
+
+class _Points(dict):
+    """key -> spectrum.Eigenpoint, and the bytes of their chain vectors."""
+
+    nbytes = 0
+
 
 @dataclass(frozen=True)
 class PencilMatrices:
@@ -279,6 +291,24 @@ class PencilMatrices:
         """P.roots, each repeated its square's P.powers times."""
         roots, square = self.roots
         return np.repeat(roots, np.array(self.powers)[square])
+
+    @cached_property
+    def verdicts(self):
+        """The certification verdict of each of P.eigenvalues, filled as
+        strips judge them (spectrum.solve_pencil_eigenvalues): 1 certified,
+        0 not, -1 not yet judged."""
+        return np.full(len(self.eigenvalues), -1, dtype=np.int8)
+
+    @cached_property
+    def points(self):
+        """The eigenpoints remembered on a kept pencil (remember), keyed by
+        the bits of the centre and isolation spectrum.jordan_chains read."""
+        return _Points()
+
+    @property
+    def nbytes(self):
+        """The bytes of B and of the remembered chain vectors."""
+        return self.B.nbytes + self.points.nbytes
 
     def owners(self, lam0, radius):
         """Which of P.squares own a root (P.roots) strictly inside the circle
@@ -497,7 +527,7 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     A repeated _pencil_key returns the kept PencilMatrices (see the module
     docstring); before a new one is assembled, the least recently used are
     dropped until at most _PENCIL_CAP - 1 are kept and their stacks and
-    the new one's bound fit in _STACK_CAP bytes together.
+    memos and the new one's bound fit in _STACK_CAP bytes together.
     """
     a0 = principal_part(op)
     if a0.m < 1:
@@ -515,12 +545,35 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     key = _pencil_key(a0, l_max, analysis_degree)
     P = _pencils.pop(key, None)
     if P is None:
-        while _pencils and (len(_pencils) >= _PENCIL_CAP or need + sum(
-                Q.B.nbytes for Q in _pencils.values()) > _STACK_CAP):
+        while len(_pencils) >= _PENCIL_CAP:
             del _pencils[next(iter(_pencils))]
+        _fit(need)
         P = _assemble(a0, l_max, analysis_degree)
     _pencils[key] = P
     return P
+
+
+def _fit(need, spare=None):
+    """Drop the least recently used kept pencils, never `spare`, until
+    `need` more bytes fit in _STACK_CAP with the kept stacks and memos
+    (PencilMatrices.nbytes); whether they fit."""
+    drop = [key for key, Q in _pencils.items() if Q is not spare]
+    while need + sum(Q.nbytes for Q in _pencils.values()) > _STACK_CAP:
+        if not drop:
+            return False
+        del _pencils[drop.pop(0)]
+    return True
+
+
+def remember(P: PencilMatrices, points):
+    """Add `points` (key -> spectrum.Eigenpoint) to P.points when P is kept
+    and they fit: the least recently used other kept pencils are dropped
+    until their chain vectors fit in _STACK_CAP with the kept stacks and
+    memos.  A pencil no longer kept remembers nothing more."""
+    extra = sum(e.nbytes for e in points.values())
+    if any(Q is P for Q in _pencils.values()) and _fit(extra, P):
+        P.points.update(points)
+        P.points.nbytes += extra
 
 
 def _assemble(a0: SystemOperator, l_max, analysis_degree):
@@ -647,22 +700,3 @@ def taylor(coeffs, lam0):
             T[j] = T[j] + lam0 * T[j + 1]
     return T
 
-
-def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float:
-    """Relative residual of pencil_adj(lam) == pencil(conj(lam)+i(n+m))^H
-    at lam = _ADJOINT_PROBE.
-
-    Both pencils are compared on the common basis range.
-    """
-    n_common = min(len(P.degrees), len(P_adj.degrees))
-
-    def restrict(mat, nb):
-        idx = np.concatenate([c * nb + np.arange(n_common) for c in range(P.k)])
-        return mat[np.ix_(idx, idx)]
-
-    lam = _ADJOINT_PROBE
-    lhs = restrict(horner(P_adj.B, lam), len(P_adj.degrees))
-    rhs = restrict(horner(P.B, np.conj(lam) + 1j * (P.n + P.m)),
-                   len(P.degrees)).conj().T
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / scale)

@@ -52,6 +52,17 @@ A strip's eigenpoints are solved in one pass: the in-strip count, the
 clustering and each centre's isolation are array operations, and one
 jordan_chains call reads every centre's det orders, chains every 1 x 1
 owner of every centre in one pass and the full owners centre by centre.
+The lines and their multiplicities depend on the pencil alone, a strip
+only picks which a report shows, so a pencil remembers each candidate's
+certification verdict (P.verdicts) and, when kept, each eigenpoint by the
+exact (centre, isolation) it was chained at (P.points): a strip certifies
+only its candidates not yet judged, and chains only the centres not yet
+chained, in that one call; an error is never remembered.  Every check of
+the strip itself (the uncertified-candidate refusal, the total
+multiplicity, the tail-mass and boundary refusals) runs on every strip.
+The remembered chains count toward the kept pencils' one byte budget
+(pencil._STACK_CAP).  Sweeps of strips or windows over one operator in one
+process gain; a one-shot command certifies and chains once either way.
 Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
 normalized to the Kronecker biorthogonality pattern by one least-squares
 solve.
@@ -76,11 +87,11 @@ from .errors import (
 from .operator_ast import SystemOperator
 from .pencil import (
     PencilMatrices,
-    adjoint_identity_residual,
     assemble_pencil,
     component_labels,
     default_l_max,
     horner,
+    remember,
     taylor,
 )
 
@@ -99,8 +110,11 @@ _DET_ROUNDOFF = 64        # a scalar's det round-off, in N eps max_z sum_j |C_j|
 # data types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Eigenpoint:
+    """The chains at one point.  Frozen, its chain vectors read-only
+    (_pad), since a kept pencil shares it between strips (P.points)."""
+
     lambda0: complex
     geometric: int
     partial_multiplicities: list
@@ -109,6 +123,11 @@ class Eigenpoint:
     residuals: list         # per-chain max residual (relative)
     det_order: int
     radius: float           # det-order circle, isolating lambda0 (not serialized)
+
+    @property
+    def nbytes(self):
+        """The bytes of the chain vectors."""
+        return sum(v.nbytes for chain in self.chains for v in chain)
 
     def to_json(self):
         return {
@@ -191,20 +210,23 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     """All finite certified eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, the only ones
     certified.  The companion eigensolves run once per pencil
-    (P.eigenvalues)."""
+    (P.eigenvalues), and each candidate is certified once per pencil
+    (P.verdicts)."""
     vals = P.eigenvalues
     keep = (np.ones(len(vals), dtype=bool) if band is None
             else (band[0] < vals.imag) & (vals.imag < band[1]))
     # decoupled blocks are the pencil itself; a compressed square is not,
-    # so each block's candidates are certified against its own rectangular
-    # pencil, by stacked SVDs no larger than P.B
+    # so each block's candidates not yet judged are certified against its
+    # own rectangular pencil, by stacked SVDs no larger than P.B
     if P.bandwidth:
-        square = P.roots[1]
-        for i in np.unique(square[keep]).tolist():
-            sel = np.flatnonzero(keep & (square == i))
+        square, verdicts = P.roots[1], P.verdicts
+        todo = keep & (verdicts < 0)
+        for i in np.unique(square[todo]).tolist():
+            sel = np.flatnonzero(todo & (square == i))
             sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
                                          P.restriction(i), vals[sel], P.B.size))
-            keep[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
+            verdicts[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
+        keep &= verdicts == 1
     return vals[keep]
 
 
@@ -547,8 +569,10 @@ def _owner_chains(P: PencilMatrices, lambda0: complex, i, order):
 
 
 def _pad(vec, keep, size):
+    """`vec` on the coordinates `keep` of a zero vector of `size`, read-only."""
     out = np.zeros(size, dtype=complex)
     out[keep] = vec
+    out.setflags(write=False)
     return out
 
 
@@ -566,19 +590,6 @@ def _degree_masses(P: PencilMatrices, vecs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # biorthogonal adjoint chains
 # ---------------------------------------------------------------------------
-
-def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
-                    e: Eigenpoint) -> AdjointChains:
-    """adjoint_chains(P, e), once P_adj (the pencil of the formally adjoint
-    operator) is validated against the cylinder-level adjoint pencil
-    through the shift identity pencil_adj(lam) = pencil(conj(lam) + i(n+m))^H.
-    """
-    if P_adj.k != P.k or P_adj.n != P.n or P_adj.m != P.m:
-        raise ValueError("P_adj is not compatible with P")
-    if adjoint_identity_residual(P, P_adj) > 1e-6:
-        raise ValueError("P_adj does not satisfy the adjoint pencil identity")
-    return adjoint_chains(P, e)
-
 
 def adjoint_chains(P: PencilMatrices, e: Eigenpoint) -> AdjointChains:
     """Adjoint Jordan chains at conj(lambda0), biorthogonally normalized.
@@ -683,7 +694,9 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     each centre isolates from every eigenvalue of P, certified or not, and
     the det circle of an owner that shares a centre from its own square's
     roots (the det read vanishes at each).  The certified values cluster
-    within _CLUSTER_RADIUS, all centres chained in one jordan_chains call.
+    within _CLUSTER_RADIUS; the centres whose (centre, isolation) P does
+    not remember (P.points) are chained in one jordan_chains call, and a
+    kept P remembers them (pencil.remember).
     Values within the cluster radius outside an edge are kept, so a line on
     an edge reaches RefuseBoundary whatever side round-off puts it on.  A
     candidate there that fails certification is a line the degree does not
@@ -697,8 +710,19 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
             f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
             "fail certification at this degree; raise --degree")
     centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)], dtype=complex)
-    eigenpoints = jordan_chains(P, centers, _isolation(
-        centers, np.concatenate([centers, P.eigenvalues]))) if centers.size else []
+    isolation = _isolation(centers, np.concatenate([centers, P.eigenvalues]))
+    # keyed by the bits jordan_chains reads, so a remembered point is what
+    # chaining it again would give (-0.0 and 0.0 differ)
+    keys = [row.tobytes() for row in np.column_stack(
+        [centers.real, centers.imag, isolation])]
+    known = P.points
+    miss = [i for i, key in enumerate(keys) if key not in known]
+    new = {}
+    if miss:
+        new = dict(zip([keys[i] for i in miss],
+                       jordan_chains(P, centers[miss], isolation[miss])))
+        remember(P, new)
+    eigenpoints = [new[key] if key in new else known[key] for key in keys]
     total = sum(ep.algebraic for ep in eigenpoints)
     if total != len(in_strip):
         raise MultiplicityMismatch(
@@ -730,12 +754,17 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
 
     # a coupled mode-d eigenvector carries about 1e-3 of its mass at
     # degree d + 1, so only one with most of its mass above the degree
-    # belongs to a higher mode; a small tail is kept
+    # belongs to a higher mode; a small tail is kept.  Every eigenpoint's
+    # leading vectors are read at once, then each point's largest tail and
+    # peak degree over its chains
     above = []
-    for ep in eigenpoints:
-        masses = _degree_masses(P, [chain[0] for chain in ep.chains])
-        if masses[:, degree + 1:].sum(axis=1).max() > _TAIL_MASS_MAX:
-            above.append((ep.lambda0.imag, int(masses.argmax(axis=1).max())))
+    if eigenpoints:
+        masses = _degree_masses(P, [chain[0] for ep in eigenpoints for chain in ep.chains])
+        first = np.cumsum([0] + [ep.geometric for ep in eigenpoints[:-1]])
+        tail = np.maximum.reduceat(masses[:, degree + 1:].sum(axis=1), first)
+        peak = np.maximum.reduceat(masses.argmax(axis=1), first)
+        above = [(ep.lambda0.imag, int(top)) for ep, t, top
+                 in zip(eigenpoints, tail.tolist(), peak.tolist()) if t > _TAIL_MASS_MAX]
     if above:
         lines = ", ".join(dict.fromkeys(f"{line:.9g}" for line, _ in above))
         raise UnstableSpectrum(

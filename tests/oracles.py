@@ -3,14 +3,23 @@ over Q, for the assembled pencil and the harmonic algebra: sector-structured
 solid harmonics, exactly orthogonal on S^(n-1), ordered as the pencil's
 basis (m ascending, cosine part before sine part).  And the index of the
 operators with nu = 0 and mu = (m, ..., m), m in {1, 2} (special_index), for
-the combinatorial formula and the ledger."""
+the combinatorial formula and the ledger.  And the adjoint pencil identity
+pencil_adj(lam) = pencil(conj(lam) + i(n + m))^H at one probe point
+(adjoint_identity_residual), which biorthogonalize checks before it takes
+the adjoint chains."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from oppencil.errors import OnBreakpoint
 from oppencil.index_ledger import _BREAK_TOL
+from oppencil.pencil import PencilMatrices, horner
 from oppencil.radial_algebra import HomogPoly
+from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains
+
+_ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 
 
 def _xy_power(n: int, m: int):
@@ -89,3 +98,36 @@ def special_index(n: int, k: int, m: int, beta: float) -> int:
     val = Fraction(-k * lead * prod, math.factorial(n - 1))
     assert val.denominator == 1
     return int(val)
+
+
+def adjoint_identity_residual(P: PencilMatrices, P_adj: PencilMatrices) -> float:
+    """Relative residual of pencil_adj(lam) == pencil(conj(lam)+i(n+m))^H
+    at lam = _ADJOINT_PROBE.
+
+    Both pencils are compared on the common basis range.
+    """
+    n_common = min(len(P.degrees), len(P_adj.degrees))
+
+    def restrict(mat, nb):
+        idx = np.concatenate([c * nb + np.arange(n_common) for c in range(P.k)])
+        return mat[np.ix_(idx, idx)]
+
+    lam = _ADJOINT_PROBE
+    lhs = restrict(horner(P_adj.B, lam), len(P_adj.degrees))
+    rhs = restrict(horner(P.B, np.conj(lam) + 1j * (P.n + P.m)),
+                   len(P.degrees)).conj().T
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+    return float(np.linalg.norm(lhs - rhs) / scale)
+
+
+def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
+                    e: Eigenpoint) -> AdjointChains:
+    """adjoint_chains(P, e), once P_adj (the pencil of the formally adjoint
+    operator) is validated against the cylinder-level adjoint pencil
+    through the shift identity pencil_adj(lam) = pencil(conj(lam) + i(n+m))^H.
+    """
+    if P_adj.k != P.k or P_adj.n != P.n or P_adj.m != P.m:
+        raise ValueError("P_adj is not compatible with P")
+    if adjoint_identity_residual(P, P_adj) > 1e-6:
+        raise ValueError("P_adj does not satisfy the adjoint pencil identity")
+    return adjoint_chains(P, e)

@@ -27,10 +27,10 @@ from oppencil.model_solver import line_difference_expansion, mode_pencil, \
 from oppencil.operator_ast import formal_adjoint, is_formally_self_adjoint, \
     parse_operator
 from oppencil.pencil import assemble_pencil
-from oppencil.spectrum import biorthogonalize, jordan_chains, strip_spectrum
+from oppencil.spectrum import jordan_chains, strip_spectrum
 from oppencil.weighted_norms import Expr, weighted_sobolev_norm
 from oppencil.operator_ast import check_symbol_class
-from oracles import special_index
+from oracles import biorthogonalize, special_index
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import laplacian_doc, dbar_doc, inverse_square_doc
+from conftest import laplacian_doc, dbar_doc, drift_doc, inverse_square_doc
 from oppencil.weighted_norms import Expr, weighted_cl_norm, weighted_holder_seminorm
 
 REPO = Path(__file__).resolve().parent.parent
@@ -457,6 +457,50 @@ def test_reports_equal_on_cold_and_warm_pencils(monkeypatch, capsys, name, strip
                         lambda *args: assembled.append(args) or assemble(*args))
     assert [_main(argv, capsys) for argv in argvs] == cold
     assert assembled == []
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("cr_system2d", "8"), ("dbar2d", "12"), ("drift3d", "2"), ("laplacian3d", "4"),
+])
+def test_strip_reports_equal_on_cold_and_remembered_eigenpoints(monkeypatch, tmp_path,
+                                                                capsys, name, degree):
+    # res, index --anchor cc and spectrum over overlapping strips, strips
+    # with an edge 0.05 from a line, and a strip that refuses (an edge on
+    # line 1, or the drift's lines of modes above degree 2): first each on
+    # no kept pencil, then all in a row, on a pencil that remembers the
+    # verdicts and eigenpoints of the strips before.  Reports, exit codes
+    # and first stderr lines are byte-identical, and the row chains fewer
+    # centres
+    from oppencil import pencil, spectrum
+    if name == "drift3d":
+        path = tmp_path / "drift3d.json"
+        path.write_text(json.dumps(drift_doc(0.4)))
+    else:
+        path = REPO / "operators" / f"{name}.json"
+    strips = [("-1.5", "2.5"), ("0.5", "3.5"), ("0.95", "3.05"), ("-0.05", "1.95"),
+              ("1", "2.5")]
+    argvs = [[*command, str(path), flag, *strip, "--degree", degree]
+             for strip in strips
+             for command, flag in ((["res"], "--strip"), (["index", "--anchor", "cc"],
+                                                          "--window"),
+                                   (["spectrum"], "--strip"))]
+    chained = []
+    chain = spectrum.jordan_chains
+    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, lam, *a:
+                        chained.append(np.size(lam)) or chain(P, lam, *a))
+
+    def run(argv):
+        code, out, err = _main(argv, capsys)
+        return code, out, err.split("\n")[0]
+
+    cold = []
+    for argv in argvs:
+        pencil._pencils.clear()
+        cold.append(run(argv))
+    cold_chained, chained[:] = sum(chained), []
+    assert [run(argv) for argv in argvs] == cold
+    assert {0, 3} <= {code for code, _, _ in cold}
+    assert sum(chained) < cold_chained
 
 
 def _write_csv(path, t, vals):

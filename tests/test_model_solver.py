@@ -387,12 +387,13 @@ def test_residuals_match_the_direct_pairing(case):
 # ---------------------------------------------------------------------------
 
 def test_chain_count_checked_against_det_order(monkeypatch, mode3_l0, capsys):
+    # on a copy of the module's mode pencil, which has chained nothing yet
     true_order = spectrum.det_vanishing_order
     monkeypatch.setattr(spectrum, "det_vanishing_order",
                         lambda P, lam0, radius, square:
                         true_order(P, lam0, radius, square) + 1)
     with pytest.raises(MultiplicityMismatch, match="chain count 1 != det root order 2"):
-        line_difference_expansion(mode3_l0, gauss, 1.5, 2.5)
+        line_difference_expansion(dataclasses.replace(mode3_l0), gauss, 1.5, 2.5)
     code = main(["model-solve", str(OPERATORS / "laplacian3d.json"), "--mode", "0",
                  "--beta1", "1.5", "--beta2", "2.5"])
     out, err = capsys.readouterr()
@@ -462,7 +463,7 @@ def test_choose_grid_refines_past_all_zero_samples():
     a, c = 1e4, 80 / 256
     f = lambda t: np.exp(-a * (t - c) ** 2)
     assert not f(np.linspace(-80, 80, 256, endpoint=False)).any()
-    t, vals = model_solver.choose_grid(f, [0.0], min_T=80.0)
+    t, vals, _ = model_solver.choose_grid(f, [0.0], min_T=80.0)
     assert (t[0], len(t)) == (-80.0, 2 ** 16)
     assert (t[1] - t[0]) * vals.sum() == pytest.approx(math.sqrt(math.pi / a), rel=1e-12)
 

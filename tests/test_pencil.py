@@ -20,7 +20,7 @@ from conftest import (
     inverse_square_doc,
     laplacian_doc,
 )
-from oppencil import pencil
+from oppencil import pencil, spectrum
 from oppencil.errors import CouplingOverflow, SingularLeadingCoeff
 from oppencil.model_solver import mode_pencil
 from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
@@ -31,7 +31,6 @@ from oppencil.pencil import (
     _companion_eigenvalues,
     _ladder_maps,
     _ladder_step,
-    adjoint_identity_residual,
     assemble_pencil,
     default_l_max,
     horner,
@@ -45,7 +44,7 @@ from oppencil.radial_algebra import (
     harmonic_dim,
 )
 from oppencil.spectrum import _CLUSTER_RADIUS
-from oracles import exact_harmonics
+from oracles import adjoint_identity_residual, exact_harmonics
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -755,3 +754,22 @@ def test_kept_pencils_are_bounded_in_bytes(monkeypatch, laplacian3d, laplacian2d
     Q = assemble_pencil(inverse_square3d, 4, analysis_degree=4)   # 30000 more
     assert list(pencil._pencils.values()) == [P2, Q]
     assert assemble_pencil(laplacian2d, 4, analysis_degree=4) is P2
+    # the remembered chains count too: -Delta's 50 eigenvalues at degree 4,
+    # all in one strip, take 50 chain vectors of 25 entries, 20000 bytes.
+    # Remembered on P3, they leave no room for P2 beside it, whether P2 is
+    # kept already (it goes) or assembled next (P3 goes)
+    pencil._pencils.clear()
+    P3 = assemble_pencil(laplacian3d, 4, analysis_degree=4)
+    P2 = assemble_pencil(laplacian2d, 4, analysis_degree=4)
+    assert list(pencil._pencils.values()) == [P3, P2]
+    points = spectrum.strip_eigenpoints(P3, -2.5, 7.5)
+    assert sum(ep.algebraic for ep in points) == 50 and P3.nbytes == 50000
+    assert list(pencil._pencils.values()) == [P3] and len(P3.points) == len(points)
+    P2 = assemble_pencil(laplacian2d, 4, analysis_degree=4)
+    assert list(pencil._pencils.values()) == [P2]
+    # chains that cannot fit beside their own stack are not remembered
+    pencil._pencils.clear()
+    monkeypatch.setattr(pencil, "_STACK_CAP", 49999)
+    P3 = assemble_pencil(laplacian3d, 4, analysis_degree=4)
+    assert len(spectrum.strip_eigenpoints(P3, -2.5, 7.5)) == len(points)
+    assert P3.points == {} and list(pencil._pencils.values()) == [P3]

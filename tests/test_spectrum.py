@@ -38,7 +38,6 @@ from oppencil.pencil import (
 from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
     _chain_scale,
-    biorthogonalize,
     chains_from_matrices,
     cluster_eigenvalues,
     default_l_max,
@@ -48,6 +47,7 @@ from oppencil.spectrum import (
     solve_pencil_eigenvalues,
     strip_spectrum,
 )
+from oracles import biorthogonalize
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -130,8 +130,9 @@ def test_a_strip_certifies_only_its_own_candidates(monkeypatch, doc_fn, degree):
     # stacked SVDs certify the candidates in the strip and none of those
     # 0.1 beyond its edges, and every det circle isolates from every
     # eigenvalue: the radii are those of the old rule, isolated from the
-    # values certified within the old reach of the strip.  No stacked SVD
-    # or slogdet holds more entries than P.B, unless it is of one point
+    # values certified within the old reach of the strip, read on a copy of
+    # P so that P judges its candidates cold.  No stacked SVD or slogdet
+    # holds more entries than P.B, unless it is of one point
     op = parse_operator(doc_fn())
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
     assert P.bandwidth > 0
@@ -141,7 +142,7 @@ def test_a_strip_certifies_only_its_own_candidates(monkeypatch, doc_fn, degree):
     own = np.count_nonzero((beta1 - edge < im) & (im < beta2 + edge))
     reach = (beta1 - _OLD_CERTIFY_REACH, beta2 + _OLD_CERTIFY_REACH)
     assert 0 < own < np.count_nonzero((reach[0] < im) & (im < reach[1]))
-    near = solve_pencil_eigenvalues(P, reach)
+    near = solve_pencil_eigenvalues(replace(P), reach)
     stacks = {"svd": [], "slogdet": []}
     for name, ndim in (("svd", 3), ("slogdet", 4)):
         fn = getattr(np.linalg, name)
@@ -895,6 +896,70 @@ def test_strips_of_one_operator_and_degree_share_one_pencil(monkeypatch, doc_fn,
     second = strip_spectrum(parse_operator(doc_fn()), *strips[1], degree)
     assert second.pencil is first.pencil and len(assembled) == 1
     assert (len(seen), len(batches)) == solves and second.eigenpoints
+
+
+@pytest.mark.parametrize("doc_fn", [dbar_doc, cr_system_doc, drift_doc],
+                         ids=lambda f: f.__name__)
+def test_each_candidate_is_certified_once_across_overlapping_strips(monkeypatch, doc_fn):
+    # two overlapping strips of one kept pencil: the first certifies its
+    # own candidates, the second only those outside the first's band, so
+    # the stacked SVDs take each candidate of the union once.  The second
+    # chains only the centres the first did not
+    op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
+    im, edge = P.eigenvalues.imag, spectrum._CLUSTER_RADIUS
+
+    def band(b1, b2):
+        return (b1 - edge < im) & (im < b2 + edge)
+
+    first, second = (-0.9, 1.9), (0.6, 3.4)
+    assert (band(*first) & band(*second)).any() and (band(*second) & ~band(*first)).any()
+    certified, chained = [], []
+    svd, chain = np.linalg.svd, spectrum.jordan_chains
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: np.ndim(a) == 3 and
+                        certified.append(len(a)) or svd(a, *args, **kw))
+    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, lam, *a:
+                        chained.append(list(lam)) or chain(P, lam, *a))
+    one = spectrum.strip_eigenpoints(P, *first)
+    assert sum(certified) == np.count_nonzero(band(*first))
+    two = spectrum.strip_eigenpoints(P, *second)
+    assert sum(certified) == np.count_nonzero(band(*first) | band(*second))
+    assert set(P.verdicts[band(*first) | band(*second)].tolist()) == {1}
+    assert set(P.verdicts[~(band(*first) | band(*second))].tolist()) <= {-1}
+    # a shared centre keeps its eigenpoint when its isolation is the same
+    shared = [ep for ep in two if any(ep is e for e in one)]
+    assert shared and len(chained) == 2
+    assert len(chained[1]) == len(two) - len(shared)
+    assert all(ep.lambda0 not in chained[1] for ep in shared)
+
+
+def test_a_remembered_eigenpoint_is_read_only(dbar2d):
+    P = assemble_pencil(dbar2d, default_l_max(dbar2d, 6), analysis_degree=6)
+    points = spectrum.strip_eigenpoints(P, -1.5, 2.5)
+    assert all(a is b for a, b in zip(P.points.values(), points, strict=True))
+    for ep in points:
+        with pytest.raises(ValueError, match="read-only"):
+            ep.chains[0][0][0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            ep.lambda0 = 0j
+    again = spectrum.strip_eigenpoints(P, -1.5, 2.5)
+    assert all(a is b for a, b in zip(again, points, strict=True))
+
+
+def test_a_failed_chain_is_not_remembered(monkeypatch, cr_system2d):
+    # a det order one too high refuses the strip and leaves no eigenpoint
+    # behind; the strip then answers on the same kept pencil
+    P = assemble_pencil(cr_system2d, default_l_max(cr_system2d, 4), analysis_degree=4)
+    true_order = spectrum.det_vanishing_order
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "det_vanishing_order",
+                  lambda *args: true_order(*args) + 1)
+        with pytest.raises(MultiplicityMismatch, match="chain count"):
+            spectrum.strip_eigenpoints(P, -0.5, 1.5)
+    assert P.points == {}
+    points = spectrum.strip_eigenpoints(P, -0.5, 1.5)
+    assert [ep.algebraic for ep in points] == [2, 2]
+    assert all(a is b for a, b in zip(P.points.values(), points, strict=True))
 
 
 # ---------------------------------------------------------------------------
