@@ -13,11 +13,12 @@ restricted to the unit sphere is a genuine sphere polynomial), plus an
 optional declared perturbation living in the weighted_norms expression
 ring.  canonicalize (which parse_operator ends with) and formal_adjoint
 build every entry through one builder that splits principal coefficients
-into harmonic components; the canonical form is a fixed point of
-canonicalize, so round-tripping is exact, the adjoint needs no second pass
-and structural equality compares operators as they stand.  The adjoint
-involution holds to round-off: Leibniz derivatives of variable
-coefficients are float.
+into harmonic components and stores each poly's monomials sorted; the
+canonical form is a fixed point of canonicalize, so round-tripping is
+exact, the adjoint needs no second pass and one key (SystemOperator.key,
+read by equality, the self-adjointness test and the kept pencils) compares
+operators as they stand.  The adjoint involution holds to round-off:
+Leibniz derivatives of variable coefficients are float.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +70,7 @@ class CoeffTerm:
     perturbation: Expr | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SystemOperator:
     """k x k system with DN orders (mu, nu).  entries maps (i, j) to the
     entry's terms [(alpha, CoeffTerm), ...], sum coeff * D^alpha of order
@@ -91,6 +93,23 @@ class SystemOperator:
         return max((t.poly.degree for terms in self.entries.values() for _, t in terms),
                    default=0)
 
+    @cached_property
+    def key(self):
+        """(structure, coefficients, perturbation coefficients), one walk in
+        serialize_operator's order, built once (the operator is frozen): n,
+        k, mu, nu and each term's (i, j), alpha, radial exponent, monomials
+        and perturbation terms, then the bytes of two complex arrays.  Equal
+        keys are equal serialize_operator bytes, signed zeros included."""
+        structure, coeffs, perts = [self.n, self.k, self.mu, self.nu], [], []
+        for (i, j), terms in sorted(self.entries.items()):
+            for alpha, t in terms:
+                pert = sorted(t.perturbation.terms.items()) if t.perturbation else ()
+                structure.append((i, j, alpha, t.radial_exponent, tuple(t.poly.coeffs),
+                                  tuple(term for term, _ in pert)))
+                coeffs += t.poly.coeffs.values()
+                perts += (v for _, v in pert)
+        return tuple(structure), *(np.array(a, complex).tobytes() for a in (coeffs, perts))
+
     def fingerprint(self) -> str:
         doc = json.dumps(serialize_operator(self), sort_keys=True)
         return hashlib.sha256(doc.encode()).hexdigest()[:16]
@@ -98,7 +117,7 @@ class SystemOperator:
     def __eq__(self, other):
         if not isinstance(other, SystemOperator):
             return NotImplemented
-        return serialize_operator(self) == serialize_operator(other)
+        return self.key == other.key
 
 
 @dataclass
@@ -220,14 +239,11 @@ def serialize_operator(op: SystemOperator) -> dict:
         items = []
         for alpha, t in terms:
             poly_doc = {" ".join(str(a) for a in m): [c.real, c.imag]
-                        for m, c in sorted(t.poly.to_float().coeffs.items())}
+                        for m, c in t.poly.coeffs.items()}
             if not poly_doc:  # zero principal carrying a perturbation
                 poly_doc = {" ".join(["0"] * op.n): [0.0, 0.0]}
-            item = {
-                "alpha": list(alpha),
-                "radial_exponent": t.radial_exponent,
-                "poly": poly_doc,
-            }
+            item = {"alpha": list(alpha), "radial_exponent": t.radial_exponent,
+                    "poly": poly_doc}
             if t.perturbation is not None and not t.perturbation.is_zero():
                 item["perturbation"] = t.perturbation.to_json()
             items.append(item)
@@ -262,6 +278,7 @@ def _entry_terms(n, order, parts, perts, scale, harmonic=False):
             zero = HomogPoly(n, 0, {})
             out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
         for idx, (c, H) in enumerate(harm):
+            H = HomogPoly(n, H.degree, dict(sorted(H.coeffs.items())))
             out.append((alpha, CoeffTerm(c.real, H, pert if idx == 0 else None)))
     return out
 
@@ -380,7 +397,9 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
 # ---------------------------------------------------------------------------
 
 def principal_part(op: SystemOperator) -> SystemOperator:
-    """Drop every declared perturbation; the result is the model operator."""
+    """Drop every declared perturbation: the model operator (op if none)."""
+    if all(t.perturbation is None for terms in op.entries.values() for _, t in terms):
+        return op
     entries = {}
     for key, src in op.entries.items():
         terms = [(alpha, CoeffTerm(t.radial_exponent, t.poly, None))
@@ -454,28 +473,17 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
 
 
 def is_formally_self_adjoint(op: SystemOperator) -> bool:
-    """op and its formal adjoint have the same structure (orders, multi-
-    indices, radial exponents, monomials, perturbations) and principal
-    coefficients equal to _COEFF_TOL of op's largest: the Leibniz
-    derivatives of variable coefficients are float."""
+    """op and its formal adjoint have keys of equal structure and equal
+    perturbation coefficients, and principal coefficients equal to
+    _COEFF_TOL of op's largest: Leibniz derivatives of variable
+    coefficients are float."""
     try:
-        docs = serialize_operator(op), serialize_operator(formal_adjoint(op))
+        (a, ca, pa), (b, cb, pb) = op.key, formal_adjoint(op).key
     except AdjointOrderViolation:
         return False
-    (a, ca), (b, cb) = (_pop_coefficients(doc) for doc in docs)
-    return a == b and bool(
+    ca, cb, pa, pb = (np.frombuffer(x, complex) for x in (ca, cb, pa, pb))
+    return a == b and np.array_equal(pa, pb) and bool(
         np.all(np.abs(ca - cb) <= _COEFF_TOL * np.max(np.abs(ca), initial=0.0)))
-
-
-def _pop_coefficients(doc):
-    """doc with each principal coefficient set to None, and those
-    coefficients as one complex array, in order."""
-    coeffs = []
-    for ent in doc["entries"]:
-        for term in ent["terms"]:
-            coeffs += [complex(*c) for c in term["poly"].values()]
-            term["poly"] = dict.fromkeys(term["poly"])
-    return doc, np.array(coeffs)
 
 
 # ---------------------------------------------------------------------------

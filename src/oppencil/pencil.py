@@ -55,8 +55,8 @@ PencilMatrices too, cut with the help of P's view, so it carries its own
 view and is solved at most once.
 
 assemble_pencil keeps the last _PENCIL_CAP pencils it returned, keyed by
-exactly what assembly reads (_pencil_key): the principal part's n, k, mu,
-nu and terms, coefficients as repr, with l_max and the analysis degree.
+the principal part's SystemOperator.key (its coefficients bit for bit),
+l_max and the analysis degree: equal keys assemble the same stack.
 Another strip, window or mode of the same operator and degree, or an
 operator that differs only in its perturbations, gets the same pencil with
 its block view already solved.  A pencil also remembers what strips solved
@@ -491,20 +491,7 @@ def _entry_block(a0: SystemOperator, i, j, top):
 
 
 _PENCIL_CAP = 4    # pencils kept per process; the least recently used goes first
-_pencils = {}      # _pencil_key(...) -> the PencilMatrices assembled for it
-
-
-def _pencil_key(a0: SystemOperator, l_max, analysis_degree):
-    """Everything assembly reads: the principal part's n, k, mu and nu, each
-    entry's terms in order (alpha, radial exponent, degree and the
-    monomials' coefficients as repr, so -0.0 and 0.0 differ), l_max and the
-    analysis degree.  Equal keys assemble bit-identical stacks."""
-    return (a0.n, a0.k, tuple(a0.mu), tuple(a0.nu), l_max, analysis_degree,
-            tuple((ij, tuple((alpha, repr(t.radial_exponent), t.poly.degree,
-                              tuple((expo, repr(complex(c)))
-                                    for expo, c in t.poly.coeffs.items()))
-                             for alpha, t in terms))
-                  for ij, terms in a0.entries.items()))
+_pencils = {}      # (principal part's key, l_max, analysis degree) -> its pencil
 
 
 def assemble_pencil(op: SystemOperator, l_max: int,
@@ -524,10 +511,10 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     (m + 1) (k nb)^2 16 on the widest work basis the margin allows, degree
     l_max + 2 (l_max - analysis_degree).
 
-    A repeated _pencil_key returns the kept PencilMatrices (see the module
-    docstring); before a new one is assembled, the least recently used are
-    dropped until at most _PENCIL_CAP - 1 are kept and their stacks and
-    memos and the new one's bound fit in _STACK_CAP bytes together.
+    A repeated principal part key, l_max and analysis degree return the
+    kept PencilMatrices (module docstring); before a new one is assembled,
+    the least recently used are dropped until at most _PENCIL_CAP - 1 are
+    kept and their stacks, memos and the new bound fit in _STACK_CAP bytes.
     """
     a0 = principal_part(op)
     if a0.m < 1:
@@ -542,7 +529,7 @@ def assemble_pencil(op: SystemOperator, l_max: int,
             f"the basis of harmonic degree {l_max} needs up to {need / 2**30:.3g} GiB "
             f"of pencil coefficients, above the {_STACK_CAP / 2**30:g} GiB bound; "
             "lower the degree")
-    key = _pencil_key(a0, l_max, analysis_degree)
+    key = a0.key, l_max, analysis_degree
     P = _pencils.pop(key, None)
     if P is None:
         while len(_pencils) >= _PENCIL_CAP:

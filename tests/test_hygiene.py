@@ -2,16 +2,16 @@
 no dead local assignments, no unread parameters.
 
 No linter ships with the toolchain, so five rules are checked on the ast:
-every name a module of src/oppencil, tests/ or scripts/ imports is used
-in that module (__init__.py re-exports and is exempt); every module-level
-function or class of src/oppencil, and every method of such a class
-(dunders exempt), is referenced somewhere in src/, tests/ or scripts/
-outside its own definition; every name a plain module-level
-`name = ...` assignment of src/oppencil binds (__init__.py exempt) is read
-somewhere in src/; every name a plain `name = ...` assignment binds
-inside a src/oppencil function is read by that function (names starting
-with `_` are exempt); and every parameter of a src/oppencil function is
-read by that function (self, cls and `_`-names are exempt).
+every name a module of src/oppencil (__init__.py included), tests/ or
+scripts/ imports is used in that module; every module-level function or
+class of src/oppencil, and every method of such a class (dunders exempt),
+is referenced somewhere in src/, tests/ or scripts/ outside its own
+definition; every name a plain module-level `name = ...` assignment of
+src/oppencil binds is read somewhere in src/; every name a plain
+`name = ...` assignment binds inside a src/oppencil function is read by
+that function (names starting with `_` are exempt); and every parameter
+of a src/oppencil function is read by that function (self, cls and
+`_`-names are exempt).
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle).
@@ -50,8 +50,8 @@ def _parse(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"]
-    + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "scripts").glob("*.py")),
+    "path", MODULES + sorted((REPO / "tests").glob("*.py"))
+    + sorted((REPO / "scripts").glob("*.py")),
     ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(REPO)))
 def test_imports_are_used(path):
     tree = _parse(path)
@@ -96,7 +96,7 @@ def test_module_constants_are_read():
             elif isinstance(n, ast.ImportFrom):
                 read.update(alias.name for alias in n.names)
     unread = [f"{path.name}:{t.id}"
-              for path in MODULES if path.name != "__init__.py"
+              for path in MODULES
               for node in _parse(path).body if isinstance(node, ast.Assign)
               for t in node.targets if isinstance(t, ast.Name) and t.id not in read]
     assert unread == []

@@ -139,6 +139,26 @@ def test_serialization_is_row_major_in_any_entry_order(cr_system2d):
     assert op.fingerprint() == cr_system2d.fingerprint()
 
 
+# the fingerprints of operators/*.json and of their formal adjoints: a change
+# to the canonical form or to its serialization moves them
+FINGERPRINTS = {
+    "anisotropic2d": ("c62d6c4fdd603e76", "c62d6c4fdd603e76"),
+    "cr_system2d": ("ca53c734949e0ffa", "2cff5421db06b1f0"),
+    "dbar2d": ("0aed05bc14c0694e", "fa4a00e876d39955"),
+    "dipole_laplacian3d": ("a30170d594e42c03", "a30170d594e42c03"),
+    "laplacian2d": ("e0e3607e819ae55e", "e0e3607e819ae55e"),
+    "laplacian3d": ("19836f0173a4b5ff", "19836f0173a4b5ff"),
+    "schrodinger_inverse_square3d": ("cad6ff80ea453b65", "cad6ff80ea453b65"),
+}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "operators").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fingerprints_are_pinned(path):
+    op = parse_operator(json.loads(path.read_text()))
+    assert (op.fingerprint(), formal_adjoint(op).fingerprint()) == FINGERPRINTS[path.stem]
+
+
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------
@@ -270,6 +290,33 @@ def test_canonical_form_is_a_fixed_point():
     moved = [i for i, op in enumerate(ops)
              if serialize_operator(canonicalize(op)) != serialize_operator(op)]
     assert moved == []
+
+
+def test_canonical_polys_store_their_monomials_sorted():
+    # the key's order is serialize_operator's, and the order the pencil
+    # assembly sums a poly's monomials in
+    docs = [json.loads(p.read_text()) for p in sorted((REPO / "operators").glob("*.json"))]
+    ops = [parse_operator(doc) for doc in docs + _random_docs(400)]
+    ops += [formal_adjoint(op) for op in ops]
+    unsorted = [list(t.poly.coeffs) for op in ops
+                for terms in op.entries.values() for _, t in terms
+                if list(t.poly.coeffs) != sorted(t.poly.coeffs)]
+    assert unsorted == []
+
+
+def test_equality_is_bitwise_and_self_adjointness_is_not():
+    # a perturbation coefficient 0.5 - 0.0i prints another canonical form
+    # than 0.5, so the operators differ, but both are self-adjoint
+    def potential(im):
+        doc = laplacian_doc(3)
+        doc["entries"][0]["terms"].append(
+            {"alpha": [0, 0, 0], "radial_exponent": -2.0, "poly": {"0 0 0": [0.0, 0.0]},
+             "perturbation": [{"b": "-2", "c": 0, "poly": {"0 0 0": [0.5, im]}}]})
+        return parse_operator(doc)
+
+    a, b = potential(0.0), potential(-0.0)
+    assert a == potential(0.0) and a != b and a.fingerprint() != b.fingerprint()
+    assert is_formally_self_adjoint(a) and is_formally_self_adjoint(b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from conftest import (
 from oppencil import pencil, spectrum
 from oppencil.errors import CouplingOverflow, SingularLeadingCoeff
 from oppencil.model_solver import mode_pencil
-from oppencil.operator_ast import formal_adjoint, parse_operator, principal_part
+from oppencil.operator_ast import (
+    formal_adjoint,
+    is_formally_self_adjoint,
+    parse_operator,
+    principal_part,
+)
 from oppencil.pencil import (
     _SCALAR_TOL,
     _SHIFTS,
@@ -721,6 +726,32 @@ def test_a_perturbation_shares_the_kept_pencil_and_a_last_bit_does_not():
         Q = assemble_pencil(other, 4, analysis_degree=2)
         assert Q is not P
     assert assemble_pencil(parse_operator(laplacian_doc(3)), 4, analysis_degree=3) is not P
+
+
+def test_one_key_decides_equality_fingerprint_and_the_kept_pencil(monkeypatch):
+    # anisotropic2d with each two-monomial poly written in reverse order is
+    # the same operator by every rule, and is assembled once; laplacian3d
+    # with every imaginary part written -0.0 prints another canonical form,
+    # so it is another operator by every rule, and is assembled again
+    calls = []
+    assemble = pencil._assemble
+    monkeypatch.setattr(pencil, "_assemble", lambda *a: calls.append(a) or assemble(*a))
+    doc = json.loads((OPERATORS / "anisotropic2d.json").read_text())
+    a = parse_operator(doc)
+    for term in doc["entries"][0]["terms"]:
+        term["poly"] = dict(reversed(term["poly"].items()))
+    b = parse_operator(doc)
+    assert a == b and a.fingerprint() == b.fingerprint()
+    assert is_formally_self_adjoint(a) and is_formally_self_adjoint(b)
+    assert assemble_pencil(a, 4) is assemble_pencil(b, 4) and len(calls) == 1
+    doc = laplacian_doc(3)
+    c = parse_operator(doc)
+    for term in doc["entries"][0]["terms"]:
+        term["poly"] = {m: [re, -0.0] for m, (re, _) in term["poly"].items()}
+    d = parse_operator(doc)
+    assert c != d and c.fingerprint() != d.fingerprint()
+    assert is_formally_self_adjoint(c) and is_formally_self_adjoint(d)
+    assert assemble_pencil(c, 4) is not assemble_pencil(d, 4) and len(calls) == 3
 
 
 def test_kept_pencil_is_read_only(laplacian3d, dbar2d):
