@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NotApplicable, NumericalGuard, OppencilError, SchemaError
+from .errors import NotApplicable, NumericalGuard, SchemaError
 from .index_ledger import (
     Anchor,
     adjoint_res_check,
@@ -443,9 +443,6 @@ def main(argv=None):
         return 4
     except NumericalGuard as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
-        return 3
-    except OppencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

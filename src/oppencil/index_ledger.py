@@ -86,19 +86,6 @@ class IndexLedger:
     anchor: tuple               # (beta0, index0, provenance)
     values: list                # [(left, right, index)] per component
 
-    def index_at(self, beta: float) -> int:
-        if not (self.beta_min <= beta <= self.beta_max):
-            raise NotApplicable(
-                f"beta = {beta} outside the computed window "
-                f"[{self.beta_min}, {self.beta_max}]")
-        for b, _ in self.breakpoints:
-            if abs(beta - b) < _BREAK_TOL:
-                raise OnBreakpoint(f"beta = {beta} sits on a critical line")
-        for left, right, idx in self.values:
-            if left <= beta <= right:
-                return idx
-        raise NotApplicable(f"no component contains beta = {beta}")
-
     def to_json(self):
         return {
             "window": [self.beta_min, self.beta_max],

@@ -77,15 +77,16 @@ def mode_pencil(P: PencilMatrices, l: int) -> PencilMatrices:
     harmonics, or, when P's block view holds it as one c(lam) I square
     (constant-coefficient scalar operators), that 1 x 1 square of P.squares:
     the cut builds no view of its own.  The block must be decoupled: every
-    component of P.components that touches degree l holds only degree l.
+    block of P.blocks whose rows or columns touch degree l holds only
+    degree l in both.
     """
-    degs = P.row_degrees
-    touch = [i for i, c in enumerate(P.components) if (degs[c] == l).any()]
-    if any((degs[P.components[i]] != l).any() for i in touch):
+    degs = [P.row_degrees[np.concatenate(block)] for block in P.blocks]
+    touch = [i for i, d in enumerate(degs) if (d == l).any()]
+    if any((degs[i] != l).any() for i in touch):
         raise NotApplicable(f"degree {l} block is coupled; no mode reduction")
-    idx = np.flatnonzero(degs == l)
+    idx = np.flatnonzero(P.row_degrees == l)
     B, k, mu, nu = P.B[:, idx[:, None], idx], P.k, P.mu, P.nu
-    if P.bandwidth == 0 and len(touch) == 1 and P.powers[touch[0]] > 1:
+    if len(touch) == 1 and P.powers[touch[0]] > 1:
         B, k, mu, nu = P.squares[touch[0]], 1, P.mu[:1], P.nu[:1]
     return replace(P, B=B, degrees=np.full(B.shape[1] // k, l), k=k, mu=mu, nu=nu,
                    l_max=l, analysis_degree=l, bandwidth=0)

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -364,8 +365,9 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
     Principal coefficients are positively homogeneous of degree zero in x,
     so sampling x on the unit sphere covers all of R^n minus the origin;
     declared perturbations never enter.  min_ratio is |det|/|xi|^Sigma with
-    |xi| = 1 on the grid.  Work is chunked over x with a fixed chunk size
-    and reduced in chunk order, so the result is independent of `threads`.
+    |xi| = 1 on the grid.  Work is chunked over x with a fixed chunk size,
+    mapped over a pool of `threads` workers and reduced in chunk order, so
+    the result is independent of `threads`.
     """
     xs = _sphere_samples(op.n, x_samples)
     xis = _sphere_samples(op.n, xi_samples)
@@ -378,13 +380,9 @@ def check_ellipticity(op: SystemOperator, xi_samples: int = 2000,
         x_off, xi_idx = divmod(flat, xis.shape[0])
         return float(dets.reshape(-1)[flat]), (tuple(xs[lo + x_off]), tuple(xis[xi_idx]))
 
-    starts = range(0, xs.shape[0], chunk)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(chunk_min, starts))
-    else:
-        results = [chunk_min(lo) for lo in starts]
+    from concurrent.futures import ThreadPoolExecutor   # not loaded by other commands
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        results = list(ex.map(chunk_min, range(0, xs.shape[0], chunk)))
     best, witness = math.inf, (tuple(xs[0]), tuple(xis[0]))
     for val, wit in results:
         if val < best:
@@ -431,7 +429,7 @@ def _leibniz_adjoint_scalar(terms, n: int):
         conj_rf = RadialFunction.from_parts(
             n, [(complex(t.radial_exponent), t.poly.conjugate().to_float())])
         conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
-        for gamma in _sub_multi_indices(alpha):
+        for gamma in product(*(range(a + 1) for a in alpha)):
             rem = tuple(a - g for a, g in zip(alpha, gamma))
             binom = 1
             for a, g in zip(alpha, gamma):
@@ -445,13 +443,6 @@ def _leibniz_adjoint_scalar(terms, n: int):
             parts.setdefault(gamma, []).extend((c, H.scale(binom)) for c, H in rf.terms)
             _add_perturbation(perts, gamma, None if pert is None else pert.scale(binom))
     return parts, perts
-
-
-def _sub_multi_indices(alpha):
-    out = [()]
-    for a in alpha:
-        out = [g + (v,) for g in out for v in range(a + 1)]
-    return out
 
 
 def formal_adjoint(op: SystemOperator) -> SystemOperator:

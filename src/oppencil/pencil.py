@@ -31,8 +31,8 @@ harmonics; m, the per-row degrees and the scale are derived from them once.
 Every cut (a decoupled block, the kept columns, a mode) is one index on the
 stack.
 
-A pencil's block view (kept, components, blocks, scalars, powers, squares,
-roots) splits det pencil once into prod_i det(squares[i]) ** powers[i],
+A pencil's block view (kept, blocks, scalars, powers, squares, roots)
+splits det pencil once into prod_i det(squares[i]) ** powers[i],
 one square per block, and solves each piece once; the strip eigensolve,
 the certification, the det-order circles, the Jordan chains and the mode
 cut all read it.  At bandwidth 0 the blocks are the decoupled (component,
@@ -82,7 +82,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CouplingOverflow, HomogeneityError, SchemaError, SingularLeadingCoeff
+from .errors import (
+    CouplingOverflow,
+    HomogeneityError,
+    NotApplicable,
+    SchemaError,
+    SingularLeadingCoeff,
+)
 from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import harmonic_dim
 
@@ -153,29 +159,25 @@ class PencilMatrices:
         return np.flatnonzero(self.row_degrees <= self.degrees[-1] - self.bandwidth)
 
     @cached_property
-    def components(self):
-        """Connected components of the coupling graph over (component,
-        degree), as index arrays into the work basis, in basis order.  The
-        graph is B's exact nonzero pattern, as P.blocks reads it: the
-        assembly's round-off cut decides every structural zero."""
-        width = self.degrees[-1] + 1
-        node = np.repeat(np.arange(self.k) * width, len(self.degrees))
-        node += self.row_degrees
-        rows, cols = np.nonzero(self.B.any(axis=0))
-        label = component_labels(self.k * width, node[rows], node[cols])[node]
-        return [np.flatnonzero(label == c) for c in np.unique(label)]
-
-    @cached_property
     def blocks(self):
         """(rows, cols) of each of P.squares, as index arrays into the work
-        basis: rows = cols = P.components[i] at bandwidth 0; otherwise the
-        connected components of the bipartite graph (rows x kept columns)
-        of the exact nonzero pattern of B[:, :, P.kept] (its coarse
-        Dulmage-Mendelsohn decomposition; Dulmage and Mendelsohn, Canad. J.
-        Math. 10, 1958), by first column.  A row no kept column reaches is in
-        no block; no nonzero of B[:, :, P.kept] lies outside one."""
+        basis, the pencil's one partition.  At bandwidth 0, rows = cols, the
+        connected components of the coupling graph over (component, degree)
+        by B's exact nonzero pattern (the assembly's round-off cut decides
+        every structural zero), in basis order.  Otherwise the connected
+        components of the bipartite graph (rows x kept columns) of the exact
+        nonzero pattern of B[:, :, P.kept] (its coarse Dulmage-Mendelsohn
+        decomposition; Dulmage and Mendelsohn, Canad. J. Math. 10, 1958), by
+        first column.  A row no kept column reaches is in no block; no
+        nonzero of B[:, :, P.kept] lies outside one."""
         if self.bandwidth == 0:
-            return [(idx, idx) for idx in self.components]
+            width = self.degrees[-1] + 1
+            node = np.repeat(np.arange(self.k) * width, len(self.degrees))
+            node += self.row_degrees
+            rows, cols = np.nonzero(self.B.any(axis=0))
+            label = component_labels(self.k * width, node[rows], node[cols])[node]
+            return [(idx, idx) for idx in
+                    (np.flatnonzero(label == c) for c in np.unique(label))]
         n_r, kept = self.size, self.kept
         rows, cols = np.nonzero(self.B[:, :, kept].any(axis=0))
         label = component_labels(n_r + len(kept), rows, n_r + cols)
@@ -192,18 +194,18 @@ class PencilMatrices:
     def scalars(self):
         """(row, C): the squares held as 1 x 1 scalars, as rows of one
         coefficient array, C[row[i], j] = squares[i][j, 0, 0], and row[i] = -1
-        for a full square (every square when the bandwidth is nonzero).
+        for a full square (every square when the bandwidth is nonzero, as
+        each block is then a compressed rectangle).
 
-        At bandwidth 0, block i is c(lam) I_d when no entry of it deviates
-        from c I_d by _SCALAR_TOL of its largest absolute row sum: one test
-        reads the entries of every block at once.  The batched roots, det
-        reads and chains read C."""
+        At bandwidth 0, block i (P.blocks) is c(lam) I_d when no entry of it
+        deviates from c I_d by _SCALAR_TOL of its largest absolute row sum:
+        one test reads the entries of every block at once.  The batched
+        roots, det reads and chains read C."""
         if self.bandwidth:
             return (np.full(len(self.blocks), -1),
                     np.zeros((0, self.m + 1), dtype=complex))
-        comps = self.components
-        sizes = np.array([len(idx) for idx in comps])
-        order = np.concatenate(comps)        # the rows, block by block
+        sizes = np.array([len(rows) for rows, _ in self.blocks])
+        order = np.concatenate([rows for rows, _ in self.blocks])   # block by block
         first = np.cumsum(sizes) - sizes     # each block's first position in order
         head = np.repeat(first, sizes)       # ... and that of each position's block
         width = np.repeat(sizes, sizes)
@@ -227,10 +229,8 @@ class PencilMatrices:
     @cached_property
     def powers(self):
         """The power of each of P.squares in det pencil: d for a block that is
-        c(lam) I_d (P.scalars), else 1."""
-        if self.bandwidth:
-            return [1] * len(self.blocks)
-        return np.where(self.scalars[0] >= 0, [len(idx) for idx in self.components],
+        c(lam) I_d (P.scalars marks none at bandwidth > 0), else 1."""
+        return np.where(self.scalars[0] >= 0, [len(rows) for rows, _ in self.blocks],
                         1).tolist()
 
     @cached_property
@@ -506,7 +506,8 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     degree <= l_max + bandwidth is exact.  CouplingOverflow is raised when
     a basis element within `analysis_degree` couples above l_max, i.e. when
     the declared margin understates the true bandwidth.  `analysis_degree`
-    defaults to l_max less default_l_max's margin (>= 0).  SchemaError,
+    defaults to l_max less default_l_max's margin (>= 0).  NotApplicable
+    for an operator of order 0 or a principal part with no term.  SchemaError,
     before any ladder table is built, when B could exceed _STACK_CAP bytes:
     (m + 1) (k nb)^2 16 on the widest work basis the margin allows, degree
     l_max + 2 (l_max - analysis_degree).
@@ -518,7 +519,9 @@ def assemble_pencil(op: SystemOperator, l_max: int,
     """
     a0 = principal_part(op)
     if a0.m < 1:
-        raise ValueError("pencil needs an operator of positive order")
+        raise NotApplicable("the operator has order 0; a pencil needs positive order")
+    if not a0.entries:
+        raise NotApplicable("the principal part has no nonzero term; its pencil is zero")
     if analysis_degree is None:
         analysis_degree = max(l_max - default_l_max(op, 0), 0)
     widest = l_max + 2 * (l_max - analysis_degree)

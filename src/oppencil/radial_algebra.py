@@ -45,10 +45,6 @@ class HomogPoly:
     coeffs: dict = field(default_factory=dict)
 
     @staticmethod
-    def constant(n, value=1.0):
-        return HomogPoly(n, 0, {(0,) * n: value})
-
-    @staticmethod
     def monomial(n, expo, value=1.0):
         expo = tuple(int(e) for e in expo)
         return HomogPoly(n, sum(expo), {expo: value})
@@ -64,10 +60,10 @@ class HomogPoly:
                          {m: fn(c) for m, c in self.coeffs.items()})
 
     def conjugate(self):
-        return self.map_coeffs(_conj)
+        return self.map_coeffs(lambda c: c.conjugate())
 
     def scale(self, s):
-        if _is_zero_scalar(s):
+        if s == 0:
             return HomogPoly(self.n, self.degree, {})
         return self.map_coeffs(lambda c: c * s)
 
@@ -78,7 +74,7 @@ class HomogPoly:
         for m, c in other.coeffs.items():
             acc = out.get(m)
             acc = c if acc is None else acc + c
-            if _is_zero_scalar(acc):
+            if acc == 0:
                 out.pop(m, None)
             else:
                 out[m] = acc
@@ -91,7 +87,7 @@ class HomogPoly:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 acc = out.get(m)
                 acc = c1 * c2 if acc is None else acc + c1 * c2
-                if _is_zero_scalar(acc):
+                if acc == 0:
                     out.pop(m, None)
                 else:
                     out[m] = acc
@@ -130,14 +126,6 @@ class HomogPoly:
 
     def to_float(self):
         return self.map_coeffs(lambda c: complex(c))
-
-
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c
-
-
-def _is_zero_scalar(c):
-    return c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +190,6 @@ class RadialFunction:
     terms: list = field(default_factory=list)  # list[(complex c, HomogPoly H)]
 
     @staticmethod
-    def zero(n):
-        return RadialFunction(n, [])
-
-    @staticmethod
     def from_parts(n, parts, harmonic=False):
         """Build from raw (c, poly) pairs; polys need not be harmonic.  Parts
         known to be harmonic float polys (harmonic=True: the terms of
@@ -219,17 +203,6 @@ class RadialFunction:
             for j, H in harmonic_decompose(P):
                 raw.append((complex(c) + 2 * j, H.to_float()))
         return RadialFunction(n, _merge(raw))
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, s):
-        if _is_zero_scalar(s):
-            return RadialFunction(self.n, [])
-        return RadialFunction(self.n, [(c, H.scale(s)) for c, H in self.terms])
-
-    def add(self, other):
-        return RadialFunction(self.n, _merge(list(self.terms) + list(other.terms)))
 
     def prune_abs(self, eps):
         return RadialFunction(self.n, [(c, H) for c, H in self.terms

@@ -286,8 +286,9 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius, square):
     quarter of the N/2, may be aliased: MultiplicityMismatch.  Per N, each
     full square's circles take stacked Horner passes and slogdets no larger
     than P.B (dets over their geometric mean), the scalars' one Horner pass;
-    each group one FFT.  Each circle must isolate its lam0 from every root
-    of its square.
+    each group one FFT.  The read is the Taylor order of the det at lam0,
+    not a count of the roots in the disc: a circle floored at radius 1e-5
+    (_det_radius) can hold two roots of its square and read 1.
     """
     lam, rad = np.asarray(lam0, dtype=complex).ravel(), np.asarray(radius).ravel()
     square = np.asarray(square).ravel()

@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -94,11 +95,6 @@ class Expr:
     def term(n, b, c, mono, coeff=1.0):
         key = (_as_fraction(b), _as_fraction(c), tuple(int(e) for e in mono))
         return Expr(n, {key: complex(coeff)})
-
-    @staticmethod
-    def lambda_power(n, gamma):
-        """(1 + r^2)^(gamma/2), i.e. the weight Lambda^gamma."""
-        return Expr.term(n, Fraction(_as_fraction(gamma), 2), 0, (0,) * n)
 
     @staticmethod
     def from_json(doc, n=None):
@@ -496,16 +492,7 @@ def weighted_holder_seminorm(u: Expr, sigma: float, beta, samples: int = 4096,
 
 
 def _multi_indices(n, k):
-    """All multi-indices of length n with |alpha| <= k, deterministic order."""
-    out = []
-
-    def rec_exact(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining + 1):
-            rec_exact(prefix + [a], remaining - a, slots - 1)
-
-    for total in range(k + 1):
-        rec_exact([], total, n)
-    return out
+    """All multi-indices of length n with |alpha| <= k, by |alpha|, then
+    lexicographically."""
+    return sorted((a for a in product(range(k + 1), repeat=n) if sum(a) <= k),
+                  key=lambda a: (sum(a), a))

@@ -6,18 +6,23 @@ operators with nu = 0 and mu = (m, ..., m), m in {1, 2} (special_index), for
 the combinatorial formula and the ledger.  And the adjoint pencil identity
 pencil_adj(lam) = pencil(conj(lam) + i(n + m))^H at one probe point
 (adjoint_identity_residual), which biorthogonalize checks before it takes
-the adjoint chains."""
+the adjoint chains.  And the small constructors and lookups only the tests
+call: a ledger's index at one beta (index_at), the weight Lambda^gamma
+(lambda_power), a constant polynomial (constant_poly) and the zero, scaled
+and summed RadialFunctions the pencil oracle builds (radial_zero,
+radial_scale, radial_add)."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from oppencil.errors import OnBreakpoint
-from oppencil.index_ledger import _BREAK_TOL
+from oppencil.errors import NotApplicable, OnBreakpoint
+from oppencil.index_ledger import _BREAK_TOL, IndexLedger
 from oppencil.pencil import PencilMatrices, horner
-from oppencil.radial_algebra import HomogPoly
+from oppencil.radial_algebra import HomogPoly, RadialFunction, _merge
 from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains
+from oppencil.weighted_norms import Expr, _as_fraction
 
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 
@@ -131,3 +136,43 @@ def biorthogonalize(P: PencilMatrices, P_adj: PencilMatrices,
     if adjoint_identity_residual(P, P_adj) > 1e-6:
         raise ValueError("P_adj does not satisfy the adjoint pencil identity")
     return adjoint_chains(P, e)
+
+
+def index_at(ledger: IndexLedger, beta: float) -> int:
+    """The index the ledger gives at beta: NotApplicable outside its window
+    or its components, OnBreakpoint on a critical line."""
+    if not (ledger.beta_min <= beta <= ledger.beta_max):
+        raise NotApplicable(
+            f"beta = {beta} outside the computed window "
+            f"[{ledger.beta_min}, {ledger.beta_max}]")
+    for b, _ in ledger.breakpoints:
+        if abs(beta - b) < _BREAK_TOL:
+            raise OnBreakpoint(f"beta = {beta} sits on a critical line")
+    for left, right, idx in ledger.values:
+        if left <= beta <= right:
+            return idx
+    raise NotApplicable(f"no component contains beta = {beta}")
+
+
+def lambda_power(n, gamma):
+    """(1 + r^2)^(gamma/2), i.e. the weight Lambda^gamma."""
+    return Expr.term(n, Fraction(_as_fraction(gamma), 2), 0, (0,) * n)
+
+
+def constant_poly(n, value=1.0):
+    """The constant `value` as a HomogPoly of degree 0 on R^n."""
+    return HomogPoly(n, 0, {(0,) * n: value})
+
+
+def radial_zero(n):
+    return RadialFunction(n, [])
+
+
+def radial_scale(f: RadialFunction, s):
+    if s == 0:
+        return RadialFunction(f.n, [])
+    return RadialFunction(f.n, [(c, H.scale(s)) for c, H in f.terms])
+
+
+def radial_add(f: RadialFunction, g: RadialFunction):
+    return RadialFunction(f.n, _merge(list(f.terms) + list(g.terms)))

@@ -414,6 +414,43 @@ def test_oversized_degree_refused_before_assembly(monkeypatch, argv, capsys):
         r"coefficients, above the 0.25 GiB bound; lower the degree\n", err)
 
 
+
+
+_ORDER0 = {"n": 3, "k": 1, "mu": [0], "nu": [0], "entries": [{"i": 0, "j": 0, "terms": [
+    {"alpha": [0, 0, 0], "radial_exponent": 0.0, "poly": _UNIT}]}]}
+_NO_TERM = {"n": 3, "k": 1, "mu": [2], "nu": [0], "entries": []}
+_ZERO_PRINCIPAL = {"n": 3, "k": 1, "mu": [2], "nu": [0], "entries": [{"i": 0, "j": 0, "terms": [
+    {"alpha": [0, 0, 0], "radial_exponent": -2.0, "poly": {"0 0 0": [0.0, 0.0]},
+     "perturbation": [{"b": -2, "c": 0, "poly": _UNIT}]}]}]}
+_PENCIL_COMMANDS = [
+    ["pencil", "--degree", "2"],
+    ["res", "--strip", "0.5", "2.5", "--degree", "2"],
+    ["spectrum", "--strip", "0.5", "2.5", "--degree", "2"],
+    ["index", "--anchor", "cc", "--window", "0.5", "2.5", "--degree", "2"],
+    ["index", "--anchor", "selfadjoint", "--window", "0.5", "2.5", "--degree", "2"],
+    ["verify-cc", "--window", "0.5", "2.5", "--degree", "2"],
+    ["adjoint-check", "--window", "0.5", "2.5", "--degree", "2"],
+    ["model-solve", "--mode", "0", "--beta1", "0.5", "--beta2", "2.5"],
+]
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (_ORDER0, "the operator has order 0; a pencil needs positive order"),
+    (_NO_TERM, "the principal part has no nonzero term; its pencil is zero"),
+    (_ZERO_PRINCIPAL, "the principal part has no nonzero term; its pencil is zero"),
+], ids=["order0", "no_term", "zero_principal"])
+def test_operator_without_a_pencil_not_applicable(tmp_path, capsys, doc, reason):
+    # parse, adjoint and ellipticity answer these operators; every command
+    # that needs a pencil refuses them by name, with no traceback
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    from oppencil.cli import main
+    assert main(["parse", str(path)]) == 0
+    capsys.readouterr()
+    for argv in _PENCIL_COMMANDS:
+        assert main([argv[0], str(path), *argv[1:]]) == 4, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"not applicable: {reason}\n"), argv
 LAP3 = str(REPO / "operators" / "laplacian3d.json")
 MODEL_SOLVE = ["model-solve", LAP3, "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"]
 

@@ -5,13 +5,13 @@ No linter ships with the toolchain, so five rules are checked on the ast:
 every name a module of src/oppencil (__init__.py included), tests/ or
 scripts/ imports is used in that module; every module-level function or
 class of src/oppencil, and every method of such a class (dunders exempt),
-is referenced somewhere in src/, tests/ or scripts/ outside its own
-definition; every name a plain module-level `name = ...` assignment of
-src/oppencil binds is read somewhere in src/; every name a plain
-`name = ...` assignment binds inside a src/oppencil function is read by
-that function (names starting with `_` are exempt); and every parameter
-of a src/oppencil function is read by that function (self, cls and
-`_`-names are exempt).
+is referenced somewhere in src/ or scripts/ outside its own definition
+(what only the tests call belongs in tests/oracles.py); every name a
+plain module-level `name = ...` assignment of src/oppencil binds is read
+somewhere in src/; every name a plain `name = ...` assignment binds
+inside a src/oppencil function is read by that function (names starting
+with `_` are exempt); and every parameter of a src/oppencil function is
+read by that function (self, cls and `_`-names are exempt).
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle).
@@ -66,7 +66,7 @@ def test_imports_are_used(path):
 
 
 def test_definitions_are_referenced():
-    files = [p for d in ("src", "tests", "scripts") for p in (REPO / d).rglob("*.py")]
+    files = [p for d in ("src", "scripts") for p in (REPO / d).rglob("*.py")]
     total = Counter()
     for p in files:
         total.update(_identifiers(_parse(p)))

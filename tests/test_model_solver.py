@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import inverse_square_doc, laplacian_doc
+from conftest import (
+    coupled_pair_doc,
+    d1d2_doc,
+    drift_doc,
+    inverse_square_doc,
+    laplacian_doc,
+    with_drift,
+)
 from oppencil import model_solver, pencil, spectrum
 from oppencil.cli import main
 from oppencil.errors import (
@@ -113,15 +120,15 @@ def test_mode_pencil_builds_no_view_of_its_own(monkeypatch):
     # square: the only views built are P's and, once it is solved, the mode
     # pencil's
     built = []
-    components = PencilMatrices.__dict__["components"].func
+    blocks = PencilMatrices.__dict__["blocks"].func
 
     def counted(P):
         built.append(P)
-        return components(P)
+        return blocks(P)
 
     view = cached_property(counted)
-    view.__set_name__(PencilMatrices, "components")
-    monkeypatch.setattr(PencilMatrices, "components", view)
+    view.__set_name__(PencilMatrices, "blocks")
+    monkeypatch.setattr(PencilMatrices, "blocks", view)
     op = parse_operator(laplacian_doc(3))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
     modes = [mode_pencil(P, l) for l in range(3)]
@@ -133,18 +140,25 @@ def test_mode_pencil_builds_no_view_of_its_own(monkeypatch):
 
 def _off_block_coupled(P, l):
     """Oracle: some B_j entry links degree l to another degree or
-    component, above 1e-10 of the degree-l block."""
+    component, on B's exact pattern (the assembly cuts round-off to 0), as
+    a -Delta + 1e-11 drift couples."""
     idx = np.where(P.row_degrees == l)[0]
     rest = np.setdiff1d(np.arange(P.size), idx)
-    scale = max(np.linalg.norm(Bj[np.ix_(idx, idx)], np.inf) for Bj in P.B) or 1.0
-    return any(np.max(np.abs(Bj[np.ix_(idx, rest)]), initial=0.0) > 1e-10 * scale
-               for Bj in P.B)
+    return any(Bj[np.ix_(idx, rest)].any() or Bj[np.ix_(rest, idx)].any() for Bj in P.B)
 
 
 def test_mode_pencil_accepts_only_decoupled_degrees():
+    # every operators/ file, two components at bandwidth 0, coupled (0.7)
+    # or not (0.0), and bandwidth > 0, where P.blocks are the components of
+    # the kept columns' rectangular pattern
+    docs = [(path.stem, json.loads(path.read_text()))
+            for path in sorted(OPERATORS.glob("*.json"))]
+    docs += [("pair0", coupled_pair_doc(0.0)), ("pair07", coupled_pair_doc(0.7)),
+             ("drift", drift_doc(0.5)), ("d1d2", d1d2_doc()),
+             ("tiny_drift2d", with_drift(laplacian_doc(2), 1e-11))]
     accepted = set()
-    for path in sorted(OPERATORS.glob("*.json")):
-        op = parse_operator(json.loads(path.read_text()))
+    for name, doc in docs:
+        op = parse_operator(doc)
         for l in range(4):
             P = assemble_pencil(op, default_l_max(op, l), analysis_degree=l)
             if _off_block_coupled(P, l):
@@ -155,8 +169,9 @@ def test_mode_pencil_accepts_only_decoupled_degrees():
             idx = np.where(P.row_degrees == l)[0][:mp.size]
             assert all(np.array_equal(b, Bj[np.ix_(idx, idx)])
                        for b, Bj in zip(mp.B, P.B))
-            accepted.add(path.stem)
-    assert accepted == {"laplacian2d", "laplacian3d", "schrodinger_inverse_square3d"}
+            accepted.add(name)
+    assert accepted == {"laplacian2d", "laplacian3d", "schrodinger_inverse_square3d",
+                        "pair0", "pair07"}
 
 
 # ---------------------------------------------------------------------------

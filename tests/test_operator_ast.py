@@ -30,6 +30,7 @@ from oppencil.operator_ast import (
     serialize_operator,
 )
 from oppencil.weighted_norms import Expr
+from oracles import lambda_power
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -443,13 +444,13 @@ def test_self_adjointness_holds_to_round_off():
 # ---------------------------------------------------------------------------
 
 def test_decay_accepts_order2_remainder():
-    f = Expr.lambda_power(3, -3)  # (1+r^2)^(-3/2)
+    f = lambda_power(3, -3)  # (1+r^2)^(-3/2)
     rep = check_symbol_class(f, beta=2.0)
     assert rep.passed
 
 
 def test_decay_rejects_slow_remainder():
-    f = Expr.lambda_power(3, -2)  # (1+r^2)^(-1): r^2 f -> 1
+    f = lambda_power(3, -2)  # (1+r^2)^(-1): r^2 f -> 1
     rep = check_symbol_class(f, beta=2.0)
     assert not rep.passed
 
@@ -461,6 +462,6 @@ def test_decay_zero_function():
 
 def test_decay_accepts_at_lower_order():
     # (1+r^2)^(-1) IS o(r^(-beta-|alpha|)) for beta = 1 with a full power to spare
-    f = Expr.lambda_power(2, -2)
+    f = lambda_power(2, -2)
     rep = check_symbol_class(f, beta=1.0)
     assert rep.passed

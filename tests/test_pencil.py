@@ -49,7 +49,7 @@ from oppencil.radial_algebra import (
     harmonic_dim,
 )
 from oppencil.spectrum import _CLUSTER_RADIUS
-from oracles import adjoint_identity_residual, exact_harmonics
+from oracles import adjoint_identity_residual, exact_harmonics, radial_add, radial_zero
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -301,13 +301,13 @@ def _oracle_apply(a0, lam, comp, y):
     lifted = _shift_exponent(y, 1j * lam + a0.mu[comp])
     out = []
     for i in range(a0.k):
-        acc = RadialFunction.zero(n)
+        acc = radial_zero(n)
         for alpha, t in a0.entries.get((i, comp), []):
             g = lifted
             for ax, count in enumerate(alpha):
                 for _ in range(count):
                     g = differentiate(g, ax)
-            acc = acc.add(RadialFunction.from_parts(
+            acc = radial_add(acc, RadialFunction.from_parts(
                 n, [(c + t.radial_exponent, t.poly.mul(H)) for c, H in g.terms]))
         out.append(_shift_exponent(acc, -1j * lam - a0.nu[i]))
     return out
@@ -450,7 +450,7 @@ def test_shifted_companion_matches_qz_oracle(path, degree):
     # (a c(lam) I block is solved as its scalar, counted d times)
     op = parse_operator(json.loads(path.read_text()))
     P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
-    blocks = ([P.B[:, idx[:, None], idx] for idx in P.components] if P.bandwidth == 0
+    blocks = ([P.B[:, idx[:, None], idx] for idx, _ in P.blocks] if P.bandwidth == 0
               else P.squares)
     roots, square = P.roots
     assert len(blocks) == len(P.powers) and set(square) <= set(range(len(blocks)))
@@ -654,7 +654,7 @@ def test_bandwidth_one_is_read_and_an_understated_margin_overflows(doc_fn):
 def test_laplacian_blocks_are_scalar_to_round_off(n):
     op = parse_operator(laplacian_doc(n))
     P = assemble_pencil(op, default_l_max(op, 20), analysis_degree=20)
-    for idx, d, S in zip(P.components, P.powers, P.squares):
+    for (idx, _), d, S in zip(P.blocks, P.powers, P.squares):
         Bs = P.B[:, idx[:, None], idx]
         dev = np.abs(Bs - S * np.eye(len(idx))).max() / np.abs(Bs).sum(axis=2).max()
         assert d == len(idx) and S.shape == (P.m + 1, 1, 1) and dev <= 1e-15
@@ -671,7 +671,7 @@ def test_a_block_off_c_times_identity_by_the_tolerance_stays_full(laplacian3d, f
     B[0, idx[0], idx[1]] += factor * _SCALAR_TOL * np.abs(B[:, idx[:, None], idx]).sum(
         axis=2).max()
     Q = replace(P, B=B)
-    i = next(i for i, c in enumerate(Q.components) if c[0] == idx[0])
+    i = next(i for i, (c, _) in enumerate(Q.blocks) if c[0] == idx[0])
     assert (Q.powers[i], Q.squares[i].shape[1]) == ((7, 1) if scalar else (1, 7))
     assert mode_pencil(Q, 3).size == (1 if scalar else 7)
 
@@ -681,10 +681,10 @@ def test_coupled_pair_keeps_full_squares():
     # into one block of 2(2l+1), which is not c(lam) I
     op = parse_operator(coupled_pair_doc(0.3))
     P = assemble_pencil(op, 4)
-    assert P.bandwidth == 0 and P.powers == [1] * len(P.components)
+    assert P.bandwidth == 0 and P.powers == [1] * len(P.blocks)
     assert [S.shape[1] for S in P.squares] == [2 * (2 * l + 1) for l in range(5)]
     roots, square = P.roots
-    for i, idx in enumerate(P.components):
+    for i, (idx, _) in enumerate(P.blocks):
         _assert_same_eigenvalues(roots[square == i], _qz_eigenvalues(P.B[:, idx[:, None], idx]))
 
 

@@ -269,7 +269,7 @@ def test_det_circle_matches_full_slogdet(laplacian3d, dbar2d):
     # c(lam) I, held as its 1 x 1 scalar with d its size
     P = assemble_pencil(laplacian3d, 6)
     assert P.bandwidth == 0 and len(P.squares) > 1
-    assert P.powers == [len(idx) for idx in P.components] and max(P.powers) > 1
+    assert P.powers == [len(idx) for idx, _ in P.blocks] and max(P.powers) > 1
     got = np.prod([_det_values_on_circle(S, 2j, 0.1, 64) ** d
                    for S, d in zip(P.squares, P.powers)], axis=0)
     want = _det_circle_oracle(P.B, 2j, 0.1)
@@ -452,7 +452,7 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
     # block owns only the circles that hold one of its roots: the block
     # owning 1i is singular there, the others are not
     owners = np.flatnonzero(P.owners(1j, 0.1))
-    assert len(owners) == 1 and len(P.components[owners[0]]) == 3
+    assert len(owners) == 1 and len(P.blocks[owners[0]][0]) == 3
     assert not P.owners(2.5j, 0.1).any()
     Q = assemble_pencil(parse_operator(dbar_doc()), 4)
     assert Q.bandwidth > 0 and len(Q.squares) > 1 and not Q.owners(2.5j, 0.1).any()
@@ -560,7 +560,7 @@ def _assert_scalar_chains_match_the_toeplitz_route(P, ep):
     assert partial == [2] and len(ep.chains) == P.powers[i]
     phase = complex(want[0][0])
     assert abs(abs(phase) - 1) < 1e-12
-    for got, j in zip(ep.chains, P.components[i]):
+    for got, j in zip(ep.chains, P.blocks[i][0]):
         expect = np.zeros((2, P.size), dtype=complex)
         expect[:, j] = [complex(v[0]) / phase for v in want]
         assert np.max(np.abs(np.array(got) - expect)) < 1e-12
@@ -644,7 +644,7 @@ def _per_centre_eigenpoints(P, beta1, beta2):
             else:
                 _, _, chains, residuals = chains_from_matrices(taylor(S, at), scale, order)
             assert P.powers[i] * sum(map(len, chains)) == order
-            for keep in P.components[i].reshape(P.powers[i], -1):
+            for keep in P.blocks[i][0].reshape(P.powers[i], -1):
                 for chain, res in zip(chains, residuals):
                     padded = []
                     for v in chain:
@@ -1188,6 +1188,30 @@ def test_chain_failing_its_equations_refused(monkeypatch):
                         true_order(P, lam0, radius, square) + 1)
     with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-07 > 1e-08"):
         spectrum.strip_eigenpoints(P, -1.5, 2.5)
+
+
+def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
+    # the R^3 drift (eps = 0.05) at degree 2 near -1i: an owner that shares
+    # a point is read on a circle floored at radius 1e-5, which holds two
+    # of its square's roots.  The FFT read is the Taylor order at the
+    # centre, 1, which the chains need, not the count of roots in the disc
+    op = parse_operator(drift_doc(0.05))
+    P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
+    in_strip = solve_pencil_eigenvalues(P, (-1.5 - spectrum._CLUSTER_RADIUS,
+                                            2.5 + spectrum._CLUSTER_RADIUS))
+    centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)])
+    isolation = spectrum._isolation(centers, np.concatenate([centers, P.eigenvalues]))
+    _, square, centre, rad = spectrum._owner_circles(
+        P, centers, spectrum._det_radius(isolation))
+    roots, of = P.roots
+    count = ((np.abs(roots - centre[:, None]) < rad[:, None])
+             & (of == square[:, None])).sum(axis=1)
+    order = det_vanishing_order(P, centre, rad, square)
+    two = count == 2
+    assert len(count) == 16 and two.sum() == 6
+    assert np.all(rad[two] == 1e-5) and np.all(abs(centre[two] + 1j) < 1e-5)
+    assert order[two].tolist() == [1] * 6
+    assert sum(ep.algebraic for ep in spectrum.strip_eigenpoints(P, -1.5, 2.5)) == len(in_strip)
 
 
 @pytest.mark.parametrize("argv", [

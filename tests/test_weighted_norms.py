@@ -13,10 +13,11 @@ from oppencil.weighted_norms import (
     weighted_holder_seminorm,
     weighted_sobolev_norm,
 )
+from oracles import lambda_power
 
 
 def lam_pow(n, g):
-    return Expr.lambda_power(n, g)
+    return lambda_power(n, g)
 
 
 def radial_beta_integral(s, w):
