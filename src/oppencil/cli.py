@@ -4,7 +4,11 @@ main(argv) is the one entry point, for the console script and for callers
 in Python alike; it returns the exit status.  Subcommands: parse,
 ellipticity, pencil, spectrum, res, index, adjoint, adjoint-check, norm,
 model-solve, verify-cc.  Exit codes: 0 success, 2 schema error (also an
-unknown flag), 3 numerical guard, 4 not applicable.  Each subcommand
+unknown flag, an input file that cannot be read or is not UTF-8 JSON, and
+a report that cannot be written), 3 numerical guard, 4 not applicable
+(also an operator with no formal adjoint).  A process keeps the operators
+of the last four documents it read, matched byte for byte, so a repeated
+document is not parsed or fingerprinted again.  Each subcommand
 takes only the flags it reads: -o on all, --format {json,csv} on res and
 index, --seed on norm, --threads on ellipticity (spectrum accepts it
 without effect).  The only randomness is the fixed compression seed of
@@ -44,7 +48,7 @@ from .operator_ast import (
     parse_operator,
     serialize_operator,
 )
-from .pencil import assemble_pencil, default_l_max
+from .pencil import _PENCIL_CAP, assemble_pencil, default_l_max
 from .spectrum import strip_spectrum
 from .weighted_norms import (
     Expr,
@@ -54,18 +58,33 @@ from .weighted_norms import (
 )
 
 
-def _read_json(path, what):
+def _read_json(path, what, load=json.loads):
+    """load(the file's text); a file that cannot be read, or is not UTF-8
+    JSON, is a SchemaError naming the path."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return load(fh.read().decode())
     except FileNotFoundError:
         raise SchemaError(f"{what} not found: {path}")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
+@functools.lru_cache(maxsize=_PENCIL_CAP)
+def _parse_document(text):
+    """The operator of one document, keyed by its exact text.  The last
+    _PENCIL_CAP documents read are kept, so a repeated one is not
+    JSON-decoded, validated or canonicalized again; one that fails is not
+    kept."""
+    return parse_operator(json.loads(text))
+
+
 def _load_operator(path):
-    return parse_operator(_read_json(path, "operator file"))
+    return _read_json(path, "operator file", _parse_document)
 
 
 def _emit(payload, args):
@@ -76,8 +95,11 @@ def _emit(payload, args):
         payload["tool_version"] = __version__
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write report to {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
-Exit-code mapping used by the CLI: SchemaError family -> 2, numerical
-guards -> 3, not-applicable -> 4.
+Exit-code mapping used by the CLI: SchemaError family -> 2 (also an
+unreadable input file and an unwritable report), numerical guards -> 3,
+not-applicable -> 4 (also an operator with no formal adjoint).
 """
 
 
@@ -27,10 +28,6 @@ class BadDNOrders(SchemaError):
 
 class NumericalGuard(OppencilError):
     """Base class for checks that abort a computation."""
-
-
-class AdjointOrderViolation(NumericalGuard):
-    """Adjoint order vector would have a negative entry (non-elliptic input)."""
 
 
 class HomogeneityError(NumericalGuard):
@@ -97,6 +94,11 @@ class AnchorOnBreakpoint(NumericalGuard):
 
 class NotApplicable(OppencilError):
     """Requested formula does not apply to this operator."""
+
+
+class AdjointOrderViolation(NotApplicable):
+    """max(nu) > m: the adjoint order vector would have a negative entry, so
+    the operator has no formal adjoint."""
 
 
 class OnBreakpoint(NotApplicable):

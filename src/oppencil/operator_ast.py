@@ -111,9 +111,15 @@ class SystemOperator:
                 perts += (v for _, v in pert)
         return tuple(structure), *(np.array(a, complex).tobytes() for a in (coeffs, perts))
 
-    def fingerprint(self) -> str:
+    @cached_property
+    def _fingerprint(self):
         doc = json.dumps(serialize_operator(self), sort_keys=True)
         return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+    def fingerprint(self) -> str:
+        """The first 16 hex digits of the sha256 of the canonical document,
+        computed once (the operator is frozen)."""
+        return self._fingerprint
 
     def __eq__(self, other):
         if not isinstance(other, SystemOperator):

@@ -5,10 +5,12 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _cold_pencils():
-    """Each test starts with no pencil kept from an earlier one, so counts of
-    assemblies and block views read its own work."""
-    from oppencil import pencil
+    """Each test starts with no pencil or operator document kept from an
+    earlier one, so counts of parses, assemblies and block views read its
+    own work."""
+    from oppencil import cli, pencil
     pencil._pencils.clear()
+    cli._parse_document.cache_clear()
 
 
 def laplacian_doc(n):

@@ -177,15 +177,21 @@ def test_adjoint_command(tmp_path):
     assert doc["adjoint"]["mu"] == [1] and doc["adjoint"]["nu"] == [0]
 
 
-def test_adjoint_order_violation_exit3(tmp_path, capsys):
-    # nu = (0, 2) with m = 1: the adjoint's second row would have order -1
+@pytest.mark.parametrize("argv", [
+    ["adjoint"],
+    ["adjoint-check", "--window", "0.5", "1.5"],
+    ["index", "--anchor", "selfadjoint", "--window", "0.5", "1.5"],
+], ids=["adjoint", "adjoint-check", "index"])
+def test_operator_without_an_adjoint_not_applicable(tmp_path, argv, capsys):
+    # nu = (0, 2) with m = 1: the adjoint's second row would have order -1,
+    # a structural refusal that every command reading the adjoint shares
     p = tmp_path / "d1.json"
     p.write_text(json.dumps({"n": 2, "k": 2, "mu": [1, 1], "nu": [0, 2], "entries": [
         {"i": 0, "j": 0, "terms": [{"alpha": [1, 0], "radial_exponent": 0.0,
                                     "poly": {"0 0": [1.0, 0.0]}}]}]}))
-    code, out, err = _main(["adjoint", str(p)], capsys)
-    assert (code, out) == (3, "")
-    assert err.startswith("numerical guard: ")
+    code, out, err = _main([argv[0], str(p), *argv[1:]], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("not applicable: ")
 
 
 def test_norm_command(tmp_path):
@@ -1114,3 +1120,108 @@ def test_norm_kinds_match_the_library(tmp_path, capsys, kind, flags, norm):
     doc = json.loads(out)
     doc.pop("tool_version")
     assert doc == {"kind": kind, "beta": 0.5, **norm(Expr.from_json(terms, 3)).to_json()}
+
+
+def _unreadable(tmp_path, kind):
+    """A path that names a directory or a file that is not UTF-8."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 2, \xff}')
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["non-UTF-8", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["res", "FILE", "--strip", "0.5", "1.5"],
+    ["norm", "FILE", "--kind", "cl", "--n", "2"],
+    MODEL_SOLVE + ["--f-expr", "FILE"],
+], ids=["operator", "expr", "f-expr"])
+def test_unreadable_input_file_exit2(tmp_path, argv, kind, capsys):
+    path = _unreadable(tmp_path, kind)
+    code, out, err = _main([path if a == "FILE" else a for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: ") and path in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_report_exit2(lap3_file, tmp_path, where, capsys):
+    target = str(tmp_path / "no" / "x.json") if where == "missing" else str(tmp_path)
+    code, out, err = _main(["parse", lap3_file, "-o", target], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: cannot write report to {target}: ")
+    assert err.count("\n") == 1
+
+
+def _counted_parses(monkeypatch):
+    """The documents cli hands to parse_operator from now on."""
+    from oppencil import cli
+    calls = []
+    parse = cli.parse_operator
+    monkeypatch.setattr(cli, "parse_operator", lambda doc: calls.append(doc) or parse(doc))
+    return calls
+
+
+def test_a_repeated_document_is_parsed_once(monkeypatch, lap3_file, capsys):
+    from oppencil import cli
+    calls = _counted_parses(monkeypatch)
+    for _ in range(2):
+        code, _, err = _main(["res", lap3_file, "--strip", "0.5", "2.5",
+                              "--degree", "2"], capsys)
+        assert code == 0, err
+    assert len(calls) == 1
+    assert cli._load_operator(lap3_file) is cli._load_operator(lap3_file)
+    assert len(calls) == 1
+
+
+def test_a_rewritten_document_is_parsed_again(monkeypatch, tmp_path):
+    from oppencil import cli
+    calls = _counted_parses(monkeypatch)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(inverse_square_doc(0.25)))
+    before = cli._load_operator(str(path))
+    path.write_text(json.dumps(inverse_square_doc(0.5)))
+    after = cli._load_operator(str(path))
+    assert len(calls) == 2 and before != after
+    assert before.fingerprint() != after.fingerprint()
+
+
+def test_a_failed_document_is_not_kept(monkeypatch, tmp_path, capsys):
+    calls = _counted_parses(monkeypatch)
+    doc = laplacian_doc(3)
+    doc["nu"] = [1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    errs = []
+    for _ in range(2):
+        code, out, err = _main(["parse", str(path)], capsys)
+        assert (code, out) == (2, "")
+        errs.append(err)
+    assert len(calls) == 2 and errs[0] == errs[1] and "nu" in errs[0]
+
+
+def test_the_kept_documents_are_bounded(monkeypatch, tmp_path):
+    from oppencil import cli
+    from oppencil.pencil import _PENCIL_CAP
+    calls = _counted_parses(monkeypatch)
+    paths = []
+    for c in range(_PENCIL_CAP + 1):
+        paths.append(tmp_path / f"op{c}.json")
+        paths[-1].write_text(json.dumps(inverse_square_doc(0.25 + c)))
+    for path in paths:
+        cli._load_operator(str(path))
+    assert len(calls) == _PENCIL_CAP + 1
+    cli._load_operator(str(paths[-1]))
+    assert len(calls) == _PENCIL_CAP + 1
+    cli._load_operator(str(paths[0]))
+    assert len(calls) == _PENCIL_CAP + 2
+
+
+def test_kept_documents_never_change_an_answer(tmp_path):
+    dump = _script("answer_dump")
+    csv_path = str(tmp_path / "f.csv")
+    dump.write_f_csv(csv_path)
+    argvs = [argv for name in ("laplacian3d", "cr_system2d")
+             for argv in dump.cases(str(REPO / "operators" / f"{name}.json"))]
+    first, second = ([dump.run_case(argv, csv_path) for argv in argvs] for _ in range(2))
+    assert len(argvs) == 200 and first == second
