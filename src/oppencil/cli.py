@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -42,16 +43,16 @@ from .model_solver import (
 )
 from .operator_ast import (
     check_ellipticity,
-    check_symbol_class,
     formal_adjoint,
     is_homogeneous_cc,
     parse_operator,
     serialize_operator,
 )
 from .pencil import _PENCIL_CAP, assemble_pencil, default_l_max
+from .radial_algebra import Expr
 from .spectrum import strip_spectrum
 from .weighted_norms import (
-    Expr,
+    check_symbol_class,
     weighted_cl_norm,
     weighted_holder_seminorm,
     weighted_sobolev_norm,
@@ -335,9 +336,12 @@ def build_parser():
                     "index ledgers for elliptic operators on R^n")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # a float literal is a value: argparse alone reads -1e-3 and -5. as options
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def subcommand(name, fn, help, operator=True):
         sp = sub.add_parser(name, help=help)
+        sp._negative_number_matcher = p._negative_number_matcher
         if operator:
             sp.add_argument("operator", help="operator-spec JSON file")
         sp.add_argument("-o", "--output", help="write the report here")

@@ -10,15 +10,17 @@ entry is a sum of terms
 where each principal coefficient is r^e * P(x) with P a homogeneous
 polynomial subject to e + deg P = |alpha| - order (so that the coefficient
 restricted to the unit sphere is a genuine sphere polynomial), plus an
-optional declared perturbation living in the weighted_norms expression
-ring.  canonicalize (which parse_operator ends with) and formal_adjoint
-build every entry through one builder that splits principal coefficients
-into harmonic components and stores each poly's monomials sorted; the
-canonical form is a fixed point of canonicalize, so round-tripping is
-exact, the adjoint needs no second pass and one key (SystemOperator.key,
-read by equality, the self-adjointness test and the kept pencils) compares
-operators as they stand.  The adjoint involution holds to round-off:
-Leibniz derivatives of variable coefficients are float.
+optional declared perturbation in radial_algebra's Expr ring.
+parse_operator takes a decoded document and reads it through
+radial_algebra's codec.  canonicalize (which parse_operator ends with) and
+formal_adjoint build every entry through one builder that splits principal
+coefficients into harmonic components, prunes each multi-index against its
+own raw parts and stores each poly's monomials sorted; the canonical form
+is a fixed point of canonicalize, so round-tripping is exact, the adjoint
+needs no second pass and one key (SystemOperator.key, read by equality,
+the self-adjointness test and the kept pencils) compares operators as they
+stand.  The adjoint involution holds to round-off: Leibniz derivatives of
+variable coefficients are float.
 """
 
 from __future__ import annotations
@@ -32,19 +34,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    AdjointOrderViolation,
-    BadDNOrders,
-    OrderMismatch,
-    SchemaError,
-)
-from .radial_algebra import HomogPoly, RadialFunction, differentiate
-from .weighted_norms import Expr, _multi_indices, _read_monomials, _read_number
+from .errors import AdjointOrderViolation, BadDNOrders, OrderMismatch, SchemaError
+from .radial_algebra import (Expr, HomogPoly, RadialFunction, _read_monomials, _read_number,
+                             _sphere_points, _write_monomials, differentiate)
 
 _COEFF_TOL = 1e-12
-_TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
-_TAIL_TOL = 0.1                         # its bound on the last weighted sup
-_TAIL_SPHERE_POINTS = 64
 
 
 def _read_ints(values, what) -> tuple:
@@ -140,20 +134,6 @@ class EllipticityReport:
                 "threshold": self.threshold}
 
 
-@dataclass
-class DecayReport:
-    passed: bool
-    beta: float
-    radii: list
-    sequences: dict  # alpha -> list of sup values
-    tolerance: float
-
-    def to_json(self):
-        return {"passed": self.passed, "beta": self.beta, "radii": self.radii,
-                "tolerance": self.tolerance,
-                "sequences": {" ".join(map(str, a)): s for a, s in self.sequences.items()}}
-
-
 # ---------------------------------------------------------------------------
 # parsing / serialization
 # ---------------------------------------------------------------------------
@@ -170,12 +150,7 @@ def _parse_poly(doc, n):
 
 
 def parse_operator(doc) -> SystemOperator:
-    """Parse and validate an operator-spec document (dict or JSON string)."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+    """Parse and validate a decoded operator-spec document."""
     if not isinstance(doc, dict):
         raise SchemaError("operator document must be a JSON object")
     allowed = {"n", "k", "mu", "nu", "entries"}
@@ -245,10 +220,8 @@ def serialize_operator(op: SystemOperator) -> dict:
     for (i, j), terms in sorted(op.entries.items()):
         items = []
         for alpha, t in terms:
-            poly_doc = {" ".join(str(a) for a in m): [c.real, c.imag]
-                        for m, c in t.poly.coeffs.items()}
-            if not poly_doc:  # zero principal carrying a perturbation
-                poly_doc = {" ".join(["0"] * op.n): [0.0, 0.0]}
+            # a zero principal carrying a perturbation is written as 0 x^0
+            poly_doc = _write_monomials(t.poly.coeffs or {(0,) * op.n: 0j})
             item = {"alpha": list(alpha), "radial_exponent": t.radial_exponent,
                     "poly": poly_doc}
             if t.perturbation is not None and not t.perturbation.is_zero():
@@ -269,18 +242,19 @@ def _add_perturbation(perts, alpha, pert):
             perts[alpha] = total
 
 
-def _entry_terms(n, order, parts, perts, scale, harmonic=False):
+def _entry_terms(n, order, parts, perts, harmonic=False):
     """CoeffTerms of one entry, by multi-index: the harmonic components of
     each alpha's raw (radial exponent, poly) parts (merged as they are when
-    `harmonic`), pruned at _COEFF_TOL relative to `scale`, the perturbation
-    riding on the first.  A zero principal is kept as a structural zero only
-    to carry a perturbation."""
+    `harmonic`), pruned at _COEFF_TOL relative to the largest of those
+    parts (the round-off of the harmonic split and of Leibniz sums is
+    theirs), the perturbation riding on the first.  A zero principal is
+    kept as a structural zero only to carry a perturbation."""
     out = []
-    tol = _COEFF_TOL * max(scale, 1e-300)
     for alpha in sorted(set(parts) | set(perts)):
         pert = perts.get(alpha)
-        harm = RadialFunction.from_parts(n, parts.get(alpha, ()), harmonic)
-        harm = harm.prune_abs(tol).terms
+        raw = parts.get(alpha, ())
+        tol = _COEFF_TOL * max((P.norm_inf() for _, P in raw), default=0.0)
+        harm = RadialFunction.from_parts(n, raw, harmonic).prune_abs(tol).terms
         if not harm and pert is not None:
             zero = HomogPoly(n, 0, {})
             out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
@@ -299,8 +273,7 @@ def canonicalize(op: SystemOperator) -> SystemOperator:
             parts.setdefault(alpha, []).append(
                 (complex(t.radial_exponent), t.poly.to_float()))
             _add_perturbation(perts, alpha, t.perturbation)
-        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
-        terms = _entry_terms(op.n, op.order(i, j), parts, perts, scale)
+        terms = _entry_terms(op.n, op.order(i, j), parts, perts)
         if terms:
             entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, op.mu, op.nu, entries)
@@ -309,22 +282,6 @@ def canonicalize(op: SystemOperator) -> SystemOperator:
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------
-
-def _fibonacci_sphere(count):
-    golden = (1 + 5 ** 0.5) / 2
-    idx = np.arange(count)
-    z = 1 - (2 * idx + 1) / count
-    theta = 2 * math.pi * idx / golden
-    s = np.sqrt(1 - z * z)
-    return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=1)
-
-
-def _sphere_points(n, count):
-    if n == 2:
-        t = np.linspace(0, 2 * math.pi, count, endpoint=False)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    return _fibonacci_sphere(count)
-
 
 def _sphere_samples(n, count):
     axes = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
@@ -461,9 +418,8 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
     entries = {}
     for (j, i), src in op.entries.items():
         parts, perts = _leibniz_adjoint_scalar(src, op.n)
-        scale = max((t.poly.norm_inf() for _, t in src), default=0.0)
         # op.order(j, i) == mu*_j - nu*_i; the entries come out canonical
-        terms = _entry_terms(op.n, op.order(j, i), parts, perts, scale, harmonic=True)
+        terms = _entry_terms(op.n, op.order(j, i), parts, perts, harmonic=True)
         if terms:
             entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, mu_star, nu_star, entries)
@@ -472,43 +428,15 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
 def is_formally_self_adjoint(op: SystemOperator) -> bool:
     """op and its formal adjoint have keys of equal structure and equal
     perturbation coefficients, and principal coefficients equal to
-    _COEFF_TOL of op's largest: Leibniz derivatives of variable
-    coefficients are float."""
+    _COEFF_TOL of op's largest at the same (i, j, alpha): Leibniz
+    derivatives of variable coefficients are float."""
     try:
         (a, ca, pa), (b, cb, pb) = op.key, formal_adjoint(op).key
     except AdjointOrderViolation:
         return False
     ca, cb, pa, pb = (np.frombuffer(x, complex) for x in (ca, cb, pa, pb))
+    scale = [max(u.poly.norm_inf() for other, u in terms if other == alpha)   # key order
+             for _, terms in sorted(op.entries.items()) for alpha, t in terms
+             for _ in t.poly.coeffs]
     return a == b and np.array_equal(pa, pb) and bool(
-        np.all(np.abs(ca - cb) <= _COEFF_TOL * np.max(np.abs(ca), initial=0.0)))
-
-
-# ---------------------------------------------------------------------------
-# symbol-class decay check
-# ---------------------------------------------------------------------------
-
-def check_symbol_class(f: Expr, beta: float, max_order: int = 2) -> DecayReport:
-    """Numerical test that D^alpha f = o(|x|^(-beta-|alpha|)) for |alpha| <= max_order.
-
-    For each derivative the sup of |x|^(beta+|alpha|) |D^alpha f| over a
-    sphere grid is evaluated at each of _TAIL_RADII; the report passes iff
-    every sequence is non-increasing and ends below _TAIL_TOL.
-    """
-    n = f.n
-    pts = _sphere_points(n, _TAIL_SPHERE_POINTS)
-    sequences = {}
-    passed = True
-    for alpha in _multi_indices(n, max_order):
-        df = f.derivative(alpha)
-        seq = []
-        for r in _TAIL_RADII:
-            if df.is_zero():
-                seq.append(0.0)
-                continue
-            vals = np.abs(df.evaluate(pts * r))
-            seq.append(float(r ** (beta + sum(alpha)) * np.max(vals)))
-        sequences[alpha] = seq
-        non_increasing = all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(seq, seq[1:]))
-        if not (non_increasing and seq[-1] < _TAIL_TOL):
-            passed = False
-    return DecayReport(passed, beta, list(_TAIL_RADII), sequences, _TAIL_TOL)
+        np.all(np.abs(ca - cb) <= _COEFF_TOL * np.array(scale)))

@@ -15,15 +15,23 @@ degrees l + 1 and l - 1.  Restriction to the unit sphere is then trivial (drop r
 integration over S^(n-1) is exact through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
-fractions.Fraction.
+fractions.Fraction.  Below the operators this module also holds the ring
+Expr of perturbations, sums of (1 + r^2)^b r^c x^mono (b, c rational),
+the sphere samples and the document codec: the number readers and the one
+reader and one writer of monomial maps {"e1 ... en": [re, im]}.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
+from .errors import SchemaError
 
 
 Monomial = tuple  # tuple[int, ...] of length n
@@ -274,7 +282,209 @@ def sphere_monomial_moment(alpha) -> float:
     return surface_measure(n) * float(_moment_fraction(alpha))
 
 
+def _sphere_points(n, count):
+    """count points of S^(n-1): equispaced on the circle, a Fibonacci
+    lattice on S^2."""
+    if n == 2:
+        t = np.linspace(0, 2 * math.pi, count, endpoint=False)
+        return np.stack([np.cos(t), np.sin(t)], axis=1)
+    idx = np.arange(count)
+    z = 1 - (2 * idx + 1) / count
+    theta = 2 * math.pi * idx / ((1 + 5 ** 0.5) / 2)
+    s = np.sqrt(1 - z * z)
+    return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=1)
+
+
 def harmonic_dim(n: int, l: int) -> int:
     if n == 2:
         return 1 if l == 0 else 2
     return 2 * l + 1
+
+
+# ---------------------------------------------------------------------------
+# document codec and the Expr ring
+# ---------------------------------------------------------------------------
+
+def _as_fraction(v, what="value"):
+    if isinstance(v, float) and not math.isfinite(v):
+        raise SchemaError(f"non-finite {what} {v!r}")
+    try:
+        if not isinstance(v, bool):
+            return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"{what} is not a rational: {v!r}")
+
+
+def _read_number(value, what, kind=int):
+    """kind(value) (int or float) of a JSON number or numeric string.  A
+    bool, a non-integral number read as int or anything kind() refuses is
+    a SchemaError naming `what`; non-finite floats pass."""
+    try:
+        out = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or kind is int and not isinstance(value, str) and out != value:
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"{what} must be {noun}, got {value!r}")
+    return out
+
+
+def _read_monomials(doc, n, what):
+    """{exponents: complex} of a monomial map {"e1 ... en": [re, im]}.
+    Every key has n exponents (n None: as many as the first key); `what`
+    names the map's owner in each refusal."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} poly must be a monomial map, got {doc!r}")
+    out = {}
+    for key, val in doc.items():
+        expo = tuple(_read_number(e, f"{what} monomial key {key!r}") for e in key.split())
+        n = len(expo) if n is None else n
+        if len(expo) != n or any(e < 0 for e in expo):
+            raise SchemaError(f"bad {what} monomial key {key!r}")
+        if not (isinstance(val, (list, tuple)) and len(val) == 2):
+            raise SchemaError(f"{what} monomial value must be [re, im], got {val!r}")
+        c = complex(*(_read_number(v, f"{what} coefficient at monomial {key!r}", float)
+                      for v in val))
+        if not cmath.isfinite(c):
+            raise SchemaError(f"non-finite {what} coefficient {val!r} at monomial {key!r}")
+        out[expo] = c
+    return out
+
+
+def _write_monomials(coeffs):
+    """The monomial map {"e1 ... en": [re, im]} of {exponents: complex}."""
+    return {" ".join(map(str, m)): [c.real, c.imag] for m, c in coeffs.items()}
+
+
+@dataclass
+class Expr:
+    """Element of the (1+r^2)^b r^c P(x) ring."""
+
+    n: int
+    terms: dict = field(default_factory=dict)  # (b, c, mono) -> complex
+
+    # -- construction -------------------------------------------------------
+
+    @staticmethod
+    def zero(n):
+        return Expr(n, {})
+
+    @staticmethod
+    def term(n, b, c, mono, coeff=1.0):
+        key = (_as_fraction(b), _as_fraction(c), tuple(int(e) for e in mono))
+        return Expr(n, {key: complex(coeff)})
+
+    @staticmethod
+    def from_json(doc, n=None):
+        if not isinstance(doc, list):
+            raise SchemaError("Expr JSON must be a list of terms")
+        out = None
+        for item in doc:
+            if not isinstance(item, dict):
+                raise SchemaError(f"Expr term must be an object, got {item!r}")
+            if set(item) - {"b", "c", "poly"}:
+                raise SchemaError(f"unknown Expr keys: {sorted(set(item) - {'b', 'c', 'poly'})}")
+            b = _as_fraction(item.get("b", 0), "Expr b")
+            c = _as_fraction(item.get("c", 0), "Expr c")
+            for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
+                n = len(expo)
+                t = Expr.term(n, b, c, expo, coeff)
+                out = t if out is None else out + t
+        if out is None and n is None:
+            raise SchemaError("empty Expr with unknown dimension")
+        return Expr.zero(n) if out is None else out
+
+    def to_json(self):
+        return [{"b": str(b), "c": str(c), "poly": _write_monomials({mono: coeff})}
+                for (b, c, mono), coeff in sorted(self.terms.items())]
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            acc = out.get(k, 0j) + v
+            if acc == 0:
+                out.pop(k, None)
+            else:
+                out[k] = acc
+        return Expr(self.n, out)
+
+    def scale(self, s):
+        if s == 0:
+            return Expr.zero(self.n)
+        return Expr(self.n, {k: v * s for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for (b1, c1, m1), v1 in self.terms.items():
+            for (b2, c2, m2), v2 in other.terms.items():
+                k = (b1 + b2, c1 + c2, tuple(a + b for a, b in zip(m1, m2)))
+                acc = out.get(k, 0j) + v1 * v2
+                if acc == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = acc
+        return Expr(self.n, out)
+
+    def conjugate(self):
+        return Expr(self.n, {k: v.conjugate() for k, v in self.terms.items()})
+
+    def differentiate(self, i):
+        """D_i = -i d/dx_i, exact in the ring."""
+        out = Expr.zero(self.n)
+        for (b, c, mono), v in self.terms.items():
+            up, down = (mono[:i] + (mono[i] + s,) + mono[i + 1:] for s in (1, -1))
+            if b != 0:
+                out += Expr.term(self.n, b - 1, c, up, -1j * 2 * b * v)
+            if c != 0:
+                out += Expr.term(self.n, b, c - 2, up, -1j * c * v)
+            if mono[i]:
+                out += Expr.term(self.n, b, c, down, -1j * mono[i] * v)
+        return out
+
+    def derivative(self, alpha):
+        out = self
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                out = out.differentiate(i)
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    # -- analysis helpers ----------------------------------------------------
+
+    def homogeneity_at_infinity(self):
+        """Largest 2b + c + |mono| over terms (dominant growth exponent)."""
+        if not self.terms:
+            return None
+        return max(float(2 * b + c) + sum(m) for (b, c, m), _ in self.terms.items())
+
+    def min_exponent_at_zero(self):
+        """Smallest c + |mono| (controls integrability at the origin)."""
+        if not self.terms:
+            return None
+        return min(float(c) + sum(m) for (b, c, m), _ in self.terms.items())
+
+    def evaluate(self, pts):
+        """Vectorized evaluation at an (N, n) array of points."""
+        pts = np.asarray(pts, dtype=float)
+        r2 = np.sum(pts * pts, axis=-1)
+        r = np.sqrt(r2)
+        out = np.zeros(pts.shape[0], dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (b, c, mono), v in self.terms.items():
+                term = np.full(pts.shape[0], v, dtype=complex)
+                if b != 0:
+                    term = term * (1.0 + r2) ** float(b)
+                if c != 0:
+                    term = term * r ** float(c)
+                for i, e in enumerate(mono):
+                    if e:
+                        term = term * pts[:, i] ** e
+                out += term
+        return out
+
+

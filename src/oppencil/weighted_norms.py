@@ -1,6 +1,6 @@
-"""Weighted norms over an exact expression ring.
+"""Weighted norms and the symbol-class decay test over the Expr ring.
 
-The ring consists of finite sums of terms
+The ring (radial_algebra.Expr) consists of finite sums of terms
 
     (1 + r^2)^b * r^c * x^mono,    b, c rational,
 
@@ -14,209 +14,24 @@ The explicit norm formulas evaluated here are
 
 with L(x) = (1 + |x|^2)^(1/2).  Sup norms are reported as certified grid
 lower bounds; the Sobolev integral carries a quadrature error estimate and
-an analytic tail bound.
+an analytic tail bound; check_symbol_class tests a remainder's decay.
+Only cli imports this module, for its norm command.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import DivergentNorm, SchemaError, UnboundedNorm
-from .radial_algebra import sphere_monomial_moment
+from .errors import DivergentNorm, UnboundedNorm
+from .radial_algebra import Expr, _as_fraction, _sphere_points, sphere_monomial_moment
 
-
-def _as_fraction(v, what="value"):
-    if isinstance(v, float) and not math.isfinite(v):
-        raise SchemaError(f"non-finite {what} {v!r}")
-    try:
-        if not isinstance(v, bool):
-            return Fraction(v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    raise SchemaError(f"{what} is not a rational: {v!r}")
-
-
-def _read_number(value, what, kind=int):
-    """kind(value) (int or float) of a JSON number or numeric string.  A
-    bool, a non-integral number read as int or anything kind() refuses is
-    a SchemaError naming `what`; non-finite floats pass."""
-    try:
-        out = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or kind is int and not isinstance(value, str) and out != value:
-        noun = "an integer" if kind is int else "a number"
-        raise SchemaError(f"{what} must be {noun}, got {value!r}")
-    return out
-
-
-def _read_monomials(doc, n, what):
-    """{exponents: complex} of a monomial map {"e1 ... en": [re, im]}.
-    Every key has n exponents (n None: as many as the first key); `what`
-    names the map's owner in each refusal."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} poly must be a monomial map, got {doc!r}")
-    out = {}
-    for key, val in doc.items():
-        expo = tuple(_read_number(e, f"{what} monomial key {key!r}") for e in key.split())
-        n = len(expo) if n is None else n
-        if len(expo) != n or any(e < 0 for e in expo):
-            raise SchemaError(f"bad {what} monomial key {key!r}")
-        if not (isinstance(val, (list, tuple)) and len(val) == 2):
-            raise SchemaError(f"{what} monomial value must be [re, im], got {val!r}")
-        c = complex(*(_read_number(v, f"{what} coefficient at monomial {key!r}", float)
-                      for v in val))
-        if not cmath.isfinite(c):
-            raise SchemaError(f"non-finite {what} coefficient {val!r} at monomial {key!r}")
-        out[expo] = c
-    return out
-
-
-@dataclass
-class Expr:
-    """Element of the (1+r^2)^b r^c P(x) ring."""
-
-    n: int
-    terms: dict = field(default_factory=dict)  # (b, c, mono) -> complex
-
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def zero(n):
-        return Expr(n, {})
-
-    @staticmethod
-    def term(n, b, c, mono, coeff=1.0):
-        key = (_as_fraction(b), _as_fraction(c), tuple(int(e) for e in mono))
-        return Expr(n, {key: complex(coeff)})
-
-    @staticmethod
-    def from_json(doc, n=None):
-        if not isinstance(doc, list):
-            raise SchemaError("Expr JSON must be a list of terms")
-        out = None
-        for item in doc:
-            if not isinstance(item, dict):
-                raise SchemaError(f"Expr term must be an object, got {item!r}")
-            if set(item) - {"b", "c", "poly"}:
-                raise SchemaError(f"unknown Expr keys: {sorted(set(item) - {'b', 'c', 'poly'})}")
-            b = _as_fraction(item.get("b", 0), "Expr b")
-            c = _as_fraction(item.get("c", 0), "Expr c")
-            for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
-                n = len(expo)
-                t = Expr.term(n, b, c, expo, coeff)
-                out = t if out is None else out + t
-        if out is None:
-            if n is None:
-                raise SchemaError("empty Expr with unknown dimension")
-            out = Expr.zero(n)
-        return out
-
-    def to_json(self):
-        items = []
-        for (b, c, mono), coeff in sorted(self.terms.items()):
-            items.append({
-                "b": str(b), "c": str(c),
-                "poly": {" ".join(str(e) for e in mono): [coeff.real, coeff.imag]},
-            })
-        return items
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k, 0j) + v
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return Expr(self.n, out)
-
-    def scale(self, s):
-        if s == 0:
-            return Expr.zero(self.n)
-        return Expr(self.n, {k: v * s for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (b1, c1, m1), v1 in self.terms.items():
-            for (b2, c2, m2), v2 in other.terms.items():
-                k = (b1 + b2, c1 + c2, tuple(a + b for a, b in zip(m1, m2)))
-                acc = out.get(k, 0j) + v1 * v2
-                if acc == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return Expr(self.n, out)
-
-    def conjugate(self):
-        return Expr(self.n, {k: v.conjugate() for k, v in self.terms.items()})
-
-    def differentiate(self, i):
-        """D_i = -i d/dx_i, exact in the ring."""
-        out = Expr.zero(self.n)
-        for (b, c, mono), v in self.terms.items():
-            e_i = tuple(1 if a == i else 0 for a in range(self.n))
-            if b != 0:
-                out += Expr.term(self.n, b - 1, c, tuple(a + b_ for a, b_ in zip(mono, e_i)),
-                                 -1j * 2 * b * v)
-            if c != 0:
-                out += Expr.term(self.n, b, c - 2, tuple(a + b_ for a, b_ in zip(mono, e_i)),
-                                 -1j * c * v)
-            if mono[i]:
-                out += Expr.term(self.n, b, c, tuple(a - b_ for a, b_ in zip(mono, e_i)),
-                                 -1j * mono[i] * v)
-        return out
-
-    def derivative(self, alpha):
-        out = self
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                out = out.differentiate(i)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    # -- analysis helpers ----------------------------------------------------
-
-    def homogeneity_at_infinity(self):
-        """Largest 2b + c + |mono| over terms (dominant growth exponent)."""
-        if not self.terms:
-            return None
-        return max(float(2 * b + c) + sum(m) for (b, c, m), _ in self.terms.items())
-
-    def min_exponent_at_zero(self):
-        """Smallest c + |mono| (controls integrability at the origin)."""
-        if not self.terms:
-            return None
-        return min(float(c) + sum(m) for (b, c, m), _ in self.terms.items())
-
-    def evaluate(self, pts):
-        """Vectorized evaluation at an (N, n) array of points."""
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
-        r = np.sqrt(r2)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for (b, c, mono), v in self.terms.items():
-                term = np.full(pts.shape[0], v, dtype=complex)
-                if b != 0:
-                    term = term * (1.0 + r2) ** float(b)
-                if c != 0:
-                    term = term * r ** float(c)
-                for i, e in enumerate(mono):
-                    if e:
-                        term = term * pts[:, i] ** e
-                out += term
-        return out
+_TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
+_TAIL_TOL = 0.1                         # its bound on the last weighted sup
+_TAIL_SPHERE_POINTS = 64
 
 
 @dataclass
@@ -230,6 +45,20 @@ class NormResult:
                 "tail_bound": self.tail_bound}
 
 
+@dataclass
+class DecayReport:
+    passed: bool
+    beta: float
+    radii: list
+    sequences: dict  # alpha -> list of sup values
+    tolerance: float
+
+    def to_json(self):
+        return {"passed": self.passed, "beta": self.beta, "radii": self.radii,
+                "tolerance": self.tolerance,
+                "sequences": {" ".join(map(str, a)): s for a, s in self.sequences.items()}}
+
+
 # ---------------------------------------------------------------------------
 # quadrature machinery
 # ---------------------------------------------------------------------------
@@ -237,10 +66,7 @@ class NormResult:
 def _sphere_grid(n, n_theta=48, n_phi=96):
     """Quadrature nodes and weights on S^(n-1) (exact surface measure)."""
     if n == 2:
-        theta = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(n_phi, 2 * math.pi / n_phi)
-        return pts, w
+        return _sphere_points(2, n_phi), np.full(n_phi, 2 * math.pi / n_phi)
     nodes, gw = np.polynomial.legendre.leggauss(n_theta)
     phi = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     ct = nodes[:, None]
@@ -489,6 +315,37 @@ def weighted_holder_seminorm(u: Expr, sigma: float, beta, samples: int = 4096,
         if score.size:
             best = max(best, float(np.max(score)))
     return NormResult(best + sup_term, sup_gap, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# symbol-class decay check
+# ---------------------------------------------------------------------------
+
+def check_symbol_class(f: Expr, beta: float, max_order: int = 2) -> DecayReport:
+    """Numerical test that D^alpha f = o(|x|^(-beta-|alpha|)) for |alpha| <= max_order.
+
+    For each derivative the sup of |x|^(beta+|alpha|) |D^alpha f| over a
+    sphere grid is evaluated at each of _TAIL_RADII; the report passes iff
+    every sequence is non-increasing and ends below _TAIL_TOL.
+    """
+    n = f.n
+    pts = _sphere_points(n, _TAIL_SPHERE_POINTS)
+    sequences = {}
+    passed = True
+    for alpha in _multi_indices(n, max_order):
+        df = f.derivative(alpha)
+        seq = []
+        for r in _TAIL_RADII:
+            if df.is_zero():
+                seq.append(0.0)
+                continue
+            vals = np.abs(df.evaluate(pts * r))
+            seq.append(float(r ** (beta + sum(alpha)) * np.max(vals)))
+        sequences[alpha] = seq
+        non_increasing = all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(seq, seq[1:]))
+        if not (non_increasing and seq[-1] < _TAIL_TOL):
+            passed = False
+    return DecayReport(passed, beta, list(_TAIL_RADII), sequences, _TAIL_TOL)
 
 
 def _multi_indices(n, k):

@@ -20,9 +20,8 @@ import numpy as np
 from oppencil.errors import NotApplicable, OnBreakpoint
 from oppencil.index_ledger import _BREAK_TOL, IndexLedger
 from oppencil.pencil import PencilMatrices, horner
-from oppencil.radial_algebra import HomogPoly, RadialFunction, _merge
+from oppencil.radial_algebra import Expr, HomogPoly, RadialFunction, _as_fraction, _merge
 from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains
-from oppencil.weighted_norms import Expr, _as_fraction
 
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 

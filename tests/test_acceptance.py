@@ -28,8 +28,7 @@ from oppencil.operator_ast import formal_adjoint, is_formally_self_adjoint, \
     parse_operator
 from oppencil.pencil import assemble_pencil
 from oppencil.spectrum import jordan_chains, strip_spectrum
-from oppencil.weighted_norms import weighted_sobolev_norm
-from oppencil.operator_ast import check_symbol_class
+from oppencil.weighted_norms import check_symbol_class, weighted_sobolev_norm
 from oracles import biorthogonalize, index_at, lambda_power, special_index
 
 REPO = Path(__file__).resolve().parent.parent

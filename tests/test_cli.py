@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import laplacian_doc, dbar_doc, drift_doc, inverse_square_doc
-from oppencil.weighted_norms import Expr, weighted_cl_norm, weighted_holder_seminorm
+from oppencil.radial_algebra import Expr
+from oppencil.weighted_norms import weighted_cl_norm, weighted_holder_seminorm
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -390,6 +391,33 @@ def test_inverted_strip_exit2(lap3_file):
     r = run_cli(["res", lap3_file, "--strip", "3.5", "-0.5"])
     assert r.returncode == 2
     assert "BETA1 < BETA2" in r.stderr
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["res", "op.json", "--strip", "-1e-3", "2.5"], "strip", [-1e-3, 2.5]),
+    (["spectrum", "op.json", "--strip", "-5.", "-2E+0"], "strip", [-5.0, -2.0]),
+    (["index", "op.json", "--window", "-.5", "2.5"], "window", [-0.5, 2.5]),
+    (["adjoint-check", "op.json", "--window", "-1e-3", "2.5"], "window", [-1e-3, 2.5]),
+    (["verify-cc", "op.json", "--window", "-2.5e0", "1."], "window", [-2.5, 1.0]),
+    (["model-solve", "op.json", "--mode", "0", "--beta1", "-1e-3", "--beta2", "1"],
+     "beta1", -1e-3),
+    (["model-solve", "op.json", "--mode", "0", "--beta1", "-9", "--beta2", "-5."],
+     "beta2", -5.0),
+    (["norm", "u.json", "--kind", "cl", "--n", "3", "--beta", "-1e-3"], "beta", -1e-3),
+])
+def test_negative_bound_in_any_float_form(argv, dest, value):
+    from oppencil.cli import build_parser
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+def test_negative_exponent_bound_answers(lap3_file, capsys):
+    from oppencil.cli import main
+    code, out, _ = _main(["res", lap3_file, "--strip", "-1e-3", "2.5", "--degree", "2"],
+                         capsys)
+    assert code == 0 and json.loads(out)["res_lines"] == {"0": 5, "1": 3, "2": 1}
+    with pytest.raises(SystemExit) as exc:
+        main(["res", lap3_file, "--stripx", "-1e-3", "2.5"])
+    assert exc.value.code == 2
 
 
 def test_non_finite_strip_exit2(lap3_file):

@@ -15,6 +15,10 @@ read by that function (self, cls and `_`-names are exempt).
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle).
+
+The modules form layers (LAYERS): each imports only modules before it, so
+the document codec and the exact rings sit below the operators, and the
+weighted norms are a leaf that the solvers never load.
 """
 
 import ast
@@ -29,6 +33,8 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "oppencil"
 MODULES = sorted(PACKAGE.glob("*.py"))
+LAYERS = ("errors", "radial_algebra", "operator_ast", "weighted_norms", "pencil",
+          "spectrum", "index_ledger", "model_solver", "cli")
 
 
 def _identifiers(node):
@@ -162,3 +168,26 @@ def test_cli_run_loads_no_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [0, []]
     assert json.loads(out.read_text())["res_lines"]
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES if p.stem != "__init__")
+    upward = []
+    for path in (p for p in MODULES if p.stem in LAYERS):
+        below = LAYERS[:LAYERS.index(path.stem)]
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{path.stem} -> {m}" for m in names
+                           if m in LAYERS and m not in below]
+    assert upward == []
+
+
+def test_solvers_load_no_weighted_norms():
+    code = ("import sys\n"
+            "import oppencil.spectrum, oppencil.index_ledger, oppencil.model_solver\n"
+            "print('oppencil.weighted_norms' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=REPO, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"

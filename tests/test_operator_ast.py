@@ -20,7 +20,6 @@ from oppencil.errors import BadDNOrders, OrderMismatch, SchemaError
 from oppencil.operator_ast import (
     canonicalize,
     check_ellipticity,
-    check_symbol_class,
     formal_adjoint,
     is_formally_self_adjoint,
     is_homogeneous_cc,
@@ -29,7 +28,8 @@ from oppencil.operator_ast import (
     principal_symbol_matrix,
     serialize_operator,
 )
-from oppencil.weighted_norms import Expr
+from oppencil.radial_algebra import Expr
+from oppencil.weighted_norms import check_symbol_class
 from oracles import lambda_power
 
 REPO = Path(__file__).resolve().parent.parent
@@ -115,6 +115,13 @@ def test_parse_rejects_n4():
         parse_operator(doc)
 
 
+@pytest.mark.parametrize("text", ["{}", json.dumps(laplacian_doc(3)), b"{}"],
+                         ids=["empty", "laplacian", "bytes"])
+def test_parse_takes_only_a_decoded_document(text):
+    with pytest.raises(SchemaError, match="must be a JSON object"):
+        parse_operator(text)
+
+
 def test_parse_rejects_unknown_keys():
     doc = laplacian_doc(3)
     doc["extra"] = 1
@@ -126,7 +133,7 @@ def test_roundtrip_exact():
     for doc in (laplacian_doc(2), laplacian_doc(3), dbar_doc(), cr_system_doc(),
                 inverse_square_doc(), drift_doc()):
         op = parse_operator(doc)
-        again = parse_operator(json.dumps(serialize_operator(op)))
+        again = parse_operator(json.loads(json.dumps(serialize_operator(op))))
         assert serialize_operator(op) == serialize_operator(again)
 
 
@@ -411,6 +418,25 @@ def test_self_adjointness_detection(inverse_square3d, dbar2d):
     doc["entries"][0]["terms"].append(
         {"alpha": [0, 0, 0], "radial_exponent": -5.0, "poly": {"0 3 0": [1.0, 0.0]}})
     assert is_formally_self_adjoint(parse_operator(doc))
+
+
+def test_a_large_potential_keeps_the_principal_part():
+    # each multi-index is pruned against its own parts, so the D_i^2 terms
+    # stay next to 1e12 r^-2, in the canonical form and in the adjoint
+    op = parse_operator(inverse_square_doc(1e12))
+    assert [alpha for alpha, _ in op.entries[(0, 0)]] == [
+        (0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0)]
+    assert formal_adjoint(op) == op and is_formally_self_adjoint(op)
+    assert check_ellipticity(op, xi_samples=200, x_samples=40).elliptic
+
+
+def test_self_adjointness_is_judged_per_multi_index():
+    # 0.3i D1 D2 is minus its adjoint: 0.6 apart whatever the potential
+    for c in (1.0, 1e12):
+        doc = inverse_square_doc(c)
+        doc["entries"][0]["terms"].append(
+            {"alpha": [1, 1, 0], "radial_exponent": 0.0, "poly": {"0 0 0": [0.0, 0.3]}})
+        assert not is_formally_self_adjoint(parse_operator(doc))
 
 
 def test_self_adjointness_holds_to_round_off():

@@ -7,8 +7,9 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from oppencil.errors import DivergentNorm, UnboundedNorm
+from oppencil.radial_algebra import Expr
 from oppencil.weighted_norms import (
-    Expr,
+    check_symbol_class,
     weighted_cl_norm,
     weighted_holder_seminorm,
     weighted_sobolev_norm,
@@ -191,7 +192,6 @@ def test_decay_criterion_consistent_with_cl_norm():
     # the order-2 remainder test and the weighted C^0 norm frame the same
     # decay: (1+r^2)^(-1) is O(r^-2) (finite norm at beta = 2, infinite just
     # above) but not o(r^-2), while (1+r^2)^(-3/2) has a full power to spare.
-    from oppencil.operator_ast import check_symbol_class
     good = lam_pow(3, -3)
     slow = lam_pow(3, -2)
     assert check_symbol_class(good, beta=2.0).passed
