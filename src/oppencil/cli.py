@@ -51,12 +51,6 @@ from .operator_ast import (
 from .pencil import _PENCIL_CAP, assemble_pencil, default_l_max
 from .radial_algebra import Expr
 from .spectrum import strip_spectrum
-from .weighted_norms import (
-    check_symbol_class,
-    weighted_cl_norm,
-    weighted_holder_seminorm,
-    weighted_sobolev_norm,
-)
 
 
 def _read_json(path, what, load=json.loads):
@@ -217,6 +211,9 @@ def cmd_adjoint_check(args):
 
 
 def cmd_norm(args):
+    # the norms are a leaf module only this command loads
+    from .weighted_norms import (check_symbol_class, weighted_cl_norm,
+                                 weighted_holder_seminorm, weighted_sobolev_norm)
     u = Expr.from_json(_read_json(args.expr, "Expr file"), args.n)
     if args.kind == "sobolev":
         res = weighted_sobolev_norm(u, args.p, args.k, args.beta)

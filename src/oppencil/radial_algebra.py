@@ -389,8 +389,9 @@ class Expr:
             c = _as_fraction(item.get("c", 0), "Expr c")
             for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
                 n = len(expo)
-                t = Expr.term(n, b, c, expo, coeff)
-                out = t if out is None else out + t
+                if coeff:   # a zero term is no term, as in every ring operation
+                    t = Expr.term(n, b, c, expo, coeff)
+                    out = t if out is None else out + t
         if out is None and n is None:
             raise SchemaError("empty Expr with unknown dimension")
         return Expr.zero(n) if out is None else out

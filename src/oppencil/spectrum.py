@@ -25,16 +25,18 @@ Jordan chains at an eigenvalue lam0 solve the coupled system
 
     sum_(j=0..M') (1/j!) d^j pencil(lam0) phi_(M'-j) = 0,   M' = 0..M-1,
 
-whose matrix is the lower block-Toeplitz matrix of the Taylor
-coefficients (_toeplitz).  That one operator builds every chain equation:
-the nested nullspaces the chains are extracted from (longest first), the
-adjoint chain equations (of the transposed coefficients) and the
-biorthogonality rows; the chain, adjoint and pairing residuals are read
-off those solved systems.  A chain must satisfy its equations to
-_CHAIN_TOL.  Every rank decision (a candidate's certification, each
-nullspace, a 1 x 1 owner's zero order) makes one cut: a singular value
-or Taylor coefficient below _RANK_TOL times the larger of the largest
-one and the pencil's scale there is zero.
+in the pencil's Taylor coefficients there.  A full owner's chains come
+from the local reduction (chains_from_matrices): one SVD of pencil(lam0),
+then level by level the null space of the next equation projected off its
+range holds the stacks that extend; chains are extracted longest first,
+their residuals read off their own equations.  The adjoint chain
+equations (of the transposed coefficients) and the biorthogonality rows
+are one lower block-Toeplitz least-squares system (_toeplitz), its
+residuals read off its solution.  A chain must satisfy its equations to
+_CHAIN_TOL.  Every rank decision (a candidate's certification, each null
+space, a 1 x 1 owner's zero order) makes one cut: a singular value or
+Taylor coefficient below _RANK_TOL times the larger of the largest one
+and the pencil's scale there is zero.
 
 One rule chains a point: each square that owns it (a root within the
 cluster radius, P.owners) is chained under its own det order, the
@@ -45,8 +47,8 @@ eigenvalue inside), which its chain vectors must number; over a strip
 the orders must also sum to the number of eigenvalues clustered there.
 A 1 x 1 owner (a c(lam) I block's scalar) with a zero of order o has one
 chain [1, 0, ..., 0] of length o per harmonic of its block.  A full
-owner whose nullspace of pencil(lam0) is as wide as its order and does
-not extend is semisimple, and no Toeplitz matrix is built.
+owner whose null vectors do not extend is semisimple: the reduction stops
+at its first level, after three SVDs none larger than the owner's block.
 
 A strip's eigenpoints are solved in one pass: the in-strip count, the
 clustering and each centre's isolation are array operations, and one
@@ -331,21 +333,10 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius, square):
 # Jordan chains
 # ---------------------------------------------------------------------------
 
-def _null_space(mat, scale):
-    """Numerical nullspace: the right singular vectors whose singular value
-    is below _RANK_TOL * max(sigma_max, scale), the one rank cut that
-    certification and _scalar_chains also make.  Returns the null basis,
-    the singular values and a range basis (left singular vectors)."""
-    # only a wide matrix has null directions outside the reduced Vh
-    U, sv, Vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    svp = np.concatenate([sv, np.zeros(mat.shape[1] - sv.size)])
-    below = np.flatnonzero(svp < _RANK_TOL * max(sv[0], scale))
-    return Vh.conj().T[:, below], sv, U[:, :mat.shape[1] - len(below)]
-
-
 def _toeplitz(T, s):
     """Lower block-Toeplitz matrix [T_(i-j)] (i >= j, zero beyond len(T)) of
-    s block rows: the chain equations sum_(q<=i) T_(i-q) x_q of length s."""
+    s block rows: the adjoint chain equations and pairing rows that
+    normalize_biorthogonal solves."""
     n_r, n_c = T[0].shape
     out = np.zeros((s * n_r, s * n_c), dtype=complex)
     for i in range(s):
@@ -354,62 +345,69 @@ def _toeplitz(T, s):
     return out
 
 
-def chains_from_matrices(T, scale, det_order):
+def chains_from_matrices(T, scale):
     """Canonical Jordan chains for a matrix polynomial given its scaled
-    derivatives T[s] = (1/s!) d^s pencil(lam0), s = 0..degree.
+    derivatives T[s] = (1/s!) d^s pencil(lam0), s = 0..degree >= 1, by the
+    local reduction (Gohberg, Lancaster and Rodman, Matrix Polynomials).
 
-    The SVD of T[0] gives its null basis V and a range basis U_r.  When V's
-    width J is det_order and the count of level-2 chains J - rank((I -
-    U_r U_r^H) T[1] V) is 0 (Gohberg, Lancaster and Rodman, Matrix
-    Polynomials), the chains are V's columns; otherwise they come from
-    nested block-Toeplitz nullspaces.  Returns (J, partial_multiplicities,
-    chains, residuals); NotAnEigenvalue when T[0] has full column rank.
+    One SVD of T[0] gives its null basis V, range basis U_r and
+    pseudo-inverse T[0]^+, under the rank cut _RANK_TOL * max(sigma_max,
+    scale).  The orthonormal N_s spans the stacks (x_0, ..., x_(s-1)) of
+    the chains of length s, N_1 = V.  A stack N_s c extends when T[0] x_s
+    = -R c, R = sum_(q<s) T[s-q] x_q: c in C = null((I - U_r U_r^H) R)
+    (the same cut), x_s = -T[0]^+ R c plus a null vector.  So N_(s+1) is
+    the QR of [[N_s C, 0], [-T[0]^+ R C, V]], and d_(s+1) = rank(N_s[:n_c]
+    C) leading vectors extend (an absolute cut: N_s C is orthonormal).  The
+    first d = 0 ends the loop, at s = 1 on a semisimple point; a 40th level
+    refuses.  Chains are taken longest first, leading vectors orthogonal to
+    those taken, each residual the largest norm of its equations over
+    scale.  Returns (J, partial_multiplicities, chains, residuals);
+    NotAnEigenvalue when T[0] has full column rank.
     """
     n_c = T[0].shape[1]
-    # nested Toeplitz nullspaces: d_s = #properly extendable leading vectors
-    d, levels = [], []
-    for s in range(1, 41):
-        S = _toeplitz(T, s)
-        N, sv, U_r = _null_space(S, scale)
-        if s == 1 and N.shape[1] == 0:
-            raise NotAnEigenvalue(f"sigma_min = {sv[-1]:.3e}")
-        if s == 1 and N.shape[1] == det_order and len(T) > 1:
-            X = T[1] @ N
-            X -= U_r @ (U_r.conj().T @ X)
-            if np.linalg.svd(X, compute_uv=False)[-1] > _RANK_TOL * max(sv[0], scale):
-                # oriented as the Toeplitz route orients a level of length 1
-                phi = np.linalg.svd(N, full_matrices=False)[0]
-                res = (np.linalg.norm(T[0] @ phi, axis=0) / scale).tolist()
-                return det_order, [1] * det_order, [[v] for v in phi.T], res
-        # null basis vectors are unit norm, so the cut is absolute
-        d_s = int(np.sum(np.linalg.svd(N[:n_c, :], compute_uv=False) > _RANK_TOL))
+    U, sv, Vh = np.linalg.svd(T[0], full_matrices=T[0].shape[0] < n_c)
+    cut = _RANK_TOL * max(sv[0], scale)
+    rank = int(np.count_nonzero(sv >= cut))
+    if rank == n_c:
+        raise NotAnEigenvalue(f"sigma_min = {sv[-1]:.3e}")
+    J, V, U_r = n_c - rank, Vh[rank:].conj().T, U[:, :rank]
+    N, d, levels = V, [J], [V]
+    for s in range(1, 40):
+        R = sum(T[s - q] @ N[q * n_c:(q + 1) * n_c] for q in range(max(0, s - len(T) + 1), s))
+        X = R - U_r @ (U_r.conj().T @ R)
+        k = int(np.count_nonzero(np.linalg.svd(X, compute_uv=False) >= cut))
+        if k == X.shape[1]:
+            break   # no stack extends
+        C = np.linalg.svd(X)[2][k:].conj().T
+        d_s = int(np.count_nonzero(np.linalg.svd(N[:n_c] @ C, compute_uv=False) > _RANK_TOL))
         if d_s == 0:
             break
         d.append(d_s)
-        levels.append((S, N))
+        tail = Vh[:rank].conj().T @ ((U_r.conj().T @ (R @ C)) / sv[:rank, None])
+        N = np.linalg.qr(np.block([[N @ C, np.zeros((len(N), J))], [-tail, V]]))[0]
+        levels.append(N)
     else:
         raise MultiplicityMismatch("chain length exploding; unstable point")
 
-    J = d[0]
     partial = [sum(1 for ds in d if ds >= j + 1) for j in range(J)]
-
-    chains = []
-    residuals = []
-    picked = np.zeros((n_c, 0), dtype=complex)
+    chains, residuals = [], []
     for length in sorted(set(partial), reverse=True):
-        S, N = levels[length - 1]
-        lead = N[:n_c, :]
-        # directions independent of already picked leading vectors
-        lead_perp = lead - picked @ (picked.conj().T @ lead)
-        U = np.linalg.svd(lead_perp, full_matrices=False)[0]
-        phi0 = U[:, :partial.count(length)]
-        # every leading vector of this length at once: one solve, one QR
-        stacks = N @ np.linalg.lstsq(lead, phi0, rcond=None)[0]
-        stacks[:n_c] = phi0  # exact leading vectors
-        res = np.linalg.norm((S @ stacks).reshape(length, -1, phi0.shape[1]), axis=1)
-        chains += [list(stack.reshape(length, n_c)) for stack in stacks.T]
-        residuals += [float(r) / scale for r in res.max(axis=0)]
-        picked = np.linalg.qr(np.hstack([picked, phi0]))[0]
+        N = levels[length - 1]
+        lead = free = N[:n_c]
+        if chains:   # directions independent of the leading vectors taken
+            Q = np.linalg.qr(np.column_stack([chain[0] for chain in chains]))[0]
+            free = lead - Q @ (Q.conj().T @ lead)
+        phi0 = np.linalg.svd(free, full_matrices=False)[0][:, :partial.count(length)]
+        # x[q]: the q-th vectors of every chain of this length, x[0] exact
+        x = phi0[None]
+        if length > 1:
+            tail = N[n_c:] @ np.linalg.lstsq(lead, phi0, rcond=None)[0]
+            x = np.concatenate([x, tail.reshape(length - 1, n_c, -1)])
+        eqs = T[0] @ x      # eqs[i] = sum_(q<=i) T[i-q] x[q]
+        for j in range(1, min(len(T), length)):
+            eqs[j:] += T[j] @ x[:-j]
+        chains += [list(chain) for chain in x.transpose(2, 0, 1)]
+        residuals += (np.linalg.norm(eqs, axis=1).max(axis=0) / scale).tolist()
     return J, partial, chains, residuals
 
 
@@ -476,7 +474,7 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
         full[at[p]].append((complex(centre[p]), int(square[p])))
     points = []
     for k, (lam0, want) in enumerate(zip(lams.tolist(), orders.tolist())):
-        found = closed[k] + [f for c, i in full[k] for f in _owner_chains(P, c, i, want[i])]
+        found = closed[k] + [f for c, i in full[k] for f in _owner_chains(P, c, i)]
         count = [0] * len(want)
         for i, chain, _ in found:
             count[i] += len(chain)
@@ -527,13 +525,13 @@ def _scalar_chains(P: PencilMatrices, centre, at, square, points):
     of the 1 x 1 owners (P.scalars) of point k, from the (point, owner)
     pairs (at, square), each read at its centre.
 
-    A scalar c has a zero of order o at its centre when its Taylor
-    coefficients c_s there are below _RANK_TOL * max(|c_0|, scale) for
-    s < o and c_o is above it; its one chain is then [1, 0, ..., 0] of
-    length o (Gohberg, Lancaster and Rodman, Matrix Polynomials), so an
-    owner c(lam) I_d adds d such chains on the unit vectors of its block,
-    each of residual max_(s<o) |c_s| / scale.  All pairs are evaluated in
-    one Horner pass.  NotAnEigenvalue when c_0 is above the cut.
+    The local reduction (chains_from_matrices) of a 1 x 1, batched: a
+    scalar c has a zero of order o at its centre when its Taylor
+    coefficients c_s there are below _RANK_TOL * max(|c_0|, scale) for s <
+    o and c_o is above it; its one chain is then [1, 0, ..., 0] of length
+    o, so an owner c(lam) I_d adds d such chains on the unit vectors of its
+    block, each of residual max_(s<o) |c_s| / scale.  All pairs are
+    evaluated in one Horner pass.  NotAnEigenvalue when c_0 is above the cut.
     """
     row, C = P.scalars
     pair = np.flatnonzero(row[square] >= 0)
@@ -555,13 +553,13 @@ def _scalar_chains(P: PencilMatrices, centre, at, square, points):
     return closed
 
 
-def _owner_chains(P: PencilMatrices, lambda0: complex, i, order):
+def _owner_chains(P: PencilMatrices, lambda0: complex, i):
     """The (owner, chain, residual) of each chain at lambda0 of the full
-    square P.squares[i] under its det order: chains_from_matrices on its
-    block's exact pencil (P.restriction(i)), padded to the full basis."""
+    square P.squares[i]: chains_from_matrices on its block's exact pencil
+    (P.restriction(i)), padded to the full basis."""
     try:
         _, _, chains, residuals = chains_from_matrices(
-            taylor(P.restriction(i), lambda0), _chain_scale(P, lambda0), order)
+            taylor(P.restriction(i), lambda0), _chain_scale(P, lambda0))
     except NotAnEigenvalue as exc:
         raise NotAnEigenvalue(f"{exc} at lambda0 = {lambda0}") from None
     keep = P.blocks[i][1]

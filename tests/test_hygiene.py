@@ -18,7 +18,8 @@ scipy module (the tests use scipy only as an independent oracle).
 
 The modules form layers (LAYERS): each imports only modules before it, so
 the document codec and the exact rings sit below the operators, and the
-weighted norms are a leaf that the solvers never load.
+weighted norms are a leaf that the solvers never load and the CLI loads
+only in its norm command.
 """
 
 import ast
@@ -186,6 +187,7 @@ def test_modules_import_only_lower_layers():
 def test_solvers_load_no_weighted_norms():
     code = ("import sys\n"
             "import oppencil.spectrum, oppencil.index_ledger, oppencil.model_solver\n"
+            "import oppencil.cli\n"
             "print('oppencil.weighted_norms' in sys.modules)\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        cwd=REPO, timeout=120)

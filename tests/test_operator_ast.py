@@ -327,6 +327,17 @@ def test_equality_is_bitwise_and_self_adjointness_is_not():
     assert is_formally_self_adjoint(a) and is_formally_self_adjoint(b)
 
 
+@pytest.mark.parametrize("poly", [{"0 0 0": [0.0, 0.0]}, {"0 0 0": [-0.0, 0.0]},
+                                  {"0 0 0": [0.0, 0.0], "1 0 0": [0.0, -0.0]}])
+def test_zero_perturbation_terms_are_no_terms(poly):
+    # a perturbation whose every term has a zero coefficient is no
+    # perturbation: the operator is -Delta, with -Delta's fingerprint
+    doc = laplacian_doc(3)
+    doc["entries"][0]["terms"][0]["perturbation"] = [{"b": "-2", "poly": poly}]
+    op, lap = parse_operator(doc), parse_operator(laplacian_doc(3))
+    assert op == lap and op.fingerprint() == lap.fingerprint() == "19836f0173a4b5ff"
+
+
 # ---------------------------------------------------------------------------
 # formal adjoint
 # ---------------------------------------------------------------------------

@@ -464,10 +464,9 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
 
 
 def _full_pencil_chains(P, lam0):
-    """chains_from_matrices on every kept column of the whole pencil, by the
-    Toeplitz route: a det order of 0 meets no null width."""
+    """chains_from_matrices on every kept column of the whole pencil."""
     T = [Ts[:, P.kept] for Ts in taylor(P.B, lam0)]
-    return chains_from_matrices(T, _chain_scale(P, lam0), 0)
+    return chains_from_matrices(T, _chain_scale(P, lam0))
 
 
 def _full_det_order(P, lam0):
@@ -502,13 +501,24 @@ def test_block_chains_match_full_pencil(op_fn, strip, degree):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _toeplitz_levels(monkeypatch):
-    """Record the block rows s of every Toeplitz matrix built."""
-    levels = []
-    toeplitz = spectrum._toeplitz
-    monkeypatch.setattr(spectrum, "_toeplitz",
-                        lambda T, s: levels.append(s) or toeplitz(T, s))
-    return levels
+def _full_owner_work(monkeypatch):
+    """Record each chains_from_matrices call the program makes, as its
+    block's shape and the shapes of the SVDs it runs."""
+    calls, active = [], []
+    chains, svd = spectrum.chains_from_matrices, np.linalg.svd
+
+    def recorded(T, scale):
+        calls.append((T[0].shape, []))
+        active.append(calls[-1][1])
+        try:
+            return chains(T, scale)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(spectrum, "chains_from_matrices", recorded)
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: (
+        active and active[-1].append(np.shape(a))) or svd(a, *args, **kw))
+    return calls
 
 
 @pytest.mark.parametrize("doc_fn, strip, degree", [
@@ -516,28 +526,33 @@ def _toeplitz_levels(monkeypatch):
     (cr_system_doc, (-0.5, 2.5), 6),
     (lambda: json.loads((OPERATORS / "anisotropic2d.json").read_text()), (0.4, 2.3), 4),
 ], ids=["dbar2d", "cr_system2d", "anisotropic2d"])
-def test_semisimple_points_take_the_early_exit(monkeypatch, doc_fn, strip, degree):
-    # coupled pencils: the early exit builds the level-1 matrix only, and
-    # its chains and residuals are those of the Toeplitz route
-    levels = _toeplitz_levels(monkeypatch)
+def test_semisimple_points_stop_at_the_first_level(monkeypatch, doc_fn, strip, degree):
+    # coupled pencils: the local reduction stops at its first level on a
+    # semisimple owner, after three SVDs (of its block at the point, of the
+    # projected next equation and of the null basis), none of more rows
+    # than the block; its chains span the block's null space
+    calls = _full_owner_work(monkeypatch)
     rep = strip_spectrum(parse_operator(doc_fn()), *strip, degree)
     P = rep.pencil
     assert P.bandwidth > 0 and rep.eigenpoints
-    early, owners = list(levels), 0
+    work, owners = list(calls), 0
     for ep in rep.eigenpoints:
         # the whole pencil's nullspace at the point is as wide as the chains
         J, _, _, _ = _full_pencil_chains(P, ep.lambda0)
         assert J == ep.geometric
-        # the Toeplitz route (det order 0) on each owner's block at its own
-        # centre, as the per-owner det read places it; the chains run owner
-        # by owner
+        # each owner's block at its own centre, as the per-owner det read
+        # places it; the chains run owner by owner
         orders = _per_centre_det_orders(P, ep.lambda0, ep.radius)
         assert ep.det_order == sum(order for _, order in orders.values())
         want = []
         for i, (c, _) in orders.items():
-            _, partial, chains, residuals = chains_from_matrices(
-                taylor(P.restriction(i), c), _chain_scale(P, c), 0)
+            T = taylor(P.restriction(i), c)
+            _, partial, chains, residuals = chains_from_matrices(T, _chain_scale(P, c))
             assert partial == [1] * len(chains)
+            sv, Vh = np.linalg.svd(T[0])[1:]
+            null = Vh[np.count_nonzero(sv >= 1e-8 * max(sv[0], _chain_scale(P, c))):]
+            assert np.max(np.abs(_span_projector([chain[0] for chain in chains])
+                                 - null.conj().T @ null)) <= 1e-12
             want += [(P.blocks[i][1], chain, res) for chain, res in zip(chains, residuals)]
         owners += len(orders)
         assert ep.partial_multiplicities == [1] * len(want)
@@ -545,18 +560,20 @@ def test_semisimple_points_take_the_early_exit(monkeypatch, doc_fn, strip, degre
             assert np.array_equal(got[0][cols], chain[0])
             assert np.count_nonzero(got[0]) == np.count_nonzero(chain[0])
             assert abs(res - r) <= 1e-15
-    # one level-1 matrix per (point, owner)
-    assert early == [1] * owners
+    # three SVDs per (point, owner), none larger than the owner's block
+    assert len(work) == owners
+    assert all(len(svds) == 3 and all(s[0] <= shape[0] for s in svds)
+               for shape, svds in work)
 
 
-def _assert_scalar_chains_match_the_toeplitz_route(P, ep):
+def _assert_scalar_chains_match_the_reduction(P, ep):
     """The chains of ep, owned by one c(lam) I scalar with a double zero,
-    against the nested Toeplitz nullspaces on its 1 x 1 square, padded at
-    each harmonic of its block: equal up to a unit phase."""
+    against the local reduction on its 1 x 1 square, padded at each
+    harmonic of its block: equal up to a unit phase."""
     (i,) = np.flatnonzero(P.owners(ep.lambda0, ep.radius))
     assert P.squares[i].shape[1:] == (1, 1)
     _, partial, (want,), _ = chains_from_matrices(
-        taylor(P.squares[i], ep.lambda0), _chain_scale(P, ep.lambda0), 1)
+        taylor(P.squares[i], ep.lambda0), _chain_scale(P, ep.lambda0))
     assert partial == [2] and len(ep.chains) == P.powers[i]
     phase = complex(want[0][0])
     assert abs(abs(phase) - 1) < 1e-12
@@ -572,15 +589,15 @@ def _assert_scalar_chains_match_the_toeplitz_route(P, ep):
 ], ids=["n3_l0", "n2_l1"])
 def test_scalar_double_zeros_take_the_closed_form(monkeypatch, n, c, line, partial):
     # a double root at D_l = 0 holds one chain [1, 0] per degree-l
-    # harmonic, read off its scalar's Taylor coefficients: no Toeplitz
-    # matrix is built, at the double root or at the simple ones
-    levels = _toeplitz_levels(monkeypatch)
+    # harmonic, read off its scalar's Taylor coefficients: no full owner is
+    # chained, at the double root or at the simple ones
+    calls = _full_owner_work(monkeypatch)
     rep = strip_spectrum(_inverse_square_op(n, c), 0.5, 3.9, 4)
-    assert levels == []
+    assert calls == []
     eps = [ep for ep in rep.eigenpoints if ep.partial_multiplicities != [1] * ep.geometric]
     assert [(ep.lambda0.imag, ep.partial_multiplicities, ep.det_order) for ep in eps] == \
         [(pytest.approx(line), partial, 2 * len(partial))]
-    _assert_scalar_chains_match_the_toeplitz_route(rep.pencil, eps[0])
+    _assert_scalar_chains_match_the_reduction(rep.pencil, eps[0])
 
 
 def _per_centre_det_orders(P, lam0, radius):
@@ -642,7 +659,7 @@ def _per_centre_eigenpoints(P, beta1, beta2):
                 chains = [[np.array([1.0 if s == 0 else 0.0]) for s in range(o)]]
                 residuals = [max(c[:o]) / scale]
             else:
-                _, _, chains, residuals = chains_from_matrices(taylor(S, at), scale, order)
+                _, _, chains, residuals = chains_from_matrices(taylor(S, at), scale)
             assert P.powers[i] * sum(map(len, chains)) == order
             for keep in P.blocks[i][0].reshape(P.powers[i], -1):
                 for chain, res in zip(chains, residuals):
@@ -733,14 +750,17 @@ def test_simple_lines_run_no_svd_and_no_slogdet(monkeypatch):
 
 def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
     # each owner under its own det order: at 0, i and 3i the scalar's simple
-    # zero is closed form, and the 4 x 4 square takes the early exit; at the
-    # l = 0 double root 2i the scalar's chains [1, 0] are closed form too,
-    # and only the 2 x 2 square, whose chains have length 2, runs the
-    # Toeplitz route.  No scalar's det is read by slogdet
-    levels, stacks = [], []
-    toeplitz, slogdet = spectrum._toeplitz, np.linalg.slogdet
-    monkeypatch.setattr(spectrum, "_toeplitz",
-                        lambda T, s: levels.append((s, T[0].shape)) or toeplitz(T, s))
+    # zero is closed form, and the 4 x 4 square stops at the reduction's
+    # first level (three SVDs); at the l = 0 double root 2i the scalar's
+    # chains [1, 0] are closed form too, and only the 2 x 2 square, whose
+    # chains have length 2, goes on: stacks extend at both of its levels,
+    # so each takes two more SVDs (the projected equation's null space and
+    # the rank of the extending leading vectors), and the second level one
+    # more to test its projected equation: 8 (there only the shifted chains
+    # (0, x_0) extend, with no leading vector).  No scalar's det is read by
+    # slogdet
+    calls, stacks = _full_owner_work(monkeypatch), []
+    slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet",
                         lambda a: stacks.append(np.shape(a)) or slogdet(a))
     rep = strip_spectrum(_mixed_owner_op(), -0.5, 3.5, 4)
@@ -748,17 +768,61 @@ def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
     assert [(ep.lambda0, ep.partial_multiplicities) for ep in rep.eigenpoints] == [
         (pytest.approx(0j, abs=1e-9), [1] * 6), (pytest.approx(1j), [1] * 6),
         (pytest.approx(2j), [2, 2, 2]), (pytest.approx(3j), [1] * 6)]
-    assert levels == [(1, (4, 4))] * 2 + [(s, (2, 2)) for s in (1, 2, 3)] + [(1, (4, 4))]
+    assert [(shape, len(svds)) for shape, svds in calls] == \
+        [((4, 4), 3)] * 2 + [((2, 2), 8)] + [((4, 4), 3)]
     assert stacks and all(shape[1:] != (1, 1) for shape in stacks)
 
 
 def test_criterion_2_chain_takes_the_closed_form(monkeypatch, laplacian2d):
-    levels = _toeplitz_levels(monkeypatch)
+    calls = _full_owner_work(monkeypatch)
     P = assemble_pencil(laplacian2d, 6)
     ep = jordan_chains(P, 2j)
     assert (ep.partial_multiplicities, ep.det_order) == ([2], 2)
-    assert levels == []
-    _assert_scalar_chains_match_the_toeplitz_route(P, ep)
+    assert calls == []
+    _assert_scalar_chains_match_the_reduction(P, ep)
+
+
+_LAM0 = 0.3 + 1.1j
+
+
+def _jordan_form_pencil(blocks, quadratic, rows):
+    """The coefficients of lam I - A, A = S J S^-1 with Jordan blocks of
+    the given sizes at _LAM0 and three simple eigenvalues elsewhere, or of
+    (I + (lam - _LAM0) F)(lam I - A), F small (invertible at _LAM0, so the
+    partial multiplicities and the kernel there are A's), with `rows` zero
+    rows appended; and a basis of ker(A - _LAM0), S at the blocks' starts."""
+    rng = np.random.default_rng(10 * sum(blocks) + len(blocks))
+    size = sum(blocks) + 3
+    J = np.diag(np.r_[[_LAM0] * sum(blocks), -0.7 + 0.2j, 1.5 - 0.4j, 2.1 + 1.9j])
+    starts = np.cumsum([0] + blocks[:-1])
+    for start, k in zip(starts, blocks):
+        J[start + np.arange(k - 1), start + np.arange(1, k)] = 1.0
+    S = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    A = S @ J @ np.linalg.inv(S)
+    I = np.eye(size)
+    coeffs = [-A, I]
+    if quadratic:
+        F = 0.1 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        coeffs = [-(I - _LAM0 * F) @ A, I - _LAM0 * F - F @ A, F]
+    return [np.vstack([C, np.zeros((rows, size))]) for C in coeffs], S[:, starts]
+
+
+@pytest.mark.parametrize("rows", [0, 3], ids=["square", "rows+3"])
+@pytest.mark.parametrize("blocks, quadratic", [
+    ([3, 2, 2, 1], False), ([4], False), ([5, 3], False), ([2, 1, 1], False),
+    ([3, 2, 2, 1], True),
+], ids=["3221", "4", "53", "211", "3221-quadratic"])
+def test_long_and_mixed_chains_of_a_jordan_form(blocks, quadratic, rows):
+    # the local reduction on a Jordan form at _LAM0, square and with the
+    # zero rows of a kept-column block: the partial multiplicities are the
+    # block sizes, longest first, and the leading vectors span the kernel
+    coeffs, kernel = _jordan_form_pencil(blocks, quadratic, rows)
+    scale = max(np.abs(C).sum(axis=1).max() for C in coeffs) * abs(_LAM0) ** (len(coeffs) - 1)
+    J, partial, chains, residuals = chains_from_matrices(taylor(coeffs, _LAM0), scale)
+    assert (J, partial, [len(chain) for chain in chains]) == (len(blocks), blocks, blocks)
+    assert max(residuals) < spectrum._CHAIN_TOL
+    assert np.max(np.abs(_span_projector([chain[0] for chain in chains])
+                         - _span_projector(kernel.T))) < 1e-8
 
 
 @pytest.mark.parametrize("moved", [1, -1, -2])
@@ -1175,19 +1239,47 @@ def test_dipole_degree_two_has_the_degree_four_lines(strip):
     assert lines(2) == lines(4)
 
 
-def test_chain_failing_its_equations_refused(monkeypatch):
+def test_an_order_read_one_too_high_is_refused_by_the_chain_count(monkeypatch):
     # the R^3 drift (eps = 0.05) at degree 2 near -1i: with each owner's
-    # det order made to read one more than it is, the Toeplitz route runs
-    # and agrees with it, and chains that miss their own equations by
-    # about 1e-6 are all that is left to refuse them
+    # det order made to read one more than it is, the local reduction
+    # extends no leading vector at the point (per unit leading vector, no
+    # stack meets its next equation under the rank cut), so the count
+    # refuses
     op = parse_operator(drift_doc(0.05))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
     true_order = spectrum.det_vanishing_order
     monkeypatch.setattr(spectrum, "det_vanishing_order",
                         lambda P, lam0, radius, square:
                         true_order(P, lam0, radius, square) + 1)
-    with pytest.raises(MultiplicityMismatch, match=r"chain residual \d\.\d{3}e-07 > 1e-08"):
+    with pytest.raises(MultiplicityMismatch,
+                       match=r"chain count 1 != det root order 2 at \(.*-1\.0000\d*j\)"):
         spectrum.strip_eigenpoints(P, -1.5, 2.5)
+
+
+@pytest.mark.parametrize("off, refused", [(0.5, False), (1.5, True)])
+def test_chain_failing_its_equations_refused(off, refused):
+    # lam - A on two coupled degree-0 components, A = [[1, 0.1], [0.1, -1]]:
+    # a full 2 x 2 owner whose largest singular value near the root
+    # sqrt(1.01) is 1.8 times the chain scale.  Read `off` 1e-8 scales off
+    # the root, the null vector is under the rank cut (1e-8 of the largest
+    # singular value) but misses its equation by `off` 1e-8 of the scale:
+    # 1.5e-8 is refused, 5e-9 is not
+    A = np.array([[1.0, 0.1], [0.1, -1.0]])
+    P = PencilMatrices(B=np.array([-A, np.eye(2)], dtype=complex), degrees=np.array([0]),
+                       k=2, n=3, mu=(1, 1), nu=(0, 0), l_max=0, analysis_degree=0,
+                       bandwidth=0)
+    root = P.eigenvalues[np.argmax(P.eigenvalues.real)]
+    assert P.scalars[0].tolist() == [-1] and abs(root - math.sqrt(1.01)) < 1e-15
+    scale = _chain_scale(P, root)
+    assert np.linalg.norm(taylor(P.B, root)[0], 2) / scale == pytest.approx(20 / 11)
+    lam0 = root + off * 1e-8 * scale
+    if refused:
+        with pytest.raises(MultiplicityMismatch, match=r"chain residual 1\.500e-08 > 1e-08"):
+            jordan_chains(P, lam0, isolation=1.0)
+    else:
+        ep = jordan_chains(P, lam0, isolation=1.0)
+        assert ep.partial_multiplicities == [1]
+        assert ep.residuals == [pytest.approx(5e-9, rel=1e-6)]
 
 
 def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
