@@ -24,7 +24,7 @@ from .operator_ast import (
     is_formally_self_adjoint,
     is_homogeneous_cc,
 )
-from .spectrum import _CLUSTER_RADIUS
+from .pencil import _CLUSTER_RADIUS
 
 _BREAK_TOL = 1e-9
 

@@ -36,11 +36,11 @@ relative to the larger of max |e^(beta1 t) u1| and max |e^(beta2 t) u2|.
 The mode block b is a PencilMatrices cut from the pencil (mode_pencil, one
 index on the coefficient stack, or the 1 x 1 scalar of P's block view when
 that view holds the block as c(lam) I, under the view's one tolerance): its
-poles are the block view's cached eigenvalues (one eigensolve however
-many callers ask), and the crossed poles are spectrum.strip_eigenpoints
-between the two lines, clustered, chained and guarded as a strip's are
-(det order, leading coefficient); adjoint chains come from
-adjoint_chains.  A pole on a line is refused by the line solve
+poles are the block view's cached eigenvalues and clusters (one
+eigensolve however many callers ask), and the crossed poles are
+spectrum.strip_eigenpoints between the two lines, the clusters there
+chained and guarded as a strip's are (det order, leading coefficient);
+adjoint chains come from adjoint_chains.  A pole on a line is refused by the line solve
 (LineTooClose).
 """
 
@@ -54,9 +54,8 @@ import numpy as np
 
 from .errors import GridTooShort, LineTooClose, NotApplicable
 from . import spectrum
-from .pencil import PencilMatrices, horner
+from .pencil import _CLUSTER_RADIUS, PencilMatrices, horner
 from .spectrum import (
-    _CLUSTER_RADIUS,
     adjoint_chains,
     power_solutions,
     strip_eigenpoints,

@@ -31,11 +31,12 @@ harmonics; m, the per-row degrees and the scale are derived from them once.
 Every cut (a decoupled block, the kept columns, a mode) is one index on the
 stack.
 
-A pencil's block view (kept, blocks, scalars, powers, squares, roots)
-splits det pencil once into prod_i det(squares[i]) ** powers[i],
-one square per block, and solves each piece once; the strip eigensolve,
-the certification, the det-order circles, the Jordan chains and the mode
-cut all read it.  At bandwidth 0 the blocks are the decoupled (component,
+A pencil's block view (kept, blocks, scalars, powers, squares, roots,
+clusters) splits det pencil once into prod_i det(squares[i]) **
+powers[i], one square per block, solves each piece once and clusters
+the roots once; the strip eigensolve, the certification, the strip's
+points, the det-order circles, the Jordan chains and the mode cut all
+read it.  At bandwidth 0 the blocks are the decoupled (component,
 degree) blocks, and the square of one that is c(lam) I_d (radial
 coefficients; Kozlov, Maz'ya and Rossmann, Spectral Problems Associated
 with Corner Singularities) is its 1 x 1 scalar c with power d.  One test
@@ -61,17 +62,18 @@ Another strip, window or mode of the same operator and degree, or an
 operator that differs only in its perturbations, gets the same pencil with
 its block view already solved.  A pencil also remembers what strips solved
 on it: the certification verdict of each candidate (P.verdicts), and, on a
-kept pencil, the eigenpoint of each (centre, isolation) that
-spectrum.jordan_chains read (P.points, filled by remember).  A strip's
-eigenpoints hold one chain vector of P.size entries per eigenvalue in it,
-so one per cluster takes at most m size vectors, m/(m + 1) of the stack.
-Each request's own checks (the uncertified-candidate refusal, clustering,
-the total multiplicity, refusals) still run.  B and the remembered chain
-vectors are read-only, so a shared pencil cannot change, and the kept
-stacks and memos, with the next stack's bound, stay within _STACK_CAP
-bytes.  A process that answers many strips, windows or modes of one
-operator (cli.main called in a loop, the scripts' sweeps) gains; a
-one-shot command assembles and chains once either way.
+kept pencil, the eigenpoint of each cluster (P.clusters) a strip chained
+(P.points, by cluster number, filled by remember), so a point shared by
+two strips is chained once.  An eigenpoint holds one chain vector of
+P.size entries per eigenvalue of its cluster, so one per cluster takes at
+most m size vectors, m/(m + 1) of the stack.  Each request's own checks
+(the uncertified-candidate refusal, the total multiplicity, refusals)
+still run.  B and the remembered chain vectors are read-only, so a shared
+pencil cannot change, and the kept stacks and memos, with the next
+stack's bound, stay within _STACK_CAP bytes.  A process that answers many
+strips, windows or modes of one operator (cli.main called in a loop, the
+scripts' sweeps) gains; a one-shot command assembles and chains once
+either way.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ from .operator_ast import SystemOperator, principal_part
 from .radial_algebra import harmonic_dim
 
 _HOMOG_TOL = 1e-10
+_CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _SCALAR_TOL = 1e-10    # deviation from c(lam) I, relative to the block's row sums
 _STACK_CAP = 2 ** 28   # bytes a stack B may take, and the kept stacks and memos together
 _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
@@ -101,12 +104,6 @@ _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
 # ---------------------------------------------------------------------------
 # matrix assembly
 # ---------------------------------------------------------------------------
-
-class _Points(dict):
-    """key -> spectrum.Eigenpoint, and the bytes of their chain vectors."""
-
-    nbytes = 0
-
 
 @dataclass(frozen=True)
 class PencilMatrices:
@@ -293,6 +290,31 @@ class PencilMatrices:
         return np.repeat(roots, np.array(self.powers)[square])
 
     @cached_property
+    def clusters(self):
+        """(label, centres): the cluster number label[i] of each of
+        P.eigenvalues, and each cluster's centre, numbered by centre in
+        (Im, Re) order.  Single linkage within _CLUSTER_RADIUS over P.roots,
+        every pair compared (copies of one value that a sort would interleave
+        with a neighbour's still link), a root's P.powers copies sharing its
+        label.  A centre is the mean of its members among P.eigenvalues, in
+        their order, one np.mean per distinct cluster size (each row of a
+        same-size stack sums as its cluster alone would)."""
+        roots, square = self.roots
+        vals = self.eigenvalues
+        near = np.nonzero(np.abs(roots[:, None] - roots) <= _CLUSTER_RADIUS)
+        label = np.unique(component_labels(len(roots), *near), return_inverse=True)[1]
+        label = np.repeat(label, np.array(self.powers)[square])
+        counts = np.bincount(label)
+        members = np.argsort(label, kind="stable")   # cluster by cluster, in order
+        start = np.cumsum(counts) - counts
+        centres = np.empty(len(counts), dtype=complex)
+        for size in set(counts.tolist()):
+            same = np.flatnonzero(counts == size)
+            centres[same] = vals[members[start[same, None] + np.arange(size)]].mean(axis=1)
+        order = np.lexsort((centres.real, centres.imag))
+        return np.argsort(order)[label], centres[order]
+
+    @cached_property
     def verdicts(self):
         """The certification verdict of each of P.eigenvalues, filled as
         strips judge them (spectrum.solve_pencil_eigenvalues): 1 certified,
@@ -302,13 +324,13 @@ class PencilMatrices:
     @cached_property
     def points(self):
         """The eigenpoints remembered on a kept pencil (remember), keyed by
-        the bits of the centre and isolation spectrum.jordan_chains read."""
-        return _Points()
+        cluster number (P.clusters)."""
+        return {}
 
     @property
     def nbytes(self):
         """The bytes of B and of the remembered chain vectors."""
-        return self.B.nbytes + self.points.nbytes
+        return self.B.nbytes + sum(e.nbytes for e in self.points.values())
 
     def owners(self, lam0, radius):
         """Which of P.squares own a root (P.roots) strictly inside the circle
@@ -556,14 +578,13 @@ def _fit(need, spare=None):
 
 
 def remember(P: PencilMatrices, points):
-    """Add `points` (key -> spectrum.Eigenpoint) to P.points when P is kept
+    """Add `points` (cluster -> spectrum.Eigenpoint) to P.points when P is kept
     and they fit: the least recently used other kept pencils are dropped
     until their chain vectors fit in _STACK_CAP with the kept stacks and
     memos.  A pencil no longer kept remembers nothing more."""
     extra = sum(e.nbytes for e in points.values())
     if any(Q is P for Q in _pencils.values()) and _fit(extra, P):
         P.points.update(points)
-        P.points.nbytes += extra
 
 
 def _assemble(a0: SystemOperator, l_max, analysis_degree):

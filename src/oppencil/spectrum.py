@@ -11,15 +11,15 @@ columns P.kept (the square truncation is then structurally singular),
 whose candidates a small singular value of the block's rectangular
 pencil certifies.  The kept columns are those of every wider pencil with
 zero rows appended, so a certified value is an eigenvalue of every wider
-pencil, and no wider pencil is solved.  strip_eigenpoints clusters and
-chains the eigenvalues in a strip of any pencil (a strip's, or a
+pencil, and no wider pencil is solved.  strip_eigenpoints chains the
+clusters of the eigenvalues in a strip of any pencil (a strip's, or a
 model-solve mode block's) under one rule: certified only in the strip;
-each point isolated from every eigenvalue, and the det circle of an owner
-that shares it from its own square's roots (the det it reads vanishes at
-each).  A strip is refused when a candidate in it fails certification (a
-line the degree does not resolve) or an eigenvector carries more than
-half its mass above the analysis degree (a higher mode's line); a coupled
-eigenvector's small tail is kept.
+each point isolated from every cluster centre and eigenvalue, and the
+det circle of an owner that shares it from its own square's roots (the
+det it reads vanishes at each).  A strip is refused when a candidate in
+it fails certification (a line the degree does not resolve) or an
+eigenvector carries more than half its mass above the analysis degree (a
+higher mode's line); a coupled eigenvector's small tail is kept.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -44,24 +44,26 @@ vanishing order of its factor of det pencil at the point, or, when it
 shares the point, at the mean of its own roots there (Taylor
 coefficients by FFT on a circle with four nodes per
 eigenvalue inside), which its chain vectors must number; over a strip
-the orders must also sum to the number of eigenvalues clustered there.
+the orders must also sum to the number of eigenvalues in it.
 A 1 x 1 owner (a c(lam) I block's scalar) with a zero of order o has one
 chain [1, 0, ..., 0] of length o per harmonic of its block.  A full
 owner whose null vectors do not extend is semisimple: the reduction stops
 at its first level, after three SVDs none larger than the owner's block.
 
-A strip's eigenpoints are solved in one pass: the in-strip count, the
-clustering and each centre's isolation are array operations, and one
-jordan_chains call reads every centre's det orders, chains every 1 x 1
-owner of every centre in one pass and the full owners centre by centre.
 The lines and their multiplicities depend on the pencil alone, a strip
-only picks which a report shows, so a pencil remembers each candidate's
-certification verdict (P.verdicts) and, when kept, each eigenpoint by the
-exact (centre, isolation) it was chained at (P.points): a strip certifies
-only its candidates not yet judged, and chains only the centres not yet
-chained, in that one call; an error is never remembered.  Every check of
-the strip itself (the uncertified-candidate refusal, the total
-multiplicity, the tail-mass and boundary refusals) runs on every strip.
+only picks which a report shows.  So the eigenvalues are clustered once
+per pencil (P.clusters, single linkage within _CLUSTER_RADIUS), and a
+strip picks the clusters of its values: each cluster has one centre and
+one isolation, from every centre and eigenvalue of the pencil, whichever
+strip picks it.  A pencil remembers each candidate's certification
+verdict (P.verdicts) and, when kept, each cluster's eigenpoint (P.points,
+by cluster number): a strip certifies only its candidates not yet judged,
+and chains only the clusters not yet chained, in one jordan_chains call
+that reads every centre's det orders, chains every 1 x 1 owner of every
+centre in one pass and the full owners centre by centre; an error is
+never remembered.  Every check of the strip itself (the
+uncertified-candidate refusal, the total multiplicity, the tail-mass and
+boundary refusals) runs on every strip.
 The remembered chains count toward the kept pencils' one byte budget
 (pencil._STACK_CAP).  Sweeps of strips or windows over one operator in one
 process gain; a one-shot command certifies and chains once either way.
@@ -88,9 +90,9 @@ from .errors import (
 )
 from .operator_ast import SystemOperator
 from .pencil import (
+    _CLUSTER_RADIUS,
     PencilMatrices,
     assemble_pencil,
-    component_labels,
     default_l_max,
     horner,
     remember,
@@ -99,7 +101,6 @@ from .pencil import (
 
 _RANK_TOL = 1e-8        # relative SVD rank cut
 _CHAIN_TOL = 1e-8       # relative chain residual that refuses an eigenpoint
-_CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _ZERO_LINE_TOL = 1e-10  # critical lines this close to 0 are reported as 0
 _TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
@@ -230,32 +231,6 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
             verdicts[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
         keep &= verdicts == 1
     return vals[keep]
-
-
-def cluster_eigenvalues(vals):
-    """Single-linkage clustering on |z - w| <= _CLUSTER_RADIUS.
-
-    Returns a list of (center, count) sorted by (Im, Re) of the center.
-    Every pair is compared, so copies of one eigenvalue that a sort would
-    interleave with a neighbour's still land in one cluster.  The centres
-    are the members' means, one np.mean per distinct cluster size (each
-    row of a same-size stack sums as its cluster alone would).
-    """
-    vals = np.asarray(vals, dtype=complex)
-    if vals.size == 0:
-        return []
-    label = component_labels(len(vals), *np.nonzero(
-        np.abs(vals[:, None] - vals[None, :]) <= _CLUSTER_RADIUS))
-    counts = np.bincount(label)
-    counts = counts[counts > 0]
-    members = np.argsort(label, kind="stable")   # cluster by cluster, in order
-    start = np.cumsum(counts) - counts
-    centers = np.empty(len(counts), dtype=complex)
-    for size in set(counts.tolist()):
-        same = np.flatnonzero(counts == size)
-        centers[same] = vals[members[start[same, None] + np.arange(size)]].mean(axis=1)
-    order = np.lexsort((centers.real, centers.imag))
-    return list(zip(centers[order].tolist(), counts[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -690,38 +665,37 @@ def power_solutions(e) -> list:
 def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re), under one
     rule: values are certified only in the strip, each on its own block;
-    each centre isolates from every eigenvalue of P, certified or not, and
-    the det circle of an owner that shares a centre from its own square's
-    roots (the det read vanishes at each).  The certified values cluster
-    within _CLUSTER_RADIUS; the centres whose (centre, isolation) P does
-    not remember (P.points) are chained in one jordan_chains call, and a
-    kept P remembers them (pencil.remember).
+    the strip picks the clusters of P (P.clusters) its values belong to,
+    and each centre isolates from every centre and eigenvalue of P,
+    certified or not, and the det circle of an owner that shares a centre
+    from its own square's roots (the det read vanishes at each).  The
+    clusters P does not remember (P.points) are chained in one
+    jordan_chains call, and a kept P remembers them (pencil.remember).
     Values within the cluster radius outside an edge are kept, so a line on
     an edge reaches RefuseBoundary whatever side round-off puts it on.  A
     candidate there that fails certification is a line the degree does not
     resolve (UnstableSpectrum).  The algebraic multiplicities must sum to
-    the number of values clustered (MultiplicityMismatch otherwise)."""
+    the number of values in the strip (MultiplicityMismatch otherwise), so
+    a cluster that straddles the widened strip, with members on both sides
+    of an edge, is refused too."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
     in_strip = solve_pencil_eigenvalues(P, (lo, hi))
-    found = np.count_nonzero((lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi))
+    band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi)
+    found = np.count_nonzero(band)
     if found > len(in_strip):
         raise UnstableSpectrum(
             f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
             "fail certification at this degree; raise --degree")
-    centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)], dtype=complex)
-    isolation = _isolation(centers, np.concatenate([centers, P.eigenvalues]))
-    # keyed by the bits jordan_chains reads, so a remembered point is what
-    # chaining it again would give (-0.0 and 0.0 differ)
-    keys = [row.tobytes() for row in np.column_stack(
-        [centers.real, centers.imag, isolation])]
+    label, centres = P.clusters
+    picked = np.unique(label[band]).tolist()
     known = P.points
-    miss = [i for i, key in enumerate(keys) if key not in known]
+    miss = [c for c in picked if c not in known]
     new = {}
     if miss:
-        new = dict(zip([keys[i] for i in miss],
-                       jordan_chains(P, centers[miss], isolation[miss])))
+        isolation = _isolation(centres[miss], np.concatenate([centres, P.eigenvalues]))
+        new = dict(zip(miss, jordan_chains(P, centres[miss], isolation)))
         remember(P, new)
-    eigenpoints = [new[key] if key in new else known[key] for key in keys]
+    eigenpoints = [new[c] if c in new else known[c] for c in picked]
     total = sum(ep.algebraic for ep in eigenpoints)
     if total != len(in_strip):
         raise MultiplicityMismatch(

@@ -11,7 +11,10 @@ plain module-level `name = ...` assignment of src/oppencil binds is read
 somewhere in src/; every name a plain `name = ...` assignment binds
 inside a src/oppencil function is read by that function (names starting
 with `_` are exempt); and every parameter of a src/oppencil function is
-read by that function (self, cls and `_`-names are exempt).
+read by that function (self, cls and `_`-names are exempt).  A bare name
+cannot tell apart the methods of two classes that share it, so each such
+method must instead be called by one run of each CLI subcommand, as a
+profiler sees it.
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle).
@@ -23,6 +26,7 @@ only in its norm command.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -72,11 +76,30 @@ def test_imports_are_used(path):
     assert sorted(imported - used) == []
 
 
+def _methods():
+    """(module, class, method) of every method of a src/oppencil class,
+    dunders exempt, in file order."""
+    return [(path.stem, node.name, f.name) for path in MODULES
+            for node in _parse(path).body if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def _shared_method_names():
+    """The method names two or more src/oppencil classes define: a bare
+    name cannot tell their references apart."""
+    count = Counter(name for _, _, name in _methods())
+    return {name for name, c in count.items() if c > 1}
+
+
 def test_definitions_are_referenced():
+    # a method whose name another class's method shares is checked by
+    # test_shared_name_methods_are_called instead
     files = [p for d in ("src", "scripts") for p in (REPO / d).rglob("*.py")]
     total = Counter()
     for p in files:
         total.update(_identifiers(_parse(p)))
+    shared = _shared_method_names()
     orphans = []
     for path in MODULES:
         for node in _parse(path).body:
@@ -85,11 +108,65 @@ def test_definitions_are_referenced():
             defs = [(node.name, node)]
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{f.name}", f) for f in node.body
-                         if isinstance(f, ast.FunctionDef)
+                         if isinstance(f, ast.FunctionDef) and f.name not in shared
                          and not (f.name.startswith("__") and f.name.endswith("__"))]
             orphans += [f"{path.name}:{label}" for label, d in defs
                         if total[d.name] - _identifiers(d)[d.name] <= 0]
     assert orphans == []
+
+
+def _code(attr):
+    """The code object a class attribute runs: a function's, or a property's
+    or cached_property's getter's."""
+    fn = getattr(attr, "fget", None) or getattr(attr, "func", None) or attr
+    return fn.__code__
+
+
+def test_shared_name_methods_are_called(tmp_path, capsys):
+    # one run of each subcommand of cli.main, under a profiler that records
+    # every Python function called: each method whose name another class's
+    # method shares must be among them
+    from oppencil import cli
+    lap = json.loads((REPO / "operators" / "laplacian3d.json").read_text())
+    lap["entries"][0]["terms"][0]["perturbation"] = [
+        {"b": "-3", "c": 1, "poly": {"1 0 0": [0.5, 0.25]}}]
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(lap))
+    expr = tmp_path / "u.json"
+    expr.write_text(json.dumps([{"b": "-2", "c": 0, "poly": {"1 0 0": [1.0, 0.0]}}]))
+    plain, strip = REPO / "operators" / "laplacian3d.json", ["--degree", "2"]
+    runs = [["parse", op], ["adjoint", op],
+            ["ellipticity", plain, "--xi-samples", "20", "--x-samples", "10"],
+            ["pencil", plain, "--degree", "2"],
+            ["spectrum", plain, "--strip", "-0.5", "2.5", *strip],
+            ["res", plain, "--strip", "-0.5", "2.5", *strip],
+            ["index", plain, "--anchor", "cc", "--window", "-0.5", "2.5", *strip],
+            ["index", plain, "--anchor", "selfadjoint", "--window", "-0.5", "2.5", *strip],
+            ["adjoint-check", plain, "--window", "-0.5", "2.5", *strip],
+            ["model-solve", plain, "--mode", "1", "--beta1", "-0.5", "--beta2", "1.5"],
+            ["verify-cc", plain, "--window", "-0.5", "2.5", *strip]]
+    runs += [["norm", expr, "--kind", kind, "--n", "3", *flags] for kind, flags in (
+        ("sobolev", []), ("cl", ["--l", "1"]),
+        ("holder", ["--samples", "256", "--seed", "3"]), ("decay", ["--beta", "1"]))]
+    called, codes = set(), []
+
+    def profile(frame, event, _):
+        if event == "call":
+            called.add(frame.f_code)
+
+    for argv in runs:
+        sys.setprofile(profile)
+        try:
+            code = cli.main([str(a) for a in argv])
+        finally:
+            sys.setprofile(None)
+        codes.append((argv[0], code, capsys.readouterr().err))
+    assert codes == [(argv[0], 0, "") for argv in runs]
+    shared = _shared_method_names()
+    uncalled = [f"{module}.{cls}.{name}" for module, cls, name in _methods()
+                if name in shared and _code(vars(getattr(
+                    importlib.import_module(f"oppencil.{module}"), cls))[name]) not in called]
+    assert shared and uncalled == []
 
 
 def test_module_constants_are_read():

@@ -30,6 +30,7 @@ from oppencil.operator_ast import (
     principal_part,
 )
 from oppencil.pencil import (
+    _CLUSTER_RADIUS,
     _SCALAR_TOL,
     _SHIFTS,
     PencilMatrices,
@@ -48,7 +49,6 @@ from oppencil.radial_algebra import (
     differentiate,
     harmonic_dim,
 )
-from oppencil.spectrum import _CLUSTER_RADIUS
 from oracles import adjoint_identity_residual, exact_harmonics, radial_add, radial_zero
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"

@@ -39,7 +39,6 @@ from oppencil.radial_algebra import harmonic_dim
 from oppencil.spectrum import (
     _chain_scale,
     chains_from_matrices,
-    cluster_eigenvalues,
     default_l_max,
     det_vanishing_order,
     jordan_chains,
@@ -631,20 +630,35 @@ def _per_centre_det_orders(P, lam0, radius):
     return orders
 
 
+def _clusters(vals):
+    """The single-linkage clusters of `vals` within the cluster radius, by a
+    loop over every pair: each cluster's members in their order in `vals`,
+    the clusters by the (Im, Re) of their mean."""
+    label = list(range(len(vals)))
+    for i in range(len(vals)):
+        for j in range(i):
+            if abs(vals[i] - vals[j]) <= spectrum._CLUSTER_RADIUS and label[i] != label[j]:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if a == old else a for a in label]
+    groups = [[v for v, a in zip(vals, label) if a == c] for c in sorted(set(label))]
+    return sorted(groups, key=lambda g: (np.mean(g).imag, np.mean(g).real))
+
+
 def _per_centre_eigenpoints(P, beta1, beta2):
-    """The reference for strip_eigenpoints at bandwidth 0: every cluster
-    centre on its own, isolated by a loop over the other centres and the
-    values within the old certification reach of the strip, its det orders
-    read by _per_centre_det_orders and each owner chained under its own
-    order: a 1 x 1 owner one [1, 0, ..., 0] of its scalar's zero order per
-    harmonic, from its Taylor coefficients, and a full one by
-    chains_from_matrices."""
+    """The reference for strip_eigenpoints at bandwidth 0: the clusters of
+    the values within the old certification reach of the strip with a
+    member in it, each centre on its own, isolated by a loop over every
+    centre and value there, its det orders read by _per_centre_det_orders
+    and each owner chained under its own order: a 1 x 1 owner one [1, 0,
+    ..., 0] of its scalar's zero order per harmonic, from its Taylor
+    coefficients, and a full one by chains_from_matrices."""
     lo, hi = beta1 - spectrum._CLUSTER_RADIUS, beta2 + spectrum._CLUSTER_RADIUS
     vals = list(solve_pencil_eigenvalues(P, (beta1 - _OLD_CERTIFY_REACH,
                                              beta2 + _OLD_CERTIFY_REACH)))
-    centers = [c for c, _ in cluster_eigenvalues([v for v in vals if lo < v.imag < hi])]
+    groups = _clusters(vals)
+    centers = [np.mean(g) for g in groups]
     points = []
-    for center in centers:
+    for center in [c for c, g in zip(centers, groups) if any(lo < v.imag < hi for v in g)]:
         others = [c for c in centers if abs(c - center) > 1e-6] + \
                  [v for v in vals if abs(v - center) > 1e-6]
         isolation = min((abs(v - center) for v in others), default=1.0)
@@ -968,7 +982,7 @@ def test_each_candidate_is_certified_once_across_overlapping_strips(monkeypatch,
     # two overlapping strips of one kept pencil: the first certifies its
     # own candidates, the second only those outside the first's band, so
     # the stacked SVDs take each candidate of the union once.  The second
-    # chains only the centres the first did not
+    # chains only the clusters the first did not
     op = parse_operator(doc_fn())
     P = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
     im, edge = P.eigenvalues.imag, spectrum._CLUSTER_RADIUS
@@ -990,7 +1004,7 @@ def test_each_candidate_is_certified_once_across_overlapping_strips(monkeypatch,
     assert sum(certified) == np.count_nonzero(band(*first) | band(*second))
     assert set(P.verdicts[band(*first) | band(*second)].tolist()) == {1}
     assert set(P.verdicts[~(band(*first) | band(*second))].tolist()) <= {-1}
-    # a shared centre keeps its eigenpoint when its isolation is the same
+    # a cluster both strips pick keeps its eigenpoint
     shared = [ep for ep in two if any(ep is e for e in one)]
     assert shared and len(chained) == 2
     assert len(chained[1]) == len(two) - len(shared)
@@ -1024,6 +1038,49 @@ def test_a_failed_chain_is_not_remembered(monkeypatch, cr_system2d):
     points = spectrum.strip_eigenpoints(P, -0.5, 1.5)
     assert [ep.algebraic for ep in points] == [2, 2]
     assert all(a is b for a, b in zip(P.points.values(), points, strict=True))
+
+
+def test_a_kept_pencil_holds_one_eigenpoint_per_point():
+    # laplacian3d at degree 4 on three overlapping strips in one process:
+    # lines 0-3, 2-4 and -1-1 are six points, each a cluster of P, chained
+    # once and remembered under its number whichever strips pick it.  Each
+    # report equals the strip's on no kept pencil
+    op = parse_operator(json.loads((OPERATORS / "laplacian3d.json").read_text()))
+    strips = [(-0.49, 3.49), (1.51, 4.49), (-1.49, 1.49)]
+    cold = []
+    for strip in strips:
+        pencil._pencils.clear()
+        cold.append(strip_spectrum(op, *strip, 4).to_json())
+    pencil._pencils.clear()
+    reports = [strip_spectrum(op, *strip, 4) for strip in strips]
+    assert [rep.to_json() for rep in reports] == cold
+    P = reports[0].pencil
+    assert all(rep.pencil is P for rep in reports)
+    centres = P.clusters[1]
+    lines = {round(ep.lambda0.imag): ep for rep in reports for ep in rep.eigenpoints}
+    assert sorted(lines) == [-1, 0, 1, 2, 3, 4] and len(P.points) == 6
+    assert all(P.points[c] is lines[round(centres[c].imag)] for c in P.points)
+    three = [ep for rep in reports[:2] for ep in rep.eigenpoints if abs(ep.lambda0 - 3j) < 1e-6]
+    assert len(three) == 2 and three[0] is three[1]
+
+
+@pytest.mark.parametrize("doc_fn", [lambda: laplacian_doc(3), dbar_doc, cr_system_doc],
+                         ids=["laplacian3d", "dbar2d", "cr_system2d"])
+def test_a_remembered_strip_does_no_partition_work(monkeypatch, doc_fn):
+    # a strip inside one already solved on a kept pencil picks remembered
+    # clusters only: no clustering, isolation or chaining runs
+    op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
+    wide = spectrum.strip_eigenpoints(P, -1.5, 3.5)
+    calls = []
+    for module, name in ((spectrum, "jordan_chains"), (spectrum, "_isolation"),
+                         (pencil, "component_labels")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=fn, _n=name, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    narrow = spectrum.strip_eigenpoints(P, -0.5, 2.5)
+    assert calls == [] and narrow
+    assert all(any(ep is e for e in wide) for ep in narrow)
 
 
 # ---------------------------------------------------------------------------
@@ -1126,21 +1183,33 @@ def test_strip_refuses_boundary(laplacian3d):
         strip_spectrum(laplacian3d, 0.5, 3.0 + 1e-9, 4)
 
 
+def _diagonal_pencil(vals):
+    """lam I - diag(vals): one degree-0 component per value, each block the
+    1 x 1 scalar lam - v, so P.roots are `vals` in their order."""
+    k = len(vals)
+    P = PencilMatrices(B=np.array([-np.diag(vals), np.eye(k)], dtype=complex),
+                       degrees=np.array([0]), k=k, n=3, mu=(1,) * k, nu=(0,) * k,
+                       l_max=0, analysis_degree=0, bandwidth=0)
+    assert P.roots[0].tolist() == list(vals)
+    return P
+
+
 def test_cluster_links_interleaved_copies():
     # copies of a and b sorted by (Im, Re) interleave; both still form one
-    # cluster each
+    # cluster each, numbered by centre in (Im, Re) order: a's centre lies
+    # 3.3e-8 above 2.5, b's 2.5e-7, so a's is first
     a, b = 2.5j + 0.3, 2.5j - 0.3
     vals = [a + 4e-7j, b, a, b + 5e-7j, a - 3e-7j]
-    cl = cluster_eigenvalues(vals)
-    assert sorted(c for _, c in cl) == [2, 3]
+    label, centres = _diagonal_pencil(vals).clusters
+    assert label.tolist() == [0, 1, 0, 1, 0]
+    assert centres.tolist() == [np.mean([a + 4e-7j, a, a - 3e-7j]), np.mean([b, b + 5e-7j])]
 
 
 def test_cluster_radius():
     vals = [2j, 2j + 1e-9, 1j, 1.0 + 1j]
-    cl = cluster_eigenvalues(vals)
-    assert len(cl) == 3
-    counts = sorted(c for _, c in cl)
-    assert counts == [1, 1, 2]
+    label, centres = _diagonal_pencil(vals).clusters
+    assert label.tolist() == [2, 2, 0, 1]
+    assert centres.tolist() == [1j, 1.0 + 1j, np.mean(vals[:2])]
 
 
 # ---------------------------------------------------------------------------
@@ -1289,10 +1358,12 @@ def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
     # centre, 1, which the chains need, not the count of roots in the disc
     op = parse_operator(drift_doc(0.05))
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    in_strip = solve_pencil_eigenvalues(P, (-1.5 - spectrum._CLUSTER_RADIUS,
-                                            2.5 + spectrum._CLUSTER_RADIUS))
-    centers = np.array([c for c, _ in cluster_eigenvalues(in_strip)])
-    isolation = spectrum._isolation(centers, np.concatenate([centers, P.eigenvalues]))
+    band = (-1.5 - spectrum._CLUSTER_RADIUS, 2.5 + spectrum._CLUSTER_RADIUS)
+    in_strip = solve_pencil_eigenvalues(P, band)
+    label, centres = P.clusters
+    im = P.eigenvalues.imag
+    centers = centres[np.unique(label[(band[0] < im) & (im < band[1])])]
+    isolation = spectrum._isolation(centers, np.concatenate([centres, P.eigenvalues]))
     _, square, centre, rad = spectrum._owner_circles(
         P, centers, spectrum._det_radius(isolation))
     roots, of = P.roots
@@ -1312,9 +1383,17 @@ def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
 ], ids=["res", "model-solve"])
 def test_dropped_cluster_breaks_the_count(argv, monkeypatch, capsys):
     # the eigenpoints must hold every eigenvalue the eigensolve put in the
-    # strip (laplacian3d: lines 0, 1, 2, 3; laplacian2d mode 2: poles 0, 4i)
-    cluster = spectrum.cluster_eigenvalues
-    monkeypatch.setattr(spectrum, "cluster_eigenvalues", lambda vals: cluster(vals)[1:])
+    # strip (laplacian3d: lines 0, 1, 2, 3; laplacian2d mode 2: poles 0, 4i).
+    # Line 0's members are labelled with the next cluster, so the strip
+    # picks no cluster at 0 and chains only the next one's eigenvalues there
+    clusters = PencilMatrices.clusters.func
+
+    def dropping(P):
+        label, centres = clusters(P)
+        zero = int(np.argmin(np.abs(centres)))
+        return np.where(label == zero, zero + 1, label), centres
+
+    monkeypatch.setattr(PencilMatrices, "clusters", property(dropping))
     assert main([argv[0], str(OPERATORS / argv[1]), *argv[2:]]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical guard: eigenpoints hold ")
