@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Dump `res` over two sweeps of operators near where lines meet, in the
-format of answer_dump.py, so that `answer_dump.py --compare` reads them.
+"""Dump `res` over two sweeps of operators near where lines meet, and
+over unit strips of the constant-coefficient operators, in the format of
+answer_dump.py, so that `answer_dump.py --compare` reads them.
 
 Usage: python scripts/sweep_dump.py [GRID ...] > sweep.jsonl
        python scripts/sweep_dump.py --tally DUMP.jsonl
 
-GRID is `drift` or `inverse_square` (default: both, in that order).
-`--tally` reads a dump and prints, in one block per grid, how many cases
-answered, how many of those answered the closed form, how many answered
-something else (wrong at exit 0), and the refusals by reason (their first
-stderr line, numbers and complex points elided).  A drift answer is right
-when its strip total is -Delta's on R^n (which the drift keeps at
-half-integer edges); an inverse-square answer when its lines are those
-of every mode's quadratic (inverse_square_lines), each within 1e-6 and of
-the same multiplicity.  It exits 1 when any answer is wrong at exit 0.
+GRID is `drift`, `inverse_square` or `cc` (default: drift and
+inverse_square, in that order).  `--tally` reads a dump and prints, in
+one block per grid, how many cases answered, how many of those answered
+the closed form, how many answered something else (wrong at exit 0), and
+the refusals by reason (their first stderr line, numbers and complex
+points elided).  A drift answer is right when its strip total is
+-Delta's on R^n (which the drift keeps at half-integer edges); an
+inverse-square answer when its lines are those of every mode's quadratic
+(inverse_square_lines), each within 1e-6 and of the same multiplicity; a
+cc answer when its one line, if any, is the strip's integer k and its
+multiplicity is the jump of the cc index formula across the strip
+(cc_jump; no line where the jump is 0).  It exits 1 when any answer is
+wrong at exit 0.
 
 * drift (1440 cases): -Delta + eps (x_1/r) r^-2 on R^2 and R^3 for 60
   values of |eps| evenly spaced in [0.005, 0.8], both signs, on the strips
@@ -26,13 +31,19 @@ the same multiplicity.  It exits 1 when any answer is wrong at exit 0.
   (-1.5, 2.5) and (0.5, 4.5), at degrees 2, 4 and 6.  At delta = 0 the
   two lines of mode l meet at (n+2)/2 (D_l = 0), so each delta puts two
   simple roots, or a complex pair, that close together.
+* cc (448 cases): laplacian2d, laplacian3d, dbar2d and cr_system2d from
+  operators/ on the unit strips (k - 1/2, k + 1/2), k = -12 .. 15, at
+  degrees 2, 4, 6 and 8.  A strip beyond the degrees the pencil assembles
+  holds lines of modes it does not see.
 
-The operator documents are built here and written, each under a stable
-name (`drift2d_eps-0.005.json`, `inverse_square3d_l1_d+1e-09.json`), to a
-temporary directory where the cases run, so argv and the first stderr
-line print that name.  Of answer_dump.py it uses only run_case and
-F_CSV, and of the program only harmonic_dim, so this file can be copied
-into an older checkout and run there to compare two commits.
+The operator documents are built here, or read from operators/, and
+written, each under a stable name (`drift2d_eps-0.005.json`,
+`inverse_square3d_l1_d+1e-09.json`, `dbar2d.json`), to a temporary
+directory where the cases run, so argv and the first stderr line print
+that name.  Of answer_dump.py it uses only run_case and F_CSV, and of the
+program only harmonic_dim (the cc index formula is copied here), so this
+file can be copied into an older checkout and run there to compare two
+commits.
 """
 
 import json
@@ -57,7 +68,11 @@ DRIFT_DEGREES = {2: (4, 6), 3: (2, 4)}
 DELTAS = (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3, -0.3)
 INVERSE_SQUARE_STRIPS = ((-0.5, 3.5), (0.6, 3.9), (-1.5, 2.5), (0.5, 4.5))
 INVERSE_SQUARE_DEGREES = (2, 4, 6)
+CC_OPERATORS = ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d")
+CC_STRIPS = tuple((k - 0.5, k + 0.5) for k in range(-12, 16))
+CC_DEGREES = (2, 4, 6, 8)
 LINE_TOL = 1e-6   # the cluster radius: lines nearer than this print as one
+OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
 
 def laplacian_doc(n):
@@ -105,7 +120,21 @@ def inverse_square_cases():
                     yield name, doc, argv
 
 
-GRIDS = {"drift": drift_cases, "inverse_square": inverse_square_cases}
+def cc_cases():
+    """(name, document, argv) of every cc case, in a fixed order."""
+    for name in CC_OPERATORS:
+        doc = json.loads((OPERATORS / f"{name}.json").read_text())
+        for argv in res_argvs(f"{name}.json", CC_STRIPS, CC_DEGREES):
+            yield f"{name}.json", doc, argv
+
+
+GRIDS = {"drift": drift_cases, "inverse_square": inverse_square_cases, "cc": cc_cases}
+DEFAULT_GRIDS = ("drift", "inverse_square")
+
+
+def grid_of(name):
+    """The grid whose cases run the operator file `name`."""
+    return next((grid for grid in ("drift", "inverse_square") if name.startswith(grid)), "cc")
 
 
 def laplacian_total(n, beta1, beta2, top=60):
@@ -134,6 +163,23 @@ def inverse_square_lines(n, c, beta1, beta2, top=60):
     return merged
 
 
+def pn(n, beta):
+    """Dimension of the polynomials of degree <= beta in n variables, 0 for
+    beta < 0."""
+    return math.comb(math.floor(beta) + n, n) if beta >= 0 else 0
+
+
+def cc_jump(n, mu, nu, beta1, beta2):
+    """The drop of the cc index formula sum_i pn(n, mu_i - beta) - pn(n,
+    nu_i - beta) - pn(n, beta - nu_i - n) + pn(n, beta - mu_i - n) of a
+    homogeneous constant-coefficient operator from beta1 to beta2: the
+    total multiplicity of its lines between."""
+    def index(beta):
+        return sum(pn(n, m - beta) - pn(n, v - beta) - pn(n, beta - v - n) + pn(n, beta - m - n)
+                   for m, v in zip(mu, nu))
+    return index(beta1) - index(beta2)
+
+
 def drift_check(row):
     """(right, what was printed) of an answered drift row: its strip total
     is -Delta's."""
@@ -158,7 +204,22 @@ def inverse_square_check(row):
     return right, f"lines {row['answer']['res_lines']}"
 
 
-CHECKS = {"drift": drift_check, "inverse_square": inverse_square_check}
+def cc_check(row):
+    """(right, what was printed) of an answered cc row: its lines are the
+    strip's integer k with the jump of the cc index formula, or none where
+    the jump is 0."""
+    argv = row["argv"]
+    doc = json.loads((OPERATORS / argv[1]).read_text())
+    beta1, beta2 = float(argv[3]), float(argv[4])
+    jump = cc_jump(doc["n"], doc["mu"], doc["nu"], beta1, beta2)
+    want = [[(beta1 + beta2) / 2, jump]] if jump else []
+    got = [[float(line), mult] for line, mult in row["answer"]["res_lines"].items()]
+    right = len(got) == len(want) and all(
+        abs(a - b) < LINE_TOL and m == d for (a, m), (b, d) in zip(got, want))
+    return right, f"lines {row['answer']['res_lines']}, formula jump {jump}"
+
+
+CHECKS = {"drift": drift_check, "inverse_square": inverse_square_check, "cc": cc_check}
 _POINT = re.compile(r"\([^)]*j\)")
 _NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -168,7 +229,7 @@ def tally(path):
     1 if any answer is wrong at exit 0."""
     rows = {grid: [] for grid in GRIDS}
     for row in map(json.loads, Path(path).read_text().splitlines()):
-        rows["drift" if row["argv"][1].startswith("drift") else "inverse_square"].append(row)
+        rows[grid_of(row["argv"][1])].append(row)
     wrong = 0
     for grid, grid_rows in rows.items():
         if grid_rows:
@@ -208,7 +269,7 @@ def main(grids=None):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for grid in grids or GRIDS:
+            for grid in grids or DEFAULT_GRIDS:
                 for name, doc, argv in GRIDS[grid]():
                     if not Path(name).exists():
                         Path(name).write_text(json.dumps(doc))

@@ -247,6 +247,8 @@ def _parse_f_spec(args):
         if rows.shape[0] < 2 or rows.shape[1] != 3:
             raise SchemaError("--f-csv needs at least two rows t,re,im")
         t = rows[:, 0]
+        if not np.all(np.isfinite(t)):
+            raise SchemaError("--f-csv times must be finite")
         dt = np.diff(t)
         if not dt[0] > 0 or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
             raise SchemaError("--f-csv t-grid must be uniform and increasing")

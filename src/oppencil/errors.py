@@ -43,7 +43,8 @@ class SingularLeadingCoeff(NumericalGuard):
 
 
 class NotAnEigenvalue(NumericalGuard):
-    """jordan_chains called at a point that is not in the pencil spectrum."""
+    """A cluster's owner has full rank where jordan_chains reads it: the
+    point is not in that owner's spectrum."""
 
 
 class MultiplicityMismatch(NumericalGuard):

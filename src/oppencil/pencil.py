@@ -48,29 +48,27 @@ columns, labelled in one pass over its nonzeros: 2 to 4 rectangular
 blocks, one per parity class of the harmonics under the operator's
 symmetries, on every coupled operator in operators/.  Each block's square
 is a fixed random compression of its exact rectangular pencil
-(restriction), whose candidates the rectangular pencil certifies.
-owners(lam0, radius) masks the squares with a root in a circle, or in
-each of an array of circles, so chains and det orders are computed on the
-blocks that own it.  A mode cut (model_solver.mode_pencil) is a
-PencilMatrices too, cut with the help of P's view, so it carries its own
-view and is solved at most once.
+(restriction), whose candidates the rectangular pencil certifies.  The
+owners of a cluster are the squares of its members, so chains and det
+orders are computed on the blocks that own it.  A mode cut
+(model_solver.mode_pencil) is a PencilMatrices too, cut with the help of
+P's view, so it carries its own view and is solved at most once.
 
 assemble_pencil keeps the last _PENCIL_CAP pencils it returned, keyed by
 the principal part's SystemOperator.key (its coefficients bit for bit),
 l_max and the analysis degree: equal keys assemble the same stack.
 Another strip, window or mode of the same operator and degree, or an
 operator that differs only in its perturbations, gets the same pencil with
-its block view already solved.  A pencil also remembers what strips solved
-on it: the certification verdict of each candidate (P.verdicts), and, on a
-kept pencil, the eigenpoint of each cluster (P.clusters) a strip chained
-(P.points, by cluster number, filled by remember), so a point shared by
-two strips is chained once.  An eigenpoint holds one chain vector of
-P.size entries per eigenvalue of its cluster, so one per cluster takes at
-most m size vectors, m/(m + 1) of the stack.  Each request's own checks
-(the uncertified-candidate refusal, the total multiplicity, refusals)
-still run.  B and the remembered chain vectors are read-only, so a shared
-pencil cannot change, and the kept stacks and memos, with the next
-stack's bound, stay within _STACK_CAP bytes.  A process that answers many
+its block view already solved.  A kept pencil also remembers the
+eigenpoint of each cluster (P.clusters) a strip chained and certified
+(P.points, by cluster number, filled by remember), so a cluster shared by
+two strips is certified and chained once.  An eigenpoint holds one chain
+vector of P.size entries per eigenvalue of its cluster, so one per
+cluster takes at most m size vectors, m/(m + 1) of the stack.  Each
+request's own checks (the uncertified-candidate refusal, the total
+multiplicity, refusals) still run.  B and the remembered chain vectors
+are read-only, so a shared pencil cannot change, and the kept stacks and
+memos, with the next stack's bound, stay within _STACK_CAP bytes.  A process that answers many
 strips, windows or modes of one operator (cli.main called in a loop, the
 scripts' sweeps) gains; a one-shot command assembles and chains once
 either way.
@@ -315,33 +313,16 @@ class PencilMatrices:
         return np.argsort(order)[label], centres[order]
 
     @cached_property
-    def verdicts(self):
-        """The certification verdict of each of P.eigenvalues, filled as
-        strips judge them (spectrum.solve_pencil_eigenvalues): 1 certified,
-        0 not, -1 not yet judged."""
-        return np.full(len(self.eigenvalues), -1, dtype=np.int8)
-
-    @cached_property
     def points(self):
         """The eigenpoints remembered on a kept pencil (remember), keyed by
-        cluster number (P.clusters)."""
+        cluster number (P.clusters), the pencil's one memo: a remembered
+        cluster was certified and chained by a strip that passed."""
         return {}
 
     @property
     def nbytes(self):
         """The bytes of B and of the remembered chain vectors."""
         return self.B.nbytes + sum(e.nbytes for e in self.points.values())
-
-    def owners(self, lam0, radius):
-        """Which of P.squares own a root (P.roots) strictly inside the circle
-        |lam - lam0| < radius: a mask of shape np.shape(lam0) + (len(P.squares),),
-        lam0 and radius being one circle or arrays of them.  Square i is
-        block i (P.blocks), so det pencil has no zero in the circle outside
-        the owners."""
-        lam0 = np.asarray(lam0)
-        roots, square = self.roots
-        inside = np.abs(roots - lam0[..., None]) < np.asarray(radius)[..., None]
-        return inside @ (square[:, None] == np.arange(len(self.squares)))
 
     def to_json(self):
         return {

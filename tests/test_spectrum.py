@@ -46,7 +46,7 @@ from oppencil.spectrum import (
     solve_pencil_eigenvalues,
     strip_spectrum,
 )
-from oracles import biorthogonalize
+from oracles import biorthogonalize, chains_at, owners
 
 OPERATORS = Path(__file__).resolve().parent.parent / "operators"
 
@@ -166,7 +166,7 @@ def test_a_strip_certifies_only_its_own_candidates(monkeypatch, doc_fn, degree):
 
 def test_chain_simple_n3(laplacian3d):
     P = assemble_pencil(laplacian3d, 4)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     assert (ep.geometric, ep.partial_multiplicities, ep.algebraic) == (1, [1], 1)
     assert ep.det_order == 1
     assert max(ep.residuals) < 1e-8
@@ -174,7 +174,7 @@ def test_chain_simple_n3(laplacian3d):
 
 def test_chain_double_n2(laplacian2d):
     P = assemble_pencil(laplacian2d, 4)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     assert (ep.geometric, ep.partial_multiplicities, ep.algebraic) == (1, [2], 2)
     assert ep.det_order == 2
     assert max(ep.residuals) < 1e-8
@@ -185,24 +185,35 @@ def test_chain_double_n2(laplacian2d):
 
 def test_chain_high_multiplicity(laplacian3d):
     P = assemble_pencil(laplacian3d, 4)
-    ep = jordan_chains(P, 1j)  # l = 1 lower family: J = 3
+    ep = chains_at(P, 1j)  # l = 1 lower family: J = 3
     assert (ep.geometric, ep.algebraic) == (3, 3)
     assert ep.partial_multiplicities == [1, 1, 1]
     lead = np.stack([c[0] for c in ep.chains])
     assert np.linalg.svd(lead, compute_uv=False)[-1] > 1e-8
 
 
+def _moved_centre(P, lam0, to):
+    """P with the centre of its cluster at lam0 moved to `to`, and the
+    cluster's number."""
+    label, centres = P.clusters
+    (cluster,) = np.flatnonzero(np.abs(centres - lam0) < spectrum._CLUSTER_RADIUS)
+    P = replace(P)
+    P.__dict__["clusters"] = label, np.where(np.arange(len(centres)) == cluster, to, centres)
+    return P, cluster
+
+
 def test_not_an_eigenvalue(laplacian3d):
-    P = assemble_pencil(laplacian3d, 4)
+    # the cluster at 2i chained at 2.5i, where its owner has full rank
+    P, cluster = _moved_centre(assemble_pencil(laplacian3d, 4), 2j, 2.5j)
     with pytest.raises(NotAnEigenvalue):
-        jordan_chains(P, 2.5j)
+        jordan_chains(P, [cluster])
 
 
 def test_eigen_residual_bound(laplacian3d):
     P = assemble_pencil(laplacian3d, 4)
     scale = P.scale
     for lam0 in (2j, 3j, 1j):
-        ep = jordan_chains(P, lam0)
+        ep = chains_at(P, lam0)
         for chain in ep.chains:
             r = np.linalg.norm(horner(P.B, lam0) @ chain[0])
             assert r <= 1e-8 * scale * max(1.0, abs(lam0)) ** P.m
@@ -236,7 +247,7 @@ def _owner_orders(P, lam0, radius):
     orders = det_vanishing_order(P, np.full(len(every), complex(lam0)),
                                  np.full(len(every), radius), every)
     assert orders.shape == every.shape
-    assert set(np.flatnonzero(orders)) <= set(np.flatnonzero(P.owners(lam0, radius)))
+    assert set(np.flatnonzero(orders)) <= set(np.flatnonzero(owners(P, lam0, radius)))
     return {int(i): int(orders[i]) for i in np.flatnonzero(orders)}
 
 
@@ -244,17 +255,17 @@ def test_det_vanishing_order(laplacian3d, laplacian2d):
     # one order per square, nonzero on the owners only: det pencil's order
     # at the point is their sum
     P = assemble_pencil(laplacian3d, 4)
-    owner = int(np.flatnonzero(P.owners(2j, 0.1))[0])
+    owner = int(np.flatnonzero(owners(P, 2j, 0.1))[0])
     assert _owner_orders(P, 2j, 0.1) == {owner: 1}      # simple root
     assert _owner_orders(P, 2.5j, 0.1) == {}            # off the spectrum
     P = assemble_pencil(laplacian2d, 3)
-    owner = int(np.flatnonzero(P.owners(2j, 0.1))[0])
+    owner = int(np.flatnonzero(owners(P, 2j, 0.1))[0])
     assert _owner_orders(P, 2j, 0.1) == {owner: 2}      # the l = 0 double root
     # at 0 the c(lam) I_2 scalar of component 0 holds order 2 and the 4 x 4
     # square of components 1 and 2 order 4; points read in one call
     op = _mixed_owner_op()
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    scalar, full = (int(np.flatnonzero(P.owners(0j, 0.1) & side)[0])
+    scalar, full = (int(np.flatnonzero(owners(P, 0j, 0.1) & side)[0])
                     for side in (P.scalars[0] >= 0, P.scalars[0] < 0))
     assert _owner_orders(P, 0j, 0.1) == {scalar: 2, full: 4}
     every = len(P.squares)
@@ -294,7 +305,7 @@ def test_det_order_refuses_an_undersized_circle(laplacian3d):
     B = P.B.copy()
     B[:, idx[:, None], idx] *= np.arange(1, 8)
     P = replace(P, B=B)
-    owner = np.flatnonzero(P.owners(-1j, 0.1))
+    owner = np.flatnonzero(owners(P, -1j, 0.1))
     assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (7, 7)
     assert _owner_orders(P, -1j, 0.1) == {int(owner[0]): 7}
     P = replace(P)
@@ -311,7 +322,7 @@ def test_det_order_of_a_scalar_block_reads_on_its_scalar(laplacian3d, count):
     # aliased to 0); the block is c(lam) I, so its order is 13 times that of
     # its scalar's simple zero, which 16 nodes resolve
     P = assemble_pencil(laplacian3d, default_l_max(laplacian3d, 7), analysis_degree=7)
-    owner = np.flatnonzero(P.owners(-4j, 0.1))
+    owner = np.flatnonzero(owners(P, -4j, 0.1))
     assert len(owner) == 1 and P.powers[owner[0]] == 13
     P = replace(P)
     P.__dict__["roots"] = (np.array([-4j] * count), np.repeat(owner, count))
@@ -330,11 +341,11 @@ def test_chains_refuse_a_det_order_aliased_on_a_full_block(laplacian3d, count):
     B = P.B.copy()
     B[:, idx[:, None], idx] *= np.arange(1, 14)
     P = replace(P, B=B)
-    owner = np.flatnonzero(P.owners(-4j, 0.1))
+    owner = np.flatnonzero(owners(P, -4j, 0.1))
     assert len(owner) == 1 and P.squares[owner[0]].shape[1:] == (13, 13)
     P.__dict__["roots"] = (np.array([-4j] * count), np.repeat(owner, count))
     with pytest.raises(MultiplicityMismatch, match="det root order"):
-        jordan_chains(P, -4j, isolation=1.0)
+        chains_at(P, -4j)
 
 
 @pytest.mark.parametrize("order, read", [(5, 5), (6, "6 of 8"), (8, "none of 8")],
@@ -450,12 +461,12 @@ def test_eigenvalues_concatenate_the_squares(laplacian3d):
     # the l = 1 block alone owns the triple root at 1i.  At bandwidth > 0 a
     # block owns only the circles that hold one of its roots: the block
     # owning 1i is singular there, the others are not
-    owners = np.flatnonzero(P.owners(1j, 0.1))
-    assert len(owners) == 1 and len(P.blocks[owners[0]][0]) == 3
-    assert not P.owners(2.5j, 0.1).any()
+    owning = np.flatnonzero(owners(P, 1j, 0.1))
+    assert len(owning) == 1 and len(P.blocks[owning[0]][0]) == 3
+    assert not owners(P, 2.5j, 0.1).any()
     Q = assemble_pencil(parse_operator(dbar_doc()), 4)
-    assert Q.bandwidth > 0 and len(Q.squares) > 1 and not Q.owners(2.5j, 0.1).any()
-    owned = Q.owners(1j, 0.1)
+    assert Q.bandwidth > 0 and len(Q.squares) > 1 and not owners(Q, 2.5j, 0.1).any()
+    owned = owners(Q, 1j, 0.1)
     assert owned.sum() == 1
     for i, own in enumerate(owned.tolist()):
         sv = np.linalg.svd(horner(Q.restriction(i), 1j), compute_uv=False)
@@ -534,7 +545,7 @@ def test_semisimple_points_stop_at_the_first_level(monkeypatch, doc_fn, strip, d
     rep = strip_spectrum(parse_operator(doc_fn()), *strip, degree)
     P = rep.pencil
     assert P.bandwidth > 0 and rep.eigenpoints
-    work, owners = list(calls), 0
+    work, pairs = list(calls), 0
     for ep in rep.eigenpoints:
         # the whole pencil's nullspace at the point is as wide as the chains
         J, _, _, _ = _full_pencil_chains(P, ep.lambda0)
@@ -553,14 +564,14 @@ def test_semisimple_points_stop_at_the_first_level(monkeypatch, doc_fn, strip, d
             assert np.max(np.abs(_span_projector([chain[0] for chain in chains])
                                  - null.conj().T @ null)) <= 1e-12
             want += [(P.blocks[i][1], chain, res) for chain, res in zip(chains, residuals)]
-        owners += len(orders)
+        pairs += len(orders)
         assert ep.partial_multiplicities == [1] * len(want)
         for got, res, (cols, chain, r) in zip(ep.chains, ep.residuals, want):
             assert np.array_equal(got[0][cols], chain[0])
             assert np.count_nonzero(got[0]) == np.count_nonzero(chain[0])
             assert abs(res - r) <= 1e-15
     # three SVDs per (point, owner), none larger than the owner's block
-    assert len(work) == owners
+    assert len(work) == pairs
     assert all(len(svds) == 3 and all(s[0] <= shape[0] for s in svds)
                for shape, svds in work)
 
@@ -569,7 +580,7 @@ def _assert_scalar_chains_match_the_reduction(P, ep):
     """The chains of ep, owned by one c(lam) I scalar with a double zero,
     against the local reduction on its 1 x 1 square, padded at each
     harmonic of its block: equal up to a unit phase."""
-    (i,) = np.flatnonzero(P.owners(ep.lambda0, ep.radius))
+    (i,) = np.flatnonzero(owners(P, ep.lambda0, ep.radius))
     assert P.squares[i].shape[1:] == (1, 1)
     _, partial, (want,), _ = chains_from_matrices(
         taylor(P.squares[i], ep.lambda0), _chain_scale(P, ep.lambda0))
@@ -790,7 +801,7 @@ def test_mixed_owner_points_chain_owner_by_owner(monkeypatch):
 def test_criterion_2_chain_takes_the_closed_form(monkeypatch, laplacian2d):
     calls = _full_owner_work(monkeypatch)
     P = assemble_pencil(laplacian2d, 6)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     assert (ep.partial_multiplicities, ep.det_order) == ([2], 2)
     assert calls == []
     _assert_scalar_chains_match_the_reduction(P, ep)
@@ -847,8 +858,8 @@ def test_an_owner_chained_under_another_owners_order_is_refused(monkeypatch, mov
     # owner's chain count must be its own order
     op = _mixed_owner_op()
     P = assemble_pencil(op, default_l_max(op, 2), analysis_degree=2)
-    assert jordan_chains(P, 0j, isolation=1.0).algebraic == 6
-    owned = P.owners(0j, 0.1)
+    assert chains_at(P, 0j).algebraic == 6
+    owned = owners(P, 0j, 0.1)
     shift = np.zeros(len(P.squares), dtype=int)
     shift[owned & (P.scalars[0] >= 0)] = moved
     shift[owned & (P.scalars[0] < 0)] = -moved
@@ -858,7 +869,7 @@ def test_an_owner_chained_under_another_owners_order_is_refused(monkeypatch, mov
                         true_order(P, lam0, radius, square) + shift[square])
     with pytest.raises(MultiplicityMismatch,
                        match=rf"chain count 2 != det root order {2 + moved} at "):
-        jordan_chains(P, 0j, isolation=1.0)
+        chains_at(P, 0j)
 
 
 def test_one_pencil_is_solved_at_every_bandwidth(monkeypatch, laplacian3d, dbar2d):
@@ -980,9 +991,10 @@ def test_strips_of_one_operator_and_degree_share_one_pencil(monkeypatch, doc_fn,
                          ids=lambda f: f.__name__)
 def test_each_candidate_is_certified_once_across_overlapping_strips(monkeypatch, doc_fn):
     # two overlapping strips of one kept pencil: the first certifies its
-    # own candidates, the second only those outside the first's band, so
-    # the stacked SVDs take each candidate of the union once.  The second
-    # chains only the clusters the first did not
+    # own candidates, the second only those of clusters the first did not
+    # remember, here those outside the first's band, so the stacked SVDs
+    # take each candidate of the union once.  The second chains only the
+    # clusters the first did not
     op = parse_operator(doc_fn())
     P = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
     im, edge = P.eigenvalues.imag, spectrum._CLUSTER_RADIUS
@@ -993,22 +1005,22 @@ def test_each_candidate_is_certified_once_across_overlapping_strips(monkeypatch,
     first, second = (-0.9, 1.9), (0.6, 3.4)
     assert (band(*first) & band(*second)).any() and (band(*second) & ~band(*first)).any()
     certified, chained = [], []
-    svd, chain = np.linalg.svd, spectrum.jordan_chains
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: np.ndim(a) == 3 and
-                        certified.append(len(a)) or svd(a, *args, **kw))
-    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, lam, *a:
-                        chained.append(list(lam)) or chain(P, lam, *a))
+    stacked, chain = spectrum._stacked, spectrum.jordan_chains
+    # the certification SVDs' candidates, one point each (det reads stack circles)
+    monkeypatch.setattr(spectrum, "_stacked", lambda fn, B, points, size: (
+        np.ndim(points) == 1 and certified.extend(points.tolist())) or stacked(fn, B, points, size))
+    monkeypatch.setattr(spectrum, "jordan_chains", lambda P, clusters:
+                        chained.append(list(clusters)) or chain(P, clusters))
     one = spectrum.strip_eigenpoints(P, *first)
-    assert sum(certified) == np.count_nonzero(band(*first))
+    assert certified == P.eigenvalues[band(*first)].tolist()
     two = spectrum.strip_eigenpoints(P, *second)
-    assert sum(certified) == np.count_nonzero(band(*first) | band(*second))
-    assert set(P.verdicts[band(*first) | band(*second)].tolist()) == {1}
-    assert set(P.verdicts[~(band(*first) | band(*second))].tolist()) <= {-1}
+    assert certified == P.eigenvalues[band(*first)].tolist() + \
+        P.eigenvalues[band(*second) & ~band(*first)].tolist()
     # a cluster both strips pick keeps its eigenpoint
     shared = [ep for ep in two if any(ep is e for e in one)]
     assert shared and len(chained) == 2
     assert len(chained[1]) == len(two) - len(shared)
-    assert all(ep.lambda0 not in chained[1] for ep in shared)
+    assert not set(chained[0]) & set(chained[1])
 
 
 def test_a_remembered_eigenpoint_is_read_only(dbar2d):
@@ -1090,7 +1102,7 @@ def test_a_remembered_strip_does_no_partition_work(monkeypatch, doc_fn):
 def test_biorth_simple(laplacian3d):
     P = assemble_pencil(laplacian3d, 4)
     P_adj = assemble_pencil(formal_adjoint(laplacian3d), 4)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     ac = biorthogonalize(P, P_adj, ep)
     assert ac.biorth_residual < 1e-8
     assert ac.chain_residual < 1e-8
@@ -1100,7 +1112,7 @@ def test_biorth_simple(laplacian3d):
 def test_biorth_double(laplacian2d):
     P = assemble_pencil(laplacian2d, 4)
     P_adj = assemble_pencil(formal_adjoint(laplacian2d), 4)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     ac = biorthogonalize(P, P_adj, ep)
     assert ac.biorth_residual < 1e-8
 
@@ -1109,7 +1121,7 @@ def test_biorth_unitary_invariance(laplacian2d):
     # conjugating the pencil by a unitary leaves the pairing residual intact
     P = assemble_pencil(laplacian2d, 3)
     P_adj = assemble_pencil(formal_adjoint(laplacian2d), 3)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     ac = biorthogonalize(P, P_adj, ep)
 
     rng = np.random.default_rng(3)
@@ -1120,7 +1132,7 @@ def test_biorth_unitary_invariance(laplacian2d):
     P2 = replace(P, B=U @ P.B @ U.conj().T)
     P2a = replace(P_adj, B=U @ P_adj.B @ U.conj().T)
     assert len(P2.squares) == 1
-    ep2 = jordan_chains(P2, 2j, isolation=1.0)
+    ep2 = chains_at(P2, 2j)
     ac2 = biorthogonalize(P2, P2a, ep2)
     assert abs(ac2.biorth_residual - ac.biorth_residual) < 1e-10
 
@@ -1128,7 +1140,7 @@ def test_biorth_unitary_invariance(laplacian2d):
 def test_biorth_mismatched_adjoint_rejected(laplacian3d, dbar2d):
     P = assemble_pencil(laplacian3d, 3)
     P_bad = assemble_pencil(dbar2d, 3)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     with pytest.raises(ValueError):
         biorthogonalize(P, P_bad, ep)
 
@@ -1139,7 +1151,7 @@ def test_biorth_mismatched_adjoint_rejected(laplacian3d, dbar2d):
 
 def test_power_solutions_simple(laplacian3d):
     P = assemble_pencil(laplacian3d, 3)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     sols = power_solutions(ep)
     assert len(sols) == ep.algebraic == 1
     assert len(sols[0].coeffs) == 1  # no polynomial part
@@ -1147,7 +1159,7 @@ def test_power_solutions_simple(laplacian3d):
 
 def test_power_solutions_chain(laplacian2d):
     P = assemble_pencil(laplacian2d, 3)
-    ep = jordan_chains(P, 2j)
+    ep = chains_at(P, 2j)
     sols = power_solutions(ep)
     assert len(sols) == 2
     degrees = sorted(len(s.coeffs) for s in sols)
@@ -1210,6 +1222,17 @@ def test_cluster_radius():
     label, centres = _diagonal_pencil(vals).clusters
     assert label.tolist() == [2, 2, 0, 1]
     assert centres.tolist() == [1j, 1.0 + 1j, np.mean(vals[:2])]
+
+
+def test_a_cluster_wider_than_the_radius_is_chained_whole():
+    # four simple values 0.9e-6 apart link into one cluster 2.7e-6 wide.
+    # Its outer members lie 1.35e-6 from its centre, beyond the cluster
+    # radius, yet they carry its label: each of the four 1 x 1 owners is
+    # read at its own member, and the one eigenpoint holds all four
+    P = _diagonal_pencil([1j + 0.9e-6 * s for s in range(4)])
+    (ep,) = spectrum.strip_eigenpoints(P, 0.5, 1.5)
+    assert ep.lambda0 == pytest.approx(1j + 1.35e-6, abs=1e-15)
+    assert ep.partial_multiplicities == [1, 1, 1, 1] and ep.det_order == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1330,7 +1353,7 @@ def test_chain_failing_its_equations_refused(off, refused):
     # lam - A on two coupled degree-0 components, A = [[1, 0.1], [0.1, -1]]:
     # a full 2 x 2 owner whose largest singular value near the root
     # sqrt(1.01) is 1.8 times the chain scale.  Read `off` 1e-8 scales off
-    # the root, the null vector is under the rank cut (1e-8 of the largest
+    # the root (its cluster's centre moved there), the null vector is under the rank cut (1e-8 of the largest
     # singular value) but misses its equation by `off` 1e-8 of the scale:
     # 1.5e-8 is refused, 5e-9 is not
     A = np.array([[1.0, 0.1], [0.1, -1.0]])
@@ -1341,12 +1364,12 @@ def test_chain_failing_its_equations_refused(off, refused):
     assert P.scalars[0].tolist() == [-1] and abs(root - math.sqrt(1.01)) < 1e-15
     scale = _chain_scale(P, root)
     assert np.linalg.norm(taylor(P.B, root)[0], 2) / scale == pytest.approx(20 / 11)
-    lam0 = root + off * 1e-8 * scale
+    P, cluster = _moved_centre(P, root, root + off * 1e-8 * scale)
     if refused:
         with pytest.raises(MultiplicityMismatch, match=r"chain residual 1\.500e-08 > 1e-08"):
-            jordan_chains(P, lam0, isolation=1.0)
+            jordan_chains(P, [cluster])
     else:
-        ep = jordan_chains(P, lam0, isolation=1.0)
+        (ep,) = jordan_chains(P, [cluster])
         assert ep.partial_multiplicities == [1]
         assert ep.residuals == [pytest.approx(5e-9, rel=1e-6)]
 
@@ -1362,10 +1385,10 @@ def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
     in_strip = solve_pencil_eigenvalues(P, band)
     label, centres = P.clusters
     im = P.eigenvalues.imag
-    centers = centres[np.unique(label[(band[0] < im) & (im < band[1])])]
-    isolation = spectrum._isolation(centers, np.concatenate([centres, P.eigenvalues]))
+    clusters = np.unique(label[(band[0] < im) & (im < band[1])])
+    isolation = spectrum._isolation(centres[clusters], np.concatenate([centres, P.eigenvalues]))
     _, square, centre, rad = spectrum._owner_circles(
-        P, centers, spectrum._det_radius(isolation))
+        P, clusters, centres[clusters], spectrum._det_radius(isolation))
     roots, of = P.roots
     count = ((np.abs(roots - centre[:, None]) < rad[:, None])
              & (of == square[:, None])).sum(axis=1)
@@ -1384,14 +1407,18 @@ def test_det_read_is_the_taylor_order_where_a_floored_circle_holds_two_roots():
 def test_dropped_cluster_breaks_the_count(argv, monkeypatch, capsys):
     # the eigenpoints must hold every eigenvalue the eigensolve put in the
     # strip (laplacian3d: lines 0, 1, 2, 3; laplacian2d mode 2: poles 0, 4i).
-    # Line 0's members are labelled with the next cluster, so the strip
-    # picks no cluster at 0 and chains only the next one's eigenvalues there
+    # The members of one line (laplacian3d: 2, laplacian2d: 0) are labelled
+    # with the next line's cluster, which one scalar owns with them (l = 0:
+    # lines 2 and 3; mode 2: poles 0 and 4i).  The sole owner is read on
+    # the next centre's circle alone, so no eigenpoint holds the dropped
+    # line's eigenvalues
     clusters = PencilMatrices.clusters.func
+    dropped = {"res": 2j, "model-solve": 0j}[argv[0]]
 
     def dropping(P):
         label, centres = clusters(P)
-        zero = int(np.argmin(np.abs(centres)))
-        return np.where(label == zero, zero + 1, label), centres
+        line = int(np.argmin(np.abs(centres - dropped)))
+        return np.where(label == line, line + 1, label), centres
 
     monkeypatch.setattr(PencilMatrices, "clusters", property(dropping))
     assert main([argv[0], str(OPERATORS / argv[1]), *argv[2:]]) == 3
