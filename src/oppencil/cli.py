@@ -1,14 +1,17 @@
 """Command-line front end: batch analysis with machine-readable reports.
 
 main(argv) is the one entry point, for the console script and for callers
-in Python alike; it returns the exit status.  Subcommands: parse,
-ellipticity, pencil, spectrum, res, index, adjoint, adjoint-check, norm,
-model-solve, verify-cc.  Exit codes: 0 success, 2 schema error (also an
-unknown flag, an input file that cannot be read or is not UTF-8 JSON, and
-a report that cannot be written), 3 numerical guard, 4 not applicable
-(also an operator with no formal adjoint).  A process keeps the operators
-of the last four documents it read, matched byte for byte, so a repeated
-document is not parsed or fingerprinted again.  Each subcommand
+in Python alike; it returns the exit status.  It parses argv once: argv
+that starts with a subcommand is read by that subcommand's parser alone,
+and anything else by the full parser, with parse_args' messages and exit
+codes either way.  Subcommands: parse, ellipticity, pencil, spectrum,
+res, index, adjoint, adjoint-check, norm, model-solve, verify-cc.  Exit
+codes: 0 success, 2 schema error (also an unknown flag, an input file
+that cannot be read or is not UTF-8 JSON, and a report that cannot be
+written), 3 numerical guard, 4 not applicable (also an operator with no
+formal adjoint).  A process keeps the operators of the last four
+documents it read, matched byte for byte, so a repeated document is not
+parsed or fingerprinted again.  Each subcommand
 takes only the flags it reads: -o on all, --format {json,csv} on res and
 index, --seed on norm, --threads on ellipticity (spectrum accepts it
 without effect).  The only randomness is the fixed compression seed of
@@ -335,6 +338,7 @@ def build_parser():
                     "index ledgers for elliptic operators on R^n")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices   # name -> its parser, for main's one parse
     # a float literal is a value: argparse alone reads -1e-3 and -5. as options
     p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -455,8 +459,24 @@ def _check_args(args):
             raise SchemaError(f"{flag} needs BETA1 < BETA2, got {b[0]} {b[1]}")
 
 
+def _parse_argv(argv):
+    """build_parser().parse_args(argv) in one pass: argv that starts with a
+    subcommand goes straight to that subcommand's parser, and what it does
+    not read is refused as the top parser refuses it.  Any other argv (none,
+    -h, --version, an unknown command) goes through the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         _check_args(args)
         return args.fn(args)

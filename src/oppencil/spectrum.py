@@ -17,7 +17,10 @@ strip's, or a model-solve mode block's), certified only in the strip.  A
 strip is refused when a candidate in it fails certification (a line the
 degree does not resolve) or an eigenvector carries more than half its
 mass above the analysis degree (a higher mode's line); a coupled
-eigenvector's small tail is kept.
+eigenvector's small tail is kept.  That tail-mass verdict belongs to the
+eigenpoint, not the strip: jordan_chains reads the degree masses of the
+leading vectors of every point it builds in one pass and stores each
+point's largest tail and peak degree on it.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -62,7 +65,8 @@ owners cluster by cluster.  A cluster is remembered only once its strip
 has passed its certification and total checks; an error is never
 remembered.  Every check of the strip itself (the uncertified-candidate
 refusal, the total multiplicity, the tail-mass and boundary refusals)
-runs on every strip.  The remembered chains count toward the kept
+runs on every strip, the tail-mass refusal from each point's stored
+verdict.  The remembered chains count toward the kept
 pencils' one byte budget (pencil._STACK_CAP).  Sweeps of strips or
 windows over one operator in one process gain; a one-shot command
 certifies and chains once either way.  Adjoint chains at conj(lam0) of
@@ -113,7 +117,9 @@ _DET_ROUNDOFF = 64        # a scalar's det round-off, in N eps max_z sum_j |C_j|
 
 @dataclass(frozen=True)
 class Eigenpoint:
-    """The chains at one point.  Frozen, its chain vectors read-only
+    """The chains at one point, and the two facts of its leading vectors'
+    degree masses that the tail-mass refusal reads (strip_spectrum), so
+    no strip reads the masses again.  Frozen, its chain vectors read-only
     (_pad), since a kept pencil shares it between strips (P.points)."""
 
     lambda0: complex
@@ -124,6 +130,9 @@ class Eigenpoint:
     residuals: list         # per-chain max residual (relative)
     det_order: int
     radius: float           # det-order circle, isolating lambda0 (not serialized)
+    tail: float             # largest mass share of a leading vector above
+                            # P.analysis_degree (not serialized)
+    peak: int               # largest degree where one's mass peaks (not serialized)
 
     @property
     def nbytes(self):
@@ -427,7 +436,9 @@ def jordan_chains(P: PencilMatrices, clusters):
     det order (MultiplicityMismatch, also when a chain's relative residual
     exceeds _CHAIN_TOL).  The chains, padded back to the full basis, run
     longest first, then by owner.  NotAnEigenvalue when an owner's pencil
-    has full rank where it is read.
+    has full rank where it is read.  Each Eigenpoint also holds the
+    tail-mass verdict of its leading vectors (tail, peak), all points'
+    read in one _mass_verdicts call, so a remembered point carries it.
     """
     centres = P.clusters[1]
     lams = centres[clusters]
@@ -439,7 +450,7 @@ def jordan_chains(P: PencilMatrices, clusters):
     full = [[] for _ in lams]   # each cluster's full owners, (centre, square)
     for p in np.flatnonzero(P.scalars[0][square] < 0).tolist():
         full[at[p]].append((complex(centre[p]), int(square[p])))
-    points = []
+    points = []   # each cluster's Eigenpoint fields up to its radius
     for k, (lam0, want) in enumerate(zip(lams.tolist(), orders.tolist())):
         found = closed[k] + [f for c, i in full[k] for f in _owner_chains(P, c, i)]
         count = [0] * len(want)
@@ -455,9 +466,10 @@ def jordan_chains(P: PencilMatrices, clusters):
             raise MultiplicityMismatch(
                 f"chain residual {max(residuals):.3e} > {_CHAIN_TOL:g} at {lam0}")
         partial = [len(chain) for chain in chains]
-        points.append(Eigenpoint(lam0, len(partial), partial, sum(partial), chains,
-                                 residuals, sum(want), float(radii[k])))
-    return points
+        points.append((lam0, len(partial), partial, sum(partial), chains, residuals,
+                       sum(want), float(radii[k])))
+    verdicts = _mass_verdicts(P, [point[4] for point in points])   # by their chains
+    return [Eigenpoint(*point, *verdict) for point, verdict in zip(points, verdicts)]
 
 
 def _owner_circles(P: PencilMatrices, clusters, lam, radius):
@@ -553,6 +565,21 @@ def _degree_masses(P: PencilMatrices, vecs) -> np.ndarray:
                        weights.ravel(), bins * len(weights)).reshape(len(weights), bins)
     total = mass.sum(axis=1, keepdims=True)
     return mass / np.where(total == 0, 1.0, total)
+
+
+def _mass_verdicts(P: PencilMatrices, points):
+    """(tail, peak) of each of `points` (its lists of chains): the largest
+    share of a leading vector's squared mass above P.analysis_degree and
+    the largest degree where one's mass peaks, from one _degree_masses call
+    over every leading vector."""
+    if not points:
+        return []
+    top = P.analysis_degree
+    masses = _degree_masses(P, [chain[0] for chains in points for chain in chains])
+    first = np.cumsum([0] + [len(chains) for chains in points[:-1]])
+    tail = np.maximum.reduceat(masses[:, top + 1:].sum(axis=1), first)
+    peak = np.maximum.reduceat(masses.argmax(axis=1), first)
+    return list(zip(tail.tolist(), peak.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +728,8 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
     with an eigenvector carrying more than half its mass above `degree` is
     a higher mode's, unresolved at `degree`: the strip is refused
     (UnstableSpectrum), naming the highest degree where such a mass peaks.
+    The refusal runs on every strip, from the verdict each eigenpoint
+    stores (Eigenpoint.tail and .peak), remembered or new.
     One pencil is assembled and solved at every bandwidth: its kept columns
     are those of the degree + 2 pencil with zero rows appended, so each
     eigenpoint is one of that pencil too.  A line is a run of eigenpoints
@@ -716,22 +745,14 @@ def strip_spectrum(op: SystemOperator, beta1: float, beta2: float,
 
     # a coupled mode-d eigenvector carries about 1e-3 of its mass at
     # degree d + 1, so only one with most of its mass above the degree
-    # belongs to a higher mode; a small tail is kept.  Every eigenpoint's
-    # leading vectors are read at once, then each point's largest tail and
-    # peak degree over its chains
-    above = []
-    if eigenpoints:
-        masses = _degree_masses(P, [chain[0] for ep in eigenpoints for chain in ep.chains])
-        first = np.cumsum([0] + [ep.geometric for ep in eigenpoints[:-1]])
-        tail = np.maximum.reduceat(masses[:, degree + 1:].sum(axis=1), first)
-        peak = np.maximum.reduceat(masses.argmax(axis=1), first)
-        above = [(ep.lambda0.imag, int(top)) for ep, t, top
-                 in zip(eigenpoints, tail.tolist(), peak.tolist()) if t > _TAIL_MASS_MAX]
+    # belongs to a higher mode; a small tail is kept.  Each eigenpoint
+    # holds its largest tail and peak degree (jordan_chains)
+    above = [ep for ep in eigenpoints if ep.tail > _TAIL_MASS_MAX]
     if above:
-        lines = ", ".join(dict.fromkeys(f"{line:.9g}" for line, _ in above))
+        lines = ", ".join(dict.fromkeys(f"{ep.lambda0.imag:.9g}" for ep in above))
         raise UnstableSpectrum(
             f"eigenvalues at Im lambda = {lines} belong to modes above degree "
-            f"{degree}; raise --degree to >= {max(top for _, top in above)}")
+            f"{degree}; raise --degree to >= {max(ep.peak for ep in above)}")
 
     for ep in eigenpoints:
         for b in (beta1, beta2):

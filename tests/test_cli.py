@@ -1011,6 +1011,45 @@ def test_readme_examples_parse():
         build_parser().parse_args(argv)
 
 
+class _Parsed(Exception):
+    """Carries the Namespace that main would act on."""
+
+
+def _parse_outcome(parse, capsys):
+    """(the Namespace parsed, or the exit code), stdout, stderr of parse()."""
+    try:
+        parse()
+        outcome = None
+    except _Parsed as exc:
+        outcome = exc.args[0]
+    except SystemExit as exc:
+        outcome = exc.code
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+def test_main_parses_argv_once_as_parse_args_does(monkeypatch, capsys):
+    # main hands argv that starts with a subcommand to that subcommand's
+    # parser alone; every outcome matches the full parser's parse_args
+    from oppencil import cli
+
+    def stop(args):
+        raise _Parsed(args)
+
+    monkeypatch.setattr(cli, "_check_args", stop)
+    res = ["res", "op.json", "--strip"]
+    valid = readme_commands() + [res + ["-1e-3", "2.5"], res + ["-5.", "2.5"]]
+    assert {argv[0] for argv in valid} == set(FLAG_TABLE)
+    refused = [res + ["0", "1", "--bogus"], ["res", "op.json"], res + ["0", "1", "--", "x"],
+               ["bogus"], []]
+    helps = [["-h"], ["--version"], ["res", "-h"]]
+    for argvs, kind in ((valid, argparse.Namespace), (refused, 2), (helps, 0)):
+        for argv in argvs:
+            want = _parse_outcome(lambda: stop(cli.build_parser().parse_args(argv)), capsys)
+            assert _parse_outcome(lambda: cli.main(argv), capsys) == want, argv
+            assert (type(want[0]) if kind is argparse.Namespace else want[0]) == kind, argv
+
+
 def test_unread_settings_rejected_at_parse(capsys):
     from oppencil.cli import build_parser
     kept = rejected = 0
@@ -1106,6 +1145,19 @@ def test_index_selfadjoint_builds_the_formal_adjoint_once(monkeypatch, capsys):
                           "--degree", "6"], capsys)
     assert code == 0, err
     assert len(calls) == 1
+
+
+def test_remembered_eigenpoints_are_refused_by_their_tail_mass(capsys):
+    # the first strip remembers its 2 eigenpoints before the tail-mass
+    # refusal; each later strip reads them back and is refused the same way
+    from oppencil import pencil
+    path = str(REPO / "operators" / "laplacian3d.json")
+    for strip in (["0.5", "2.5"], ["0.5", "2.5"], ["0.5", "1.5"]):
+        code, out, err = _main(["res", path, "--strip", *strip, "--degree", "0"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("numerical guard: eigenvalues at Im lambda = 1 belong to modes "
+                       "above degree 0; raise --degree to >= 1\n")
+        assert [len(P.points) for P in pencil._pencils.values()] == [2]
 
 
 def _potential_file(tmp_path, n, radial_exponent, monomial, coeff):

@@ -167,6 +167,25 @@ def test_fingerprints_are_pinned(path):
     assert (op.fingerprint(), formal_adjoint(op).fingerprint()) == FINGERPRINTS[path.stem]
 
 
+# (homogeneous cc, formally self-adjoint) of each operators/*.json
+VERDICTS = {
+    "anisotropic2d": (False, True),
+    "cr_system2d": (True, False),
+    "dbar2d": (True, False),
+    "dipole_laplacian3d": (False, True),
+    "laplacian2d": (True, True),
+    "laplacian3d": (True, True),
+    "schrodinger_inverse_square3d": (False, True),
+}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "operators").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_anchor_verdicts_are_pinned(path):
+    op = parse_operator(json.loads(path.read_text()))
+    assert (is_homogeneous_cc(op), is_formally_self_adjoint(op)) == VERDICTS[path.stem]
+
+
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------

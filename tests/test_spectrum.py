@@ -662,7 +662,8 @@ def _per_centre_eigenpoints(P, beta1, beta2):
     centre and value there, its det orders read by _per_centre_det_orders
     and each owner chained under its own order: a 1 x 1 owner one [1, 0,
     ..., 0] of its scalar's zero order per harmonic, from its Taylor
-    coefficients, and a full one by chains_from_matrices."""
+    coefficients, and a full one by chains_from_matrices; its tail-mass
+    verdict from its leading vectors' masses, degree by degree."""
     lo, hi = beta1 - spectrum._CLUSTER_RADIUS, beta2 + spectrum._CLUSTER_RADIUS
     vals = list(solve_pencil_eigenvalues(P, (beta1 - _OLD_CERTIFY_REACH,
                                              beta2 + _OLD_CERTIFY_REACH)))
@@ -696,9 +697,15 @@ def _per_centre_eigenpoints(P, beta1, beta2):
                     found.append((padded, res))
         found.sort(key=lambda f: -len(f[0]))
         partial = [len(chain) for chain, _ in found]
+        # each leading vector's mass by degree, a loop over the degrees
+        masses = [[np.sum(np.abs(chain[0][P.row_degrees == d]) ** 2)
+                   for d in range(P.degrees[-1] + 1)] for chain, _ in found]
+        tail = max(sum(m[P.analysis_degree + 1:]) / sum(m) for m in masses)
+        peak = max(int(np.argmax(m)) for m in masses)
         points.append(spectrum.Eigenpoint(
             center, len(partial), partial, sum(partial), [c for c, _ in found],
-            [r for _, r in found], sum(order for _, order in orders.values()), radius))
+            [r for _, r in found], sum(order for _, order in orders.values()), radius,
+            tail, peak))
     return points
 
 
@@ -748,8 +755,9 @@ def test_batched_eigenpoints_match_the_per_centre_route(op, strip, degree):
     got = spectrum.strip_eigenpoints(P, *strip)
     assert [ep.lambda0 for ep in got] == [ep.lambda0 for ep in want]
     for g, w in zip(got, want):
-        assert (g.partial_multiplicities, g.det_order, g.radius) == \
-            (w.partial_multiplicities, w.det_order, w.radius)
+        assert (g.partial_multiplicities, g.det_order, g.radius, g.peak) == \
+            (w.partial_multiplicities, w.det_order, w.radius, w.peak)
+        assert g.tail == pytest.approx(w.tail, abs=1e-12)
         assert len(g.chains) == len(w.chains)
         for cg, cw in zip(g.chains, w.chains):
             assert len(cg) == len(cw) and all(np.array_equal(a, b) for a, b in zip(cg, cw))
@@ -1093,6 +1101,23 @@ def test_a_remembered_strip_does_no_partition_work(monkeypatch, doc_fn):
     narrow = spectrum.strip_eigenpoints(P, -0.5, 2.5)
     assert calls == [] and narrow
     assert all(any(ep is e for e in wide) for ep in narrow)
+
+
+@pytest.mark.parametrize("doc_fn", [lambda: laplacian_doc(3), dbar_doc, cr_system_doc],
+                         ids=["laplacian3d", "dbar2d", "cr_system2d"])
+def test_a_remembered_strip_reads_no_degree_masses(monkeypatch, doc_fn):
+    # the tail-mass refusal of a strip whose clusters are all remembered
+    # reads the verdict each eigenpoint stores
+    op = parse_operator(doc_fn())
+    calls = []
+    masses = spectrum._degree_masses
+    monkeypatch.setattr(spectrum, "_degree_masses",
+                        lambda *a: calls.append(1) or masses(*a))
+    wide = strip_spectrum(op, -1.5, 3.5, 4)
+    assert calls == [1]
+    narrow = strip_spectrum(op, -0.5, 2.5, 4)
+    assert calls == [1] and narrow.eigenpoints
+    assert all(any(ep is e for e in wide.eigenpoints) for ep in narrow.eigenpoints)
 
 
 # ---------------------------------------------------------------------------
