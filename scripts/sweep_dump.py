@@ -14,8 +14,12 @@ the refusals by reason (their first stderr line, numbers and complex
 points elided).  A drift answer is right when its strip total is
 -Delta's on R^n (which the drift keeps at half-integer edges); an
 inverse-square answer when its lines are those of every mode's quadratic
-(inverse_square_lines), each within 1e-6 and of the same multiplicity; a
-cc answer when its one line, if any, is the strip's integer k and its
+(inverse_square_lines), each within 1e-6 and of the same multiplicity.  A
+cc answer of -Delta + 0.25 r^-2 is right when its lines are those of
+inverse_square_lines (c read from the document), of the dipole operator
+when its strip total is -Delta's (the dipole keeps it at half-integer
+edges, as the drift does), and of a homogeneous constant-coefficient
+operator when its one line, if any, is the strip's integer k and its
 multiplicity is the jump of the cc index formula across the strip
 (cc_jump; no line where the jump is 0).  It exits 1 when any answer is
 wrong at exit 0.
@@ -31,9 +35,10 @@ wrong at exit 0.
   (-1.5, 2.5) and (0.5, 4.5), at degrees 2, 4 and 6.  At delta = 0 the
   two lines of mode l meet at (n+2)/2 (D_l = 0), so each delta puts two
   simple roots, or a complex pair, that close together.
-* cc (448 cases): laplacian2d, laplacian3d, dbar2d and cr_system2d from
-  operators/ on the unit strips (k - 1/2, k + 1/2), k = -12 .. 15, at
-  degrees 2, 4, 6 and 8.  A strip beyond the degrees the pencil assembles
+* cc (672 cases): laplacian2d, laplacian3d, dbar2d, cr_system2d,
+  schrodinger_inverse_square3d and dipole_laplacian3d from operators/ on
+  the unit strips (k - 1/2, k + 1/2), k = -12 .. 15, at degrees 2, 4, 6
+  and 8.  A strip beyond the degrees the pencil assembles
   holds lines of modes it does not see.
 
 The operator documents are built here, or read from operators/, and
@@ -55,7 +60,11 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":
+    # one BLAS thread before numpy loads, as answer_dump.py pins it
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -68,7 +77,8 @@ DRIFT_DEGREES = {2: (4, 6), 3: (2, 4)}
 DELTAS = (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3, -0.3)
 INVERSE_SQUARE_STRIPS = ((-0.5, 3.5), (0.6, 3.9), (-1.5, 2.5), (0.5, 4.5))
 INVERSE_SQUARE_DEGREES = (2, 4, 6)
-CC_OPERATORS = ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d")
+CC_OPERATORS = ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d",
+                "schrodinger_inverse_square3d", "dipole_laplacian3d")
 CC_STRIPS = tuple((k - 0.5, k + 0.5) for k in range(-12, 16))
 CC_DEGREES = (2, 4, 6, 8)
 LINE_TOL = 1e-6   # the cluster radius: lines nearer than this print as one
@@ -180,43 +190,57 @@ def cc_jump(n, mu, nu, beta1, beta2):
     return index(beta1) - index(beta2)
 
 
-def drift_check(row):
-    """(right, what was printed) of an answered drift row: its strip total
-    is -Delta's."""
+def total_check(row, n):
+    """(right, what was printed) of an answered row whose strip total must
+    be -Delta's on R^n."""
     argv = row["argv"]
-    n = int(re.match(r"drift(\d)d_", argv[1]).group(1))
     total = sum(row["answer"]["res_lines"].values())
     return total == laplacian_total(n, float(argv[3]), float(argv[4])), f"total {total}"
 
 
-def inverse_square_check(row):
-    """(right, what was printed) of an answered inverse-square row: every
-    printed line is within LINE_TOL of a closed-form line of the same
-    multiplicity, and no line is missing."""
-    argv = row["argv"]
-    n, l, delta = re.match(r"inverse_square(\d)d_l(\d)_d(.+)\.json$", argv[1]).groups()
-    n = int(n)
-    want = inverse_square_lines(n, -(int(l) + (n - 2) / 2) ** 2 + float(delta),
-                                float(argv[3]), float(argv[4]))
+def lines_check(row, want):
+    """(right, what was printed) of an answered row whose lines must be
+    want's, [line, multiplicity] in ascending order: each within LINE_TOL
+    and of the same multiplicity, and none missing."""
     got = sorted((float(line), mult) for line, mult in row["answer"]["res_lines"].items())
     right = len(got) == len(want) and all(
         abs(a - b) < LINE_TOL and m == d for (a, m), (b, d) in zip(got, want))
     return right, f"lines {row['answer']['res_lines']}"
 
 
+def drift_check(row):
+    """total_check of an answered drift row."""
+    return total_check(row, int(re.match(r"drift(\d)d_", row["argv"][1]).group(1)))
+
+
+def inverse_square_check(row):
+    """lines_check of an answered inverse-square row against
+    inverse_square_lines."""
+    argv = row["argv"]
+    n, l, delta = re.match(r"inverse_square(\d)d_l(\d)_d(.+)\.json$", argv[1]).groups()
+    n = int(n)
+    return lines_check(row, inverse_square_lines(n, -(int(l) + (n - 2) / 2) ** 2 + float(delta),
+                                                 float(argv[3]), float(argv[4])))
+
+
 def cc_check(row):
-    """(right, what was printed) of an answered cc row: its lines are the
-    strip's integer k with the jump of the cc index formula, or none where
-    the jump is 0."""
+    """(right, what was printed) of an answered cc row: the dipole
+    operator's strip total is -Delta's, -Delta + c r^-2's lines are
+    inverse_square_lines', and the lines of a homogeneous
+    constant-coefficient operator are the strip's integer k with the jump
+    of the cc index formula, or none where the jump is 0."""
     argv = row["argv"]
     doc = json.loads((OPERATORS / argv[1]).read_text())
     beta1, beta2 = float(argv[3]), float(argv[4])
+    if argv[1] == "dipole_laplacian3d.json":
+        return total_check(row, doc["n"])
+    if argv[1] == "schrodinger_inverse_square3d.json":
+        c = next(t["poly"]["0 0 0"][0] for t in doc["entries"][0]["terms"]
+                 if not any(t["alpha"]))
+        return lines_check(row, inverse_square_lines(doc["n"], c, beta1, beta2))
     jump = cc_jump(doc["n"], doc["mu"], doc["nu"], beta1, beta2)
-    want = [[(beta1 + beta2) / 2, jump]] if jump else []
-    got = [[float(line), mult] for line, mult in row["answer"]["res_lines"].items()]
-    right = len(got) == len(want) and all(
-        abs(a - b) < LINE_TOL and m == d for (a, m), (b, d) in zip(got, want))
-    return right, f"lines {row['answer']['res_lines']}, formula jump {jump}"
+    right, what = lines_check(row, [[(beta1 + beta2) / 2, jump]] if jump else [])
+    return right, f"{what}, formula jump {jump}"
 
 
 CHECKS = {"drift": drift_check, "inverse_square": inverse_square_check, "cc": cc_check}

@@ -27,6 +27,7 @@ from .operator_ast import (
 from .pencil import _CLUSTER_RADIUS
 
 _BREAK_TOL = 1e-9
+_REFLECT_TOL = 1e-7   # how far a line of A* may sit from n + m minus A's
 
 
 def pn(n: int, beta: float) -> int:
@@ -216,15 +217,15 @@ class AdjointResReport:
                 "matched": self.matched, "failures": self.failures}
 
 
-def adjoint_res_check(res_a: dict, res_astar: dict, n: int, m: int,
-                      tol: float = 1e-7) -> AdjointResReport:
-    """Check Res(A*) == (n+m) - Res(A) with equal multiplicities."""
+def adjoint_res_check(res_a: dict, res_astar: dict, n: int, m: int) -> AdjointResReport:
+    """Check Res(A*) == (n+m) - Res(A) with equal multiplicities, each line
+    to _REFLECT_TOL."""
     failures = []
     matched = []
     remaining = dict(res_astar)
     for line, mult in sorted(res_a.items()):
         target = (n + m) - line
-        hit = next((l for l in remaining if abs(l - target) < tol), None)
+        hit = next((l for l in remaining if abs(l - target) < _REFLECT_TOL), None)
         if hit is None:
             failures.append(f"no reflected line for {line:.9g} -> {target:.9g}")
             continue

@@ -63,6 +63,7 @@ from .spectrum import (
 
 _LINE_TOL = _CLUSTER_RADIUS  # a line this far from every pole keeps clusters whole
 _DECAY_TOL = 1e-12
+_COEFFICIENT_TOL = 1e-6   # direct vs residue coefficients, relative to the largest
 _GRID_SIZES = [2 ** k for k in range(8, 17)]   # 256 .. 2^16 points
 _LAURENT_NODES = 128
 
@@ -339,17 +340,16 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
                            coeffs_direct, coeffs_residue, eigenpoints, solve_norm)
 
 
-def verify_coefficient_formula(result: ExpansionResult,
-                               tol: float = 1e-6) -> dict:
+def verify_coefficient_formula(result: ExpansionResult) -> dict:
     """Check the directly integrated coefficients against the residue route,
     which line_difference_expansion lists in the same (lambda0, j, m) order."""
     scale = max((abs(c.value) for c in result.coeffs_direct), default=1.0) or 1.0
     mismatches = [f"({c.j},{c.m}) at {c.lambda0}: {c.value} vs {r.value}"
                   for c, r in zip(result.coeffs_direct, result.coeffs_residue)
-                  if abs(c.value - r.value) > tol * scale]
+                  if abs(c.value - r.value) > _COEFFICIENT_TOL * scale]
     return {
-        "passed": not mismatches and result.deviations["solve_vs_coeff"] < tol,
+        "passed": not mismatches and result.deviations["solve_vs_coeff"] < _COEFFICIENT_TOL,
         "mismatches": mismatches,
         "deviations": result.deviations,
-        "tolerance": tol,
+        "tolerance": _COEFFICIENT_TOL,
     }

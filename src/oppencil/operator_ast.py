@@ -12,13 +12,15 @@ polynomial subject to e + deg P = |alpha| - order (so that the coefficient
 restricted to the unit sphere is a genuine sphere polynomial), plus an
 optional declared perturbation in radial_algebra's Expr ring.
 parse_operator takes a decoded document and reads it through
-radial_algebra's codec.  canonicalize (which parse_operator ends with) and
-formal_adjoint build every entry through one builder that splits principal
-coefficients into harmonic components, prunes each multi-index against its
-own raw parts and stores each poly's monomials sorted; the canonical form
-is a fixed point of canonicalize, so round-tripping is exact, the adjoint
-needs no second pass and one key (SystemOperator.key, read by equality,
-the self-adjointness test and the kept pencils) compares operators as they
+radial_algebra's codec.  formal_adjoint takes every Leibniz derivative in
+the Expr ring, principal coefficient and perturbation alike, and hands the
+raw parts over as canonicalize (which parse_operator ends with) hands a
+document's: one builder splits principal coefficients into harmonic
+components, cuts each monomial against its multi-index's raw parts and
+stores each poly's monomials sorted.  The canonical form is a fixed point
+of canonicalize, so round-tripping is exact, the adjoint needs no second
+pass and one key (SystemOperator.key, read by equality, the
+self-adjointness test and the kept pencils) compares operators as they
 stand.  The adjoint involution holds to round-off: Leibniz derivatives of
 variable coefficients are float.
 """
@@ -29,14 +31,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import AdjointOrderViolation, BadDNOrders, OrderMismatch, SchemaError
-from .radial_algebra import (Expr, HomogPoly, RadialFunction, _read_monomials, _read_number,
-                             _sphere_points, _write_monomials, differentiate)
+from .radial_algebra import (Expr, HomogPoly, _read_monomials, _read_number, _sphere_points,
+                             _write_monomials, harmonic_terms)
 
 _COEFF_TOL = 1e-12
 
@@ -242,25 +245,28 @@ def _add_perturbation(perts, alpha, pert):
             perts[alpha] = total
 
 
-def _entry_terms(n, order, parts, perts, harmonic=False):
-    """CoeffTerms of one entry, by multi-index: the harmonic components of
-    each alpha's raw (radial exponent, poly) parts (merged as they are when
-    `harmonic`), pruned at _COEFF_TOL relative to the largest of those
-    parts (the round-off of the harmonic split and of Leibniz sums is
-    theirs), the perturbation riding on the first.  A zero principal is
-    kept as a structural zero only to carry a perturbation."""
+def _entry_terms(n, order, parts, perts):
+    """CoeffTerms of one entry, by multi-index: the harmonic terms of each
+    alpha's raw (radial exponent, poly) parts, with every monomial at or
+    below _COEFF_TOL of the largest of those parts cut (the round-off of
+    the harmonic split and of Leibniz sums is theirs) and a term the cut
+    empties dropped, the perturbation riding on the first.  A zero
+    principal is kept as a structural zero only to carry a perturbation."""
     out = []
     for alpha in sorted(set(parts) | set(perts)):
         pert = perts.get(alpha)
         raw = parts.get(alpha, ())
         tol = _COEFF_TOL * max((P.norm_inf() for _, P in raw), default=0.0)
-        harm = RadialFunction.from_parts(n, raw, harmonic).prune_abs(tol).terms
+        harm = []
+        for c, H in harmonic_terms(raw):
+            kept = {m: v for m, v in sorted(H.coeffs.items()) if abs(v) > tol}
+            if kept:
+                harm.append((c.real, HomogPoly(n, H.degree, kept)))
         if not harm and pert is not None:
             zero = HomogPoly(n, 0, {})
             out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
         for idx, (c, H) in enumerate(harm):
-            H = HomogPoly(n, H.degree, dict(sorted(H.coeffs.items())))
-            out.append((alpha, CoeffTerm(c.real, H, pert if idx == 0 else None)))
+            out.append((alpha, CoeffTerm(c, H, pert if idx == 0 else None)))
     return out
 
 
@@ -384,27 +390,25 @@ def is_homogeneous_cc(op: SystemOperator) -> bool:
 
 def _leibniz_adjoint_scalar(terms, n: int):
     """Formal adjoint of one entry's terms via (c D^alpha)* = sum_(g<=a)
-    binom(a,g) D^(a-g)(conj c) D^g; returns the (radial exponent, poly)
-    parts, harmonic (the terms of RadialFunctions), and the perturbation of
-    each gamma, as _entry_terms takes them."""
+    binom(a,g) D^(a-g)(conj c) D^g, each derivative taken in Expr; returns
+    the raw (radial exponent, poly) parts (the derivative's monomials by
+    exponent, which fixes their degree) and the perturbation of each
+    gamma, as _entry_terms takes them."""
     parts, perts = {}, {}
     for alpha, t in terms:
-        conj_rf = RadialFunction.from_parts(
-            n, [(complex(t.radial_exponent), t.poly.conjugate().to_float())])
+        e = Fraction(t.radial_exponent)
+        coeff = Expr(n, {(0, e, m): v.conjugate() for m, v in t.poly.coeffs.items()})
         conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
         for gamma in product(*(range(a + 1) for a in alpha)):
             rem = tuple(a - g for a, g in zip(alpha, gamma))
-            binom = 1
-            for a, g in zip(alpha, gamma):
-                binom *= math.comb(a, g)
-            rf = conj_rf
-            pert = conj_pert
-            for i, cnt in enumerate(rem):
-                for _ in range(cnt):
-                    rf = differentiate(rf, i)
-                    pert = None if pert is None else pert.differentiate(i)
-            parts.setdefault(gamma, []).extend((c, H.scale(binom)) for c, H in rf.terms)
-            _add_perturbation(perts, gamma, None if pert is None else pert.scale(binom))
+            binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+            by_exponent = {}
+            for (_, c, m), v in coeff.derivative(rem).scale(binom).terms.items():
+                by_exponent.setdefault(c, {})[m] = v
+            parts.setdefault(gamma, []).extend(
+                (c, HomogPoly(n, sum(next(iter(P))), P)) for c, P in by_exponent.items())
+            pert = None if conj_pert is None else conj_pert.derivative(rem).scale(binom)
+            _add_perturbation(perts, gamma, pert)
     return parts, perts
 
 
@@ -419,7 +423,7 @@ def formal_adjoint(op: SystemOperator) -> SystemOperator:
     for (j, i), src in op.entries.items():
         parts, perts = _leibniz_adjoint_scalar(src, op.n)
         # op.order(j, i) == mu*_j - nu*_i; the entries come out canonical
-        terms = _entry_terms(op.n, op.order(j, i), parts, perts, harmonic=True)
+        terms = _entry_terms(op.n, op.order(j, i), parts, perts)
         if terms:
             entries[(i, j)] = terms
     return SystemOperator(op.n, op.k, mu_star, nu_star, entries)

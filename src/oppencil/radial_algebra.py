@@ -1,24 +1,20 @@
-"""Exact algebra of finite sums r^c H(x) with H harmonic homogeneous.
+"""Exact harmonic algebra of coefficients r^c H(x), H harmonic homogeneous.
 
-Operator coefficients, their canonical form and the formal adjoint live in
-this ring: finite sums of terms r^c H(x) where c is a (possibly complex)
-exponent and H is a harmonic homogeneous polynomial.  A homogeneous P of
-degree d decomposes uniquely as P = sum_j |x|^(2j) H_(d-2j) with each
-H_(d-2j) harmonic (the Gauss decomposition, harmonic_decompose), so raw
-parts enter the ring through from_parts.  The derivatives D_i = -i d/dx_i
-keep it closed by the product rule,
-
-    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i),
-
-whose raw part x_i H, for H of degree l, from_parts splits into harmonic
-degrees l + 1 and l - 1.  Restriction to the unit sphere is then trivial (drop r) and
+An operator's principal coefficients are sums of terms r^c H(x), where c
+is a (possibly complex) exponent and H a harmonic homogeneous polynomial.
+A homogeneous P of degree d decomposes uniquely as P = sum_j |x|^(2j)
+H_(d-2j) with each H_(d-2j) harmonic (the Gauss decomposition,
+harmonic_decompose), so harmonic_terms takes raw (c, P) parts to those
+terms.  Restriction to the unit sphere is then trivial (drop r) and
 integration over S^(n-1) is exact through closed-form monomial moments.
 
 Only n in {2, 3} is supported; coefficients may be floats/complex or
 fractions.Fraction.  Below the operators this module also holds the ring
-Expr of perturbations, sums of (1 + r^2)^b r^c x^mono (b, c rational),
-the sphere samples and the document codec: the number readers and the one
-reader and one writer of monomial maps {"e1 ... en": [re, im]}.
+Expr of sums of (1 + r^2)^b r^c x^mono (b, c rational), the program's one
+coefficient calculus: its derivatives D_i = -i d/dx_i are exact monomial
+by monomial, and the formal adjoint and the weighted norms take them
+there.  And the sphere samples and the document codec: the number readers
+and the one reader and one writer of monomial maps {"e1 ... en": [re, im]}.
 """
 
 from __future__ import annotations
@@ -52,11 +48,6 @@ class HomogPoly:
     degree: int
     coeffs: dict = field(default_factory=dict)
 
-    @staticmethod
-    def monomial(n, expo, value=1.0):
-        expo = tuple(int(e) for e in expo)
-        return HomogPoly(n, sum(expo), {expo: value})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -66,9 +57,6 @@ class HomogPoly:
     def map_coeffs(self, fn):
         return HomogPoly(self.n, self.degree,
                          {m: fn(c) for m, c in self.coeffs.items()})
-
-    def conjugate(self):
-        return self.map_coeffs(lambda c: c.conjugate())
 
     def scale(self, s):
         if s == 0:
@@ -87,19 +75,6 @@ class HomogPoly:
             else:
                 out[m] = acc
         return HomogPoly(self.n, max(self.degree, other.degree), out)
-
-    def mul(self, other):
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(m)
-                acc = c1 * c2 if acc is None else acc + c1 * c2
-                if acc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return HomogPoly(self.n, self.degree + other.degree, out)
 
     def partial(self, i):
         """Plain d/dx_i (no -i factor)."""
@@ -183,38 +158,17 @@ def harmonic_decompose(P: HomogPoly):
 
 
 # ---------------------------------------------------------------------------
-# radial functions
+# harmonic terms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadialFunction:
-    """Finite sum of terms r^c H(x), H harmonic homogeneous.
-
-    Terms are kept canonical: at most one term per (c, degree) pair, sorted
-    by (degree, Re c, Im c).  Total homogeneity of a term is c + degree.
-    """
-
-    n: int
-    terms: list = field(default_factory=list)  # list[(complex c, HomogPoly H)]
-
-    @staticmethod
-    def from_parts(n, parts, harmonic=False):
-        """Build from raw (c, poly) pairs; polys need not be harmonic.  Parts
-        known to be harmonic float polys (harmonic=True: the terms of
-        RadialFunctions, scaled) are merged without the decomposition."""
-        if harmonic:
-            return RadialFunction(n, _merge(parts))
-        raw = []
-        for c, P in parts:
-            if P.is_zero():
-                continue
-            for j, H in harmonic_decompose(P):
-                raw.append((complex(c) + 2 * j, H.to_float()))
-        return RadialFunction(n, _merge(raw))
-
-    def prune_abs(self, eps):
-        return RadialFunction(self.n, [(c, H) for c, H in self.terms
-                                       if H.norm_inf() > eps])
+def harmonic_terms(parts):
+    """The terms r^c H, H harmonic, of a sum of raw (c, P) parts with P
+    homogeneous: the Gauss components of each P as float polys, merged to
+    one term per (degree, c) and sorted by (degree, Re c, Im c).  A term's
+    total homogeneity is c + degree."""
+    raw = [(complex(c) + 2 * j, H.to_float())
+           for c, P in parts for j, H in harmonic_decompose(P)]
+    return _merge(raw)
 
 
 def _merge(raw):
@@ -229,19 +183,6 @@ def _merge(raw):
                 continue
         merged.append((c, H.copy()))
     return [(c, H) for c, H in merged if not H.is_zero() and H.norm_inf() > 0.0]
-
-
-def differentiate(f: RadialFunction, i: int) -> RadialFunction:
-    """Apply D_i = -i d/dx_i term-wise by the product rule
-    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i); from_parts splits x_i H."""
-    parts = []
-    for c, H in f.terms:
-        if c != 0:
-            xi = HomogPoly.monomial(f.n, [int(a == i) for a in range(f.n)], 1)
-            parts.append((c - 2, xi.mul(H).scale(-1j * c)))
-        if H.degree > 0:
-            parts.append((c, H.partial(i).scale(-1j)))
-    return RadialFunction.from_parts(f.n, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +273,13 @@ def _read_number(value, what, kind=int):
 
 def _read_monomials(doc, n, what):
     """{exponents: complex} of a monomial map {"e1 ... en": [re, im]}.
-    Every key has n exponents (n None: as many as the first key); `what`
-    names the map's owner in each refusal."""
+    Every key has n exponents; `what` names the map's owner in each
+    refusal."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} poly must be a monomial map, got {doc!r}")
     out = {}
     for key, val in doc.items():
         expo = tuple(_read_number(e, f"{what} monomial key {key!r}") for e in key.split())
-        n = len(expo) if n is None else n
         if len(expo) != n or any(e < 0 for e in expo):
             raise SchemaError(f"bad {what} monomial key {key!r}")
         if not (isinstance(val, (list, tuple)) and len(val) == 2):
@@ -376,7 +316,7 @@ class Expr:
         return Expr(n, {key: complex(coeff)})
 
     @staticmethod
-    def from_json(doc, n=None):
+    def from_json(doc, n):
         if not isinstance(doc, list):
             raise SchemaError("Expr JSON must be a list of terms")
         out = None
@@ -388,12 +328,9 @@ class Expr:
             b = _as_fraction(item.get("b", 0), "Expr b")
             c = _as_fraction(item.get("c", 0), "Expr c")
             for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
-                n = len(expo)
                 if coeff:   # a zero term is no term, as in every ring operation
                     t = Expr.term(n, b, c, expo, coeff)
                     out = t if out is None else out + t
-        if out is None and n is None:
-            raise SchemaError("empty Expr with unknown dimension")
         return Expr.zero(n) if out is None else out
 
     def to_json(self):

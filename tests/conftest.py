@@ -91,12 +91,15 @@ def d1d2_doc():
 
 def symmetrized_doc(doc):
     """(A + A*)/2 for the operator A of `doc` (no perturbations): the terms
-    of A's canonical form and of its formal adjoint, each coefficient halved."""
-    from oppencil.operator_ast import formal_adjoint, parse_operator, serialize_operator
+    of A's canonical form and of its formal adjoint, each coefficient
+    halved.  A* is the oracle's (product_rule_adjoint), so the program's
+    adjoint judges a document it did not build."""
+    from oppencil.operator_ast import parse_operator, serialize_operator
+    from oracles import product_rule_adjoint
     op = parse_operator(doc)
     out = serialize_operator(op)
     entries = {(e["i"], e["j"]): e for e in out["entries"]}
-    for e in serialize_operator(formal_adjoint(op))["entries"]:
+    for e in serialize_operator(product_rule_adjoint(op))["entries"]:
         entries.setdefault((e["i"], e["j"]), dict(e, terms=[]))["terms"] += e["terms"]
     for e in entries.values():
         for t in e["terms"]:

@@ -12,17 +12,32 @@ in a circle (owners), the eigenpoint of the cluster at a point
 (chains_at), the weight Lambda^gamma (lambda_power), a constant
 polynomial (constant_poly) and the zero, scaled and summed
 RadialFunctions the pencil oracle builds (radial_zero, radial_scale,
-radial_add)."""
+radial_add).
+
+And the r^c H product-rule ring, a second derivative engine that the
+program does not run: RadialFunction, finite sums of terms r^c H with H
+harmonic, closed under D_i = -i d/dx_i by the product rule
+
+    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i),
+
+whose raw part x_i H, for H of degree l, the Gauss split takes to harmonic
+degrees l + 1 and l - 1 (differentiate, with the monomial x^e and the
+product of polynomials, monomial and poly_mul).  The pencil oracle applies
+operators through it, and product_rule_adjoint takes the formal adjoint's
+Leibniz derivatives through it, where the program takes them in Expr."""
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from oppencil.errors import NotApplicable, OnBreakpoint
 from oppencil.index_ledger import _BREAK_TOL, IndexLedger
+from oppencil.operator_ast import SystemOperator, _add_perturbation, _entry_terms
 from oppencil.pencil import _CLUSTER_RADIUS, PencilMatrices, horner
-from oppencil.radial_algebra import Expr, HomogPoly, RadialFunction, _as_fraction, _merge
+from oppencil.radial_algebra import Expr, HomogPoly, _as_fraction, _merge, harmonic_terms
 from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains, jordan_chains
 
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
@@ -51,7 +66,7 @@ def _solid_harmonic_pair(l: int, m: int):
     j = 0
     while True:
         a = l - m - 2 * j
-        term = HomogPoly.monomial(n, (0, 0, a), c)
+        term = monomial(n, (0, 0, a), c)
         for _ in range(j):
             term = term.times_r2()
         W = W.add(term)
@@ -59,7 +74,7 @@ def _solid_harmonic_pair(l: int, m: int):
             break
         c = -c * a * (a - 1) / (2 * (j + 1) * (2 * l - 2 * j - 1))
         j += 1
-    return re_p.mul(W), im_p.mul(W)
+    return poly_mul(re_p, W), poly_mul(im_p, W)
 
 
 def exact_harmonics(n: int, l: int):
@@ -184,6 +199,48 @@ def constant_poly(n, value=1.0):
     return HomogPoly(n, 0, {(0,) * n: value})
 
 
+# ---------------------------------------------------------------------------
+# the r^c H product-rule ring
+# ---------------------------------------------------------------------------
+
+def monomial(n, expo, value=1.0):
+    """value * x^expo as a HomogPoly on R^n."""
+    expo = tuple(int(e) for e in expo)
+    return HomogPoly(n, sum(expo), {expo: value})
+
+
+def poly_mul(P, Q):
+    """The product of two homogeneous polynomials."""
+    out = {}
+    for m1, c1 in P.coeffs.items():
+        for m2, c2 in Q.coeffs.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            acc = out.get(m, 0) + c1 * c2
+            if acc == 0:
+                out.pop(m, None)
+            else:
+                out[m] = acc
+    return HomogPoly(P.n, P.degree + Q.degree, out)
+
+
+@dataclass
+class RadialFunction:
+    """Finite sum of terms r^c H(x), H harmonic homogeneous, at most one
+    per (c, degree) and sorted by (degree, Re c, Im c)."""
+
+    n: int
+    terms: list = field(default_factory=list)  # list[(complex c, HomogPoly H)]
+
+    @staticmethod
+    def from_parts(n, parts):
+        """Build from raw (c, poly) pairs; polys need not be harmonic."""
+        return RadialFunction(n, harmonic_terms(parts))
+
+    def prune_abs(self, eps):
+        return RadialFunction(self.n, [(c, H) for c, H in self.terms
+                                       if H.norm_inf() > eps])
+
+
 def radial_zero(n):
     return RadialFunction(n, [])
 
@@ -196,3 +253,48 @@ def radial_scale(f: RadialFunction, s):
 
 def radial_add(f: RadialFunction, g: RadialFunction):
     return RadialFunction(f.n, _merge(list(f.terms) + list(g.terms)))
+
+
+def differentiate(f: RadialFunction, i: int) -> RadialFunction:
+    """Apply D_i = -i d/dx_i term-wise by the product rule
+    D_i(r^c H) = -i (c r^(c-2) x_i H + r^c dH/dx_i); from_parts splits x_i H."""
+    parts = []
+    for c, H in f.terms:
+        if c != 0:
+            xi = monomial(f.n, [int(a == i) for a in range(f.n)], 1)
+            parts.append((c - 2, poly_mul(xi, H).scale(-1j * c)))
+        if H.degree > 0:
+            parts.append((c, H.partial(i).scale(-1j)))
+    return RadialFunction.from_parts(f.n, parts)
+
+
+def product_rule_adjoint(op: SystemOperator) -> SystemOperator:
+    """The formal adjoint with orders mu*_i = m - nu_i, nu*_i = m - mu_i,
+    whose Leibniz derivatives (c D^alpha)* = sum_(g<=a) binom(a,g)
+    D^(a-g)(conj c) D^g of each principal coefficient go through the
+    product-rule ring, term by harmonic term; perturbations are
+    differentiated in Expr.  The entries are built as the program builds
+    them (_entry_terms), so the two adjoints compare key by key."""
+    m, n = op.m, op.n
+    entries = {}
+    for (j, i), src in op.entries.items():
+        parts, perts = {}, {}
+        for alpha, t in src:
+            conj = t.poly.map_coeffs(lambda c: complex(c).conjugate())
+            conj_rf = RadialFunction.from_parts(n, [(complex(t.radial_exponent), conj)])
+            conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
+            for gamma in product(*(range(a + 1) for a in alpha)):
+                rem = tuple(a - g for a, g in zip(alpha, gamma))
+                binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+                rf = conj_rf
+                for ax, count in enumerate(rem):
+                    for _ in range(count):
+                        rf = differentiate(rf, ax)
+                parts.setdefault(gamma, []).extend((c, H.scale(binom)) for c, H in rf.terms)
+                pert = None if conj_pert is None else conj_pert.derivative(rem).scale(binom)
+                _add_perturbation(perts, gamma, pert)
+        terms = _entry_terms(n, op.order(j, i), parts, perts)
+        if terms:
+            entries[(i, j)] = terms
+    return SystemOperator(n, op.k, tuple(m - v for v in op.nu), tuple(m - v for v in op.mu),
+                          entries)

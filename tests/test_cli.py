@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -629,6 +630,41 @@ def test_index_selfadjoint_anchor_variable_derivative_coefficient(capsys):
     assert [c["index"] for c in ledger["components"]] == [3, 1, -1, -3]
 
 
+# (A + A*)/2 for A = -Delta - 0.3 x1 x2^2 r^-4 D2 - 0.3 x2 r^-2 D2 on R^2, as
+# the product rule wrote it once: its r^-4 potential carries a round-off
+# monomial 1.4e-17 x1 x2 next to 0.15
+ROUND_OFF_MONOMIAL_DOC = {"n": 2, "k": 1, "mu": [2], "nu": [0], "entries": [
+    {"i": 0, "j": 0, "terms": [
+        {"alpha": alpha, "radial_exponent": e, "poly": poly} for alpha, e, poly in (
+            ([0, 1], -2.0, {"0 1": [-0.15, 0.0], "1 0": [-0.0375, 0.0]}),
+            ([0, 1], -4.0, {"1 2": [-0.11249999999999999, 0.0], "3 0": [0.0375, -0.0]}),
+            ([0, 2], 0.0, {"0 0": [0.5, 0.0]}),
+            ([2, 0], 0.0, {"0 0": [0.5, 0.0]}),
+            ([0, 0], -4.0, {"0 2": [0.0, -0.15], "1 1": [0.0, 1.3877787807814457e-17],
+                            "2 0": [0.0, 0.15]}),
+            ([0, 0], -6.0, {"1 3": [0.0, -0.3], "3 1": [0.0, 0.29999999999999993]}),
+            ([0, 1], -2.0, {"0 1": [-0.15, -0.0], "1 0": [-0.0375, -0.0]}),
+            ([0, 1], -4.0, {"1 2": [-0.11249999999999999, -0.0], "3 0": [0.0375, 0.0]}),
+            ([0, 2], 0.0, {"0 0": [0.5, 0.0]}),
+            ([2, 0], 0.0, {"0 0": [0.5, 0.0]}))]}]}
+
+
+def test_index_selfadjoint_anchor_ignores_a_round_off_monomial(tmp_path, capsys):
+    # the canonical form cuts every monomial below 1e-12 of its multi-index's
+    # largest part, so the round-off monomial is no structure that the
+    # adjoint lacks, and the operator is formally self-adjoint
+    path = tmp_path / "round_off.json"
+    path.write_text(json.dumps(ROUND_OFF_MONOMIAL_DOC))
+    code, out, err = _main(["index", str(path), "--anchor", "selfadjoint",
+                            "--window", "0.5", "3.5", "--degree", "4"], capsys)
+    assert code == 0, err
+    ledger = json.loads(out)
+    assert ledger["anchor"]["provenance"] == "selfadjoint"
+    assert [(round(b, 3), mult) for b, mult in ledger["breakpoints"]] == [
+        (1.001, 1), (1.009, 1), (2.0, 2), (2.991, 1), (2.999, 1)]
+    assert [c["index"] for c in ledger["components"]] == [3, 2, 1, -1, -2, -3]
+
+
 def test_model_solve_near_pole_failed_check_exit3(capsys):
     # the chosen grid ends before the weighted solution near line 2 dies out
     lap2 = str(REPO / "operators" / "laplacian2d.json")
@@ -902,16 +938,34 @@ def test_answer_dump_smoke(capsys):
     assert exits["verify-cc"] <= {0, 3}
 
 
+def test_answer_dump_pins_one_blas_thread():
+    # with 2 BLAS threads, 11 of these 100 cases print other last digits
+    # than with 1, unless the script pins the count itself
+    outs = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, str(REPO / "scripts" / "answer_dump.py"),
+                            "operators/dipole_laplacian3d.json"], capture_output=True,
+                           text=True, cwd=REPO, env=env, timeout=600)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert len(outs[0].splitlines()) == 100 and outs[0] == outs[1]
+
+
 def test_sweep_dump_case_list(monkeypatch, capsys):
     from oppencil.operator_ast import parse_operator
     sweep = _script("sweep_dump")
     grids = {grid: list(cases()) for grid, cases in sweep.GRIDS.items()}
     assert {grid: len(rows) for grid, rows in grids.items()} == {
-        "drift": 1440, "inverse_square": 648, "cc": 448}
+        "drift": 1440, "inverse_square": 648, "cc": 672}
     assert sweep.DEFAULT_GRIDS == ("drift", "inverse_square")
-    # the cc grid runs the shipped documents, under their own names
-    assert {name for name, _, _ in grids["cc"]} == {
-        f"{name}.json" for name in ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d")}
+    # the cc grid runs the shipped documents, under their own names, the
+    # four homogeneous constant-coefficient ones first
+    names = ("laplacian2d", "laplacian3d", "dbar2d", "cr_system2d",
+             "schrodinger_inverse_square3d", "dipole_laplacian3d")
+    assert list(dict.fromkeys(name for name, _, _ in grids["cc"])) == [
+        f"{name}.json" for name in names]
     for name, doc, argv in grids["cc"]:
         assert doc == json.loads((REPO / "operators" / name).read_text())
         assert argv[:3] == ["res", name, "--strip"] and float(argv[4]) - float(argv[3]) == 1
@@ -980,24 +1034,30 @@ def test_sweep_dump_cc_tally(tmp_path, capsys):
     # a cc answer is right when it is the jump of the index formula across
     # its unit strip: -Delta on R^3 has the lines 2 - l and 3 + l of
     # multiplicity 2l + 1, so the strips around -1, 0, 2 and 10 jump by 7,
-    # 5, 1 and 15
+    # 5, 1 and 15.  -Delta + 0.25 r^-2 has mode 0's line 5/2 - sqrt(1/2)
+    # in (1.5, 2.5), and the dipole operator must keep -Delta's total 1 there
     sweep = _script("sweep_dump")
     assert [sweep.cc_jump(3, [2], [0], k - 0.5, k + 0.5) for k in (-1, 0, 2, 10)] == \
         [7, 5, 1, 15]
     stderr = ("numerical guard: eigenvalues at Im lambda = 1 belong to modes above "
               "degree 2; raise --degree to >= 3")
-    rows = [{"argv": ["res", "laplacian3d.json", "--strip", b1, b2, "--degree", "2"],
+    rows = [{"argv": ["res", f"{name}.json", "--strip", b1, b2, "--degree", "2"],
              "exit": code, "stdout_sha256": "", "stderr": "" if code == 0 else stderr,
              "answer": {"res_lines": lines} if code == 0 else None}
-            for b1, b2, code, lines in (("-0.5", "0.5", 0, {"0": 5}), ("9.5", "10.5", 0, {}),
-                                        ("0.5", "1.5", 3, None))]
+            for name, b1, b2, code, lines in (
+                ("laplacian3d", "-0.5", "0.5", 0, {"0": 5}),
+                ("laplacian3d", "9.5", "10.5", 0, {}),
+                ("laplacian3d", "0.5", "1.5", 3, None),
+                ("schrodinger_inverse_square3d", "1.5", "2.5", 0, {"1.792893218813452": 1}),
+                ("dipole_laplacian3d", "1.5", "2.5", 0, {"1.9": 1, "2.1": 2}))]
     path = tmp_path / "sweep.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     assert sweep.tally(path) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "cc cases: 3", "answered: 2", "  with the closed-form answer: 1",
-        "  wrong at exit 0: 1",
+        "cc cases: 5", "answered: 4", "  with the closed-form answer: 2",
+        "  wrong at exit 0: 2",
         "    res laplacian3d.json --strip 9.5 10.5 --degree 2: lines {}, formula jump 15",
+        "    res dipole_laplacian3d.json --strip 1.5 2.5 --degree 2: total 3",
         "refused: 1",
         "      1  exit 3: numerical guard: eigenvalues at Im lambda = # belong to modes "
         "above degree #; raise --degree to >= #"]

@@ -130,6 +130,9 @@ def test_shared_name_methods_are_called(tmp_path, capsys):
     lap = json.loads((REPO / "operators" / "laplacian3d.json").read_text())
     lap["entries"][0]["terms"][0]["perturbation"] = [
         {"b": "-3", "c": 1, "poly": {"1 0 0": [0.5, 0.25]}}]
+    # x1^2 is not harmonic, so its Gauss split scales a part (HomogPoly.scale)
+    lap["entries"][0]["terms"].append(
+        {"alpha": [0, 0, 0], "radial_exponent": -4.0, "poly": {"2 0 0": [0.5, 0.0]}})
     op = tmp_path / "op.json"
     op.write_text(json.dumps(lap))
     expr = tmp_path / "u.json"

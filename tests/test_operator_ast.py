@@ -30,7 +30,7 @@ from oppencil.operator_ast import (
 )
 from oppencil.radial_algebra import Expr
 from oppencil.weighted_norms import check_symbol_class
-from oracles import lambda_power
+from oracles import lambda_power, product_rule_adjoint
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -148,9 +148,13 @@ def test_serialization_is_row_major_in_any_entry_order(cr_system2d):
 
 
 # the fingerprints of operators/*.json and of their formal adjoints: a change
-# to the canonical form or to its serialization moves them
+# to the canonical form or to its serialization moves them.  anisotropic2d
+# is (A + A*)/2 with A* taken by the product rule on r^c H terms; the
+# program's adjoint differentiates monomials in Expr, so three of its
+# coefficients differ from the file's by under 1e-15 relative (0.05000000000000001
+# prints as 0.050000000000000044) and the adjoint has its own fingerprint
 FINGERPRINTS = {
-    "anisotropic2d": ("c62d6c4fdd603e76", "c62d6c4fdd603e76"),
+    "anisotropic2d": ("c62d6c4fdd603e76", "0a57775a8c319cfd"),
     "cr_system2d": ("ca53c734949e0ffa", "2cff5421db06b1f0"),
     "dbar2d": ("0aed05bc14c0694e", "fa4a00e876d39955"),
     "dipole_laplacian3d": ("a30170d594e42c03", "a30170d594e42c03"),
@@ -493,6 +497,80 @@ def test_self_adjointness_holds_to_round_off():
     assert is_formally_self_adjoint(op)
     aniso = json.loads((REPO / "operators" / "anisotropic2d.json").read_text())
     assert aniso == serialize_operator(op)
+
+
+def _random_systems(count, seed):
+    """k x k operators, k <= 2, of order m <= 3 on R^2 and R^3: on each
+    entry 1-3 terms with random monomials of degree <= 3 in complex
+    coefficients on derivatives up to the entry's order, a third of them
+    carrying a perturbation."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(count):
+        n, k, m = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        mu = [m] + [int(rng.integers(1, m + 1)) for _ in range(k - 1)]
+        nu = [0] + [int(rng.integers(0, 2)) for _ in range(k - 1)]
+        entries = []
+        for i, j in itertools.product(range(k), repeat=2):
+            order = mu[j] - nu[i]
+            if order < 0:
+                continue
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                alpha = [0] * n
+                for _ in range(int(rng.integers(0, order + 1))):
+                    alpha[int(rng.integers(n))] += 1
+                d = int(rng.integers(0, 4))
+                monos = {m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d}
+                poly = {" ".join(map(str, mono)): [round(float(rng.normal()), 3),
+                                                   round(float(rng.normal()), 3)]
+                        for mono in sorted(monos)[:int(rng.integers(1, 4))]}
+                term = {"alpha": alpha, "radial_exponent": float(sum(alpha) - order - d),
+                        "poly": poly}
+                if rng.random() < 1 / 3:
+                    term["perturbation"] = [{"b": str(-int(rng.integers(1, 3))),
+                                             "c": int(rng.integers(0, 2)),
+                                             "poly": {" ".join(["1"] + ["0"] * (n - 1)):
+                                                      [round(float(rng.normal()), 3), 0.5]}}]
+                terms.append(term)
+            entries.append({"i": i, "j": j, "terms": terms})
+        docs.append({"n": n, "k": k, "mu": mu, "nu": nu, "entries": entries})
+    return docs
+
+
+def test_adjoint_matches_the_product_rule_oracle():
+    # the program differentiates each coefficient monomial by monomial in
+    # Expr; the oracle term by harmonic term by the product rule on r^c H.
+    # Same structure and perturbations, principal coefficients to 1e-12 of
+    # the largest at the same (i, j, alpha)
+    for doc in _random_systems(400, seed=45):
+        op = parse_operator(doc)
+        got, want = formal_adjoint(op), product_rule_adjoint(op)
+        assert got.key[0] == want.key[0] and got.key[2] == want.key[2]
+        assert (got.mu, got.nu) == (want.mu, want.nu)
+        for key, terms in got.entries.items():
+            for (alpha, t), (_, u) in zip(terms, want.entries[key]):
+                scale = max(v.poly.norm_inf() for a, v in terms if a == alpha)
+                assert all(abs(c - u.poly.coeffs[mono]) <= 1e-12 * scale
+                           for mono, c in t.poly.coeffs.items())
+
+
+def test_symmetrized_first_order_terms_are_self_adjoint():
+    # -Delta on R^2 plus two first-order terms with coefficients of degree
+    # 1-3: a round-off monomial that the sum (A + A*)/2 leaves next to a
+    # large one is cut from the canonical form, so it cannot make the key
+    # of the operator differ from its adjoint's in structure
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        doc = laplacian_doc(2)
+        for _ in range(2):
+            d = int(rng.integers(1, 4))
+            powers = sorted({int(rng.integers(0, d + 1)) for _ in range(int(rng.integers(1, 3)))})
+            doc["entries"][0]["terms"].append(
+                {"alpha": [[1, 0], [0, 1]][int(rng.integers(2))], "radial_exponent": -1.0 - d,
+                 "poly": {f"{a} {d - a}": [round(float(rng.uniform(-0.5, 0.5)), 2), 0.0]
+                          for a in powers}})
+        assert is_formally_self_adjoint(parse_operator(symmetrized_doc(doc)))
 
 
 # ---------------------------------------------------------------------------

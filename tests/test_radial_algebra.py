@@ -1,4 +1,6 @@
-"""Tests for the exact r^c * harmonic algebra and sphere moments."""
+"""Tests for the Gauss decomposition and sphere moments, and for the
+oracle's r^c * harmonic product-rule ring (tests/oracles.py) that the
+pencil and adjoint tests check the program against."""
 
 import math
 from fractions import Fraction
@@ -8,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from oppencil.radial_algebra import (
     HomogPoly,
-    RadialFunction,
-    differentiate,
     _moment_fraction,
     harmonic_decompose,
     harmonic_dim,
@@ -17,7 +17,17 @@ from oppencil.radial_algebra import (
     surface_measure,
 )
 from oppencil.errors import HomogeneityError
-from oracles import constant_poly, exact_harmonics, radial_add, radial_scale, radial_zero
+from oracles import (
+    RadialFunction,
+    constant_poly,
+    differentiate,
+    exact_harmonics,
+    monomial,
+    poly_mul,
+    radial_add,
+    radial_scale,
+    radial_zero,
+)
 
 
 def max_abs_coeff(f):
@@ -64,7 +74,7 @@ def gamma_moment_oracle(alpha):
 # ---------------------------------------------------------------------------
 
 def test_decompose_x1_squared_n3():
-    P = HomogPoly.monomial(3, (2, 0, 0), Fraction(1))
+    P = monomial(3, (2, 0, 0), Fraction(1))
     parts = dict(harmonic_decompose(P))
     assert set(parts) == {0, 1}
     # H_2 = x1^2 - |x|^2/3, H_0 = 1/3
@@ -76,7 +86,7 @@ def test_decompose_x1_squared_n3():
 
 
 def test_decompose_x1x2_already_harmonic():
-    P = HomogPoly.monomial(3, (1, 1, 0), Fraction(1))
+    P = monomial(3, (1, 1, 0), Fraction(1))
     parts = harmonic_decompose(P)
     assert parts == [(0, P)]
 
@@ -135,7 +145,7 @@ def test_differentiate_r2():
 
 
 def test_differentiate_x1():
-    f = RadialFunction(3, [(0j, HomogPoly.monomial(3, (1, 0, 0), 1.0))])
+    f = RadialFunction(3, [(0j, monomial(3, (1, 0, 0), 1.0))])
     g = differentiate(f, 0)
     assert len(g.terms) == 1
     c, H = g.terms[0]
@@ -146,10 +156,10 @@ def test_differentiate_x1():
 def test_euler_identity(s):
     # i * sum x_i D_i f = s f for f = r^(s-1) * x_1 (homogeneity s)
     n = 3
-    f = RadialFunction(n, [(s - 1, HomogPoly.monomial(n, (1, 0, 0), 1.0))])
+    f = RadialFunction(n, [(s - 1, monomial(n, (1, 0, 0), 1.0))])
     acc = radial_zero(n)
     for i in range(n):
-        xi = HomogPoly.monomial(n, tuple(1 if a == i else 0 for a in range(n)), 1.0)
+        xi = monomial(n, tuple(1 if a == i else 0 for a in range(n)), 1.0)
         acc = radial_add(acc, _times(differentiate(f, i), 0.0, xi))
     acc = radial_scale(acc, 1j)
     diff = radial_add(acc, radial_scale(f, -s))
@@ -182,7 +192,7 @@ def _times(f, radial_exponent, poly):
     """r^radial_exponent * poly * f, re-canonicalized through from_parts as
     operator coefficients are."""
     return RadialFunction.from_parts(
-        f.n, [(c + radial_exponent, poly.mul(H)) for c, H in f.terms])
+        f.n, [(c + radial_exponent, poly_mul(poly, H)) for c, H in f.terms])
 
 
 def test_multiply_constant_power():
@@ -193,8 +203,8 @@ def test_multiply_constant_power():
 
 def test_multiply_x1_on_x1():
     # x1 * (r^-1 x1) = r^-1 x1^2 = r^-1 (x1^2 - r^2/3) + (1/3) r
-    f = RadialFunction(3, [(0j, HomogPoly.monomial(3, (1, 0, 0), 1.0))])
-    g = _times(f, -1.0, HomogPoly.monomial(3, (1, 0, 0), 1.0))
+    f = RadialFunction(3, [(0j, monomial(3, (1, 0, 0), 1.0))])
+    g = _times(f, -1.0, monomial(3, (1, 0, 0), 1.0))
     terms = {H.degree: (c, H) for c, H in g.terms}
     assert set(terms) == {0, 2}
     c0, H0 = terms[0]
@@ -261,14 +271,14 @@ def test_inner_product_constants_n3():
 
 
 def test_inner_product_x1_x2_orthogonal():
-    f = RadialFunction(3, [(-1 + 0j, HomogPoly.monomial(3, (1, 0, 0), 1.0))])
-    g = RadialFunction(3, [(-1 + 0j, HomogPoly.monomial(3, (0, 1, 0), 1.0))])
+    f = RadialFunction(3, [(-1 + 0j, monomial(3, (1, 0, 0), 1.0))])
+    g = RadialFunction(3, [(-1 + 0j, monomial(3, (0, 1, 0), 1.0))])
     assert abs(sphere_inner_product(f, g)) < 1e-14
     assert sphere_inner_product(f, f) == pytest.approx(4 * math.pi / 3, rel=1e-12)
 
 
 def test_inner_product_requires_homogeneity_zero():
-    f = RadialFunction(3, [(0j, HomogPoly.monomial(3, (1, 0, 0), 1.0))])
+    f = RadialFunction(3, [(0j, monomial(3, (1, 0, 0), 1.0))])
     with pytest.raises(HomogeneityError):
         sphere_inner_product(f, f)
 
