@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Time one-shot `oppencil` processes, one command per process, and write
+the matrix as JSON.
+
+Usage: python scripts/bench_matrix.py [--src DIR] [--runs K] [-o FILE]
+
+DIR (default: this checkout's src/) holds the oppencil package to time.
+Each row is one command on one operators/*.json document of this
+checkout: `res`, `index --anchor cc`, `index --anchor selfadjoint` and
+`verify-cc` on (-0.5, 3.5) at degree 4, and `model-solve --mode 0
+--beta1 1.5 --beta2 2.5`.  A row runs `python -m oppencil.cli` once
+untimed, then K times timed (default 5), one process at a time, and
+records each timed run's exit code and wall time, the times' minimum and
+median, and the first line of the last run's stderr.
+
+Rows run in two start modes, each on its own temporary copy of DIR
+without __pycache__, so nothing is written into DIR or this checkout:
+"bytecode", where the untimed run writes __pycache__ and the timed runs
+read it (a user's installed package), and "fresh", with
+PYTHONDONTWRITEBYTECODE=1 and no __pycache__, so every process compiles
+the package's modules it loads (as perfbench's worker runs).  Every
+process gets one BLAS thread, as perfbench's do.
+
+The file also records the timed tree (its git commit, whether DIR differs
+from that commit, a sha256 of its .py files and their line count), the
+Python and numpy versions, the median row time of each mode and command
+over the documents, and perfbench/hostspeed.sample() before and after the
+matrix: the calibration task's time tells a slow host from a slow tree.
+"""
+
+import argparse
+import hashlib
+import importlib.metadata
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_WINDOW = ["-0.5", "3.5", "--degree", "4"]
+COMMANDS = {
+    "res": ["res", "--strip", *_WINDOW],
+    "index cc": ["index", "--anchor", "cc", "--window", *_WINDOW],
+    "index selfadjoint": ["index", "--anchor", "selfadjoint", "--window", *_WINDOW],
+    "verify-cc": ["verify-cc", "--window", *_WINDOW],
+    "model-solve": ["model-solve", "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"],
+}
+MODES = ("bytecode", "fresh")
+
+
+def load_hostspeed():
+    """perfbench/hostspeed.py, run from its source, so that no bytecode is
+    written under perfbench/."""
+    path = ROOT / "perfbench" / "hostspeed.py"
+    module = types.ModuleType("hostspeed")
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+def start_env(src_copy, mode):
+    """The environment of every process timed on `src_copy` in `mode`."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONPATH"] = str(src_copy)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    if mode == "fresh":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def copy_tree(src, dest):
+    """A copy of the package tree `src` at `dest`, without __pycache__."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def time_row(env, cwd, command, operator, runs):
+    """One untimed run of `command` on `operator`, then `runs` timed ones."""
+    argv = [COMMANDS[command][0], str(operator), *COMMANDS[command][1:]]
+    times, exits = [], []
+    for _ in range(runs + 1):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "oppencil.cli", *argv], cwd=cwd,
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=600)
+        times.append(time.perf_counter() - start)
+        exits.append(proc.returncode)
+    times, exits = times[1:], exits[1:]
+    return {"command": command, "operator": operator.stem, "exits": exits,
+            "stderr": proc.stderr.partition("\n")[0], "min_s": min(times),
+            "median_s": statistics.median(times), "times_s": times}
+
+
+def tree_record(src):
+    """The timed tree: its commit, whether it differs from it, a hash and
+    the line count of its .py files."""
+    def git(*args):
+        try:
+            out = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                                 text=True, timeout=30)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    files = sorted(p for p in src.rglob("*.py") if "__pycache__" not in p.parts)
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(str(p.relative_to(src)).encode() + b"\0" + p.read_bytes() + b"\0")
+    status = git("status", "--porcelain", "--", ".")
+    return {"commit": git("rev-parse", "HEAD"),
+            "differs_from_commit": None if status is None else bool(status),
+            "src_sha256": digest.hexdigest(),
+            "src_lines": sum(len(p.read_text().splitlines()) for p in files)}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory holding the oppencil package (default: src/)")
+    p.add_argument("--runs", type=int, default=5, help="timed runs per row")
+    p.add_argument("-o", "--output", help="write the JSON here (default: stdout)")
+    args = p.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "oppencil" / "cli.py").is_file() or args.runs < 1:
+        p.error(f"need --runs >= 1 and {src}/oppencil/cli.py")
+    operators = sorted((ROOT / "operators").glob("*.json"))
+    hostspeed = load_hostspeed()
+    out = {"tree": tree_record(src), "python": platform.python_version(),
+           "numpy": importlib.metadata.version("numpy"), "runs": args.runs,
+           "blas_threads": 1, "hostspeed_before_s": hostspeed.sample(), "rows": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in MODES:
+            copy = copy_tree(src, Path(tmp) / mode)
+            env = start_env(copy, mode)
+            for operator in operators:
+                for command in COMMANDS:
+                    row = time_row(env, tmp, command, operator, args.runs)
+                    out["rows"].append({"mode": mode, **row})
+                    print(f"{mode} {command} {operator.stem}: exits {row['exits']}, "
+                          f"median {row['median_s'] * 1e3:.1f} ms", file=sys.stderr)
+            if mode == "fresh" and any(copy.rglob("__pycache__")):
+                sys.exit("a fresh run wrote __pycache__")
+    out["hostspeed_after_s"] = hostspeed.sample()
+    out["median_s"] = {mode: {command: statistics.median(
+        r["median_s"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
+        for command in COMMANDS} for mode in MODES}
+    text = json.dumps(out, indent=1) + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,14 +9,17 @@ res, index, adjoint, adjoint-check, norm, model-solve, verify-cc.  Exit
 codes: 0 success, 2 schema error (also an unknown flag, an input file
 that cannot be read or is not UTF-8 JSON, and a report that cannot be
 written), 3 numerical guard, 4 not applicable (also an operator with no
-formal adjoint).  A process keeps the operators of the last four
+formal adjoint).  A process loads only what its command runs: the index
+ledger with index, adjoint-check and verify-cc, the model solver with
+model-solve, the weighted norms with norm, and never numpy.ma (no
+flag-less np.unique).  A process keeps the operators of the last four
 documents it read, matched byte for byte, so a repeated document is not
-parsed or fingerprinted again.  Each subcommand
-takes only the flags it reads: -o on all, --format {json,csv} on res and
-index, --seed on norm, --threads on ellipticity (spectrum accepts it
-without effect).  The only randomness is the fixed compression seed of
-the coupled eigensolve and the --seed of norm --kind holder, so reports
-are byte-identical across repeated runs and across --threads settings.
+parsed or fingerprinted again.  Each subcommand takes only the flags it
+reads: -o on all, --format {json,csv} on res and index, --seed on norm,
+--threads on ellipticity (spectrum accepts it without effect).  The only
+randomness is the fixed compression seed of the coupled eigensolve and the
+--seed of norm --kind holder, so reports are byte-identical across
+repeated runs and across --threads settings.
 """
 
 from __future__ import annotations
@@ -32,18 +35,6 @@ import numpy as np
 
 from . import __version__
 from .errors import NotApplicable, NumericalGuard, SchemaError
-from .index_ledger import (
-    Anchor,
-    adjoint_res_check,
-    build_ledger,
-    check_anchor,
-    pn_mu_nu,
-)
-from .model_solver import (
-    line_difference_expansion,
-    mode_pencil,
-    verify_coefficient_formula,
-)
 from .operator_ast import (
     check_ellipticity,
     formal_adjoint,
@@ -163,6 +154,8 @@ def _key_values(text, what):
 
 
 def _parse_anchor(spec):
+    # the ledger loads only with index, adjoint-check and verify-cc
+    from .index_ledger import Anchor
     if spec in ("cc", "selfadjoint"):
         return Anchor(spec)
     if spec.startswith("user:"):
@@ -182,6 +175,7 @@ def _parse_anchor(spec):
 
 
 def cmd_index(args):
+    from .index_ledger import build_ledger, check_anchor
     anchor = _parse_anchor(args.anchor)
     op = _load_operator(args.operator)
     check_anchor(op, anchor)   # refuse before the strip is solved
@@ -202,6 +196,7 @@ def cmd_adjoint(args):
 
 
 def cmd_adjoint_check(args):
+    from .index_ledger import adjoint_res_check
     op = _load_operator(args.operator)
     adj = formal_adjoint(op)
     b1, b2 = args.window
@@ -279,6 +274,8 @@ def _parse_f_spec(args):
 
 
 def cmd_model_solve(args):
+    # the model solver is a leaf module only this command loads
+    from .model_solver import line_difference_expansion, mode_pencil, verify_coefficient_formula
     t, f = _parse_f_spec(args)
     op = _load_operator(args.operator)
     P = assemble_pencil(op, default_l_max(op, args.mode),
@@ -299,6 +296,7 @@ def cmd_model_solve(args):
 
 def cmd_verify_cc(args):
     """Cross-check: combinatorial breakpoints == computed critical lines."""
+    from .index_ledger import pn_mu_nu
     op = _load_operator(args.operator)
     if not is_homogeneous_cc(op):
         raise NotApplicable("verify-cc requires a homogeneous cc principal part")

@@ -119,8 +119,12 @@ def choose_grid(f, betas, min_T: float = 0.0):
             weighted = [(np.exp(beta * t) * vals.T).T for beta in betas]
             if not all(_decays(w) for w in weighted):
                 break
-            hats = [np.fft.fft(w, axis=0) for w in weighted]
-            if all(_decays_in_spectrum(what) for what in hats):
+            hats = []
+            for w in weighted:   # a DFT only while the grid can still pass
+                hats.append(np.fft.fft(w, axis=0))
+                if not _decays_in_spectrum(hats[-1]):
+                    break
+            else:
                 return t, vals, hats
             if n == _GRID_SIZES[-1]:
                 raise GridTooShort(f"weighted data does not decay below 1e-12 in its "

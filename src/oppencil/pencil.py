@@ -171,8 +171,9 @@ class PencilMatrices:
             node += self.row_degrees
             rows, cols = np.nonzero(self.B.any(axis=0))
             label = component_labels(self.k * width, node[rows], node[cols])[node]
-            return [(idx, idx) for idx in
-                    (np.flatnonzero(label == c) for c in np.unique(label))]
+            # sorted labels by bincount: a flag-less np.unique loads numpy.ma
+            return [(idx, idx) for idx in (np.flatnonzero(label == c)
+                                           for c in np.flatnonzero(np.bincount(label)))]
         n_r, kept = self.size, self.kept
         rows, cols = np.nonzero(self.B[:, :, kept].any(axis=0))
         label = component_labels(n_r + len(kept), rows, n_r + cols)

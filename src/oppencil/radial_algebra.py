@@ -319,7 +319,7 @@ class Expr:
     def from_json(doc, n):
         if not isinstance(doc, list):
             raise SchemaError("Expr JSON must be a list of terms")
-        out = None
+        terms = {}
         for item in doc:
             if not isinstance(item, dict):
                 raise SchemaError(f"Expr term must be an object, got {item!r}")
@@ -329,9 +329,13 @@ class Expr:
             c = _as_fraction(item.get("c", 0), "Expr c")
             for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
                 if coeff:   # a zero term is no term, as in every ring operation
-                    t = Expr.term(n, b, c, expo, coeff)
-                    out = t if out is None else out + t
-        return Expr.zero(n) if out is None else out
+                    # -0j + v is v bit for bit: a term is kept as read, signed
+                    # zeros too, wherever it stands, and a repeated key sums
+                    key = (b, c, expo)
+                    terms[key] = terms.get(key, -0j) + coeff
+                    if not terms[key]:
+                        del terms[key]
+        return Expr(n, terms)
 
     def to_json(self):
         return [{"b": str(b), "c": str(c), "poly": _write_monomials({mono: coeff})}

@@ -233,7 +233,7 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
         remembered = np.zeros(len(centres), dtype=bool)
         remembered[list(P.points)] = True
         todo = keep & ~remembered[label]
-        for i in np.unique(square[todo]).tolist():
+        for i in np.flatnonzero(np.bincount(square[todo])).tolist():
             sel = np.flatnonzero(todo & (square == i))
             sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
                                          P.restriction(i), vals[sel], P.B.size))
@@ -705,7 +705,7 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
         raise UnstableSpectrum(
             f"{found - len(in_strip)} of {found} eigenvalues in ({beta1}, {beta2}) "
             "fail certification at this degree; raise --degree")
-    picked = np.unique(P.clusters[0][band]).tolist()
+    picked = np.flatnonzero(np.bincount(P.clusters[0][band])).tolist()
     known = P.points
     miss = [c for c in picked if c not in known]
     new = dict(zip(miss, jordan_chains(P, miss))) if miss else {}

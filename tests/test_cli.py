@@ -907,6 +907,23 @@ def test_example_scripts_at_their_defaults(monkeypatch, capsys, name, last_line)
     assert capsys.readouterr().out.splitlines()[-1] == last_line
 
 
+def test_bench_matrix_times_one_row(tmp_path):
+    # one fresh-start row with K = 1, on a copy that no run writes bytecode into
+    bench = _script("bench_matrix")
+    copy = bench.copy_tree(REPO / "src", tmp_path / "fresh")
+    row = bench.time_row(bench.start_env(copy, "fresh"), tmp_path, "res",
+                         REPO / "operators" / "laplacian3d.json", 1)
+    assert sorted(row) == ["command", "exits", "median_s", "min_s", "operator",
+                           "stderr", "times_s"]
+    assert (row["command"], row["operator"], row["exits"], row["stderr"]) == (
+        "res", "laplacian3d", [0], "")
+    assert row["times_s"] == [row["min_s"]] == [row["median_s"]] and row["min_s"] > 0
+    assert not any(copy.rglob("__pycache__"))
+    tree = bench.tree_record(REPO / "src")
+    assert sorted(tree) == ["commit", "differs_from_commit", "src_lines", "src_sha256"]
+    assert tree["src_lines"] > 0 and bench.load_hostspeed().sample() > 0
+
+
 def test_answer_dump_smoke(capsys):
     dump = _script("answer_dump")
     path = str(REPO / "operators" / "laplacian2d.json")

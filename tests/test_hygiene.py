@@ -17,7 +17,9 @@ method must instead be called by one run of each CLI subcommand, as a
 profiler sees it.
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
-scipy module (the tests use scipy only as an independent oracle).
+scipy module (the tests use scipy only as an independent oracle), no
+numpy.ma, and neither the index ledger nor the model solver unless its
+command runs one.
 
 The modules form layers (LAYERS): each imports only modules before it, so
 the document codec and the exact rings sit below the operators, and the
@@ -235,20 +237,43 @@ def test_parameters_are_read():
     assert unread == []
 
 
-def test_cli_run_loads_no_scipy(tmp_path):
-    out = tmp_path / "res.json"
-    argv = ["res", str(REPO / "operators" / "laplacian3d.json"),
-            "--strip", "-0.5", "3.5", "--degree", "4", "-o", str(out)]
+_WINDOW = "-0.5 3.5 --degree 4"
+# (argv, the one oppencil module it must not load): the second word of argv
+# names operators/<name>.json.  The ledger and the model solver load only
+# with the commands that run them
+_RUNS = [(f"spectrum laplacian3d --strip {_WINDOW}", "oppencil.model_solver"),
+         (f"res laplacian3d --strip {_WINDOW}", "oppencil.model_solver"),
+         (f"index laplacian3d --anchor selfadjoint --window {_WINDOW}",
+          "oppencil.model_solver"),
+         (f"index cr_system2d --anchor cc --window {_WINDOW}", "oppencil.model_solver"),
+         (f"verify-cc laplacian3d --window {_WINDOW}", "oppencil.model_solver"),
+         (f"adjoint-check laplacian3d --window {_WINDOW}", "oppencil.model_solver"),
+         ("model-solve laplacian3d --mode 1 --beta1 -0.5 --beta2 1.5",
+          "oppencil.index_ledger")]
+
+
+@pytest.mark.parametrize("argv, absent", _RUNS,
+                         ids=["-".join(argv.split()[:2]) for argv, _ in _RUNS])
+def test_cli_run_loads_no_scipy(tmp_path, argv, absent):
+    # nor numpy.ma, which a flag-less np.unique imports
+    command, name, *flags = argv.split()
+    out, here = tmp_path / "report.json", tmp_path / "here.json"
+    argv = [command, str(REPO / "operators" / f"{name}.json"), *flags, "-o"]
     code = ("import json, sys\n"
             "from oppencil.cli import main\n"
-            f"code = main({argv!r})\n"
+            f"code = main({[*argv, str(out)]!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            "                                if m.partition('.')[0] == 'scipy')]))\n")
+            "                                if m.partition('.')[0] == 'scipy'\n"
+            f"                                or m in ('numpy.ma', {absent!r}))]))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        cwd=REPO, timeout=120)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [0, []]
-    assert json.loads(out.read_text())["res_lines"]
+    # the fresh interpreter writes the report this one writes
+    from oppencil.cli import main
+    assert main([*argv, str(here)]) == 0
+    assert out.read_text() == here.read_text()
+    assert command != "res" or json.loads(out.read_text())["res_lines"]
 
 
 def test_modules_import_only_lower_layers():

@@ -503,6 +503,19 @@ def test_spectrum_read_without_the_shift_decides_as_the_shifted_read(width):
     assert seen == {True, False}
 
 
+def test_choose_grid_takes_a_dft_only_while_the_grid_can_pass(monkeypatch):
+    # at 256 points the first line's spectrum has not decayed, so the
+    # second line's DFT is not taken; at 512 both pass, and the hats are
+    # each line's DFT
+    sizes, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda w, axis: sizes.append(len(w)) or fft(w, axis=axis))
+    betas = [0.0, 0.5]
+    t, vals, hats = model_solver.choose_grid(lambda t: np.exp(-50 * t ** 2), betas)
+    assert sizes == [256, 512, 512]
+    for beta, what in zip(betas, hats):
+        assert np.array_equal(what, fft(np.exp(beta * t) * vals, axis=0))
+
+
 def test_choose_grid_refuses_a_spectrum_that_does_not_decay():
     # a box has a jump at each edge, so its spectrum decays like 1/sigma;
     # a longer grid would only be coarser

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,23 @@ def test_equality_is_bitwise_and_self_adjointness_is_not():
     a, b = potential(0.0), potential(-0.0)
     assert a == potential(0.0) and a != b and a.fingerprint() != b.fingerprint()
     assert is_formally_self_adjoint(a) and is_formally_self_adjoint(b)
+
+
+def test_perturbation_term_order_keeps_signed_zeros():
+    # every perturbation term is read alike, so the second term's -0.0 is
+    # kept as the first term's is, and the order of the terms is no part
+    # of the operator or its fingerprint
+    def potential(monos):
+        doc = laplacian_doc(3)
+        doc["entries"][0]["terms"].append(
+            {"alpha": [0, 0, 0], "radial_exponent": -2.0, "poly": {"0 0 0": [0.0, 0.0]},
+             "perturbation": [{"b": -2, "poly": {m: [0.5, -0.0]}} for m in monos]})
+        return parse_operator(doc)
+
+    a, b = potential(["1 0 0", "0 1 0"]), potential(["0 1 0", "1 0 0"])
+    assert a == b and a.fingerprint() == b.fingerprint()
+    pert = [t.perturbation for _, t in a.entries[0, 0] if t.perturbation is not None]
+    assert [math.copysign(1, v.imag) for v in pert[0].terms.values()] == [-1, -1]
 
 
 @pytest.mark.parametrize("poly", [{"0 0 0": [0.0, 0.0]}, {"0 0 0": [-0.0, 0.0]},
