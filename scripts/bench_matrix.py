@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Time one-shot `oppencil` processes, one command per process, and write
-the matrix as JSON.
+"""Time `oppencil` commands, one-shot processes and calls inside one
+process, and write the matrix as JSON.
 
 Usage: python scripts/bench_matrix.py [--src DIR] [--runs K] [-o FILE]
 
 DIR (default: this checkout's src/) holds the oppencil package to time.
 Each row is one command on one operators/*.json document of this
-checkout: `res`, `index --anchor cc`, `index --anchor selfadjoint` and
-`verify-cc` on (-0.5, 3.5) at degree 4, and `model-solve --mode 0
---beta1 1.5 --beta2 2.5`.  A row runs `python -m oppencil.cli` once
-untimed, then K times timed (default 5), one process at a time, and
-records each timed run's exit code and wall time, the times' minimum and
-median, and the first line of the last run's stderr.
+checkout: `res`, `index --anchor cc`, `index --anchor selfadjoint`,
+`verify-cc` and `adjoint-check` on (-0.5, 3.5) at degree 4, and
+`model-solve --mode 0 --beta1 1.5 --beta2 2.5`.  A one-shot row runs
+`python -m oppencil.cli` once untimed, then K times timed (default 5),
+one process at a time, and records each timed run's exit code and wall
+time, the times' minimum and median, and the first line of the last
+run's stderr.
 
 Rows run in two start modes, each on its own temporary copy of DIR
 without __pycache__, so nothing is written into DIR or this checkout:
@@ -21,16 +22,28 @@ PYTHONDONTWRITEBYTECODE=1 and no __pycache__, so every process compiles
 the package's modules it loads (as perfbench's worker runs).  Every
 process gets one BLAS thread, as perfbench's do.
 
+In-process rows (`in_process_rows`) time the same commands through
+`oppencil.cli.main` in one worker process, K timed calls a row, and
+record the same fields; their minimum is the row's time.  A "cold" row
+clears the kept pencils (`pencil._pencils`) and documents
+(`cli._parse_document`) before each call, so each call reads, parses,
+assembles and solves (the ladder tables stay memoized); a "kept" row
+makes one untimed call first and then repeats it, clearing nothing, as a
+repeated request in a long-lived process runs.
+
 The file also records the timed tree (its git commit, whether DIR differs
 from that commit, a sha256 of its .py files and their line count), the
 Python and numpy versions, the median row time of each mode and command
-over the documents, and perfbench/hostspeed.sample() before and after the
-matrix: the calibration task's time tells a slow host from a slow tree.
+over the documents (`median_s`, and `in_process_min_s` of the rows'
+minima), and perfbench/hostspeed.sample() before and after the matrix:
+the calibration task's time tells a slow host from a slow tree.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
+import io
 import json
 import os
 import platform
@@ -50,9 +63,11 @@ COMMANDS = {
     "index cc": ["index", "--anchor", "cc", "--window", *_WINDOW],
     "index selfadjoint": ["index", "--anchor", "selfadjoint", "--window", *_WINDOW],
     "verify-cc": ["verify-cc", "--window", *_WINDOW],
+    "adjoint-check": ["adjoint-check", "--window", *_WINDOW],
     "model-solve": ["model-solve", "--mode", "0", "--beta1", "1.5", "--beta2", "2.5"],
 }
 MODES = ("bytecode", "fresh")
+KINDS = ("cold", "kept")
 
 
 def load_hostspeed():
@@ -97,6 +112,53 @@ def time_row(env, cwd, command, operator, runs):
     return {"command": command, "operator": operator.stem, "exits": exits,
             "stderr": proc.stderr.partition("\n")[0], "min_s": min(times),
             "median_s": statistics.median(times), "times_s": times}
+
+
+def in_process_row(kind, command, operator, runs):
+    """`runs` timed oppencil.cli.main calls of `command` on `operator` in
+    this process: a "cold" row clears the kept pencils and documents
+    before each call, a "kept" row makes one untimed call first."""
+    from oppencil import cli, pencil
+    argv = [COMMANDS[command][0], str(operator), *COMMANDS[command][1:]]
+
+    def call():
+        if kind == "cold":
+            pencil._pencils.clear()
+            cli._parse_document.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return time.perf_counter() - start, code, err.getvalue()
+
+    if kind == "kept":
+        call()
+    calls = [call() for _ in range(runs)]
+    times = [t for t, _, _ in calls]
+    return {"kind": kind, "command": command, "operator": operator.stem,
+            "exits": [code for _, code, _ in calls],
+            "stderr": calls[-1][2].partition("\n")[0], "min_s": min(times),
+            "median_s": statistics.median(times), "times_s": times}
+
+
+def in_process_rows(runs):
+    """Print every in-process row, each kind, document and command, as one
+    JSON list (the worker's body)."""
+    json.dump([in_process_row(kind, command, operator, runs) for kind in KINDS
+               for operator in sorted((ROOT / "operators").glob("*.json"))
+               for command in COMMANDS], sys.stdout)
+
+
+def run_worker(env, cwd, runs):
+    """in_process_rows in one worker process with `env` (its PYTHONPATH
+    names the timed package first)."""
+    env = dict(env, PYTHONPATH=os.pathsep.join([env["PYTHONPATH"], str(ROOT / "scripts")]))
+    proc = subprocess.run([sys.executable, "-c", "import bench_matrix; "
+                           f"bench_matrix.in_process_rows({int(runs)})"], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=3600)
+    if proc.returncode:
+        sys.exit(f"the in-process worker failed: {proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def tree_record(src):
@@ -148,10 +210,19 @@ def main(argv=None):
                           f"median {row['median_s'] * 1e3:.1f} ms", file=sys.stderr)
             if mode == "fresh" and any(copy.rglob("__pycache__")):
                 sys.exit("a fresh run wrote __pycache__")
+        # the worker imports the fresh copy, which it leaves without bytecode
+        out["in_process_rows"] = run_worker(start_env(Path(tmp) / "fresh", "fresh"), tmp,
+                                            args.runs)
+        for row in out["in_process_rows"]:
+            print(f"in-process {row['kind']} {row['command']} {row['operator']}: exits "
+                  f"{row['exits']}, min {row['min_s'] * 1e3:.2f} ms", file=sys.stderr)
     out["hostspeed_after_s"] = hostspeed.sample()
     out["median_s"] = {mode: {command: statistics.median(
         r["median_s"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
         for command in COMMANDS} for mode in MODES}
+    out["in_process_min_s"] = {kind: {command: statistics.median(
+        r["min_s"] for r in out["in_process_rows"] if (r["kind"], r["command"]) == (kind, command))
+        for command in COMMANDS} for kind in KINDS}
     text = json.dumps(out, indent=1) + "\n"
     if args.output:
         Path(args.output).write_text(text)

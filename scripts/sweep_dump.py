@@ -261,27 +261,33 @@ def tally(path):
     return int(bool(wrong))
 
 
-def tally_grid(grid, rows):
-    """Print one grid's block of the tally; the number of wrong answers."""
-    answered = right = 0
-    wrong, refused = [], Counter()
+def judge(grid, rows):
+    """(right, wrong, refused) of one grid's rows: how many answered the
+    closed form, the (row, what was printed) of each answered otherwise at
+    exit 0, and the refusals by reason (numbers and points elided)."""
+    right, wrong, refused = 0, [], Counter()
     for row in rows:
         if row["exit"] == 0:
-            answered += 1
             ok, what = CHECKS[grid](row)
             if ok:
                 right += 1
             else:
-                wrong.append(f"{' '.join(row['argv'])}: {what}")
+                wrong.append((row, what))
         else:
             reason = _NUMBER.sub("#", _POINT.sub("(z)", row["stderr"]))
             refused[f"exit {row['exit']}: {reason}"] += 1
+    return right, wrong, refused
+
+
+def tally_grid(grid, rows):
+    """Print one grid's block of the tally; the number of wrong answers."""
+    right, wrong, refused = judge(grid, rows)
     print(f"{grid} cases: {len(rows)}")
-    print(f"answered: {answered}")
+    print(f"answered: {right + len(wrong)}")
     print(f"  with the closed-form answer: {right}")
     print(f"  wrong at exit 0: {len(wrong)}")
-    for line in wrong:
-        print(f"    {line}")
+    for row, what in wrong:
+        print(f"    {' '.join(row['argv'])}: {what}")
     print(f"refused: {sum(refused.values())}")
     for reason, count in refused.most_common():
         print(f"  {count:5d}  {reason}")

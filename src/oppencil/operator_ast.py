@@ -10,19 +10,20 @@ entry is a sum of terms
 where each principal coefficient is r^e * P(x) with P a homogeneous
 polynomial subject to e + deg P = |alpha| - order (so that the coefficient
 restricted to the unit sphere is a genuine sphere polynomial), plus an
-optional declared perturbation in radial_algebra's Expr ring.
-parse_operator takes a decoded document and reads it through
-radial_algebra's codec.  formal_adjoint takes every Leibniz derivative in
-the Expr ring, principal coefficient and perturbation alike, and hands the
-raw parts over as canonicalize (which parse_operator ends with) hands a
-document's: one builder splits principal coefficients into harmonic
-components, cuts each monomial against its multi-index's raw parts and
-stores each poly's monomials sorted.  The canonical form is a fixed point
-of canonicalize, so round-tripping is exact, the adjoint needs no second
-pass and one key (SystemOperator.key, read by equality, the
-self-adjointness test and the kept pencils) compares operators as they
-stand.  The adjoint involution holds to round-off: Leibniz derivatives of
-variable coefficients are float.
+optional declared perturbation.  Both are held in radial_algebra's Expr
+ring, P as an Expr whose terms all have b = c = 0.  parse_operator takes
+a decoded document and reads it through radial_algebra's codec.
+formal_adjoint takes every Leibniz derivative in the Expr ring, principal
+coefficient and perturbation alike, and hands the derivative's terms,
+grouped by radial exponent, over as canonicalize (which parse_operator
+ends with) hands a document's: one step (_entry_terms) splits principal
+coefficients into harmonic components, cuts each monomial against its
+multi-index's raw parts and stores each poly's monomials sorted.  The
+canonical form is a fixed point of canonicalize, so round-tripping is
+exact, the adjoint needs no second pass and one key (SystemOperator.key,
+read by equality, the self-adjointness test and the kept pencils)
+compares operators as they stand.  The adjoint involution holds to
+round-off: Leibniz derivatives of variable coefficients are float.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import product
 import numpy as np
 
 from .errors import AdjointOrderViolation, BadDNOrders, OrderMismatch, SchemaError
-from .radial_algebra import (Expr, HomogPoly, _read_monomials, _read_number, _sphere_points,
+from .radial_algebra import (Expr, _read_monomials, _read_number, _sphere_points,
                              _write_monomials, harmonic_terms)
 
 _COEFF_TOL = 1e-12
@@ -61,10 +62,11 @@ def validate_multi_index(alpha, n) -> tuple:
 
 @dataclass
 class CoeffTerm:
-    """One coefficient r^radial_exponent * poly (+ optional perturbation)."""
+    """One coefficient r^radial_exponent * poly (+ optional perturbation),
+    poly a homogeneous polynomial: an Expr whose terms all have b = c = 0."""
 
     radial_exponent: float
-    poly: HomogPoly
+    poly: Expr
     perturbation: Expr | None = None
 
 
@@ -87,7 +89,8 @@ class SystemOperator:
     def order(self, i, j) -> int:
         return self.mu[j] - self.nu[i]
 
-    def max_poly_degree(self):
+    @cached_property
+    def max_poly_degree(self) -> int:
         return max((t.poly.degree for terms in self.entries.values() for _, t in terms),
                    default=0)
 
@@ -102,9 +105,10 @@ class SystemOperator:
         for (i, j), terms in sorted(self.entries.items()):
             for alpha, t in terms:
                 pert = sorted(t.perturbation.terms.items()) if t.perturbation else ()
-                structure.append((i, j, alpha, t.radial_exponent, tuple(t.poly.coeffs),
+                structure.append((i, j, alpha, t.radial_exponent,
+                                  tuple(m for _, _, m in t.poly.terms),
                                   tuple(term for term, _ in pert)))
-                coeffs += t.poly.coeffs.values()
+                coeffs += t.poly.terms.values()
                 perts += (v for _, v in pert)
         return tuple(structure), *(np.array(a, complex).tobytes() for a in (coeffs, perts))
 
@@ -142,6 +146,7 @@ class EllipticityReport:
 # ---------------------------------------------------------------------------
 
 def _parse_poly(doc, n):
+    """(poly, degree) of a term's monomial map, its zero monomials dropped."""
     coeffs = _read_monomials(doc, n, "term")
     if not coeffs:
         raise SchemaError("term poly must be a non-empty monomial map")
@@ -149,7 +154,7 @@ def _parse_poly(doc, n):
     if len(degrees) != 1:
         raise SchemaError("term poly is not homogeneous of a single degree")
     # an all-zero poly is legal only as the carrier of a perturbation
-    return HomogPoly(n, degrees.pop(), {m: c for m, c in coeffs.items() if c != 0})
+    return Expr(n, {(0, 0, m): c for m, c in coeffs.items() if c != 0}), degrees.pop()
 
 
 def parse_operator(doc) -> SystemOperator:
@@ -202,13 +207,13 @@ def parse_operator(doc) -> SystemOperator:
             if sum(alpha) > order:
                 raise OrderMismatch(
                     f"|alpha|={sum(alpha)} exceeds entry order {order} at ({i},{j})")
-            poly = _parse_poly(t.get("poly"), n)
+            poly, degree = _parse_poly(t.get("poly"), n)
             e = _read_number(t.get("radial_exponent", 0), "radial_exponent", float)
             if not math.isfinite(e):
                 raise SchemaError(f"non-finite radial_exponent {e!r} at ({i},{j})")
-            if abs(e + poly.degree - (sum(alpha) - order)) > 1e-12:
+            if abs(e + degree - (sum(alpha) - order)) > 1e-12:
                 raise OrderMismatch(
-                    f"radial_exponent + deg poly = {e + poly.degree} != |alpha| - order "
+                    f"radial_exponent + deg poly = {e + degree} != |alpha| - order "
                     f"= {sum(alpha) - order} at ({i},{j}), alpha={alpha}")
             pert = t.get("perturbation")
             pert = None if pert is None else Expr.from_json(pert, n)
@@ -259,12 +264,11 @@ def _entry_terms(n, order, parts, perts):
         tol = _COEFF_TOL * max((P.norm_inf() for _, P in raw), default=0.0)
         harm = []
         for c, H in harmonic_terms(raw):
-            kept = {m: v for m, v in sorted(H.coeffs.items()) if abs(v) > tol}
+            kept = {k: v for k, v in sorted(H.terms.items()) if abs(v) > tol}
             if kept:
-                harm.append((c.real, HomogPoly(n, H.degree, kept)))
+                harm.append((c.real, Expr(n, kept)))
         if not harm and pert is not None:
-            zero = HomogPoly(n, 0, {})
-            out.append((alpha, CoeffTerm(float(sum(alpha) - order), zero, pert)))
+            out.append((alpha, CoeffTerm(float(sum(alpha) - order), Expr.zero(n), pert)))
         for idx, (c, H) in enumerate(harm):
             out.append((alpha, CoeffTerm(c, H, pert if idx == 0 else None)))
     return out
@@ -276,8 +280,7 @@ def canonicalize(op: SystemOperator) -> SystemOperator:
     for (i, j), src in op.entries.items():
         parts, perts = {}, {}
         for alpha, t in src:
-            parts.setdefault(alpha, []).append(
-                (complex(t.radial_exponent), t.poly.to_float()))
+            parts.setdefault(alpha, []).append((complex(t.radial_exponent), t.poly))
             _add_perturbation(perts, alpha, t.perturbation)
         terms = _entry_terms(op.n, op.order(i, j), parts, perts)
         if terms:
@@ -294,17 +297,6 @@ def _sphere_samples(n, count):
     return np.concatenate([axes, _sphere_points(n, count)], axis=0)
 
 
-def _poly_eval_array(P: HomogPoly, pts):
-    out = np.zeros(pts.shape[:-1], dtype=complex)
-    for m, c in P.coeffs.items():
-        term = np.full(pts.shape[:-1], complex(c))
-        for i, e in enumerate(m):
-            if e:
-                term = term * pts[..., i] ** e
-        out += term
-    return out
-
-
 def principal_symbol_matrix(op: SystemOperator, x, xi):
     """k x k matrices of top-order symbols at points x and covectors xi
     (arrays of shape (..., n), broadcast against each other)."""
@@ -317,7 +309,7 @@ def principal_symbol_matrix(op: SystemOperator, x, xi):
         for alpha, t in terms:
             if sum(alpha) != op.order(i, j) or t.poly.is_zero():
                 continue
-            coeff = _poly_eval_array(t.poly, x) * r ** t.radial_exponent
+            coeff = t.poly.evaluate(x) * r ** t.radial_exponent
             mono = np.ones(xi.shape[:-1])
             for ax, a in enumerate(alpha):
                 if a:
@@ -391,22 +383,22 @@ def is_homogeneous_cc(op: SystemOperator) -> bool:
 def _leibniz_adjoint_scalar(terms, n: int):
     """Formal adjoint of one entry's terms via (c D^alpha)* = sum_(g<=a)
     binom(a,g) D^(a-g)(conj c) D^g, each derivative taken in Expr; returns
-    the raw (radial exponent, poly) parts (the derivative's monomials by
-    exponent, which fixes their degree) and the perturbation of each
+    the raw (radial exponent, poly) parts (the derivative's terms grouped
+    by exponent, each group homogeneous) and the perturbation of each
     gamma, as _entry_terms takes them."""
     parts, perts = {}, {}
     for alpha, t in terms:
         e = Fraction(t.radial_exponent)
-        coeff = Expr(n, {(0, e, m): v.conjugate() for m, v in t.poly.coeffs.items()})
+        coeff = Expr(n, {(0, e, m): v.conjugate() for (_, _, m), v in t.poly.terms.items()})
         conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
         for gamma in product(*(range(a + 1) for a in alpha)):
             rem = tuple(a - g for a, g in zip(alpha, gamma))
             binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
             by_exponent = {}
             for (_, c, m), v in coeff.derivative(rem).scale(binom).terms.items():
-                by_exponent.setdefault(c, {})[m] = v
+                by_exponent.setdefault(c, {})[0, 0, m] = v
             parts.setdefault(gamma, []).extend(
-                (c, HomogPoly(n, sum(next(iter(P))), P)) for c, P in by_exponent.items())
+                (c, Expr(n, P)) for c, P in by_exponent.items())
             pert = None if conj_pert is None else conj_pert.derivative(rem).scale(binom)
             _add_perturbation(perts, gamma, pert)
     return parts, perts
@@ -441,6 +433,6 @@ def is_formally_self_adjoint(op: SystemOperator) -> bool:
     ca, cb, pa, pb = (np.frombuffer(x, complex) for x in (ca, cb, pa, pb))
     scale = [max(u.poly.norm_inf() for other, u in terms if other == alpha)   # key order
              for _, terms in sorted(op.entries.items()) for alpha, t in terms
-             for _ in t.poly.coeffs]
+             for _ in t.poly.terms]
     return a == b and np.array_equal(pa, pb) and bool(
         np.all(np.abs(ca - cb) <= _COEFF_TOL * np.array(scale)))

@@ -585,8 +585,10 @@ def _assemble(a0: SystemOperator, l_max, analysis_degree):
         bandwidth = max(block[3] for block in blocks.values())
         if bandwidth > l_max - analysis_degree:
             raise CouplingOverflow(
-                f"coupling bandwidth {bandwidth} exceeds margin "
-                f"{l_max - analysis_degree}; raise l_max")
+                f"coupling bandwidth {bandwidth} exceeds margin {l_max - analysis_degree} "
+                f"(basis degree {l_max} less analysis degree {analysis_degree}; the "
+                f"default margin is max_poly_degree * m + 2 = {a0.max_poly_degree} * "
+                f"{a0.m} + 2)")
         if top >= l_max + 2 * bandwidth:
             break
         top = l_max + 2 * bandwidth
@@ -609,7 +611,7 @@ def _assemble(a0: SystemOperator, l_max, analysis_degree):
 def default_l_max(op: SystemOperator, degree: int) -> int:
     """The basis degree that analysing harmonic degree `degree` assembles:
     the degree plus the coupling margin max_poly_degree * m + 2."""
-    return degree + op.max_poly_degree() * op.m + 2
+    return degree + op.max_poly_degree * op.m + 2
 
 
 def _scalar_roots(C):

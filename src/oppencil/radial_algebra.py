@@ -1,20 +1,23 @@
 """Exact harmonic algebra of coefficients r^c H(x), H harmonic homogeneous.
 
+The module's one polynomial type is the ring Expr of sums of (1 + r^2)^b
+r^c x^mono (b, c rational, coefficients complex), the program's one
+coefficient calculus: its derivatives D_i = -i d/dx_i are exact monomial
+by monomial, and the formal adjoint and the weighted norms take them
+there.  A homogeneous polynomial P is an Expr whose terms all have
+b = c = 0.
+
 An operator's principal coefficients are sums of terms r^c H(x), where c
 is a (possibly complex) exponent and H a harmonic homogeneous polynomial.
 A homogeneous P of degree d decomposes uniquely as P = sum_j |x|^(2j)
 H_(d-2j) with each H_(d-2j) harmonic (the Gauss decomposition,
-harmonic_decompose), so harmonic_terms takes raw (c, P) parts to those
-terms.  Restriction to the unit sphere is then trivial (drop r) and
-integration over S^(n-1) is exact through closed-form monomial moments.
-
-Only n in {2, 3} is supported; coefficients may be floats/complex or
-fractions.Fraction.  Below the operators this module also holds the ring
-Expr of sums of (1 + r^2)^b r^c x^mono (b, c rational), the program's one
-coefficient calculus: its derivatives D_i = -i d/dx_i are exact monomial
-by monomial, and the formal adjoint and the weighted norms take them
-there.  And the sphere samples and the document codec: the number readers
-and the one reader and one writer of monomial maps {"e1 ... en": [re, im]}.
+harmonic_decompose, which takes its Laplacian with Expr.differentiate),
+so harmonic_terms takes raw (c, P) parts to those terms.  Restriction to
+the unit sphere is then trivial (drop r) and integration over S^(n-1) is
+exact through closed-form monomial moments.  Only n in {2, 3} is
+supported.  And the sphere samples and the document codec: the number
+readers and the one reader and one writer of monomial maps
+{"e1 ... en": [re, im]}.
 """
 
 from __future__ import annotations
@@ -34,155 +37,6 @@ Monomial = tuple  # tuple[int, ...] of length n
 
 _MERGE_TOL = 1e-9
 _HARMONIC_TOL = 1e-12   # |Delta P|_inf / |P|_inf below which P is harmonic
-
-
-# ---------------------------------------------------------------------------
-# homogeneous polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HomogPoly:
-    """Homogeneous polynomial as a monomial -> coefficient map."""
-
-    n: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def copy(self):
-        return HomogPoly(self.n, self.degree, dict(self.coeffs))
-
-    def map_coeffs(self, fn):
-        return HomogPoly(self.n, self.degree,
-                         {m: fn(c) for m, c in self.coeffs.items()})
-
-    def scale(self, s):
-        if s == 0:
-            return HomogPoly(self.n, self.degree, {})
-        return self.map_coeffs(lambda c: c * s)
-
-    def add(self, other):
-        if self.degree != other.degree and self.coeffs and other.coeffs:
-            raise ValueError("degree mismatch in HomogPoly.add")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return HomogPoly(self.n, max(self.degree, other.degree), out)
-
-    def partial(self, i):
-        """Plain d/dx_i (no -i factor)."""
-        out = {}
-        for m, c in self.coeffs.items():
-            if m[i] == 0:
-                continue
-            mm = list(m)
-            mm[i] -= 1
-            out[tuple(mm)] = c * m[i]
-        return HomogPoly(self.n, max(self.degree - 1, 0), out)
-
-    def laplacian(self):
-        out = HomogPoly(self.n, max(self.degree - 2, 0), {})
-        for i in range(self.n):
-            out = out.add(self.partial(i).partial(i))
-        return out
-
-    def times_r2(self):
-        out = {}
-        for m, c in self.coeffs.items():
-            for i in range(self.n):
-                mm = list(m)
-                mm[i] += 2
-                key = tuple(mm)
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return HomogPoly(self.n, self.degree + 2, out)
-
-    def norm_inf(self):
-        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
-
-    def to_float(self):
-        return self.map_coeffs(lambda c: complex(c))
-
-
-# ---------------------------------------------------------------------------
-# Gauss (harmonic) decomposition
-# ---------------------------------------------------------------------------
-
-def harmonic_decompose(P: HomogPoly):
-    """Decompose P = sum_j |x|^(2j) H_(d-2j) into harmonic parts.
-
-    Returns a list of (j, H) pairs with Delta H = 0, omitting zero parts.
-    Exact over Fraction coefficients; uses the recursion obtained by
-    applying the Laplacian:  Delta(|x|^(2j) H_e) = 2j(2j + 2e + n - 2)
-    |x|^(2j-2) H_e.  P is harmonic once |Delta P|_inf <= _HARMONIC_TOL
-    |P|_inf, so a float part this returns decomposes to itself.
-    """
-    d = P.degree
-    n = P.n
-    if P.is_zero():
-        return []
-    if d <= 1:
-        return [(0, P)]
-    Q = P.laplacian()
-    if Q.norm_inf() <= _HARMONIC_TOL * P.norm_inf():
-        return [(0, P)]
-    sub = dict(harmonic_decompose(Q))  # j' -> G_(d-2-2j')
-    parts = []
-    acc = HomogPoly(n, d, {})
-    for jp, G in sub.items():
-        j = jp + 1
-        e = d - 2 * j
-        c = 2 * j * (2 * j + 2 * e + n - 2)
-        if isinstance(next(iter(G.coeffs.values())), Fraction):
-            H = G.scale(Fraction(1, c))
-        else:
-            H = G.scale(1.0 / c)
-        parts.append((j, H))
-        r2H = H
-        for _ in range(j):
-            r2H = r2H.times_r2()
-        acc = acc.add(r2H)
-    H_top = P.add(acc.scale(-1))
-    out = []
-    if not H_top.is_zero():
-        out.append((0, H_top))
-    out.extend(sorted(parts))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# harmonic terms
-# ---------------------------------------------------------------------------
-
-def harmonic_terms(parts):
-    """The terms r^c H, H harmonic, of a sum of raw (c, P) parts with P
-    homogeneous: the Gauss components of each P as float polys, merged to
-    one term per (degree, c) and sorted by (degree, Re c, Im c).  A term's
-    total homogeneity is c + degree."""
-    raw = [(complex(c) + 2 * j, H.to_float())
-           for c, P in parts for j, H in harmonic_decompose(P)]
-    return _merge(raw)
-
-
-def _merge(raw):
-    raw = [(complex(c), H) for c, H in raw if not H.is_zero()]
-    raw.sort(key=lambda t: (t[1].degree, t[0].real, t[0].imag))
-    merged = []
-    for c, H in raw:
-        if merged:
-            c0, H0 = merged[-1]
-            if H0.degree == H.degree and abs(c - c0) <= _MERGE_TOL:
-                merged[-1] = (c0, H0.add(H))
-                continue
-        merged.append((c, H.copy()))
-    return [(c, H) for c, H in merged if not H.is_zero() and H.norm_inf() > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +183,9 @@ class Expr:
             c = _as_fraction(item.get("c", 0), "Expr c")
             for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
                 if coeff:   # a zero term is no term, as in every ring operation
-                    # -0j + v is v bit for bit: a term is kept as read, signed
-                    # zeros too, wherever it stands, and a repeated key sums
-                    key = (b, c, expo)
-                    terms[key] = terms.get(key, -0j) + coeff
-                    if not terms[key]:
-                        del terms[key]
+                    # kept as read, signed zeros too, wherever it stands; a
+                    # repeated key sums
+                    _accumulate(terms, (b, c, expo), coeff)
         return Expr(n, terms)
 
     def to_json(self):
@@ -342,15 +193,13 @@ class Expr:
                 for (b, c, mono), coeff in sorted(self.terms.items())]
 
     # -- ring operations -----------------------------------------------------
+    # A new key starts at -0j + v, which is v bit for bit: a term is kept as
+    # it comes, signed zeros too, and a sum that cancels leaves no term.
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            acc = out.get(k, 0j) + v
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
+            _accumulate(out, k, v)
         return Expr(self.n, out)
 
     def scale(self, s):
@@ -362,29 +211,31 @@ class Expr:
         out = {}
         for (b1, c1, m1), v1 in self.terms.items():
             for (b2, c2, m2), v2 in other.terms.items():
-                k = (b1 + b2, c1 + c2, tuple(a + b for a, b in zip(m1, m2)))
-                acc = out.get(k, 0j) + v1 * v2
-                if acc == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
+                _accumulate(out, (b1 + b2, c1 + c2, tuple(a + b for a, b in zip(m1, m2))),
+                            v1 * v2)
         return Expr(self.n, out)
 
     def conjugate(self):
         return Expr(self.n, {k: v.conjugate() for k, v in self.terms.items()})
 
-    def differentiate(self, i):
-        """D_i = -i d/dx_i, exact in the ring."""
-        out = Expr.zero(self.n)
+    def differentiate(self, i, plain=False):
+        """D_i = -i d/dx_i, exact in the ring, or d/dx_i itself when plain.
+        A D_i coefficient's zero parts are +0 (each new key starts at 0j);
+        the plain derivative keeps signed zeros as they come."""
+        factor, start = (1, -0j) if plain else (-1j, 0j)
+        out = {}
         for (b, c, mono), v in self.terms.items():
-            up, down = (mono[:i] + (mono[i] + s,) + mono[i + 1:] for s in (1, -1))
-            if b != 0:
-                out += Expr.term(self.n, b - 1, c, up, -1j * 2 * b * v)
-            if c != 0:
-                out += Expr.term(self.n, b, c - 2, up, -1j * c * v)
-            if mono[i]:
-                out += Expr.term(self.n, b, c, down, -1j * mono[i] * v)
-        return out
+            e = mono[i]
+            if b != 0 or c != 0:
+                up = mono[:i] + (e + 1,) + mono[i + 1:]
+                if b != 0:
+                    _accumulate(out, (b - 1, c, up), factor * 2 * b * v, start)
+                if c != 0:
+                    _accumulate(out, (b, c - 2, up), factor * c * v, start)
+            if e:
+                _accumulate(out, (b, c, mono[:i] + (e - 1,) + mono[i + 1:]), factor * e * v,
+                            start)
+        return Expr(self.n, out)
 
     def derivative(self, alpha):
         out = self
@@ -395,6 +246,22 @@ class Expr:
 
     def is_zero(self):
         return not self.terms
+
+    # -- a polynomial (b = c = 0) --------------------------------------------
+
+    @property
+    def degree(self):
+        """The degree of a homogeneous polynomial, read off one term (0 for
+        the zero Expr)."""
+        return sum(next(iter(self.terms))[2]) if self.terms else 0
+
+    @property
+    def coeffs(self):
+        """{mono: coefficient}, the monomial map of a polynomial."""
+        return {m: v for (_, _, m), v in self.terms.items()}
+
+    def norm_inf(self):
+        return max((abs(v) for v in self.terms.values()), default=0.0)
 
     # -- analysis helpers ----------------------------------------------------
 
@@ -411,22 +278,99 @@ class Expr:
         return min(float(c) + sum(m) for (b, c, m), _ in self.terms.items())
 
     def evaluate(self, pts):
-        """Vectorized evaluation at an (N, n) array of points."""
+        """Vectorized evaluation at an (..., n) array of points."""
         pts = np.asarray(pts, dtype=float)
         r2 = np.sum(pts * pts, axis=-1)
         r = np.sqrt(r2)
-        out = np.zeros(pts.shape[0], dtype=complex)
+        out = np.zeros(pts.shape[:-1], dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
             for (b, c, mono), v in self.terms.items():
-                term = np.full(pts.shape[0], v, dtype=complex)
+                term = np.full(pts.shape[:-1], v, dtype=complex)
                 if b != 0:
                     term = term * (1.0 + r2) ** float(b)
                 if c != 0:
                     term = term * r ** float(c)
                 for i, e in enumerate(mono):
                     if e:
-                        term = term * pts[:, i] ** e
+                        term = term * pts[..., i] ** e
                 out += term
         return out
 
 
+def _accumulate(out, key, v, start=-0j):
+    """out[key] += v, a new key starting at start + v (v as it is by
+    default); a zero sum is no term."""
+    acc = out.get(key, start) + v
+    if acc == 0:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+# ---------------------------------------------------------------------------
+# Gauss (harmonic) decomposition
+# ---------------------------------------------------------------------------
+
+def harmonic_decompose(P: Expr):
+    """Decompose a homogeneous polynomial P (an Expr with b = c = 0) as
+    P = sum_j |x|^(2j) H_(d-2j) into harmonic parts.
+
+    Returns a list of (j, H) pairs with Delta H = 0, omitting zero parts,
+    j ascending.  Uses the recursion obtained by applying the Laplacian:
+    Delta(|x|^(2j) H_e) = 2j(2j + 2e + n - 2) |x|^(2j-2) H_e.  P is
+    harmonic once |Delta P|_inf <= _HARMONIC_TOL |P|_inf, so a part this
+    returns decomposes to itself.
+    """
+    d, n = P.degree, P.n
+    if P.is_zero():
+        return []
+    if d <= 1:
+        return [(0, P)]
+    Q = Expr.zero(n)
+    for i in range(n):
+        Q = Q + P.differentiate(i, plain=True).differentiate(i, plain=True)
+    if Q.norm_inf() <= _HARMONIC_TOL * P.norm_inf():
+        return [(0, P)]
+    parts, acc = [], Expr.zero(n)
+    for jp, G in harmonic_decompose(Q):  # G = G_(d-2-2jp)
+        j = jp + 1
+        e = d - 2 * j
+        H = G.scale(1.0 / (2 * j * (2 * j + 2 * e + n - 2)))
+        parts.append((j, H))
+        for _ in range(j):
+            H = _times_r2(H)
+        acc = acc + H
+    top = P + acc.scale(-1)
+    return ([(0, top)] if top.terms else []) + parts
+
+
+def _times_r2(P):
+    """|x|^2 P with each coefficient copied, not multiplied by 1 (a complex
+    product by 1 can flip a signed zero), and a sum that cancels kept as a
+    zero term for the split's next sum to add in, so that the canonical
+    form's signed zeros do not hang on how |x|^2 is applied."""
+    out = {}
+    for (b, c, m), v in P.terms.items():
+        for i in range(P.n):
+            key = (b, c, m[:i] + (m[i] + 2,) + m[i + 1:])
+            out[key] = out[key] + v if key in out else v
+    return Expr(P.n, out)
+
+
+def harmonic_terms(parts):
+    """The terms r^c H, H harmonic, of a sum of raw (c, P) parts with P
+    homogeneous: the Gauss components of each P, merged to one term per
+    (degree, c) and sorted by (degree, Re c, Im c).  A term's total
+    homogeneity is c + degree."""
+    raw = sorted(((complex(c) + 2 * j, H) for c, P in parts
+                  for j, H in harmonic_decompose(P)),
+                 key=lambda t: (t[1].degree, t[0].real, t[0].imag))
+    merged = []
+    for c, H in raw:
+        if merged:
+            c0, H0 = merged[-1]
+            if H0.degree == H.degree and abs(c - c0) <= _MERGE_TOL:
+                merged[-1] = (c0, H0 + H)
+                continue
+        merged.append((c, H))
+    return [(c, H) for c, H in merged if H.norm_inf() > 0.0]

@@ -1,4 +1,9 @@
-"""Closed forms the tests check the program against.  Exact harmonic bases
+"""Closed forms the tests check the program against.  Homogeneous
+polynomials as monomial maps (HomogPoly), with their own derivative and
+their Gauss split P = sum_j |x|^(2j) H_(d-2j) (harmonic_decompose,
+harmonic_terms), exact over Fraction coefficients; the program holds a
+polynomial as an Expr with b = c = 0, and homog and as_expr convert
+between the two.  Exact harmonic bases
 over Q, for the assembled pencil and the harmonic algebra: sector-structured
 solid harmonics, exactly orthogonal on S^(n-1), ordered as the pencil's
 basis (m ascending, cosine part before sine part).  And the index of the
@@ -37,7 +42,7 @@ from oppencil.errors import NotApplicable, OnBreakpoint
 from oppencil.index_ledger import _BREAK_TOL, IndexLedger
 from oppencil.operator_ast import SystemOperator, _add_perturbation, _entry_terms
 from oppencil.pencil import _CLUSTER_RADIUS, PencilMatrices, horner
-from oppencil.radial_algebra import Expr, HomogPoly, _as_fraction, _merge, harmonic_terms
+from oppencil.radial_algebra import _HARMONIC_TOL, _MERGE_TOL, Expr, _as_fraction
 from oppencil.spectrum import AdjointChains, Eigenpoint, adjoint_chains, jordan_chains
 
 _ADJOINT_PROBE = 0.37 + 0.21j   # lam at which the adjoint identity is checked
@@ -200,6 +205,132 @@ def constant_poly(n, value=1.0):
 
 
 # ---------------------------------------------------------------------------
+# homogeneous polynomials and their exact Gauss split
+# ---------------------------------------------------------------------------
+
+@dataclass
+class HomogPoly:
+    """Homogeneous polynomial as a monomial -> coefficient map; the
+    coefficients may be fractions.Fraction, and the Gauss split of such a
+    poly is exact."""
+
+    n: int
+    degree: int
+    coeffs: dict = field(default_factory=dict)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def map_coeffs(self, fn):
+        return HomogPoly(self.n, self.degree,
+                         {m: fn(c) for m, c in self.coeffs.items()})
+
+    def scale(self, s):
+        if s == 0:
+            return HomogPoly(self.n, self.degree, {})
+        return self.map_coeffs(lambda c: c * s)
+
+    def add(self, other):
+        if self.degree != other.degree and self.coeffs and other.coeffs:
+            raise ValueError("degree mismatch in HomogPoly.add")
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            acc = out.get(m)
+            acc = c if acc is None else acc + c
+            if acc == 0:
+                out.pop(m, None)
+            else:
+                out[m] = acc
+        return HomogPoly(self.n, max(self.degree, other.degree), out)
+
+    def partial(self, i):
+        """Plain d/dx_i (no -i factor)."""
+        out = {}
+        for m, c in self.coeffs.items():
+            if m[i] == 0:
+                continue
+            mm = list(m)
+            mm[i] -= 1
+            out[tuple(mm)] = c * m[i]
+        return HomogPoly(self.n, max(self.degree - 1, 0), out)
+
+    def laplacian(self):
+        out = HomogPoly(self.n, max(self.degree - 2, 0), {})
+        for i in range(self.n):
+            out = out.add(self.partial(i).partial(i))
+        return out
+
+    def times_r2(self):
+        return poly_mul(self, HomogPoly(self.n, 2, {
+            tuple(2 * (a == i) for a in range(self.n)): 1 for i in range(self.n)}))
+
+    def norm_inf(self):
+        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
+
+    def to_float(self):
+        return self.map_coeffs(lambda c: complex(c))
+
+
+def homog(P: Expr) -> HomogPoly:
+    """The HomogPoly of a polynomial Expr (b = c = 0)."""
+    return HomogPoly(P.n, P.degree, P.coeffs)
+
+
+def as_expr(P: HomogPoly) -> Expr:
+    """The polynomial Expr (b = c = 0) of a HomogPoly, its coefficients complex."""
+    return Expr(P.n, {(0, 0, m): complex(c) for m, c in P.coeffs.items()})
+
+
+def harmonic_decompose(P: HomogPoly):
+    """P = sum_j |x|^(2j) H_(d-2j) as [(j, H), ...], j ascending, by the
+    recursion Delta(|x|^(2j) H_e) = 2j(2j + 2e + n - 2) |x|^(2j-2) H_e; exact
+    over Fraction coefficients, and for floats P is harmonic once
+    |Delta P|_inf <= _HARMONIC_TOL |P|_inf, as in the program."""
+    d, n = P.degree, P.n
+    if P.is_zero():
+        return []
+    if d <= 1:
+        return [(0, P)]
+    Q = P.laplacian()
+    if Q.norm_inf() <= _HARMONIC_TOL * P.norm_inf():
+        return [(0, P)]
+    parts, acc = [], HomogPoly(n, d, {})
+    for jp, G in harmonic_decompose(Q):
+        j = jp + 1
+        c = 2 * j * (2 * j + 2 * (d - 2 * j) + n - 2)
+        H = G.scale(Fraction(1, c) if isinstance(next(iter(G.coeffs.values())), Fraction)
+                    else 1.0 / c)
+        parts.append((j, H))
+        for _ in range(j):
+            H = H.times_r2()
+        acc = acc.add(H)
+    top = P.add(acc.scale(-1))
+    return ([(0, top)] if not top.is_zero() else []) + parts
+
+
+def harmonic_terms(parts):
+    """The terms r^c H, H harmonic, of raw (c, P) parts: the Gauss
+    components of each P as float polys, merged (_merge)."""
+    return _merge([(complex(c) + 2 * j, H.to_float())
+                   for c, P in parts for j, H in harmonic_decompose(P)])
+
+
+def _merge(raw):
+    """One term per (degree, c), sorted by (degree, Re c, Im c)."""
+    raw = sorted(((complex(c), H) for c, H in raw if not H.is_zero()),
+                 key=lambda t: (t[1].degree, t[0].real, t[0].imag))
+    merged = []
+    for c, H in raw:
+        if merged:
+            c0, H0 = merged[-1]
+            if H0.degree == H.degree and abs(c - c0) <= _MERGE_TOL:
+                merged[-1] = (c0, H0.add(H))
+                continue
+        merged.append((c, H))
+    return [(c, H) for c, H in merged if H.norm_inf() > 0.0]
+
+
+# ---------------------------------------------------------------------------
 # the r^c H product-rule ring
 # ---------------------------------------------------------------------------
 
@@ -280,7 +411,7 @@ def product_rule_adjoint(op: SystemOperator) -> SystemOperator:
     for (j, i), src in op.entries.items():
         parts, perts = {}, {}
         for alpha, t in src:
-            conj = t.poly.map_coeffs(lambda c: complex(c).conjugate())
+            conj = homog(t.poly.conjugate())
             conj_rf = RadialFunction.from_parts(n, [(complex(t.radial_exponent), conj)])
             conj_pert = None if t.perturbation is None else t.perturbation.conjugate()
             for gamma in product(*(range(a + 1) for a in alpha)):
@@ -290,7 +421,8 @@ def product_rule_adjoint(op: SystemOperator) -> SystemOperator:
                 for ax, count in enumerate(rem):
                     for _ in range(count):
                         rf = differentiate(rf, ax)
-                parts.setdefault(gamma, []).extend((c, H.scale(binom)) for c, H in rf.terms)
+                parts.setdefault(gamma, []).extend((c, as_expr(H.scale(binom)))
+                                                   for c, H in rf.terms)
                 pert = None if conj_pert is None else conj_pert.derivative(rem).scale(binom)
                 _add_perturbation(perts, gamma, pert)
         terms = _entry_terms(n, op.order(j, i), parts, perts)

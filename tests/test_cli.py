@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -924,6 +925,18 @@ def test_bench_matrix_times_one_row(tmp_path):
     assert tree["src_lines"] > 0 and bench.load_hostspeed().sample() > 0
 
 
+def test_bench_matrix_times_one_in_process_row():
+    # one cold in-process row with K = 1: cli.main on a cleared process
+    bench = _script("bench_matrix")
+    row = bench.in_process_row("cold", "adjoint-check", REPO / "operators" / "laplacian3d.json",
+                               1)
+    assert sorted(row) == ["command", "exits", "kind", "median_s", "min_s", "operator",
+                           "stderr", "times_s"]
+    assert (row["kind"], row["command"], row["operator"], row["exits"], row["stderr"]) == (
+        "cold", "adjoint-check", "laplacian3d", [0], "")
+    assert row["times_s"] == [row["min_s"]] == [row["median_s"]] and row["min_s"] > 0
+
+
 def test_answer_dump_smoke(capsys):
     dump = _script("answer_dump")
     path = str(REPO / "operators" / "laplacian2d.json")
@@ -1078,6 +1091,53 @@ def test_sweep_dump_cc_tally(tmp_path, capsys):
         "refused: 1",
         "      1  exit 3: numerical guard: eigenvalues at Im lambda = # belong to modes "
         "above degree #; raise --degree to >= #"]
+
+
+# wrong answers at exit 0 on the cc grid, per operator in the grid's order;
+# each may fall, none may rise
+CC_WRONG_AT_MOST = {"laplacian2d": 52, "laplacian3d": 48, "dbar2d": 44, "cr_system2d": 44,
+                    "schrodinger_inverse_square3d": 48, "dipole_laplacian3d": 25}
+# each grid's refusals by guard, as they stand.  With the tail-mass guard
+# ("modes above degree") off, no strip of these grids answers wrong and
+# 280 more answer right, so its count is what shows that it runs; a change
+# that moves a count moves it here
+GUARDS = ("modes above degree", "strip boundary", "sigma_min", "fail certification",
+          "chain count")
+REFUSED = {"drift": {"modes above degree": 118, "sigma_min": 4},
+           "inverse_square": {"modes above degree": 81, "strip boundary": 61},
+           "cc": {"modes above degree": 104, "fail certification": 25, "chain count": 9}}
+
+
+def test_sweep_tallies_hold():
+    # the three sweeps, run as the script runs them (one BLAS thread): the
+    # drift and inverse-square grids answer nothing wrong at exit 0 and at
+    # least as many right as they do now, no cc row answers more wrong, and
+    # each guard refuses as many strips as it does now
+    sweep = _script("sweep_dump")
+    # the drift grid takes most of the time, so it runs beside the other two
+    procs = [subprocess.Popen([sys.executable, str(REPO / "scripts" / "sweep_dump.py"), *grids],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              cwd=REPO) for grids in (["drift"], ["inverse_square", "cc"])]
+    rows = {grid: [] for grid in sweep.GRIDS}
+    for proc in procs:
+        out, err = proc.communicate(timeout=900)
+        assert proc.returncode == 0, err
+        for row in map(json.loads, out.splitlines()):
+            rows[sweep.grid_of(row["argv"][1])].append(row)
+    assert {grid: len(grid_rows) for grid, grid_rows in rows.items()} == {
+        "drift": 1440, "inverse_square": 648, "cc": 672}
+    verdicts = {grid: sweep.judge(grid, grid_rows) for grid, grid_rows in rows.items()}
+    for grid, least in (("drift", 1318), ("inverse_square", 506)):
+        right, wrong, _ = verdicts[grid]
+        assert wrong == [] and right >= least, (grid, right, wrong[:3])
+    wrong = Counter(row["argv"][1].removesuffix(".json") for row, _ in verdicts["cc"][1])
+    assert list(CC_WRONG_AT_MOST) == list(sweep.CC_OPERATORS)
+    assert all(wrong[name] <= most for name, most in CC_WRONG_AT_MOST.items()), dict(wrong)
+    for grid, (_, _, refused) in verdicts.items():
+        by_guard = Counter()
+        for reason, count in refused.items():
+            by_guard[next((g for g in GUARDS if g in reason), reason)] += count
+        assert by_guard == REFUSED[grid], grid
 
 
 def test_readme_examples_parse():
@@ -1290,6 +1350,22 @@ def test_res_drift_strips_answer_their_closed_form(tmp_path, capsys, n, eps, str
     code, out, err = _main(["res", path, "--strip", *strip, "--degree", "4"], capsys)
     assert code == 0, err
     assert sum(json.loads(out)["res_lines"].values()) == total
+
+
+def test_res_coupling_overflow_names_the_margin_rule(tmp_path, capsys):
+    # D1^4 + D2^4 on R^2 couples harmonic degree l to l +- 4, above the
+    # margin max_poly_degree * m + 2 = 2 that res assembles: a guard (exit
+    # 3) that names the rule, and no flag res lacks
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "mu": [4], "nu": [0], "entries": [
+        {"i": 0, "j": 0, "terms": [{"alpha": alpha, "poly": {"0 0": [1.0, 0.0]}}
+                                   for alpha in ([4, 0], [0, 4])]}]}))
+    code, out, err = _main(["res", str(path), "--strip", "-1.5", "1.5", "--degree", "4"],
+                           capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical guard: coupling bandwidth 4 exceeds margin 2 ")
+    assert "max_poly_degree * m + 2 = 0 * 4 + 2" in err and "--l-max" not in err
+    assert "raise" not in err
 
 
 def test_index_csv_matches_the_json_ledger(capsys):

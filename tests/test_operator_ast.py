@@ -368,6 +368,24 @@ def test_perturbation_term_order_keeps_signed_zeros():
     assert [math.copysign(1, v.imag) for v in pert[0].terms.values()] == [-1, -1]
 
 
+def test_perturbation_sums_keep_signed_zeros():
+    # two alpha = 0 terms, each carrying one perturbation term [0.5, -0.0]:
+    # their perturbations are summed at one multi-index, and the sum keeps
+    # each term as read, so the order of the two terms is no part of the
+    # operator or its fingerprint
+    def potential(monos):
+        doc = laplacian_doc(3)
+        doc["entries"][0]["terms"] += [
+            {"alpha": [0, 0, 0], "radial_exponent": -2.0, "poly": {"0 0 0": [0.0, 0.0]},
+             "perturbation": [{"b": -2, "poly": {m: [0.5, -0.0]}}]} for m in monos]
+        return parse_operator(doc)
+
+    a, b = potential(["1 0 0", "0 1 0"]), potential(["0 1 0", "1 0 0"])
+    assert a == b and a.fingerprint() == b.fingerprint()
+    (pert,) = [t.perturbation for _, t in a.entries[0, 0] if t.perturbation is not None]
+    assert [math.copysign(1, v.imag) for v in pert.terms.values()] == [-1, -1]
+
+
 @pytest.mark.parametrize("poly", [{"0 0 0": [0.0, 0.0]}, {"0 0 0": [-0.0, 0.0]},
                                   {"0 0 0": [0.0, 0.0], "1 0 0": [0.0, -0.0]}])
 def test_zero_perturbation_terms_are_no_terms(poly):

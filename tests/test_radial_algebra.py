@@ -1,6 +1,8 @@
-"""Tests for the Gauss decomposition and sphere moments, and for the
-oracle's r^c * harmonic product-rule ring (tests/oracles.py) that the
-pencil and adjoint tests check the program against."""
+"""Tests for the Gauss decomposition (the oracle's exact split over Q, and
+the program's float split of Expr polynomials against it), the sphere
+moments, and the oracle's r^c * harmonic product-rule ring
+(tests/oracles.py) that the pencil and adjoint tests check the program
+against."""
 
 import math
 from fractions import Fraction
@@ -9,19 +11,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oppencil.radial_algebra import (
-    HomogPoly,
     _moment_fraction,
-    harmonic_decompose,
+    harmonic_decompose as program_split,
     harmonic_dim,
     sphere_monomial_moment,
     surface_measure,
 )
 from oppencil.errors import HomogeneityError
 from oracles import (
+    HomogPoly,
     RadialFunction,
+    as_expr,
     constant_poly,
     differentiate,
     exact_harmonics,
+    harmonic_decompose,
     monomial,
     poly_mul,
     radial_add,
@@ -98,27 +102,23 @@ def test_decompose_r2_n2_pure_radial():
     assert parts[1].coeffs == {(0, 0): Fraction(1)}
 
 
+def all_monos(n, d):
+    """Every exponent tuple of degree d in n variables."""
+    if n == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1) for rest in all_monos(n - 1, d - a)]
+
+
+def draw_poly(n, d, data):
+    """A homogeneous poly of degree d with integer coefficients in [-3, 3]."""
+    coeffs = {m: Fraction(data.draw(st.integers(-3, 3))) for m in all_monos(n, d)}
+    return HomogPoly(n, d, {m: c for m, c in coeffs.items() if c})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 6), st.data())
 def test_decompose_reconstructs_and_parts_harmonic(n, d, data):
-    monos = []
-    remaining = d
-
-    def all_monos(n, d):
-        if n == 1:
-            return [(d,)]
-        out = []
-        for a in range(d + 1):
-            out.extend([(a,) + rest for rest in all_monos(n - 1, d - a)])
-        return out
-
-    monos = all_monos(n, d)
-    coeffs = {}
-    for m in monos:
-        c = data.draw(st.integers(-3, 3))
-        if c:
-            coeffs[m] = Fraction(c)
-    P = HomogPoly(n, d, coeffs)
+    P = draw_poly(n, d, data)
     parts = harmonic_decompose(P)
     acc = HomogPoly(n, d, {})
     for j, H in parts:
@@ -128,6 +128,30 @@ def test_decompose_reconstructs_and_parts_harmonic(n, d, data):
             term = term.times_r2()
         acc = acc.add(term)
     assert acc.add(P.scale(-1)).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 7), st.data())
+def test_program_split_is_the_exact_split_to_round_off(n, d, data):
+    # the program splits float Exprs (its Laplacian from Expr.differentiate);
+    # each of its parts is the exact split's over Q to round-off, and one
+    # the exact split leaves out is round-off only
+    P = draw_poly(n, d, data)
+    exact = {j: H.to_float().coeffs for j, H in harmonic_decompose(P)}
+    got = {j: H.coeffs for j, H in program_split(as_expr(P))}
+    assert set(exact) <= set(got)
+    for j, H in got.items():
+        want = exact.get(j, {})
+        assert all(abs(H.get(m, 0) - want.get(m, 0)) <= 1e-12 * P.norm_inf()
+                   for m in set(H) | set(want)), j
+
+
+def test_program_split_of_x1_squared_n3():
+    # the parts of x1^2 on R^3: H_0 = 1/3 to the last bit, H_2 to round-off
+    parts = dict(program_split(as_expr(monomial(3, (2, 0, 0), 1.0))))
+    assert parts[1].coeffs == {(0, 0, 0): 1 / 3}
+    assert set(parts) == {0, 1} and parts[0].coeffs == pytest.approx(
+        {(2, 0, 0): 2 / 3, (0, 2, 0): -1 / 3, (0, 0, 2): -1 / 3}, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
