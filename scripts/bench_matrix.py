@@ -10,9 +10,10 @@ checkout: `res`, `index --anchor cc`, `index --anchor selfadjoint`,
 `verify-cc` and `adjoint-check` on (-0.5, 3.5) at degree 4, and
 `model-solve --mode 0 --beta1 1.5 --beta2 2.5`.  A one-shot row runs
 `python -m oppencil.cli` once untimed, then K times timed (default 5),
-one process at a time, and records each timed run's exit code and wall
-time, the times' minimum and median, and the first line of the last
-run's stderr.
+one process at a time, and records each timed run's exit code, wall
+time and peak RSS (MB, read off os.wait4's rusage), the times' minimum
+and median, the RSS median, and the first line of the last run's
+stderr.
 
 Rows run in two start modes, each on its own temporary copy of DIR
 without __pycache__, so nothing is written into DIR or this checkout:
@@ -33,10 +34,11 @@ repeated request in a long-lived process runs.
 
 The file also records the timed tree (its git commit, whether DIR differs
 from that commit, a sha256 of its .py files and their line count), the
-Python and numpy versions, the median row time of each mode and command
-over the documents (`median_s`, and `in_process_min_s` of the rows'
-minima), and perfbench/hostspeed.sample() before and after the matrix:
-the calibration task's time tells a slow host from a slow tree.
+Python and numpy versions, the median row time and RSS of each mode and
+command over the documents (`median_s` and `median_rss_mb`, and
+`in_process_min_s` of the in-process rows' minima), and
+perfbench/hostspeed.sample() before and after the matrix: the
+calibration task's time tells a slow host from a slow tree.
 """
 
 import argparse
@@ -48,10 +50,12 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import types
 from pathlib import Path
@@ -97,21 +101,46 @@ def copy_tree(src, dest):
     return dest
 
 
+def run_once(env, cwd, argv, timeout=600):
+    """One `python -m oppencil.cli` process: (wall time, exit code, peak
+    RSS in MB read off os.wait4's rusage, stderr).  A run past `timeout`
+    seconds is killed and raises subprocess.TimeoutExpired."""
+    killed = []
+
+    def kill(pid):
+        killed.append(pid)
+        os.kill(pid, signal.SIGKILL)
+
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "oppencil.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        timer = threading.Timer(timeout, kill, (proc.pid,))
+        timer.start()
+        try:
+            err = proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)   # reaped: Popen must not wait
+    if killed:
+        raise subprocess.TimeoutExpired(proc.args, timeout, stderr=err)
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    return wall, proc.returncode, usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                                     else 2 ** 10), err
+
+
 def time_row(env, cwd, command, operator, runs):
     """One untimed run of `command` on `operator`, then `runs` timed ones."""
     argv = [COMMANDS[command][0], str(operator), *COMMANDS[command][1:]]
-    times, exits = [], []
-    for _ in range(runs + 1):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "oppencil.cli", *argv], cwd=cwd,
-                              env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True, timeout=600)
-        times.append(time.perf_counter() - start)
-        exits.append(proc.returncode)
-    times, exits = times[1:], exits[1:]
-    return {"command": command, "operator": operator.stem, "exits": exits,
-            "stderr": proc.stderr.partition("\n")[0], "min_s": min(times),
-            "median_s": statistics.median(times), "times_s": times}
+    timed = [run_once(env, cwd, argv) for _ in range(runs + 1)][1:]
+    times, rss = [t for t, _, _, _ in timed], [r for _, _, r, _ in timed]
+    return {"command": command, "operator": operator.stem,
+            "exits": [code for _, code, _, _ in timed],
+            "stderr": timed[-1][3].partition("\n")[0], "min_s": min(times),
+            "median_s": statistics.median(times), "times_s": times,
+            "median_rss_mb": statistics.median(rss), "rss_mb": rss}
 
 
 def in_process_row(kind, command, operator, runs):
@@ -207,7 +236,8 @@ def main(argv=None):
                     row = time_row(env, tmp, command, operator, args.runs)
                     out["rows"].append({"mode": mode, **row})
                     print(f"{mode} {command} {operator.stem}: exits {row['exits']}, "
-                          f"median {row['median_s'] * 1e3:.1f} ms", file=sys.stderr)
+                          f"median {row['median_s'] * 1e3:.1f} ms, "
+                          f"{row['median_rss_mb']:.2f} MB", file=sys.stderr)
             if mode == "fresh" and any(copy.rglob("__pycache__")):
                 sys.exit("a fresh run wrote __pycache__")
         # the worker imports the fresh copy, which it leaves without bytecode
@@ -219,6 +249,9 @@ def main(argv=None):
     out["hostspeed_after_s"] = hostspeed.sample()
     out["median_s"] = {mode: {command: statistics.median(
         r["median_s"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
+        for command in COMMANDS} for mode in MODES}
+    out["median_rss_mb"] = {mode: {command: statistics.median(
+        r["median_rss_mb"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
         for command in COMMANDS} for mode in MODES}
     out["in_process_min_s"] = {kind: {command: statistics.median(
         r["min_s"] for r in out["in_process_rows"] if (r["kind"], r["command"]) == (kind, command))

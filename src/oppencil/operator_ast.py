@@ -28,7 +28,6 @@ round-off: Leibniz derivatives of variable coefficients are float.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +40,14 @@ import numpy as np
 from .errors import AdjointOrderViolation, BadDNOrders, OrderMismatch, SchemaError
 from .radial_algebra import (Expr, _read_monomials, _read_number, _sphere_points,
                              _write_monomials, harmonic_terms)
+
+try:    # hashlib's own fallbacks (CPython >= 3.12, then 3.10-3.11): no OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _COEFF_TOL = 1e-12
 
@@ -115,7 +122,7 @@ class SystemOperator:
     @cached_property
     def _fingerprint(self):
         doc = json.dumps(serialize_operator(self), sort_keys=True)
-        return hashlib.sha256(doc.encode()).hexdigest()[:16]
+        return sha256(doc.encode()).hexdigest()[:16]
 
     def fingerprint(self) -> str:
         """The first 16 hex digits of the sha256 of the canonical document,

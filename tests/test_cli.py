@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -914,15 +915,30 @@ def test_bench_matrix_times_one_row(tmp_path):
     copy = bench.copy_tree(REPO / "src", tmp_path / "fresh")
     row = bench.time_row(bench.start_env(copy, "fresh"), tmp_path, "res",
                          REPO / "operators" / "laplacian3d.json", 1)
-    assert sorted(row) == ["command", "exits", "median_s", "min_s", "operator",
-                           "stderr", "times_s"]
+    assert sorted(row) == ["command", "exits", "median_rss_mb", "median_s", "min_s",
+                           "operator", "rss_mb", "stderr", "times_s"]
     assert (row["command"], row["operator"], row["exits"], row["stderr"]) == (
         "res", "laplacian3d", [0], "")
     assert row["times_s"] == [row["min_s"]] == [row["median_s"]] and row["min_s"] > 0
+    # the peak RSS is the child's: numpy alone maps more than 10 MB
+    assert row["rss_mb"] == [row["median_rss_mb"]] and 10 < row["median_rss_mb"] < 1000
     assert not any(copy.rglob("__pycache__"))
     tree = bench.tree_record(REPO / "src")
     assert sorted(tree) == ["commit", "differs_from_commit", "src_lines", "src_sha256"]
     assert tree["src_lines"] > 0 and bench.load_hostspeed().sample() > 0
+
+
+def test_bench_matrix_kills_a_run_past_its_timeout(tmp_path):
+    # a cli that hangs is killed at the timeout, and the run raises
+    (tmp_path / "oppencil").mkdir()
+    (tmp_path / "oppencil" / "__init__.py").write_text("")
+    (tmp_path / "oppencil" / "cli.py").write_text(
+        "import sys, time\nprint('hung', file=sys.stderr, flush=True)\ntime.sleep(60)\n")
+    bench = _script("bench_matrix")
+    start = time.perf_counter()
+    with pytest.raises(subprocess.TimeoutExpired) as info:
+        bench.run_once(bench.start_env(tmp_path, "fresh"), tmp_path, [], timeout=1)
+    assert time.perf_counter() - start < 30 and info.value.stderr == "hung\n"
 
 
 def test_bench_matrix_times_one_in_process_row():

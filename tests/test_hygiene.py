@@ -18,8 +18,8 @@ profiler sees it.
 
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle), no
-numpy.ma, and neither the index ledger nor the model solver unless its
-command runs one.
+numpy.ma, neither the index ledger nor the model solver unless its
+command runs one, and no OpenSSL unless it loads numpy.random.
 
 The modules form layers (LAYERS): each imports only modules before it, so
 the document codec and the exact rings sit below the operators, and the
@@ -238,18 +238,20 @@ def test_parameters_are_read():
 
 
 _WINDOW = "-0.5 3.5 --degree 4"
-# (argv, the one oppencil module it must not load): the second word of argv
-# names operators/<name>.json.  The ledger and the model solver load only
-# with the commands that run them
-_RUNS = [(f"spectrum laplacian3d --strip {_WINDOW}", "oppencil.model_solver"),
-         (f"res laplacian3d --strip {_WINDOW}", "oppencil.model_solver"),
-         (f"index laplacian3d --anchor selfadjoint --window {_WINDOW}",
-          "oppencil.model_solver"),
-         (f"index cr_system2d --anchor cc --window {_WINDOW}", "oppencil.model_solver"),
-         (f"verify-cc laplacian3d --window {_WINDOW}", "oppencil.model_solver"),
-         (f"adjoint-check laplacian3d --window {_WINDOW}", "oppencil.model_solver"),
-         ("model-solve laplacian3d --mode 1 --beta1 -0.5 --beta2 1.5",
-          "oppencil.index_ledger")]
+_SOLVER, _LEDGER = "oppencil.model_solver", "oppencil.index_ledger"
+# (argv, the modules it must not load): the second word of argv names
+# operators/<name>.json.  The ledger and the model solver load only with
+# the commands that run them, and OpenSSL (_hashlib) with none: the
+# fingerprint hashes with the interpreter's own SHA-256 module.  The
+# cr_system2d run is exempt from _hashlib: its coupled eigensolve's
+# compression imports numpy.random, whose secrets -> hmac maps OpenSSL
+_RUNS = [(f"spectrum laplacian3d --strip {_WINDOW}", {_SOLVER, "_hashlib"}),
+         (f"res laplacian3d --strip {_WINDOW}", {_SOLVER, "_hashlib"}),
+         (f"index laplacian3d --anchor selfadjoint --window {_WINDOW}", {_SOLVER, "_hashlib"}),
+         (f"index cr_system2d --anchor cc --window {_WINDOW}", {_SOLVER}),
+         (f"verify-cc laplacian3d --window {_WINDOW}", {_SOLVER, "_hashlib"}),
+         (f"adjoint-check laplacian3d --window {_WINDOW}", {_SOLVER, "_hashlib"}),
+         ("model-solve laplacian3d --mode 1 --beta1 -0.5 --beta2 1.5", {_LEDGER, "_hashlib"})]
 
 
 @pytest.mark.parametrize("argv, absent", _RUNS,
@@ -264,7 +266,7 @@ def test_cli_run_loads_no_scipy(tmp_path, argv, absent):
             f"code = main({[*argv, str(out)]!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
             "                                if m.partition('.')[0] == 'scipy'\n"
-            f"                                or m in ('numpy.ma', {absent!r}))]))\n")
+            f"                                or m in {('numpy.ma', *sorted(absent))!r})]))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        cwd=REPO, timeout=120)
     assert r.returncode == 0, r.stderr

@@ -1,5 +1,6 @@
 """Tests for operator parsing, ellipticity sampling, adjoints and decay checks."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -170,6 +171,16 @@ FINGERPRINTS = {
 def test_fingerprints_are_pinned(path):
     op = parse_operator(json.loads(path.read_text()))
     assert (op.fingerprint(), formal_adjoint(op).fingerprint()) == FINGERPRINTS[path.stem]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "operators").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fingerprints_are_hashlibs_sha256(path):
+    # the interpreter's own SHA-256 module gives hashlib's digest
+    op = parse_operator(json.loads(path.read_text()))
+    for x in (op, formal_adjoint(op)):
+        doc = json.dumps(serialize_operator(x), sort_keys=True)
+        assert x.fingerprint() == hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
 # (homogeneous cc, formally self-adjoint) of each operators/*.json
