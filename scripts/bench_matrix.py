@@ -2,9 +2,13 @@
 """Time `oppencil` commands, one-shot processes and calls inside one
 process, and write the matrix as JSON.
 
-Usage: python scripts/bench_matrix.py [--src DIR] [--runs K] [-o FILE]
+Usage: python scripts/bench_matrix.py [--src DIR] [--base BASE] [--runs K] [-o FILE]
 
 DIR (default: this checkout's src/) holds the oppencil package to time.
+BASE, when given, holds a second one (a parent commit's src/ on a clone):
+the two trees are then timed row by row in alternation, the first tree
+switching from row to row, so that a drift of the host's speed falls on
+both sides of each row alike, not on one tree's whole run.
 Each row is one command on one operators/*.json document of this
 checkout: `res`, `index --anchor cc`, `index --anchor selfadjoint`,
 `verify-cc` and `adjoint-check` on (-0.5, 3.5) at degree 4, and
@@ -23,22 +27,25 @@ PYTHONDONTWRITEBYTECODE=1 and no __pycache__, so every process compiles
 the package's modules it loads (as perfbench's worker runs).  Every
 process gets one BLAS thread, as perfbench's do.
 
-In-process rows (`in_process_rows`) time the same commands through
-`oppencil.cli.main` in one worker process, K timed calls a row, and
-record the same fields; their minimum is the row's time.  A "cold" row
+In-process rows (`in_process_row`) time the same commands through
+`oppencil.cli.main` in one worker process per tree (`serve_rows`), K
+timed calls a row, and record the same fields; their minimum is the
+row's time.  A worker that gives no answer within an hour is killed and
+the matrix exits.  A "cold" row
 clears the kept pencils (`pencil._pencils`) and documents
 (`cli._parse_document`) before each call, so each call reads, parses,
 assembles and solves (the ladder tables stay memoized); a "kept" row
 makes one untimed call first and then repeats it, clearing nothing, as a
 repeated request in a long-lived process runs.
 
-The file also records the timed tree (its git commit, whether DIR differs
-from that commit, a sha256 of its .py files and their line count), the
-Python and numpy versions, the median row time and RSS of each mode and
-command over the documents (`median_s` and `median_rss_mb`, and
-`in_process_min_s` of the in-process rows' minima), and
-perfbench/hostspeed.sample() before and after the matrix: the
-calibration task's time tells a slow host from a slow tree.
+Each row names its tree ("src" for DIR, "base" for BASE).  The file
+also records each timed tree under `trees` (its git commit, whether it
+differs from that commit, a sha256 of its .py files and their line
+count), the Python and numpy versions, per tree the median row time and
+RSS of each mode and command over the documents (`median_s` and
+`median_rss_mb`, and `in_process_min_s` of the in-process rows'
+minima), and perfbench/hostspeed.sample() before and after the matrix:
+the calibration task's time tells a slow host from a slow tree.
 """
 
 import argparse
@@ -49,6 +56,7 @@ import io
 import json
 import os
 import platform
+import select
 import shutil
 import signal
 import statistics
@@ -170,24 +178,41 @@ def in_process_row(kind, command, operator, runs):
             "median_s": statistics.median(times), "times_s": times}
 
 
-def in_process_rows(runs):
-    """Print every in-process row, each kind, document and command, as one
-    JSON list (the worker's body)."""
-    json.dump([in_process_row(kind, command, operator, runs) for kind in KINDS
-               for operator in sorted((ROOT / "operators").glob("*.json"))
-               for command in COMMANDS], sys.stdout)
+def serve_rows(runs):
+    """Answer each JSON line [kind, command, operator path] on stdin with
+    its in_process_row as one JSON line (the worker's body)."""
+    for line in sys.stdin:
+        kind, command, operator = json.loads(line)
+        print(json.dumps(in_process_row(kind, command, Path(operator), runs)), flush=True)
 
 
-def run_worker(env, cwd, runs):
-    """in_process_rows in one worker process with `env` (its PYTHONPATH
-    names the timed package first)."""
+def start_worker(env, cwd, runs):
+    """A serve_rows worker process with `env` (its PYTHONPATH names the
+    timed package first)."""
     env = dict(env, PYTHONPATH=os.pathsep.join([env["PYTHONPATH"], str(ROOT / "scripts")]))
-    proc = subprocess.run([sys.executable, "-c", "import bench_matrix; "
-                           f"bench_matrix.in_process_rows({int(runs)})"], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=3600)
-    if proc.returncode:
-        sys.exit(f"the in-process worker failed: {proc.stderr}")
-    return json.loads(proc.stdout)
+    return subprocess.Popen([sys.executable, "-c", "import bench_matrix; "
+                             f"bench_matrix.serve_rows({int(runs)})"], cwd=cwd, env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+
+def ask(worker, kind, command, operator, timeout=3600):
+    """One in-process row from a serve_rows worker.  A worker that has not
+    answered after `timeout` seconds is killed, and the matrix exits."""
+    worker.stdin.write(json.dumps([kind, command, str(operator)]) + "\n")
+    worker.stdin.flush()
+    # the worker writes one line per request, so nothing waits in the buffer
+    ready = select.select([worker.stdout], [], [], timeout)[0]
+    line = worker.stdout.readline() if ready else ""
+    if not line:
+        worker.kill()
+        sys.exit(f"the in-process worker {'failed' if ready else f'hung past {timeout} s'} "
+                 f"on {kind} {command} {operator.stem}")
+    return json.loads(line)
+
+
+def alternate(labels, r):
+    """The order the trees run row r in: the first tree switches row by row."""
+    return labels if r % 2 == 0 else labels[::-1]
 
 
 def tree_record(src):
@@ -216,46 +241,70 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src",
                    help="directory holding the oppencil package (default: src/)")
+    p.add_argument("--base", type=Path,
+                   help="a second package tree, timed row by row in alternation with DIR")
     p.add_argument("--runs", type=int, default=5, help="timed runs per row")
     p.add_argument("-o", "--output", help="write the JSON here (default: stdout)")
     args = p.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "oppencil" / "cli.py").is_file() or args.runs < 1:
-        p.error(f"need --runs >= 1 and {src}/oppencil/cli.py")
+    trees = {"src": args.src.resolve()}
+    if args.base is not None:
+        trees["base"] = args.base.resolve()
+    if args.runs < 1 or not all((t / "oppencil" / "cli.py").is_file() for t in trees.values()):
+        p.error("need --runs >= 1 and " + " and ".join(f"{t}/oppencil/cli.py"
+                                                      for t in trees.values()))
+    labels = list(trees)[::-1]   # with two trees, the first row runs the base first
     operators = sorted((ROOT / "operators").glob("*.json"))
     hostspeed = load_hostspeed()
-    out = {"tree": tree_record(src), "python": platform.python_version(),
+    out = {"trees": {label: tree_record(t) for label, t in trees.items()},
+           "python": platform.python_version(),
            "numpy": importlib.metadata.version("numpy"), "runs": args.runs,
-           "blas_threads": 1, "hostspeed_before_s": hostspeed.sample(), "rows": []}
+           "blas_threads": 1, "hostspeed_before_s": hostspeed.sample(), "rows": [],
+           "in_process_rows": []}
     with tempfile.TemporaryDirectory() as tmp:
+        # copies under names of one length, so no tree's paths are longer
+        home = {label: Path(tmp) / f"tree{k}" for k, label in enumerate(trees)}
         for mode in MODES:
-            copy = copy_tree(src, Path(tmp) / mode)
-            env = start_env(copy, mode)
-            for operator in operators:
-                for command in COMMANDS:
-                    row = time_row(env, tmp, command, operator, args.runs)
-                    out["rows"].append({"mode": mode, **row})
-                    print(f"{mode} {command} {operator.stem}: exits {row['exits']}, "
+            envs = {label: start_env(copy_tree(t, home[label] / mode), mode)
+                    for label, t in trees.items()}
+            grid = [(operator, command) for operator in operators for command in COMMANDS]
+            for r, (operator, command) in enumerate(grid):
+                for label in alternate(labels, r):
+                    row = time_row(envs[label], tmp, command, operator, args.runs)
+                    out["rows"].append({"tree": label, "mode": mode, **row})
+                    print(f"{label} {mode} {command} {operator.stem}: exits {row['exits']}, "
                           f"median {row['median_s'] * 1e3:.1f} ms, "
                           f"{row['median_rss_mb']:.2f} MB", file=sys.stderr)
-            if mode == "fresh" and any(copy.rglob("__pycache__")):
+            if mode == "fresh" and any(any((home[label] / mode).rglob("__pycache__"))
+                                       for label in trees):
                 sys.exit("a fresh run wrote __pycache__")
-        # the worker imports the fresh copy, which it leaves without bytecode
-        out["in_process_rows"] = run_worker(start_env(Path(tmp) / "fresh", "fresh"), tmp,
-                                            args.runs)
-        for row in out["in_process_rows"]:
-            print(f"in-process {row['kind']} {row['command']} {row['operator']}: exits "
-                  f"{row['exits']}, min {row['min_s'] * 1e3:.2f} ms", file=sys.stderr)
+        # each worker imports its tree's fresh copy, which it leaves without bytecode
+        workers = {label: start_worker(start_env(home[label] / "fresh", "fresh"), tmp,
+                                       args.runs) for label in trees}
+        grid = [(kind, operator, command) for kind in KINDS for operator in operators
+                for command in COMMANDS]
+        try:
+            for r, (kind, operator, command) in enumerate(grid):
+                for label in alternate(labels, r):
+                    row = {"tree": label, **ask(workers[label], kind, command, operator)}
+                    out["in_process_rows"].append(row)
+                    print(f"{label} in-process {kind} {command} {operator.stem}: exits "
+                          f"{row['exits']}, min {row['min_s'] * 1e3:.2f} ms", file=sys.stderr)
+            for worker in workers.values():
+                worker.stdin.close()
+                worker.wait(timeout=60)
+        finally:   # no worker outlives the matrix
+            for worker in workers.values():
+                worker.kill()
     out["hostspeed_after_s"] = hostspeed.sample()
-    out["median_s"] = {mode: {command: statistics.median(
-        r["median_s"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
-        for command in COMMANDS} for mode in MODES}
-    out["median_rss_mb"] = {mode: {command: statistics.median(
-        r["median_rss_mb"] for r in out["rows"] if (r["mode"], r["command"]) == (mode, command))
-        for command in COMMANDS} for mode in MODES}
-    out["in_process_min_s"] = {kind: {command: statistics.median(
-        r["min_s"] for r in out["in_process_rows"] if (r["kind"], r["command"]) == (kind, command))
-        for command in COMMANDS} for kind in KINDS}
+
+    def medians(rows, field, group, groups):
+        return {label: {g: {command: statistics.median(
+            r[field] for r in rows if (r["tree"], r[group], r["command"]) == (label, g, command))
+            for command in COMMANDS} for g in groups} for label in trees}
+
+    out["median_s"] = medians(out["rows"], "median_s", "mode", MODES)
+    out["median_rss_mb"] = medians(out["rows"], "median_rss_mb", "mode", MODES)
+    out["in_process_min_s"] = medians(out["in_process_rows"], "min_s", "kind", KINDS)
     text = json.dumps(out, indent=1) + "\n"
     if args.output:
         Path(args.output).write_text(text)

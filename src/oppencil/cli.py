@@ -12,8 +12,9 @@ written), 3 numerical guard, 4 not applicable (also an operator with no
 formal adjoint).  A process loads only what its command runs: the index
 ledger with index, adjoint-check and verify-cc, the model solver with
 model-solve, the weighted norms with norm, and never numpy.ma (no
-flag-less np.unique).  No command maps OpenSSL unless it loads
-numpy.random (a coupled strip's compression, norm --kind holder): the
+flag-less np.unique).  No command loads numpy.random or maps OpenSSL: a
+coupled strip's compression and norm --kind holder draw from a counter
+stream in numpy uint64 arithmetic (radial_algebra.normals), and the
 fingerprint's SHA-256 is the interpreter's own module (_sha2, or _sha256
 before CPython 3.12), which hashlib falls back to.  A process keeps the
 operators of the last four documents it read, matched byte for byte, so
@@ -22,8 +23,8 @@ subcommand takes only the flags it reads: -o on all, --format {json,csv}
 on res and index, --seed on norm, --threads on ellipticity (spectrum
 accepts it without effect).  The only randomness is the fixed
 compression seed of the coupled eigensolve and the --seed of norm --kind
-holder, so reports are byte-identical across repeated runs and across
---threads settings.
+holder, both counter streams, so reports are byte-identical across
+repeated runs and across --threads settings.
 """
 
 from __future__ import annotations

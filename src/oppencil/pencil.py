@@ -48,7 +48,18 @@ columns, labelled in one pass over its nonzeros: 2 to 4 rectangular
 blocks, one per parity class of the harmonics under the operator's
 symmetries, on every coupled operator in operators/.  Each block's square
 is a fixed random compression of its exact rectangular pencil
-(restriction), whose candidates the rectangular pencil certifies.  The
+(restriction), whose candidates the rectangular pencil certifies.  Its
+matrix is drawn from a counter stream (radial_algebra.normals), so no
+numpy.random loads and no OpenSSL is mapped.  A real pencil (P.real:
+every i^j B_j real to the bit) is compressed by a real matrix and
+solved in tau = -i lam in real arithmetic, real shifts and a real
+companion, so its roots pair exactly as lam, -conj(lam) on one line and
+no draw splits a line; a complex pencil keeps a complex matrix.  The
+squares are stored in lam either way, so certification, clusters,
+chains and the memo read one representation.  A second compression,
+the stream's next matrix, is solved only for a block with a candidate
+that fails certification (P.witnesses): a candidate none of its roots
+lies near is a root of the first compression alone.  The
 owners of a cluster are the squares of its members, so chains and det
 orders are computed on the blocks that own it.  A mode cut
 (model_solver.mode_pencil) is a PencilMatrices too, cut with the help of
@@ -90,13 +101,14 @@ from .errors import (
     SingularLeadingCoeff,
 )
 from .operator_ast import SystemOperator, principal_part
-from .radial_algebra import harmonic_dim
+from .radial_algebra import harmonic_dim, normals
 
 _HOMOG_TOL = 1e-10
 _CLUSTER_RADIUS = 1e-6  # eigenvalue cluster radius
 _SCALAR_TOL = 1e-10    # deviation from c(lam) I, relative to the block's row sums
 _STACK_CAP = 2 ** 28   # bytes a stack B may take, and the kept stacks and memos together
 _SHIFTS = (0.3137 + 0.4271j, -0.5821 + 0.2394j, 0.1772 - 0.6813j)
+_SEED = 20240900       # an n_r x n_c block's compression reads stream _SEED + 7 n_r + n_c
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +242,63 @@ class PencilMatrices:
                         1).tolist()
 
     @cached_property
+    def real(self):
+        """Whether every i^j B_j is real to the bit (one exact test of B): the
+        pencil in tau = -i lam, sum_j (i^j B_j) tau^j, is then a real matrix
+        polynomial, whose eigenvalues pair as tau, conj(tau), that is lam,
+        -conj(lam), on one line (Tisseur and Meerbergen, The quadratic
+        eigenvalue problem, SIAM Rev. 43, 2001).  Every real operator
+        (every operators/*.json but dbar2d and cr_system2d, and a real
+        drift) has it."""
+        return not any(np.any(Bj.real if j % 2 else Bj.imag) for j, Bj in enumerate(self.B))
+
+    @cached_property
     def squares(self):
         """Square pencils (coefficient stacks), one per block (P.blocks), det
         pencil = prod_i det(P.squares[i]) ** P.powers[i]: the decoupled blocks
         (a c(lam) I one as its 1 x 1 c, a view of P.scalars) when the
         bandwidth is 0, otherwise a fixed random compression Q_i R_i of each
-        block's exact rectangular pencil R_i (P.restriction(i)), Q_i drawn
-        from a seed of R_i's shape."""
+        block's exact rectangular pencil R_i (P.restriction(i)), the first
+        draw of P.compression, from a counter stream: no numpy.random loads,
+        and so no OpenSSL is mapped."""
         if self.bandwidth == 0:
             row, C = self.scalars
             return [self.restriction(i) if r < 0 else C[r, :, None, None]
                     for i, r in enumerate(row.tolist())]
-        squares = []
-        for i in range(len(self.blocks)):
-            R = self.restriction(i)
-            n_r, n_c = R.shape[1:]
-            rng = np.random.default_rng(20240900 + 7 * n_r + n_c)
-            Q = rng.standard_normal((n_c, n_r)) + 1j * rng.standard_normal((n_c, n_r))
-            Q /= math.sqrt(2 * n_r)
-            squares.append(Q @ R)
-        return squares
+        return [self.compression(i, 0) for i in range(len(self.blocks))]
+
+    def compression(self, i, draw):
+        """Q R_i for block i's exact rectangular pencil R_i (P.restriction(i)),
+        Q the draw-th matrix of counter-based normals (radial_algebra.normals,
+        so neither numpy.random nor OpenSSL loads) of the stream
+        _SEED + 7 n_r + n_c of R_i's shape: complex, or real on a P.real
+        pencil, multiplied in real arithmetic so that every i^j (Q R_i)_j is
+        real to the bit."""
+        R = self.restriction(i)
+        n_r, n_c = R.shape[1:]
+        size = n_c * n_r * (1 if self.real else 2)
+        g = normals(_SEED + 7 * n_r + n_c, draw * size, size)
+        if self.real:   # in real arithmetic: a part of R that is exactly zero stays so
+            Q = g.reshape(n_c, n_r) / math.sqrt(n_r)
+            return Q @ R.real + 1j * (Q @ R.imag)
+        Q = g.reshape(2, n_c, n_r)
+        return (Q[0] + 1j * Q[1]) / math.sqrt(2 * n_r) @ R
+
+    def witnesses(self, i):
+        """The finite eigenvalues of block i's second compression (P.compression
+        draw 1), solved on first use and kept: a root of P.squares[i] that
+        fails certification with none of them near is spurious, a root of
+        the first compression alone (spectrum.solve_pencil_eigenvalues)."""
+        memo = self.__dict__.setdefault("_witnesses", {})
+        if i not in memo:
+            memo[i] = _square_roots(self.compression(i, 1), self.real)
+        return memo[i]
+
+    @cached_property
+    def spurious(self):
+        """Which of P.eigenvalues a strip found spurious (P.witnesses), filled
+        by spectrum.solve_pencil_eigenvalues; a verdict depends on P alone."""
+        return np.zeros(len(self.eigenvalues), dtype=bool)
 
     @cached_property
     def roots(self):
@@ -277,7 +326,7 @@ class PencilMatrices:
                 if not np.isfinite(cond) or cond > 1e12:
                     raise SingularLeadingCoeff(
                         f"leading coefficient condition {cond:.2e} on a block")
-            vals.append(_companion_eigenvalues(Bs))
+            vals.append(_square_roots(Bs, self.bandwidth > 0 and self.real))
             square.append(np.full(len(vals[-1]), i))
         order = np.argsort(np.concatenate(square), kind="stable")
         return np.concatenate(vals)[order], np.concatenate(square)[order]
@@ -627,6 +676,23 @@ def _scalar_roots(C):
     return vals[finite], np.nonzero(finite)[0]
 
 
+def _turn(m):
+    """i^j, j = 0..m, as an (m + 1, 1, 1) stack: sum_j B_j lam^j is
+    sum_j (i^j B_j) tau^j at lam = i tau.  Multiplying by it or its
+    conjugate is exact."""
+    return np.array([1, 1j, -1, -1j])[np.arange(m + 1) % 4, None, None]
+
+
+def _square_roots(Bs, real):
+    """The finite eigenvalues of the square stack Bs, by _companion_eigenvalues;
+    when every i^j Bs_j is real (real), as lam = i tau from the real stack
+    sum_j (i^j Bs_j) tau^j, so that they pair as lam, -conj(lam) bit for
+    bit."""
+    if not real:
+        return _companion_eigenvalues(Bs)
+    return 1j * _companion_eigenvalues((_turn(len(Bs) - 1) * Bs).real)
+
+
 def _companion_eigenvalues(Bs):
     """Finite eigenvalues of P(lam) = sum_j B_j lam^j by the shifted companion
     (the reversal/shift linearization; Gohberg, Lancaster and Rodman, Matrix
@@ -634,11 +700,13 @@ def _companion_eigenvalues(Bs):
     C_j = P^(j)(sigma)/j!, monic after C_0^(-1).  mu = 0 (a singular B_m) is
     an infinite lam and drops out with |lam| >= 1e8.  The solve loses about
     eps cond P(sigma): sigma is the first of _SHIFTS with cond < 1e4, else the
-    best of them, and cond >= 1e8 at all raises SingularLeadingCoeff."""
+    best of them, and cond >= 1e8 at all raises SingularLeadingCoeff.  Real
+    B_j take the real parts of _SHIFTS, so the companion is real and its
+    eigenvalues come in exact conjugate pairs."""
     m = len(Bs) - 1
     N = Bs[0].shape[0]
     best = None
-    for sigma in _SHIFTS:
+    for sigma in _SHIFTS if np.iscomplexobj(Bs) else [s.real for s in _SHIFTS]:
         C = taylor(Bs, sigma)
         sv = np.linalg.svd(C[0], compute_uv=False)
         ratio = sv[-1] / sv[0] if sv[0] else 0.0   # 1 / cond P(sigma)
@@ -649,7 +717,7 @@ def _companion_eigenvalues(Bs):
     ratio, sigma, C = best
     if not ratio > 1e-8:
         raise SingularLeadingCoeff("the pencil is singular at every shift")
-    A = np.eye(N * m, k=N, dtype=complex)
+    A = np.eye(N * m, k=N, dtype=C[0].dtype)
     A[N * (m - 1):] = -np.linalg.solve(C[0], np.hstack(C[:0:-1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = sigma + 1 / np.linalg.eigvals(A)

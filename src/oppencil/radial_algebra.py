@@ -90,6 +90,28 @@ def _sphere_points(n, count):
     return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=1)
 
 
+def uniforms(seed, start, count):
+    """count numbers in (0, 1], 53 bits each: the SplitMix64 outputs of the
+    counters start + 1 .. start + count of the stream `seed` (Steele, Lea
+    and Flood, Fast splittable pseudorandom number generators, OOPSLA
+    2014).  A counter's number depends on nothing else drawn, so a longer
+    draw extends a shorter one.  Plain uint64 arithmetic (wrapping), so no
+    numpy.random loads, and with it no OpenSSL (its secrets -> hmac)."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed % 2 ** 64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) + 1) * 2.0 ** -53
+
+
+def normals(seed, start, count):
+    """count standard normal numbers, the k-th by Box-Muller from the
+    uniforms of counters 2 (start + k) + 1 and + 2 of the stream `seed`:
+    sqrt(-2 ln u) cos(2 pi v)."""
+    u = uniforms(seed, 2 * start, 2 * count)
+    return np.sqrt(-2 * np.log(u[::2])) * np.cos(2 * math.pi * u[1::2])
+
+
 def harmonic_dim(n: int, l: int) -> int:
     if n == 2:
         return 1 if l == 0 else 2

@@ -9,18 +9,24 @@ counted P.powers times), and otherwise a fixed random compression of
 each block of the exact rectangular restriction to the fully-resolved
 columns P.kept (the square truncation is then structurally singular),
 whose candidates a small singular value of the block's rectangular
-pencil certifies.  The kept columns are those of every wider pencil with
+pencil certifies.  The compression draws from a counter stream, not
+numpy.random, and a real pencil's (P.real) is real and solved in real
+arithmetic in tau = -i lam, so its candidates pair exactly as lam,
+-conj(lam).  The kept columns are those of every wider pencil with
 zero rows appended, so a certified value is an eigenvalue of every wider
 pencil, and no wider pencil is solved.  strip_eigenpoints chains the
 clusters of P (P.clusters) that hold a value of a strip of any pencil (a
 strip's, or a model-solve mode block's), certified only in the strip.  A
 strip is refused when a candidate in it fails certification (a line the
-degree does not resolve) or an eigenvector carries more than half its
-mass above the analysis degree (a higher mode's line); a coupled
-eigenvector's small tail is kept.  That tail-mass verdict belongs to the
-eigenpoint, not the strip: jordan_chains reads the degree masses of the
-leading vectors of every point it builds in one pass and stores each
-point's largest tail and peak degree on it.
+degree does not resolve; but not a candidate that no root of its block's
+second compression lies within _WITNESS_RADIUS of, a spurious root of
+the first compression, P.spurious, which the strip does not count) or an
+eigenvector carries more than half its mass above the analysis degree
+(a higher mode's line); a coupled eigenvector's small tail is kept.
+That tail-mass verdict belongs to the eigenpoint, not the strip:
+jordan_chains reads the degree masses of the leading vectors of every
+point it builds in one pass and stores each point's largest tail and
+peak degree on it.
 
 Jordan chains at an eigenvalue lam0 solve the coupled system
 
@@ -108,6 +114,7 @@ _TAIL_MASS_MAX = 0.5    # eigenvector mass above the degree that refuses a strip
 _DET_ORDER_TOL = 1e-6   # relative size of a non-negligible Taylor coefficient
 _DET_RADIUS_SHARE = 0.45  # det-order circle radius, as a share of the isolation
 _DET_RADIUS_MAX = 0.1     # ... and at most this
+_WITNESS_RADIUS = 1e-2    # no second-compression root this near: a failing candidate is spurious
 _DET_ROUNDOFF = 64        # a scalar's det round-off, in N eps max_z sum_j |C_j| |z|^j
 
 
@@ -221,7 +228,10 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
     band = (lo, hi) only those with lo < Im lam < hi, the only ones
     certified.  The companion eigensolves run once per pencil
     (P.eigenvalues); a candidate of a remembered cluster (P.points) was
-    certified when its cluster was chained, and is not certified again."""
+    certified when its cluster was chained, and is not certified again.  A
+    candidate in the band that fails certification with no root of its
+    block's second compression (P.witnesses) within _WITNESS_RADIUS is
+    marked in P.spurious: a root of the first compression alone."""
     vals = P.eigenvalues
     keep = (np.ones(len(vals), dtype=bool) if band is None
             else (band[0] < vals.imag) & (vals.imag < band[1]))
@@ -238,6 +248,10 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
             sv = np.concatenate(_stacked(lambda M: np.linalg.svd(M, compute_uv=False),
                                          P.restriction(i), vals[sel], P.B.size))
             keep[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
+            fail = sel[~keep[sel]]
+            if len(fail) and band is not None:
+                near = np.abs(vals[fail, None] - P.witnesses(i)).min(axis=1, initial=np.inf)
+                P.spurious[fail] = near > _WITNESS_RADIUS
     return vals[keep]
 
 
@@ -691,7 +705,8 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     chained in one jordan_chains call.  Values within the cluster radius
     outside an edge are kept, so a line on an edge reaches RefuseBoundary
     whatever side round-off puts it on.  A candidate there that fails
-    certification is a line the degree does not resolve (UnstableSpectrum).
+    certification is a line the degree does not resolve (UnstableSpectrum),
+    unless it is spurious (P.spurious), and then it is not counted.
     The algebraic multiplicities must sum to the number of values in the
     strip (MultiplicityMismatch otherwise), so a cluster that straddles the
     widened strip, with members on both sides of an edge, is refused too.
@@ -699,7 +714,7 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     so a remembered cluster lies whole in a strip that certified it."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
     in_strip = solve_pencil_eigenvalues(P, (lo, hi))
-    band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi)
+    band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi) & ~P.spurious
     found = np.count_nonzero(band)
     if found > len(in_strip):
         raise UnstableSpectrum(

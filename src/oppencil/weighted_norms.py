@@ -27,7 +27,14 @@ from itertools import product
 import numpy as np
 
 from .errors import DivergentNorm, UnboundedNorm
-from .radial_algebra import Expr, _as_fraction, _sphere_points, sphere_monomial_moment
+from .radial_algebra import (
+    Expr,
+    _as_fraction,
+    _sphere_points,
+    normals,
+    sphere_monomial_moment,
+    uniforms,
+)
 
 _TAIL_RADII = (2.0, 8.0, 32.0, 128.0)   # radii of the symbol-class decay test
 _TAIL_TOL = 0.1                         # its bound on the last weighted sup
@@ -278,8 +285,10 @@ def weighted_holder_seminorm(u: Expr, sigma: float, beta, samples: int = 4096,
 
     Evaluates sup over pairs 0 < |x-y| < Lambda(x) of
     Lambda(x)^sigma |w(x) - w(y)| / |x-y|^sigma with w = Lambda^beta u,
-    plus the sup term sup Lambda^beta |u|.  The sample stream is seeded, so
-    doubling `samples` never decreases the estimate.
+    plus the sup term sup Lambda^beta |u|, over `samples` pairs.  The pairs
+    come 512 at a time from the counter stream `seed` (radial_algebra.normals
+    and uniforms), chunk c from its own counters, so a larger `samples`
+    reads a prefix of the same pairs and never decreases the estimate.
     """
     if not 0 < sigma < 1:
         raise ValueError("sigma must be in (0, 1)")
@@ -294,18 +303,18 @@ def weighted_holder_seminorm(u: Expr, sigma: float, beta, samples: int = 4096,
 
     sup_term, sup_gap = _sup_on_shells(u, beta_f, 0.0)
 
-    rng = np.random.default_rng(seed)
     best = 0.0
-    chunk = 512
-    n_chunks = -(-samples // chunk)
-    for _ in range(n_chunks):
-        m = chunk
+    m = 512                 # pairs a chunk
+    per = m * (4 * n + 2)   # counters a chunk reads: 2 per normal, 1 per uniform
+    for c in range(-(-samples // m)):
+        k = min(m, samples - c * m)   # the pairs of this chunk that count
+        g = normals(seed, c * per // 2, 2 * m * n).reshape(2, m, n)[:, :k]
+        v = uniforms(seed, c * per + 4 * m * n, 2 * m).reshape(2, m)[:, :k]
         # x from a heavy-tailed radial law, y inside the Lambda(x) ball
-        x = rng.standard_normal((m, n)) * np.exp(rng.uniform(-2, 4, (m, 1)))
+        x = g[0] * np.exp(6 * v[0] - 2)[:, None]
         lam_x = np.sqrt(1.0 + np.sum(x * x, axis=-1))
-        d = rng.standard_normal((m, n))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        rad = lam_x * rng.uniform(1e-4, 1.0, m) ** 2
+        d = g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
+        rad = lam_x * (1e-4 + (1 - 1e-4) * v[1]) ** 2
         y = x + d * rad[:, None]
         wx = w_eval(x)
         wy = w_eval(y)

@@ -19,7 +19,7 @@ profiler sees it.
 The program runs on numpy alone: a CLI run in a fresh interpreter loads no
 scipy module (the tests use scipy only as an independent oracle), no
 numpy.ma, neither the index ledger nor the model solver unless its
-command runs one, and no OpenSSL unless it loads numpy.random.
+command runs one, and neither numpy.random nor OpenSSL.
 
 The modules form layers (LAYERS): each imports only modules before it, so
 the document codec and the exact rings sit below the operators, and the
@@ -239,19 +239,23 @@ def test_parameters_are_read():
 
 _WINDOW = "-0.5 3.5 --degree 4"
 _SOLVER, _LEDGER = "oppencil.model_solver", "oppencil.index_ledger"
-# (argv, the modules it must not load): the second word of argv names
-# operators/<name>.json.  The ledger and the model solver load only with
-# the commands that run them, and OpenSSL (_hashlib) with none: the
-# fingerprint hashes with the interpreter's own SHA-256 module.  The
-# cr_system2d run is exempt from _hashlib: its coupled eigensolve's
-# compression imports numpy.random, whose secrets -> hmac maps OpenSSL
-_RUNS = [(f"spectrum laplacian3d --strip {_WINDOW}", {_SOLVER, "_hashlib"}),
-         (f"res laplacian3d --strip {_WINDOW}", {_SOLVER, "_hashlib"}),
-         (f"index laplacian3d --anchor selfadjoint --window {_WINDOW}", {_SOLVER, "_hashlib"}),
+# (argv, the modules it must not load besides numpy.random and OpenSSL
+# (_hashlib), which no run loads): the second word of argv names
+# operators/<name>.json, or for norm an expression document.  The ledger
+# and the model solver load only with the commands that run them.  The
+# fingerprint hashes with the interpreter's own SHA-256 module, and the
+# coupled compressions (cr_system2d's complex one, anisotropic2d's real
+# one) and norm --kind holder draw from a counter stream, not numpy.random,
+# whose secrets -> hmac would map OpenSSL
+_RUNS = [(f"spectrum laplacian3d --strip {_WINDOW}", {_SOLVER}),
+         (f"res laplacian3d --strip {_WINDOW}", {_SOLVER}),
+         (f"res anisotropic2d --strip {_WINDOW}", {_SOLVER}),
+         (f"index laplacian3d --anchor selfadjoint --window {_WINDOW}", {_SOLVER}),
          (f"index cr_system2d --anchor cc --window {_WINDOW}", {_SOLVER}),
-         (f"verify-cc laplacian3d --window {_WINDOW}", {_SOLVER, "_hashlib"}),
-         (f"adjoint-check laplacian3d --window {_WINDOW}", {_SOLVER, "_hashlib"}),
-         ("model-solve laplacian3d --mode 1 --beta1 -0.5 --beta2 1.5", {_LEDGER, "_hashlib"})]
+         (f"verify-cc laplacian3d --window {_WINDOW}", {_SOLVER}),
+         (f"adjoint-check laplacian3d --window {_WINDOW}", {_SOLVER}),
+         ("model-solve laplacian3d --mode 1 --beta1 -0.5 --beta2 1.5", {_LEDGER}),
+         ("norm u --kind holder --n 3 --samples 1024", {_SOLVER, _LEDGER})]
 
 
 @pytest.mark.parametrize("argv, absent", _RUNS,
@@ -260,13 +264,18 @@ def test_cli_run_loads_no_scipy(tmp_path, argv, absent):
     # nor numpy.ma, which a flag-less np.unique imports
     command, name, *flags = argv.split()
     out, here = tmp_path / "report.json", tmp_path / "here.json"
-    argv = [command, str(REPO / "operators" / f"{name}.json"), *flags, "-o"]
+    doc = REPO / "operators" / f"{name}.json"
+    if command == "norm":
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps([{"b": "-2", "c": 0, "poly": {"1 0 0": [1.0, 0.0]}}]))
+    argv = [command, str(doc), *flags, "-o"]
+    absent = ("numpy.ma", "numpy.random", "_hashlib", *sorted(absent))
     code = ("import json, sys\n"
             "from oppencil.cli import main\n"
             f"code = main({[*argv, str(out)]!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
             "                                if m.partition('.')[0] == 'scipy'\n"
-            f"                                or m in {('numpy.ma', *sorted(absent))!r})]))\n")
+            f"                                or m in {absent!r})]))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        cwd=REPO, timeout=120)
     assert r.returncode == 0, r.stderr

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -503,6 +504,34 @@ def test_shifted_companion_refuses_a_non_regular_pencil():
           ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [1, 0]])]
     with pytest.raises(SingularLeadingCoeff, match="every shift"):
         _companion_eigenvalues(Bs)
+
+
+@pytest.mark.parametrize("doc_fn", [
+    lambda: json.loads((OPERATORS / "anisotropic2d.json").read_text()),
+    lambda: json.loads((OPERATORS / "dipole_laplacian3d.json").read_text()),
+    lambda: drift_doc(0.4)], ids=["anisotropic2d", "dipole_laplacian3d", "drift3d"])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_real_pencil_roots_pair_bit_for_bit(doc_fn, degree):
+    # every i^j B_j is real, so each compressed square is real in tau = -i lam
+    # and its roots pair exactly as lam, -conj(lam), square by square
+    op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, degree), analysis_degree=degree)
+    assert P.bandwidth > 0 and P.real
+    turn = pencil._turn(P.m)
+    assert all(not np.any((turn * Bs).imag) for Bs in P.squares)
+    roots, square = P.roots
+    for i in range(len(P.squares)):
+        mine = roots[square == i]
+        assert len(mine) and Counter(mine.tolist()) == Counter((-mine.conj()).tolist())
+
+
+@pytest.mark.parametrize("doc_fn", [dbar_doc, cr_system_doc])
+def test_complex_pencils_keep_the_complex_route(doc_fn):
+    op = parse_operator(doc_fn())
+    P = assemble_pencil(op, default_l_max(op, 4), analysis_degree=4)
+    assert P.bandwidth > 0 and not P.real
+    roots = P.roots[0]
+    assert np.count_nonzero(np.isin(roots, -roots.conj())) < len(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for the Gauss decomposition (the oracle's exact split over Q, and
 the program's float split of Expr polynomials against it), the sphere
-moments, and the oracle's r^c * harmonic product-rule ring
+moments, the counter-based draw, and the oracle's r^c * harmonic product-rule ring
 (tests/oracles.py) that the pencil and adjoint tests check the program
 against."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +15,10 @@ from oppencil.radial_algebra import (
     _moment_fraction,
     harmonic_decompose as program_split,
     harmonic_dim,
+    normals,
     sphere_monomial_moment,
     surface_measure,
+    uniforms,
 )
 from oppencil.errors import HomogeneityError
 from oracles import (
@@ -337,3 +340,31 @@ def test_basis_polys_harmonic():
         for l in range(6):
             for H in exact_harmonics(n, l):
                 assert H.degree == l and H.laplacian().is_zero()
+
+
+def _splitmix64(seed, i):
+    """The i-th output (i >= 1) of SplitMix64 from state `seed`, in Python
+    integers (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (seed + i * 0x9E3779B97F4A7C15) % 2 ** 64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 20240900 + 7 * 33 + 29, 2 ** 64 - 1])
+def test_uniforms_are_splitmix64_counters(seed):
+    assert _splitmix64(1234567, 1) == 6457827717110365317   # the reference's first output
+    got = uniforms(seed, 5, 40)
+    assert got.tolist() == [((_splitmix64(seed, i) >> 11) + 1) * 2.0 ** -53
+                            for i in range(6, 46)]
+    assert 0 < got.min() and got.max() <= 1
+    # counter by counter: a longer draw extends a shorter one
+    assert uniforms(seed, 0, 45)[5:].tolist() == got.tolist()
+    assert normals(seed, 0, 30)[10:].tolist() == normals(seed, 10, 20).tolist()
+
+
+def test_normals_are_standard():
+    g = normals(20240900, 0, 200000)
+    assert abs(g.mean()) < 0.01 and abs(g.std() - 1) < 0.01
+    # a Gaussian tail: P(|g| > 3) = 0.0027
+    assert 0.002 < np.mean(np.abs(g) > 3) < 0.0034

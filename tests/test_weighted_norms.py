@@ -188,6 +188,16 @@ def test_holder_monotone_in_samples():
         assert b >= a - 1e-15
 
 
+def test_holder_reads_exactly_samples_pairs():
+    # a chunk of 512 pairs is drawn whole but only its first pairs count, so
+    # any `samples` reads a prefix of the pairs of every larger one
+    u = Expr.term(3, "-3/2", 0, (1, 0, 0), 1.0)
+    vals = [weighted_holder_seminorm(u, 0.4, 0.0, samples=s).value
+            for s in (1, 2, 100, 511, 512, 700)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    assert vals[0] < vals[2] < vals[4]
+
+
 def test_decay_criterion_consistent_with_cl_norm():
     # the order-2 remainder test and the weighted C^0 norm frame the same
     # decay: (1+r^2)^(-1) is O(r^-2) (finite norm at beta = 2, infinite just
