@@ -47,7 +47,7 @@ from .operator_ast import (
     parse_operator,
     serialize_operator,
 )
-from .pencil import _PENCIL_CAP, assemble_pencil, default_l_max
+from .pencil import _CLUSTER_RADIUS, _PENCIL_CAP, assemble_pencil, default_l_max
 from .radial_algebra import Expr
 from .spectrum import strip_spectrum
 
@@ -81,12 +81,14 @@ def _load_operator(path):
     return _read_json(path, "operator file", _parse_document)
 
 
-def _emit(payload, args):
+def _emit(payload, args, op=None):
+    """Write a report to -o or stdout: a text as it is, or a JSON object
+    stamped with the tool version and, given op, its operator_fingerprint."""
     if isinstance(payload, str):
         text = payload
     else:
-        payload = dict(payload)
-        payload["tool_version"] = __version__
+        stamp = {} if op is None else {"operator_fingerprint": op.fingerprint()}
+        payload = {**stamp, **payload, "tool_version": __version__}
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if getattr(args, "output", None):
         try:
@@ -98,19 +100,13 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _fingerprinted(op, body):
-    out = {"operator_fingerprint": op.fingerprint()}
-    out.update(body)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args):
     op = _load_operator(args.operator)
-    _emit(_fingerprinted(op, {"canonical": serialize_operator(op)}), args)
+    _emit({"canonical": serialize_operator(op)}, args, op)
     return 0
 
 
@@ -119,7 +115,7 @@ def cmd_ellipticity(args):
     rep = check_ellipticity(op, xi_samples=args.xi_samples,
                             x_samples=args.x_samples,
                             threshold=args.threshold, threads=args.threads)
-    _emit(_fingerprinted(op, rep.to_json()), args)
+    _emit(rep.to_json(), args, op)
     return 0
 
 
@@ -142,8 +138,8 @@ def cmd_strip(args):
     elif args.format == "csv":
         _emit(rep.res_lines_csv(), args)
     else:
-        _emit(_fingerprinted(op, {"strip": [rep.beta1, rep.beta2],
-                                  "res_lines": rep.res_lines_json()}), args)
+        _emit({"strip": [rep.beta1, rep.beta2], "res_lines": rep.res_lines_json()},
+              args, op)
     return 0
 
 
@@ -189,14 +185,14 @@ def cmd_index(args):
     if args.format == "csv":
         _emit(led.to_csv(), args)
     else:
-        _emit(_fingerprinted(op, led.to_json()), args)
+        _emit(led.to_json(), args, op)
     return 0
 
 
 def cmd_adjoint(args):
     op = _load_operator(args.operator)
     adj = formal_adjoint(op)
-    _emit(_fingerprinted(op, {"adjoint": serialize_operator(adj)}), args)
+    _emit({"adjoint": serialize_operator(adj)}, args, op)
     return 0
 
 
@@ -209,7 +205,7 @@ def cmd_adjoint_check(args):
     shift = op.n + op.m
     rep_adj = strip_spectrum(adj, shift - b2, shift - b1, args.degree)
     check = adjoint_res_check(rep_a.res_lines, rep_adj.res_lines, op.n, op.m)
-    _emit(_fingerprinted(op, check.to_json()), args)
+    _emit(check.to_json(), args, op)
     return 0 if check.passed else 3
 
 
@@ -291,11 +287,11 @@ def cmd_model_solve(args):
                             "right-hand sides are scalar")
     res = line_difference_expansion(mp, f, args.beta1, args.beta2, t)
     report = verify_coefficient_formula(res)
-    _emit(_fingerprinted(op, {
+    _emit({
         "mode": args.mode,
         "expansion": res.to_json(),
         "coefficient_check": report,
-    }), args)
+    }, args, op)
     return 0 if report["passed"] else 3
 
 
@@ -312,19 +308,19 @@ def cmd_verify_cc(args):
     for b in range(math.ceil(b1), math.floor(b2) + 1):
         jump = (pn_mu_nu(op.n, op.mu, op.nu, b - 0.5)
                 - pn_mu_nu(op.n, op.mu, op.nu, b + 0.5))
-        line = next((l for l in rep.res_lines if abs(l - b) < 1e-6), None)
+        line = next((l for l in rep.res_lines if abs(l - b) < _CLUSTER_RADIUS), None)
         mult = rep.res_lines.get(line, 0) if line is not None else 0
         checks.append({"beta": b, "formula_jump": jump, "computed_mult": mult,
                        "match": jump == mult})
         ok = ok and jump == mult
-    stray = [l for l in rep.res_lines if abs(l - round(l)) > 1e-6]
+    stray = [l for l in rep.res_lines if abs(l - round(l)) > _CLUSTER_RADIUS]
     if stray:
         ok = False
-    _emit(_fingerprinted(op, {
+    _emit({
         "window": [b1, b2], "degree": args.degree,
         "checks": checks, "stray_lines": [f"{l:.9g}" for l in stray],
         "passed": ok,
-    }), args)
+    }, args, op)
     return 0 if ok else 3
 
 

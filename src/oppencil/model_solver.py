@@ -61,7 +61,6 @@ from .spectrum import (
     strip_eigenpoints,
 )
 
-_LINE_TOL = _CLUSTER_RADIUS  # a line this far from every pole keeps clusters whole
 _DECAY_TOL = 1e-12
 _COEFFICIENT_TOL = 1e-6   # direct vs residue coefficients, relative to the largest
 _GRID_SIZES = [2 ** k for k in range(8, 17)]   # 256 .. 2^16 points
@@ -161,7 +160,7 @@ def solve_on_line(mp: PencilMatrices, fvals, beta: float, t, ghat=None) -> np.nd
     """
     gap = min((abs(p.imag - beta) for p in mp.eigenvalues),
               default=math.inf)
-    if gap < _LINE_TOL:
+    if gap < _CLUSTER_RADIUS:   # a line this far from every pole keeps clusters whole
         raise LineTooClose(f"line beta={beta} within {gap:.2e} of a mode eigenvalue")
     if ghat is None:
         g = np.exp(beta * t)[:, None] * fvals
@@ -301,7 +300,7 @@ def line_difference_expansion(mp: PencilMatrices, f, beta1: float, beta2: float,
     diff_coeff = np.zeros_like(diff_solve)
     coeffs_direct = []
     coeffs_residue = []
-    # both lines lie >= _LINE_TOL = the cluster radius from every pole, so
+    # both lines lie >= the cluster radius from every pole, so
     # the strip's eigenpoints are the crossed poles, each cluster whole
     eigenpoints = strip_eigenpoints(mp, beta1, beta2)
     for ep in eigenpoints:

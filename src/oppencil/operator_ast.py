@@ -38,8 +38,8 @@ from itertools import product
 import numpy as np
 
 from .errors import AdjointOrderViolation, BadDNOrders, OrderMismatch, SchemaError
-from .radial_algebra import (Expr, _read_monomials, _read_number, _sphere_points,
-                             _write_monomials, harmonic_terms)
+from .radial_algebra import (Expr, _read_monomials, _read_number, _read_object,
+                             _sphere_points, _write_monomials, harmonic_terms)
 
 try:    # hashlib's own fallbacks (CPython >= 3.12, then 3.10-3.11): no OpenSSL
     from _sha2 import sha256
@@ -166,12 +166,7 @@ def _parse_poly(doc, n):
 
 def parse_operator(doc) -> SystemOperator:
     """Parse and validate a decoded operator-spec document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("operator document must be a JSON object")
-    allowed = {"n", "k", "mu", "nu", "entries"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown operator keys: {sorted(unknown)}")
+    _read_object(doc, {"n", "k", "mu", "nu", "entries"}, "operator document")
     n, k = _read_number(doc.get("n"), "n"), _read_number(doc.get("k"), "k")
     mu, nu = _read_ints(doc.get("mu"), "mu"), _read_ints(doc.get("nu"), "nu")
     if n not in (2, 3):
@@ -187,10 +182,7 @@ def parse_operator(doc) -> SystemOperator:
     if not isinstance(doc.get("entries", []), list):
         raise SchemaError("entries must be a list of objects")
     for ent in doc.get("entries", []):
-        if not isinstance(ent, dict):
-            raise SchemaError(f"entry must be an object, got {ent!r}")
-        if set(ent) - {"i", "j", "terms"}:
-            raise SchemaError(f"unknown entry keys: {sorted(set(ent) - {'i', 'j', 'terms'})}")
+        _read_object(ent, {"i", "j", "terms"}, "entry")
         i, j = _read_number(ent.get("i"), "entry i"), _read_number(ent.get("j"), "entry j")
         if not (0 <= i < k and 0 <= j < k):
             raise SchemaError(f"entry index ({i},{j}) out of range")
@@ -205,11 +197,8 @@ def parse_operator(doc) -> SystemOperator:
                 f"nonzero entry ({i},{j}) where mu_j - nu_i = {order} < 0")
         terms = []
         for t in ent["terms"]:
-            if not isinstance(t, dict):
-                raise SchemaError(f"term of entry ({i},{j}) must be an object, got {t!r}")
-            if set(t) - {"alpha", "radial_exponent", "poly", "perturbation"}:
-                raise SchemaError(
-                    f"unknown term keys: {sorted(set(t) - {'alpha', 'radial_exponent', 'poly', 'perturbation'})}")
+            _read_object(t, {"alpha", "radial_exponent", "poly", "perturbation"},
+                         f"term of entry ({i},{j})")
             alpha = validate_multi_index(t.get("alpha"), n)
             if sum(alpha) > order:
                 raise OrderMismatch(
@@ -275,7 +264,7 @@ def _entry_terms(n, order, parts, perts):
             if kept:
                 harm.append((c.real, Expr(n, kept)))
         if not harm and pert is not None:
-            out.append((alpha, CoeffTerm(float(sum(alpha) - order), Expr.zero(n), pert)))
+            out.append((alpha, CoeffTerm(float(sum(alpha) - order), Expr(n), pert)))
         for idx, (c, H) in enumerate(harm):
             out.append((alpha, CoeffTerm(c, H, pert if idx == 0 else None)))
     return out

@@ -57,9 +57,9 @@ companion, so its roots pair exactly as lam, -conj(lam) on one line and
 no draw splits a line; a complex pencil keeps a complex matrix.  The
 squares are stored in lam either way, so certification, clusters,
 chains and the memo read one representation.  A second compression,
-the stream's next matrix, is solved only for a block with a candidate
-that fails certification (P.witnesses): a candidate none of its roots
-lies near is a root of the first compression alone.  The
+the stream's next matrix (P.compression(i, 1)), is solved, and not kept,
+only for a block with a candidate that fails certification: a candidate
+none of its roots lies near is a root of the first compression alone.  The
 owners of a cluster are the squares of its members, so chains and det
 orders are computed on the blocks that own it.  A mode cut
 (model_solver.mode_pencil) is a PencilMatrices too, cut with the help of
@@ -258,9 +258,9 @@ class PencilMatrices:
         pencil = prod_i det(P.squares[i]) ** P.powers[i]: the decoupled blocks
         (a c(lam) I one as its 1 x 1 c, a view of P.scalars) when the
         bandwidth is 0, otherwise a fixed random compression Q_i R_i of each
-        block's exact rectangular pencil R_i (P.restriction(i)), the first
-        draw of P.compression, from a counter stream: no numpy.random loads,
-        and so no OpenSSL is mapped."""
+        block's exact rectangular pencil R_i (P.restriction(i)), draw 0 of
+        P.compression, from a counter stream: no numpy.random loads, and so
+        no OpenSSL is mapped."""
         if self.bandwidth == 0:
             row, C = self.scalars
             return [self.restriction(i) if r < 0 else C[r, :, None, None]
@@ -273,7 +273,8 @@ class PencilMatrices:
         so neither numpy.random nor OpenSSL loads) of the stream
         _SEED + 7 n_r + n_c of R_i's shape: complex, or real on a P.real
         pencil, multiplied in real arithmetic so that every i^j (Q R_i)_j is
-        real to the bit."""
+        real to the bit.  Draw 0 is P.squares[i]; draw 1 tells a root of draw 0
+        alone apart (spectrum.solve_pencil_eigenvalues)."""
         R = self.restriction(i)
         n_r, n_c = R.shape[1:]
         size = n_c * n_r * (1 if self.real else 2)
@@ -283,22 +284,6 @@ class PencilMatrices:
             return Q @ R.real + 1j * (Q @ R.imag)
         Q = g.reshape(2, n_c, n_r)
         return (Q[0] + 1j * Q[1]) / math.sqrt(2 * n_r) @ R
-
-    def witnesses(self, i):
-        """The finite eigenvalues of block i's second compression (P.compression
-        draw 1), solved on first use and kept: a root of P.squares[i] that
-        fails certification with none of them near is spurious, a root of
-        the first compression alone (spectrum.solve_pencil_eigenvalues)."""
-        memo = self.__dict__.setdefault("_witnesses", {})
-        if i not in memo:
-            memo[i] = _square_roots(self.compression(i, 1), self.real)
-        return memo[i]
-
-    @cached_property
-    def spurious(self):
-        """Which of P.eigenvalues a strip found spurious (P.witnesses), filled
-        by spectrum.solve_pencil_eigenvalues; a verdict depends on P alone."""
-        return np.zeros(len(self.eigenvalues), dtype=bool)
 
     @cached_property
     def roots(self):

@@ -147,6 +147,16 @@ def _read_number(value, what, kind=int):
     return out
 
 
+def _read_object(doc, keys, what):
+    """Refuse doc unless it is a JSON object whose keys are among `keys`;
+    `what` names it in each refusal."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - keys
+    if unknown:
+        raise SchemaError(f"unknown keys in {what}: {sorted(unknown)}")
+
+
 def _read_monomials(doc, n, what):
     """{exponents: complex} of a monomial map {"e1 ... en": [re, im]}.
     Every key has n exponents; `what` names the map's owner in each
@@ -183,24 +193,12 @@ class Expr:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def zero(n):
-        return Expr(n, {})
-
-    @staticmethod
-    def term(n, b, c, mono, coeff=1.0):
-        key = (_as_fraction(b), _as_fraction(c), tuple(int(e) for e in mono))
-        return Expr(n, {key: complex(coeff)})
-
-    @staticmethod
     def from_json(doc, n):
         if not isinstance(doc, list):
             raise SchemaError("Expr JSON must be a list of terms")
         terms = {}
         for item in doc:
-            if not isinstance(item, dict):
-                raise SchemaError(f"Expr term must be an object, got {item!r}")
-            if set(item) - {"b", "c", "poly"}:
-                raise SchemaError(f"unknown Expr keys: {sorted(set(item) - {'b', 'c', 'poly'})}")
+            _read_object(item, {"b", "c", "poly"}, "Expr term")
             b = _as_fraction(item.get("b", 0), "Expr b")
             c = _as_fraction(item.get("c", 0), "Expr c")
             for expo, coeff in _read_monomials(item.get("poly", {}), n, "Expr").items():
@@ -226,7 +224,7 @@ class Expr:
 
     def scale(self, s):
         if s == 0:
-            return Expr.zero(self.n)
+            return Expr(self.n)
         return Expr(self.n, {k: v * s for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -348,12 +346,12 @@ def harmonic_decompose(P: Expr):
         return []
     if d <= 1:
         return [(0, P)]
-    Q = Expr.zero(n)
+    Q = Expr(n)
     for i in range(n):
         Q = Q + P.differentiate(i, plain=True).differentiate(i, plain=True)
     if Q.norm_inf() <= _HARMONIC_TOL * P.norm_inf():
         return [(0, P)]
-    parts, acc = [], Expr.zero(n)
+    parts, acc = [], Expr(n)
     for jp, G in harmonic_decompose(Q):  # G = G_(d-2-2jp)
         j = jp + 1
         e = d - 2 * j

@@ -20,7 +20,7 @@ strip's, or a model-solve mode block's), certified only in the strip.  A
 strip is refused when a candidate in it fails certification (a line the
 degree does not resolve; but not a candidate that no root of its block's
 second compression lies within _WITNESS_RADIUS of, a spurious root of
-the first compression, P.spurious, which the strip does not count) or an
+the first compression, which the strip does not count) or an
 eigenvector carries more than half its mass above the analysis degree
 (a higher mode's line); a coupled eigenvector's small tail is kept.
 That tail-mass verdict belongs to the eigenpoint, not the strip:
@@ -100,6 +100,7 @@ from .operator_ast import SystemOperator
 from .pencil import (
     _CLUSTER_RADIUS,
     PencilMatrices,
+    _square_roots,
     assemble_pencil,
     default_l_max,
     horner,
@@ -223,15 +224,15 @@ def _stacked(fn, B, points, size):
     return [fn(horner(B, points[k:k + step])) for k in range(0, max(len(points), 1), step)]
 
 
-def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
+def solve_pencil_eigenvalues(P: PencilMatrices, band=None, spurious=None) -> np.ndarray:
     """All finite certified eigenvalues of the truncated pencil, or with
     band = (lo, hi) only those with lo < Im lam < hi, the only ones
     certified.  The companion eigensolves run once per pencil
     (P.eigenvalues); a candidate of a remembered cluster (P.points) was
     certified when its cluster was chained, and is not certified again.  A
-    candidate in the band that fails certification with no root of its
-    block's second compression (P.witnesses) within _WITNESS_RADIUS is
-    marked in P.spurious: a root of the first compression alone."""
+    candidate that fails with no root of its block's second compression
+    (P.compression(i, 1)) within _WITNESS_RADIUS is a root of the first
+    alone: it is marked in `spurious` (over P.eigenvalues) when given."""
     vals = P.eigenvalues
     keep = (np.ones(len(vals), dtype=bool) if band is None
             else (band[0] < vals.imag) & (vals.imag < band[1]))
@@ -249,9 +250,10 @@ def solve_pencil_eigenvalues(P: PencilMatrices, band=None) -> np.ndarray:
                                          P.restriction(i), vals[sel], P.B.size))
             keep[sel] = sv[:, -1] < _RANK_TOL * np.maximum(sv[:, 0], P.scale)
             fail = sel[~keep[sel]]
-            if len(fail) and band is not None:
-                near = np.abs(vals[fail, None] - P.witnesses(i)).min(axis=1, initial=np.inf)
-                P.spurious[fail] = near > _WITNESS_RADIUS
+            if len(fail) and spurious is not None:
+                witnesses = _square_roots(P.compression(i, 1), P.real)
+                near = np.abs(vals[fail, None] - witnesses).min(axis=1, initial=np.inf)
+                spurious[fail] = near > _WITNESS_RADIUS
     return vals[keep]
 
 
@@ -706,15 +708,16 @@ def strip_eigenpoints(P: PencilMatrices, beta1, beta2) -> list:
     outside an edge are kept, so a line on an edge reaches RefuseBoundary
     whatever side round-off puts it on.  A candidate there that fails
     certification is a line the degree does not resolve (UnstableSpectrum),
-    unless it is spurious (P.spurious), and then it is not counted.
+    unless solve_pencil_eigenvalues marks it spurious, and then it is not counted.
     The algebraic multiplicities must sum to the number of values in the
     strip (MultiplicityMismatch otherwise), so a cluster that straddles the
     widened strip, with members on both sides of an edge, is refused too.
     Only then does a kept P remember the new eigenpoints (pencil.remember),
     so a remembered cluster lies whole in a strip that certified it."""
     lo, hi = beta1 - _CLUSTER_RADIUS, beta2 + _CLUSTER_RADIUS
-    in_strip = solve_pencil_eigenvalues(P, (lo, hi))
-    band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi) & ~P.spurious
+    spurious = np.zeros(len(P.eigenvalues), dtype=bool)
+    in_strip = solve_pencil_eigenvalues(P, (lo, hi), spurious)
+    band = (lo < P.eigenvalues.imag) & (P.eigenvalues.imag < hi) & ~spurious
     found = np.count_nonzero(band)
     if found > len(in_strip):
         raise UnstableSpectrum(

@@ -33,6 +33,7 @@ from .radial_algebra import (
     _sphere_points,
     normals,
     sphere_monomial_moment,
+    surface_measure,
     uniforms,
 )
 
@@ -139,12 +140,10 @@ def weighted_sobolev_norm(u: Expr, p: float, k: int, beta) -> NormResult:
     if u.is_zero():
         return NormResult(0.0, 0.0, 0.0)
 
-    derivs = {}
+    # (alpha, D^alpha u, its growth at infinity), audited before any integral
+    derivs = []
     for alpha in _multi_indices(n, k):
-        derivs[alpha] = u.derivative(alpha)
-
-    # exponent audit
-    for alpha, du in derivs.items():
+        du = u.derivative(alpha)
         if du.is_zero():
             continue
         h_inf = du.homogeneity_at_infinity()
@@ -154,17 +153,16 @@ def weighted_sobolev_norm(u: Expr, p: float, k: int, beta) -> NormResult:
         h0 = du.min_exponent_at_zero()
         if p * h0 + n <= 0.0:
             raise DivergentNorm(f"divergent at origin for alpha={alpha}")
+        derivs.append((alpha, du, h_inf))
 
     value = 0.0
     quad_err = 0.0
     tail = 0.0
     even_p = p_frac.denominator == 1 and p_frac.numerator % 2 == 0
 
-    for alpha, du in derivs.items():
-        if du.is_zero():
-            continue
+    for alpha, du, h_inf in derivs:
         w_expo = p_frac * (beta + sum(alpha)) - n  # Lambda exponent, exact
-        decay = p * (du.homogeneity_at_infinity() + float(beta) + sum(alpha))
+        decay = p * (h_inf + float(beta) + sum(alpha))
         R = max(8.0, (1e-12) ** (1.0 / decay)) if decay < 0 else 8.0
         R = min(R, 1e6)
         if even_p:
@@ -202,10 +200,9 @@ def weighted_sobolev_norm(u: Expr, p: float, k: int, beta) -> NormResult:
             val, err = _radial_integral(fn, R, order=24)
             value += val
             quad_err += err
-            h_inf = du.homogeneity_at_infinity()
             amp = sum(abs(v) for v in du.terms.values())
-            tail += amp ** p * _tail_bound_term(
-                (p * h_inf + float(w_expo)) / 2.0, n - 1 - 0.0, R)
+            tail += surface_measure(n) * amp ** p * _tail_bound_term(
+                float(w_expo) / 2.0, p * h_inf + n - 1, R)
     return NormResult(value, quad_err, tail)
 
 

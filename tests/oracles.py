@@ -14,7 +14,8 @@ pencil_adj(lam) = pencil(conj(lam) + i(n + m))^H at one probe point
 the adjoint chains.  And the small constructors and lookups only the tests
 call: a ledger's index at one beta (index_at), the squares with a root
 in a circle (owners), the eigenpoint of the cluster at a point
-(chains_at), the weight Lambda^gamma (lambda_power), a constant
+(chains_at), one Expr term (expr_term), the weight Lambda^gamma
+(lambda_power), a constant
 polynomial (constant_poly) and the zero, scaled and summed
 RadialFunctions the pencil oracle builds (radial_zero, radial_scale,
 radial_add).
@@ -194,9 +195,15 @@ def chains_at(P: PencilMatrices, lam0) -> Eigenpoint:
     return jordan_chains(P, [cluster])[0]
 
 
+def expr_term(n, b, c, mono, coeff=1.0):
+    """The one-term Expr coeff (1 + r^2)^b r^c x^mono."""
+    key = (_as_fraction(b), _as_fraction(c), tuple(int(e) for e in mono))
+    return Expr(n, {key: complex(coeff)})
+
+
 def lambda_power(n, gamma):
     """(1 + r^2)^(gamma/2), i.e. the weight Lambda^gamma."""
-    return Expr.term(n, Fraction(_as_fraction(gamma), 2), 0, (0,) * n)
+    return expr_term(n, Fraction(_as_fraction(gamma), 2), 0, (0,) * n)
 
 
 def constant_poly(n, value=1.0):

@@ -5,8 +5,9 @@ No linter ships with the toolchain, so five rules are checked on the ast:
 every name a module of src/oppencil (__init__.py included), tests/ or
 scripts/ imports is used in that module; every module-level function or
 class of src/oppencil, and every method of such a class (dunders exempt),
-is referenced somewhere in src/ or scripts/ outside its own definition
-(what only the tests call belongs in tests/oracles.py); every name a
+is referenced somewhere in src/ or scripts/ outside its own definition, a
+method only through an attribute (what only the tests call belongs in
+tests/oracles.py); every name a
 plain module-level `name = ...` assignment of src/oppencil binds is read
 somewhere in src/; every name a plain `name = ...` assignment binds
 inside a src/oppencil function is read by that function (names starting
@@ -58,6 +59,12 @@ def _identifiers(node):
     return out
 
 
+def _attributes(node):
+    """Every attribute name a subtree refers to (x.name): the references a
+    method can have, where a bare name may be a local of the same name."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -96,24 +103,28 @@ def _shared_method_names():
 
 def test_definitions_are_referenced():
     # a method whose name another class's method shares is checked by
-    # test_shared_name_methods_are_called instead
+    # test_shared_name_methods_are_called instead.  A method is referenced
+    # only through an attribute (x.name), so a local variable that shares
+    # its name does not count for it
     files = [p for d in ("src", "scripts") for p in (REPO / d).rglob("*.py")]
-    total = Counter()
+    names, attrs = Counter(), Counter()
     for p in files:
-        total.update(_identifiers(_parse(p)))
+        tree = _parse(p)
+        names.update(_identifiers(tree))
+        attrs.update(_attributes(tree))
     shared = _shared_method_names()
     orphans = []
     for path in MODULES:
         for node in _parse(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [(node.name, node)]
+            defs = [(node.name, node, names, _identifiers)]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                defs += [(f"{node.name}.{f.name}", f, attrs, _attributes) for f in node.body
                          if isinstance(f, ast.FunctionDef) and f.name not in shared
                          and not (f.name.startswith("__") and f.name.endswith("__"))]
-            orphans += [f"{path.name}:{label}" for label, d in defs
-                        if total[d.name] - _identifiers(d)[d.name] <= 0]
+            orphans += [f"{path.name}:{label}" for label, d, refs, own in defs
+                        if refs[d.name] - own(d)[d.name] <= 0]
     assert orphans == []
 
 

@@ -205,6 +205,24 @@ def test_ledger_centre_line_within_the_cluster_radius(laplacian2d, shift):
         assert i == cc_index(laplacian2d, (l + r) / 2)
 
 
+def test_ledger_refuses_an_odd_centre_line(laplacian2d):
+    # a self-adjoint operator's centre line (n + m)/2 has even multiplicity,
+    # so an odd one is not self-adjoint data and no index can be placed
+    rep = strip_spectrum(laplacian2d, 0.5, 3.5, 4)
+    odd = dataclasses.replace(rep, res_lines={2.0: 3})
+    with pytest.raises(NoAnchor, match="odd"):
+        build_ledger(odd, Anchor("selfadjoint"))
+
+
+def test_cc_anchor_moves_off_an_integer_midpoint(laplacian2d):
+    # with no line in (0.5, 3.5) the window's midpoint is the breakpoint 2
+    # of the cc formula, so the anchor moves a quarter up instead of refusing
+    rep = strip_spectrum(laplacian2d, 0.5, 3.5, 4)
+    led = build_ledger(dataclasses.replace(rep, res_lines={}), Anchor("cc"))
+    assert led.anchor == (2.25, cc_index(laplacian2d, 2.25), "cc")
+    assert led.values == [(0.5, 3.5, led.anchor[1])]
+
+
 def test_ledger_no_selfadjoint_anchor_for_dbar(dbar2d):
     with pytest.raises(NotApplicable):
         check_anchor(dbar2d, Anchor("selfadjoint"))

@@ -542,10 +542,10 @@ def test_expansion_runs_one_companion_qz(monkeypatch):
                         lambda C: calls.append((len(C), len(depth))) or roots(C))
     solve = spectrum.solve_pencil_eigenvalues
 
-    def staged(P, band=None):
+    def staged(P, band=None, spurious=None):
         depth.append(P)
         try:
-            return solve(P, band)
+            return solve(P, band, spurious)
         finally:
             depth.pop()
 

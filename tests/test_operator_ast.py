@@ -637,7 +637,7 @@ def test_decay_rejects_slow_remainder():
 
 
 def test_decay_zero_function():
-    rep = check_symbol_class(Expr.zero(3), beta=5.0)
+    rep = check_symbol_class(Expr(3), beta=5.0)
     assert rep.passed
 
 

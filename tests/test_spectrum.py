@@ -886,7 +886,8 @@ def test_one_pencil_is_solved_at_every_bandwidth(monkeypatch, laplacian3d, dbar2
     solved = []
     solve = spectrum.solve_pencil_eigenvalues
     monkeypatch.setattr(spectrum, "solve_pencil_eigenvalues",
-                        lambda P, band=None: solved.append(P) or solve(P, band))
+                        lambda P, band=None, spurious=None:
+                        solved.append(P) or solve(P, band, spurious))
     for op, strip, degree, coupled in ((laplacian3d, (-0.5, 3.5), 4, False),
                                        (dbar2d, (-1.5, 2.5), 6, True)):
         solved.clear()
@@ -1615,15 +1616,16 @@ def test_a_root_of_the_first_compression_alone_does_not_refuse_the_strip(monkeyp
     # compressions, so test_uncertified_candidates_refuse_the_strip refuses
     op = parse_operator(_symmetrized_anisotropic_doc())
     P = replace(assemble_pencil(op, default_l_max(op, 14), analysis_degree=14))
-    assert len(solve_pencil_eigenvalues(P, (1.5, 2.5))) == 2
-    (k,) = np.flatnonzero(P.spurious)
+    spurious = np.zeros(len(P.eigenvalues), dtype=bool)
+    assert len(solve_pencil_eigenvalues(P, (1.5, 2.5), spurious)) == 2
+    (k,) = np.flatnonzero(spurious)
     lam, i = P.eigenvalues[k], P.roots[1][k]
     assert lam.real == 0 and abs(lam.imag - 2.0329747864) < 1e-9
-    assert np.abs(P.witnesses(i) - lam).min() > 0.1
+    assert np.abs(pencil._square_roots(P.compression(i, 1), P.real) - lam).min() > 0.1
     assert [ep.algebraic for ep in spectrum.strip_eigenpoints(P, 1.5, 2.5)] == [1, 1]
     monkeypatch.setattr(spectrum, "_WITNESS_RADIUS", np.inf)
     with pytest.raises(UnstableSpectrum, match=r"^1 of 3 eigenvalues in \(1.5, 2.5\)"):
-        spectrum.strip_eigenpoints(replace(P), 1.5, 2.5)
+        spectrum.strip_eigenpoints(P, 1.5, 2.5)   # the verdict is the strip's, not P's
 
 
 # ---------------------------------------------------------------------------

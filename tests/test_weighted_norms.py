@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
+from oppencil import weighted_norms
 from oppencil.errors import DivergentNorm, UnboundedNorm
-from oppencil.radial_algebra import Expr
+from oppencil.radial_algebra import Expr, surface_measure
 from oppencil.weighted_norms import (
     check_symbol_class,
     weighted_cl_norm,
     weighted_holder_seminorm,
     weighted_sobolev_norm,
 )
-from oracles import lambda_power
+from oracles import expr_term, lambda_power
 
 
 def lam_pow(n, g):
@@ -32,7 +34,7 @@ def radial_beta_integral(s, w):
 
 def test_ring_derivative_vs_finite_differences():
     n = 3
-    u = lam_pow(n, -3) + Expr.term(n, "-1/2", 0, (1, 1, 0), 0.75 - 0.25j)
+    u = lam_pow(n, -3) + expr_term(n, "-1/2", 0, (1, 1, 0), 0.75 - 0.25j)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, (100, n))
     h = 1e-5
@@ -48,7 +50,7 @@ def test_ring_derivative_vs_finite_differences():
 
 def test_ring_json_roundtrip():
     n = 2
-    u = Expr.term(n, "3/2", "-1/2", (2, 1), 1.5 + 0.5j) + lam_pow(n, -2)
+    u = expr_term(n, "3/2", "-1/2", (2, 1), 1.5 + 0.5j) + lam_pow(n, -2)
     v = Expr.from_json(u.to_json(), n)
     assert set(u.terms) == set(v.terms)
     for k in u.terms:
@@ -58,7 +60,7 @@ def test_ring_json_roundtrip():
 def test_ring_product_closed():
     n = 2
     u = lam_pow(n, -1)
-    v = Expr.term(n, 0, "-1", (1, 0))
+    v = expr_term(n, 0, "-1", (1, 0))
     w = u * v
     assert list(w.terms) == [(-0.5, -1, (1, 0))]
 
@@ -68,7 +70,7 @@ def test_ring_product_closed():
 # ---------------------------------------------------------------------------
 
 def test_sobolev_zero():
-    assert weighted_sobolev_norm(Expr.zero(3), 2, 1, 0.0).value == 0.0
+    assert weighted_sobolev_norm(Expr(3), 2, 1, 0.0).value == 0.0
 
 
 def test_sobolev_beta_oracle_k0():
@@ -93,7 +95,7 @@ def test_sobolev_beta_oracle_k1():
 def test_sobolev_shift_identity_bitwise():
     # norm of Lambda^g u at weight beta == norm of u at weight beta + g
     n = 3
-    u = lam_pow(n, -4) + Expr.term(n, "-2", 0, (1, 0, 0), 0.5)
+    u = lam_pow(n, -4) + expr_term(n, "-2", 0, (1, 0, 0), 0.5)
     g = 1.5
     a = weighted_sobolev_norm(lam_pow(n, g) * u, 2, 0, 0.5)
     b = weighted_sobolev_norm(u, 2, 0, 0.5 + g)
@@ -129,12 +131,30 @@ def test_sobolev_odd_p_against_closed_form():
     assert res.value == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+def test_sobolev_tail_bound_bounds_the_tail(monkeypatch, n, p):
+    # u = Lambda^-3, k = 0, beta = 0: beyond the radius R the norm integrates
+    # to, the integral is |S^(n-1)| int_R^inf (1+r^2)^(-(n+3p)/2) r^(n-1) dr.
+    # For p not an even integer the bound left out |S^(n-1)| and bounded
+    # (1+r^2)^(-3p/2) from below: 6-13 times below the tail
+    radii = []
+    integral = weighted_norms._radial_integral
+    monkeypatch.setattr(weighted_norms, "_radial_integral",
+                        lambda fn, R, **kw: radii.append(R) or integral(fn, R, **kw))
+    res = weighted_sobolev_norm(lam_pow(n, -3), p, 0, 0.0)
+    (R,) = set(radii)
+    tail = surface_measure(n) * quad(lambda r: (1 + r * r) ** (-(n + 3 * p) / 2) * r ** (n - 1),
+                                     R, np.inf, epsabs=0.0, epsrel=1e-10)[0]
+    assert 0 < tail <= res.tail_bound < 1e-9 * res.value
+
+
 # ---------------------------------------------------------------------------
 # C^l norm
 # ---------------------------------------------------------------------------
 
 def test_cl_constant():
-    u = Expr.term(3, 0, 0, (0, 0, 0), 1.0)
+    u = expr_term(3, 0, 0, (0, 0, 0), 1.0)
     res = weighted_cl_norm(u, 0, 0.0)
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
@@ -163,7 +183,7 @@ def test_cl_scaling():
 # ---------------------------------------------------------------------------
 
 def test_holder_constant_function():
-    u = Expr.term(2, 0, 0, (0, 0), 2.0)
+    u = expr_term(2, 0, 0, (0, 0), 2.0)
     res = weighted_holder_seminorm(u, 0.5, 0.0, samples=1024)
     # seminorm part vanishes; only the sup term remains
     assert res.value == pytest.approx(2.0, rel=1e-9)
@@ -181,7 +201,7 @@ def test_holder_lambda_sigma_bound():
 
 def test_holder_monotone_in_samples():
     sigma = 0.4
-    u = lam_pow(3, -1) + Expr.term(3, "-3/2", 0, (1, 0, 0), 1.0)
+    u = lam_pow(3, -1) + expr_term(3, "-3/2", 0, (1, 0, 0), 1.0)
     vals = [weighted_holder_seminorm(u, sigma, 0.0, samples=s).value
             for s in (512, 1024, 2048, 4096)]
     for a, b in zip(vals, vals[1:]):
@@ -191,7 +211,7 @@ def test_holder_monotone_in_samples():
 def test_holder_reads_exactly_samples_pairs():
     # a chunk of 512 pairs is drawn whole but only its first pairs count, so
     # any `samples` reads a prefix of the pairs of every larger one
-    u = Expr.term(3, "-3/2", 0, (1, 0, 0), 1.0)
+    u = expr_term(3, "-3/2", 0, (1, 0, 0), 1.0)
     vals = [weighted_holder_seminorm(u, 0.4, 0.0, samples=s).value
             for s in (1, 2, 100, 511, 512, 700)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
